@@ -60,12 +60,9 @@ pub struct WorkloadStat {
     pub token_hit_rate: Option<f64>,
 }
 
-/// The full report: thread count plus one entry per workload.
+/// The full report: one entry per workload.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// Worker threads the parallel paths fan out over
-    /// ([`rayon::current_num_threads`]).
-    pub threads: usize,
     pub workloads: Vec<WorkloadStat>,
     /// Armed-vs-disarmed tracing overhead over the pipeline workload.
     pub tracing: Option<TracingOverhead>,
@@ -418,8 +415,7 @@ fn pipeline_fixture(scale: Scale) -> (PrecisEngine, AnswerSpec, [PrecisQuery; 3]
 }
 
 /// End-to-end engine workload: multi-token précis queries answered
-/// repeatedly, so index lookups fan out across threads on cold tokens and
-/// the schema/token caches absorb the repeats.
+/// repeatedly, so the schema/token caches absorb the repeats.
 fn engine_workload(scale: Scale) -> WorkloadStat {
     let rounds = match scale {
         Scale::Quick => 12,
@@ -629,7 +625,6 @@ impl TracingOverhead {
 /// Run every workload at the given scale.
 pub fn run_report(scale: Scale) -> BenchReport {
     BenchReport {
-        threads: rayon::current_num_threads(),
         workloads: vec![
             schema_generator_workload(scale),
             db_generator_workload(scale),
@@ -669,7 +664,6 @@ impl BenchReport {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"report\": \"{REPORT_LABEL}\",");
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
         if let Some(tracing) = &self.tracing {
             let _ = writeln!(out, "  \"tracing_overhead\": {},", tracing.to_json_object());
         }
@@ -736,7 +730,6 @@ mod tests {
     #[test]
     fn quick_report_covers_every_workload_and_caches_pay_off() {
         let report = run_report(Scale::Quick);
-        assert!(report.threads >= 1);
         let names: Vec<&str> = report.workloads.iter().map(|w| w.name).collect();
         assert_eq!(
             names,
@@ -790,7 +783,6 @@ mod tests {
     #[test]
     fn report_serializes_to_well_formed_json() {
         let report = BenchReport {
-            threads: 4,
             workloads: vec![
                 WorkloadStat {
                     name: "a",
@@ -822,7 +814,6 @@ mod tests {
             }),
         };
         let json = report.to_json();
-        assert!(json.contains("\"threads\": 4"));
         assert!(json.contains("\"tracing_overhead\": {"));
         assert!(json.contains("\"overhead_armed_pct\": 8.000000000"));
         assert!(json.contains("\"name\": \"a\""));

@@ -35,9 +35,5 @@ fn main() {
         });
         eprintln!("wrote {path}");
     }
-    eprintln!(
-        "({} threads, total wall time {:.1}s)",
-        report.threads,
-        t0.elapsed().as_secs_f64()
-    );
+    eprintln!("(total wall time {:.1}s)", t0.elapsed().as_secs_f64());
 }

@@ -9,8 +9,8 @@
 //! `ablation-pruning`, `ablation-indegree`, `baseline`, `all`.
 
 use precis_bench::figures::{
-    ablation_fast_schema_gen, ablation_in_degree, ablation_pruning, cost_model_validation, fig7,
-    fig7_large_graph, fig7_movies_graph, fig8, fig9,
+    ablation_in_degree, ablation_pruning, cost_model_validation, fig7, fig7_large_graph,
+    fig7_movies_graph, fig8, fig9,
 };
 use precis_bench::workloads::bench_movies_db;
 use precis_core::RetrievalStrategy;
@@ -26,7 +26,6 @@ fn main() {
         "fig9" => run_fig9(),
         "cost-model" => run_cost_model(),
         "ablation-pruning" => run_ablation_pruning(),
-        "ablation-fastgen" => run_ablation_fastgen(),
         "ablation-indegree" => run_ablation_indegree(),
         "baseline" => run_baseline(),
         "all" => {
@@ -36,13 +35,12 @@ fn main() {
             run_fig9();
             run_cost_model();
             run_ablation_pruning();
-            run_ablation_fastgen();
             run_ablation_indegree();
             run_baseline();
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-fastgen | ablation-indegree | baseline | all");
+            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-indegree | baseline | all");
             std::process::exit(2);
         }
     }
@@ -170,25 +168,6 @@ fn run_ablation_pruning() {
             p.without_pruning.pushed,
             p.with_pruning.accepted,
             p.speedup_pushed
-        );
-    }
-}
-
-fn run_ablation_fastgen() {
-    println!("\n## Optimization — Figure 3 path enumeration vs Dijkstra variant");
-    println!("## layered all-to-all graph (5 layers x 3 relations, 3^4 = 81 root-to-leaf paths)");
-    println!(
-        "{:>4}  {:>12}  {:>12}  {:>8}  {:>8}",
-        "w0", "fig3 (µs)", "fast (µs)", "speedup", "attrs"
-    );
-    for p in ablation_fast_schema_gen(&[0.9, 0.7, 0.5, 0.3, 0.2, 0.1], 10, 5, 21) {
-        println!(
-            "{:>4}  {:>12.2}  {:>12.2}  {:>7.2}x  {:>8}",
-            p.w0,
-            p.fig3_secs * 1e6,
-            p.fast_secs * 1e6,
-            p.fig3_secs / p.fast_secs,
-            p.visible_attrs
         );
     }
 }

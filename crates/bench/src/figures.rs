@@ -9,7 +9,7 @@ use precis_core::{
     generate_result_schema, generate_result_schema_instrumented, CostModel, DegreeConstraint,
     RetrievalStrategy, TraversalStats,
 };
-use precis_datagen::{chain_db_fanout, layered_schema, random_weight_graph, tree_schema};
+use precis_datagen::{chain_db_fanout, random_weight_graph, tree_schema};
 use precis_graph::SchemaGraph;
 use precis_storage::{Database, RelationId, Value};
 use rand::rngs::StdRng;
@@ -395,77 +395,6 @@ pub fn ablation_in_degree(db: &Database, seed_counts: &[usize], seed: u64) -> Ve
                 seeds: n_seeds,
                 tuples_with: run(true).total_tuples() as f64,
                 tuples_without: run(false).total_tuples() as f64,
-            }
-        })
-        .collect()
-}
-
-/// One row of the schema-generator optimization comparison (§7's "further
-/// optimization" realized).
-#[derive(Debug, Clone, Copy)]
-pub struct FastGenPoint {
-    /// Min-weight threshold of the degree constraint.
-    pub w0: f64,
-    /// Mean Figure-3 (path-enumeration) time, seconds.
-    pub fig3_secs: f64,
-    /// Mean Dijkstra-variant time, seconds.
-    pub fast_secs: f64,
-    /// Visible attributes produced (identical for both, asserted).
-    pub visible_attrs: usize,
-}
-
-/// Compare the paper's Figure 3 generator with the optimized
-/// distinct-projection variant on a layered all-to-all graph (5 layers x 3
-/// relations), where the number of distinct acyclic paths — and hence
-/// Figure 3's work — grows exponentially while the Dijkstra variant stays
-/// linear in the edge count.
-pub fn ablation_fast_schema_gen(
-    w0_values: &[f64],
-    weight_sets: usize,
-    repeats: usize,
-    seed: u64,
-) -> Vec<FastGenPoint> {
-    use precis_core::generate_result_schema_fast;
-    let base = SchemaGraph::from_foreign_keys(layered_schema(5, 3, 2), 0.95, 0.9, 0.9)
-        .expect("valid layered graph");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graphs: Vec<SchemaGraph> = (0..weight_sets)
-        .map(|_| random_weight_graph(&base, &mut rng))
-        .collect();
-    let origin = base
-        .schema()
-        .relation_id("L0_0")
-        .expect("layered schema root");
-    w0_values
-        .iter()
-        .map(|&w0| {
-            let constraint = DegreeConstraint::MinWeight(w0);
-            let mut fig3 = 0.0;
-            let mut fast = 0.0;
-            let mut visible = 0usize;
-            let mut runs = 0usize;
-            for g in &graphs {
-                for _ in 0..repeats {
-                    let t0 = Instant::now();
-                    let slow_rs = generate_result_schema(g, &[origin], &constraint);
-                    fig3 += t0.elapsed().as_secs_f64();
-                    let t1 = Instant::now();
-                    let fast_rs = generate_result_schema_fast(g, &[origin], &constraint);
-                    fast += t1.elapsed().as_secs_f64();
-                    assert_eq!(
-                        slow_rs.total_visible_attrs(),
-                        fast_rs.total_visible_attrs(),
-                        "variants must agree on visible attributes"
-                    );
-                    visible += fast_rs.total_visible_attrs();
-                    runs += 1;
-                }
-            }
-            FastGenPoint {
-                w0,
-                fig3_secs: fig3 / runs as f64,
-                fast_secs: fast / runs as f64,
-                visible_attrs: visible / runs,
             }
         })
         .collect()

@@ -36,8 +36,8 @@ precis — interactive précis query explorer
                                  from loopback peers only — note the API has
                                  no auth, so think before binding --addr to
                                  a non-loopback address). With --data-dir,
-                                 POST /mutate writes are WAL-durable: the
-                                 dir holds snapshot.precisdb + wal.log, and
+                                 POST /v1/mutate writes are WAL-durable:
+                                 the dir holds snapshot.precisdb + wal.log, and
                                  a restart recovers every acknowledged
                                  mutation (existing state beats the source).
                                  Telemetry is always on by default: every
@@ -179,8 +179,8 @@ pub fn calibrate_cost_model(db: &Database) -> Option<CostModel> {
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Bind address. The API is unauthenticated: binding a non-loopback
-    /// address exposes `/query` and `/metrics` to every peer that can reach
-    /// the port (`POST /shutdown` and `POST /mutate` stay loopback-only
+    /// address exposes `/v1/query` and `/v1/metrics` to every peer that can reach
+    /// the port (`POST /shutdown` and `POST /v1/mutate` stay loopback-only
     /// regardless).
     pub addr: String,
     pub workers: usize,
@@ -975,7 +975,7 @@ mod tests {
         assert!(label.contains("demo movies database"));
         use std::io::{Read as _, Write as _};
         let mut conn = std::net::TcpStream::connect(handle.local_addr()).unwrap();
-        conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        conn.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n")
             .unwrap();
         let mut reply = String::new();
         conn.read_to_string(&mut reply).unwrap();
@@ -1028,10 +1028,10 @@ mod tests {
         let addr = handle.local_addr();
         let mutate = r#"{"ops":[{"op":"insert","relation":"DIRECTOR",
             "values":[777001,"Zzyxgnarp Qblitherton","Testville","1970-01-01"]}]}"#;
-        let reply = post(addr, "/mutate", mutate);
+        let reply = post(addr, "/v1/mutate", mutate);
         assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
         assert!(reply.contains("\"applied\": 1"), "{reply}");
-        let reply = post(addr, "/query", r#"{"tokens": "zzyxgnarp"}"#);
+        let reply = post(addr, "/v1/query", r#"{"tokens": "zzyxgnarp"}"#);
         assert!(reply.contains("Zzyxgnarp Qblitherton"), "{reply}");
         handle.trigger_shutdown();
         handle.wait();
@@ -1039,7 +1039,11 @@ mod tests {
         // Second life: recovery wins over the source; the mutation survives.
         let (handle, label) = start_server(Source::Demo, &options).unwrap();
         assert!(label.contains("recovered from"), "{label}");
-        let reply = post(handle.local_addr(), "/query", r#"{"tokens": "zzyxgnarp"}"#);
+        let reply = post(
+            handle.local_addr(),
+            "/v1/query",
+            r#"{"tokens": "zzyxgnarp"}"#,
+        );
         assert!(reply.contains("Zzyxgnarp Qblitherton"), "{reply}");
         handle.trigger_shutdown();
         handle.wait();

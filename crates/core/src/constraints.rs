@@ -108,22 +108,6 @@ pub enum CardinalityConstraint {
 }
 
 impl CardinalityConstraint {
-    /// Whether allowances for different relations are independent — charging
-    /// tuples to one relation can never shrink another relation's allowance.
-    /// Holds for per-relation and unbounded constraints but not for a total
-    /// cap, which couples every relation through the shared budget. The
-    /// result database generator only batches sibling joins for concurrent
-    /// execution under an independent constraint.
-    pub fn per_relation_independent(&self) -> bool {
-        match self {
-            CardinalityConstraint::MaxTuplesPerRelation(_) | CardinalityConstraint::Unbounded => {
-                true
-            }
-            CardinalityConstraint::MaxTotalTuples(_) => false,
-            CardinalityConstraint::All(cs) => cs.iter().all(Self::per_relation_independent),
-        }
-    }
-
     /// How many more tuples may be added to `rel` given the current
     /// per-relation and total counts.
     fn allowance(&self, rel_count: usize, total_count: usize) -> usize {
@@ -156,11 +140,6 @@ impl CardinalityBudget {
             per_relation: HashMap::new(),
             total: 0,
         }
-    }
-
-    /// The constraint this budget enforces.
-    pub fn constraint(&self) -> &CardinalityConstraint {
-        &self.constraint
     }
 
     /// Tuples that may still be added to `rel`.
@@ -303,15 +282,5 @@ mod tests {
     fn unbounded_budget_never_exhausts() {
         let b = CardinalityBudget::new(CardinalityConstraint::Unbounded);
         assert_eq!(b.allowance(RelationId(0)), usize::MAX);
-    }
-
-    #[test]
-    fn per_relation_independence_classification() {
-        use CardinalityConstraint::*;
-        assert!(MaxTuplesPerRelation(3).per_relation_independent());
-        assert!(Unbounded.per_relation_independent());
-        assert!(!MaxTotalTuples(10).per_relation_independent());
-        assert!(All(vec![MaxTuplesPerRelation(3), Unbounded]).per_relation_independent());
-        assert!(!All(vec![MaxTuplesPerRelation(3), MaxTotalTuples(10)]).per_relation_independent());
     }
 }

@@ -26,7 +26,6 @@ use precis_storage::{
     Database, DatabaseSchema, Datum, FxHashMap, FxHashSet, RelationId, ThreadMeter, TupleId,
     ValueScan,
 };
-use rayon::prelude::*;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
@@ -62,13 +61,6 @@ pub struct DbGenOptions {
     /// Data-value weights used by [`RetrievalStrategy::TopWeight`] and for
     /// ordering seed tuples under a tight budget.
     pub tuple_weights: Option<std::sync::Arc<TupleWeights>>,
-    /// Execute independent sibling joins (pairwise-distinct destination
-    /// relations within one frontier batch) concurrently. Only engages when
-    /// the cardinality constraint is per-relation independent
-    /// ([`CardinalityConstraint::per_relation_independent`]); the collected
-    /// tuples, run report, and storage cost counters are identical to
-    /// sequential execution either way.
-    pub parallel_joins: bool,
     /// Cooperative cancellation hook polled between retrieval steps. When
     /// the token fires (explicit cancel or deadline), generation stops with
     /// [`CoreError::Cancelled`] instead of running to completion — the abort
@@ -89,7 +81,6 @@ impl Default for DbGenOptions {
             repair_foreign_keys: true,
             postpone_by_in_degree: true,
             tuple_weights: None,
-            parallel_joins: true,
             cancel: None,
             profile: None,
         }
@@ -329,27 +320,8 @@ pub fn generate_result_database(
     materialize(db, graph, schema, collected, kept_seeds, report)
 }
 
-/// One executable join step, detached from the shared `collected` map so a
-/// batch of these can run on worker threads. The destination's working state
-/// is *moved* in (destinations within a batch are pairwise distinct) and
-/// moved back once the step completes.
-struct JoinTask<'a> {
-    to: RelationId,
-    to_attr: usize,
-    values: Vec<Datum>,
-    allowance: usize,
-    origins: &'a BTreeSet<RelationId>,
-    dest: Collected,
-}
-
-/// The join-processing loop of Figure 5.
-///
-/// Sequentially this executes one used edge per iteration, highest weight
-/// first. When the cardinality constraint is per-relation independent and
-/// [`DbGenOptions::parallel_joins`] is set, each iteration instead executes
-/// a *batch* of sibling edges concurrently — see [`pick_batch`] for the
-/// conditions under which a batch is provably equivalent to running its
-/// members sequentially.
+/// The join-processing loop of Figure 5: one used edge per iteration,
+/// highest weight first, executed in place on the caller's thread.
 #[allow(clippy::too_many_arguments)]
 fn execute_joins(
     db: &Database,
@@ -369,16 +341,14 @@ fn execute_joins(
         *pending_in.entry(graph.join_edge(u.edge).to).or_insert(0) += 1;
     }
 
-    let batching = options.parallel_joins && budget.constraint().per_relation_independent();
     let default_weights = TupleWeights::default();
     let weights = options.tuple_weights.as_deref().unwrap_or(&default_weights);
     let cancel = options.cancel.clone().unwrap_or_default();
+    let profile = options.profile.as_deref();
 
     loop {
         cancel.check()?;
-        let mut batch: Vec<usize> = if batching {
-            pick_batch(graph, used, &executed, collected, &pending_in, options)
-        } else {
+        let pick = |relaxed| {
             pick_edge(
                 graph,
                 used,
@@ -386,78 +356,71 @@ fn execute_joins(
                 collected,
                 &pending_in,
                 options,
-                false,
+                relaxed,
             )
-            .into_iter()
-            .collect()
         };
-        if batch.is_empty() {
-            // Nothing strictly eligible: break one deadlock sequentially.
-            match pick_edge(
-                graph,
-                used,
-                &executed,
-                collected,
-                &pending_in,
-                options,
-                true,
-            ) {
+        let idx = match pick(false) {
+            Some(i) => i,
+            // Nothing strictly eligible: break one deadlock.
+            None => match pick(true) {
                 Some(i) => {
                     report.deadlocks_broken += 1;
-                    batch = vec![i];
+                    i
                 }
                 None => break, // nothing has a populated source: done
-            }
-        }
-
-        // Detach each member's inputs while every source is still intact
-        // (batch members never write a relation another member reads).
-        let mut tasks: Vec<JoinTask> = Vec::with_capacity(batch.len());
-        for &idx in &batch {
-            let u = &used[idx];
-            let e = graph.join_edge(u.edge);
-            executed[idx] = true;
-            if let Some(p) = pending_in.get_mut(&e.to) {
-                *p = p.saturating_sub(1);
-            }
-
-            let source = collected.get(&e.from).expect("picked populated source");
-            let values = join_values(db, graph, source, u);
-            if values.is_empty() {
-                report.joins_skipped += 1;
-                continue;
-            }
-            let allowance = budget.allowance(e.to);
-            let dest = collected.remove(&e.to).unwrap_or_default();
-            tasks.push(JoinTask {
-                to: e.to,
-                to_attr: e.to_attr,
-                values,
-                allowance,
-                origins: &u.origins,
-                dest,
-            });
-        }
-
-        let profile = options.profile.as_deref();
-        let outcomes: Vec<Result<(JoinTask, usize)>> = if tasks.len() > 1 {
-            tasks
-                .into_par_iter()
-                .map(|t| run_task(db, strategy, weights, &cancel, profile, t))
-                .collect()
-        } else {
-            tasks
-                .into_iter()
-                .map(|t| run_task(db, strategy, weights, &cancel, profile, t))
-                .collect()
+            },
         };
-        for outcome in outcomes {
-            let (t, added) = outcome?;
-            collected.insert(t.to, t.dest);
-            budget.charge(t.to, added);
-            report.retrieved_tuples += added;
-            report.joins_executed += 1;
+        let u = &used[idx];
+        let e = graph.join_edge(u.edge);
+        executed[idx] = true;
+        if let Some(p) = pending_in.get_mut(&e.to) {
+            *p = p.saturating_sub(1);
         }
+
+        let source = collected.get(&e.from).expect("picked populated source");
+        let values = join_values(db, graph, source, u);
+        if values.is_empty() {
+            report.joins_skipped += 1;
+            continue;
+        }
+        let allowance = budget.allowance(e.to);
+        let dest = collected.entry(e.to).or_default();
+
+        let span = precis_obs::span("db_gen.join");
+        let meter = profile.map(|_| ThreadMeter::new());
+        let start = profile.map(|_| Instant::now());
+        let outcome = match strategy {
+            RetrievalStrategy::NaiveQ => naive_q(
+                db, e.to, e.to_attr, &values, allowance, dest, &u.origins, &cancel,
+            ),
+            RetrievalStrategy::RoundRobin => round_robin(
+                db, e.to, e.to_attr, &values, allowance, dest, &u.origins, &cancel,
+            ),
+            RetrievalStrategy::TopWeight => top_weight(
+                db, e.to, e.to_attr, &values, allowance, dest, &u.origins, weights, &cancel,
+            ),
+        }?;
+        if let (Some(p), Some(m), Some(t0)) = (profile, &meter, start) {
+            let name = db.schema().relation(e.to).name();
+            let events = m.events();
+            span.label(name);
+            span.field("tuples", outcome.added as u64);
+            span.field("index_probes", events.index_probes);
+            span.field("tuple_reads", events.tuple_reads);
+            p.record_relation(
+                name,
+                RelationDelta {
+                    tuples: outcome.added as u64,
+                    index_probes: events.index_probes,
+                    tuple_reads: events.tuple_reads,
+                    cache_hits: outcome.dedup_hits,
+                    wall_ns: t0.elapsed().as_nanos() as u64,
+                },
+            );
+        }
+        budget.charge(e.to, outcome.added);
+        report.retrieved_tuples += outcome.added;
+        report.joins_executed += 1;
     }
 
     // Any edge never executed had an unpopulatable source.
@@ -510,167 +473,6 @@ fn join_values(
 struct StepOutcome {
     added: usize,
     dedup_hits: u64,
-}
-
-/// Run one detached join step to completion, handing the destination state
-/// back together with the number of tuples added. When a profile collector
-/// is attached, the step runs under the profile's trace id (so spans from
-/// rayon workers join the query's span tree) and meters its own thread's
-/// storage events into a per-relation row.
-fn run_task<'a>(
-    db: &Database,
-    strategy: RetrievalStrategy,
-    weights: &TupleWeights,
-    cancel: &CancelToken,
-    profile: Option<&QueryProfile>,
-    mut t: JoinTask<'a>,
-) -> Result<(JoinTask<'a>, usize)> {
-    let trace = profile.map_or(0, |p| p.trace());
-    precis_obs::with_trace(trace, move || {
-        let span = precis_obs::span("db_gen.join");
-        let meter = profile.map(|_| ThreadMeter::new());
-        let start = profile.map(|_| Instant::now());
-        let outcome = run_strategy(db, strategy, weights, cancel, &mut t)?;
-        if let (Some(p), Some(m), Some(t0)) = (profile, &meter, start) {
-            let name = db.schema().relation(t.to).name();
-            let events = m.events();
-            span.label(name);
-            span.field("tuples", outcome.added as u64);
-            span.field("index_probes", events.index_probes);
-            span.field("tuple_reads", events.tuple_reads);
-            p.record_relation(
-                name,
-                RelationDelta {
-                    tuples: outcome.added as u64,
-                    index_probes: events.index_probes,
-                    tuple_reads: events.tuple_reads,
-                    cache_hits: outcome.dedup_hits,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-        }
-        Ok((t, outcome.added))
-    })
-}
-
-/// Dispatch one detached join step to the configured retrieval strategy.
-fn run_strategy(
-    db: &Database,
-    strategy: RetrievalStrategy,
-    weights: &TupleWeights,
-    cancel: &CancelToken,
-    t: &mut JoinTask<'_>,
-) -> Result<StepOutcome> {
-    match strategy {
-        RetrievalStrategy::NaiveQ => naive_q(
-            db,
-            t.to,
-            t.to_attr,
-            &t.values,
-            t.allowance,
-            &mut t.dest,
-            t.origins,
-            cancel,
-        ),
-        RetrievalStrategy::RoundRobin => round_robin(
-            db,
-            t.to,
-            t.to_attr,
-            &t.values,
-            t.allowance,
-            &mut t.dest,
-            t.origins,
-            cancel,
-        ),
-        RetrievalStrategy::TopWeight => top_weight(
-            db,
-            t.to,
-            t.to_attr,
-            &t.values,
-            t.allowance,
-            &mut t.dest,
-            t.origins,
-            weights,
-            cancel,
-        ),
-    }
-}
-
-/// Collect a weight-ordered prefix of strictly-eligible edges that can run
-/// concurrently with results identical to executing them one by one:
-///
-/// * destination relations are pairwise distinct (each worker owns its
-///   destination exclusively, and per-relation budgets stay independent);
-/// * no member writes a relation another member reads or writes (sources
-///   are frozen for the whole batch), which also keeps self-joins solo;
-/// * no unexecuted edge departing from an earlier member's destination is
-///   at least as heavy as a later member — executing the earlier member
-///   could make such an edge eligible, and sequential order would then run
-///   it first (ties go to the lower edge index, so `>=` is the safe test).
-///
-/// Only called under a per-relation-independent cardinality constraint;
-/// under a total cap, charging one member changes the next allowance, so
-/// batches degenerate to size one (the sequential path).
-fn pick_batch(
-    graph: &SchemaGraph,
-    used: &[crate::result_schema::UsedJoin],
-    executed: &[bool],
-    collected: &BTreeMap<RelationId, Collected>,
-    pending_in: &HashMap<RelationId, usize>,
-    options: &DbGenOptions,
-) -> Vec<usize> {
-    let mut eligible: Vec<(f64, usize)> = used
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !executed[*i])
-        .filter_map(|(i, u)| {
-            let e = graph.join_edge(u.edge);
-            if !collected.contains_key(&e.from) {
-                return None;
-            }
-            let postponed =
-                options.postpone_by_in_degree && pending_in.get(&e.from).copied().unwrap_or(0) > 0;
-            (!postponed).then_some((e.weight, i))
-        })
-        .collect();
-    // Sequential pick order: weight descending, ties to the lowest index.
-    eligible.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.1.cmp(&b.1))
-    });
-
-    let mut batch: Vec<usize> = Vec::new();
-    let mut dests: BTreeSet<RelationId> = BTreeSet::new();
-    let mut sources: BTreeSet<RelationId> = BTreeSet::new();
-    for &(w, i) in &eligible {
-        let e = graph.join_edge(used[i].edge);
-        if !batch.is_empty() {
-            if e.from == e.to
-                || dests.contains(&e.to)
-                || dests.contains(&e.from)
-                || sources.contains(&e.to)
-            {
-                break;
-            }
-            let heavier_follow_up = used.iter().enumerate().any(|(j, uj)| {
-                !executed[j] && !batch.contains(&j) && j != i && {
-                    let ej = graph.join_edge(uj.edge);
-                    dests.contains(&ej.from) && ej.weight >= w
-                }
-            });
-            if heavier_follow_up {
-                break;
-            }
-        }
-        batch.push(i);
-        dests.insert(e.to);
-        sources.insert(e.from);
-        if e.from == e.to {
-            break; // self-join: runs alone
-        }
-    }
-    batch
 }
 
 /// Choose the next executable join edge: source populated, and (unless
@@ -1427,8 +1229,7 @@ mod tests {
         );
     }
 
-    /// CENTER with four sibling children (B, C, D, E) at distinct weights —
-    /// the shape where frontier batching actually forms multi-edge batches.
+    /// CENTER with four sibling children (B, C, D, E) at distinct weights.
     fn star_db() -> (Database, SchemaGraph) {
         let mut s = DatabaseSchema::new("star");
         s.add_relation(
@@ -1486,60 +1287,43 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batches_match_sequential_results_and_costs() {
+    fn a_request_never_leaves_its_thread() {
+        // Threads are bounded by construction: parallelism lives across
+        // requests (server workers), so every span of one answer — cold
+        // token lookups and sibling joins included — records on the
+        // caller's thread.
+        use crate::{AnswerSpec, PrecisEngine, PrecisQuery};
         let (db, g) = star_db();
-        let center = db.schema().relation_id("CENTER").unwrap();
-        let schema = generate_result_schema(&g, &[center], &DegreeConstraint::MinWeight(0.5));
-        assert!(
-            schema.used_joins().len() >= 4,
-            "star fans out to every child"
+        let engine = PrecisEngine::new(db, g).unwrap();
+        let spec = AnswerSpec::new(
+            DegreeConstraint::MinWeight(0.5),
+            CardinalityConstraint::MaxTuplesPerRelation(3),
         );
-        let seeds = HashMap::from([(center, vec![TupleId(0), TupleId(2)])]);
-        for strategy in [
-            RetrievalStrategy::NaiveQ,
-            RetrievalStrategy::RoundRobin,
-            RetrievalStrategy::TopWeight,
-        ] {
-            for cardinality in [
-                CardinalityConstraint::Unbounded,
-                CardinalityConstraint::MaxTuplesPerRelation(3),
-            ] {
-                let run = |parallel: bool| {
-                    db.stats().reset();
-                    let p = generate_result_database(
-                        &db,
-                        &g,
-                        &schema,
-                        &seeds,
-                        &cardinality,
-                        strategy,
-                        &DbGenOptions {
-                            repair_foreign_keys: false,
-                            parallel_joins: parallel,
-                            ..DbGenOptions::default()
-                        },
-                    )
-                    .unwrap();
-                    (p, db.stats().snapshot())
-                };
-                let (seq, seq_costs) = run(false);
-                let (par, par_costs) = run(true);
-                assert_eq!(seq.collected, par.collected, "{strategy:?}/{cardinality:?}");
-                assert_eq!(seq.seeds, par.seeds);
-                assert_eq!(seq.report, par.report, "{strategy:?}/{cardinality:?}");
-                assert_eq!(
-                    seq_costs, par_costs,
-                    "cost counters must be identical: {strategy:?}/{cardinality:?}"
-                );
-            }
+        let _armed = precis_obs::arm_capture_only();
+        let trace = precis_obs::new_trace_id();
+        let capture = precis_obs::capture_trace(trace, 256);
+        precis_obs::with_trace(trace, || {
+            let _caller = precis_obs::span("test.caller");
+            engine.answer(&PrecisQuery::new(["hub", "b"]), &spec)
+        })
+        .unwrap();
+        let spans = capture.take().spans;
+        let caller = spans
+            .iter()
+            .find(|s| s.name == "test.caller")
+            .expect("caller span captured")
+            .thread;
+        let joins = spans.iter().filter(|s| s.name == "db_gen.join").count();
+        assert!(joins >= 2, "star fans out to sibling joins: {joins}");
+        for s in &spans {
+            assert_eq!(s.thread, caller, "{} left the caller's thread", s.name);
         }
     }
 
     #[test]
-    fn total_cap_keeps_the_sequential_path_and_its_semantics() {
-        // MaxTotalTuples couples relations through one budget, so batching
-        // must not engage; the observable behavior stays exactly the
-        // pre-parallelism one.
+    fn total_cap_is_shared_across_sibling_joins() {
+        // MaxTotalTuples couples the star's sibling relations through one
+        // budget: each join's allowance is what the earlier ones left.
         let (db, g) = star_db();
         let center = db.schema().relation_id("CENTER").unwrap();
         let schema = generate_result_schema(&g, &[center], &DegreeConstraint::MinWeight(0.5));

@@ -14,7 +14,6 @@ use precis_graph::{SchemaGraph, WeightProfile};
 use precis_index::{InvertedIndex, Occurrence};
 use precis_obs::{CostParams, Phase};
 use precis_storage::{Database, RelationId, TupleId};
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -330,33 +329,21 @@ impl PrecisEngine {
     }
 
     /// Stage 1 with the token cache in front: cached tokens are served
-    /// directly, the distinct misses are looked up in parallel (the
-    /// inverted index and database read paths are `&self`), and every
-    /// fresh occurrence list is published back to the cache.
+    /// directly, each distinct miss is looked up once, and every fresh
+    /// occurrence list is published back to the cache.
     fn lookup_tokens(&self, query: &PrecisQuery) -> Vec<TokenMatch> {
         let tokens = query.tokens();
         let mut slots: Vec<Option<Arc<Vec<Occurrence>>>> =
             tokens.iter().map(|t| self.cache.get_token(t)).collect();
-        let mut missing: Vec<&str> = Vec::new();
-        for (t, s) in tokens.iter().zip(&slots) {
-            if s.is_none() && !missing.contains(&t.as_str()) {
-                missing.push(t.as_str());
-            }
-        }
-        if !missing.is_empty() {
-            let fresh: Vec<Arc<Vec<Occurrence>>> = missing
-                .par_iter()
-                .map(|t| Arc::new(self.index.lookup(&self.db, t)))
-                .collect();
-            let by_token: HashMap<&str, Arc<Vec<Occurrence>>> =
-                missing.iter().copied().zip(fresh).collect();
-            for (t, occurrences) in &by_token {
-                self.cache.put_token((*t).to_owned(), occurrences.clone());
-            }
-            for (t, s) in tokens.iter().zip(slots.iter_mut()) {
-                if s.is_none() {
-                    *s = Some(by_token[t.as_str()].clone());
-                }
+        let mut fresh: HashMap<&str, Arc<Vec<Occurrence>>> = HashMap::new();
+        for (t, s) in tokens.iter().zip(slots.iter_mut()) {
+            if s.is_none() {
+                let occurrences = fresh.entry(t.as_str()).or_insert_with(|| {
+                    let looked_up = Arc::new(self.index.lookup(&self.db, t));
+                    self.cache.put_token(t.clone(), looked_up.clone());
+                    looked_up
+                });
+                *s = Some(occurrences.clone());
             }
         }
         tokens

@@ -20,9 +20,7 @@ pub mod weights;
 mod zipf;
 
 pub use movies::{movies_graph, movies_schema, movies_vocabulary, woody_allen_instance};
-pub use schemas::{
-    chain_db, chain_db_fanout, chain_schema, layered_schema, star_schema, tree_schema,
-};
+pub use schemas::{chain_db, chain_db_fanout, chain_schema, star_schema, tree_schema};
 pub use synthetic::{MoviesConfig, MoviesGenerator};
 pub use university::{
     university_graph, university_instance, university_schema, university_vocabulary,

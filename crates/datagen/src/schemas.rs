@@ -78,48 +78,6 @@ pub fn tree_schema(n: usize, fanout: usize, payload_attrs: usize) -> DatabaseSch
     s
 }
 
-/// A layered schema: `layers` layers of `width` relations each, every
-/// relation referencing *every* relation of the previous layer. The number
-/// of distinct paths between the first and last layers grows as
-/// `width^(layers-1)` — the worst case for path-enumerating traversals and
-/// the motivating topology for the optimized schema generator.
-pub fn layered_schema(layers: usize, width: usize, payload_attrs: usize) -> DatabaseSchema {
-    assert!(layers >= 1 && width >= 1);
-    let mut s = DatabaseSchema::new(format!("layers{layers}x{width}"));
-    for layer in 0..layers {
-        for j in 0..width {
-            let name = format!("L{layer}_{j}");
-            let mut b = RelationSchema::builder(&name)
-                .attr_not_null("id", DataType::Int)
-                .primary_key("id");
-            if layer > 0 {
-                for p in 0..width {
-                    b = b.attr(format!("p{p}_id"), DataType::Int);
-                }
-            }
-            for i in 0..payload_attrs {
-                b = b.attr(format!("a{i}"), DataType::Text);
-            }
-            s.add_relation(b.build().expect("valid layered relation"))
-                .expect("unique name");
-        }
-    }
-    for layer in 1..layers {
-        for j in 0..width {
-            for p in 0..width {
-                s.add_foreign_key(ForeignKey::new(
-                    format!("L{layer}_{j}"),
-                    format!("p{p}_id"),
-                    format!("L{}_{p}", layer - 1),
-                    "id",
-                ))
-                .expect("valid layered fk");
-            }
-        }
-    }
-    s
-}
-
 /// A populated chain database for controlled Result-Database-Generator
 /// experiments: `n` relations, `rows` tuples each, tuple `row` of a
 /// non-root relation referencing parent id `row` (a 1-to-1 join), all join
@@ -216,18 +174,6 @@ mod tests {
         assert_eq!(chain_schema(1, 3).relation_count(), 1);
         assert_eq!(star_schema(1, 3).foreign_keys().len(), 0);
         assert_eq!(tree_schema(1, 2, 3).relation_count(), 1);
-    }
-
-    #[test]
-    fn layered_schema_is_all_to_all_between_layers() {
-        let s = layered_schema(3, 2, 1);
-        assert_eq!(s.relation_count(), 6);
-        // Layers 1 and 2 each contribute width^2 = 4 fks.
-        assert_eq!(s.foreign_keys().len(), 8);
-        let l1_0 = s.relation(s.relation_id("L1_0").unwrap());
-        // id + 2 parent fks + 1 payload.
-        assert_eq!(l1_0.arity(), 4);
-        assert_eq!(layered_schema(1, 3, 0).foreign_keys().len(), 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! promcheck — validate a Prometheus text exposition or a canonical-JSON
-//! body read from stdin. CI pipes live `/metrics` and `/debug/slow` scrapes
-//! through this.
+//! body read from stdin. CI pipes live `/v1/metrics` and `/v1/debug/slow`
+//! scrapes through this.
 //!
 //! ```text
-//! curl -s localhost:9090/metrics    | promcheck          # exposition format
-//! curl -s localhost:9090/debug/slow | promcheck --json   # canonical JSON
+//! curl -s localhost:9090/v1/metrics    | promcheck         # exposition format
+//! curl -s localhost:9090/v1/debug/slow | promcheck --json  # canonical JSON
 //! ```
 //!
 //! Exit status 0 means the input passed; violations are printed to stderr

@@ -11,9 +11,8 @@
 //! counts, latency histograms, queue depth, shed/coalesce/reorder totals,
 //! and the engine's answer-cache statistics.
 //!
-//! Endpoints (each mounted under `/v1/` — the versioned contract — and at
-//! its legacy unversioned alias, which answers identically plus a
-//! `Deprecation` header):
+//! Endpoints (mounted under `/v1/`, the versioned contract; any other path
+//! answers `404 not_found`):
 //!
 //! | Method | Path             | Purpose                                        |
 //! |--------|------------------|------------------------------------------------|

@@ -17,10 +17,10 @@
 //! coherent. The socket's I/O timeouts are armed before the first read, so
 //! a silent peer can pin a worker for at most [`ServerConfig::io_timeout`].
 //!
-//! Every endpoint is mounted twice: under `/v1/` (the versioned contract)
-//! and at its legacy unversioned path, which answers identically plus a
-//! `Deprecation` header. Non-2xx responses all carry the structured error
-//! envelope (`{"error": {"code", "message", ...}}`) from [`http::Response`].
+//! Every endpoint is mounted under `/v1/` (the versioned contract) except
+//! `POST /shutdown`; any other path answers `404 not_found`. Non-2xx
+//! responses all carry the structured error envelope
+//! (`{"error": {"code", "message", ...}}`) from [`http::Response`].
 //!
 //! With telemetry enabled (the default), every request also gets a 128-bit
 //! wire trace id at admission — accepted from an incoming `traceparent`
@@ -191,8 +191,6 @@ struct Waiter {
     admitted: Instant,
     deadline: Option<Instant>,
     wants_profile: bool,
-    /// Came in over a legacy unversioned path → deprecation headers.
-    deprecated: bool,
     /// This waiter's own trace (admission spans; execution spans live on
     /// the creator's trace). `None` when telemetry is disabled.
     trace: Option<TraceCtx>,
@@ -411,7 +409,24 @@ fn worker_loop(shared: &Shared) {
         match work {
             Work::Conn((admitted, stream)) => {
                 shared.metrics.dequeued();
-                serve_connection(shared, stream, admitted);
+                // As in `execute_flight`, a panic must cost one request, not
+                // a worker. The handler owns the stream, so keep a second
+                // handle for the best-effort 500.
+                let rescue = stream.try_clone();
+                let served = catch_unwind(AssertUnwindSafe(|| {
+                    serve_connection(shared, stream, admitted)
+                }));
+                if served.is_err() {
+                    shared.metrics.record_panic();
+                    shared
+                        .metrics
+                        .record_request("other", 500, admitted.elapsed());
+                    if let Ok(mut stream) = rescue {
+                        let resp =
+                            Response::error(500, "internal", "internal error serving request");
+                        let _ = http::write_response(&mut stream, &resp);
+                    }
+                }
             }
             Work::Job(job) => {
                 if job.reordered {
@@ -421,37 +436,6 @@ fn worker_loop(shared: &Shared) {
             }
         }
     }
-}
-
-/// The versioned route table: map a request path to its canonical endpoint
-/// and whether it arrived over a deprecated (unversioned) alias.
-fn canonical_path(path: &str) -> (&str, bool) {
-    match path {
-        "/v1/query" | "/v1/mutate" | "/v1/healthz" | "/v1/metrics" | "/v1/debug/slow"
-        | "/v1/debug/slo" => (&path[3..], false),
-        "/query" | "/mutate" | "/healthz" | "/metrics" | "/debug/slow" | "/debug/slo" => {
-            (path, true)
-        }
-        other => {
-            // The trace endpoints carry a dynamic id suffix.
-            if let Some(rest) = other.strip_prefix("/v1") {
-                if rest == "/debug/traces" || rest.starts_with("/debug/traces/") {
-                    return (rest, false);
-                }
-            }
-            if other == "/debug/traces" || other.starts_with("/debug/traces/") {
-                return (other, true);
-            }
-            (other, false)
-        }
-    }
-}
-
-/// Headers advertising that the unversioned path is a deprecated alias of
-/// the `/v1/` mount.
-fn deprecate(resp: Response, path: &str) -> Response {
-    resp.with_header("Deprecation: true")
-        .with_header(format!("Link: </v1{path}>; rel=\"successor-version\""))
 }
 
 /// Start a trace for one request: accept the wire id from a `traceparent`
@@ -622,14 +606,13 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
         .peer_addr()
         .map(|a| a.ip().is_loopback())
         .unwrap_or(false);
-    let (path, deprecated) = canonical_path(&request.path);
     // Time between admission and pickup is the connection-stage queue wait;
     // a query's additional ready-queue wait surfaces in its profile and
     // `"scheduling"` metadata instead.
     shared.metrics.record_queue_wait(admitted.elapsed());
 
-    if request.method == "POST" && path == "/query" {
-        admit_query(shared, stream, &request, admitted, started, deprecated);
+    if request.method == "POST" && request.path == "/v1/query" {
+        admit_query(shared, stream, &request, admitted, started);
         return;
     }
 
@@ -641,7 +624,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
         route(
             shared,
             &request,
-            path,
             peer_is_loopback,
             ctx.as_ref().map_or("", |c| c.hex.as_str()),
         )
@@ -649,14 +631,10 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
     // The mutate handler's only 503s are durability failures, which always
     // roll the WAL back (or poison it trying).
     let wal_rollback = endpoint == "mutate" && response.status == 503;
-    let mut response = if deprecated {
-        deprecate(response, path)
-    } else {
-        response
+    let response = match &ctx {
+        Some(c) => stamp_trace(response, c),
+        None => response,
     };
-    if let Some(c) = &ctx {
-        response = stamp_trace(response, c);
-    }
     shared
         .metrics
         .record_request(endpoint, response.status, started.elapsed());
@@ -675,30 +653,28 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
     }
 }
 
-/// Dispatch one non-query request on its canonical path. Returns the
-/// metrics endpoint label, the response, and whether to begin shutdown
-/// after answering.
+/// The route table for non-query requests. Returns the metrics endpoint
+/// label, the response, and whether to begin shutdown after answering.
 fn route(
     shared: &Shared,
     request: &Request,
-    path: &str,
     peer_is_loopback: bool,
     trace_hex: &str,
 ) -> (&'static str, Response, bool) {
-    match (request.method.as_str(), path) {
+    match (request.method.as_str(), request.path.as_str()) {
         // Mutations are unauthenticated, like /shutdown: only loopback
         // peers may change the data a public bind is serving.
-        ("POST", "/mutate") if !peer_is_loopback => (
+        ("POST", "/v1/mutate") if !peer_is_loopback => (
             "mutate",
             loopback_refusal("mutations are only honored from loopback"),
             false,
         ),
-        ("POST", "/mutate") => (
+        ("POST", "/v1/mutate") => (
             "mutate",
             handle_mutate(shared, &request.body, trace_hex),
             false,
         ),
-        ("GET", "/healthz") => {
+        ("GET", "/v1/healthz") => {
             // An SLO fast-burning its error budget degrades health without
             // failing it — the process is up; the operator should look.
             let body = match shared.telemetry.as_deref() {
@@ -714,7 +690,7 @@ fn route(
             };
             ("healthz", Response::text(200, body), false)
         }
-        ("GET", "/metrics") => {
+        ("GET", "/v1/metrics") => {
             let cache = shared.engine.load().cache_stats();
             let mut body = shared.metrics.render_prometheus(&cache);
             if let Some(d) = &shared.durability {
@@ -735,7 +711,7 @@ fn route(
             loopback_refusal("debug endpoints are only honored from loopback"),
             false,
         ),
-        ("GET", p) if is_debug_path(p) => ("other", handle_debug(shared, request, p), false),
+        ("GET", p) if is_debug_path(p) => ("other", handle_debug(shared, request), false),
         // Shutdown is unauthenticated, so it is only honored from loopback
         // peers; binding a public address must not hand remote process
         // termination to every peer that can reach the port.
@@ -749,7 +725,7 @@ fn route(
             Response::json(200, "{\"shutting_down\": true}\n".to_owned()),
             true,
         ),
-        (_, "/query" | "/mutate" | "/healthz" | "/metrics" | "/shutdown") => (
+        (_, "/v1/query" | "/v1/mutate" | "/v1/healthz" | "/v1/metrics" | "/shutdown") => (
             "other",
             Response::error(405, "method_not_allowed", "method not allowed"),
             false,
@@ -767,12 +743,12 @@ fn route(
     }
 }
 
-/// The loopback-only debug surface (canonical paths).
+/// The loopback-only debug surface.
 fn is_debug_path(path: &str) -> bool {
-    path == "/debug/slow"
-        || path == "/debug/slo"
-        || path == "/debug/traces"
-        || path.starts_with("/debug/traces/")
+    path == "/v1/debug/slow"
+        || path == "/v1/debug/slo"
+        || path == "/v1/debug/traces"
+        || path.starts_with("/v1/debug/traces/")
 }
 
 /// The uniform refusal every loopback-only endpoint answers a remote peer
@@ -781,9 +757,10 @@ fn loopback_refusal(message: &str) -> Response {
     Response::error(403, "forbidden", message)
 }
 
-/// Dispatch one loopback-only debug GET on its canonical path.
-fn handle_debug(shared: &Shared, request: &Request, path: &str) -> Response {
-    if path == "/debug/slow" {
+/// Dispatch one loopback-only debug GET.
+fn handle_debug(shared: &Shared, request: &Request) -> Response {
+    let path = request.path.as_str();
+    if path == "/v1/debug/slow" {
         return Response::json(200, shared.slow_log.render_json());
     }
     let Some(telem) = shared.telemetry.as_deref() else {
@@ -794,20 +771,19 @@ fn handle_debug(shared: &Shared, request: &Request, path: &str) -> Response {
         );
     };
     match path {
-        "/debug/slo" => Response::json(200, debug::render_slo(&telem.slo.snapshot())),
-        "/debug/traces" => {
+        "/v1/debug/slo" => Response::json(200, debug::render_slo(&telem.slo.snapshot())),
+        "/v1/debug/traces" => {
             let filter = TraceFilter {
                 outcome: request.query_param("outcome").map(str::to_owned),
                 class: request.query_param("class").map(str::to_owned),
                 min_latency: request
                     .query_param("min_latency_ms")
                     .and_then(|v| v.parse::<f64>().ok())
-                    .filter(|ms| ms.is_finite() && *ms >= 0.0)
-                    .map(|ms| Duration::from_secs_f64(ms / 1e3)),
+                    .and_then(|ms| Duration::try_from_secs_f64(ms / 1e3).ok()),
             };
             Response::json(200, debug::render_trace_list(&telem.store.list(&filter)))
         }
-        _ => match path.strip_prefix("/debug/traces/") {
+        _ => match path.strip_prefix("/v1/debug/traces/") {
             Some(id) if !id.is_empty() => match telem.store.get(id) {
                 Some(trace) if request.query_param("format") == Some("chrome") => {
                     Response::json(200, debug::render_trace_chrome(&trace))
@@ -834,25 +810,19 @@ fn admit_query(
     http_request: &Request,
     admitted: Instant,
     started: Instant,
-    deprecated: bool,
 ) {
     let mut ctx = begin_trace(shared, http_request.header("traceparent"));
     // Admission spans (pricing, shed, coalesce) record under this request's
     // trace so they land in its capture buffer.
     let _scope = precis_obs::trace_scope(ctx.as_ref().map_or(0, |c| c.internal));
 
-    // Answer an inline (non-flight) query response: deprecation headers,
-    // trace stamping, metrics, and the trace's SLO + sampler finalization.
+    // Answer an inline (non-flight) query response: trace stamping,
+    // metrics, and the trace's SLO + sampler finalization.
     let answer_now = |resp: Response,
                       stream: &mut TcpStream,
                       ctx: Option<TraceCtx>,
                       class: &'static str,
                       sched: Option<SchedDecision>| {
-        let resp = if deprecated {
-            deprecate(resp, "/query")
-        } else {
-            resp
-        };
         let resp = match &ctx {
             Some(c) => stamp_trace(resp, c),
             None => resp,
@@ -952,7 +922,6 @@ fn admit_query(
         admitted,
         deadline,
         wants_profile: request.profile,
-        deprecated,
         trace: ctx,
     };
     let payload = QueryJob {
@@ -1180,14 +1149,10 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
             }
             FlightResult::Error(status, code, message) => Response::error(*status, code, message),
         };
-        let mut response = if w.deprecated {
-            deprecate(response, "/query")
-        } else {
-            response
+        let response = match &w.trace {
+            Some(t) => stamp_trace(response, t),
+            None => response,
         };
-        if let Some(t) = &w.trace {
-            response = stamp_trace(response, t);
-        }
         shared
             .metrics
             .record_request("query", response.status, service);

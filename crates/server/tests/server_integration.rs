@@ -3,8 +3,8 @@
 //! overload must answer 429 at admission (503 stays reserved for durability
 //! failures and shutdown), deadline-exceeded must answer 504 without
 //! poisoning the worker pool, identical concurrent queries must coalesce
-//! into one execution, the `/v1/` mounts and their deprecated unversioned
-//! aliases must answer identically, and shutdown must drain cleanly.
+//! into one execution, only the `/v1/` mounts answer, a misbehaving request
+//! must never cost a worker, and shutdown must drain cleanly.
 
 use precis_core::{CostModel, PrecisEngine};
 use precis_datagen::{movies_graph, movies_vocabulary, MoviesConfig, MoviesGenerator};
@@ -59,7 +59,7 @@ fn post_query(addr: SocketAddr, body: &str) -> (u16, String, String) {
     roundtrip(
         addr,
         &format!(
-            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         ),
     )
@@ -146,7 +146,7 @@ fn overload_answers_429_with_retry_after_and_bounded_queue() {
 
     // Admission control rejects instead of buffering — with 429, the
     // overload status; 503 is reserved for durability failures.
-    let (status, head, body) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, head, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 429, "{body}");
     assert!(head.contains("Retry-After:"), "{head}");
     assert!(body.contains("\"code\": \"overloaded\""), "{body}");
@@ -157,7 +157,7 @@ fn overload_answers_429_with_retry_after_and_bounded_queue() {
     drop(busy);
     drop(queued);
     std::thread::sleep(Duration::from_millis(150));
-    let (status, _, body) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200, "{body}");
     handle.join();
 }
@@ -213,7 +213,7 @@ fn idle_connection_times_out_with_408_and_frees_its_worker() {
     assert!(out.starts_with("HTTP/1.1 408"), "{out}");
 
     // The worker it briefly pinned is back: an ordinary request succeeds.
-    let (status, _, body) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200, "{body}");
     assert!(handle.metrics().requests_for("other", 408) >= 1);
 
@@ -228,7 +228,7 @@ fn healthz_metrics_and_errors_round_trip() {
         Server::start(test_engine(), None, ServerConfig::default()).expect("server starts");
     let addr = handle.local_addr();
 
-    let (status, _, body) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
 
@@ -238,10 +238,10 @@ fn healthz_metrics_and_errors_round_trip() {
     assert_eq!(status, 400, "{body}");
     let (status, _, _) = roundtrip(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 404);
-    let (status, _, _) = roundtrip(addr, "DELETE /query HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, _) = roundtrip(addr, "DELETE /v1/query HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 405);
 
-    let (status, _, metrics) = roundtrip(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, metrics) = roundtrip(addr, "GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     for family in [
         "precis_requests_total{endpoint=\"query\",status=\"200\"} 1",
@@ -320,7 +320,7 @@ fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
     );
 
     // The slow log saw both queries and serves canonical JSON on loopback.
-    let (status, _, slow) = roundtrip(addr, "GET /debug/slow HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, slow) = roundtrip(addr, "GET /v1/debug/slow HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200, "{slow}");
     assert!(slow.contains("\"query\": \"comedy\""), "{slow}");
     let slow_doc = json::parse(&slow).expect("slow log parses");
@@ -329,7 +329,7 @@ fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
 
     // Phase aggregates and the queue-wait histogram surface in /metrics,
     // and the whole exposition passes the format checker.
-    let (status, _, metrics) = roundtrip(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (status, _, metrics) = roundtrip(addr, "GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     for family in [
         "precis_phase_seconds_total{phase=\"db_gen\"}",
@@ -355,7 +355,7 @@ fn post_mutate(addr: SocketAddr, body: &str) -> (u16, String, String) {
     roundtrip(
         addr,
         &format!(
-            "POST /mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            "POST /v1/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         ),
     )
@@ -443,7 +443,7 @@ fn mutations_survive_kill_and_restart_byte_identically() {
     assert!(q.contains("Zzyxfilm Redux"), "{q}");
 
     // WAL metrics surface in the exposition.
-    let (_, _, metrics) = roundtrip(addr, "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+    let (_, _, metrics) = roundtrip(addr, "GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert!(metrics.contains("precis_wal_appended_total 3"), "{metrics}");
     assert!(
         metrics.contains("precis_requests_total{endpoint=\"mutate\",status=\"200\"} 1"),
@@ -656,44 +656,29 @@ fn wal_fsync_failure_rolls_back_and_later_acks_survive_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn post_query_v1(addr: SocketAddr, body: &str) -> (u16, String, String) {
-    roundtrip(
-        addr,
-        &format!(
-            "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
 #[test]
-fn v1_mounts_answer_identically_and_legacy_paths_carry_deprecation() {
+fn v1_is_the_only_mount_and_errors_carry_the_envelope() {
     let handle =
         Server::start(test_engine(), None, ServerConfig::default()).expect("server starts");
     let addr = handle.local_addr();
 
-    // Same request through both mounts: byte-identical bodies, and only the
-    // legacy alias announces its deprecation and v1 successor.
-    let body = r#"{"tokens": "comedy"}"#;
-    let (status_v1, head_v1, got_v1) = post_query_v1(addr, body);
-    let (status_legacy, head_legacy, got_legacy) = post_query(addr, body);
-    assert_eq!(status_v1, 200, "{got_v1}");
-    assert_eq!(status_legacy, 200, "{got_legacy}");
-    assert_eq!(got_v1, got_legacy, "v1 and legacy bodies diverged");
-    assert!(!head_v1.contains("Deprecation"), "{head_v1}");
-    assert!(head_legacy.contains("Deprecation: true"), "{head_legacy}");
-    assert!(
-        head_legacy.contains("Link: </v1/query>; rel=\"successor-version\""),
-        "{head_legacy}"
-    );
-
+    // Unversioned paths are ordinary unknown endpoints; `/v1/*` carries no
+    // deprecation signalling.
+    for request in [
+        "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+    ] {
+        let (status, _, body) = roundtrip(addr, request);
+        assert_eq!(status, 404, "{request}: {body}");
+        assert!(body.contains("\"code\": \"not_found\""), "{body}");
+    }
+    let (status, head, got) = post_query(addr, r#"{"tokens": "comedy"}"#);
+    assert_eq!(status, 200, "{got}");
+    assert!(!head.contains("Deprecation"), "{head}");
     let (status, head, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
     assert_eq!(body, "ok\n");
     assert!(!head.contains("Deprecation"), "{head}");
-    let (status, head, _) = roundtrip(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
-    assert_eq!(status, 200);
-    assert!(head.contains("Deprecation: true"), "{head}");
 
     let (status, _, metrics) = roundtrip(addr, "GET /v1/metrics HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200);
@@ -712,15 +697,15 @@ fn v1_mounts_answer_identically_and_legacy_paths_carry_deprecation() {
     let (status, _, body) = roundtrip(addr, "DELETE /v1/query HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 405);
     assert!(body.contains("\"code\": \"method_not_allowed\""), "{body}");
-    let (status, _, body) = post_query_v1(addr, r#"{"tokens": 42}"#);
+    let (status, _, body) = post_query(addr, r#"{"tokens": 42}"#);
     assert_eq!(status, 400);
     assert!(body.contains("\"code\": \"bad_request\""), "{body}");
-    let (status, _, body) = post_query_v1(addr, r#"{"tokens": "comedy", "priority": "urgent"}"#);
+    let (status, _, body) = post_query(addr, r#"{"tokens": "comedy", "priority": "urgent"}"#);
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("priority"), "{body}");
 
     // The scheduler knobs are accepted on the wire.
-    let (status, _, body) = post_query_v1(
+    let (status, _, body) = post_query(
         addr,
         r#"{"tokens": "comedy", "priority": "batch", "coalesce": false}"#,
     );
@@ -797,11 +782,11 @@ fn scheduling_metadata_reports_prediction_queue_wait_and_coalescing() {
     let addr = handle.local_addr();
 
     // Default responses carry no scheduling object (byte-compat with PR 7).
-    let (status, _, plain) = post_query_v1(addr, r#"{"tokens": "comedy"}"#);
+    let (status, _, plain) = post_query(addr, r#"{"tokens": "comedy"}"#);
     assert_eq!(status, 200, "{plain}");
     assert!(!plain.contains("\"scheduling\""), "{plain}");
 
-    let (status, _, profiled) = post_query_v1(addr, r#"{"tokens": "comedy", "profile": true}"#);
+    let (status, _, profiled) = post_query(addr, r#"{"tokens": "comedy", "profile": true}"#);
     assert_eq!(status, 200, "{profiled}");
     let doc = json::parse(&profiled).expect("profiled body parses");
     let sched = doc.get("scheduling").expect("scheduling object present");
@@ -854,7 +839,7 @@ fn predicted_cost_beyond_deadline_sheds_with_429() {
     .expect("server starts");
     let addr = handle.local_addr();
 
-    let (status, head, body) = post_query_v1(addr, r#"{"tokens": "comedy", "deadline_ms": 50}"#);
+    let (status, head, body) = post_query(addr, r#"{"tokens": "comedy", "deadline_ms": 50}"#);
     assert_eq!(status, 429, "{body}");
     assert!(head.contains("Retry-After:"), "{head}");
     assert!(body.contains("\"code\": \"shed_deadline\""), "{body}");
@@ -863,7 +848,7 @@ fn predicted_cost_beyond_deadline_sheds_with_429() {
     assert!(handle.metrics().requests_for("query", 429) >= 1);
 
     // Without a deadline there is nothing to miss: the same query runs.
-    let (status, _, body) = post_query_v1(addr, r#"{"tokens": "comedy"}"#);
+    let (status, _, body) = post_query(addr, r#"{"tokens": "comedy"}"#);
     assert_eq!(status, 200, "{body}");
     handle.join();
 }
@@ -886,7 +871,7 @@ fn shutdown_endpoint_drains_and_joins() {
     match TcpStream::connect(addr) {
         Err(_) => {}
         Ok(mut s) => {
-            let _ = s.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+            let _ = s.write_all(b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
             let mut out = String::new();
             let _ = s.read_to_string(&mut out);
             assert!(
@@ -910,6 +895,32 @@ fn trace_id_of(head: &str) -> String {
 
 fn get_v1(addr: SocketAddr, path: &str) -> (u16, String, String) {
     roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
+}
+
+#[test]
+fn an_unrepresentable_trace_filter_bound_never_costs_a_worker() {
+    let workers = 2;
+    let handle = Server::start(
+        test_engine(),
+        None,
+        ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = handle.local_addr();
+    // A finite bound too large for a `Duration` is ignored like a
+    // non-numeric one. One more request than there are workers: had each
+    // taken its worker down, the health probe would find nobody home.
+    for _ in 0..=workers {
+        let (status, _, body) = get_v1(addr, "/v1/debug/traces?min_latency_ms=1e300");
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, _, body) = get_v1(addr, "/v1/healthz");
+    assert_eq!(status, 200, "{body}");
+    handle.trigger_shutdown();
+    handle.join();
 }
 
 #[test]
@@ -948,7 +959,7 @@ fn shed_deadline_and_slow_requests_leave_retrievable_traces() {
 
     // Leg 1: a predicted-cost shed (429) must echo a trace id, embed it in
     // the envelope, and leave a retained trace holding the shed decision.
-    let (status, head, body) = post_query_v1(addr, r#"{"tokens": "comedy", "deadline_ms": 50}"#);
+    let (status, head, body) = post_query(addr, r#"{"tokens": "comedy", "deadline_ms": 50}"#);
     assert_eq!(status, 429, "{body}");
     let shed_id = trace_id_of(&head);
     assert!(
@@ -959,7 +970,7 @@ fn shed_deadline_and_slow_requests_leave_retrievable_traces() {
     // Leg 2: a successful query over the zero slow threshold. (The 504 leg
     // lives in `traceparent_round_trips...`: under this absurd cost model a
     // zero deadline is shed at admission before it can expire.)
-    let (status, head, _body) = post_query_v1(addr, r#"{"tokens": "comedy"}"#);
+    let (status, head, _body) = post_query(addr, r#"{"tokens": "comedy"}"#);
     assert_eq!(status, 200);
     let slow_id = trace_id_of(&head);
 
@@ -1067,8 +1078,8 @@ fn traceparent_round_trips_and_healthz_body_stays_exact() {
     assert_ne!(trace_id_of(&head), "0".repeat(32));
 
     // Two bare requests mint distinct ids.
-    let (_, head_a, _) = post_query_v1(addr, body);
-    let (_, head_b, _) = post_query_v1(addr, body);
+    let (_, head_a, _) = post_query(addr, body);
+    let (_, head_b, _) = post_query(addr, body);
     assert_ne!(trace_id_of(&head_a), trace_id_of(&head_b));
 
     // Telemetry must not perturb response bodies: the health probe is still
@@ -1081,8 +1092,7 @@ fn traceparent_round_trips_and_healthz_body_stays_exact() {
 
     // An expired deadline (504) is an error outcome: its envelope embeds
     // the echoed id and the tail sampler retains the trace.
-    let (status, head, late_body) =
-        post_query_v1(addr, r#"{"tokens": "comedy", "deadline_ms": 0}"#);
+    let (status, head, late_body) = post_query(addr, r#"{"tokens": "comedy", "deadline_ms": 0}"#);
     assert_eq!(status, 504, "{late_body}");
     let late_id = trace_id_of(&head);
     assert!(
@@ -1142,21 +1152,17 @@ fn every_loopback_only_endpoint_refuses_remote_peers_with_the_envelope() {
         return;
     };
 
-    // The full loopback-only surface, versioned and legacy: every refusal
-    // is the structured envelope with a trace id, never a bare 403.
+    // The full loopback-only surface: every refusal is the structured
+    // envelope with a trace id, never a bare 403.
     let paths = [
         ("GET", "/v1/debug/slow"),
-        ("GET", "/debug/slow"),
         ("GET", "/v1/debug/traces"),
-        ("GET", "/debug/traces"),
         (
             "GET",
             &format!("/v1/debug/traces/{}", "a".repeat(32)) as &str,
         ),
         ("GET", "/v1/debug/slo"),
-        ("GET", "/debug/slo"),
         ("POST", "/v1/mutate"),
-        ("POST", "/mutate"),
         ("POST", "/shutdown"),
     ];
     for (method, path) in paths {

@@ -19,7 +19,7 @@
 //! * **Scoped.** Arming is registry-global, but firing requires the hitting
 //!   thread to participate: either it holds a [`thread_scope`] guard, or
 //!   [`set_process_wide`] is on (needed when the faulted path runs on server
-//!   worker or rayon threads). This keeps unrelated test threads unaffected
+//!   worker threads). This keeps unrelated test threads unaffected
 //!   by another test's armed faults. Harnesses that arm anything should hold
 //!   [`exclusive()`] for the armed section anyway.
 
@@ -76,8 +76,8 @@ struct Armed {
 /// relaxed load of this.
 static ARMED_SITES: AtomicUsize = AtomicUsize::new(0);
 
-/// When set, every thread participates in armed failpoints (server workers,
-/// rayon pools). Otherwise only threads inside a [`thread_scope`] do.
+/// When set, every thread participates in armed failpoints (server
+/// workers). Otherwise only threads inside a [`thread_scope`] do.
 static PROCESS_WIDE: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
@@ -117,7 +117,7 @@ impl Drop for ThreadScope {
 }
 
 /// Make every thread participate in armed failpoints (needed when the
-/// faulted path runs on server worker or rayon threads). Cleared by
+/// faulted path runs on server worker threads). Cleared by
 /// [`disarm_all`].
 pub fn set_process_wide(on: bool) {
     PROCESS_WIDE.store(on, Ordering::SeqCst);

@@ -13,13 +13,14 @@
 //!    cancellation via [`CancelToken::after_checks`] surfaces only
 //!    `CoreError::Cancelled`.
 //! 3. **Server resilience** — a loopback server answers 500 to an injected
-//!    storage fault, 500 to an injected panic (worker survives), 504 to an
+//!    storage fault, 500 to an injected panic in a flight or in a
+//!    connection handler (the worker survives either), 504 to an
 //!    exhausted deadline, 429 under queue overflow — and returns correct
 //!    200 answers after each.
 //!
 //! The whole suite holds [`failpoint::exclusive`] and uses process-wide
-//! participation (the engine's parallel joins and the server's workers run
-//! on other threads), disarming everything on every exit path.
+//! participation (the server's workers run on other threads), disarming
+//! everything on every exit path.
 
 use precis_core::{AnswerSpec, CancelToken, CoreError, PrecisEngine, PrecisQuery};
 use precis_datagen::{movies_graph, movies_vocabulary, woody_allen_instance};
@@ -352,10 +353,24 @@ fn server_resilience(report: &mut FaultReport) {
     failpoint::set_process_wide(true);
     let panicked = post(body);
     failpoint::disarm_all();
+    // The same outside any flight: the inline mutate handler panics on the
+    // connection's own worker, once more often than there are workers.
+    failpoint::arm("insert_into", FailureKind::Panic, 0, u64::MAX);
+    failpoint::set_process_wide(true);
+    let insert = r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
+        "values": [777001, "Zzyxgnarp Qblitherton", "Testville", "1970-01-01"]}]}"#;
+    let inline_panics: Vec<_> = (0..3)
+        .map(|_| crate::oracle::http_request(addr, "POST", "/v1/mutate", Some(insert)))
+        .collect();
+    failpoint::disarm_all();
     std::panic::set_hook(quiet);
     report.check(matches!(panicked, Ok((500, _))), || {
         format!("injected panic should answer 500, got {panicked:?}")
     });
+    report.check(
+        inline_panics.iter().all(|r| matches!(r, Ok((500, _)))),
+        || format!("panicking connection handlers should answer 500, got {inline_panics:?}"),
+    );
     let after_panic = post(body);
     report.check(
         matches!((&after_panic, &baseline_body), (Ok((200, b)), Some(base)) if b == base),

@@ -4,11 +4,12 @@
 //! The testkit answers two questions no single-crate unit test can:
 //!
 //! 1. **Do all execution paths agree?** Every generated case is pushed
-//!    through paths that must produce the same answer — retrieval
-//!    strategies, sequential vs parallel joins, cold vs warm vs invalidated
-//!    caches, a loopback `precis-server` `/v1/query` round-trip, and the
-//!    same request fanned out over concurrent duplicate connections, which
-//!    the scheduler coalesces into a single flight ([`oracle`]).
+//!    through six paths that must produce the same answer — retrieval
+//!    strategies, cold vs warm vs invalidated caches, a loopback
+//!    `precis-server` `/v1/query` round-trip, columnar vs legacy row-store
+//!    layout, WAL-replayed crash recovery, and the same request fanned out
+//!    over concurrent duplicate connections, which the scheduler coalesces
+//!    into a single flight ([`oracle`]).
 //! 2. **Do all failure paths stay inside the error contract?** Faults
 //!    injected at every storage failpoint, deterministic cancellations, and
 //!    worker panics must map to documented error variants, never poison
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn quick_smoke_run_passes() {
         // A miniature run across enough cases to hit several datasets and
-        // all seven legs, plus the full fault suite.
+        // all six legs, plus the full fault suite.
         let config = TestkitConfig {
             seed: 42,
             cases: 12,
@@ -400,7 +401,7 @@ mod tests {
                 original: CaseSpec::generate(99),
                 shrunk: CaseSpec::generate(99),
                 mismatches: vec![Mismatch {
-                    leg: Leg::Parallel,
+                    leg: Leg::Cache,
                     detail: "quote \" backslash \\ newline \n done".to_owned(),
                 }],
             }],

@@ -8,8 +8,6 @@
 //!   logical answer). Tuple *order* is legitimately strategy-dependent, so
 //!   this leg compares canonicalized (sorted) result rows, plus seeds,
 //!   unmatched tokens, and foreign-key validity of the result database.
-//! * **Parallel leg** — `parallel_joins` on vs off must produce
-//!   byte-identical rendered answers (sub-database, report, narratives).
 //! * **Cache leg** — a repeated answer (warm token/schema caches) must be
 //!   byte-identical to the first, and an answer after a cache-invalidating
 //!   insert+delete pair (net no-op on the data) must be byte-identical to
@@ -30,6 +28,10 @@
 //!   byte-identical `dump_to_string` AND a byte-identical rendered answer
 //!   versus the live engine. No record may be reported truncated: everything
 //!   was flushed before the simulated crash.
+//! * **Coalesce leg** — the same request sent over four concurrent
+//!   connections (which the scheduler coalesces into one flight) must fan
+//!   out byte-identical answers equal to the in-process rendering, at least
+//!   one of them a real execution.
 
 use crate::gen::{CaseSpec, DatasetSpec};
 use precis_core::{
@@ -55,7 +57,6 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Leg {
     Strategy,
-    Parallel,
     Cache,
     Server,
     Layout,
@@ -67,7 +68,6 @@ impl std::fmt::Display for Leg {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Leg::Strategy => "strategy",
-            Leg::Parallel => "parallel",
             Leg::Cache => "cache",
             Leg::Server => "server",
             Leg::Layout => "layout",
@@ -84,7 +84,7 @@ pub struct Mismatch {
     pub detail: String,
 }
 
-/// Everything a dataset needs to serve all seven legs: a shared read-only
+/// Everything a dataset needs to serve all six legs: a shared read-only
 /// engine fronted by a loopback server, and a private mutable engine for
 /// the cache-invalidation leg.
 pub struct DatasetCtx {
@@ -358,11 +358,10 @@ fn render(engine: &PrecisEngine, vocab: Option<&Vocabulary>, answer: &PrecisAnsw
     render_answer(engine, vocab, answer)
 }
 
-/// Run all seven legs of one case. Empty result = the case passes.
+/// Run all six legs of one case. Empty result = the case passes.
 pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     let mut out = Vec::new();
     strategy_leg(ctx, case, &mut out);
-    parallel_leg(ctx, case, &mut out);
     cache_leg(ctx, case, &mut out);
     server_leg(ctx, case, &mut out);
     layout_leg(ctx, case, &mut out);
@@ -442,36 +441,6 @@ fn strategy_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
                 ),
             });
         }
-    }
-}
-
-fn parallel_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
-    let q = query(case);
-    let mut spec = base_spec(case);
-    spec.options.parallel_joins = false;
-    let sequential = ctx.engine.answer(&q, &spec);
-    spec.options.parallel_joins = true;
-    let parallel = ctx.engine.answer(&q, &spec);
-    match (sequential, parallel) {
-        (Ok(s), Ok(p)) => {
-            let vocab = ctx.vocab.as_ref();
-            let sb = render(&ctx.engine, vocab, &s);
-            let pb = render(&ctx.engine, vocab, &p);
-            if sb != pb {
-                out.push(Mismatch {
-                    leg: Leg::Parallel,
-                    detail: first_diff(&sb, &pb),
-                });
-            }
-        }
-        (s, p) => out.push(Mismatch {
-            leg: Leg::Parallel,
-            detail: format!(
-                "sequential vs parallel outcome mismatch: {:?} vs {:?}",
-                s.map(|_| "ok").map_err(|e| e.to_string()),
-                p.map(|_| "ok").map_err(|e| e.to_string())
-            ),
-        }),
     }
 }
 

@@ -179,33 +179,6 @@ proptest! {
         prop_assert!(p.database.validate_foreign_keys().is_empty());
     }
 
-    /// The optimized (Dijkstra) schema generator agrees with the paper's
-    /// Figure 3 algorithm on visible attributes under min-weight
-    /// constraints, for random weight sets and every origin.
-    #[test]
-    fn fast_schema_gen_matches_on_visible_attrs(
-        seed in 0u64..300,
-        origin in 0usize..7,
-        w0 in 0.0f64..1.0,
-    ) {
-        use precis::core::generate_result_schema_fast;
-        let g = movies_graph_with_seed(seed);
-        let origins = [RelationId(origin)];
-        let slow = generate_result_schema(&g, &origins, &DegreeConstraint::MinWeight(w0));
-        let fast = generate_result_schema_fast(&g, &origins, &DegreeConstraint::MinWeight(w0));
-        for rel in 0..7 {
-            let rel = RelationId(rel);
-            prop_assert_eq!(
-                slow.visible_attrs(rel),
-                fast.visible_attrs(rel),
-                "seed={} origin={} w0={} rel={:?}",
-                seed, origin, w0, rel
-            );
-        }
-        // Fast never keeps more paths than distinct visible attributes.
-        prop_assert_eq!(fast.paths().len(), fast.total_visible_attrs());
-    }
-
     /// Chain schemas of any length produce well-formed graphs whose best
     /// path weights decay monotonically with distance.
     #[test]
