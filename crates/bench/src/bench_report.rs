@@ -64,8 +64,6 @@ pub struct WorkloadStat {
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     pub workloads: Vec<WorkloadStat>,
-    /// Armed-vs-disarmed tracing overhead over the pipeline workload.
-    pub tracing: Option<TracingOverhead>,
 }
 
 /// Median of the samples (mean of the middle pair for even counts).
@@ -439,189 +437,6 @@ fn engine_workload(scale: Scale) -> WorkloadStat {
     stat
 }
 
-/// Tracing-overhead measurement over the PR 1 pipeline workload: the same
-/// engine and queries timed in three observation modes.
-///
-/// * `disarmed` — tracer off, no profile: every span site is one relaxed
-///   atomic load (the production default).
-/// * `profiled` — a [`precis_obs::QueryProfile`] attached per query, tracer
-///   still off (what every `/query` pays for the slow log and phase
-///   aggregates).
-/// * `armed` — tracer armed *and* a profile attached (the fully observed
-///   path behind `explain --trace-out`).
-///
-/// A disarmed build without the instrumentation does not exist at runtime,
-/// so the disarmed overhead is bounded from measurement instead: the cost
-/// of one disarmed span site (timed over millions of calls) times the span
-/// count a traced run of the same query records, relative to the disarmed
-/// median.
-#[derive(Debug, Clone)]
-pub struct TracingOverhead {
-    /// Timed samples per mode.
-    pub runs: usize,
-    pub disarmed_median_secs: f64,
-    pub profiled_median_secs: f64,
-    pub armed_median_secs: f64,
-    /// Measured cost of one disarmed `span()` call, nanoseconds.
-    pub disarmed_span_site_ns: f64,
-    /// Spans an armed run of the workload's queries records, per query.
-    pub spans_per_query: f64,
-    /// Upper bound on the disarmed cost: `spans_per_query ×
-    /// disarmed_span_site_ns` relative to the disarmed median.
-    pub overhead_disarmed_pct: f64,
-    /// `(profiled − disarmed) / disarmed`, percent.
-    pub overhead_profiled_pct: f64,
-    /// `(armed − disarmed) / disarmed`, percent.
-    pub overhead_armed_pct: f64,
-}
-
-pub fn tracing_overhead(scale: Scale) -> TracingOverhead {
-    use precis_obs::QueryProfile;
-    use std::sync::Arc;
-
-    let rounds = match scale {
-        Scale::Quick => 6,
-        Scale::Full => 40,
-    };
-    let (engine, spec, queries) = pipeline_fixture(scale);
-    let profiled_spec = || {
-        let mut s = spec.clone();
-        s.options.profile = Some(Arc::new(QueryProfile::new()));
-        s
-    };
-
-    // The armed phase mutates the process-wide tracer: serialize against
-    // any other harness in this process.
-    let _gate = precis_obs::exclusive();
-    precis_obs::drain();
-
-    // Warm caches and allocator arenas before timing anything.
-    for q in &queries {
-        let _ = engine.answer(q, &spec).expect("warmup answers");
-    }
-
-    let (mut disarmed, mut profiled, mut armed) = (Vec::new(), Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        // Modes interleave round by round so clock drift and cache effects
-        // spread evenly instead of biasing whichever mode runs last.
-        for q in &queries {
-            let t0 = Instant::now();
-            let _ = engine.answer(q, &spec).expect("disarmed answers");
-            disarmed.push(t0.elapsed().as_secs_f64());
-        }
-        for q in &queries {
-            let s = profiled_spec();
-            let t0 = Instant::now();
-            let _ = engine.answer(q, &s).expect("profiled answers");
-            profiled.push(t0.elapsed().as_secs_f64());
-        }
-        {
-            let guard = precis_obs::arm();
-            for q in &queries {
-                let s = profiled_spec();
-                let t0 = Instant::now();
-                let _ = engine.answer(q, &s).expect("armed answers");
-                armed.push(t0.elapsed().as_secs_f64());
-            }
-            drop(guard);
-            precis_obs::drain();
-        }
-    }
-
-    // Span volume of one fully traced pass over the query set.
-    let spans_per_query = {
-        let guard = precis_obs::arm();
-        precis_obs::drain();
-        for q in &queries {
-            let _ = engine.answer(q, &profiled_spec()).expect("span-count run");
-        }
-        let drained = precis_obs::drain();
-        drop(guard);
-        drained.spans.len() as f64 / queries.len() as f64
-    };
-
-    // Disarmed span-site cost: must run with the tracer off.
-    let disarmed_span_site_ns = {
-        let iters = 4_000_000u64;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(precis_obs::span("bench.disarmed_site"));
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
-    };
-
-    let runs = disarmed.len();
-    let disarmed_median_secs = median(&mut disarmed);
-    let profiled_median_secs = median(&mut profiled);
-    let armed_median_secs = median(&mut armed);
-    let pct = |m: f64| (m - disarmed_median_secs) / disarmed_median_secs * 100.0;
-    TracingOverhead {
-        runs,
-        disarmed_median_secs,
-        profiled_median_secs,
-        armed_median_secs,
-        disarmed_span_site_ns,
-        spans_per_query,
-        overhead_disarmed_pct: spans_per_query * disarmed_span_site_ns
-            / (disarmed_median_secs * 1e9)
-            * 100.0,
-        overhead_profiled_pct: pct(profiled_median_secs),
-        overhead_armed_pct: pct(armed_median_secs),
-    }
-}
-
-impl TracingOverhead {
-    /// Serialize as a JSON object (no trailing newline), indented to nest
-    /// under a report key.
-    pub fn to_json_object(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n");
-        let _ = writeln!(out, "    \"runs_per_mode\": {},", self.runs);
-        let _ = writeln!(
-            out,
-            "    \"disarmed_median_secs\": {},",
-            json_f64(self.disarmed_median_secs)
-        );
-        let _ = writeln!(
-            out,
-            "    \"profiled_median_secs\": {},",
-            json_f64(self.profiled_median_secs)
-        );
-        let _ = writeln!(
-            out,
-            "    \"armed_median_secs\": {},",
-            json_f64(self.armed_median_secs)
-        );
-        let _ = writeln!(
-            out,
-            "    \"disarmed_span_site_ns\": {},",
-            json_f64(self.disarmed_span_site_ns)
-        );
-        let _ = writeln!(
-            out,
-            "    \"spans_per_query\": {},",
-            json_f64(self.spans_per_query)
-        );
-        let _ = writeln!(
-            out,
-            "    \"overhead_disarmed_pct\": {},",
-            json_f64(self.overhead_disarmed_pct)
-        );
-        let _ = writeln!(
-            out,
-            "    \"overhead_profiled_pct\": {},",
-            json_f64(self.overhead_profiled_pct)
-        );
-        let _ = writeln!(
-            out,
-            "    \"overhead_armed_pct\": {}",
-            json_f64(self.overhead_armed_pct)
-        );
-        out.push_str("  }");
-        out
-    }
-}
-
 /// Run every workload at the given scale.
 pub fn run_report(scale: Scale) -> BenchReport {
     BenchReport {
@@ -638,7 +453,6 @@ pub fn run_report(scale: Scale) -> BenchReport {
             wal_append_workload(FsyncPolicy::Always, scale),
             recovery_replay_workload(scale),
         ],
-        tracing: Some(tracing_overhead(scale)),
     }
 }
 
@@ -664,19 +478,15 @@ impl BenchReport {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"report\": \"{REPORT_LABEL}\",");
-        if let Some(tracing) = &self.tracing {
-            let _ = writeln!(out, "  \"tracing_overhead\": {},", tracing.to_json_object());
-        }
         let _ = writeln!(out, "  \"workloads\": {}", self.workloads_json_array());
         let _ = writeln!(out, "}}");
         out
     }
 
     /// The `"workloads"` array alone (pretty-printed at a 2-space base
-    /// indent, no trailing newline). Shared between the full report and the
-    /// PR 8 serving snapshot, which embeds the same array so the CI
-    /// bench-smoke gate reads `fig8_database_generator` throughput from
-    /// either file.
+    /// indent, no trailing newline) — the shape the committed
+    /// `BENCH_PR8.json` embeds, which the CI bench-smoke gate compares
+    /// `fig8_database_generator` throughput against.
     pub fn workloads_json_array(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "[");
@@ -764,20 +574,6 @@ mod tests {
             engine.schema_hit_rate
         );
         assert!(engine.token_hit_rate.unwrap() > 0.9);
-        let tracing = report.tracing.expect("tracing overhead measured");
-        assert!(tracing.runs > 0);
-        assert!(tracing.disarmed_median_secs > 0.0);
-        assert!(tracing.spans_per_query > 1.0, "traced runs record spans");
-        assert!(
-            tracing.disarmed_span_site_ns < 100.0,
-            "a disarmed span site must stay in single-digit nanoseconds, got {}",
-            tracing.disarmed_span_site_ns
-        );
-        assert!(
-            tracing.overhead_disarmed_pct < 3.0,
-            "disarmed overhead bound {}% breaches the 3% target",
-            tracing.overhead_disarmed_pct
-        );
     }
 
     #[test]
@@ -801,21 +597,8 @@ mod tests {
                     token_hit_rate: Some(0.97),
                 },
             ],
-            tracing: Some(TracingOverhead {
-                runs: 9,
-                disarmed_median_secs: 0.001,
-                profiled_median_secs: 0.00101,
-                armed_median_secs: 0.00108,
-                disarmed_span_site_ns: 1.5,
-                spans_per_query: 40.0,
-                overhead_disarmed_pct: 0.006,
-                overhead_profiled_pct: 1.0,
-                overhead_armed_pct: 8.0,
-            }),
         };
         let json = report.to_json();
-        assert!(json.contains("\"tracing_overhead\": {"));
-        assert!(json.contains("\"overhead_armed_pct\": 8.000000000"));
         assert!(json.contains("\"name\": \"a\""));
         assert!(json.contains("\"tuples_per_sec\": null"));
         assert!(json.contains("\"schema_cache_hit_rate\": 0.960000000"));

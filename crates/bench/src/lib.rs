@@ -16,5 +16,4 @@
 
 pub mod bench_report;
 pub mod figures;
-pub mod load_report;
 pub mod workloads;

@@ -20,6 +20,10 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Span cap of an `explain --trace-out` capture; overflow is counted in the
+/// written trace's `droppedSpans`.
+const EXPLAIN_MAX_SPANS: usize = 8192;
+
 /// CLI help text (also shown by `help`).
 pub const HELP: &str = "\
 precis — interactive précis query explorer
@@ -30,7 +34,7 @@ precis — interactive précis query explorer
   precis ... --exec 'cmd; cmd'   run commands non-interactively
   precis ... serve [--addr A] [--workers N] [--queue N] [--deadline-ms MS]
                    [--data-dir DIR] [--checkpoint-every N]
-                   [--trace-slow-ms MS] [--no-telemetry]
+                   [--trace-slow-ms MS]
                                  run the HTTP query service over the chosen
                                  database (POST /shutdown stops it; honored
                                  from loopback peers only — note the API has
@@ -40,12 +44,11 @@ precis — interactive précis query explorer
                                  the dir holds snapshot.precisdb + wal.log, and
                                  a restart recovers every acknowledged
                                  mutation (existing state beats the source).
-                                 Telemetry is always on by default: every
-                                 request gets a trace id and the tail sampler
-                                 retains interesting traces at
-                                 /v1/debug/traces; --trace-slow-ms overrides
-                                 both classes' slow thresholds (0 retains
-                                 everything), --no-telemetry disables it all
+                                 Telemetry is always on: every request gets
+                                 a trace id and the tail sampler retains
+                                 interesting traces at /v1/debug/traces;
+                                 --trace-slow-ms overrides both classes' slow
+                                 thresholds (0 retains everything)
   precis testkit [--seed N] [--cases N] [--profile quick|soak]
                  [--repro-out FILE]
                                  run the differential oracle + fault-injection
@@ -199,9 +202,6 @@ pub struct ServeOptions {
     /// priority classes. `None` keeps the per-class defaults (25ms
     /// interactive / 250ms batch); 0 retains every completed request.
     pub trace_slow_ms: Option<u64>,
-    /// Disable always-on telemetry entirely (no trace ids, no tail sampler,
-    /// no SLO engine).
-    pub no_telemetry: bool,
 }
 
 impl Default for ServeOptions {
@@ -214,7 +214,6 @@ impl Default for ServeOptions {
             data_dir: None,
             checkpoint_every: 10_000,
             trace_slow_ms: None,
-            no_telemetry: false,
         }
     }
 }
@@ -324,15 +323,13 @@ pub fn start_server(
         engine.set_cost_model(model);
     }
     let engine = std::sync::Arc::new(engine);
-    let telemetry = (!options.no_telemetry).then(|| {
-        let mut t = precis_obs::TelemetryConfig::default();
-        if let Some(ms) = options.trace_slow_ms {
-            let threshold = std::time::Duration::from_millis(ms);
-            t.slow_interactive = threshold;
-            t.slow_batch = threshold;
-        }
-        t
-    });
+    let telemetry = match options.trace_slow_ms {
+        Some(ms) => precis_obs::TelemetryConfig {
+            slow_interactive: std::time::Duration::from_millis(ms),
+            slow_batch: std::time::Duration::from_millis(ms),
+        },
+        None => precis_obs::TelemetryConfig::default(),
+    };
     let config = precis_server::ServerConfig {
         addr: options.addr.clone(),
         workers: options.workers,
@@ -547,13 +544,11 @@ impl Session {
             spec = spec.with_profile("__session");
         }
 
-        // Arm the span tracer only when a trace file was requested; the
-        // drain below then sees exactly this query's spans.
-        let arm = trace_out.as_ref().map(|_| {
-            let gate = precis_obs::exclusive();
-            let guard = precis_obs::arm();
-            precis_obs::drain();
-            (gate, guard)
+        // Span sites are live only when a trace file was requested; the
+        // capture holds exactly this query's spans.
+        let capture = trace_out.map(|path| {
+            let capture = precis_obs::capture_trace(profile.trace(), EXPLAIN_MAX_SPANS);
+            (path, capture)
         });
         let t0 = Instant::now();
         let query = PrecisQuery::parse(tokens);
@@ -599,9 +594,8 @@ impl Session {
             narrated
         );
         out.push_str(&precis_obs::render_profile_text(&snap));
-        if let Some(path) = trace_out {
-            let drained = precis_obs::drain();
-            drop(arm);
+        if let Some((path, capture)) = capture {
+            let drained = capture.take();
             let json = precis_obs::chrome_trace(&drained.spans, drained.dropped);
             match std::fs::write(&path, &json) {
                 Ok(()) => {

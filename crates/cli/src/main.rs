@@ -137,12 +137,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--trace-slow-ms needs milliseconds (0 = all)")),
                 );
             }
-            "--no-telemetry" => {
-                let opts = serve
-                    .as_mut()
-                    .unwrap_or_else(|| usage("--no-telemetry needs `serve`"));
-                opts.no_telemetry = true;
-            }
             "--demo" => source = Some(precis_cli::Source::Demo),
             "--synthetic" => {
                 i += 1;

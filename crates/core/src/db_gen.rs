@@ -1299,7 +1299,6 @@ mod tests {
             DegreeConstraint::MinWeight(0.5),
             CardinalityConstraint::MaxTuplesPerRelation(3),
         );
-        let _armed = precis_obs::arm_capture_only();
         let trace = precis_obs::new_trace_id();
         let capture = precis_obs::capture_trace(trace, 256);
         precis_obs::with_trace(trace, || {
@@ -1317,6 +1316,50 @@ mod tests {
         assert!(joins >= 2, "star fans out to sibling joins: {joins}");
         for s in &spans {
             assert_eq!(s.thread, caller, "{} left the caller's thread", s.name);
+        }
+    }
+
+    #[test]
+    fn concurrent_captures_each_hold_only_their_own_answer() {
+        // Captures are keyed by trace id and share nothing else, so two
+        // threads capturing at once need no gate: neither sees the other's
+        // spans, and each tree is whole.
+        use crate::{AnswerSpec, PrecisEngine, PrecisQuery};
+        let (db, g) = star_db();
+        let engine = PrecisEngine::new(db, g).unwrap();
+        let spec = AnswerSpec::new(
+            DegreeConstraint::MinWeight(0.5),
+            CardinalityConstraint::MaxTuplesPerRelation(3),
+        );
+        let start = std::sync::Barrier::new(2);
+        let answer_captured = |tokens: [&str; 2]| {
+            let trace = precis_obs::new_trace_id();
+            let capture = precis_obs::capture_trace(trace, 4096);
+            start.wait();
+            for _ in 0..50 {
+                precis_obs::with_trace(trace, || {
+                    engine.answer(&PrecisQuery::new(tokens), &spec).unwrap()
+                });
+            }
+            (trace, capture.take())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| answer_captured(["hub", "b"]));
+            let b = s.spawn(|| answer_captured(["hub", "c"]));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        for (trace, got) in [a, b] {
+            assert_eq!(got.dropped, 0);
+            let answers = got.spans.iter().filter(|s| s.name == "engine.answer");
+            assert_eq!(answers.count(), 50);
+            for s in &got.spans {
+                assert_eq!(s.trace, trace, "{} belongs to the other capture", s.name);
+                if s.parent != 0 {
+                    let p = got.spans.iter().find(|p| p.id == s.parent);
+                    let p = p.unwrap_or_else(|| panic!("{} lost its parent", s.name));
+                    assert!(p.start_ns <= s.start_ns && p.end_ns >= s.end_ns);
+                }
+            }
         }
     }
 

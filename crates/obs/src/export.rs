@@ -104,8 +104,9 @@ fn escape_json_into(out: &mut String, s: &str) {
 }
 
 /// Serialise spans as Chrome `trace_event` JSON (complete events). The
-/// `dropped` count from [`crate::tracer::drain`] is recorded in the
-/// top-level metadata so a wrapped ring is visible in the trace itself.
+/// `dropped` count from [`crate::tracer::TraceCapture::take`] is recorded in
+/// the top-level metadata so a capture that hit its span cap is visible in
+/// the trace itself.
 pub fn chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
     let mut out = String::with_capacity(128 + spans.len() * 128);
     out.push_str("{\"displayTimeUnit\": \"ms\", \"droppedSpans\": ");

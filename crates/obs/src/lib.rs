@@ -6,12 +6,12 @@
 //! nothing is listening):
 //!
 //! 1. **Spans** ([`tracer`]): lightweight RAII spans with structured fields,
-//!    monotonic timestamps, and parent ids. Closed spans land in a
-//!    per-thread buffer that drains into a bounded process-wide ring; when
-//!    the ring is full the *oldest* spans are dropped (and counted) so a
-//!    long-lived process never grows without bound. Spans exist only while
-//!    at least one [`tracer::arm`] guard is live — disarmed, `tracer::span`
-//!    is a single `Ordering::Relaxed` load.
+//!    monotonic timestamps, and parent ids. A span site is live only while
+//!    the calling thread's current trace has a registered
+//!    [`tracer::capture_trace`] buffer, which is also where its closed
+//!    spans go — bounded by the capture's span cap, overflow counted. With
+//!    no capture registered, `tracer::span` is a single
+//!    `Ordering::Relaxed` load.
 //! 2. **Profiles** ([`profile`]): an explicit per-query [`QueryProfile`]
 //!    collector threaded through `DbGenOptions`, accumulating per-phase wall
 //!    time (queue wait, parse, token lookup, schema generation, result
@@ -51,7 +51,6 @@ pub use telemetry::{
     TraceId, TraceStore, TraceVerdictInput,
 };
 pub use tracer::{
-    arm, arm_capture_only, armed, capture_trace, current_trace, drain, exclusive, flush_thread,
-    new_trace_id, now_ns, ring_capacity, span, trace_scope, with_trace, ArmGuard, CapturedSpans,
-    DrainedSpans, SpanGuard, SpanRecord, TraceCapture, TraceScope,
+    capture_trace, current_trace, flush_thread, late_spans, new_trace_id, now_ns, span,
+    trace_scope, with_trace, CapturedSpans, SpanGuard, SpanRecord, TraceCapture, TraceScope,
 };

@@ -151,12 +151,12 @@ impl QueryProfile {
         }
     }
 
-    /// Trace id correlating this profile with ring spans.
+    /// Trace id correlating this profile with its captured spans.
     pub fn trace(&self) -> u64 {
         self.trace
     }
 
-    /// Record the query text (for the slow-query log and text export).
+    /// Record the query text (for `/v1/debug/slow` and text export).
     pub fn set_query(&self, query: &str) {
         let mut q = self.query.lock().expect("profile query lock");
         q.clear();

@@ -3,7 +3,7 @@
 //! The scheduler emits one span per admission decision and one per flight
 //! execution; keeping the names and field keys here (rather than as string
 //! literals scattered through `precis-server`) makes them greppable,
-//! typo-proof, and assertable from tests that drain the tracer ring.
+//! typo-proof, and assertable from tests that capture a trace.
 //!
 //! | Span                | When                                        | Fields |
 //! |---------------------|---------------------------------------------|--------|
@@ -39,26 +39,25 @@ mod tests {
     use crate::tracer;
 
     #[test]
-    fn scheduler_spans_drain_with_their_fields() {
-        let _gate = tracer::exclusive();
-        tracer::drain();
-        let _arm = tracer::arm();
-        {
-            let admit = tracer::span(SPAN_ADMIT);
-            admit.field(FIELD_PREDICTED_NS, 12_000);
-            admit.field(FIELD_CLASS, 0);
-        }
-        {
+    fn scheduler_spans_are_captured_with_their_fields() {
+        let trace = tracer::new_trace_id();
+        let capture = tracer::capture_trace(trace, 8);
+        tracer::with_trace(trace, || {
+            {
+                let admit = tracer::span(SPAN_ADMIT);
+                admit.field(FIELD_PREDICTED_NS, 12_000);
+                admit.field(FIELD_CLASS, 0);
+            }
             let exec = tracer::span(SPAN_EXECUTE);
             exec.field(FIELD_FANOUT, 3);
-        }
-        let d = tracer::drain();
-        let admit = d.spans.iter().find(|s| s.name == SPAN_ADMIT).unwrap();
+        });
+        let spans = capture.take().spans;
+        let admit = spans.iter().find(|s| s.name == SPAN_ADMIT).unwrap();
         assert_eq!(
             admit.fields,
             vec![(FIELD_PREDICTED_NS, 12_000), (FIELD_CLASS, 0)]
         );
-        let exec = d.spans.iter().find(|s| s.name == SPAN_EXECUTE).unwrap();
+        let exec = spans.iter().find(|s| s.name == SPAN_EXECUTE).unwrap();
         assert_eq!(exec.fields, vec![(FIELD_FANOUT, 3)]);
     }
 }

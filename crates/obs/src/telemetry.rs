@@ -41,6 +41,12 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Every byte an ASCII hex digit. `from_str_radix` alone also accepts a
+/// leading `+`, which is not a hex digit on the wire.
+fn is_hex(s: &str) -> bool {
+    s.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
 impl TraceId {
     /// Mint a fresh id from the wall clock and a process-wide counter.
     pub fn mint() -> TraceId {
@@ -60,7 +66,7 @@ impl TraceId {
 
     /// Parse a 32-lowercase/uppercase-hex trace id.
     pub fn from_hex(s: &str) -> Option<TraceId> {
-        if s.len() != 32 {
+        if s.len() != 32 || !is_hex(s) {
             return None;
         }
         u128::from_str_radix(s, 16)
@@ -80,10 +86,7 @@ impl TraceId {
         if version.len() != 2 || parent.len() != 16 || flags.len() != 2 {
             return None;
         }
-        if u8::from_str_radix(version, 16).is_err()
-            || u64::from_str_radix(parent, 16).is_err()
-            || u8::from_str_radix(flags, 16).is_err()
-        {
+        if !(is_hex(version) && is_hex(parent) && is_hex(flags)) {
             return None;
         }
         TraceId::from_hex(trace)
@@ -100,52 +103,57 @@ impl TraceId {
         format!("00-{:032x}-{:016x}-01", self.0, parent.max(1))
     }
 
-    /// Deterministic 1-in-`n` head sample on the id's low bits. `n == 0`
-    /// disables head sampling entirely.
-    pub fn head_sampled(self, n: u64) -> bool {
-        n > 0 && (self.0 as u64).is_multiple_of(n)
+    /// Deterministic 1-in-[`HEAD_SAMPLE_EVERY`] head sample on the id's low
+    /// bits, so a retried request samples the same way.
+    pub fn head_sampled(self) -> bool {
+        (self.0 as u64).is_multiple_of(HEAD_SAMPLE_EVERY)
     }
 }
 
-/// Telemetry tuning. The defaults match the SLO defaults: a trace slower
-/// than its class's latency objective is interesting by definition.
+/// Keep 1 in this many uninteresting traces.
+pub const HEAD_SAMPLE_EVERY: u64 = 64;
+
+/// Byte budget of the server's [`TraceStore`]; oldest traces are evicted
+/// (and counted) once the estimate exceeds it. This is the one retention
+/// policy: everything the server remembers about finished requests lives
+/// within this bound.
+pub const STORE_BUDGET_BYTES: usize = 4 << 20;
+
+/// Per-request span cap; spans past it are dropped and counted.
+pub const MAX_SPANS_PER_TRACE: usize = 256;
+
+/// Token-bucket ceiling on retained traces per second (burst = one second's
+/// worth). A human reads dozens of traces, not thousands: past this rate an
+/// extra retained trace buys nothing and its capture and store churn is
+/// pure overhead at exactly the moment the server is busiest, so overflow
+/// is counted (`rate_limited`) instead of kept.
+pub const RETAIN_PER_SEC: u32 = 128;
+
+/// Token-bucket ceiling on *speculative span captures* per second. Tail
+/// sampling cannot know at admission whether a request will turn out
+/// interesting, so capture is speculative — and recording every span of
+/// every request costs tens of microseconds each, which at thousands of
+/// requests per second is several percent of a core spent on traces that
+/// are then thrown away. This bucket bounds that spend independent of load:
+/// head-sampled requests always capture, the next `CAPTURE_PER_SEC`
+/// requests per second capture speculatively, and an interesting request
+/// admitted past the bucket is still retained with a synthesized
+/// single-span degraded capture. 64/s (plus unbudgeted head samples)
+/// comfortably covers the steady-state rate at which interesting traces
+/// actually appear, while bounding worst-case capture spend to ~0.3% of a
+/// core.
+pub const CAPTURE_PER_SEC: u32 = 64;
+
+/// The tail sampler's slow thresholds — the two telemetry values callers
+/// set (`precis serve --trace-slow-ms`). The defaults match the SLO
+/// defaults: a trace slower than its class's latency objective is
+/// interesting by definition.
 #[derive(Debug, Clone)]
 pub struct TelemetryConfig {
     /// Latency above which an interactive-class request is retained.
     pub slow_interactive: Duration,
     /// Latency above which a batch-class request is retained.
     pub slow_batch: Duration,
-    /// Deterministic head sample: keep 1 in this many uninteresting traces
-    /// (on the wire id's low bits, so a retried request samples the same
-    /// way). Zero disables head sampling.
-    pub head_sample_every: u64,
-    /// Byte budget for the retained-trace ring; oldest traces are evicted
-    /// (and counted) once the estimate exceeds it.
-    pub store_budget_bytes: usize,
-    /// Per-request span cap; spans past it are dropped and counted.
-    pub max_spans_per_trace: usize,
-    /// Token-bucket ceiling on retained traces per second (burst = one
-    /// second's worth). A human reads dozens of traces, not thousands: past
-    /// this rate an extra retained trace buys nothing and its capture and
-    /// store churn is pure overhead at exactly the moment the server is
-    /// busiest, so overflow is counted (`rate_limited`) instead of kept.
-    /// Zero disables the limit.
-    pub retain_per_sec: u32,
-    /// Token-bucket ceiling on *speculative span captures* per second.
-    /// Tail sampling cannot know at admission whether a request will turn
-    /// out interesting, so capture is speculative — and recording every
-    /// span of every request costs tens of microseconds each, which at
-    /// thousands of requests per second is several percent of a core spent
-    /// on traces that are then thrown away. This bucket bounds that spend
-    /// independent of load: head-sampled requests always capture, the next
-    /// `capture_per_sec` requests per second capture speculatively, and an
-    /// interesting request admitted past the bucket is still retained with
-    /// a synthesized single-span degraded capture. The default (64/s, plus
-    /// unbudgeted head samples) comfortably covers the steady-state rate at
-    /// which interesting traces actually appear, while bounding worst-case
-    /// capture spend to ~0.3% of a core. Zero disables the limit (capture
-    /// everything).
-    pub capture_per_sec: u32,
 }
 
 impl Default for TelemetryConfig {
@@ -153,11 +161,6 @@ impl Default for TelemetryConfig {
         TelemetryConfig {
             slow_interactive: Duration::from_millis(25),
             slow_batch: Duration::from_millis(250),
-            head_sample_every: 64,
-            store_budget_bytes: 4 << 20,
-            max_spans_per_trace: 256,
-            retain_per_sec: 128,
-            capture_per_sec: 64,
         }
     }
 }
@@ -211,7 +214,7 @@ pub fn retain_reasons(
     if input.panicked {
         reasons.push("panic");
     }
-    if reasons.is_empty() && id.head_sampled(config.head_sample_every) {
+    if reasons.is_empty() && id.head_sampled() {
         reasons.push("head_sample");
     }
     reasons
@@ -302,7 +305,7 @@ struct StoreInner {
     bytes: usize,
 }
 
-/// Retention token bucket (see [`TelemetryConfig::retain_per_sec`]).
+/// A token bucket (see [`RETAIN_PER_SEC`], [`CAPTURE_PER_SEC`]).
 struct Bucket {
     tokens: f64,
     last: Instant,
@@ -316,7 +319,7 @@ pub struct TraceStore {
     budget_bytes: usize,
     retain_per_sec: f64,
     bucket: Mutex<Bucket>,
-    /// Speculative-capture bucket (see [`TelemetryConfig::capture_per_sec`]):
+    /// Speculative-capture bucket (see [`CAPTURE_PER_SEC`]):
     /// consumed at admission, independent of the retention bucket so a lull
     /// in retained traffic cannot silently re-enable capture-everything.
     capture_per_sec: f64,
@@ -329,6 +332,14 @@ pub struct TraceStore {
     /// `precis_trace_dropped_total` family on scrape.
     dropped_not_interesting: AtomicU64,
     dropped_rate_limited: AtomicU64,
+}
+
+impl Default for TraceStore {
+    /// The server's store: [`STORE_BUDGET_BYTES`], [`RETAIN_PER_SEC`],
+    /// [`CAPTURE_PER_SEC`].
+    fn default() -> Self {
+        TraceStore::new(STORE_BUDGET_BYTES, RETAIN_PER_SEC, CAPTURE_PER_SEC)
+    }
 }
 
 impl TraceStore {
@@ -511,6 +522,13 @@ impl TraceStore {
         }
         let _ = write!(
             out,
+            "# HELP precis_trace_late_spans_total Spans discarded because their capture had already finished.\n\
+             # TYPE precis_trace_late_spans_total counter\n\
+             precis_trace_late_spans_total {}\n",
+            crate::tracer::late_spans(),
+        );
+        let _ = write!(
+            out,
             "# HELP precis_trace_store_entries Retained traces currently held.\n\
              # TYPE precis_trace_store_entries gauge\n\
              precis_trace_store_entries {}\n\
@@ -562,9 +580,16 @@ mod tests {
             "zz-0123456789abcdef0123456789abcdef-0000000000000000-01",
             "00-0123456789abcdef0123456789abcdef-nothex0000000000-01",
             "not a header at all",
+            // `from_str_radix` takes a leading `+`; the wire format does not.
+            "00-+0123456789abcdef0123456789abcde-0000000000000001-01",
+            "00-0123456789abcdef0123456789abcdef-+000000000000001-01",
+            "00-0123456789abcdef0123456789abcdef-0000000000000001-+1",
+            "+0-0123456789abcdef0123456789abcdef-0000000000000001-01",
+            "00-+0123456789abcdef0123456789abcde-+000000000000001-+1",
         ] {
             assert_eq!(TraceId::parse_traceparent(bad), None, "{bad:?}");
         }
+        assert_eq!(TraceId::from_hex("+0123456789abcdef0123456789abcde"), None);
     }
 
     #[test]
@@ -578,12 +603,8 @@ mod tests {
     #[test]
     fn sampler_keeps_interesting_traces_and_counts_everything_else() {
         let config = TelemetryConfig::default();
-        // Head sampling off so only interestingness decides.
-        let config = TelemetryConfig {
-            head_sample_every: 0,
-            ..config
-        };
-        let id = TraceId::mint();
+        // Not head-sampled, so only interestingness decides.
+        let id = TraceId::from_u128(1).unwrap();
         let fast_ok = TraceVerdictInput {
             status: 200,
             latency_ns: 1_000_000,
@@ -635,12 +656,9 @@ mod tests {
 
     #[test]
     fn head_sampling_is_deterministic_on_the_wire_id() {
-        let config = TelemetryConfig {
-            head_sample_every: 4,
-            ..TelemetryConfig::default()
-        };
-        let sampled = TraceId::from_u128(8).unwrap();
-        let unsampled = TraceId::from_u128(9).unwrap();
+        let config = TelemetryConfig::default();
+        let sampled = TraceId::from_u128(u128::from(HEAD_SAMPLE_EVERY) * 3).unwrap();
+        let unsampled = TraceId::from_u128(u128::from(HEAD_SAMPLE_EVERY) * 3 + 1).unwrap();
         let boring = TraceVerdictInput {
             status: 200,
             latency_ns: 1,

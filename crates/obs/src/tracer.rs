@@ -1,45 +1,36 @@
-//! Span collection: RAII guards, per-thread buffers, and the bounded ring.
+//! Span collection: RAII guards, per-thread buffers, and per-trace captures.
 //!
-//! The fast path is the whole design: `span()` while disarmed performs one
-//! `Ordering::Relaxed` load and returns an inert guard — no clock read, no
-//! allocation, no thread-local borrow. Arming is a process-wide counter of
-//! live [`ArmGuard`]s (mirroring `precis_storage::failpoint::ARMED_SITES`),
-//! so nested harnesses compose and the last guard out turns the lights off.
+//! There is one sink: a span site is live iff the calling thread's current
+//! trace has a registered [`capture_trace`] buffer. The fast path is the
+//! whole design: with no capture registered anywhere in the process,
+//! `span()` performs one `Ordering::Relaxed` load and returns an inert
+//! guard — no clock read, no allocation, no thread-local borrow.
 //!
-//! Closed spans are buffered per thread and drained into the process-wide
-//! ring either when the buffer reaches [`FLUSH_THRESHOLD`] records or when
-//! the thread's span stack empties (a root span closed — the natural end of
-//! a unit of work). [`with_trace`] also flushes on exit so spans recorded on
-//! a pool worker are visible to whoever drains the ring after the join. The
-//! ring is bounded at [`RING_CAPACITY`]: overflow evicts the *oldest*
-//! records and counts them, so wrapping is silent-but-accounted rather than
-//! a panic or an unbounded queue.
+//! Closed spans are buffered per thread and moved into their trace's
+//! capture when the buffer reaches [`FLUSH_THRESHOLD`] records or when the
+//! enclosing [`with_trace`] / [`trace_scope`] ends. A capture holds at most
+//! the `max_spans` it was registered with and counts the overflow; a record
+//! flushed after its capture was taken or dropped is discarded and counted
+//! in [`late_spans`], never queued anywhere.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Bound on buffered spans process-wide. Oldest records are evicted (and
-/// counted in [`DrainedSpans::dropped`]) once the ring is full.
-pub const RING_CAPACITY: usize = 8192;
-
-/// Per-thread buffered spans before a drain into the ring.
+/// Per-thread buffered spans before a flush into their captures.
 const FLUSH_THRESHOLD: usize = 64;
 
-/// Number of live [`ArmGuard`]s. Zero means every `span()` call returns an
-/// inert guard after a single relaxed load.
-static ARMED: AtomicUsize = AtomicUsize::new(0);
+/// Registered captures. Zero means every `span()` call returns an inert
+/// guard after a single relaxed load.
+static CAPTURE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
-/// Live [`ArmGuard`]s that asked for capture-only recording. While this
-/// equals [`ARMED`], spans of uncaptured traces are skipped at the span
-/// site (see [`arm_capture_only`]).
-static CAPTURE_ONLY: AtomicUsize = AtomicUsize::new(0);
+/// Records flushed after their capture was gone.
+static LATE_SPANS: AtomicU64 = AtomicU64::new(0);
 
-/// Global span/trace id allocator. Ids are only consumed while armed, so
-/// the fetch_add never shows up in disarmed profiles. Starts at 1 — id 0 is
-/// reserved to mean "no parent" / "no trace".
+/// Global span/trace id allocator. Starts at 1 — id 0 is reserved to mean
+/// "no parent" / "no trace".
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(1);
@@ -54,11 +45,10 @@ pub fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-/// A closed span as stored in the ring and handed to exporters.
+/// A closed span as stored in a capture and handed to exporters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
-    /// Trace (query) this span belongs to; 0 when recorded outside any
-    /// [`with_trace`] scope.
+    /// Trace (query) this span belongs to.
     pub trace: u64,
     pub id: u64,
     /// Id of the enclosing span on the same thread; 0 for roots.
@@ -88,12 +78,9 @@ struct ThreadCtx {
     thread: u64,
     stack: Vec<OpenSpan>,
     buf: Vec<SpanRecord>,
-    /// Spare vector reused by [`flush_locked`] so the capture-diversion pass
-    /// never allocates in steady state.
-    scratch: Vec<SpanRecord>,
     /// Last trace id whose capture registration this thread looked up, and
     /// what the registry said. Both hits and misses are cached: a request's
-    /// flushes touch the global registry mutex once, not once per flush.
+    /// span sites and flushes touch the global registry mutex once.
     cached_trace: u64,
     cached_capture: Option<Arc<Mutex<CaptureBuf>>>,
 }
@@ -101,7 +88,8 @@ struct ThreadCtx {
 impl ThreadCtx {
     /// Capture buffer registered for `trace`, consulting the global registry
     /// only when the cache is for a different trace. Trace ids are never
-    /// reused, so a stale entry can only belong to a finished request.
+    /// reused, so a stale entry can only belong to a finished request (whose
+    /// buffer is closed and turns further records away).
     fn capture_for(&mut self, trace: u64) -> Option<Arc<Mutex<CaptureBuf>>> {
         if trace == 0 {
             return None;
@@ -131,86 +119,9 @@ thread_local! {
         thread: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
         stack: Vec::new(),
         buf: Vec::new(),
-        scratch: Vec::new(),
         cached_trace: 0,
         cached_capture: None,
     });
-}
-
-struct Ring {
-    buf: VecDeque<SpanRecord>,
-    dropped: u64,
-}
-
-fn ring() -> &'static Mutex<Ring> {
-    static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
-    RING.get_or_init(|| {
-        Mutex::new(Ring {
-            buf: VecDeque::new(),
-            dropped: 0,
-        })
-    })
-}
-
-pub fn ring_capacity() -> usize {
-    RING_CAPACITY
-}
-
-/// Is at least one [`ArmGuard`] live?
-#[inline]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed) != 0
-}
-
-/// Turn span recording on for the lifetime of the returned guard. Guards
-/// nest; recording stops when the last one drops.
-pub fn arm() -> ArmGuard {
-    ARMED.fetch_add(1, Ordering::SeqCst);
-    ArmGuard {
-        capture_only: false,
-    }
-}
-
-/// Arm span recording for *captured traces only*: while every live guard
-/// is capture-only, a span site stays inert unless the calling thread's
-/// current trace has a registered [`capture_trace`] buffer — nothing is
-/// recorded for uncaptured traces and nothing reaches the shared ring.
-///
-/// This is the always-on server mode: the server only ever reads spans
-/// back out of per-request captures, so materializing records that could
-/// only land in the (never-drained) ring would be pure overhead at
-/// saturation. A plain [`arm`] guard anywhere in the process restores
-/// record-everything semantics for as long as it lives, so harnesses that
-/// drain the ring compose with a live capture-only server.
-pub fn arm_capture_only() -> ArmGuard {
-    CAPTURE_ONLY.fetch_add(1, Ordering::SeqCst);
-    ARMED.fetch_add(1, Ordering::SeqCst);
-    ArmGuard { capture_only: true }
-}
-
-#[must_use = "spans are recorded only while the guard is live"]
-pub struct ArmGuard {
-    capture_only: bool,
-}
-
-impl Drop for ArmGuard {
-    fn drop(&mut self) {
-        ARMED.fetch_sub(1, Ordering::SeqCst);
-        if self.capture_only {
-            CAPTURE_ONLY.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Serialises harnesses that arm the process-wide tracer (the ring is
-/// shared state, exactly like failpoints). Same discipline as
-/// `precis_storage::failpoint::exclusive`.
-pub fn exclusive() -> MutexGuard<'static, ()> {
-    static GATE: OnceLock<Mutex<()>> = OnceLock::new();
-    match GATE.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 /// Allocate a fresh trace id for one query.
@@ -218,10 +129,16 @@ pub fn new_trace_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Open a span. Disarmed cost: one relaxed atomic load.
+/// Records discarded because their capture was already taken or dropped
+/// when they were flushed (process-wide, since start).
+pub fn late_spans() -> u64 {
+    LATE_SPANS.load(Ordering::Relaxed)
+}
+
+/// Open a span. With no capture registered: one relaxed atomic load.
 #[inline]
 pub fn span(name: &'static str) -> SpanGuard {
-    if ARMED.load(Ordering::Relaxed) == 0 {
+    if CAPTURE_COUNT.load(Ordering::Relaxed) == 0 {
         return SpanGuard { depth: usize::MAX };
     }
     span_slow(name)
@@ -229,25 +146,14 @@ pub fn span(name: &'static str) -> SpanGuard {
 
 #[cold]
 fn span_slow(name: &'static str) -> SpanGuard {
-    // Capture-only armers: the record could only ever be read back out of
-    // a per-request capture, so skip the site entirely when the current
-    // trace has none (or there is no trace at all). With zero live
-    // captures — the steady state at saturation, where the retention
-    // bucket keeps new registrations out — that decision needs four
-    // relaxed loads and never touches the thread-local. The
-    // capture-registered-before-recording contract makes both this and
-    // the per-thread cached negative safe.
-    let capture_only = CAPTURE_ONLY.load(Ordering::Relaxed) == ARMED.load(Ordering::Relaxed);
-    if capture_only && CAPTURE_COUNT.load(Ordering::Relaxed) == 0 {
-        return SpanGuard { depth: usize::MAX };
-    }
     CTX.with(|c| {
         let mut c = c.borrow_mut();
-        if capture_only {
-            let trace = c.trace;
-            if trace == 0 || c.capture_for(trace).is_none() {
-                return SpanGuard { depth: usize::MAX };
-            }
+        // Some trace is being captured; stay inert unless it is this
+        // thread's. The per-thread cache makes that one comparison after
+        // the first site of a request.
+        let trace = c.trace;
+        if c.capture_for(trace).is_none() {
+            return SpanGuard { depth: usize::MAX };
         }
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
         let parent = c.stack.last().map(|s| s.id).unwrap_or(0);
@@ -268,7 +174,7 @@ fn span_slow(name: &'static str) -> SpanGuard {
 /// deeper spans left open by a panic unwind that skipped their guards).
 pub struct SpanGuard {
     /// Index of this span in the thread stack; `usize::MAX` marks the inert
-    /// disarmed guard.
+    /// guard.
     depth: usize,
 }
 
@@ -335,56 +241,37 @@ fn close_to_depth(depth: usize) {
         }
         // Inside a trace scope the scope-exit flush publishes everything at
         // once; flushing on every root-span close there would just pay the
-        // lock traffic several times per request for no visibility gain.
+        // lock traffic several times per request for no visibility gain. A
+        // guard that outlived its scope closes here with no scope left to
+        // flush it.
         if c.buf.len() >= FLUSH_THRESHOLD || (c.stack.is_empty() && c.trace == 0) {
             flush_locked(&mut c);
         }
     });
 }
 
+/// Move the thread's buffered records into their traces' captures.
 fn flush_locked(c: &mut ThreadCtx) {
-    if c.buf.is_empty() {
-        return;
-    }
-    // Divert records whose trace has a registered per-request capture buffer
-    // before anything reaches the shared ring: captured requests never
-    // pollute the process-wide ring, and harnesses draining the ring never
-    // see (or race with) per-request traces. The common no-capture case is
-    // one relaxed load.
-    if CAPTURE_COUNT.load(Ordering::Relaxed) > 0 {
-        let mut scratch = std::mem::take(&mut c.scratch);
-        std::mem::swap(&mut c.buf, &mut scratch);
-        for rec in scratch.drain(..) {
-            let Some(capture) = c.capture_for(rec.trace) else {
-                c.buf.push(rec);
-                continue;
-            };
-            let mut buf = match capture.lock() {
-                Ok(b) => b,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if buf.spans.len() < buf.max_spans {
-                buf.spans.push(rec);
-            } else {
-                buf.dropped += 1;
-            }
+    let mut buf = std::mem::take(&mut c.buf);
+    for rec in buf.drain(..) {
+        let Some(capture) = c.capture_for(rec.trace) else {
+            LATE_SPANS.fetch_add(1, Ordering::Relaxed);
+            continue;
+        };
+        let mut capture = match capture.lock() {
+            Ok(b) => b,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if capture.closed {
+            LATE_SPANS.fetch_add(1, Ordering::Relaxed);
+        } else if capture.spans.len() < capture.max_spans {
+            capture.spans.push(rec);
+        } else {
+            capture.dropped += 1;
         }
-        c.scratch = scratch;
     }
-    if c.buf.is_empty() {
-        return;
-    }
-    let mut r = match ring().lock() {
-        Ok(r) => r,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    for rec in c.buf.drain(..) {
-        if r.buf.len() >= RING_CAPACITY {
-            r.buf.pop_front();
-            r.dropped += 1;
-        }
-        r.buf.push_back(rec);
-    }
+    // Hand the (empty) allocation back so steady state never allocates.
+    c.buf = buf;
 }
 
 /// Per-request capture buffer contents.
@@ -392,40 +279,33 @@ struct CaptureBuf {
     spans: Vec<SpanRecord>,
     dropped: u64,
     max_spans: usize,
+    /// Set when the capture is taken or dropped: threads still holding the
+    /// buffer through their lookup cache discard instead of appending.
+    closed: bool,
 }
-
-/// Registered captures by trace id, plus a relaxed count so the flush fast
-/// path skips the map entirely when nothing is captured.
-static CAPTURE_COUNT: AtomicUsize = AtomicUsize::new(0);
 
 fn captures() -> &'static Mutex<HashMap<u64, Arc<Mutex<CaptureBuf>>>> {
     static CAPTURES: OnceLock<Mutex<HashMap<u64, Arc<Mutex<CaptureBuf>>>>> = OnceLock::new();
     CAPTURES.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-fn unregister_capture(trace: u64) {
-    let mut registry = match captures().lock() {
-        Ok(r) => r,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if registry.remove(&trace).is_some() {
-        CAPTURE_COUNT.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-/// Route every span recorded under `trace` (via [`with_trace`]) into a
-/// private per-request buffer instead of the shared ring, until the returned
-/// guard is consumed by [`TraceCapture::take`] or dropped. At most
-/// `max_spans` records are kept; overflow is counted, never unbounded.
+/// Make span sites running under `trace` (via [`with_trace`] or
+/// [`trace_scope`]) live and collect their records in a private buffer,
+/// until the returned guard is consumed by [`TraceCapture::take`] or
+/// dropped. At most `max_spans` records are kept; overflow is counted,
+/// never unbounded.
 ///
-/// Register the capture *before* recording spans under `trace`: threads
-/// cache their registry lookup per trace id, so records flushed before the
-/// registration stay in the shared ring.
+/// Register the capture *before* entering the trace's scope: threads cache
+/// their registry lookup per trace id, so a thread that looked `trace` up
+/// before the registration keeps treating it as uncaptured. Captures are
+/// keyed by trace id and share no other state, so any number of them can be
+/// live on any threads at once.
 pub fn capture_trace(trace: u64, max_spans: usize) -> TraceCapture {
     let buf = Arc::new(Mutex::new(CaptureBuf {
         spans: Vec::new(),
         dropped: 0,
         max_spans: max_spans.max(1),
+        closed: false,
     }));
     let mut registry = match captures().lock() {
         Ok(r) => r,
@@ -437,8 +317,8 @@ pub fn capture_trace(trace: u64, max_spans: usize) -> TraceCapture {
     TraceCapture { trace, buf }
 }
 
-/// Handle to one registered per-request capture. Dropping it without
-/// [`take`] unregisters the trace and discards whatever was captured.
+/// Handle to one registered capture. Dropping it without [`take`]
+/// unregisters the trace and discards whatever was captured.
 ///
 /// [`take`]: TraceCapture::take
 pub struct TraceCapture {
@@ -446,8 +326,8 @@ pub struct TraceCapture {
     buf: Arc<Mutex<CaptureBuf>>,
 }
 
-/// Everything a [`TraceCapture`] collected, sorted parents-first like
-/// [`drain`].
+/// Everything a [`TraceCapture`] collected, sorted so that parents precede
+/// children (parents start no later, and ids grow in open order).
 #[derive(Debug)]
 pub struct CapturedSpans {
     pub spans: Vec<SpanRecord>,
@@ -465,60 +345,59 @@ impl TraceCapture {
     /// captured spans.
     pub fn take(self) -> CapturedSpans {
         flush_thread();
-        unregister_capture(self.trace);
+        let (mut spans, dropped) = self.close();
+        // `self` unregisters the capture on drop.
+        spans.sort_by_key(|s| (s.start_ns, s.id));
+        CapturedSpans { spans, dropped }
+    }
+
+    /// Turn further records away and take what was collected.
+    fn close(&self) -> (Vec<SpanRecord>, u64) {
         let mut buf = match self.buf.lock() {
             Ok(b) => b,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let mut spans = std::mem::take(&mut buf.spans);
-        let dropped = std::mem::take(&mut buf.dropped);
-        drop(buf);
-        // `self` still unregisters on drop, which is now a no-op.
-        spans.sort_by_key(|s| (s.start_ns, s.id));
-        CapturedSpans { spans, dropped }
+        buf.closed = true;
+        (std::mem::take(&mut buf.spans), buf.dropped)
     }
 }
 
 impl Drop for TraceCapture {
     fn drop(&mut self) {
-        unregister_capture(self.trace);
+        self.close();
+        let mut registry = match captures().lock() {
+            Ok(r) => r,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        if registry.remove(&self.trace).is_some() {
+            CAPTURE_COUNT.fetch_sub(1, Ordering::Relaxed);
+        }
     }
 }
 
-/// Push this thread's buffered spans into the ring.
+/// Move this thread's buffered spans into their captures.
 pub fn flush_thread() {
     CTX.with(|c| flush_locked(&mut c.borrow_mut()));
 }
 
-/// Run `f` with the thread's current trace id set to `trace`, restoring the
-/// previous id (and flushing the thread buffer) on exit — including via
-/// panic unwind, so pool workers never leak a stale trace id. Disarmed cost:
-/// one relaxed load.
-pub fn with_trace<R>(trace: u64, f: impl FnOnce() -> R) -> R {
-    if ARMED.load(Ordering::Relaxed) == 0 {
-        return f();
-    }
-    struct Restore(u64);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            CTX.with(|c| {
-                let mut c = c.borrow_mut();
-                c.trace = self.0;
-                flush_locked(&mut c);
-            });
-        }
+/// Set the thread's current trace id until the returned guard drops, which
+/// restores the previous id and flushes the thread buffer — including via
+/// panic unwind, so pool workers never leak a stale trace id. With no
+/// capture registered: one relaxed load, and the id is not set at all (a
+/// capture registers before its trace's scope opens, so none can be for
+/// `trace`).
+pub fn trace_scope(trace: u64) -> TraceScope {
+    if CAPTURE_COUNT.load(Ordering::Relaxed) == 0 {
+        return TraceScope { prev: None };
     }
     let prev = CTX.with(|c| {
         let mut c = c.borrow_mut();
         std::mem::replace(&mut c.trace, trace)
     });
-    let _restore = Restore(prev);
-    f()
+    TraceScope { prev: Some(prev) }
 }
 
-/// Guard form of [`with_trace`] for scopes a closure cannot express —
-/// request handlers threading ownership out through early returns. Restores
-/// the previous trace id and flushes the thread buffer on drop.
+/// Guard returned by [`trace_scope`].
 pub struct TraceScope {
     prev: Option<u64>,
 }
@@ -535,76 +414,39 @@ impl Drop for TraceScope {
     }
 }
 
-/// Set the thread's current trace id until the returned guard drops.
-/// Disarmed cost: one relaxed load.
-pub fn trace_scope(trace: u64) -> TraceScope {
-    if ARMED.load(Ordering::Relaxed) == 0 {
-        return TraceScope { prev: None };
-    }
-    let prev = CTX.with(|c| {
-        let mut c = c.borrow_mut();
-        std::mem::replace(&mut c.trace, trace)
-    });
-    TraceScope { prev: Some(prev) }
+/// Closure form of [`trace_scope`].
+pub fn with_trace<R>(trace: u64, f: impl FnOnce() -> R) -> R {
+    let _scope = trace_scope(trace);
+    f()
 }
 
 /// The trace id the calling thread is currently recording under (set by an
-/// enclosing [`with_trace`]); 0 outside any trace scope or while disarmed.
+/// enclosing [`with_trace`]); 0 outside any trace scope or while nothing is
+/// captured.
 pub fn current_trace() -> u64 {
-    if ARMED.load(Ordering::Relaxed) == 0 {
+    if CAPTURE_COUNT.load(Ordering::Relaxed) == 0 {
         return 0;
     }
     CTX.with(|c| c.borrow().trace)
-}
-
-/// Everything the ring held, sorted so that within a trace parents precede
-/// children (parents start no later, and ids grow in open order).
-#[derive(Debug)]
-pub struct DrainedSpans {
-    pub spans: Vec<SpanRecord>,
-    /// Records evicted by ring overflow since the last drain.
-    pub dropped: u64,
-}
-
-/// Flush the calling thread and take the ring contents.
-pub fn drain() -> DrainedSpans {
-    flush_thread();
-    let (mut spans, dropped) = {
-        let mut r = match ring().lock() {
-            Ok(r) => r,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let spans: Vec<SpanRecord> = r.buf.drain(..).collect();
-        (spans, std::mem::take(&mut r.dropped))
-    };
-    spans.sort_by_key(|s| (s.trace, s.start_ns, s.id));
-    DrainedSpans { spans, dropped }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn disarmed_spans_record_nothing() {
-        let _gate = exclusive();
-        drain();
-        {
-            let g = span("never.recorded");
-            g.field("n", 3);
-        }
-        let d = drain();
-        assert!(d.spans.is_empty());
-        assert_eq!(d.dropped, 0);
-        assert!(!armed());
+    /// No test here takes a process-wide gate: a capture sees only its own
+    /// trace, so they run concurrently under the default test parallelism.
+    fn thread_holds_nothing() -> bool {
+        CTX.with(|c| {
+            let c = c.borrow();
+            c.buf.is_empty() && c.stack.is_empty()
+        })
     }
 
     #[test]
     fn nested_spans_form_a_tree_with_parents_first() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
         let trace = new_trace_id();
+        let capture = capture_trace(trace, 64);
         with_trace(trace, || {
             let root = span("root");
             root.field("answers", 2);
@@ -615,114 +457,96 @@ mod tests {
             }
             let _sibling = span("sibling");
         });
-        let d = drain();
-        assert_eq!(d.spans.len(), 4);
-        assert!(d.spans.iter().all(|s| s.trace == trace));
-        assert!(d.spans.iter().all(|s| s.end_ns >= s.start_ns));
-        let root = &d.spans[0];
+        let got = capture.take();
+        assert_eq!(got.spans.len(), 4);
+        assert_eq!(got.dropped, 0);
+        assert!(got.spans.iter().all(|s| s.trace == trace));
+        assert!(got.spans.iter().all(|s| s.end_ns >= s.start_ns));
+        let root = &got.spans[0];
         assert_eq!(root.name, "root");
         assert_eq!(root.parent, 0);
         assert_eq!(root.fields, vec![("answers", 2)]);
-        // Parents precede children in drain order.
-        for s in &d.spans {
+        // Parents precede children in take order.
+        for s in &got.spans {
             if s.parent != 0 {
-                let parent_pos = d.spans.iter().position(|p| p.id == s.parent);
-                let own_pos = d.spans.iter().position(|p| p.id == s.id);
+                let parent_pos = got.spans.iter().position(|p| p.id == s.parent);
+                let own_pos = got.spans.iter().position(|p| p.id == s.id);
                 assert!(parent_pos.expect("parent present") < own_pos.unwrap());
             }
         }
-        let child = d.spans.iter().find(|s| s.name == "child").unwrap();
+        let child = got.spans.iter().find(|s| s.name == "child").unwrap();
         assert_eq!(child.parent, root.id);
         assert_eq!(child.label.as_deref(), Some("movies"));
-        let grand = d.spans.iter().find(|s| s.name == "grandchild").unwrap();
+        let grand = got.spans.iter().find(|s| s.name == "grandchild").unwrap();
         assert_eq!(grand.parent, child.id);
-        let sib = d.spans.iter().find(|s| s.name == "sibling").unwrap();
+        let sib = got.spans.iter().find(|s| s.name == "sibling").unwrap();
         assert_eq!(sib.parent, root.id);
     }
 
     #[test]
-    fn ring_overflow_evicts_oldest_and_counts() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
-        let extra = 16u64;
-        for i in 0..(RING_CAPACITY as u64 + extra) {
-            let g = span("wrap");
-            g.field("i", i);
+    fn a_site_is_live_only_under_its_threads_captured_trace() {
+        let mine = new_trace_id();
+        let theirs = new_trace_id();
+        // Another thread captures another trace for the whole test, so every
+        // site below runs past the nothing-is-captured fast path.
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let other = std::thread::spawn(move || {
+            let capture = capture_trace(theirs, 16);
+            with_trace(theirs, || {
+                let _s = span("theirs.work");
+            });
+            ready_tx.send(()).unwrap();
+            done_rx.recv().unwrap();
+            capture.take()
+        });
+        ready_rx.recv().unwrap();
+
+        assert_eq!(span("no.trace").depth, usize::MAX);
+        with_trace(mine, || {
+            assert_eq!(current_trace(), mine);
+            let g = span("uncaptured.closure");
+            g.field("n", 3);
+            assert_eq!(g.depth, usize::MAX);
+        });
+        {
+            let _scope = trace_scope(mine);
+            assert_eq!(span("uncaptured.guard").depth, usize::MAX);
         }
-        let d = drain();
-        assert_eq!(d.spans.len(), RING_CAPACITY);
-        assert_eq!(d.dropped, extra);
-        // The survivors are the *newest* records.
-        let min_i = d
-            .spans
-            .iter()
-            .map(|s| s.fields[0].1)
-            .min()
-            .expect("non-empty");
-        assert_eq!(min_i, extra);
+        assert_eq!(current_trace(), 0);
+        assert!(thread_holds_nothing());
+
+        done_tx.send(()).unwrap();
+        let got = other.join().unwrap();
+        assert_eq!(got.spans.len(), 1);
+        assert_eq!(got.spans[0].name, "theirs.work");
+        assert_eq!(got.spans[0].trace, theirs);
     }
 
     #[test]
-    fn with_trace_restores_previous_trace_and_flushes() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
+    fn with_trace_restores_the_previous_trace() {
         let outer = new_trace_id();
         let inner = new_trace_id();
+        let outer_capture = capture_trace(outer, 64);
+        let inner_capture = capture_trace(inner, 64);
         with_trace(outer, || {
             let _a = span("outer.work");
             with_trace(inner, || {
+                assert_eq!(current_trace(), inner);
                 let _b = span("inner.work");
             });
+            assert_eq!(current_trace(), outer);
             let _c = span("outer.again");
         });
-        let d = drain();
-        let traces: Vec<u64> = d.spans.iter().map(|s| s.trace).collect();
-        assert_eq!(d.spans.len(), 3);
-        assert!(traces.contains(&outer));
-        assert!(traces.contains(&inner));
-        assert_eq!(
-            d.spans.iter().filter(|s| s.trace == outer).count(),
-            2,
-            "outer trace restored after nested scope: {traces:?}"
-        );
-    }
-
-    #[test]
-    fn captured_traces_bypass_the_ring_and_uncaptured_ones_do_not() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
-        let captured = new_trace_id();
-        let free = new_trace_id();
-        let capture = capture_trace(captured, 64);
-        with_trace(captured, || {
-            let root = span("captured.root");
-            root.field("n", 1);
-            let _child = span("captured.child");
-        });
-        with_trace(free, || {
-            let _s = span("free.span");
-        });
-        let got = capture.take();
-        assert_eq!(got.spans.len(), 2);
-        assert_eq!(got.dropped, 0);
-        assert!(got.spans.iter().all(|s| s.trace == captured));
-        assert_eq!(got.spans[0].name, "captured.root");
-        assert_eq!(got.spans[1].parent, got.spans[0].id);
-        // The uncaptured trace still reached the ring; the captured one
-        // never did.
-        let d = drain();
-        assert_eq!(d.spans.len(), 1);
-        assert_eq!(d.spans[0].trace, free);
+        let names = |c: TraceCapture| -> Vec<&'static str> {
+            c.take().spans.iter().map(|s| s.name).collect()
+        };
+        assert_eq!(names(outer_capture), vec!["outer.work", "outer.again"]);
+        assert_eq!(names(inner_capture), vec!["inner.work"]);
     }
 
     #[test]
     fn capture_overflow_counts_and_drop_unregisters() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
         let trace = new_trace_id();
         let capture = capture_trace(trace, 2);
         with_trace(trace, || {
@@ -734,46 +558,44 @@ mod tests {
         assert_eq!(got.spans.len(), 2);
         assert_eq!(got.dropped, 3);
 
-        // Dropping without take unregisters: later spans under the same
-        // trace go to the ring again.
-        let capture = capture_trace(trace, 8);
-        drop(capture);
+        // Dropping without take unregisters: the trace's sites are inert.
+        let trace = new_trace_id();
+        drop(capture_trace(trace, 8));
         with_trace(trace, || {
-            let _s = span("back.to.ring");
+            assert_eq!(span("nobody.listening").depth, usize::MAX);
         });
-        let d = drain();
-        assert_eq!(d.spans.len(), 1);
-        assert_eq!(d.spans[0].name, "back.to.ring");
+        assert!(thread_holds_nothing());
     }
 
     #[test]
-    fn current_trace_tracks_the_with_trace_scope() {
-        let _gate = exclusive();
-        drain();
-        assert_eq!(current_trace(), 0, "disarmed reports no trace");
-        let _arm = arm();
+    fn a_record_flushed_after_its_capture_is_gone_is_counted_not_kept() {
         let trace = new_trace_id();
-        assert_eq!(current_trace(), 0);
+        let capture = capture_trace(trace, 8);
+        let before = late_spans();
         with_trace(trace, || {
-            assert_eq!(current_trace(), trace);
+            let _open = span("outlives.capture");
+            // Taken on another thread while the span is still open here.
+            let got = std::thread::spawn(move || capture.take()).join().unwrap();
+            assert!(got.spans.is_empty());
         });
-        assert_eq!(current_trace(), 0);
-        drain();
+        assert!(late_spans() > before);
+        assert!(thread_holds_nothing());
     }
 
     #[test]
     fn spans_survive_unwind_with_end_times() {
-        let _gate = exclusive();
-        drain();
-        let _arm = arm();
+        let trace = new_trace_id();
+        let capture = capture_trace(trace, 8);
         let caught = std::panic::catch_unwind(|| {
+            let _scope = trace_scope(trace);
             let _root = span("panicking.root");
             let _child = span("panicking.child");
             panic!("boom");
         });
         assert!(caught.is_err());
-        let d = drain();
-        assert_eq!(d.spans.len(), 2);
-        assert!(d.spans.iter().all(|s| s.end_ns >= s.start_ns));
+        assert_eq!(current_trace(), 0, "the unwound scope restored the trace");
+        let got = capture.take();
+        assert_eq!(got.spans.len(), 2);
+        assert!(got.spans.iter().all(|s| s.end_ns >= s.start_ns));
     }
 }

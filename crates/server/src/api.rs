@@ -1,4 +1,4 @@
-//! The `/query` API: request decoding, answer execution under a deadline,
+//! The `/v1/query` API: request decoding, answer execution under a deadline,
 //! and deterministic JSON rendering of the précis (result sub-database +
 //! narratives).
 //!
@@ -19,7 +19,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A decoded `/query` request body.
+/// A decoded `/v1/query` request body.
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     pub query: PrecisQuery,
@@ -31,7 +31,7 @@ pub struct QueryRequest {
     pub deadline_ms: Option<u64>,
     /// Whether the response should carry a `"profile"` object with per-phase
     /// and per-relation timings. The server profiles every query internally
-    /// either way (for the slow-query log and `/metrics` aggregates); this
+    /// either way (for retained traces and `/v1/metrics` aggregates); this
     /// flag only controls the response body, so default responses stay
     /// byte-identical.
     pub profile: bool,

@@ -1,7 +1,8 @@
 //! JSON rendering for the loopback-only debug endpoints:
 //! `GET /v1/debug/traces` (retained-trace list), `GET /v1/debug/traces/<id>`
 //! (full span tree + scheduling decision record + predicted-vs-measured
-//! phases, or Chrome `trace_event` JSON with `?format=chrome`), and
+//! phases, or Chrome `trace_event` JSON with `?format=chrome`),
+//! `GET /v1/debug/slow` (the slowest retained query traces' profiles), and
 //! `GET /v1/debug/slo` (objective statuses with per-window burn rates).
 //!
 //! Pure functions over the telemetry structures — the server routes here
@@ -161,6 +162,44 @@ pub fn render_trace_detail(trace: &RetainedTrace) -> String {
     out
 }
 
+/// Entries in the `GET /v1/debug/slow` body.
+pub const SLOW_VIEW_LIMIT: usize = 8;
+
+/// The `GET /v1/debug/slow` body: of the retained traces, the `query` ones
+/// that carry a profile, slowest end-to-end latency first, at most
+/// [`SLOW_VIEW_LIMIT`]. A view, not a log — what is here is what the tail
+/// sampler kept (slow for its class, or retained for another reason), so
+/// every entry's `trace_id` resolves at `/v1/debug/traces/<id>` and the
+/// profile there is this one.
+pub fn render_slow(traces: &[RetainedTrace]) -> String {
+    let mut slow: Vec<_> = traces
+        .iter()
+        .filter(|t| t.endpoint == "query")
+        .filter_map(|t| Some((t, t.profile.as_ref()?)))
+        .collect();
+    slow.sort_by_key(|(t, _)| std::cmp::Reverse(t.latency_ns));
+    slow.truncate(SLOW_VIEW_LIMIT);
+    let mut out = String::with_capacity(256 + slow.len() * 512);
+    let _ = write!(out, "{{\"capacity\": {SLOW_VIEW_LIMIT}");
+    out.push_str(", \"slow_queries\": [");
+    for (i, (trace, profile)) in slow.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("{\"query\": ");
+        write_str(&mut out, &profile.query);
+        out.push_str(", \"trace_id\": ");
+        write_str(&mut out, &trace.trace_id);
+        out.push_str(", \"bucket_le\": ");
+        write_bucket_le(&mut out, trace.bucket_le);
+        out.push_str(", \"profile\": ");
+        write_profile_json(&mut out, profile);
+        out.push('}');
+    }
+    out.push_str("]}\n");
+    out
+}
+
 /// The `?format=chrome` export of one retained trace: the spans as Chrome
 /// `trace_event` JSON, loadable in `chrome://tracing` / Perfetto.
 pub fn render_trace_chrome(trace: &RetainedTrace) -> String {
@@ -282,6 +321,82 @@ mod tests {
         assert!(detail.contains("\"span_drops\": 2"));
         assert!(detail.contains("\"link\": "));
         assert!(detail.contains("\"profile\": null"));
+    }
+
+    /// A retained successful query whose profile names `query`.
+    fn query_trace(query: &str, latency_ns: u64) -> RetainedTrace {
+        let profile = precis_obs::QueryProfile::new();
+        profile.set_query(query);
+        profile.finish();
+        RetainedTrace {
+            trace_id: format!("{latency_ns:032x}"),
+            link: None,
+            status: 200,
+            reasons: vec!["slow"],
+            latency_ns,
+            bucket_le: crate::metrics::bucket_le(latency_ns as f64 / 1e9),
+            sched: None,
+            profile: Some(profile.snapshot()),
+            spans: Vec::new(),
+            span_drops: 0,
+            ..sample_trace()
+        }
+    }
+
+    fn slow_queries(body: &str) -> Vec<crate::json::Json> {
+        match crate::json::parse(body)
+            .expect("slow body parses")
+            .get("slow_queries")
+        {
+            Some(crate::json::Json::Array(items)) => items.clone(),
+            other => panic!("slow_queries not an array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn slow_view_is_the_slowest_profiled_query_traces_with_their_linkage() {
+        let mut traces = vec![
+            query_trace("fast", 10),
+            query_trace("woody \"allen\"", 1_000),
+            query_trace("medium", 100),
+        ];
+        // Not queries, or no profile: never in the view.
+        traces.push(sample_trace());
+        traces.push(RetainedTrace {
+            endpoint: "mutate",
+            ..query_trace("a mutation", 1 << 40)
+        });
+        let body = render_slow(&traces);
+        let list = slow_queries(&body);
+        let names: Vec<_> = list
+            .iter()
+            .map(|e| e.get("query").unwrap().as_str().unwrap().to_owned())
+            .collect();
+        assert_eq!(names, ["woody \"allen\"", "medium", "fast"], "{body}");
+        assert_eq!(
+            list[0].get("trace_id").unwrap().as_str(),
+            Some(format!("{:032x}", 1_000).as_str())
+        );
+        assert!(list[0].get("bucket_le").is_some());
+        assert!(list[0]
+            .get("profile")
+            .and_then(|p| p.get("phases"))
+            .is_some());
+        assert!(body.starts_with("{\"capacity\": 8, "), "{body}");
+        // Canonical-JSON round trip: parse(render(parse(body))) == parse(body).
+        let doc = crate::json::parse(&body).unwrap();
+        assert_eq!(crate::json::parse(&crate::json::render(&doc)).unwrap(), doc);
+    }
+
+    #[test]
+    fn slow_view_is_bounded_and_renders_an_infinite_bucket_as_a_string() {
+        let mut traces: Vec<_> = (1..=20).map(|i| query_trace("q", i)).collect();
+        traces[0].bucket_le = f64::INFINITY;
+        traces[0].latency_ns = u64::MAX;
+        let body = render_slow(&traces);
+        assert_eq!(slow_queries(&body).len(), SLOW_VIEW_LIMIT);
+        assert!(body.contains("\"bucket_le\": \"+Inf\""), "{body}");
+        assert!(render_slow(&[]).contains("\"slow_queries\": []"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! buffering), coalesces it onto an identical in-flight query, or orders it
 //! shortest-predicted-first within its deadline class. Deadlines are
 //! end-to-end from admission and abort précis generation cooperatively
-//! (→ `504`); a Prometheus-format `/metrics` endpoint covers request
+//! (→ `504`); a Prometheus-format `/v1/metrics` endpoint covers request
 //! counts, latency histograms, queue depth, shed/coalesce/reorder totals,
 //! and the engine's answer-cache statistics.
 //!
@@ -24,7 +24,8 @@
 //! |        |                  | (loopback only; WAL-durable with `--data-dir`) |
 //! | GET    | `/v1/healthz`    | Liveness probe                                 |
 //! | GET    | `/v1/metrics`    | Prometheus text exposition                     |
-//! | GET    | `/v1/debug/slow` | The N slowest query profiles (loopback only)   |
+//! | GET    | `/v1/debug/slow` | The slowest retained query traces' profiles    |
+//! |        |                  | (loopback only)                                |
 //! | GET    | `/v1/debug/traces` | Retained traces from the tail sampler        |
 //! |        |                  | (loopback only; filter by `outcome`, `class`,  |
 //! |        |                  | `min_latency_ms`)                              |
@@ -41,15 +42,16 @@
 //! retry); `503` is reserved for durability failures and shutdown; `504`
 //! means the end-to-end deadline fired.
 //!
-//! Every `/query` is profiled end to end (queue wait, parse, token lookup,
-//! schema generation, per-relation db_gen traversal, NLG, render) via
-//! `precis-obs`; profiles feed the slow-query log and the per-phase
-//! Prometheus aggregates. With telemetry enabled (the default), every
-//! request additionally carries a 128-bit wire trace id (from an incoming
-//! `traceparent` or minted) echoed as `x-precis-trace-id` on every response
-//! and embedded in every error envelope's `details`; a tail sampler retains
-//! the interesting traces for the `/v1/debug/traces` endpoints and an SLO
-//! engine tracks error-budget burn rates (`precis_slo_*` families,
+//! Every `/v1/query` is profiled end to end (queue wait, parse, token
+//! lookup, schema generation, per-relation db_gen traversal, NLG, render)
+//! via `precis-obs`; profiles feed the per-phase Prometheus aggregates and
+//! ride along on retained traces. Every request carries a 128-bit wire
+//! trace id (from an incoming `traceparent` or minted) echoed as
+//! `x-precis-trace-id` on every response and embedded in every error
+//! envelope's `details`; a tail sampler retains the interesting traces in
+//! one byte-budgeted store — the only record of finished requests, which
+//! `/v1/debug/traces` and `/v1/debug/slow` both read — and an SLO engine
+//! tracks error-budget burn rates (`precis_slo_*` families,
 //! `/v1/debug/slo`, and a degraded-but-200 `/v1/healthz`).
 
 pub mod api;
@@ -60,7 +62,6 @@ pub mod metrics;
 pub mod mutate;
 pub mod sched;
 mod server;
-pub mod slowlog;
 
 pub use api::{
     answer_query, answer_query_profiled, flight_key, parse_query_request, render_answer,
@@ -69,5 +70,4 @@ pub use api::{
 pub use metrics::Metrics;
 pub use mutate::{parse_mutate_request, Durability, MutateOp};
 pub use sched::{Priority, Scheduler};
-pub use server::{Server, ServerConfig, ServerHandle, Telemetry};
-pub use slowlog::{SlowEntry, SlowLog};
+pub use server::{Server, ServerConfig, ServerHandle};

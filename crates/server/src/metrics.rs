@@ -7,7 +7,7 @@
 //! [`precis_core::AnswerCacheStats`] and the per-phase profile aggregates
 //! ([`precis_obs::PhaseAgg`]) are folded into the exposition at scrape
 //! time. Scrape handling appends into one output `String` through
-//! `fmt::Write` with pre-interned labels, so serving `/metrics` performs
+//! `fmt::Write` with pre-interned labels, so serving `/v1/metrics` performs
 //! no per-series allocation — a scrape observes itself only under the
 //! `metrics` endpoint label.
 
@@ -109,7 +109,7 @@ impl Histogram {
 
 /// The smallest [`LATENCY_BUCKETS`] upper bound covering `secs`, or
 /// `+Inf` past the last bucket — the exemplar-style linkage retained
-/// traces and slow-log entries carry so a histogram spike in `/metrics`
+/// traces carry so a histogram spike in `/v1/metrics`
 /// is navigable to the concrete requests that landed in that bucket.
 pub fn bucket_le(secs: f64) -> f64 {
     LATENCY_BUCKETS
@@ -127,8 +127,8 @@ pub struct Metrics {
     requests: [[AtomicU64; STATUSES.len() + 1]; ENDPOINTS.len()],
     /// Service-time histograms, one per endpoint label: the clock starts
     /// when a worker picks the connection up, so queue time is excluded —
-    /// and a `/metrics` scrape only ever observes itself under the
-    /// `metrics` label, never inflating `/query` latency.
+    /// and a `/v1/metrics` scrape only ever observes itself under the
+    /// `metrics` label, never inflating `/v1/query` latency.
     durations: [Histogram; ENDPOINTS.len()],
     /// Time connections spent waiting in the admission queue, server-wide.
     pub queue_wait: Histogram,

@@ -1,4 +1,4 @@
-//! The `POST /mutate` write path: batched ops applied copy-on-write under
+//! The `POST /v1/mutate` write path: batched ops applied copy-on-write under
 //! the server's single write lock, logged to the WAL (when the server is
 //! durable), and published atomically via the engine snapshot cell.
 //!
@@ -90,7 +90,7 @@ pub enum MutateOp {
     },
 }
 
-/// Decode a `/mutate` body:
+/// Decode a `/v1/mutate` body:
 ///
 /// ```json
 /// {"ops": [
@@ -310,7 +310,7 @@ pub fn checkpoint_engine(
     Ok(rebuilt)
 }
 
-/// Render the `/mutate` response body.
+/// Render the `/v1/mutate` response body.
 pub fn render_mutate_response(
     applied: usize,
     inserted_tids: &[u64],

@@ -22,16 +22,17 @@
 //! responses all carry the structured error envelope
 //! (`{"error": {"code", "message", ...}}`) from [`http::Response`].
 //!
-//! With telemetry enabled (the default), every request also gets a 128-bit
-//! wire trace id at admission — accepted from an incoming `traceparent`
-//! header or minted — echoed back as `x-precis-trace-id`/`traceparent` on
-//! every response and embedded in every error envelope's `details`. Spans
-//! are captured into a per-request buffer, and at completion a tail sampler
-//! retains the trace iff it was interesting (slow for its class, non-2xx,
-//! shed/coalesce/reorder, WAL rollback, panic) or head-sampled; retained
-//! traces are served by the loopback-only `GET /v1/debug/traces` endpoints,
-//! and every finished request feeds the SLO burn-rate engine behind
-//! `GET /v1/debug/slo` and the `precis_slo_*` metric families.
+//! Every request also gets a 128-bit wire trace id at admission — accepted
+//! from an incoming `traceparent` header or minted — echoed back as
+//! `x-precis-trace-id`/`traceparent` on every response and embedded in
+//! every error envelope's `details`. Spans are captured into a per-request
+//! buffer, and at completion a tail sampler retains the trace iff it was
+//! interesting (slow for its class, non-2xx, shed/coalesce/reorder, WAL
+//! rollback, panic) or head-sampled. The byte-budgeted trace store is the
+//! only record of finished requests: the loopback-only
+//! `GET /v1/debug/traces` endpoints and `GET /v1/debug/slow` are both views
+//! over it. Every finished request also feeds the SLO burn-rate engine
+//! behind `GET /v1/debug/slo` and the `precis_slo_*` metric families.
 
 use crate::api;
 use crate::debug;
@@ -39,14 +40,13 @@ use crate::http::{self, ParseError, Request, Response};
 use crate::metrics::Metrics;
 use crate::mutate::{self, Durability};
 use crate::sched::{Admission, ConnRefusal, Job, Scheduler, Shed, ShedReason, Work};
-use crate::slowlog::{SlowEntry, SlowLog};
 use precis_core::{CoreError, PrecisEngine, SnapshotCell};
 use precis_nlg::Vocabulary;
 use precis_obs::sched_obs;
 use precis_obs::slo::{SloEngine, SloEvent};
 use precis_obs::telemetry::{
     retain_reasons, RetainedTrace, SchedDecision, ShedDecision, TelemetryConfig, TraceFilter,
-    TraceId, TraceStore, TraceVerdictInput,
+    TraceId, TraceStore, TraceVerdictInput, MAX_SPANS_PER_TRACE,
 };
 use precis_obs::{Phase, ProfileSnapshot, QueryProfile, TraceCapture};
 use std::io;
@@ -68,7 +68,7 @@ pub struct ServerConfig {
     /// be read, and parsed queries waiting to execute. Beyond either bound
     /// admission answers 429.
     pub queue_capacity: usize,
-    /// Deadline applied to every `/query`; a request's own `deadline_ms`
+    /// Deadline applied to every `/v1/query`; a request's own `deadline_ms`
     /// may only tighten it. The budget is end-to-end from admission.
     /// `None` disables deadlines by default.
     pub default_deadline: Option<Duration>,
@@ -80,16 +80,11 @@ pub struct ServerConfig {
     /// within one timeout even with connections mid-read. `None` disables
     /// the timeout, restoring the pinning hazard; leave it set in production.
     pub io_timeout: Option<Duration>,
-    /// How many of the worst query profiles `GET /debug/slow` retains.
-    /// Zero disables the slow-query log.
-    pub slow_log_capacity: usize,
     /// Starvation bound for the cost-ordered queue: a query bypassed this
     /// many times is scheduled next regardless of predicted cost or class.
     pub aging_threshold: u32,
-    /// Always-on tail-sampled tracing and the SLO engine. `None` disables
-    /// both (benchmark baselines, embedded test servers that must not arm
-    /// the process-wide tracer).
-    pub telemetry: Option<TelemetryConfig>,
+    /// The tail sampler's per-class slow thresholds.
+    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServerConfig {
@@ -100,53 +95,18 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             default_deadline: Some(Duration::from_secs(10)),
             io_timeout: Some(Duration::from_secs(5)),
-            slow_log_capacity: 8,
             aging_threshold: 8,
-            telemetry: Some(TelemetryConfig::default()),
+            telemetry: TelemetryConfig::default(),
         }
     }
 }
 
 /// Always-on telemetry state shared by the acceptor and workers: the
-/// retained-trace store, the SLO engine, and the arm guard keeping the
-/// tracer recording for the server's lifetime. The guard arms the tracer
-/// *capture-only*: span sites materialize records exclusively for traces
-/// with a registered per-request capture, so uncaptured requests pay a few
-/// relaxed loads per site, nothing reaches the process-global ring a
-/// concurrent in-process `explain` or test may be draining, and captured
-/// requests divert into their own buffers as before.
-pub struct Telemetry {
+/// sampler thresholds, the retained-trace store and the SLO engine.
+struct Telemetry {
     config: TelemetryConfig,
     store: TraceStore,
     slo: SloEngine,
-    _arm: precis_obs::ArmGuard,
-}
-
-impl Telemetry {
-    fn new(config: TelemetryConfig) -> Telemetry {
-        Telemetry {
-            store: TraceStore::new(
-                config.store_budget_bytes,
-                config.retain_per_sec,
-                config.capture_per_sec,
-            ),
-            slo: SloEngine::with_defaults(),
-            _arm: precis_obs::arm_capture_only(),
-            config,
-        }
-    }
-
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
-    pub fn store(&self) -> &TraceStore {
-        &self.store
-    }
-
-    pub fn slo(&self) -> &SloEngine {
-        &self.slo
-    }
 }
 
 /// A parsed query waiting for (or undergoing) execution.
@@ -157,11 +117,8 @@ struct QueryJob {
     parse_time: Duration,
     /// The creator's internal span-correlation trace id; the flight's
     /// profile and execution spans record under it so they land in the
-    /// creator's capture. 0 when telemetry is disabled.
+    /// creator's capture.
     trace_internal: u64,
-    /// The creator's 32-hex wire trace id (slow-log linkage); empty when
-    /// telemetry is disabled.
-    trace_hex: String,
 }
 
 /// Per-request trace context: the external wire identity plus the internal
@@ -175,10 +132,10 @@ struct TraceCtx {
     /// derived from the wire id — a hostile `traceparent` cannot alias
     /// another request's spans).
     internal: u64,
-    /// `None` when the retention bucket was closed at admission: the trace
-    /// could not be kept with a full span set anyway, so no per-request
-    /// buffer is registered and span records flow to the shared ring. If
-    /// the trace still wins retention, finalize synthesizes its root span.
+    /// `None` when the capture bucket was closed at admission: no
+    /// per-request buffer is registered, so the request's span sites stay
+    /// inert. If the trace still wins retention, finalize synthesizes its
+    /// root span.
     capture: Option<TraceCapture>,
     /// For coalesced waiters: the flight creator's wire id, whose retained
     /// trace holds the execution spans.
@@ -192,8 +149,8 @@ struct Waiter {
     deadline: Option<Instant>,
     wants_profile: bool,
     /// This waiter's own trace (admission spans; execution spans live on
-    /// the creator's trace). `None` when telemetry is disabled.
-    trace: Option<TraceCtx>,
+    /// the creator's trace).
+    trace: TraceCtx,
 }
 
 type Sched = Scheduler<(Instant, TcpStream), QueryJob, Waiter>;
@@ -207,7 +164,7 @@ struct Shared {
     /// the generation-stamped caches inside the engine — stay consistent
     /// even if a swap lands mid-query.
     engine: SnapshotCell<PrecisEngine>,
-    /// Serializes the copy-on-write mutation path (`POST /mutate` and
+    /// Serializes the copy-on-write mutation path (`POST /v1/mutate` and
     /// checkpoints). Readers never touch it — they load snapshots.
     write_lock: Mutex<()>,
     /// WAL + snapshot state when serving with `--data-dir`; `None` for a
@@ -219,9 +176,7 @@ struct Shared {
     /// The cost-aware scheduler: raw connections, the cost-ordered ready
     /// queue, and the single-flight coalescing table.
     sched: Sched,
-    slow_log: Arc<SlowLog>,
-    /// Tail-sampled tracing + SLO engine; `None` when disabled by config.
-    telemetry: Option<Arc<Telemetry>>,
+    telemetry: Telemetry,
     shutdown: AtomicBool,
     default_deadline: Option<Duration>,
     io_timeout: Option<Duration>,
@@ -250,7 +205,7 @@ impl Server {
         Server::start_durable(engine, vocabulary, config, None)
     }
 
-    /// [`Server::start`] with durable-serving state attached: `POST /mutate`
+    /// [`Server::start`] with durable-serving state attached: `POST /v1/mutate`
     /// appends to the WAL before acknowledging and auto-checkpoints at the
     /// configured record threshold.
     pub fn start_durable(
@@ -273,8 +228,11 @@ impl Server {
                 workers_n,
                 config.aging_threshold,
             ),
-            slow_log: Arc::new(SlowLog::new(config.slow_log_capacity)),
-            telemetry: config.telemetry.map(|t| Arc::new(Telemetry::new(t))),
+            telemetry: Telemetry {
+                config: config.telemetry,
+                store: TraceStore::default(),
+                slo: SloEngine::with_defaults(),
+            },
             shutdown: AtomicBool::new(false),
             default_deadline: config.default_deadline,
             io_timeout: config.io_timeout,
@@ -312,18 +270,6 @@ impl ServerHandle {
 
     pub fn metrics(&self) -> Arc<Metrics> {
         self.shared.metrics.clone()
-    }
-
-    /// The bounded slow-query log served by `GET /debug/slow`.
-    pub fn slow_log(&self) -> Arc<SlowLog> {
-        self.shared.slow_log.clone()
-    }
-
-    /// The telemetry state (trace store + SLO engine) behind the
-    /// `/v1/debug/traces` and `/v1/debug/slo` endpoints; `None` when the
-    /// server was started with `telemetry: None`.
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.clone()
     }
 
     /// The engine snapshot new requests will be served from.
@@ -440,9 +386,8 @@ fn worker_loop(shared: &Shared) {
 
 /// Start a trace for one request: accept the wire id from a `traceparent`
 /// header or mint one, allocate a fresh internal span id, and register the
-/// per-request capture buffer. `None` when telemetry is disabled.
-fn begin_trace(shared: &Shared, traceparent: Option<&str>) -> Option<TraceCtx> {
-    let telem = shared.telemetry.as_deref()?;
+/// per-request capture buffer.
+fn begin_trace(shared: &Shared, traceparent: Option<&str>) -> TraceCtx {
     let wire = traceparent
         .and_then(TraceId::parse_traceparent)
         .unwrap_or_else(TraceId::mint);
@@ -453,16 +398,15 @@ fn begin_trace(shared: &Shared, traceparent: Option<&str>) -> Option<TraceCtx> {
     // always-on baseline — and everything else captures only while the
     // capture bucket has tokens. A trace that captures nothing here but
     // still wins retention gets a synthesized root span from finalize.
-    let capture = (wire.head_sampled(telem.config.head_sample_every)
-        || telem.store.admit_capture())
-    .then(|| precis_obs::capture_trace(internal, telem.config.max_spans_per_trace));
-    Some(TraceCtx {
+    let capture = (wire.head_sampled() || shared.telemetry.store.admit_capture())
+        .then(|| precis_obs::capture_trace(internal, MAX_SPANS_PER_TRACE));
+    TraceCtx {
         wire,
         hex: wire.to_hex(),
         internal,
         capture,
         link: None,
-    })
+    }
 }
 
 /// Echo the wire trace id on the response — `x-precis-trace-id` plus a
@@ -490,9 +434,7 @@ fn finalize_trace(
     sched: Option<SchedDecision>,
     profile: Option<&ProfileSnapshot>,
 ) {
-    let Some(telem) = shared.telemetry.as_deref() else {
-        return;
-    };
+    let telem = &shared.telemetry;
     telem.slo.record(SloEvent {
         class,
         status: input.status,
@@ -582,22 +524,17 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
             // No parsed headers → no incoming traceparent to honor, but the
             // refusal still gets an id so the retained trace is findable.
             let ctx = begin_trace(shared, None);
-            let mut resp = Response::error(status, code, &message);
-            if let Some(c) = &ctx {
-                resp = stamp_trace(resp, c);
-            }
+            let resp = stamp_trace(Response::error(status, code, &message), &ctx);
             shared
                 .metrics
                 .record_request("other", status, started.elapsed());
             let _ = http::write_response(&mut stream, &resp);
-            if let Some(c) = ctx {
-                let input = TraceVerdictInput {
-                    status,
-                    latency_ns: admitted.elapsed().as_nanos() as u64,
-                    ..TraceVerdictInput::default()
-                };
-                finalize_trace(shared, c, "other", "", input, None, None);
-            }
+            let input = TraceVerdictInput {
+                status,
+                latency_ns: admitted.elapsed().as_nanos() as u64,
+                ..TraceVerdictInput::default()
+            };
+            finalize_trace(shared, ctx, "other", "", input, None, None);
             return;
         }
     };
@@ -619,35 +556,25 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
     let ctx = begin_trace(shared, request.header("traceparent"));
     let (endpoint, response, shutdown_after) = {
         // Spans emitted while routing record under this request's trace and
-        // divert into its capture, not the global ring.
-        let _scope = precis_obs::trace_scope(ctx.as_ref().map_or(0, |c| c.internal));
-        route(
-            shared,
-            &request,
-            peer_is_loopback,
-            ctx.as_ref().map_or("", |c| c.hex.as_str()),
-        )
+        // land in its capture.
+        let _scope = precis_obs::trace_scope(ctx.internal);
+        route(shared, &request, peer_is_loopback, &ctx.hex)
     };
     // The mutate handler's only 503s are durability failures, which always
     // roll the WAL back (or poison it trying).
     let wal_rollback = endpoint == "mutate" && response.status == 503;
-    let response = match &ctx {
-        Some(c) => stamp_trace(response, c),
-        None => response,
-    };
+    let response = stamp_trace(response, &ctx);
     shared
         .metrics
         .record_request(endpoint, response.status, started.elapsed());
     let _ = http::write_response(&mut stream, &response);
-    if let Some(c) = ctx {
-        let input = TraceVerdictInput {
-            status: response.status,
-            latency_ns: admitted.elapsed().as_nanos() as u64,
-            wal_rollback,
-            ..TraceVerdictInput::default()
-        };
-        finalize_trace(shared, c, endpoint, "", input, None, None);
-    }
+    let input = TraceVerdictInput {
+        status: response.status,
+        latency_ns: admitted.elapsed().as_nanos() as u64,
+        wal_rollback,
+        ..TraceVerdictInput::default()
+    };
+    finalize_trace(shared, ctx, endpoint, "", input, None, None);
     if shutdown_after {
         trigger_shutdown(shared);
     }
@@ -662,7 +589,7 @@ fn route(
     trace_hex: &str,
 ) -> (&'static str, Response, bool) {
     match (request.method.as_str(), request.path.as_str()) {
-        // Mutations are unauthenticated, like /shutdown: only loopback
+        // Mutations are unauthenticated, like `/shutdown`: only loopback
         // peers may change the data a public bind is serving.
         ("POST", "/v1/mutate") if !peer_is_loopback => (
             "mutate",
@@ -677,16 +604,11 @@ fn route(
         ("GET", "/v1/healthz") => {
             // An SLO fast-burning its error budget degrades health without
             // failing it — the process is up; the operator should look.
-            let body = match shared.telemetry.as_deref() {
-                Some(t) => {
-                    let fast = t.slo.fast_burning();
-                    if fast.is_empty() {
-                        "ok\n".to_owned()
-                    } else {
-                        format!("degraded: fast burn on {}\n", fast.join(", "))
-                    }
-                }
-                None => "ok\n".to_owned(),
+            let fast = shared.telemetry.slo.fast_burning();
+            let body = if fast.is_empty() {
+                "ok\n".to_owned()
+            } else {
+                format!("degraded: fast burn on {}\n", fast.join(", "))
             };
             ("healthz", Response::text(200, body), false)
         }
@@ -696,14 +618,12 @@ fn route(
             if let Some(d) = &shared.durability {
                 render_wal_metrics(&mut body, d);
             }
-            if let Some(t) = shared.telemetry.as_deref() {
-                t.store.write_prometheus(&mut body);
-                t.slo.write_prometheus(&mut body);
-            }
+            shared.telemetry.store.write_prometheus(&mut body);
+            shared.telemetry.slo.write_prometheus(&mut body);
             ("metrics", Response::text(200, body), false)
         }
         // Debug endpoints expose query text and full request traces, so
-        // like /shutdown they are only honored from loopback peers — and a
+        // like `/shutdown` they are only honored from loopback peers — and a
         // remote peer's refusal carries the same structured envelope as
         // every other error.
         ("GET", p) if is_debug_path(p) && !peer_is_loopback => (
@@ -760,17 +680,12 @@ fn loopback_refusal(message: &str) -> Response {
 /// Dispatch one loopback-only debug GET.
 fn handle_debug(shared: &Shared, request: &Request) -> Response {
     let path = request.path.as_str();
-    if path == "/v1/debug/slow" {
-        return Response::json(200, shared.slow_log.render_json());
-    }
-    let Some(telem) = shared.telemetry.as_deref() else {
-        return Response::error(
-            404,
-            "telemetry_disabled",
-            "server started without telemetry",
-        );
-    };
+    let telem = &shared.telemetry;
     match path {
+        "/v1/debug/slow" => Response::json(
+            200,
+            debug::render_slow(&telem.store.list(&TraceFilter::default())),
+        ),
         "/v1/debug/slo" => Response::json(200, debug::render_slo(&telem.slo.snapshot())),
         "/v1/debug/traces" => {
             let filter = TraceFilter {
@@ -806,48 +721,43 @@ fn handle_debug(shared: &Shared, request: &Request) -> Response {
 /// by [`execute_flight`] when their flight completes.
 fn admit_query(
     shared: &Shared,
-    mut stream: TcpStream,
+    stream: TcpStream,
     http_request: &Request,
     admitted: Instant,
     started: Instant,
 ) {
-    let mut ctx = begin_trace(shared, http_request.header("traceparent"));
+    let ctx = begin_trace(shared, http_request.header("traceparent"));
     // Admission spans (pricing, shed, coalesce) record under this request's
     // trace so they land in its capture buffer.
-    let _scope = precis_obs::trace_scope(ctx.as_ref().map_or(0, |c| c.internal));
+    let _scope = precis_obs::trace_scope(ctx.internal);
 
     // Answer an inline (non-flight) query response: trace stamping,
     // metrics, and the trace's SLO + sampler finalization.
     let answer_now = |resp: Response,
-                      stream: &mut TcpStream,
-                      ctx: Option<TraceCtx>,
+                      mut stream: TcpStream,
+                      ctx: TraceCtx,
                       class: &'static str,
                       sched: Option<SchedDecision>| {
-        let resp = match &ctx {
-            Some(c) => stamp_trace(resp, c),
-            None => resp,
-        };
+        let resp = stamp_trace(resp, &ctx);
         shared
             .metrics
             .record_request("query", resp.status, started.elapsed());
-        let _ = http::write_response(stream, &resp);
-        if let Some(c) = ctx {
-            let input = TraceVerdictInput {
-                status: resp.status,
-                latency_ns: admitted.elapsed().as_nanos() as u64,
-                batch_class: class == "batch",
-                shed: sched.as_ref().is_some_and(|s| s.shed.is_some()),
-                ..TraceVerdictInput::default()
-            };
-            finalize_trace(shared, c, "query", class, input, sched, None);
-        }
+        let _ = http::write_response(&mut stream, &resp);
+        let input = TraceVerdictInput {
+            status: resp.status,
+            latency_ns: admitted.elapsed().as_nanos() as u64,
+            batch_class: class == "batch",
+            shed: sched.as_ref().is_some_and(|s| s.shed.is_some()),
+            ..TraceVerdictInput::default()
+        };
+        finalize_trace(shared, ctx, "query", class, input, sched, None);
     };
 
     let Ok(text) = std::str::from_utf8(&http_request.body) else {
         answer_now(
             Response::error(400, "bad_request", "body must be UTF-8"),
-            &mut stream,
-            ctx.take(),
+            stream,
+            ctx,
             "",
             None,
         );
@@ -859,8 +769,8 @@ fn admit_query(
         Err(msg) => {
             answer_now(
                 Response::error(400, "bad_request", &msg),
-                &mut stream,
-                ctx.take(),
+                stream,
+                ctx,
                 "",
                 None,
             );
@@ -881,8 +791,8 @@ fn admit_query(
                 drop(admit_span);
                 answer_now(
                     Response::error(400, "empty_query", "query has no tokens"),
-                    &mut stream,
-                    ctx.take(),
+                    stream,
+                    ctx,
                     class_str,
                     None,
                 );
@@ -892,8 +802,8 @@ fn admit_query(
                 drop(admit_span);
                 answer_now(
                     Response::error(500, "internal", &e.to_string()),
-                    &mut stream,
-                    ctx.take(),
+                    stream,
+                    ctx,
                     class_str,
                     None,
                 );
@@ -914,9 +824,7 @@ fn admit_query(
     let deadline = api::request_budget(&request, shared.default_deadline).map(|b| admitted + b);
     let key = request.coalesce.then(|| api::flight_key(&request));
     let class = request.priority;
-    let (trace_internal, trace_hex) = ctx
-        .as_ref()
-        .map_or((0, String::new()), |c| (c.internal, c.hex.clone()));
+    let trace_internal = ctx.internal;
     let waiter = Waiter {
         stream,
         admitted,
@@ -928,7 +836,6 @@ fn admit_query(
         request,
         parse_time,
         trace_internal,
-        trace_hex,
     };
 
     // The waiter — and with it this trace's capture handle — crosses to an
@@ -952,11 +859,11 @@ fn admit_query(
             span.field(sched_obs::FIELD_FANOUT, fanout as u64);
             // Same race as above: the joined flight may finalize this
             // waiter any moment, so flush eagerly; if it already did, the
-            // span lands in the shared ring instead (best-effort).
+            // span is discarded and counted late (best-effort).
             drop(span);
             precis_obs::flush_thread();
         }
-        Admission::Shed(shed, mut w) => {
+        Admission::Shed(shed, w) => {
             shared.metrics.record_shed(shed.false_positive);
             emit_shed_span(&shed, predicted_secs);
             let (code, message) = match shed.reason {
@@ -984,17 +891,17 @@ fn admit_query(
             };
             answer_now(
                 Response::error_retry(429, code, message, shed.retry_after_ms),
-                &mut w.stream,
-                w.trace.take(),
+                w.stream,
+                w.trace,
                 class_str,
                 Some(decision),
             );
         }
-        Admission::Closed(mut w) => {
+        Admission::Closed(w) => {
             answer_now(
                 Response::error_retry(503, "shutting_down", "server shutting down", 1000),
-                &mut w.stream,
-                w.trace.take(),
+                w.stream,
+                w.trace,
                 class_str,
                 None,
             );
@@ -1044,15 +951,12 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
             })
     });
 
-    // Every query is profiled internally — the slow log and the per-phase
-    // /metrics aggregates need it — but the response only carries the
-    // profile when a waiter opted in, so default responses stay
+    // Every query is profiled internally — retained traces and the
+    // per-phase `/v1/metrics` aggregates need it — but the response only
+    // carries the profile when a waiter opted in, so default responses stay
     // byte-identical to an unprofiled server. The profile reuses the
     // creator's internal trace id so engine spans land in its capture.
-    let profile = Arc::new(match job.payload.trace_internal {
-        0 => QueryProfile::new(),
-        t => QueryProfile::with_trace_id(t),
-    });
+    let profile = Arc::new(QueryProfile::with_trace_id(job.payload.trace_internal));
     profile.add_phase(Phase::QueueWait, exec_started - job.admitted);
     profile.add_phase(Phase::Parse, job.payload.parse_time);
 
@@ -1076,11 +980,11 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
         .sched
         .complete(job.predicted_secs, service.as_secs_f64());
 
-    // Prepare the shared success body (and its profile JSON, rendered once)
-    // or the shared error. Fan-out happens after `finish` retires the
-    // flight, so late joiners are all in the list.
+    // Prepare the shared success body or the shared error. Fan-out happens
+    // after `finish` retires the flight, so late joiners are all in the
+    // list.
     enum FlightResult {
-        Body(String, Option<String>),
+        Body(String),
         Error(u16, &'static str, String),
     }
     // Snapshot the profile for every outcome — a 504's retained trace must
@@ -1091,14 +995,7 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
     let result = match outcome {
         Ok(Ok(body)) => {
             shared.metrics.phases.accumulate(&snap);
-            shared.slow_log.offer(SlowEntry {
-                snapshot: snap.clone(),
-                trace_hex: job.payload.trace_hex.clone(),
-                bucket_le: crate::metrics::bucket_le(service.as_secs_f64()),
-            });
-            let mut profile_json = String::new();
-            api::write_profile_json(&mut profile_json, &snap);
-            FlightResult::Body(body, Some(profile_json))
+            FlightResult::Body(body)
         }
         Ok(Err(CoreError::Cancelled)) => {
             FlightResult::Error(504, "deadline_exceeded", "deadline exceeded".to_owned())
@@ -1120,67 +1017,66 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
 
     // The creator's wire id, linked from every coalesced waiter's retained
     // trace (the creator's trace holds the execution spans they shared).
-    let creator_hex = waiters
-        .first()
-        .and_then(|w| w.trace.as_ref().map(|t| t.hex.clone()));
+    let creator_hex = waiters.first().map(|w| w.trace.hex.clone());
 
     // Two passes: every waiter's response goes on the wire before any
     // trace is finalized, so one waiter's sampling/retention work never
     // sits in front of the next waiter's bytes. The worker still pays for
     // finalization, but no client waits on it.
     let mut pending: Vec<(TraceCtx, TraceVerdictInput, SchedDecision)> = Vec::new();
+    // Rendered for the first waiter that asked and shared by the rest; most
+    // flights have none and never pay for it.
+    let mut profile_json: Option<String> = None;
     for (i, mut w) in waiters.into_iter().enumerate() {
         let queue_wait = exec_started.saturating_duration_since(w.admitted);
         // `finish` preserves attach order: index 0 is the flight's creator,
         // everyone after it coalesced onto the flight.
         let coalesced = i > 0;
         let response = match &result {
-            FlightResult::Body(body, profile_json) => {
+            FlightResult::Body(body) => {
                 let mut body = body.clone();
                 if w.wants_profile {
                     let sched_json =
                         api::render_scheduling_json(job.predicted_secs, queue_wait, coalesced);
                     api::splice_json_field(&mut body, "scheduling", &sched_json);
-                    if let Some(p) = profile_json {
-                        api::splice_json_field(&mut body, "profile", p);
-                    }
+                    let profile_json = profile_json.get_or_insert_with(|| {
+                        let mut json = String::new();
+                        api::write_profile_json(&mut json, &snap);
+                        json
+                    });
+                    api::splice_json_field(&mut body, "profile", profile_json);
                 }
                 Response::json(200, body)
             }
             FlightResult::Error(status, code, message) => Response::error(*status, code, message),
         };
-        let response = match &w.trace {
-            Some(t) => stamp_trace(response, t),
-            None => response,
-        };
+        let response = stamp_trace(response, &w.trace);
         shared
             .metrics
             .record_request("query", response.status, service);
         let _ = http::write_response(&mut w.stream, &response);
 
-        if let Some(mut trace) = w.trace.take() {
-            if coalesced {
-                trace.link = creator_hex.clone().filter(|h| *h != trace.hex);
-            }
-            let decision = SchedDecision {
-                predicted_ms: job.predicted_secs.map(|s| s * 1e3),
-                queue_wait_ms: queue_wait.as_secs_f64() * 1e3,
-                coalesced,
-                fanout,
-                reordered: job.reordered,
-                shed: None,
-            };
-            let input = TraceVerdictInput {
-                status: response.status,
-                latency_ns: w.admitted.elapsed().as_nanos() as u64,
-                batch_class: job.class.as_str() == "batch",
-                coalesced,
-                reordered: job.reordered,
-                panicked,
-                ..TraceVerdictInput::default()
-            };
-            pending.push((trace, input, decision));
+        if coalesced {
+            w.trace.link = creator_hex.clone().filter(|h| *h != w.trace.hex);
         }
+        let decision = SchedDecision {
+            predicted_ms: job.predicted_secs.map(|s| s * 1e3),
+            queue_wait_ms: queue_wait.as_secs_f64() * 1e3,
+            coalesced,
+            fanout,
+            reordered: job.reordered,
+            shed: None,
+        };
+        let input = TraceVerdictInput {
+            status: response.status,
+            latency_ns: w.admitted.elapsed().as_nanos() as u64,
+            batch_class: job.class.as_str() == "batch",
+            coalesced,
+            reordered: job.reordered,
+            panicked,
+            ..TraceVerdictInput::default()
+        };
+        pending.push((w.trace, input, decision));
     }
     for (trace, input, decision) in pending {
         finalize_trace(
@@ -1195,7 +1091,7 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
     }
 }
 
-/// Apply a `/mutate` batch copy-on-write under the write lock: clone the
+/// Apply a `/v1/mutate` batch copy-on-write under the write lock: clone the
 /// current engine, apply ops in order (each one streaming into the WAL via
 /// the database's sink), force the group-commit fsync, publish the new
 /// engine, and auto-checkpoint when the record threshold is crossed.
@@ -1329,7 +1225,7 @@ fn abort_batch(
     }
 }
 
-/// Append the `precis_wal_*` series to a `/metrics` exposition.
+/// Append the `precis_wal_*` series to a `/v1/metrics` exposition.
 fn render_wal_metrics(out: &mut String, d: &Durability) {
     use std::fmt::Write as _;
     let stats = d.wal.stats();

@@ -257,7 +257,7 @@ fn healthz_metrics_and_errors_round_trip() {
 }
 
 #[test]
-fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
+fn profiled_queries_feed_the_response_slow_view_and_phase_metrics() {
     let db = MoviesGenerator::new(MoviesConfig {
         movies: 200,
         directors: 20,
@@ -270,8 +270,7 @@ fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
     .generate();
     let mut engine = PrecisEngine::new(db, movies_graph()).expect("engine builds");
     engine.set_cost_model(CostModel::new(1e-6, 2e-6));
-    let handle =
-        Server::start(Arc::new(engine), None, ServerConfig::default()).expect("server starts");
+    let handle = Server::start(Arc::new(engine), None, retain_everything()).expect("server starts");
     let addr = handle.local_addr();
 
     // Default responses carry no profile object (byte-compat with PR 2).
@@ -319,13 +318,38 @@ fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
         "{profiled}"
     );
 
-    // The slow log saw both queries and serves canonical JSON on loopback.
-    let (status, _, slow) = roundtrip(addr, "GET /v1/debug/slow HTTP/1.1\r\nHost: t\r\n\r\n");
+    // Both queries were over the zero slow threshold, so both are retained
+    // and `/v1/debug/slow` lists them, as canonical JSON on loopback. One
+    // store, two views: each entry's trace id resolves at
+    // `/v1/debug/traces/<id>`, whose detail carries the same profile.
+    let (status, _, slow) = settled(
+        || get_v1(addr, "/v1/debug/slow"),
+        |(_, _, slow)| slow.matches("\"trace_id\"").count() == 2,
+    );
     assert_eq!(status, 200, "{slow}");
-    assert!(slow.contains("\"query\": \"comedy\""), "{slow}");
-    let slow_doc = json::parse(&slow).expect("slow log parses");
+    let slow_doc = json::parse(&slow).expect("slow view parses");
     let rendered = json::render(&slow_doc);
     assert_eq!(json::parse(&rendered).unwrap(), slow_doc, "round trip");
+    let entries = match slow_doc.get("slow_queries") {
+        Some(json::Json::Array(items)) => items,
+        other => panic!("slow_queries not an array: {other:?}"),
+    };
+    assert_eq!(entries.len(), 2, "{slow}");
+    for entry in entries {
+        assert_eq!(
+            entry.get("query").and_then(json::Json::as_str),
+            Some("comedy")
+        );
+        assert!(entry.get("bucket_le").is_some(), "{slow}");
+        let id = entry.get("trace_id").and_then(json::Json::as_str).unwrap();
+        let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{id}"));
+        assert_eq!(status, 200, "{detail}");
+        let detail = json::parse(&detail).expect("trace detail parses");
+        assert_eq!(detail.get("profile"), entry.get("profile"), "{slow}");
+        assert!(entry
+            .get("profile")
+            .is_some_and(|p| p.get("phases").is_some()));
+    }
 
     // Phase aggregates and the queue-wait histogram surface in /metrics,
     // and the whole exposition passes the format checker.
@@ -342,6 +366,18 @@ fn profiled_queries_feed_the_response_slow_log_and_phase_metrics() {
     }
     precis_obs::validate_exposition(&metrics).expect("exposition well-formed");
     handle.join();
+}
+
+/// Zero slow thresholds: every completed request counts as slow, so the
+/// tail sampler deterministically retains it.
+fn retain_everything() -> ServerConfig {
+    ServerConfig {
+        telemetry: precis_obs::TelemetryConfig {
+            slow_interactive: Duration::ZERO,
+            slow_batch: Duration::ZERO,
+        },
+        ..ServerConfig::default()
+    }
 }
 
 /// Durable tests serialize on the storage failpoint gate: the WAL fault
@@ -813,6 +849,74 @@ fn scheduling_metadata_reports_prediction_queue_wait_and_coalescing() {
 }
 
 #[test]
+fn a_profiled_joiner_gets_its_profile_from_a_creator_that_did_not_ask() {
+    let handle = Server::start(
+        test_engine(),
+        None,
+        ServerConfig {
+            workers: 1,
+            io_timeout: Some(Duration::from_millis(400)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server starts");
+    let addr = handle.local_addr();
+    let (status, _, unprofiled) = post_query(addr, r#"{"tokens": "drama"}"#);
+    assert_eq!(status, 200, "{unprofiled}");
+
+    // As in `identical_concurrent_queries_coalesce_into_one_execution`: pin
+    // the lone worker so both requests are admitted before either runs. The
+    // creator did not ask for a profile; the joiner did (`profile` is not
+    // part of the flight key).
+    let busy = TcpStream::connect(addr).expect("busy conn");
+    std::thread::sleep(Duration::from_millis(100));
+    let mut clients: Vec<TcpStream> = [
+        r#"{"tokens": "drama"}"#,
+        r#"{"tokens": "drama", "profile": true}"#,
+    ]
+    .iter()
+    .map(|body| {
+        let mut s = TcpStream::connect(addr).expect("client conn");
+        let raw = format!(
+            "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        s.write_all(raw.as_bytes()).expect("send");
+        // Admission order is accept order: let the creator's connection
+        // land before the joiner's.
+        std::thread::sleep(Duration::from_millis(50));
+        s
+    })
+    .collect();
+    drop(busy);
+
+    let mut bodies = clients.iter_mut().map(|s| {
+        let mut out = String::new();
+        s.read_to_string(&mut out).expect("response");
+        let (head, body) = out.split_once("\r\n\r\n").expect("header block");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        body.to_owned()
+    });
+    let (creator, joiner) = (bodies.next().unwrap(), bodies.next().unwrap());
+    assert_eq!(handle.metrics().coalesced_total(), 1);
+    assert_eq!(
+        creator, unprofiled,
+        "the creator's body is an unprofiled one"
+    );
+    let doc = json::parse(&joiner).expect("joiner body parses");
+    assert!(doc
+        .get("profile")
+        .is_some_and(|p| p.get("phases").is_some()));
+    assert_eq!(
+        doc.get("scheduling").and_then(|s| s.get("coalesced")),
+        Some(&json::Json::Bool(true)),
+        "{joiner}"
+    );
+    assert!(joiner.starts_with(unprofiled.strip_suffix("}\n").unwrap()));
+    handle.join();
+}
+
+#[test]
 fn predicted_cost_beyond_deadline_sheds_with_429() {
     let db = MoviesGenerator::new(MoviesConfig {
         movies: 200,
@@ -893,6 +997,20 @@ fn trace_id_of(head: &str) -> String {
         .unwrap_or_else(|| panic!("no x-precis-trace-id in:\n{head}"))
 }
 
+/// A trace is finalized after its response is on the wire, so a debug view
+/// read right behind a response may not hold it yet: re-read until `ok`
+/// (or for a second — the caller's assertion then reports what was read).
+fn settled<T>(mut read: impl FnMut() -> T, ok: impl Fn(&T) -> bool) -> T {
+    for _ in 0..100 {
+        let got = read();
+        if ok(&got) {
+            return got;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    read()
+}
+
 fn get_v1(addr: SocketAddr, path: &str) -> (u16, String, String) {
     roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
 }
@@ -944,14 +1062,7 @@ fn shed_deadline_and_slow_requests_leave_retrievable_traces() {
         None,
         ServerConfig {
             default_deadline: None,
-            // Zero slow threshold: every completed request counts as slow,
-            // so the success leg is deterministically retained.
-            telemetry: Some(precis_obs::TelemetryConfig {
-                slow_interactive: Duration::ZERO,
-                slow_batch: Duration::ZERO,
-                ..precis_obs::TelemetryConfig::default()
-            }),
-            ..ServerConfig::default()
+            ..retain_everything()
         },
     )
     .expect("server starts");
@@ -1063,6 +1174,21 @@ fn traceparent_round_trips_and_healthz_body_stays_exact() {
         "{head}"
     );
 
+    // `/v1/debug/slow` is a view of the trace store, not a second record:
+    // this id is not head-sampled, so under the default thresholds the
+    // query is listed there exactly when its trace was retained (it was
+    // slow on this host) — never listed with nothing behind the id.
+    let (listed, retained, slow) = settled(
+        || {
+            let (_, _, slow) = get_v1(addr, "/v1/debug/slow");
+            let (status, _, _) = get_v1(addr, "/v1/debug/traces/0123456789abcdef0123456789abcdef");
+            let listed = slow.contains("0123456789abcdef0123456789abcdef");
+            (listed, status == 200, slow)
+        },
+        |(listed, retained, _)| listed == retained,
+    );
+    assert_eq!(listed, retained, "{slow}");
+
     // A malformed traceparent (zero trace id) is rejected: a fresh id is
     // minted instead of propagating the invalid one.
     let zero = format!("00-{}-00000000000000aa-01", "0".repeat(32));
@@ -1076,6 +1202,20 @@ fn traceparent_round_trips_and_healthz_body_stays_exact() {
     );
     assert_eq!(status, 200);
     assert_ne!(trace_id_of(&head), "0".repeat(32));
+
+    // So is one whose fields are not all hex digits: `+` passes integer
+    // parsing, but echoing `00123…` would name an id the client never sent.
+    let plus = "00-+0123456789abcdef0123456789abcde-+000000000000001-+1";
+    let (status, head, _body) = roundtrip(
+        addr,
+        &format!(
+            "POST /v1/query HTTP/1.1\r\nHost: t\r\ntraceparent: {plus}\r\n\
+             Content-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert_eq!(status, 200);
+    assert_ne!(trace_id_of(&head), "00123456789abcdef0123456789abcde");
 
     // Two bare requests mint distinct ids.
     let (_, head_a, _) = post_query(addr, body);

@@ -313,7 +313,6 @@ fn server_resilience(report: &mut FaultReport) {
             queue_capacity: 2,
             default_deadline: Some(Duration::from_secs(5)),
             io_timeout: Some(Duration::from_millis(500)),
-            telemetry: None,
             ..ServerConfig::default()
         },
     )

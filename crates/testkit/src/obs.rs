@@ -1,28 +1,24 @@
 //! Observability leg: tracing must never change an answer, and the span
-//! stream must stay structurally sound — including when the ring wraps.
+//! stream must stay structurally sound.
 //!
 //! For a slice of the oracle's seeded cases this suite answers each query
-//! twice — tracer disarmed, then armed with a [`QueryProfile`] attached —
+//! twice — uncaptured, then captured with a [`QueryProfile`] attached —
 //! and asserts:
 //!
 //! * **Answer invariance** — the rendered answers are byte-identical.
 //!   Profiling hooks live on the hot path; any observable difference means
 //!   instrumentation leaked into semantics.
-//! * **Span-tree well-formedness** — every drained span is closed with
-//!   `end_ns >= start_ns`, ids are unique, and (when nothing was dropped)
-//!   every non-root parent exists, started no later than its child, and
-//!   ended no earlier.
+//! * **Span-tree well-formedness** — every captured span is closed with
+//!   `end_ns >= start_ns`, belongs to the captured trace, ids are unique,
+//!   and (when nothing was dropped) every non-root parent exists, started
+//!   no later than its child, and ended no earlier.
 //! * **Profile sanity** — the finished profile's phase times fit inside the
 //!   total and relation counters are self-consistent.
-//! * **Ring wrap** — overflowing the bounded ring drops the *oldest* spans
-//!   and counts them; a traced query straight after a wrap still works and
-//!   nothing panics.
-//! * **Always-on sampling invariance** — a server with telemetry enabled
-//!   (every request traced, tail-sampled, SLO-counted) answers a default
-//!   query with a body byte-identical to a telemetry-disabled server's,
-//!   while echoing a trace id header the disabled server must not; and
-//!   once the telemetry server is gone the tracer is disarmed again with a
-//!   per-span-site cost that stays within a generous CI bound.
+//! * **Always-on sampling invariance** — a served default query's body is
+//!   byte-identical to the direct engine answer rendered by the server's
+//!   own renderer, while every response echoes a trace id; and once the
+//!   server is gone an uncaptured span site costs within a generous CI
+//!   bound.
 
 use crate::gen::{mix_seed, CaseSpec};
 use crate::oracle::build_dataset;
@@ -32,6 +28,10 @@ use precis_obs::{QueryProfile, SpanRecord};
 use precis_server::render_answer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// Span cap of one captured answer; the largest seeded cases stay well
+/// under it.
+const MAX_SPANS: usize = 1 << 16;
 
 /// Outcome of the observability suite.
 #[derive(Debug)]
@@ -59,8 +59,8 @@ fn spec_for(case: &CaseSpec) -> AnswerSpec {
     }
 }
 
-/// Validate one drained span set. `complete` is false when the ring dropped
-/// records, in which case parent links may legitimately dangle.
+/// Validate one captured span set. `complete` is false when the capture
+/// dropped records, in which case parent links may legitimately dangle.
 fn check_spans(report: &mut ObsReport, label: &str, spans: &[SpanRecord], complete: bool) {
     let mut by_id: BTreeMap<u64, &SpanRecord> = BTreeMap::new();
     for s in spans {
@@ -109,44 +109,46 @@ fn run_case_traced(
 ) {
     let q = PrecisQuery::new(case.tokens.iter().map(String::as_str));
 
-    // Leg 1: tracer disarmed, no profile — the baseline bytes.
+    // Leg 1: no capture, no profile — the baseline bytes.
     let baseline = match engine.answer(&q, &spec_for(case)) {
         Ok(a) => render_answer(engine, vocab, &a),
         Err(e) => {
-            report.check(false, || format!("{label}: disarmed answer errored: {e}"));
+            report.check(false, || format!("{label}: uncaptured answer errored: {e}"));
             return;
         }
     };
 
-    // Leg 2: tracer armed AND a profile attached — the fully observed path.
+    // Leg 2: trace captured AND a profile attached — the fully observed path.
     let profile = Arc::new(QueryProfile::new());
     let mut spec = spec_for(case);
     spec.options.profile = Some(Arc::clone(&profile));
-    let armed_guard = precis_obs::arm();
-    precis_obs::drain();
+    let capture = precis_obs::capture_trace(profile.trace(), MAX_SPANS);
     let traced = engine.answer(&q, &spec);
-    let drained = precis_obs::drain();
-    drop(armed_guard);
+    let captured = capture.take();
     let traced = match traced {
         Ok(a) => render_answer(engine, vocab, &a),
         Err(e) => {
-            report.check(false, || format!("{label}: armed answer errored: {e}"));
+            report.check(false, || format!("{label}: captured answer errored: {e}"));
             return;
         }
     };
 
     report.check(baseline == traced, || {
         format!(
-            "{label}: armed answer diverged from disarmed (lengths {} vs {})",
+            "{label}: captured answer diverged from uncaptured (lengths {} vs {})",
             baseline.len(),
             traced.len()
         )
     });
 
-    report.check(!drained.spans.is_empty(), || {
-        format!("{label}: armed answer recorded no spans")
+    report.check(!captured.spans.is_empty(), || {
+        format!("{label}: captured answer recorded no spans")
     });
-    check_spans(report, label, &drained.spans, drained.dropped == 0);
+    report.check(
+        captured.spans.iter().all(|s| s.trace == profile.trace()),
+        || format!("{label}: capture holds another trace's spans"),
+    );
+    check_spans(report, label, &captured.spans, captured.dropped == 0);
 
     profile.finish();
     let snap = profile.snapshot();
@@ -167,46 +169,6 @@ fn run_case_traced(
     }
 }
 
-/// Overflow the bounded ring on purpose: the drain must report drops, keep
-/// at most `ring_capacity` records, and a traced query immediately after
-/// the wrap must still behave.
-fn ring_wrap_check(
-    report: &mut ObsReport,
-    engine: &PrecisEngine,
-    vocab: Option<&Vocabulary>,
-    case: &CaseSpec,
-) {
-    let armed_guard = precis_obs::arm();
-    precis_obs::drain();
-    let fill = precis_obs::ring_capacity() + 512;
-    for _ in 0..fill {
-        let s = precis_obs::span("obs.wrap_filler");
-        s.field("filler", 1);
-    }
-    run_case_traced(report, engine, vocab, case, "ring-wrap case");
-    // run_case_traced drained between the fill and its own query, so the
-    // wrap shows up in that drain; verify the counters here with a fresh
-    // overflow in one go.
-    for _ in 0..fill {
-        let _s = precis_obs::span("obs.wrap_filler");
-    }
-    let drained = precis_obs::drain();
-    drop(armed_guard);
-    report.check(drained.dropped > 0, || {
-        format!(
-            "ring wrap: {} spans recorded but none reported dropped",
-            fill
-        )
-    });
-    report.check(drained.spans.len() <= precis_obs::ring_capacity(), || {
-        format!(
-            "ring wrap: drain returned {} spans, over the {} capacity",
-            drained.spans.len(),
-            precis_obs::ring_capacity()
-        )
-    });
-}
-
 /// One raw HTTP/1.1 exchange returning the full response text (status line,
 /// headers, and body) — the sampling check needs to see headers, which
 /// [`crate::oracle::http_request`] strips.
@@ -225,96 +187,72 @@ fn raw_http(addr: std::net::SocketAddr, body: &str) -> std::io::Result<String> {
     Ok(response)
 }
 
-/// Always-on sampling must be invisible in response bodies: a
-/// telemetry-enabled server (tracer armed, every request captured and
-/// tail-sampled) answers byte-identically to a telemetry-disabled one,
-/// differing only in the echoed trace headers. Afterwards the tracer must
-/// be disarmed again, and one disarmed span site must cost no more than a
-/// generous CI-tolerant bound.
+/// Always-on sampling must be invisible in response bodies: the server
+/// (every request traced, tail-sampled, SLO-counted) answers a default
+/// query byte-identically to the direct engine answer under the server's
+/// own renderer, adding only the echoed trace headers. Afterwards one
+/// uncaptured span site must cost no more than a generous CI-tolerant bound.
 fn always_on_sampling_check(report: &mut ObsReport) {
     use precis_datagen::{movies_graph, movies_vocabulary, woody_allen_instance};
-    use precis_server::{Server, ServerConfig};
+    use precis_server::{parse_query_request, Server, ServerConfig};
 
     let db = woody_allen_instance();
     let vocab = movies_vocabulary(db.schema());
     let engine = Arc::new(PrecisEngine::new(db, movies_graph()).expect("demo engine"));
-    let config = |telemetry| ServerConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
-        queue_capacity: 16,
-        default_deadline: None,
-        io_timeout: Some(std::time::Duration::from_secs(5)),
-        telemetry,
-        ..ServerConfig::default()
-    };
-    let plain = Server::start(Arc::clone(&engine), Some(vocab.clone()), config(None))
-        .expect("telemetry-off server starts");
-    let sampled = Server::start(
+    let server = Server::start(
         Arc::clone(&engine),
-        Some(vocab),
-        config(Some(precis_obs::TelemetryConfig::default())),
+        Some(vocab.clone()),
+        ServerConfig {
+            workers: 2,
+            default_deadline: None,
+            ..ServerConfig::default()
+        },
     )
-    .expect("telemetry-on server starts");
+    .expect("server starts");
 
     let body = r#"{"tokens": "woody comedy"}"#;
+    let request = parse_query_request(body).expect("sampling check body parses");
+    let spec = AnswerSpec::new(request.degree, request.cardinality).with_strategy(request.strategy);
+    let direct = engine
+        .answer(&request.query, &spec)
+        .map(|a| render_answer(&engine, Some(&vocab), &a))
+        .expect("direct answer");
     for _ in 0..3 {
-        let off = raw_http(plain.local_addr(), body);
-        let on = raw_http(sampled.local_addr(), body);
-        let (off, on) = match (off, on) {
-            (Ok(a), Ok(b)) => (a, b),
-            (a, b) => {
-                report.check(false, || {
-                    format!("sampling check request failed: {a:?} {b:?}")
-                });
+        let response = match raw_http(server.local_addr(), body) {
+            Ok(r) => r,
+            Err(e) => {
+                report.check(false, || format!("sampling check request failed: {e}"));
                 break;
             }
         };
-        let split = |r: &str| {
-            r.split_once("\r\n\r\n")
-                .map(|(h, b)| (h.to_owned(), b.to_owned()))
-                .unwrap_or_default()
-        };
-        let (off_head, off_body) = split(&off);
-        let (on_head, on_body) = split(&on);
-        report.check(off_body == on_body, || {
+        let (head, served) = response.split_once("\r\n\r\n").unwrap_or_default();
+        report.check(served == direct, || {
             format!(
-                "always-on sampling changed the response body:\noff: {off_body}\non:  {on_body}"
+                "always-on sampling changed the response body:\ndirect: {direct}\nserved: {served}"
             )
         });
-        let on_head_lower = on_head.to_ascii_lowercase();
-        report.check(on_head_lower.contains("x-precis-trace-id:"), || {
-            format!("telemetry-on response is missing x-precis-trace-id:\n{on_head}")
+        let head_lower = head.to_ascii_lowercase();
+        report.check(head_lower.contains("x-precis-trace-id:"), || {
+            format!("response is missing x-precis-trace-id:\n{head}")
         });
-        report.check(on_head_lower.contains("traceparent:"), || {
-            format!("telemetry-on response is missing traceparent:\n{on_head}")
+        report.check(head_lower.contains("traceparent:"), || {
+            format!("response is missing traceparent:\n{head}")
         });
-        report.check(
-            !off_head.to_ascii_lowercase().contains("x-precis-trace-id:"),
-            || format!("telemetry-off response echoes a trace id:\n{off_head}"),
-        );
     }
-    plain.trigger_shutdown();
-    sampled.trigger_shutdown();
-    plain.wait();
-    sampled.wait();
+    server.join();
 
-    // The telemetry server held the only arm guard: gone with it.
-    report.check(!precis_obs::armed(), || {
-        "tracer still armed after the telemetry server shut down".to_owned()
-    });
-
-    // Re-measure the disarmed fast path. The real cost is a single relaxed
+    // Re-measure the uncaptured fast path. The real cost is a single relaxed
     // atomic load (~1 ns); the bound is deliberately generous so shared CI
-    // runners never flake, while still catching an accidentally always-armed
-    // span site (two orders of magnitude slower).
+    // runners never flake, while still catching a span site that records
+    // without a capture (two orders of magnitude slower).
     let iters: u32 = 2_000_000;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        let _s = precis_obs::span("obs.disarmed_site");
+        let _s = precis_obs::span("obs.uncaptured_site");
     }
     let per_site_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
     report.check(per_site_ns < 250.0, || {
-        format!("disarmed span site costs {per_site_ns:.1} ns, over the 250 ns CI bound")
+        format!("uncaptured span site costs {per_site_ns:.1} ns, over the 250 ns CI bound")
     });
 }
 
@@ -326,15 +264,12 @@ pub fn run_obs_suite(seed: u64, cases: usize) -> ObsReport {
         checks: 0,
         failures: Vec::new(),
     };
-    // Real answers must not see faults armed by concurrent tests, and the
-    // span ring is process-global; take both harness gates (failpoints
-    // first — the fault suite composes the same way).
+    // Real answers must not see faults armed by concurrent tests. Captures
+    // are keyed by trace id, so the span side needs no gate.
     let _fp_gate = precis_storage::failpoint::exclusive();
     precis_storage::failpoint::disarm_all();
-    let _obs_gate = precis_obs::exclusive();
 
     let mut engines: BTreeMap<String, (PrecisEngine, Option<Vocabulary>)> = BTreeMap::new();
-    let mut wrap_checked = false;
     for index in 0..cases as u64 {
         let case = CaseSpec::generate(mix_seed(seed, index));
         let key = format!("{:?}", case.dataset);
@@ -355,10 +290,6 @@ pub fn run_obs_suite(seed: u64, cases: usize) -> ObsReport {
         let (engine, vocab) = &engines[&key];
         let label = format!("case #{index} ({key})");
         run_case_traced(&mut report, engine, vocab.as_ref(), &case, &label);
-        if !wrap_checked {
-            ring_wrap_check(&mut report, engine, vocab.as_ref(), &case);
-            wrap_checked = true;
-        }
     }
     always_on_sampling_check(&mut report);
     report

@@ -166,9 +166,6 @@ impl DatasetCtx {
                 // cancel token, so the served leg must too.
                 default_deadline: None,
                 io_timeout: Some(Duration::from_secs(5)),
-                // The direct leg answers outside any request trace; keep the
-                // tracer disarmed so both legs do identical work.
-                telemetry: None,
                 ..ServerConfig::default()
             },
         )
