@@ -12,7 +12,7 @@
 //! stale records are skipped, never double-applied.
 
 use precis_storage::{io, Database, Result, StorageError};
-use std::io::Write as _;
+use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
 /// A loaded snapshot: the database plus the first LSN to replay on top.
@@ -26,9 +26,9 @@ fn io_err(path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("snapshot {}: {e}", path.display()))
 }
 
-/// Write `db` to `path` crash-atomically: dump to a temporary sibling,
-/// fsync, rename over `path`, and best-effort fsync the directory. A crash
-/// at any point leaves either the old snapshot or the new one.
+/// Write `db` to `path` crash-atomically: stream the dump into a temporary
+/// sibling, fsync, rename over `path`, and best-effort fsync the directory.
+/// A crash at any point leaves either the old snapshot or the new one.
 pub fn write_snapshot(db: &Database, next_lsn: u64, path: impl AsRef<Path>) -> Result<()> {
     let _span = precis_obs::span("wal.snapshot_install");
     let path = path.as_ref();
@@ -36,11 +36,11 @@ pub fn write_snapshot(db: &Database, next_lsn: u64, path: impl AsRef<Path>) -> R
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     {
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(path, e))?;
-        f.write_all(format!("precisnap 1\nlsn {next_lsn}\n").as_bytes())
-            .map_err(|e| io_err(path, e))?;
-        f.write_all(io::dump_to_string(db).as_bytes())
-            .map_err(|e| io_err(path, e))?;
+        let f = std::fs::File::create(&tmp).map_err(|e| io_err(path, e))?;
+        let mut w = BufWriter::new(f);
+        write!(w, "precisnap 1\nlsn {next_lsn}\n").map_err(|e| io_err(path, e))?;
+        io::dump_to(db, &mut w).map_err(|e| io_err(path, e))?;
+        let f = w.into_inner().map_err(|e| io_err(path, e.into_error()))?;
         f.sync_all().map_err(|e| io_err(path, e))?;
     }
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;

@@ -77,6 +77,7 @@ impl DurableStore {
     pub fn checkpoint(&self, db: &Database, wal: &mut Wal) -> Result<Database> {
         write_snapshot(db, wal.next_lsn(), self.snapshot_path())?;
         wal.rotate()?;
+        let _span = precis_obs::span("wal.checkpoint.reload");
         let snap = crate::snapshot::load_snapshot(self.snapshot_path())?.ok_or_else(|| {
             StorageError::Corrupt("snapshot vanished immediately after checkpoint".into())
         })?;

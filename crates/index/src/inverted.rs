@@ -10,8 +10,11 @@
 
 use crate::postings::intersect_many;
 use crate::tokenizer::Tokenizer;
-use precis_storage::{DataType, Database, RelationId, Sym, SymbolTable, TupleId, ValueRef};
+use precis_storage::{
+    DataType, Database, Datum, FxHashMap, RelationId, Sym, SymbolTable, TupleId, ValueRef,
+};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// An index location: one `(relation, attribute)` pair.
@@ -19,6 +22,21 @@ type Loc = (RelationId, usize);
 
 /// The per-word posting list: one sorted, shared tid list per location.
 type LocPostings = Vec<(Loc, Arc<Vec<TupleId>>)>;
+
+/// The text attributes of one live tuple as `(attribute, text)`; nothing
+/// for a tombstoned or unknown tid.
+fn text_values(
+    db: &Database,
+    rel: RelationId,
+    tid: TupleId,
+) -> impl Iterator<Item = (usize, &str)> + '_ {
+    db.table(rel).get(tid).into_iter().flat_map(|tuple| {
+        (0..tuple.arity()).filter_map(move |attr| match tuple.get(attr) {
+            ValueRef::Text(text) => Some((attr, text)),
+            _ => None,
+        })
+    })
+}
 
 /// One occurrence entry of a token: the `(R_j, A_lj, Tids_lj)` triple the
 /// paper's index returns. The tid list is sorted, deduplicated, and shared
@@ -49,7 +67,12 @@ pub struct Occurrence {
 /// assert_eq!(occurrences[0].tids.len(), 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+///
+/// Two indexes are equal when they would answer every lookup identically
+/// *and* are laid out identically: same tokenizer, same word set, the same
+/// tid list at every location in the same location order, and the same
+/// word-occurrence count.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvertedIndex {
     tokenizer: Tokenizer,
     /// word symbol → locations (sorted by `(relation, attribute)`), each
@@ -65,39 +88,102 @@ impl InvertedIndex {
     }
 
     /// Build with a custom tokenizer (e.g. with stopwords).
+    ///
+    /// One pass per text column, in schema order: rows are walked in tid
+    /// order, each *distinct* stored value is tokenized once (its words are
+    /// remembered by the value's symbol), and every row appends its tid to
+    /// the lists of its value's words. Lists therefore come out sorted and
+    /// deduplicated with no searching, each is allocated at its final
+    /// length and wrapped in its `Arc` once, and locations are pushed in
+    /// `(relation, attribute)` order — the same index a tuple-at-a-time
+    /// [`InvertedIndex::add_tuple`] loop produces.
     pub fn build_with(db: &Database, tokenizer: Tokenizer) -> Self {
-        let mut idx = InvertedIndex {
-            tokenizer,
-            postings: HashMap::new(),
-            words: 0,
-        };
-        let rels: Vec<RelationId> = db.schema().relations().map(|(id, _)| id).collect();
-        for rel in rels {
-            let tids: Vec<TupleId> = db.table(rel).iter().map(|(tid, _)| tid).collect();
-            for tid in tids {
-                idx.add_tuple(db, rel, tid);
+        let symbols = SymbolTable::global();
+        let mut postings: HashMap<Sym, LocPostings> = HashMap::new();
+        let mut words = 0u64;
+        // By symbol id: the column a stored value was last met in, and its
+        // place in that column's `values`. One zeroed allocation serves the
+        // whole build; a column touches only its own values' entries.
+        let mut seen: Vec<(u32, u32)> = vec![(0, 0); symbols.len()];
+        let mut column = 0u32;
+        for (rel, schema) in db.schema().relations() {
+            for (attr, def) in schema.attributes().iter().enumerate() {
+                if def.ty != DataType::Text {
+                    continue;
+                }
+                column += 1;
+                // This column's words: symbol → slot in `lists`, which
+                // holds each word and how many tids its list will get.
+                let mut slots: FxHashMap<Sym, usize> = FxHashMap::default();
+                let mut lists: Vec<(Sym, usize)> = Vec::new();
+                // Per distinct value: where its distinct word slots sit in
+                // `value_slots`, and how many word occurrences it holds.
+                let mut values: Vec<(Range<usize>, u64)> = Vec::new();
+                let mut value_slots: Vec<usize> = Vec::new();
+                // Every `(slot, tid)` to append, in row order.
+                let mut appends: Vec<(usize, TupleId)> = Vec::new();
+                for (tid, tuple) in db.table(rel).iter() {
+                    let Datum::Sym(value) = tuple.datum(attr) else {
+                        continue;
+                    };
+                    let id = value.id() as usize;
+                    if id >= seen.len() {
+                        // A row-layout table interns its text as it is read.
+                        seen.resize(id + 1, (0, 0));
+                    }
+                    if seen[id].0 != column {
+                        let first = value_slots.len();
+                        let mut occurrences = 0;
+                        tokenizer.for_each_word(value.as_str(), |word| {
+                            occurrences += 1;
+                            let slot = *slots.entry(symbols.intern(word)).or_insert_with_key(|w| {
+                                lists.push((*w, 0));
+                                lists.len() - 1
+                            });
+                            if !value_slots[first..].contains(&slot) {
+                                value_slots.push(slot);
+                            }
+                        });
+                        // Distinct values are distinct `u32` symbols, so
+                        // their count fits.
+                        seen[id] = (column, values.len() as u32);
+                        values.push((first..value_slots.len(), occurrences));
+                    }
+                    let (range, occurrences) = &values[seen[id].1 as usize];
+                    words += *occurrences;
+                    for &slot in &value_slots[range.clone()] {
+                        lists[slot].1 += 1;
+                        appends.push((slot, tid));
+                    }
+                }
+                // Each list is allocated once, at its final length.
+                let mut tids: Vec<Vec<TupleId>> =
+                    lists.iter().map(|(_, n)| Vec::with_capacity(*n)).collect();
+                for (slot, tid) in appends {
+                    tids[slot].push(tid);
+                }
+                for ((word, _), tids) in lists.into_iter().zip(tids) {
+                    postings
+                        .entry(word)
+                        .or_default()
+                        .push(((rel, attr), Arc::new(tids)));
+                }
             }
         }
-        idx
+        InvertedIndex {
+            tokenizer,
+            postings,
+            words,
+        }
     }
 
     /// Index one tuple (call after inserting it into `db`).
     pub fn add_tuple(&mut self, db: &Database, rel: RelationId, tid: TupleId) {
-        let Some(tuple) = db.table(rel).get(tid) else {
-            return;
-        };
-        let schema = db.relation_schema(rel);
-        let table = SymbolTable::global();
-        for (attr, def) in schema.attributes().iter().enumerate() {
-            if def.ty != DataType::Text {
-                continue;
-            }
-            let ValueRef::Text(text) = tuple.get(attr) else {
-                continue;
-            };
-            for word in self.tokenizer.words(text) {
+        let symbols = SymbolTable::global();
+        for (attr, text) in text_values(db, rel, tid) {
+            self.tokenizer.for_each_word(text, |word| {
                 self.words += 1;
-                let by_loc = self.postings.entry(table.intern(&word)).or_default();
+                let by_loc = self.postings.entry(symbols.intern(word)).or_default();
                 let slot = match by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
                     Ok(i) => i,
                     Err(i) => {
@@ -119,27 +205,21 @@ impl InvertedIndex {
                     }
                     _ => list.push(tid),
                 }
-            }
+            });
         }
     }
 
     /// Remove one tuple's postings (call before deleting it from `db`).
+    /// Undoes exactly what [`InvertedIndex::add_tuple`] did for the tuple,
+    /// the word-occurrence count included, so a maintained index and a
+    /// rebuilt one report the same [`InvertedIndex::indexed_words`].
     pub fn remove_tuple(&mut self, db: &Database, rel: RelationId, tid: TupleId) {
-        let Some(tuple) = db.table(rel).get(tid) else {
-            return;
-        };
-        let schema = db.relation_schema(rel);
-        let table = SymbolTable::global();
-        for (attr, def) in schema.attributes().iter().enumerate() {
-            if def.ty != DataType::Text {
-                continue;
-            }
-            let ValueRef::Text(text) = tuple.get(attr) else {
-                continue;
-            };
-            for word in self.tokenizer.words(text) {
-                let Some(sym) = table.lookup(&word) else {
-                    continue;
+        let symbols = SymbolTable::global();
+        for (attr, text) in text_values(db, rel, tid) {
+            self.tokenizer.for_each_word(text, |word| {
+                self.words = self.words.saturating_sub(1);
+                let Some(sym) = symbols.lookup(word) else {
+                    return;
                 };
                 if let Some(by_loc) = self.postings.get_mut(&sym) {
                     if let Ok(i) = by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
@@ -155,7 +235,7 @@ impl InvertedIndex {
                         self.postings.remove(&sym);
                     }
                 }
-            }
+            });
         }
     }
 

@@ -22,6 +22,7 @@ use precis_storage::{DataType, RelationId, StorageError, TupleId, Value, WalSink
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Durable-serving state attached to a server: where snapshots and the WAL
 /// live, the shared append handle, and the auto-checkpoint threshold.
@@ -36,6 +37,10 @@ pub struct Durability {
     pub since_checkpoint: AtomicU64,
     /// Checkpoints taken by this server (exported as a metric).
     pub checkpoints: AtomicU64,
+    /// Microseconds those checkpoints took, snapshot to rebuilt engine —
+    /// time the write lock was held on top of the batch (exported as a
+    /// metric, in seconds).
+    pub checkpoint_micros: AtomicU64,
     /// Auto-checkpoints that failed (exported as a metric). A failed
     /// checkpoint is not a failed mutation — the batch stays acknowledged
     /// and the longer WAL waits for the next attempt.
@@ -55,6 +60,7 @@ impl Durability {
             checkpoint_every,
             since_checkpoint: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            checkpoint_micros: AtomicU64::new(0),
             checkpoint_failures: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
         }
@@ -298,15 +304,23 @@ pub fn checkpoint_engine(
     durability: &Durability,
     engine: &PrecisEngine,
 ) -> Result<PrecisEngine, String> {
+    let started = Instant::now();
+    // `wal.snapshot_install` and `wal.checkpoint.reload` are recorded inside.
     let mut compacted = durability
         .wal
         .with(|w| durability.store.checkpoint(engine.database(), w))
         .map_err(|e| e.to_string())?;
     compacted.set_wal_sink(Arc::new(durability.wal.clone()) as Arc<dyn WalSink>);
-    let index = InvertedIndex::build(&compacted);
+    let index = {
+        let _span = precis_obs::span("engine.index_build");
+        InvertedIndex::build(&compacted)
+    };
     let rebuilt = PrecisEngine::with_index(compacted, engine.graph().clone(), index);
     durability.since_checkpoint.store(0, Ordering::Relaxed);
     durability.checkpoints.fetch_add(1, Ordering::Relaxed);
+    durability
+        .checkpoint_micros
+        .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
     Ok(rebuilt)
 }
 

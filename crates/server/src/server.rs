@@ -1240,6 +1240,9 @@ fn render_wal_metrics(out: &mut String, d: &Durability) {
          # HELP precis_wal_checkpoints_total Snapshot checkpoints taken since start.\n\
          # TYPE precis_wal_checkpoints_total counter\n\
          precis_wal_checkpoints_total {}\n\
+         # HELP precis_wal_checkpoint_seconds_total Time those checkpoints held the write lock.\n\
+         # TYPE precis_wal_checkpoint_seconds_total counter\n\
+         precis_wal_checkpoint_seconds_total {:.6}\n\
          # HELP precis_wal_checkpoint_failures_total Auto-checkpoint attempts that failed.\n\
          # TYPE precis_wal_checkpoint_failures_total counter\n\
          precis_wal_checkpoint_failures_total {}\n\
@@ -1249,6 +1252,7 @@ fn render_wal_metrics(out: &mut String, d: &Durability) {
         stats.appended.load(Ordering::Relaxed),
         stats.fsyncs.load(Ordering::Relaxed),
         d.checkpoints.load(Ordering::Relaxed),
+        d.checkpoint_micros.load(Ordering::Relaxed) as f64 / 1e6,
         d.checkpoint_failures.load(Ordering::Relaxed),
         d.wal.next_lsn(),
     );

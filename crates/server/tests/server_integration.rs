@@ -524,17 +524,42 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
 
     let (engine, mut durability, wal) = durable_fixture(&dir);
     durability.checkpoint_every = 1; // checkpoint after every batch
-    let handle = Server::start_durable(engine, None, ServerConfig::default(), Some(durability))
+    let handle = Server::start_durable(engine, None, retain_everything(), Some(durability))
         .expect("server starts");
     let addr = handle.local_addr();
 
-    let (status, _, body) = post_mutate(
+    let (status, head, body) = post_mutate(
         addr,
         r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
                      "values": [999003, "Quizzical Zzyx", "Here", null]}]}"#,
     );
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"checkpointed\": true"), "{body}");
+    // The batch that paid the checkpoint explains itself: its retained
+    // trace names every leg, and the time is exported beside the count.
+    let id = trace_id_of(&head);
+    let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{id}"));
+    assert_eq!(status, 200, "{detail}");
+    for leg in [
+        "wal.snapshot_install",
+        "wal.checkpoint.reload",
+        "engine.index_build",
+    ] {
+        assert!(detail.contains(leg), "no {leg} span in:\n{detail}");
+    }
+    let (_, _, metrics) = get_v1(addr, "/v1/metrics");
+    assert!(
+        metrics.contains("precis_wal_checkpoints_total 1"),
+        "{metrics}"
+    );
+    let seconds: f64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("precis_wal_checkpoint_seconds_total "))
+        .expect("checkpoint seconds exported")
+        .parse()
+        .unwrap();
+    assert!(seconds > 0.0, "{metrics}");
+    precis_obs::validate_exposition(&metrics).expect("exposition well-formed");
     // The rotated WAL is empty; the snapshot alone carries the state.
     assert_eq!(
         std::fs::metadata(dir.join(precis_durability::WAL_FILE))

@@ -23,57 +23,72 @@
 use crate::database::Database;
 use crate::error::StorageError;
 use crate::schema::{DatabaseSchema, ForeignKey, RelationSchema};
-use crate::value::{DataType, Value};
+use crate::sym::Sym;
+use crate::value::{DataType, Datum, ValueRef};
 use crate::Result;
-use std::fmt::Write as _;
+use std::io::BufWriter;
 
 const MAGIC: &str = "precisdb 1";
 
 /// Serialize a database (schema, constraints, live tuples) to the text
 /// format.
 pub fn dump_to_string(db: &Database) -> String {
-    let mut out = String::new();
+    let mut out = Vec::new();
+    dump_to(db, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("a dump is UTF-8: stored text and ASCII framing")
+}
+
+/// Stream the dump of `db` into `out`, one row at a time: every field goes
+/// from the stored tuple straight into the writer, so nothing the size of
+/// the database is ever held. Hand it a buffered writer — it issues one
+/// small write per field.
+pub fn dump_to(db: &Database, out: &mut impl std::io::Write) -> std::io::Result<()> {
     let schema = db.schema();
-    let _ = writeln!(out, "{MAGIC}");
-    let _ = writeln!(out, "schema {}", escape(schema.name()));
+    writeln!(out, "{MAGIC}")?;
+    writeln!(out, "schema {}", escape(schema.name()))?;
     for (_, rel) in schema.relations() {
-        let _ = writeln!(out, "relation {}", escape(rel.name()));
+        writeln!(out, "relation {}", escape(rel.name()))?;
         for a in rel.attributes() {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "attr {} {} {}",
                 escape(&a.name),
                 a.ty,
                 if a.nullable { "null" } else { "notnull" }
-            );
+            )?;
         }
         if let Some(pk) = rel.primary_key() {
-            let _ = writeln!(out, "pk {}", escape(rel.attr_name(pk)));
+            writeln!(out, "pk {}", escape(rel.attr_name(pk)))?;
         }
-        let _ = writeln!(out, "end");
+        writeln!(out, "end")?;
     }
     for fk in schema.foreign_keys() {
-        let _ = writeln!(
+        writeln!(
             out,
             "fk {}.{} -> {}.{}",
             escape(&fk.relation),
             escape(&fk.attribute),
             escape(&fk.ref_relation),
             escape(&fk.ref_attribute)
-        );
+        )?;
     }
     for (rel, rel_schema) in schema.relations() {
         if db.table(rel).is_empty() {
             continue;
         }
-        let _ = writeln!(out, "data {}", escape(rel_schema.name()));
+        writeln!(out, "data {}", escape(rel_schema.name()))?;
         for (_, t) in db.table(rel).iter() {
-            let row: Vec<String> = t.values().iter().map(encode_value).collect();
-            let _ = writeln!(out, "{}", row.join("\t"));
+            for (attr, value) in t.iter().enumerate() {
+                if attr > 0 {
+                    out.write_all(b"\t")?;
+                }
+                write_value(out, value)?;
+            }
+            out.write_all(b"\n")?;
         }
-        let _ = writeln!(out, "end");
+        writeln!(out, "end")?;
     }
-    out
+    Ok(())
 }
 
 /// Parse the text format back into a database. Foreign keys are validated
@@ -153,7 +168,9 @@ pub fn load_from_string(text: &str) -> Result<Database> {
 
     let mut db = Database::new(schema)?;
 
-    // Data blocks.
+    // Data blocks: every line decodes into the one `row`, in stored form.
+    let mut row: Vec<Datum> = Vec::new();
+    let mut unescaped = String::new();
     while let Some(line) = lines.next() {
         if line.is_empty() {
             continue;
@@ -176,20 +193,18 @@ pub fn load_from_string(text: &str) -> Result<Database> {
             if line == "end" {
                 break;
             }
-            let fields: Vec<&str> = line.split('\t').collect();
-            if fields.len() != types.len() {
+            let fields = line.bytes().filter(|b| *b == b'\t').count() + 1;
+            if fields != types.len() {
                 return Err(corrupt(format!(
-                    "row of {} fields for relation {rel_name} with {} attributes",
-                    fields.len(),
+                    "row of {fields} fields for relation {rel_name} with {} attributes",
                     types.len()
                 )));
             }
-            let values = fields
-                .iter()
-                .zip(&types)
-                .map(|(f, ty)| decode_value(f, *ty))
-                .collect::<Result<Vec<Value>>>()?;
-            db.insert_into(rel, values)?;
+            row.clear();
+            for (field, ty) in line.split('\t').zip(&types) {
+                row.push(decode_datum(field, *ty, &mut unescaped)?);
+            }
+            db.insert_datums_from(rel, &row)?;
         }
     }
 
@@ -221,9 +236,9 @@ pub fn dump_to_file(db: &Database, path: impl AsRef<std::path::Path>) -> Result<
     tmp.push(".tmp");
     let tmp = std::path::PathBuf::from(tmp);
     {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp).map_err(io_err)?;
-        f.write_all(dump_to_string(db).as_bytes()).map_err(io_err)?;
+        let mut w = BufWriter::new(std::fs::File::create(&tmp).map_err(io_err)?);
+        dump_to(db, &mut w).map_err(io_err)?;
+        let f = w.into_inner().map_err(|e| io_err(e.into_error()))?;
         f.sync_all().map_err(io_err)?;
     }
     std::fs::rename(&tmp, path).map_err(io_err)?;
@@ -259,54 +274,92 @@ fn parse_type(s: &str) -> Result<DataType> {
     }
 }
 
-fn encode_value(v: &Value) -> String {
+/// Write one field of a data row.
+fn write_value(out: &mut impl std::io::Write, v: ValueRef<'_>) -> std::io::Result<()> {
     match v {
-        Value::Null => r"\N".to_owned(),
-        Value::Text(s) => escape(s),
-        Value::Float(f) => {
-            // Round-trippable float formatting.
-            format!("{f:?}")
-        }
-        other => other.to_string(),
+        ValueRef::Null => out.write_all(br"\N"),
+        ValueRef::Text(s) => write_escaped(out, s),
+        ValueRef::Int(i) => write!(out, "{i}"),
+        // Round-trippable float formatting.
+        ValueRef::Float(f) => write!(out, "{f:?}"),
+        ValueRef::Bool(b) => out.write_all(if b { b"true" } else { b"false" }),
     }
 }
 
-fn decode_value(field: &str, ty: DataType) -> Result<Value> {
+/// Decode one field of a data row into stored form. Text is interned
+/// straight from the line unless it holds an escape, in which case it is
+/// unescaped through `unescaped` (reused from field to field) first.
+fn decode_datum(field: &str, ty: DataType, unescaped: &mut String) -> Result<Datum> {
     if field == r"\N" {
-        return Ok(Value::Null);
+        return Ok(Datum::Null);
     }
     let bad = |w: &str| corrupt(format!("bad {ty} literal {w:?}"));
     match ty {
-        DataType::Int => field.parse::<i64>().map(Value::Int).map_err(|_| bad(field)),
+        DataType::Int => field.parse::<i64>().map(Datum::Int).map_err(|_| bad(field)),
         DataType::Float => field
             .parse::<f64>()
-            .map(Value::Float)
+            .map(Datum::Float)
             .map_err(|_| bad(field)),
         DataType::Bool => match field {
-            "true" => Ok(Value::Bool(true)),
-            "false" => Ok(Value::Bool(false)),
+            "true" => Ok(Datum::Bool(true)),
+            "false" => Ok(Datum::Bool(false)),
             _ => Err(bad(field)),
         },
-        DataType::Text => Ok(Value::Text(unescape(field)?)),
+        DataType::Text => {
+            let text = if field.contains('\\') {
+                unescaped.clear();
+                unescape_into(field, unescaped)?;
+                unescaped.as_str()
+            } else {
+                field
+            };
+            Ok(Datum::Sym(Sym::intern(text)))
+        }
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str(r"\\"),
-            '\t' => out.push_str(r"\t"),
-            '\n' => out.push_str(r"\n"),
-            '\r' => out.push_str(r"\r"),
-            other => out.push(other),
+/// The byte that follows the backslash in the escape of `b`, if `b` must
+/// be escaped. All four are ASCII, so they never occur inside a multi-byte
+/// character and text can be scanned as bytes.
+fn escape_code(b: u8) -> Option<u8> {
+    match b {
+        b'\\' => Some(b'\\'),
+        b'\t' => Some(b't'),
+        b'\n' => Some(b'n'),
+        b'\r' => Some(b'r'),
+        _ => None,
+    }
+}
+
+/// Write `s` escaped: the stretches between bytes that need escaping go out
+/// as they are, so text without any — nearly all of it — is one write.
+fn write_escaped(out: &mut impl std::io::Write, s: &str) -> std::io::Result<()> {
+    let bytes = s.as_bytes();
+    let mut clean_from = 0;
+    for (i, b) in bytes.iter().enumerate() {
+        if let Some(code) = escape_code(*b) {
+            out.write_all(&bytes[clean_from..i])?;
+            out.write_all(&[b'\\', code])?;
+            clean_from = i + 1;
         }
     }
-    out
+    out.write_all(&bytes[clean_from..])
+}
+
+fn escape(s: &str) -> String {
+    let mut out = Vec::with_capacity(s.len());
+    write_escaped(&mut out, s).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("escaping valid UTF-8 inserts only ASCII")
 }
 
 fn unescape(s: &str) -> Result<String> {
     let mut out = String::with_capacity(s.len());
+    unescape_into(s, &mut out)?;
+    Ok(out)
+}
+
+/// Append the unescaped form of `s` to `out`.
+fn unescape_into(s: &str, out: &mut String) -> Result<()> {
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
         if c != '\\' {
@@ -322,12 +375,13 @@ fn unescape(s: &str) -> Result<String> {
             other => return Err(corrupt(format!("bad escape \\{other:?}"))),
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Value;
 
     fn sample_db() -> Database {
         let mut s = DatabaseSchema::new("movies db");
@@ -400,6 +454,63 @@ mod tests {
         assert_eq!(loaded.lookup(movie, did, &Value::from(1)).unwrap().len(), 1);
         // Second round trip is byte-identical.
         assert_eq!(dump_to_string(&loaded), text);
+    }
+
+    #[test]
+    fn dump_bytes_are_golden() {
+        let mut db = sample_db();
+        db.insert(
+            "DIRECTOR",
+            vec![
+                Value::from(3),
+                Value::from(r"\N is text, so is \r\t"),
+                Value::from(-0.0),
+                Value::from(false),
+            ],
+        )
+        .unwrap();
+        db.insert(
+            "MOVIE",
+            vec![Value::from(11), Value::from("Île\rÉté"), Value::Null],
+        )
+        .unwrap();
+        let golden = "precisdb 1\n\
+            schema movies db\n\
+            relation DIRECTOR\n\
+            attr did INT notnull\n\
+            attr dname TEXT null\n\
+            attr rating FLOAT null\n\
+            attr active BOOL null\n\
+            pk did\n\
+            end\n\
+            relation MOVIE\n\
+            attr mid INT notnull\n\
+            attr title TEXT null\n\
+            attr did INT null\n\
+            pk mid\n\
+            end\n\
+            fk MOVIE.did -> DIRECTOR.did\n\
+            data DIRECTOR\n\
+            1\tWoody\\tAllen\\nJr\\\\\t7.25\ttrue\n\
+            2\t\\N\t\\N\t\\N\n\
+            3\t\\\\N is text, so is \\\\r\\\\t\t-0.0\tfalse\n\
+            end\n\
+            data MOVIE\n\
+            10\tMatch Point\t1\n\
+            11\tÎle\\rÉté\t\\N\n\
+            end\n";
+        assert_eq!(dump_to_string(&db), golden);
+        let mut streamed = Vec::new();
+        dump_to(&db, &mut streamed).unwrap();
+        assert_eq!(streamed, golden.as_bytes());
+
+        let loaded = load_from_string(golden).unwrap();
+        assert_eq!(dump_to_string(&loaded), golden);
+        for (rel, _) in db.schema().relations() {
+            for (tid, t) in db.table(rel).iter() {
+                assert_eq!(loaded.table(rel).get(tid).unwrap(), t);
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod oracle;
 pub use faults::{run_fault_suite, FaultReport};
 pub use gen::{mix_seed, CaseSpec, DatasetSpec};
 pub use obs::{run_obs_suite, ObsReport};
-pub use oracle::{run_case, DatasetCtx, Leg, Mismatch};
+pub use oracle::{build_dataset, run_case, DatasetCtx, Leg, Mismatch};
 
 use std::collections::HashMap;
 use std::time::Instant;

@@ -107,7 +107,7 @@ pub struct DatasetCtx {
 
 /// Materialize one dataset spec: database, schema graph, and designer
 /// vocabulary when the schema has one. Fully deterministic per spec.
-pub(crate) fn build_dataset(
+pub fn build_dataset(
     spec: &DatasetSpec,
 ) -> (Database, precis_graph::SchemaGraph, Option<Vocabulary>) {
     match spec {

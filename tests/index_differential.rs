@@ -1,0 +1,179 @@
+//! Differential check of the inverted index: the column pass of
+//! `InvertedIndex::build` against an index maintained one tuple at a time
+//! through `add_tuple` / `remove_tuple`, under interleaved inserts, updates
+//! and deletes. The two must be *equal* — every posting list, the order of
+//! locations within a word, `vocabulary_size` and `indexed_words` — in both
+//! table layouts and with a stopword tokenizer.
+//!
+//! Run this after touching `crates/index` or `crates/storage/src/io.rs`:
+//! `cargo test --test index_differential`.
+
+use precis::datagen::{MoviesConfig, MoviesGenerator};
+use precis::index::{InvertedIndex, Tokenizer};
+use precis::storage::{io, Database, RelationId, StorageLayout, TupleId, Value};
+use precis_testkit::{build_dataset, DatasetSpec};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+fn tokenizers() -> [Tokenizer; 2] {
+    [
+        Tokenizer::default(),
+        // Words the generated datasets are full of, so dropping them shows.
+        Tokenizer::with_stopwords(["the", "of", "payload", "Comedy", "allen"]),
+    ]
+}
+
+fn assert_same_index(maintained: &InvertedIndex, db: &Database, tokenizer: &Tokenizer, at: &str) {
+    let rebuilt = InvertedIndex::build_with(db, tokenizer.clone());
+    assert_eq!(
+        (maintained.vocabulary_size(), maintained.indexed_words()),
+        (rebuilt.vocabulary_size(), rebuilt.indexed_words()),
+        "(vocabulary_size, indexed_words) of maintained vs rebuilt, {at}"
+    );
+    assert!(
+        *maintained == rebuilt,
+        "posting lists of the maintained and the rebuilt index differ, {at}"
+    );
+}
+
+/// A live tuple of `rel` picked by `rng`, if the relation has any.
+fn pick_live(db: &Database, rel: RelationId, rng: &mut StdRng) -> Option<TupleId> {
+    let slots = db.table(rel).slot_count();
+    (0..8)
+        .map(|_| TupleId(rng.gen_range(0..slots.max(1)) as u64))
+        .find(|tid| db.table(rel).get(*tid).is_some())
+}
+
+/// Replay `source` into an empty database of `layout`, one insert at a
+/// time, with a delete or an update of an earlier tuple thrown in after
+/// some of them; the index follows every step through `add_tuple` and
+/// `remove_tuple` and is compared with a fresh build along the way.
+fn replay_and_compare(source: &Database, layout: StorageLayout, tokenizer: &Tokenizer, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut db = Database::with_layout(source.schema().clone(), layout).unwrap();
+    let mut index = InvertedIndex::build_with(&db, tokenizer.clone());
+    let mut steps = 0usize;
+    for (rel, rel_schema) in source.schema().relations() {
+        // Deleting a referenced tuple would leave a dangling foreign key,
+        // which the reload at the end rightly refuses.
+        let referenced = source
+            .schema()
+            .foreign_keys()
+            .iter()
+            .any(|fk| fk.ref_relation == rel_schema.name());
+        for (_, tuple) in source.table(rel).iter() {
+            let tid = db.insert_into(rel, tuple.values()).unwrap();
+            index.add_tuple(&db, rel, tid);
+            let Some(victim) = pick_live(&db, rel, &mut rng) else {
+                continue;
+            };
+            match rng.gen_range(0..6u32) {
+                0 if !referenced => {
+                    index.remove_tuple(&db, rel, victim);
+                    db.delete(rel, victim).unwrap();
+                }
+                1 => {
+                    // Take every non-key value from another live tuple, with
+                    // a word appended to each text: types and NOT NULL hold.
+                    let donor = pick_live(&db, rel, &mut rng).unwrap_or(victim);
+                    let pk = db.relation_schema(rel).primary_key();
+                    let mut values = db.table(rel).get(donor).unwrap().values();
+                    for (attr, value) in values.iter_mut().enumerate() {
+                        if Some(attr) == pk {
+                            *value = db.table(rel).get(victim).unwrap().value(attr);
+                        } else if let Value::Text(text) = value {
+                            text.push_str(" İkinci-Redux the");
+                        }
+                    }
+                    index.remove_tuple(&db, rel, victim);
+                    db.update(rel, victim, values).unwrap();
+                    index.add_tuple(&db, rel, victim);
+                }
+                _ => {}
+            }
+            steps += 1;
+            if steps.is_multiple_of(97) {
+                assert_same_index(&index, &db, tokenizer, &format!("after {steps} steps"));
+            }
+        }
+    }
+    let tombstones: usize = db
+        .schema()
+        .relations()
+        .map(|(rel, _)| db.table(rel).slot_count() - db.len(rel))
+        .sum();
+    assert!(tombstones > 0, "the replay must leave tombstones behind");
+    assert_same_index(&index, &db, tokenizer, "at the end");
+
+    // What a checkpoint does: the compacted reload renumbers tuple ids, and
+    // the index built over it equals one maintained from empty over it.
+    let reloaded = io::load_from_string(&io::dump_to_string(&db)).unwrap();
+    assert_eq!(io::dump_to_string(&reloaded), io::dump_to_string(&db));
+    assert_same_index(
+        &maintained_from_empty(&reloaded, tokenizer),
+        &reloaded,
+        tokenizer,
+        "over the compacted reload",
+    );
+}
+
+/// The tuple-at-a-time build `InvertedIndex::build` used to be.
+fn maintained_from_empty(db: &Database, tokenizer: &Tokenizer) -> InvertedIndex {
+    let empty = Database::new(db.schema().clone()).unwrap();
+    let mut index = InvertedIndex::build_with(&empty, tokenizer.clone());
+    for (rel, _) in db.schema().relations() {
+        for (tid, _) in db.table(rel).iter() {
+            index.add_tuple(db, rel, tid);
+        }
+    }
+    index
+}
+
+fn dataset(pick: u32, seed: u64) -> DatasetSpec {
+    match pick % 4 {
+        0 => DatasetSpec::Demo,
+        1 => DatasetSpec::Movies {
+            movies: 40 + (seed % 80) as usize,
+            seed,
+        },
+        2 => DatasetSpec::Chain {
+            relations: 3,
+            rows: 40,
+            fanout: 1,
+        },
+        _ => DatasetSpec::Chain {
+            relations: 4,
+            rows: 24,
+            fanout: 2,
+        },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn build_equals_the_maintained_index(pick in 0u32..4, seed in any::<u64>()) {
+        let (source, _, _) = build_dataset(&dataset(pick, seed));
+        for layout in [StorageLayout::Columnar, StorageLayout::Rows] {
+            for tokenizer in &tokenizers() {
+                replay_and_compare(&source, layout, tokenizer, seed);
+            }
+        }
+    }
+}
+
+/// The database the serving benchmark sets up from: 34,000 movies.
+#[test]
+fn build_equals_the_maintained_index_at_benchmark_scale() {
+    let db = MoviesGenerator::new(MoviesConfig::imdb_scale()).generate();
+    for tokenizer in &tokenizers() {
+        assert_same_index(
+            &maintained_from_empty(&db, tokenizer),
+            &db,
+            tokenizer,
+            "over the 34,000-movie database",
+        );
+    }
+}
