@@ -14,6 +14,5 @@
 //! prints them as paper-style tables, and the Criterion benches in
 //! `benches/` wrap the same single-run operations.
 
-pub mod bench_report;
 pub mod figures;
 pub mod workloads;

@@ -1,203 +1,75 @@
-//! Bounded caches in front of the précis answer pipeline.
+//! The result-schema memo in front of Stage 2.
 //!
-//! Two layers sit between [`crate::PrecisEngine::answer`] and the pipeline
-//! stages:
+//! [`crate::PrecisEngine::plan`] keys each generated result schema by
+//! (sorted origin relations, degree constraint, weight profile) and hands
+//! the stored `Arc` back on a repeat, so queries that land on the same
+//! relations skip Stage 2 and never copy a schema.
 //!
-//! * a **result-schema cache** keyed by (sorted origin relations, degree
-//!   constraint, weight profile) — repeated queries that hit the same
-//!   relations skip Stage 2 entirely;
-//! * a **token cache** mapping each query token to its inverted-index
-//!   occurrence list — repeated tokens skip the Stage 1 lookup.
+//! A result schema is a function of the schema graph and that key — of no
+//! stored tuple — so entries carry no data generation and survive every
+//! insert, update and delete: clones of an engine share one memo. The only
+//! thing that changes what a key means is re-registering a weight profile,
+//! and [`crate::PrecisEngine::register_profile`] installs a fresh memo.
 //!
-//! Both are bounded LRUs behind a `Mutex`, so the engine stays `Sync` and
-//! `answer` keeps taking `&self`. Every entry is stamped with the engine's
-//! *generation*; [`crate::PrecisEngine::insert`] and
-//! [`crate::PrecisEngine::delete`] bump the generation, which lazily
-//! invalidates every older entry — a stale schema or occurrence list is
-//! never served after a mutation.
+//! The memo is a bounded LRU behind a `Mutex`, so the engine stays `Sync`
+//! and planning keeps taking `&self`.
 
 use crate::constraints::DegreeConstraint;
 use crate::result_schema::ResultSchema;
-use precis_index::Occurrence;
 use precis_storage::RelationId;
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default number of result schemas kept.
-pub const DEFAULT_SCHEMA_CAPACITY: usize = 64;
-/// Default number of token occurrence lists kept.
-pub const DEFAULT_TOKEN_CAPACITY: usize = 512;
+/// Number of result schemas kept.
+pub const SCHEMA_CAPACITY: usize = 64;
 
-/// Snapshot of the cache counters (all monotonically increasing).
+/// Snapshot of the memo's counters (all monotonically increasing).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnswerCacheStats {
     pub schema_hits: u64,
     pub schema_misses: u64,
     pub schema_evictions: u64,
-    pub token_hits: u64,
-    pub token_misses: u64,
-    pub token_evictions: u64,
 }
 
 impl AnswerCacheStats {
-    /// Schema-cache hit rate in `[0, 1]`; 0 when nothing was probed.
+    /// Hit rate in `[0, 1]`; 0 when nothing was probed.
     pub fn schema_hit_rate(&self) -> f64 {
-        rate(self.schema_hits, self.schema_misses)
-    }
-
-    /// Token-cache hit rate in `[0, 1]`; 0 when nothing was probed.
-    pub fn token_hit_rate(&self) -> f64 {
-        rate(self.token_hits, self.token_misses)
-    }
-}
-
-fn rate(hits: u64, misses: u64) -> f64 {
-    let probes = hits + misses;
-    if probes == 0 {
-        0.0
-    } else {
-        hits as f64 / probes as f64
-    }
-}
-
-/// A small bounded LRU map. Recency is tracked with a logical clock;
-/// eviction scans for the stalest entry, which is O(capacity) but the
-/// capacities here are tens to hundreds of entries.
-#[derive(Debug)]
-struct Lru<K, V> {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<K, LruEntry<V>>,
-}
-
-#[derive(Debug)]
-struct LruEntry<V> {
-    value: V,
-    generation: u64,
-    last_used: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "LRU capacity must be positive");
-        Lru {
-            capacity,
-            tick: 0,
-            map: HashMap::new(),
+        let probes = self.schema_hits + self.schema_misses;
+        if probes == 0 {
+            0.0
+        } else {
+            self.schema_hits as f64 / probes as f64
         }
     }
-
-    /// A hit refreshes recency. Entries stamped with an older generation are
-    /// dropped on contact and report as misses.
-    fn get<Q>(&mut self, key: &Q, generation: u64) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        match self.map.get_mut(key) {
-            Some(e) if e.generation == generation => {
-                self.tick += 1;
-                e.last_used = self.tick;
-                Some(e.value.clone())
-            }
-            Some(_) => {
-                self.map.remove(key);
-                None
-            }
-            None => None,
-        }
-    }
-
-    /// Insert (or refresh) an entry; returns `true` when a resident entry
-    /// was evicted to make room.
-    fn put(&mut self, key: K, value: V, generation: u64) -> bool {
-        self.tick += 1;
-        let evicting = !self.map.contains_key(&key) && self.map.len() >= self.capacity;
-        if evicting {
-            if let Some(stalest) = self
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&stalest);
-            }
-        }
-        self.map.insert(
-            key,
-            LruEntry {
-                value,
-                generation,
-                last_used: self.tick,
-            },
-        );
-        evicting
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
-/// Cache key of one result schema: (sorted distinct origins, degree
+/// Memo key of one result schema: (sorted distinct origins, degree
 /// fingerprint, profile name).
 pub type SchemaKey = (Vec<RelationId>, String, Option<String>);
 
-/// The engine's answer-path caches. See the module docs for the layering.
-#[derive(Debug)]
-pub struct AnswerCache {
-    schemas: Mutex<Lru<SchemaKey, Arc<ResultSchema>>>,
-    tokens: Mutex<Lru<String, Arc<Vec<Occurrence>>>>,
-    generation: AtomicU64,
-    schema_hits: AtomicU64,
-    schema_misses: AtomicU64,
-    schema_evictions: AtomicU64,
-    token_hits: AtomicU64,
-    token_misses: AtomicU64,
-    token_evictions: AtomicU64,
+/// Recency is a logical clock; eviction scans for the stalest entry, which
+/// is O(capacity) at a capacity of tens of entries.
+#[derive(Debug, Default)]
+struct Lru {
+    tick: u64,
+    map: HashMap<SchemaKey, (Arc<ResultSchema>, u64)>,
 }
 
-impl Default for AnswerCache {
-    fn default() -> Self {
-        AnswerCache::new(DEFAULT_SCHEMA_CAPACITY, DEFAULT_TOKEN_CAPACITY)
-    }
+/// The engine's schema memo. See the module docs.
+#[derive(Debug, Default)]
+pub struct AnswerCache {
+    schemas: Mutex<Lru>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl AnswerCache {
-    pub fn new(schema_capacity: usize, token_capacity: usize) -> Self {
-        AnswerCache {
-            schemas: Mutex::new(Lru::new(schema_capacity)),
-            tokens: Mutex::new(Lru::new(token_capacity)),
-            generation: AtomicU64::new(0),
-            schema_hits: AtomicU64::new(0),
-            schema_misses: AtomicU64::new(0),
-            schema_evictions: AtomicU64::new(0),
-            token_hits: AtomicU64::new(0),
-            token_misses: AtomicU64::new(0),
-            token_evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// The current data generation. Entries written under an older
-    /// generation are invisible (and reclaimed lazily).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Invalidate everything cached so far — called on every database
-    /// mutation.
-    pub fn bump_generation(&self) {
-        self.generation.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Build the schema-cache key. Origins are sorted and deduplicated so
-    /// queries matching the same relations in different token order share
-    /// one entry; the degree constraint (which has `f64` parameters, hence
-    /// no `Hash`) is fingerprinted through its `Debug` rendering, which
-    /// spells out the variant and all parameters.
+    /// Build the memo key. Origins are sorted and deduplicated so queries
+    /// matching the same relations in different token order share one
+    /// entry; the degree constraint (which has `f64` parameters, hence no
+    /// `Hash`) goes through [`DegreeConstraint::write_key`].
     pub fn schema_key(
         origins: &[RelationId],
         degree: &DegreeConstraint,
@@ -206,73 +78,52 @@ impl AnswerCache {
         let mut sorted = origins.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        (sorted, format!("{degree:?}"), profile.map(str::to_owned))
+        let mut fingerprint = String::new();
+        degree.write_key(&mut fingerprint);
+        (sorted, fingerprint, profile.map(str::to_owned))
     }
 
+    /// A hit refreshes recency and shares the stored schema.
     pub fn get_schema(&self, key: &SchemaKey) -> Option<Arc<ResultSchema>> {
-        let g = self.generation();
-        let found = self.schemas.lock().expect("schema cache lock").get(key, g);
+        let mut lru = self.schemas.lock().expect("schema memo lock");
+        lru.tick += 1;
+        let tick = lru.tick;
+        let found = lru.map.get_mut(key).map(|(schema, last_used)| {
+            *last_used = tick;
+            schema.clone()
+        });
+        drop(lru);
         match found {
-            Some(_) => self.schema_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.schema_misses.fetch_add(1, Ordering::Relaxed),
+            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
+            None => self.misses.fetch_add(1, Ordering::Relaxed),
         };
         found
     }
 
+    /// Insert (or refresh) an entry, evicting the stalest at capacity.
     pub fn put_schema(&self, key: SchemaKey, schema: Arc<ResultSchema>) {
-        let g = self.generation();
-        if self
-            .schemas
-            .lock()
-            .expect("schema cache lock")
-            .put(key, schema, g)
-        {
-            self.schema_evictions.fetch_add(1, Ordering::Relaxed);
+        let mut lru = self.schemas.lock().expect("schema memo lock");
+        lru.tick += 1;
+        if !lru.map.contains_key(&key) && lru.map.len() >= SCHEMA_CAPACITY {
+            if let Some(stalest) = lru
+                .map
+                .iter()
+                .min_by_key(|(_, (_, last_used))| *last_used)
+                .map(|(k, _)| k.clone())
+            {
+                lru.map.remove(&stalest);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
         }
-    }
-
-    pub fn get_token(&self, token: &str) -> Option<Arc<Vec<Occurrence>>> {
-        let g = self.generation();
-        let found = self.tokens.lock().expect("token cache lock").get(token, g);
-        match found {
-            Some(_) => self.token_hits.fetch_add(1, Ordering::Relaxed),
-            None => self.token_misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    pub fn put_token(&self, token: String, occurrences: Arc<Vec<Occurrence>>) {
-        let g = self.generation();
-        if self
-            .tokens
-            .lock()
-            .expect("token cache lock")
-            .put(token, occurrences, g)
-        {
-            self.token_evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Resident entry counts (schemas, tokens) — for tests and diagnostics.
-    pub fn len(&self) -> (usize, usize) {
-        (
-            self.schemas.lock().expect("schema cache lock").len(),
-            self.tokens.lock().expect("token cache lock").len(),
-        )
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == (0, 0)
+        let tick = lru.tick;
+        lru.map.insert(key, (schema, tick));
     }
 
     pub fn stats(&self) -> AnswerCacheStats {
         AnswerCacheStats {
-            schema_hits: self.schema_hits.load(Ordering::Relaxed),
-            schema_misses: self.schema_misses.load(Ordering::Relaxed),
-            schema_evictions: self.schema_evictions.load(Ordering::Relaxed),
-            token_hits: self.token_hits.load(Ordering::Relaxed),
-            token_misses: self.token_misses.load(Ordering::Relaxed),
-            token_evictions: self.token_evictions.load(Ordering::Relaxed),
+            schema_hits: self.hits.load(Ordering::Relaxed),
+            schema_misses: self.misses.load(Ordering::Relaxed),
+            schema_evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -280,83 +131,43 @@ impl AnswerCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use precis_storage::TupleId;
 
-    fn occ(rel: usize) -> Arc<Vec<Occurrence>> {
-        Arc::new(vec![Occurrence {
-            rel: RelationId(rel),
-            attr: 0,
-            tids: std::sync::Arc::new(vec![TupleId(0)]),
-        }])
+    fn key(rel: usize) -> SchemaKey {
+        AnswerCache::schema_key(&[RelationId(rel)], &DegreeConstraint::MinWeight(0.9), None)
     }
 
     #[test]
-    fn token_hits_and_misses_are_counted() {
-        let cache = AnswerCache::default();
-        assert!(cache.get_token("woody").is_none());
-        cache.put_token("woody".into(), occ(0));
-        let hit = cache.get_token("woody").expect("cached");
-        assert_eq!(hit[0].rel, RelationId(0));
-        assert!(cache.get_token("allen").is_none());
-        let s = cache.stats();
-        assert_eq!(s.token_hits, 1);
-        assert_eq!(s.token_misses, 2);
-        assert_eq!(s.token_evictions, 0);
-        assert!((s.token_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    fn hits_share_the_stored_schema_and_are_counted() {
+        let memo = AnswerCache::default();
+        assert!(memo.get_schema(&key(0)).is_none());
+        let stored = Arc::new(ResultSchema::default());
+        memo.put_schema(key(0), stored.clone());
+        let hit = memo.get_schema(&key(0)).expect("memoized");
+        assert!(Arc::ptr_eq(&hit, &stored), "a hit never copies the schema");
+        assert!(memo.get_schema(&key(1)).is_none());
+        let s = memo.stats();
+        assert_eq!((s.schema_hits, s.schema_misses), (1, 2));
+        assert_eq!(s.schema_evictions, 0);
+        assert!((s.schema_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(AnswerCacheStats::default().schema_hit_rate(), 0.0);
     }
 
     #[test]
     fn lru_evicts_the_stalest_entry_at_capacity() {
-        let cache = AnswerCache::new(8, 2);
-        cache.put_token("a".into(), occ(0));
-        cache.put_token("b".into(), occ(1));
-        // Touch "a" so "b" is the stalest when "c" arrives.
-        assert!(cache.get_token("a").is_some());
-        cache.put_token("c".into(), occ(2));
-        assert_eq!(cache.stats().token_evictions, 1);
-        assert!(cache.get_token("b").is_none(), "b was evicted");
-        assert!(cache.get_token("a").is_some());
-        assert!(cache.get_token("c").is_some());
-        assert_eq!(cache.len().1, 2, "capacity bound holds");
-    }
-
-    #[test]
-    fn reinserting_a_resident_key_does_not_evict() {
-        let cache = AnswerCache::new(8, 2);
-        cache.put_token("a".into(), occ(0));
-        cache.put_token("b".into(), occ(1));
-        cache.put_token("a".into(), occ(2));
-        assert_eq!(cache.stats().token_evictions, 0);
-        assert_eq!(
-            cache.get_token("a").expect("resident")[0].rel,
-            RelationId(2)
-        );
-    }
-
-    #[test]
-    fn generation_bump_invalidates_everything() {
-        let cache = AnswerCache::default();
-        cache.put_token("woody".into(), occ(0));
-        let key = AnswerCache::schema_key(
-            &[RelationId(1), RelationId(0)],
-            &DegreeConstraint::MinWeight(0.9),
-            None,
-        );
-        cache.put_schema(key.clone(), Arc::new(ResultSchema::default()));
-        assert!(cache.get_token("woody").is_some());
-        assert!(cache.get_schema(&key).is_some());
-
-        cache.bump_generation();
-        assert!(cache.get_token("woody").is_none(), "stale token dropped");
-        assert!(cache.get_schema(&key).is_none(), "stale schema dropped");
-        assert!(cache.is_empty(), "stale entries reclaimed on contact");
-
-        // Fresh inserts under the new generation are served again.
-        cache.put_token("woody".into(), occ(3));
-        assert_eq!(
-            cache.get_token("woody").expect("fresh")[0].rel,
-            RelationId(3)
-        );
+        let memo = AnswerCache::default();
+        for rel in 0..SCHEMA_CAPACITY {
+            memo.put_schema(key(rel), Arc::new(ResultSchema::default()));
+        }
+        // Touch entry 0 so entry 1 is the stalest when one more arrives;
+        // re-inserting a resident key evicts nothing.
+        assert!(memo.get_schema(&key(0)).is_some());
+        memo.put_schema(key(0), Arc::new(ResultSchema::default()));
+        assert_eq!(memo.stats().schema_evictions, 0);
+        memo.put_schema(key(SCHEMA_CAPACITY), Arc::new(ResultSchema::default()));
+        assert_eq!(memo.stats().schema_evictions, 1);
+        assert!(memo.get_schema(&key(1)).is_none(), "1 was evicted");
+        assert!(memo.get_schema(&key(0)).is_some());
+        assert!(memo.get_schema(&key(SCHEMA_CAPACITY)).is_some());
     }
 
     #[test]

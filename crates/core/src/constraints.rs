@@ -3,6 +3,7 @@
 use precis_graph::Path;
 use precis_storage::RelationId;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// Outcome of checking a candidate path against a degree constraint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,6 +90,32 @@ impl DegreeConstraint {
                 .iter()
                 .map(|c| c.check(accepted, path))
                 .fold(Verdict::Admit, Verdict::worst),
+        }
+    }
+
+    /// Append a bit-exact fingerprint of the constraint to `out`: the one
+    /// key the schema memo and the server's flight table both identify a
+    /// degree by. Floats are written as their bits, so 0.9 and 0.9000000001
+    /// never collide.
+    pub fn write_key(&self, out: &mut String) {
+        match self {
+            DegreeConstraint::TopProjections(r) => {
+                let _ = write!(out, "top:{r}");
+            }
+            DegreeConstraint::MinWeight(w) => {
+                let _ = write!(out, "mw:{:x}", w.to_bits());
+            }
+            DegreeConstraint::MaxPathLength(l) => {
+                let _ = write!(out, "len:{l}");
+            }
+            DegreeConstraint::All(parts) => {
+                out.push_str("all(");
+                for p in parts {
+                    p.write_key(out);
+                    out.push(',');
+                }
+                out.push(')');
+            }
         }
     }
 }

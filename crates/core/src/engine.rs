@@ -14,9 +14,10 @@ use precis_graph::{SchemaGraph, WeightProfile};
 use precis_index::{InvertedIndex, Occurrence};
 use precis_obs::{CostParams, Phase};
 use precis_storage::{Database, RelationId, TupleId};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// How one query token matched the database: the paper's
 /// `k_i → {(R_j, A_lj, Tids_lj)}` entry.
@@ -85,8 +86,9 @@ pub struct PrecisAnswer {
     /// Per-token index matches (empty occurrence lists mean the token was
     /// not found anywhere).
     pub matches: Vec<TokenMatch>,
-    /// The result schema D′ (sub-graph G′ of the schema graph).
-    pub schema: ResultSchema,
+    /// The result schema D′ (sub-graph G′ of the schema graph), shared with
+    /// the engine's schema memo.
+    pub schema: Arc<ResultSchema>,
     /// The materialized result database D′ with provenance.
     pub precis: PrecisDatabase,
 }
@@ -100,6 +102,27 @@ impl PrecisAnswer {
             .map(|m| m.token.as_str())
             .collect()
     }
+}
+
+/// A query resolved against one engine: Stages 1 and 2 of Figure 2, run
+/// once by [`PrecisEngine::plan`]. Pricing ([`PrecisEngine::price`]) reads
+/// it and execution ([`PrecisEngine::answer_planned`]) consumes it, so
+/// neither looks a token up or resolves a schema again. A plan is only
+/// meaningful on the engine that built it.
+#[derive(Debug, Clone)]
+pub struct QueryPlan {
+    /// Per-token index matches, in query order.
+    pub matches: Vec<TokenMatch>,
+    /// The matched tuples of each origin.
+    pub seeds: HashMap<RelationId, Vec<TupleId>>,
+    /// The result schema, shared with the engine's memo.
+    pub schema: Arc<ResultSchema>,
+    /// Wall time of the index pass; the executing answer's profile reports
+    /// it as its `token_lookup` phase.
+    pub lookup_time: Duration,
+    /// Wall time of the memo probe (plus generation on a miss): the
+    /// `schema_gen` phase.
+    pub schema_time: Duration,
 }
 
 /// The précis query engine over one database.
@@ -127,33 +150,21 @@ impl PrecisAnswer {
 ///     .unwrap();
 /// assert_eq!(answer.precis.total_tuples(), 1);
 /// ```
-#[derive(Debug)]
+///
+/// Cloning deep-copies the database and index for copy-on-write mutation
+/// (the server's write path clones, mutates, and republishes) and shares
+/// the schema memo: its entries depend on no stored tuple, so a clone
+/// starts warm and the memo's counters keep counting across publishes.
+#[derive(Debug, Clone)]
 pub struct PrecisEngine {
     db: Database,
     graph: SchemaGraph,
     index: InvertedIndex,
     profiles: HashMap<String, WeightProfile>,
-    cache: AnswerCache,
+    cache: Arc<AnswerCache>,
     /// Calibrated micro-costs used to annotate query profiles with the
     /// paper's Formula (2) prediction next to measured wall time.
     cost_model: Option<CostModel>,
-}
-
-impl Clone for PrecisEngine {
-    /// Deep-copy the engine for copy-on-write mutation (the server's write
-    /// path clones, mutates, and republishes). The answer cache is
-    /// per-instance state behind mutexes, so the clone starts with a cold
-    /// cache rather than sharing one.
-    fn clone(&self) -> Self {
-        PrecisEngine {
-            db: self.db.clone(),
-            graph: self.graph.clone(),
-            index: self.index.clone(),
-            profiles: self.profiles.clone(),
-            cache: AnswerCache::default(),
-            cost_model: self.cost_model,
-        }
-    }
 }
 
 impl PrecisEngine {
@@ -162,18 +173,10 @@ impl PrecisEngine {
     /// declare joins beyond foreign keys ("other joins that are meaningful
     /// to a domain expert", §3.1), whose endpoints the database did not
     /// auto-index.
-    pub fn new(mut db: Database, graph: SchemaGraph) -> Result<Self> {
+    pub fn new(db: Database, graph: SchemaGraph) -> Result<Self> {
         check_schema_match(&db, &graph)?;
-        ensure_join_indexes(&mut db, &graph);
         let index = InvertedIndex::build(&db);
-        Ok(PrecisEngine {
-            db,
-            graph,
-            index,
-            profiles: HashMap::new(),
-            cache: AnswerCache::default(),
-            cost_model: None,
-        })
+        Ok(PrecisEngine::with_index(db, graph, index))
     }
 
     /// Create an engine with a pre-built index (e.g. one maintained
@@ -185,8 +188,24 @@ impl PrecisEngine {
             graph,
             index,
             profiles: HashMap::new(),
-            cache: AnswerCache::default(),
+            cache: Arc::default(),
             cost_model: None,
+        }
+    }
+
+    /// This engine over a reloaded copy of its database (a checkpoint's
+    /// compacted reload) and an index built over that copy. Graph, profiles,
+    /// cost model and schema memo carry over: none depends on a stored
+    /// tuple.
+    pub fn with_database(&self, mut db: Database, index: InvertedIndex) -> Self {
+        ensure_join_indexes(&mut db, &self.graph);
+        PrecisEngine {
+            db,
+            graph: self.graph.clone(),
+            index,
+            profiles: self.profiles.clone(),
+            cache: self.cache.clone(),
+            cost_model: self.cost_model,
         }
     }
 
@@ -203,7 +222,7 @@ impl PrecisEngine {
     }
 
     /// Insert a tuple into the underlying database, keeping the inverted
-    /// index in sync and invalidating the answer caches.
+    /// index in sync.
     pub fn insert(
         &mut self,
         relation: &str,
@@ -212,14 +231,13 @@ impl PrecisEngine {
         let rel = self.db.schema().require_relation(relation)?;
         let tid = self.db.insert_into(rel, values)?;
         self.index.add_tuple(&self.db, rel, tid);
-        self.cache.bump_generation();
         Ok(tid)
     }
 
     /// Replace a tuple's values in place, keeping the inverted index in
-    /// sync and invalidating the answer caches. The postings for the old
-    /// values are removed before the row changes and the new values are
-    /// indexed after — no full index rebuild.
+    /// sync. The postings for the old values are removed before the row
+    /// changes and the new values are indexed after — no full index
+    /// rebuild.
     pub fn update(
         &mut self,
         rel: RelationId,
@@ -227,7 +245,6 @@ impl PrecisEngine {
         values: Vec<precis_storage::Value>,
     ) -> Result<()> {
         self.index.remove_tuple(&self.db, rel, tid);
-        self.cache.bump_generation();
         let result = self.db.update(rel, tid, values);
         // Re-index whatever the tuple holds now: the new values on success,
         // the untouched old ones if the update was rejected — either way
@@ -238,13 +255,9 @@ impl PrecisEngine {
         result.map_err(Into::into)
     }
 
-    /// Delete a tuple, keeping the inverted index in sync and invalidating
-    /// the answer caches.
+    /// Delete a tuple, keeping the inverted index in sync.
     pub fn delete(&mut self, rel: RelationId, tid: TupleId) -> Result<()> {
         self.index.remove_tuple(&self.db, rel, tid);
-        // The index is already mutated, so invalidate even if the row delete
-        // below fails.
-        self.cache.bump_generation();
         self.db.delete(rel, tid)?;
         Ok(())
     }
@@ -262,40 +275,87 @@ impl PrecisEngine {
     }
 
     /// Register a named weight profile for use via
-    /// [`AnswerSpec::with_profile`].
+    /// [`AnswerSpec::with_profile`]. Re-registering a name changes what the
+    /// memo's keys under it mean, so this engine starts a fresh memo.
     pub fn register_profile(&mut self, profile: WeightProfile) {
         self.profiles.insert(profile.name().to_owned(), profile);
+        self.cache = Arc::default();
     }
 
     pub fn profile(&self, name: &str) -> Option<&WeightProfile> {
         self.profiles.get(name)
     }
 
-    /// Counters of the answer caches (schema + token layers).
+    /// Counters of the schema memo.
     pub fn cache_stats(&self) -> AnswerCacheStats {
         self.cache.stats()
     }
 
-    /// The answer caches themselves (for capacity tuning or direct probing).
-    pub fn cache(&self) -> &AnswerCache {
-        &self.cache
+    /// Resolve a query: one index pass (Stage 1) and one result schema
+    /// (Stage 2, memoized per origins, degree and profile). The only place
+    /// tokens are looked up and a schema is resolved; every answering and
+    /// pricing entry point goes through it.
+    pub fn plan(
+        &self,
+        query: &PrecisQuery,
+        degree: &DegreeConstraint,
+        profile: Option<&str>,
+    ) -> Result<QueryPlan> {
+        if query.is_empty() {
+            return Err(CoreError::EmptyQuery);
+        }
+        let lookup_span = precis_obs::span("engine.token_lookup");
+        let t0 = Instant::now();
+        let matches: Vec<TokenMatch> = query
+            .tokens()
+            .iter()
+            .map(|t| TokenMatch {
+                token: t.clone(),
+                occurrences: self.index.lookup(&self.db, t),
+            })
+            .collect();
+        drop(lookup_span);
+        let lookup_time = t0.elapsed();
+        let (origins, seeds) = origins_and_seeds(&matches);
+
+        let schema_span = precis_obs::span("engine.schema_gen");
+        let t0 = Instant::now();
+        let key = AnswerCache::schema_key(&origins, degree, profile);
+        let schema = match self.cache.get_schema(&key) {
+            Some(memoized) => memoized,
+            None => {
+                let graph = self.graph_for(profile)?;
+                let generated = Arc::new(generate_result_schema(&graph, &origins, degree));
+                self.cache.put_schema(key, generated.clone());
+                generated
+            }
+        };
+        drop(schema_span);
+        Ok(QueryPlan {
+            matches,
+            seeds,
+            schema,
+            lookup_time,
+            schema_time: t0.elapsed(),
+        })
+    }
+
+    /// The schema graph personalized with a registered profile (§3.1), or
+    /// the designer's graph for `None`.
+    fn graph_for(&self, profile: Option<&str>) -> Result<Cow<'_, SchemaGraph>> {
+        let Some(name) = profile else {
+            return Ok(Cow::Borrowed(&self.graph));
+        };
+        let p = self
+            .profiles
+            .get(name)
+            .ok_or_else(|| CoreError::UnknownProfile(name.to_owned()))?;
+        Ok(Cow::Owned(self.graph.with_profile(p)?))
     }
 
     /// Answer a précis query end to end: index lookup → result schema →
     /// result database.
     pub fn answer(&self, query: &PrecisQuery, spec: &AnswerSpec) -> Result<PrecisAnswer> {
-        if query.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        if let Some(p) = &spec.options.profile {
-            p.set_query(&query.tokens().join(" "));
-            if let Some(m) = &self.cost_model {
-                p.set_cost_params(CostParams {
-                    index_time_secs: m.index_time,
-                    tuple_time_secs: m.tuple_time,
-                });
-            }
-        }
         // Unprofiled queries inherit the caller's ambient trace (if any), so
         // their engine spans still land in the request's capture buffer.
         let trace = spec
@@ -304,99 +364,43 @@ impl PrecisEngine {
             .as_ref()
             .map_or_else(precis_obs::current_trace, |p| p.trace());
         precis_obs::with_trace(trace, || {
-            let _answer_span = precis_obs::span("engine.answer");
-            let graph = match &spec.profile {
-                None => None,
-                Some(name) => {
-                    let p = self
-                        .profiles
-                        .get(name)
-                        .ok_or_else(|| CoreError::UnknownProfile(name.clone()))?;
-                    Some(self.graph.with_profile(p)?)
-                }
-            };
-            let graph = graph.as_ref().unwrap_or(&self.graph);
-
-            let lookup_span = precis_obs::span("engine.token_lookup");
-            let t0 = Instant::now();
-            let matches = self.lookup_tokens(query);
-            drop(lookup_span);
-            if let Some(p) = &spec.options.profile {
-                p.add_phase(Phase::TokenLookup, t0.elapsed());
-            }
-            self.answer_with_matches(graph, matches, spec)
+            let plan = self.plan(query, &spec.degree, spec.profile.as_deref())?;
+            self.answer_planned(plan, spec)
         })
     }
 
-    /// Stage 1 with the token cache in front: cached tokens are served
-    /// directly, each distinct miss is looked up once, and every fresh
-    /// occurrence list is published back to the cache.
-    fn lookup_tokens(&self, query: &PrecisQuery) -> Vec<TokenMatch> {
-        let tokens = query.tokens();
-        let mut slots: Vec<Option<Arc<Vec<Occurrence>>>> =
-            tokens.iter().map(|t| self.cache.get_token(t)).collect();
-        let mut fresh: HashMap<&str, Arc<Vec<Occurrence>>> = HashMap::new();
-        for (t, s) in tokens.iter().zip(slots.iter_mut()) {
-            if s.is_none() {
-                let occurrences = fresh.entry(t.as_str()).or_insert_with(|| {
-                    let looked_up = Arc::new(self.index.lookup(&self.db, t));
-                    self.cache.put_token(t.clone(), looked_up.clone());
-                    looked_up
+    /// Stage 3 over a plan this engine built for `spec.degree` and
+    /// `spec.profile`: generate the result database. The plan's lookup and
+    /// schema timings are reported as the attached profile's first two
+    /// phases, so a caller that planned earlier (the server plans at
+    /// admission) still gets every phase row. Spans record under the
+    /// caller's trace scope.
+    pub fn answer_planned(&self, plan: QueryPlan, spec: &AnswerSpec) -> Result<PrecisAnswer> {
+        let _answer_span = precis_obs::span("engine.answer");
+        if let Some(p) = &spec.options.profile {
+            let tokens: Vec<&str> = plan.matches.iter().map(|m| m.token.as_str()).collect();
+            p.set_query(&tokens.join(" "));
+            if let Some(m) = &self.cost_model {
+                p.set_cost_params(CostParams {
+                    index_time_secs: m.index_time,
+                    tuple_time_secs: m.tuple_time,
                 });
-                *s = Some(occurrences.clone());
             }
+            p.add_phase(Phase::TokenLookup, plan.lookup_time);
+            p.add_phase(Phase::SchemaGen, plan.schema_time);
         }
-        tokens
-            .iter()
-            .zip(slots)
-            .map(|(t, s)| TokenMatch {
-                token: t.clone(),
-                occurrences: s.expect("every slot filled").as_ref().clone(),
-            })
-            .collect()
-    }
-
-    /// Stages 2 and 3 over already-resolved index matches, with the schema
-    /// cache in front of Stage 2. Shared by [`PrecisEngine::answer`] and
-    /// [`PrecisEngine::answer_within`] so the index is consulted exactly
-    /// once per query.
-    fn answer_with_matches(
-        &self,
-        graph: &SchemaGraph,
-        matches: Vec<TokenMatch>,
-        spec: &AnswerSpec,
-    ) -> Result<PrecisAnswer> {
         if let Some(cancel) = &spec.options.cancel {
             cancel.check()?;
         }
-        let (origins, seeds) = origins_and_seeds(&matches);
+        let graph = self.graph_for(spec.profile.as_deref())?;
 
-        // Stage 2: result schema generation, memoized per (origins, degree,
-        // profile).
-        let schema_span = precis_obs::span("engine.schema_gen");
-        let t0 = Instant::now();
-        let key = AnswerCache::schema_key(&origins, &spec.degree, spec.profile.as_deref());
-        let schema = match self.cache.get_schema(&key) {
-            Some(cached) => cached.as_ref().clone(),
-            None => {
-                let s = generate_result_schema(graph, &origins, &spec.degree);
-                self.cache.put_schema(key, Arc::new(s.clone()));
-                s
-            }
-        };
-        drop(schema_span);
-        if let Some(p) = &spec.options.profile {
-            p.add_phase(Phase::SchemaGen, t0.elapsed());
-        }
-
-        // Stage 3: result database generation.
         let db_gen_span = precis_obs::span("engine.db_gen");
         let t0 = Instant::now();
         let precis = generate_result_database(
             &self.db,
-            graph,
-            &schema,
-            &seeds,
+            &graph,
+            &plan.schema,
+            &plan.seeds,
             &spec.cardinality,
             spec.strategy,
             &spec.options,
@@ -407,8 +411,8 @@ impl PrecisEngine {
         }
 
         Ok(PrecisAnswer {
-            matches,
-            schema,
+            matches: plan.matches,
+            schema: plan.schema,
             precis,
         })
     }
@@ -425,65 +429,37 @@ impl PrecisEngine {
         model: &crate::cost::CostModel,
         budget_secs: f64,
     ) -> Result<PrecisAnswer> {
-        if query.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        // One index pass, reused for both the n_R pre-pass and the answer
-        // itself; the pre-pass schema lands in the cache, so Stage 2 also
-        // runs once.
-        let matches = self.lookup_tokens(query);
-        let (origins, _) = origins_and_seeds(&matches);
-        let key = AnswerCache::schema_key(&origins, &degree, None);
-        let schema = match self.cache.get_schema(&key) {
-            Some(cached) => cached.as_ref().clone(),
-            None => {
-                let s = generate_result_schema(&self.graph, &origins, &degree);
-                self.cache.put_schema(key, Arc::new(s.clone()));
-                s
-            }
-        };
-        let n_r = schema.relation_count().max(1);
+        let plan = self.plan(query, &degree, None)?;
+        let n_r = plan.schema.relation_count().max(1);
         let c_r = model.cardinality_for_budget(budget_secs, n_r);
         let spec = AnswerSpec::new(degree, CardinalityConstraint::MaxTuplesPerRelation(c_r));
-        self.answer_with_matches(&self.graph, matches, &spec)
+        self.answer_planned(plan, &spec)
     }
 
-    /// Admission-time cost prediction: resolve the query's tokens and
-    /// result schema (both cache-fronted, so the work is reused by the
-    /// answer that usually follows), fold the cardinality constraint into a
-    /// retrieved-tuple volume, and price it with Formula (2). This is the
-    /// hook a cost-aware scheduler calls before committing a worker: it
-    /// costs a warm-cache token lookup plus a schema-cache probe, never a
-    /// retrieval.
+    /// Admission-time cost prediction: [`PrecisEngine::plan`] then
+    /// [`PrecisEngine::price`]. A caller that goes on to answer the query
+    /// keeps the plan instead and calls the two itself.
     pub fn predict_cost(
         &self,
         query: &PrecisQuery,
         degree: &DegreeConstraint,
         cardinality: &CardinalityConstraint,
     ) -> Result<CostPrediction> {
-        if query.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        let matches = self.lookup_tokens(query);
-        let (origins, seeds) = origins_and_seeds(&matches);
-        let key = AnswerCache::schema_key(&origins, degree, None);
-        let schema = match self.cache.get_schema(&key) {
-            Some(cached) => cached.as_ref().clone(),
-            None => {
-                let s = generate_result_schema(&self.graph, &origins, degree);
-                self.cache.put_schema(key, Arc::new(s.clone()));
-                s
-            }
-        };
-        let relations = schema.relation_count();
-        let seed_tuples: u64 = seeds.values().map(|t| t.len() as u64).sum();
-        let est_tuples = estimate_tuples(&self.db, &schema, cardinality);
-        Ok(CostPrediction {
-            relations,
-            seed_tuples,
+        Ok(self.price(&self.plan(query, degree, None)?, cardinality))
+    }
+
+    /// Fold the cardinality constraint into the tuple volume a plan's
+    /// result schema admits and price it with Formula (2) — never a
+    /// retrieval. This is what a cost-aware scheduler reads before
+    /// committing a worker.
+    pub fn price(&self, plan: &QueryPlan, cardinality: &CardinalityConstraint) -> CostPrediction {
+        let est_tuples = estimate_tuples(&self.db, &plan.schema, cardinality);
+        CostPrediction {
+            relations: plan.schema.relation_count(),
+            seed_tuples: plan.seeds.values().map(|t| t.len() as u64).sum(),
             est_tuples,
             predicted_secs: self.cost_model.map(|m| m.predict_volume(est_tuples)),
-        })
+        }
     }
 }
 
@@ -728,7 +704,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_answers_hit_the_schema_and_token_caches() {
+    fn repeated_answers_hit_the_schema_memo() {
         let (db, graph) = expert_join_setup();
         let engine = PrecisEngine::new(db, graph).unwrap();
         let spec = AnswerSpec::new(
@@ -738,24 +714,20 @@ mod tests {
         let q = PrecisQuery::parse("ada");
         let first = engine.answer(&q, &spec).unwrap();
         let s = engine.cache_stats();
-        assert_eq!((s.token_hits, s.token_misses), (0, 1));
         assert_eq!((s.schema_hits, s.schema_misses), (0, 1));
 
         let second = engine.answer(&q, &spec).unwrap();
         let s = engine.cache_stats();
-        assert_eq!((s.token_hits, s.token_misses), (1, 1));
         assert_eq!((s.schema_hits, s.schema_misses), (1, 1));
-        // Cached answers are identical to computed ones.
+        // Memoized answers are identical to computed ones, and the hit
+        // shares the stored schema instead of copying it.
         assert_eq!(first.matches, second.matches);
         assert_eq!(first.precis.collected, second.precis.collected);
-        assert_eq!(
-            first.schema.relation_count(),
-            second.schema.relation_count()
-        );
+        assert!(Arc::ptr_eq(&first.schema, &second.schema));
     }
 
     #[test]
-    fn predict_cost_prices_the_constrained_volume_and_warms_the_caches() {
+    fn predict_cost_prices_the_constrained_volume_and_warms_the_memo() {
         let (db, graph) = expert_join_setup();
         let mut engine = PrecisEngine::new(db, graph).unwrap();
         let q = PrecisQuery::parse("ada");
@@ -803,15 +775,15 @@ mod tests {
             .unwrap();
         assert_eq!(both.est_tuples, total.est_tuples);
 
-        // The prediction's token and schema lookups land in the caches, so
-        // the answer that follows reuses them.
+        // The prediction's schema lands in the memo, so the answer that
+        // follows reuses it.
         let s = engine.cache_stats();
-        assert!(s.token_misses >= 1);
+        assert_eq!(s.schema_misses, 1);
         let spec = AnswerSpec::new(degree.clone(), CardinalityConstraint::Unbounded);
         engine.answer(&q, &spec).unwrap();
         let s2 = engine.cache_stats();
-        assert!(s2.token_hits > s.token_hits);
         assert!(s2.schema_hits > s.schema_hits);
+        assert_eq!(s2.schema_misses, 1);
 
         assert!(matches!(
             engine.predict_cost(
@@ -824,7 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn mutations_invalidate_the_answer_caches() {
+    fn mutations_are_seen_by_the_next_answer_and_keep_the_memo() {
         let (db, graph) = expert_join_setup();
         let mut engine = PrecisEngine::new(db, graph).unwrap();
         let spec = AnswerSpec::new(
@@ -836,8 +808,8 @@ mod tests {
             .occurrences
             .is_empty());
 
-        // The insert bumps the generation: the cached empty occurrence list
-        // for "grace" must not be served.
+        // Every plan reads the index itself, so the empty match for
+        // "grace" cannot outlive the insert.
         let tid = engine
             .insert(
                 "PERSON",
@@ -854,10 +826,10 @@ mod tests {
             .occurrences
             .is_empty());
 
-        // Every probe ran against a bumped generation: no stale hits.
+        // The memo holds no stored tuple, so it survives both mutations:
+        // the origin-less schema, then PERSON's, then the first again.
         let s = engine.cache_stats();
-        assert_eq!(s.token_hits, 0);
-        assert_eq!(s.token_misses, 3);
+        assert_eq!((s.schema_hits, s.schema_misses), (1, 2));
     }
 
     #[test]
@@ -908,7 +880,7 @@ mod tests {
     }
 
     #[test]
-    fn answer_within_consults_the_index_once_per_token() {
+    fn answer_within_plans_once() {
         let (db, graph) = expert_join_setup();
         let engine = PrecisEngine::new(db, graph).unwrap();
         let model = crate::cost::CostModel::new(1e-6, 1e-6);
@@ -921,11 +893,59 @@ mod tests {
             )
             .unwrap();
         assert_eq!(a.precis.report.seed_tuples, 1);
+        // The n_R pre-pass and the answer share one plan: one memo probe.
         let s = engine.cache_stats();
-        // Previously every lookup ran twice (pre-pass + answer); now the one
-        // token is resolved exactly once and the pre-pass schema is reused.
-        assert_eq!((s.token_hits, s.token_misses), (0, 1));
-        assert_eq!((s.schema_hits, s.schema_misses), (1, 1));
+        assert_eq!((s.schema_hits, s.schema_misses), (0, 1));
+    }
+
+    #[test]
+    fn every_entry_point_is_plan_then_answer_planned_or_price() {
+        let (db, graph) = expert_join_setup();
+        let mut engine = PrecisEngine::new(db, graph).unwrap();
+        engine.set_cost_model(CostModel::new(1e-6, 2e-6));
+        let q = PrecisQuery::parse("ada athens");
+        let degree = crate::DegreeConstraint::MinWeight(0.5);
+        let cardinality = CardinalityConstraint::MaxTuplesPerRelation(1);
+        let spec = AnswerSpec::new(degree.clone(), cardinality.clone());
+
+        let plan = engine.plan(&q, &degree, None).unwrap();
+        assert_eq!(
+            engine.predict_cost(&q, &degree, &cardinality).unwrap(),
+            engine.price(&plan, &cardinality)
+        );
+
+        let planned = engine.answer_planned(plan.clone(), &spec).unwrap();
+        let direct = engine.answer(&q, &spec).unwrap();
+        assert_eq!(direct.matches, plan.matches);
+        assert_eq!(direct.matches, planned.matches);
+        assert_eq!(direct.precis.collected, planned.precis.collected);
+        assert_eq!(direct.precis.report, planned.precis.report);
+        assert!(Arc::ptr_eq(&direct.schema, &plan.schema));
+
+        // Formula (3) at this budget admits one tuple per relation: the
+        // budgeted answer is the planned one under that cap.
+        let model = CostModel::new(1.0, 1.0);
+        let n_r = plan.schema.relation_count();
+        assert_eq!(model.cardinality_for_budget(2.0 * n_r as f64, n_r), 1);
+        let within = engine
+            .answer_within(&q, degree.clone(), &model, 2.0 * n_r as f64)
+            .unwrap();
+        assert_eq!(within.matches, planned.matches);
+        assert_eq!(within.precis.collected, planned.precis.collected);
+        assert!(Arc::ptr_eq(&within.schema, &plan.schema));
+
+        // Four plans in all: one generation, three memo hits.
+        let s = engine.cache_stats();
+        assert_eq!((s.schema_hits, s.schema_misses), (3, 1));
+
+        // A clone shares the memo; re-registering a profile starts afresh.
+        let mut clone = engine.clone();
+        let again = clone.plan(&q, &degree, None).unwrap();
+        assert!(Arc::ptr_eq(&again.schema, &plan.schema));
+        assert_eq!(engine.cache_stats().schema_hits, 4);
+        clone.register_profile(precis_graph::WeightProfile::new("p"));
+        assert_eq!(clone.cache_stats(), AnswerCacheStats::default());
+        assert_eq!(engine.cache_stats().schema_hits, 4);
     }
 
     #[test]

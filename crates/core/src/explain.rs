@@ -94,18 +94,14 @@ pub fn explain_precis(original: &Database, precis: &PrecisDatabase) -> String {
     out
 }
 
-/// Render the engine's answer-cache counters as a one-line summary, e.g.
-/// `cache: schema 3/4 hits (75.0%), tokens 5/8 hits (62.5%)`.
+/// Render the engine's schema-memo counters as a one-line summary, e.g.
+/// `cache: schema 3/4 hits (75.0%)`.
 pub fn explain_cache(stats: &AnswerCacheStats) -> String {
-    let pct = |r: f64| r * 100.0;
     format!(
-        "cache: schema {}/{} hits ({:.1}%), tokens {}/{} hits ({:.1}%)\n",
+        "cache: schema {}/{} hits ({:.1}%)\n",
         stats.schema_hits,
         stats.schema_hits + stats.schema_misses,
-        pct(stats.schema_hit_rate()),
-        stats.token_hits,
-        stats.token_hits + stats.token_misses,
-        pct(stats.token_hit_rate()),
+        stats.schema_hit_rate() * 100.0,
     )
 }
 
@@ -249,15 +245,10 @@ mod tests {
         let stats = AnswerCacheStats {
             schema_hits: 3,
             schema_misses: 1,
-            token_hits: 5,
-            token_misses: 3,
             ..AnswerCacheStats::default()
         };
         let line = explain_cache(&stats);
-        assert_eq!(
-            line,
-            "cache: schema 3/4 hits (75.0%), tokens 5/8 hits (62.5%)\n"
-        );
+        assert_eq!(line, "cache: schema 3/4 hits (75.0%)\n");
         // An untouched cache renders zero rates rather than NaN.
         let line = explain_cache(&AnswerCacheStats::default());
         assert!(line.contains("schema 0/0 hits (0.0%)"), "{line}");

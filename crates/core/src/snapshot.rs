@@ -9,9 +9,8 @@
 //! The précis server keeps its engine behind one of these cells so worker
 //! threads answering queries never contend on a lock, while engine swaps
 //! (bulk reloads, schema changes) stay safe and immediate. Readers that
-//! loaded the *old* snapshot keep a consistent engine — the PR 1 answer
-//! caches travel with their engine, so generation invalidation stays
-//! correct per snapshot.
+//! loaded the *old* snapshot keep a consistent engine: its database and
+//! index never change under them.
 //!
 //! ## Protocol
 //!

@@ -10,7 +10,7 @@ use crate::json::{self, Json};
 use crate::sched::{FlightKey, Priority};
 use precis_core::{
     AnswerSpec, CancelToken, CardinalityConstraint, CoreError, DegreeConstraint, PrecisAnswer,
-    PrecisEngine, PrecisQuery, RetrievalStrategy,
+    PrecisEngine, PrecisQuery, QueryPlan, RetrievalStrategy,
 };
 use precis_nlg::{Translator, Vocabulary};
 use precis_obs::{Phase, ProfileSnapshot, QueryProfile};
@@ -178,7 +178,7 @@ pub fn flight_key(request: &QueryRequest) -> FlightKey {
         key.push('\x1f');
     }
     key.push('|');
-    write_degree_key(&mut key, &request.degree);
+    request.degree.write_key(&mut key);
     key.push('|');
     write_cardinality_key(&mut key, &request.cardinality);
     key.push('|');
@@ -188,29 +188,6 @@ pub fn flight_key(request: &QueryRequest) -> FlightKey {
         RetrievalStrategy::TopWeight => "topweight",
     });
     FlightKey::new(key)
-}
-
-fn write_degree_key(out: &mut String, d: &DegreeConstraint) {
-    match d {
-        DegreeConstraint::TopProjections(r) => {
-            let _ = write!(out, "top:{r}");
-        }
-        // Encode the float's bits so 0.9 and 0.9000000001 never collide.
-        DegreeConstraint::MinWeight(w) => {
-            let _ = write!(out, "mw:{:x}", w.to_bits());
-        }
-        DegreeConstraint::MaxPathLength(l) => {
-            let _ = write!(out, "len:{l}");
-        }
-        DegreeConstraint::All(parts) => {
-            out.push_str("all(");
-            for p in parts {
-                write_degree_key(out, p);
-                out.push(',');
-            }
-            out.push(')');
-        }
-    }
 }
 
 fn write_cardinality_key(out: &mut String, c: &CardinalityConstraint) {
@@ -233,37 +210,20 @@ fn write_cardinality_key(out: &mut String, c: &CardinalityConstraint) {
     }
 }
 
-/// Execute a decoded request against the engine under a deadline and render
-/// the success body. `Err(CoreError::Cancelled)` means the deadline fired.
+/// Plan and execute a decoded request against the engine under a deadline
+/// and render the success body, with the profile object appended when the
+/// request asked for it. `Err(CoreError::Cancelled)` means the deadline
+/// fired.
 pub fn answer_query(
     engine: &PrecisEngine,
     vocabulary: Option<&Vocabulary>,
     request: &QueryRequest,
     default_deadline: Option<Duration>,
 ) -> Result<String, CoreError> {
-    answer_query_profiled(
-        engine,
-        vocabulary,
-        request,
-        default_deadline,
-        &Arc::new(QueryProfile::new()),
-    )
-}
-
-/// [`answer_query`] with a caller-owned profile collector. The caller may
-/// pre-seed phases measured outside this function (queue wait, request
-/// parsing); this function fills in the pipeline and rendering phases,
-/// finishes the profile, and — when the request asked for it — appends the
-/// profile object to the response body.
-pub fn answer_query_profiled(
-    engine: &PrecisEngine,
-    vocabulary: Option<&Vocabulary>,
-    request: &QueryRequest,
-    default_deadline: Option<Duration>,
-    profile: &Arc<QueryProfile>,
-) -> Result<String, CoreError> {
+    let profile = Arc::new(QueryProfile::new());
     let deadline = request_budget(request, default_deadline).map(|b| Instant::now() + b);
-    let mut body = answer_query_at(engine, vocabulary, request, deadline, profile)?;
+    let plan = engine.plan(&request.query, &request.degree, None)?;
+    let mut body = answer_query_at(engine, vocabulary, request, plan, deadline, &profile)?;
     if request.profile {
         let mut rendered = String::new();
         write_profile_json(&mut rendered, &profile.snapshot());
@@ -285,9 +245,12 @@ pub fn request_budget(
     }
 }
 
-/// Execute a decoded request against an *absolute* deadline — the v1
-/// end-to-end contract, where the clock starts at admission and time spent
-/// queued counts against the caller's budget. Returns the rendered body
+/// Execute a decoded request, already planned on `engine`, against an
+/// *absolute* deadline — the v1 end-to-end contract, where the clock starts
+/// at admission and time spent queued counts against the caller's budget.
+/// The caller may pre-seed `profile` with phases measured outside this
+/// function (queue wait, request parsing); this function fills in the
+/// pipeline and rendering phases and finishes it. Returns the rendered body
 /// without any per-waiter extras (`profile` / `scheduling` objects are
 /// spliced by the caller), so a coalesced flight renders once and every
 /// waiter's default body is byte-identical.
@@ -295,6 +258,7 @@ pub fn answer_query_at(
     engine: &PrecisEngine,
     vocabulary: Option<&Vocabulary>,
     request: &QueryRequest,
+    plan: QueryPlan,
     deadline: Option<Instant>,
     profile: &Arc<QueryProfile>,
 ) -> Result<String, CoreError> {
@@ -305,7 +269,7 @@ pub fn answer_query_at(
     let spec = AnswerSpec::new(request.degree.clone(), request.cardinality.clone())
         .with_strategy(request.strategy)
         .with_options(options);
-    let answer = engine.answer(&request.query, &spec)?;
+    let answer = engine.answer_planned(plan, &spec)?;
     // The deadline also covers narrative synthesis: bail before rendering a
     // large answer the caller will never wait for.
     if let Some(c) = &cancel {

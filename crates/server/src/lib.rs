@@ -9,7 +9,7 @@
 //! end-to-end from admission and abort précis generation cooperatively
 //! (→ `504`); a Prometheus-format `/v1/metrics` endpoint covers request
 //! counts, latency histograms, queue depth, shed/coalesce/reorder totals,
-//! and the engine's answer-cache statistics.
+//! and the engine's schema-memo statistics.
 //!
 //! Endpoints (mounted under `/v1/`, the versioned contract; any other path
 //! answers `404 not_found`):
@@ -64,8 +64,7 @@ pub mod sched;
 mod server;
 
 pub use api::{
-    answer_query, answer_query_profiled, flight_key, parse_query_request, render_answer,
-    write_profile_json, QueryRequest,
+    answer_query, flight_key, parse_query_request, render_answer, write_profile_json, QueryRequest,
 };
 pub use metrics::Metrics;
 pub use mutate::{parse_mutate_request, Durability, MutateOp};

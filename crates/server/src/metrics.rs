@@ -3,7 +3,7 @@
 //! Everything is an atomic counter so the hot path never takes a lock:
 //! per-endpoint/status request counts, fixed-bucket latency histograms
 //! split into queue-wait and per-endpoint service time, live queue depth,
-//! and admission/deadline rejection totals. The answer caches'
+//! and admission/deadline rejection totals. The schema memo's
 //! [`precis_core::AnswerCacheStats`] and the per-phase profile aggregates
 //! ([`precis_obs::PhaseAgg`]) are folded into the exposition at scrape
 //! time. Scrape handling appends into one output `String` through
@@ -396,17 +396,12 @@ impl Metrics {
             let _ = writeln!(out, "{name} {value}");
         }
 
-        out.push_str("# HELP precis_cache_events_total Answer-cache events by layer and kind.\n");
+        out.push_str("# HELP precis_cache_events_total Schema-memo probes by kind.\n");
         out.push_str("# TYPE precis_cache_events_total counter\n");
-        for (layer, kind, value) in [
-            ("schema", "hit", cache.schema_hits),
-            ("schema", "miss", cache.schema_misses),
-            ("token", "hit", cache.token_hits),
-            ("token", "miss", cache.token_misses),
-        ] {
+        for (kind, value) in [("hit", cache.schema_hits), ("miss", cache.schema_misses)] {
             let _ = writeln!(
                 out,
-                "precis_cache_events_total{{layer=\"{layer}\",kind=\"{kind}\"}} {value}"
+                "precis_cache_events_total{{layer=\"schema\",kind=\"{kind}\"}} {value}"
             );
         }
 
@@ -452,10 +447,7 @@ mod tests {
         let cache = AnswerCacheStats {
             schema_hits: 3,
             schema_misses: 1,
-            token_hits: 5,
-            token_misses: 2,
             schema_evictions: 0,
-            token_evictions: 0,
         };
         let text = m.render_prometheus(&cache);
         assert!(text.contains("precis_requests_total{endpoint=\"query\",status=\"200\"} 1"));

@@ -299,7 +299,8 @@ fn require_relation(engine: &PrecisEngine, name: &str) -> Result<RelationId, Str
 /// Checkpoint the engine's database: snapshot + WAL rotation, then rebuild
 /// the engine around the compacted reload (fresh index build — allowed at
 /// checkpoint time, never on the per-mutation path) with the WAL sink
-/// re-attached. Returns the replacement engine to publish.
+/// re-attached. Returns the replacement engine to publish; it keeps the
+/// cost model, profiles and schema memo of the engine it replaces.
 pub fn checkpoint_engine(
     durability: &Durability,
     engine: &PrecisEngine,
@@ -315,7 +316,7 @@ pub fn checkpoint_engine(
         let _span = precis_obs::span("engine.index_build");
         InvertedIndex::build(&compacted)
     };
-    let rebuilt = PrecisEngine::with_index(compacted, engine.graph().clone(), index);
+    let rebuilt = engine.with_database(compacted, index);
     durability.since_checkpoint.store(0, Ordering::Relaxed);
     durability.checkpoints.fetch_add(1, Ordering::Relaxed);
     durability

@@ -40,7 +40,7 @@ use crate::http::{self, ParseError, Request, Response};
 use crate::metrics::Metrics;
 use crate::mutate::{self, Durability};
 use crate::sched::{Admission, ConnRefusal, Job, Scheduler, Shed, ShedReason, Work};
-use precis_core::{CoreError, PrecisEngine, SnapshotCell};
+use precis_core::{CoreError, PrecisEngine, QueryPlan, SnapshotCell};
 use precis_nlg::Vocabulary;
 use precis_obs::sched_obs;
 use precis_obs::slo::{SloEngine, SloEvent};
@@ -112,6 +112,10 @@ struct Telemetry {
 /// A parsed query waiting for (or undergoing) execution.
 struct QueryJob {
     request: api::QueryRequest,
+    /// The snapshot admission loaded and the plan it priced there; the
+    /// executing worker takes both, and runs the plan iff that snapshot is
+    /// still the published one.
+    planned: Option<(Arc<PrecisEngine>, QueryPlan)>,
     /// Time the admitting worker spent parsing, attributed to the flight's
     /// profile so per-phase aggregates still see it.
     parse_time: Duration,
@@ -160,9 +164,8 @@ struct Shared {
     /// The engine behind a lock-free snapshot cell: workers take wait-free
     /// `Arc` snapshots per request (no reader lock, no contention), and
     /// [`ServerHandle::swap_engine`] publishes a replacement atomically.
-    /// A request keeps the snapshot it started with, so its answer — and
-    /// the generation-stamped caches inside the engine — stay consistent
-    /// even if a swap lands mid-query.
+    /// An executing flight keeps the snapshot it started with, so its
+    /// answer stays consistent even if a swap lands mid-query.
     engine: SnapshotCell<PrecisEngine>,
     /// Serializes the copy-on-write mutation path (`POST /v1/mutate` and
     /// checkpoints). Readers never touch it — they load snapshots.
@@ -777,47 +780,46 @@ fn admit_query(
             return;
         }
     };
+    let parse_time = parse_started.elapsed();
     let class_str = request.priority.as_str();
 
-    // Price the query with Formula 2 before it queues. This also warms the
-    // engine's token and schema caches, so the priced work is not wasted
-    // when the query executes on the same snapshot.
+    // Resolve the query once and price the plan with Formula 2 before it
+    // queues; the plan travels with the job, so execution neither looks a
+    // token up nor resolves the schema again.
     let engine = shared.engine.load();
     let admit_span = precis_obs::span(sched_obs::SPAN_ADMIT);
-    let prediction =
-        match engine.predict_cost(&request.query, &request.degree, &request.cardinality) {
-            Ok(p) => p,
-            Err(CoreError::EmptyQuery) => {
-                drop(admit_span);
-                answer_now(
-                    Response::error(400, "empty_query", "query has no tokens"),
-                    stream,
-                    ctx,
-                    class_str,
-                    None,
-                );
-                return;
-            }
-            Err(e) => {
-                drop(admit_span);
-                answer_now(
-                    Response::error(500, "internal", &e.to_string()),
-                    stream,
-                    ctx,
-                    class_str,
-                    None,
-                );
-                return;
-            }
-        };
-    let predicted_secs = prediction.predicted_secs;
+    let plan = match engine.plan(&request.query, &request.degree, None) {
+        Ok(p) => p,
+        Err(CoreError::EmptyQuery) => {
+            drop(admit_span);
+            answer_now(
+                Response::error(400, "empty_query", "query has no tokens"),
+                stream,
+                ctx,
+                class_str,
+                None,
+            );
+            return;
+        }
+        Err(e) => {
+            drop(admit_span);
+            answer_now(
+                Response::error(500, "internal", &e.to_string()),
+                stream,
+                ctx,
+                class_str,
+                None,
+            );
+            return;
+        }
+    };
+    let predicted_secs = engine.price(&plan, &request.cardinality).predicted_secs;
     admit_span.field(
         sched_obs::FIELD_PREDICTED_NS,
         predicted_secs.map(|s| (s * 1e9) as u64).unwrap_or(0),
     );
     admit_span.field(sched_obs::FIELD_CLASS, request.priority.as_field());
     drop(admit_span);
-    let parse_time = parse_started.elapsed();
     // Conn-stage queue wait, for the scheduling decision record.
     let conn_wait_ms = (started - admitted).as_secs_f64() * 1e3;
 
@@ -834,6 +836,7 @@ fn admit_query(
     };
     let payload = QueryJob {
         request,
+        planned: Some((engine, plan)),
         parse_time,
         trace_internal,
     };
@@ -928,7 +931,7 @@ fn emit_shed_span(shed: &Shed, predicted_secs: Option<f64>) {
 /// cancelling — i.e. disconnecting — any single waiter never cancels the
 /// flight: the execution runs on its own token and a dead socket just fails
 /// its one write at fan-out.
-fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
+fn execute_flight(shared: &Shared, mut job: Job<QueryJob, Waiter>) {
     let exec_started = Instant::now();
     // Execution spans record under the flight creator's trace, so the
     // creator's retained trace holds the full admission→execution tree.
@@ -962,15 +965,25 @@ fn execute_flight(shared: &Shared, job: Job<QueryJob, Waiter>) {
 
     // One wait-free snapshot per flight: the query runs against exactly
     // this engine even if `swap_engine` publishes a replacement mid-flight.
+    // A flight never answers from a snapshot older than the one current
+    // now — a joiner admitted after its own write's ack relies on that — so
+    // a plan made before a publish is discarded and the query re-planned.
     let engine = shared.engine.load();
+    let planned = job.payload.planned.take();
     // A panic in answer generation must cost one flight, not a worker: the
     // engine's state is all behind Arcs and internally lock-guarded, so an
     // unwound handler leaves nothing half-mutated.
     let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let request = &job.payload.request;
+        let plan = match planned {
+            Some((planned_on, plan)) if Arc::ptr_eq(&planned_on, &engine) => plan,
+            _ => engine.plan(&request.query, &request.degree, None)?,
+        };
         api::answer_query_at(
             &engine,
             shared.vocabulary.as_ref(),
-            &job.payload.request,
+            request,
+            plan,
             deadline,
             &profile,
         )

@@ -249,10 +249,136 @@ fn healthz_metrics_and_errors_round_trip() {
         "precis_request_duration_seconds_bucket",
         "precis_queue_depth",
         "precis_rejected_total",
-        "precis_cache_events_total{layer=\"token\",kind=\"miss\"}",
+        "precis_cache_events_total{layer=\"schema\",kind=\"miss\"} 1",
     ] {
         assert!(metrics.contains(family), "missing {family} in:\n{metrics}");
     }
+    handle.join();
+}
+
+/// (hits, misses) of the schema memo as `/v1/metrics` exports them.
+fn scraped_schema_events(addr: SocketAddr) -> (u64, u64) {
+    let (_, _, metrics) = get_v1(addr, "/v1/metrics");
+    let series = |kind: &str| -> u64 {
+        let name = format!("precis_cache_events_total{{layer=\"schema\",kind=\"{kind}\"}} ");
+        let value = metrics.lines().find_map(|l| l.strip_prefix(name.as_str()));
+        value
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {name}in:\n{metrics}"))
+    };
+    (series("hit"), series("miss"))
+}
+
+#[test]
+fn a_served_query_probes_the_schema_memo_once() {
+    let handle =
+        Server::start(test_engine(), None, ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+    let bodies = [
+        r#"{"tokens": "comedy"}"#,
+        r#"{"tokens": "drama"}"#,
+        r#"{"tokens": "comedy", "degree": {"minweight": 0.5}}"#,
+        r#"{"tokens": ["drama", "thriller"], "degree": {"top": 3}}"#,
+        r#"{"tokens": "action", "cardinality": {"perrel": 3}, "profile": true}"#,
+    ];
+    for body in bodies {
+        let (status, _, got) = post_query(addr, body);
+        assert_eq!(status, 200, "{got}");
+    }
+    // Admission plans and the flight executes that plan: one token pass
+    // and one memo probe per request, not one for pricing and one more for
+    // the answer.
+    let s = handle.engine().cache_stats();
+    assert_eq!(s.schema_hits + s.schema_misses, bodies.len() as u64);
+    handle.join();
+}
+
+#[test]
+fn the_schema_memo_and_its_counters_survive_a_publish() {
+    let handle =
+        Server::start(test_engine(), None, ServerConfig::default()).expect("server starts");
+    let addr = handle.local_addr();
+    for _ in 0..2 {
+        let (status, _, body) = post_query(addr, r#"{"tokens": "comedy"}"#);
+        assert_eq!(status, 200, "{body}");
+    }
+    assert_eq!(scraped_schema_events(addr), (1, 1));
+
+    // Every batch publishes a clone of the engine. The memo holds no stored
+    // tuple, so the clone shares it: the counter it exports keeps counting
+    // and the next query finds its schema already there.
+    let (status, _, body) = post_mutate(
+        addr,
+        r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
+                     "values": [999001, "Zzyzx Quine", "Nowhere", "1970-01-01"]}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let (status, _, body) = post_query(addr, r#"{"tokens": "comedy"}"#);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(scraped_schema_events(addr), (2, 1));
+    handle.join();
+}
+
+#[test]
+fn a_flight_planned_before_a_publish_answers_from_the_published_snapshot() {
+    let before = test_engine();
+    let batch = precis_server::parse_mutate_request(
+        r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
+                     "values": [999001, "Zzyzx Quine", "Nowhere", "1970-01-01"]}]}"#,
+    )
+    .expect("batch parses");
+    let published = Arc::new(precis_server::mutate::apply_ops(&before, &batch).engine);
+
+    // One worker, and connections are popped ahead of queued flights: a
+    // connection that has not sent its request yet parks the worker.
+    let config = ServerConfig {
+        workers: 1,
+        default_deadline: None,
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(before.clone(), None, config).expect("server starts");
+    let addr = handle.local_addr();
+    let finish = |mut parked: TcpStream| {
+        let healthz = b"GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+        parked.write_all(healthz).expect("send");
+        let mut response = String::new();
+        let _ = parked.read_to_string(&mut response);
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+    };
+
+    // Park the worker, and line up the query and a second parker behind it.
+    let first_parker = TcpStream::connect(addr).expect("connect");
+    let body = r#"{"tokens": "zzyzx"}"#;
+    let mut query = TcpStream::connect(addr).expect("connect");
+    let head = format!(
+        "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    query.write_all((head + body).as_bytes()).expect("send");
+    let second_parker = TcpStream::connect(addr).expect("connect");
+    let waiting = settled(|| handle.metrics().queue_depth(), |depth| *depth == 2);
+    assert_eq!(waiting, 2, "both wait behind the first parker");
+
+    // Released, the worker admits the query — planning it on `before` —
+    // and parks again on the second connection with the flight queued.
+    finish(first_parker);
+    let planned = settled(|| before.cache_stats().schema_misses, |misses| *misses == 1);
+    assert_eq!(planned, 1, "the query was planned at admission");
+    handle.swap_engine(published.clone());
+    finish(second_parker);
+
+    // The flight runs after the publish: it must not execute the plan made
+    // on the replaced snapshot.
+    let mut response = String::new();
+    let _ = query.read_to_string(&mut response);
+    let (head, got) = response.split_once("\r\n\r\n").expect("header block");
+    assert!(head.starts_with("HTTP/1.1 200"), "{response}");
+    let request = api::parse_query_request(body).expect("request parses");
+    let direct = |engine: &PrecisEngine| {
+        api::answer_query(engine, None, &request, None).expect("direct answer")
+    };
+    assert_eq!(got, direct(&published));
+    assert_ne!(got, direct(&before), "the snapshots answer differently");
     handle.join();
 }
 
@@ -527,6 +653,8 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
     let handle = Server::start_durable(engine, None, retain_everything(), Some(durability))
         .expect("server starts");
     let addr = handle.local_addr();
+    let (status, _, q) = post_query(addr, r#"{"tokens": "comedy"}"#);
+    assert_eq!(status, 200, "{q}");
 
     let (status, head, body) = post_mutate(
         addr,
@@ -535,6 +663,9 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
     );
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"checkpointed\": true"), "{body}");
+    // The engine rebuilt around the compacted reload keeps the schema memo
+    // (and its counters) of the one it replaces.
+    assert_eq!(scraped_schema_events(addr), (0, 1));
     // The batch that paid the checkpoint explains itself: its retained
     // trace names every leg, and the time is exported beside the count.
     let id = trace_id_of(&head);

@@ -8,10 +8,11 @@
 //!   logical answer). Tuple *order* is legitimately strategy-dependent, so
 //!   this leg compares canonicalized (sorted) result rows, plus seeds,
 //!   unmatched tokens, and foreign-key validity of the result database.
-//! * **Cache leg** — a repeated answer (warm token/schema caches) must be
-//!   byte-identical to the first, and an answer after a cache-invalidating
-//!   insert+delete pair (net no-op on the data) must be byte-identical to
-//!   the answer before the mutation.
+//! * **Cache leg** — a repeated answer (schema memo hit) must be
+//!   byte-identical to the first, and an answer after an insert+delete
+//!   pair (net no-op on the data, which the memo must survive and the next
+//!   plan must see through) must be byte-identical to the answer before
+//!   the mutation.
 //! * **Server leg** — a loopback `precis-server` round-trip must return
 //!   exactly the bytes of [`precis_server::render_answer`] applied to the
 //!   in-process answer.
@@ -196,9 +197,8 @@ impl DatasetCtx {
         let _ = std::fs::remove_dir_all(&self.durable_dir);
     }
 
-    /// A valid filler row for the cache-invalidation leg: inserted then
-    /// deleted, leaving the logical database unchanged but bumping the
-    /// cache generation. Returns `(relation, values)` with a fresh primary
+    /// A valid filler row for the cache leg's mutation step: inserted then
+    /// deleted, leaving the logical database unchanged. Returns `(relation, values)` with a fresh primary
     /// key; the FK value is copied from an existing row so the pair is
     /// valid even under enforcement.
     fn filler_row(&mut self) -> Option<(&'static str, Vec<Value>)> {
@@ -473,8 +473,8 @@ fn cache_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
         }
     }
 
-    // Invalidation: answer, then a net-no-op insert+delete (bumps the cache
-    // generation twice), then answer again — must be byte-identical.
+    // Mutation: answer, then a net-no-op insert+delete, then answer again
+    // — must be byte-identical.
     let before = match ctx.mut_engine.answer(&q, &spec) {
         Ok(a) => render(&ctx.mut_engine, ctx.vocab.as_ref(), &a),
         Err(e) => {
