@@ -10,9 +10,9 @@
 //! * ablations: best-first pruning, in-degree postponement, and the
 //!   keyword-search baseline.
 //!
-//! The [`figures`] module computes each series; the `experiments` binary
-//! prints them as paper-style tables, and the Criterion benches in
-//! `benches/` wrap the same single-run operations.
+//! The [`figures`] module computes each series and the `experiments` binary
+//! prints them as paper-style tables. Everything timed for a change — the
+//! serving benchmark and its per-layer probes — is `crates/benchmark`.
 
 pub mod figures;
 pub mod workloads;

@@ -568,9 +568,9 @@ fn round_robin(
             if outcome.added >= allowance {
                 break;
             }
-            match scan.next_row(db, &[])? {
-                Some(row) => {
-                    if dest.add_interned(row.tid, origin_id) {
+            match scan.next_tid(db)? {
+                Some(tid) => {
+                    if dest.add_interned(tid, origin_id) {
                         outcome.added += 1;
                     } else {
                         outcome.dedup_hits += 1;

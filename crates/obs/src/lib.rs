@@ -48,7 +48,7 @@ pub use promfmt::validate_exposition;
 pub use slo::{SloEngine, SloEvent, SloSpec, SloStatus};
 pub use telemetry::{
     retain_reasons, RetainedTrace, SchedDecision, ShedDecision, TelemetryConfig, TraceFilter,
-    TraceId, TraceStore, TraceVerdictInput,
+    TraceId, TraceStore,
 };
 pub use tracer::{
     capture_trace, current_trace, flush_thread, late_spans, new_trace_id, now_ns, span,

@@ -8,10 +8,10 @@
 //! using the small sequential internal ids from [`crate::tracer`], so a
 //! hostile or colliding wire id can never alias another request's spans.
 //!
-//! At request completion a tail sampler decides whether the trace was
-//! *interesting* (slow for its priority class, any non-2xx, a scheduler
-//! shed/coalesce/reorder decision, a WAL rollback, a handler panic) or
-//! passes a deterministic 1-in-N head sample. Interesting traces are
+//! At request completion a tail sampler ([`retain_reasons`]) decides whether
+//! the trace was *interesting* (slow for its priority class, any non-2xx, a
+//! scheduler shed/coalesce/reorder decision, a WAL rollback, a handler
+//! panic) or passes a deterministic 1-in-N head sample. Interesting traces are
 //! retained in a byte-budgeted ring ([`TraceStore`]); everything else is
 //! dropped with a counted reason, so "we kept nothing" is always
 //! distinguishable from "nothing happened".
@@ -165,61 +165,6 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// Everything the tail sampler needs to judge one finished request.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TraceVerdictInput {
-    pub status: u16,
-    pub latency_ns: u64,
-    /// `"interactive"` / `"batch"` for queries; `""` elsewhere (judged by
-    /// the interactive threshold).
-    pub batch_class: bool,
-    pub shed: bool,
-    pub coalesced: bool,
-    pub reordered: bool,
-    pub wal_rollback: bool,
-    pub panicked: bool,
-}
-
-/// Why a trace was retained, in a stable order. Empty means "drop it"
-/// unless the head sample keeps it.
-pub fn retain_reasons(
-    config: &TelemetryConfig,
-    id: TraceId,
-    input: &TraceVerdictInput,
-) -> Vec<&'static str> {
-    let mut reasons = Vec::new();
-    let threshold = if input.batch_class {
-        config.slow_batch
-    } else {
-        config.slow_interactive
-    };
-    if input.latency_ns > threshold.as_nanos() as u64 {
-        reasons.push("slow");
-    }
-    if !(200..300).contains(&input.status) {
-        reasons.push("error");
-    }
-    if input.shed {
-        reasons.push("shed");
-    }
-    if input.coalesced {
-        reasons.push("coalesced");
-    }
-    if input.reordered {
-        reasons.push("reordered");
-    }
-    if input.wal_rollback {
-        reasons.push("wal_rollback");
-    }
-    if input.panicked {
-        reasons.push("panic");
-    }
-    if reasons.is_empty() && id.head_sampled() {
-        reasons.push("head_sample");
-    }
-    reasons
-}
-
 /// The scheduler's per-waiter decision record attached to retained traces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedDecision {
@@ -240,6 +185,56 @@ pub struct ShedDecision {
     pub backlog_ms: f64,
     pub retry_after_ms: u64,
     pub false_positive: bool,
+}
+
+/// The tail sampler's verdict on one finished request: why its trace is
+/// retained, in a stable order. Empty means "drop it" — nothing about the
+/// outcome was interesting and the head sample passed it over. `class` is
+/// `"interactive"` / `"batch"` for queries and `""` elsewhere (judged by
+/// the interactive threshold); shed, coalesced and reordered are read off
+/// the scheduler's decision record.
+#[allow(clippy::too_many_arguments)]
+pub fn retain_reasons(
+    config: &TelemetryConfig,
+    id: TraceId,
+    status: u16,
+    latency: Duration,
+    class: &str,
+    sched: Option<&SchedDecision>,
+    wal_rollback: bool,
+    panicked: bool,
+) -> Vec<&'static str> {
+    let mut reasons = Vec::new();
+    let threshold = if class == "batch" {
+        config.slow_batch
+    } else {
+        config.slow_interactive
+    };
+    if latency > threshold {
+        reasons.push("slow");
+    }
+    if !(200..300).contains(&status) {
+        reasons.push("error");
+    }
+    if sched.is_some_and(|s| s.shed.is_some()) {
+        reasons.push("shed");
+    }
+    if sched.is_some_and(|s| s.coalesced) {
+        reasons.push("coalesced");
+    }
+    if sched.is_some_and(|s| s.reordered) {
+        reasons.push("reordered");
+    }
+    if wal_rollback {
+        reasons.push("wal_rollback");
+    }
+    if panicked {
+        reasons.push("panic");
+    }
+    if reasons.is_empty() && id.head_sampled() {
+        reasons.push("head_sample");
+    }
+    reasons
 }
 
 /// One retained trace: identity, outcome, the scheduler's decision record,
@@ -600,50 +595,65 @@ mod tests {
         assert_ne!(a.to_hex(), "0".repeat(32));
     }
 
+    fn decision(coalesced: bool, reordered: bool, shed: bool) -> SchedDecision {
+        SchedDecision {
+            predicted_ms: None,
+            queue_wait_ms: 0.0,
+            coalesced,
+            fanout: 1,
+            reordered,
+            shed: shed.then_some(ShedDecision {
+                reason: "deadline",
+                backlog_ms: 0.0,
+                retry_after_ms: 25,
+                false_positive: false,
+            }),
+        }
+    }
+
     #[test]
     fn sampler_keeps_interesting_traces_and_counts_everything_else() {
         let config = TelemetryConfig::default();
-        // Not head-sampled, so only interestingness decides.
+        // Not head-sampled, so only the tail verdict decides.
         let id = TraceId::from_u128(1).unwrap();
-        let fast_ok = TraceVerdictInput {
-            status: 200,
-            latency_ns: 1_000_000,
-            ..TraceVerdictInput::default()
+        let ms = Duration::from_millis;
+        let plain = |status, latency, class| {
+            retain_reasons(&config, id, status, latency, class, None, false, false)
         };
-        assert!(retain_reasons(&config, id, &fast_ok).is_empty());
+        assert!(plain(200, ms(1), "interactive").is_empty());
+        assert_eq!(plain(200, ms(30), "interactive"), ["slow"]);
+        // 30 ms is slow for interactive, fine for batch; no class at all is
+        // judged as interactive.
+        assert!(plain(200, ms(30), "batch").is_empty());
+        assert_eq!(plain(200, ms(30), ""), ["slow"]);
 
-        let slow = TraceVerdictInput {
-            latency_ns: 26_000_000,
-            status: 200,
-            ..TraceVerdictInput::default()
-        };
-        assert_eq!(retain_reasons(&config, id, &slow), vec!["slow"]);
-        // The same latency is fine for batch (250ms threshold).
-        let slow_batch = TraceVerdictInput {
-            batch_class: true,
-            ..slow
-        };
-        assert!(retain_reasons(&config, id, &slow_batch).is_empty());
-
-        let shed = TraceVerdictInput {
-            status: 429,
-            shed: true,
-            ..TraceVerdictInput::default()
-        };
-        assert_eq!(retain_reasons(&config, id, &shed), vec!["error", "shed"]);
-
-        let everything = TraceVerdictInput {
-            status: 503,
-            latency_ns: u64::MAX,
-            coalesced: true,
-            reordered: true,
-            wal_rollback: true,
-            panicked: true,
-            ..TraceVerdictInput::default()
-        };
+        let shed = decision(false, false, true);
         assert_eq!(
-            retain_reasons(&config, id, &everything),
-            vec![
+            retain_reasons(
+                &config,
+                id,
+                429,
+                ms(1),
+                "interactive",
+                Some(&shed),
+                false,
+                false
+            ),
+            ["error", "shed"]
+        );
+        let busy = decision(true, true, false);
+        assert_eq!(
+            retain_reasons(
+                &config,
+                id,
+                500,
+                ms(30),
+                "interactive",
+                Some(&busy),
+                true,
+                true
+            ),
+            [
                 "slow",
                 "error",
                 "coalesced",
@@ -659,22 +669,13 @@ mod tests {
         let config = TelemetryConfig::default();
         let sampled = TraceId::from_u128(u128::from(HEAD_SAMPLE_EVERY) * 3).unwrap();
         let unsampled = TraceId::from_u128(u128::from(HEAD_SAMPLE_EVERY) * 3 + 1).unwrap();
-        let boring = TraceVerdictInput {
-            status: 200,
-            latency_ns: 1,
-            ..TraceVerdictInput::default()
-        };
-        assert_eq!(
-            retain_reasons(&config, sampled, &boring),
-            vec!["head_sample"]
-        );
-        assert!(retain_reasons(&config, unsampled, &boring).is_empty());
+        let boring =
+            |id, latency| retain_reasons(&config, id, 200, latency, "", None, false, false);
+        let fast = Duration::from_millis(1);
+        assert_eq!(boring(sampled, fast), ["head_sample"]);
+        assert!(boring(unsampled, fast).is_empty());
         // An interesting trace never double-counts as a head sample.
-        let slow = TraceVerdictInput {
-            latency_ns: u64::MAX,
-            ..boring
-        };
-        assert_eq!(retain_reasons(&config, sampled, &slow), vec!["slow"]);
+        assert_eq!(boring(sampled, Duration::from_millis(30)), ["slow"]);
     }
 
     #[test]

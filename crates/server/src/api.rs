@@ -38,10 +38,6 @@ pub struct QueryRequest {
     /// Deadline class for the scheduler: interactive queries are ordered
     /// ahead of batch queries.
     pub priority: Priority,
-    /// Whether this request may share one execution with concurrent
-    /// identical requests (same tokens, constraints, and strategy). On by
-    /// default; opting out isolates the request in both directions.
-    pub coalesce: bool,
 }
 
 /// Decode a request body. Only `tokens` is required:
@@ -53,8 +49,7 @@ pub struct QueryRequest {
 ///   "cardinality": {"perrel": 10},      // or {"total": 50} or "unbounded"
 ///   "strategy": "roundrobin",           // or "naive" / "topweight"
 ///   "deadline_ms": 2000,
-///   "priority": "interactive",          // or "batch"
-///   "coalesce": true
+///   "priority": "interactive"           // or "batch"
 /// }
 /// ```
 pub fn parse_query_request(body: &str) -> Result<QueryRequest, String> {
@@ -148,12 +143,6 @@ pub fn parse_query_request(body: &str) -> Result<QueryRequest, String> {
         Some(_) => return Err("priority must be a string".to_owned()),
     };
 
-    let coalesce = match doc.get("coalesce") {
-        None => true,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("coalesce must be a boolean".to_owned()),
-    };
-
     Ok(QueryRequest {
         query,
         degree,
@@ -162,7 +151,6 @@ pub fn parse_query_request(body: &str) -> Result<QueryRequest, String> {
         deadline_ms,
         profile,
         priority,
-        coalesce,
     })
 }
 
@@ -569,18 +557,10 @@ mod tests {
     fn scheduling_fields_parse_with_defaults() {
         let r = parse_query_request(r#"{"tokens": "x"}"#).unwrap();
         assert_eq!(r.priority, Priority::Interactive);
-        assert!(r.coalesce, "coalescing is on by default");
-        let r = parse_query_request(r#"{"tokens": "x", "priority": "batch", "coalesce": false}"#)
-            .unwrap();
+        let r = parse_query_request(r#"{"tokens": "x", "priority": "batch"}"#).unwrap();
         assert_eq!(r.priority, Priority::Batch);
-        assert!(!r.coalesce);
-        for (body, needle) in [
-            (r#"{"tokens": "x", "priority": "urgent"}"#, "priority"),
-            (r#"{"tokens": "x", "coalesce": 1}"#, "coalesce"),
-        ] {
-            let err = parse_query_request(body).unwrap_err();
-            assert!(err.contains(needle), "{body} → {err}");
-        }
+        let err = parse_query_request(r#"{"tokens": "x", "priority": "urgent"}"#).unwrap_err();
+        assert!(err.contains("priority"), "{err}");
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! |--------|------------------|------------------------------------------------|
 //! | POST   | `/v1/query`      | Answer a précis query (JSON in, JSON out; set  |
 //! |        |                  | `"profile": true` for per-phase timings and    |
-//! |        |                  | `"scheduling"` metadata; `"priority"` /        |
-//! |        |                  | `"coalesce"` steer the scheduler)              |
+//! |        |                  | `"scheduling"` metadata; `"priority"` picks    |
+//! |        |                  | the deadline class)                            |
 //! | POST   | `/v1/mutate`     | Apply a batch of insert/update/delete ops      |
 //! |        |                  | (loopback only; WAL-durable with `--data-dir`) |
 //! | GET    | `/v1/healthz`    | Liveness probe                                 |
@@ -56,17 +56,22 @@
 
 pub mod api;
 pub mod debug;
+mod durable;
+mod exit;
 pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod mutate;
+mod query;
+mod routes;
 pub mod sched;
 mod server;
 
 pub use api::{
     answer_query, flight_key, parse_query_request, render_answer, write_profile_json, QueryRequest,
 };
+pub use durable::Durability;
 pub use metrics::Metrics;
-pub use mutate::{parse_mutate_request, Durability, MutateOp};
+pub use mutate::{parse_mutate_request, MutateOp};
 pub use sched::{Priority, Scheduler};
 pub use server::{Server, ServerConfig, ServerHandle};

@@ -225,10 +225,6 @@ impl Metrics {
         self.sched_coalesced_total.load(Ordering::Relaxed)
     }
 
-    pub fn reordered_total(&self) -> u64 {
-        self.sched_reordered_total.load(Ordering::Relaxed)
-    }
-
     pub fn enqueued(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
@@ -247,14 +243,6 @@ impl Metrics {
 
     pub fn deadline_exceeded_total(&self) -> u64 {
         self.deadline_exceeded_total.load(Ordering::Relaxed)
-    }
-
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .flat_map(|by_status| by_status.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
     }
 
     pub fn requests_for(&self, endpoint: &str, status: u16) -> u64 {

@@ -14,67 +14,16 @@
 //! and tuple slots a later batch would reclaim — makes recovery truncate
 //! away acknowledged writes.
 
+use crate::durable::{checkpoint_engine, Durability};
+use crate::http::Response;
 use crate::json::{self, Json};
+use crate::server::Shared;
 use precis_core::{CoreError, PrecisEngine};
-use precis_durability::{DurableStore, SharedWal};
-use precis_index::InvertedIndex;
-use precis_storage::{DataType, RelationId, StorageError, TupleId, Value, WalSink};
+use precis_durability::WalMark;
+use precis_storage::{DataType, RelationId, StorageError, TupleId, Value};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Durable-serving state attached to a server: where snapshots and the WAL
-/// live, the shared append handle, and the auto-checkpoint threshold.
-#[derive(Debug)]
-pub struct Durability {
-    pub store: DurableStore,
-    pub wal: SharedWal,
-    /// Checkpoint (snapshot + WAL rotation) once this many records have
-    /// been appended since the last one. Zero disables auto-checkpointing.
-    pub checkpoint_every: u64,
-    /// Records appended since the last checkpoint.
-    pub since_checkpoint: AtomicU64,
-    /// Checkpoints taken by this server (exported as a metric).
-    pub checkpoints: AtomicU64,
-    /// Microseconds those checkpoints took, snapshot to rebuilt engine —
-    /// time the write lock was held on top of the batch (exported as a
-    /// metric, in seconds).
-    pub checkpoint_micros: AtomicU64,
-    /// Auto-checkpoints that failed (exported as a metric). A failed
-    /// checkpoint is not a failed mutation — the batch stays acknowledged
-    /// and the longer WAL waits for the next attempt.
-    pub checkpoint_failures: AtomicU64,
-    /// Set when a failed batch could not be rolled back off the WAL: the
-    /// log's on-disk state no longer matches what replay would compute, so
-    /// every further mutation is refused until restart (recovery truncates
-    /// the bad tail). Queries keep serving the last published engine.
-    poisoned: AtomicBool,
-}
-
-impl Durability {
-    pub fn new(store: DurableStore, wal: SharedWal, checkpoint_every: u64) -> Self {
-        Durability {
-            store,
-            wal,
-            checkpoint_every,
-            since_checkpoint: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            checkpoint_micros: AtomicU64::new(0),
-            checkpoint_failures: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Refuse all further mutations; see the `poisoned` field.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-    }
-
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::SeqCst)
-    }
-}
 
 /// One decoded mutation. `values` stay as parsed JSON until apply time —
 /// coercion is type-directed by the relation's schema, which lives in the
@@ -296,35 +245,6 @@ fn require_relation(engine: &PrecisEngine, name: &str) -> Result<RelationId, Str
         .ok_or_else(|| format!("no relation named {name:?}"))
 }
 
-/// Checkpoint the engine's database: snapshot + WAL rotation, then rebuild
-/// the engine around the compacted reload (fresh index build — allowed at
-/// checkpoint time, never on the per-mutation path) with the WAL sink
-/// re-attached. Returns the replacement engine to publish; it keeps the
-/// cost model, profiles and schema memo of the engine it replaces.
-pub fn checkpoint_engine(
-    durability: &Durability,
-    engine: &PrecisEngine,
-) -> Result<PrecisEngine, String> {
-    let started = Instant::now();
-    // `wal.snapshot_install` and `wal.checkpoint.reload` are recorded inside.
-    let mut compacted = durability
-        .wal
-        .with(|w| durability.store.checkpoint(engine.database(), w))
-        .map_err(|e| e.to_string())?;
-    compacted.set_wal_sink(Arc::new(durability.wal.clone()) as Arc<dyn WalSink>);
-    let index = {
-        let _span = precis_obs::span("engine.index_build");
-        InvertedIndex::build(&compacted)
-    };
-    let rebuilt = engine.with_database(compacted, index);
-    durability.since_checkpoint.store(0, Ordering::Relaxed);
-    durability.checkpoints.fetch_add(1, Ordering::Relaxed);
-    durability
-        .checkpoint_micros
-        .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-    Ok(rebuilt)
-}
-
 /// Render the `/v1/mutate` response body.
 pub fn render_mutate_response(
     applied: usize,
@@ -355,6 +275,135 @@ pub fn render_mutate_response(
     }
     out.push_str("}\n");
     out
+}
+
+/// Apply a `/v1/mutate` batch copy-on-write under the write lock: clone the
+/// current engine, apply ops in order (each one streaming into the WAL via
+/// the database's sink), force the group-commit fsync, publish the new
+/// engine, and auto-checkpoint when the record threshold is crossed.
+///
+/// Any WAL failure — an append refused mid-batch or the group-commit fsync
+/// refused — aborts the whole batch: the cloned engine is discarded
+/// unpublished and the log is physically rolled back to its pre-batch
+/// mark, so served state and log never diverge and the abandoned records'
+/// LSNs and tuple slots are reclaimed cleanly by the next batch. If even
+/// the rollback fails the durability state is poisoned and every further
+/// mutation is refused until restart.
+///
+/// `503` on this path always means a durability failure (or shutdown) —
+/// overload is signalled with `429` by admission, never here.
+pub(crate) fn handle_mutate(shared: &Shared, body: &[u8], trace_hex: &str) -> Response {
+    let Ok(text) = std::str::from_utf8(body) else {
+        return Response::error(400, "bad_request", "body must be UTF-8");
+    };
+    let ops = match parse_mutate_request(text) {
+        Ok(ops) => ops,
+        Err(msg) => return Response::error(400, "bad_request", &msg),
+    };
+    let _guard = shared.write_lock.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(d) = &shared.durability {
+        if d.is_poisoned() {
+            return Response::error(
+                503,
+                "wal_poisoned",
+                "write-ahead log state is inconsistent; mutations are disabled until restart",
+            );
+        }
+    }
+    let base = shared.engine.load();
+    // Mark the log's end before the first append so a failed batch can be
+    // rolled back whole.
+    let mark = shared.durability.as_ref().map(|d| d.wal.mark());
+    let applied = apply_ops(&base, &ops);
+    // ACK-after-fsync: the group-commit barrier runs before anything is
+    // published or acknowledged. If the disk refused an append or refuses
+    // the sync, nothing is published and the log is rolled back — the
+    // batch never happened as far as readers, the log, and the durability
+    // contract are concerned.
+    let mut wal_lsn = None;
+    if let Some(d) = &shared.durability {
+        let mark = mark.expect("mark taken whenever durability is attached");
+        if applied.wal_failed {
+            let reason = applied.error.as_deref().unwrap_or("write-ahead log error");
+            return abort_batch(d, mark, reason, trace_hex);
+        }
+        if let Err(e) = d.wal.flush() {
+            return abort_batch(
+                d,
+                mark,
+                &format!("write-ahead log sync failed: {e}"),
+                trace_hex,
+            );
+        }
+        wal_lsn = Some(d.wal.next_lsn().saturating_sub(1));
+        d.since_checkpoint
+            .fetch_add(applied.applied as u64, Ordering::Relaxed);
+    }
+    let mut engine = Arc::new(applied.engine);
+    shared.engine.store(engine.clone());
+
+    let mut checkpointed = false;
+    if let Some(d) = &shared.durability {
+        if d.checkpoint_every > 0
+            && d.since_checkpoint.load(Ordering::Relaxed) >= d.checkpoint_every
+        {
+            match checkpoint_engine(d, &engine) {
+                Ok(rebuilt) => {
+                    engine = Arc::new(rebuilt);
+                    shared.engine.store(engine);
+                    checkpointed = true;
+                }
+                // A failed checkpoint is not a failed mutation: the batch
+                // is applied and fsynced, so acknowledge it and leave the
+                // longer WAL for the next checkpoint attempt.
+                Err(e) => {
+                    d.checkpoint_failures.fetch_add(1, Ordering::Relaxed);
+                    eprintln!(
+                        "precis-server: auto-checkpoint failed (will retry) \
+                         trace={trace_hex}: {e}"
+                    );
+                }
+            }
+        }
+    }
+
+    let body = render_mutate_response(
+        applied.applied,
+        &applied.inserted_tids,
+        wal_lsn,
+        checkpointed,
+        applied.error.as_deref(),
+    );
+    let status = if applied.error.is_some() { 400 } else { 200 };
+    if status == 400 {
+        // Non-2xx responses carry the envelope; the partial-application
+        // report rides along in `details` so callers keep the full picture.
+        let message = applied.error.as_deref().unwrap_or("mutation failed");
+        return Response::error_detailed(400, "mutate_failed", message, body.trim_end());
+    }
+    Response::json(status, body)
+}
+
+/// Abandon a batch whose WAL writes failed: roll the log back to its
+/// pre-batch mark (leaving the published engine untouched) and report 503.
+/// A rollback failure leaves the on-disk log unknown — poison durability so
+/// no later batch can interleave with the abandoned records.
+fn abort_batch(d: &Durability, mark: WalMark, reason: &str, trace_hex: &str) -> Response {
+    match d.wal.truncate_to_mark(mark) {
+        Ok(()) => Response::error(503, "wal_failed", &format!("{reason}; batch rolled back")),
+        Err(e) => {
+            d.poison();
+            eprintln!(
+                "precis-server: WAL rollback failed after a failed batch; \
+                 mutations disabled until restart trace={trace_hex}: {e}"
+            );
+            Response::error(
+                503,
+                "wal_poisoned",
+                &format!("{reason}; rollback failed ({e}), mutations disabled until restart"),
+            )
+        }
+    }
 }
 
 #[cfg(test)]

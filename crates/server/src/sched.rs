@@ -1,4 +1,5 @@
-//! The cost-aware scheduler that replaced the FIFO admission queue.
+//! The cost-aware scheduler: one mutex over the connection queue, the
+//! cost-ordered ready queue and the single-flight table.
 //!
 //! Three policies, all driven by the Formula-2 cost prediction computed at
 //! admission time (the request is parsed *before* it queues, not when a
@@ -9,13 +10,21 @@
 //!    retry hint, instead of burning a worker on a guaranteed timeout.
 //! 2. **Ordering** — the ready queue is popped shortest-predicted-first
 //!    within deadline classes (interactive before batch), with an aging
-//!    guard: a job bypassed more than [`Scheduler::aging_threshold`] times
-//!    is scheduled next regardless of cost, so large queries cannot starve.
+//!    guard: a job bypassed [`AGING_THRESHOLD`] times is scheduled next
+//!    regardless of cost, so large queries cannot starve.
 //! 3. **Coalescing** — concurrent identical requests (same canonical
 //!    tokens, constraints, and strategy) share one execution whose answer
 //!    fans out to every waiter. A flight accepts joiners from the moment it
 //!    queues until its result is taken for fan-out, including while it is
 //!    executing.
+//!
+//! A flight's waiters live in the scheduler's state, keyed by the flight's
+//! [`FlightKey`], from admission until [`Scheduler::finish`] removes them:
+//! a join is a `push` under the lock admission already holds, and `finish`
+//! is a `remove` under the same lock, so "attached in time" and "in the
+//! fan-out list" are the same fact and an identical request arriving after
+//! `finish` finds no entry and starts a fresh flight. Every operation takes
+//! the state lock exactly once.
 //!
 //! The scheduler is generic over the raw-connection, job-payload, and
 //! waiter types so its invariants are testable without sockets: `C` is what
@@ -25,8 +34,12 @@
 //! connection improves the ordering information the queue acts on.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
+
+/// Starvation bound for the cost-ordered queue: a query bypassed this many
+/// times is scheduled next regardless of predicted cost or class.
+pub const AGING_THRESHOLD: u32 = 8;
 
 /// Deadline class of a query. Interactive jobs are always scheduled ahead
 /// of batch jobs (aging aside); within a class the cheapest predicted cost
@@ -66,64 +79,30 @@ impl FlightKey {
     }
 }
 
-/// The waiter list of one flight. Kept behind its own lock (always taken
-/// *after* the scheduler lock) so late joiners can attach while the worker
-/// executes, and the fan-out takes everything that attached in time.
+/// One flight: queued in the ready queue until a pop hands it to a worker.
+/// Its waiters are not here — they stay in the scheduler, under its lock,
+/// until [`Scheduler::finish`].
 #[derive(Debug)]
-struct FlightWaiters<W> {
-    /// `false` once the fan-out has drained the list; attaches are refused.
-    open: bool,
-    waiters: Vec<W>,
-}
-
-#[derive(Debug)]
-struct QueuedJob<P, W> {
-    seq: u64,
-    class: Priority,
-    predicted_secs: Option<f64>,
-    deadline: Option<Instant>,
-    admitted: Instant,
-    /// Pops that chose a younger job over this one. Crossing the aging
-    /// threshold promotes the job to the head of the queue.
-    bypassed: u32,
-    key: Option<FlightKey>,
-    payload: P,
-    waiters: Arc<Mutex<FlightWaiters<W>>>,
-}
-
-/// A job handed to a worker for execution.
-#[derive(Debug)]
-pub struct Job<P, W> {
+pub struct Job<P> {
     pub seq: u64,
     pub class: Priority,
     pub predicted_secs: Option<f64>,
-    /// The creator's deadline; joiners may be more permissive — take the
-    /// max over [`Job::inspect_waiters`] at execution start.
-    pub deadline: Option<Instant>,
     pub admitted: Instant,
-    /// This pop chose the job ahead of at least one older one (the
-    /// shortest-predicted-first order disagreed with FIFO).
+    /// Pops that chose a younger job over this one. Crossing the aging
+    /// threshold promotes the job to the head of the queue.
+    bypassed: u32,
+    /// The pop that took this job chose it ahead of at least one older one
+    /// (the shortest-predicted-first order disagreed with FIFO).
     pub reordered: bool,
     pub payload: P,
-    key: Option<FlightKey>,
-    waiters: Arc<Mutex<FlightWaiters<W>>>,
-}
-
-impl<P, W> Job<P, W> {
-    /// Run `f` over the waiters attached so far. Joiners may still attach
-    /// afterwards (until [`Scheduler::finish`]), so treat the view as a
-    /// lower bound, not the fan-out set.
-    pub fn inspect_waiters<R>(&self, f: impl FnOnce(&[W]) -> R) -> R {
-        let cell = self.waiters.lock().unwrap_or_else(|p| p.into_inner());
-        f(&cell.waiters)
-    }
+    key: FlightKey,
 }
 
 /// One unit of work for a worker: an unparsed connection (read it, then
 /// either answer inline or submit a query job) or a scheduled query.
-pub enum Work<C, P, W> {
+pub enum Work<C, P> {
     Conn(C),
-    Job(Job<P, W>),
+    Job(Job<P>),
 }
 
 /// Why a raw connection was refused at the acceptor.
@@ -174,8 +153,10 @@ pub enum ShedReason {
 #[derive(Debug)]
 struct State<C, P, W> {
     conns: VecDeque<C>,
-    ready: Vec<QueuedJob<P, W>>,
-    flights: HashMap<FlightKey, Arc<Mutex<FlightWaiters<W>>>>,
+    ready: Vec<Job<P>>,
+    /// The waiters of every flight that is queued or executing, in attach
+    /// order (the creator first).
+    flights: HashMap<FlightKey, Vec<W>>,
     next_seq: u64,
     closed: bool,
     /// EWMA of measured/predicted service-time ratio over completed jobs;
@@ -228,14 +209,6 @@ impl<C, P, W> Scheduler<C, P, W> {
         }
     }
 
-    pub fn conn_capacity(&self) -> usize {
-        self.conn_capacity
-    }
-
-    pub fn aging_threshold(&self) -> u32 {
-        self.aging_threshold
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, State<C, P, W>> {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
@@ -255,10 +228,8 @@ impl<C, P, W> Scheduler<C, P, W> {
         Ok(())
     }
 
-    /// Admit one parsed query: coalesce onto an identical flight, shed it,
-    /// or queue it as a fresh flight. `key` must be `None` when the request
-    /// opted out of coalescing — a keyless flight neither joins nor accepts
-    /// joiners.
+    /// Admit one parsed query: coalesce onto the identical flight if one is
+    /// queued or executing, shed it, or queue it as a fresh flight.
     #[allow(clippy::too_many_arguments)]
     pub fn submit_query(
         &self,
@@ -267,7 +238,7 @@ impl<C, P, W> Scheduler<C, P, W> {
         predicted_secs: Option<f64>,
         deadline: Option<Instant>,
         admitted: Instant,
-        key: Option<FlightKey>,
+        key: FlightKey,
         waiter: W,
     ) -> Admission<W> {
         let mut s = self.lock();
@@ -275,20 +246,11 @@ impl<C, P, W> Scheduler<C, P, W> {
             return Admission::Closed(waiter);
         }
 
-        if let Some(k) = &key {
-            if let Some(cell) = s.flights.get(k) {
-                let cell = Arc::clone(cell);
-                let mut fl = cell.lock().unwrap_or_else(|p| p.into_inner());
-                if fl.open {
-                    fl.waiters.push(waiter);
-                    return Admission::Coalesced {
-                        fanout: fl.waiters.len(),
-                    };
-                }
-                // The fan-out already drained this flight; fall through and
-                // queue a fresh one (the map entry is stale and about to be
-                // removed by `finish`).
-            }
+        if let Some(waiters) = s.flights.get_mut(&key) {
+            waiters.push(waiter);
+            return Admission::Coalesced {
+                fanout: waiters.len(),
+            };
         }
 
         let backlog_secs = self.backlog_per_worker(&s);
@@ -329,25 +291,18 @@ impl<C, P, W> Scheduler<C, P, W> {
             }
         }
 
-        let waiters = Arc::new(Mutex::new(FlightWaiters {
-            open: true,
-            waiters: vec![waiter],
-        }));
-        if let Some(k) = key.clone() {
-            s.flights.insert(k, Arc::clone(&waiters));
-        }
+        s.flights.insert(key.clone(), vec![waiter]);
         let seq = s.next_seq;
         s.next_seq += 1;
-        s.ready.push(QueuedJob {
+        s.ready.push(Job {
             seq,
             class,
             predicted_secs,
-            deadline,
             admitted,
             bypassed: 0,
-            key,
+            reordered: false,
             payload,
-            waiters,
+            key,
         });
         drop(s);
         self.available.notify_one();
@@ -364,7 +319,7 @@ impl<C, P, W> Scheduler<C, P, W> {
     /// Blocking pop. Raw connections first; then the scheduling policy over
     /// the ready queue. Returns `None` only once the scheduler is closed
     /// *and* drained, so shutdown still answers everything admitted.
-    pub fn pop(&self) -> Option<Work<C, P, W>> {
+    pub fn pop(&self) -> Option<Work<C, P>> {
         let mut s = self.lock();
         loop {
             if let Some(conn) = s.conns.pop_front() {
@@ -380,24 +335,12 @@ impl<C, P, W> Scheduler<C, P, W> {
         }
     }
 
-    /// Non-blocking pop, for tests and drain loops.
-    pub fn try_pop(&self) -> Option<Work<C, P, W>> {
-        let mut s = self.lock();
-        if let Some(conn) = s.conns.pop_front() {
-            return Some(Work::Conn(conn));
-        }
-        if !s.ready.is_empty() {
-            return Some(Work::Job(Self::pick_locked(&mut s, self.aging_threshold)));
-        }
-        None
-    }
-
     /// The scheduling policy. Aged jobs (bypassed ≥ threshold) go first,
     /// oldest first — this is the starvation bound: once a job has been
     /// passed over `threshold` times, nothing admitted later can precede
     /// it. Otherwise the best deadline class is served
     /// shortest-predicted-first, ties broken FIFO.
-    fn pick_locked(s: &mut State<C, P, W>, aging_threshold: u32) -> Job<P, W> {
+    fn pick_locked(s: &mut State<C, P, W>, aging_threshold: u32) -> Job<P> {
         debug_assert!(!s.ready.is_empty());
         let aged = s
             .ready
@@ -429,38 +372,25 @@ impl<C, P, W> Scheduler<C, P, W> {
                 reordered = true;
             }
         }
-        let job = s.ready.swap_remove(idx);
-        Job {
-            seq: job.seq,
-            class: job.class,
-            predicted_secs: job.predicted_secs,
-            deadline: job.deadline,
-            admitted: job.admitted,
-            reordered,
-            payload: job.payload,
-            key: job.key,
-            waiters: job.waiters,
-        }
+        let mut job = s.ready.swap_remove(idx);
+        job.reordered = reordered;
+        job
+    }
+
+    /// Run `f` over the waiters attached to `job`'s flight so far, creator
+    /// first. Joiners may still attach afterwards (until
+    /// [`Scheduler::finish`]), so treat the view as a lower bound, not the
+    /// fan-out set.
+    pub fn with_waiters<R>(&self, job: &Job<P>, f: impl FnOnce(&[W]) -> R) -> R {
+        f(self.lock().flights.get(&job.key).map_or(&[], Vec::as_slice))
     }
 
     /// Take the flight's waiters for fan-out and retire it from the
-    /// coalescing table. After this, an identical request starts a fresh
-    /// flight; waiters that attached before the call are all in the
-    /// returned list.
-    pub fn finish(&self, job: &Job<P, W>) -> Vec<W> {
-        let mut s = self.lock();
-        if let Some(k) = &job.key {
-            if s.flights
-                .get(k)
-                .is_some_and(|cell| Arc::ptr_eq(cell, &job.waiters))
-            {
-                s.flights.remove(k);
-            }
-        }
-        drop(s);
-        let mut cell = job.waiters.lock().unwrap_or_else(|p| p.into_inner());
-        cell.open = false;
-        std::mem::take(&mut cell.waiters)
+    /// coalescing table. Waiters that attached before the call are all in
+    /// the returned list, in attach order; after it, an identical request
+    /// starts a fresh flight.
+    pub fn finish(&self, job: &Job<P>) -> Vec<W> {
+        self.lock().flights.remove(&job.key).unwrap_or_default()
     }
 
     /// Report a completed execution so the shed false-positive estimator
@@ -499,25 +429,33 @@ impl<C, P, W> Scheduler<C, P, W> {
         self.lock().closed = true;
         self.available.notify_all();
     }
-
-    /// Raw connections waiting to be read.
-    pub fn conns_len(&self) -> usize {
-        self.lock().conns.len()
-    }
-
-    /// Parsed queries waiting for a worker.
-    pub fn ready_len(&self) -> usize {
-        self.lock().ready.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use precis_core::CancelToken;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Arc, Barrier};
     use std::time::Duration;
 
     type S = Scheduler<u32, &'static str, u32>;
+
+    impl<C, P, W> Scheduler<C, P, W> {
+        /// Parsed queries waiting for a worker.
+        fn ready_len(&self) -> usize {
+            self.lock().ready.len()
+        }
+
+        /// [`Scheduler::pop`] without the wait: `None` when nothing is queued.
+        fn try_pop(&self) -> Option<Work<C, P>> {
+            let queued = {
+                let s = self.lock();
+                !s.conns.is_empty() || !s.ready.is_empty()
+            };
+            queued.then(|| self.pop().expect("something is queued"))
+        }
+    }
 
     fn sched(aging: u32) -> S {
         Scheduler::new(8, 8, 1, aging)
@@ -527,6 +465,13 @@ mod tests {
         Some(Instant::now() + Duration::from_secs(3600))
     }
 
+    /// A key no other submission of the test run shares: the flight it
+    /// starts is joined by nobody.
+    fn own_key() -> FlightKey {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        FlightKey::new(format!("own-{}", NEXT.fetch_add(1, Ordering::Relaxed)))
+    }
+
     fn submit(s: &S, payload: &'static str, class: Priority, cost: f64, waiter: u32) {
         match s.submit_query(
             payload,
@@ -534,7 +479,7 @@ mod tests {
             Some(cost),
             far_deadline(),
             Instant::now(),
-            None,
+            own_key(),
             waiter,
         ) {
             Admission::Queued => {}
@@ -635,7 +580,7 @@ mod tests {
     #[test]
     fn identical_requests_coalesce_into_one_flight_with_shared_bytes() {
         let s: Scheduler<u32, &'static str, (u32, CancelToken)> = Scheduler::new(8, 8, 1, 4);
-        let key = || Some(FlightKey::new("k".to_owned()));
+        let key = || FlightKey::new("k".to_owned());
         let t0 = CancelToken::new();
         let t1 = CancelToken::new();
         let t2 = CancelToken::new();
@@ -667,7 +612,8 @@ mod tests {
             Some(Work::Job(j)) => j,
             _ => panic!("expected the flight"),
         };
-        // A joiner can still attach while the flight executes.
+        // A joiner can still attach between the pop and `finish`, and the
+        // executing worker sees it in its locked view of the flight.
         assert!(matches!(
             s.submit_query(
                 "q",
@@ -681,6 +627,7 @@ mod tests {
             Admission::Coalesced { fanout: 3 }
         ));
         assert_eq!(s.ready_len(), 0, "joiners add no queue entries");
+        assert_eq!(s.with_waiters(&job, |ws| ws.len()), 3);
 
         // Cancelling one waiter's token must not cancel the flight: the
         // flight runs on its own token, never a clone of a waiter's.
@@ -692,6 +639,8 @@ mod tests {
         let waiters = s.finish(&job);
         let ids: Vec<u32> = waiters.iter().map(|(id, _)| *id).collect();
         assert_eq!(ids, [0, 1, 2], "every waiter sees the one result");
+
+        assert!(s.finish(&job).is_empty(), "a flight fans out once");
 
         // After finish, the key maps to nothing: identical requests start a
         // fresh flight instead of attaching to drained state.
@@ -710,35 +659,56 @@ mod tests {
     }
 
     #[test]
-    fn opting_out_of_coalescing_isolates_the_request() {
-        let s = sched(4);
-        let key = Some(FlightKey::new("same".to_owned()));
-        assert!(matches!(
-            s.submit_query(
-                "a",
-                Priority::Interactive,
-                None,
-                None,
-                Instant::now(),
-                key.clone(),
-                0
-            ),
-            Admission::Queued
-        ));
-        // coalesce=false is expressed as key=None: no join, no flight entry.
-        assert!(matches!(
-            s.submit_query(
-                "b",
-                Priority::Interactive,
-                None,
-                None,
-                Instant::now(),
-                None,
-                1
-            ),
-            Admission::Queued
-        ));
-        assert_eq!(s.ready_len(), 2);
+    fn concurrent_joins_and_finishes_deliver_every_waiter_exactly_once() {
+        const SUBMITTERS: u32 = 4;
+        const EACH: u32 = 1_000;
+        let s: Arc<Scheduler<u32, (), u32>> = Arc::new(Scheduler::new(1, 1, 1, 4));
+        let start = Arc::new(Barrier::new(SUBMITTERS as usize + 1));
+        let popper = {
+            let (s, start) = (Arc::clone(&s), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let mut delivered = Vec::new();
+                while let Some(Work::Job(job)) = s.pop() {
+                    delivered.extend(s.finish(&job));
+                }
+                delivered
+            })
+        };
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let (s, start) = (Arc::clone(&s), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 0..EACH {
+                        // One key throughout, so the ready queue never holds
+                        // more than the one flight its capacity allows: every
+                        // submission either starts the flight or joins it.
+                        let admission = s.submit_query(
+                            (),
+                            Priority::Interactive,
+                            None,
+                            None,
+                            Instant::now(),
+                            FlightKey::new("same".to_owned()),
+                            t * EACH + i,
+                        );
+                        assert!(
+                            matches!(admission, Admission::Queued | Admission::Coalesced { .. }),
+                            "{admission:?}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for t in submitters {
+            t.join().expect("submitter");
+        }
+        s.close();
+        let mut delivered = popper.join().expect("popper");
+        delivered.sort_unstable();
+        let all: Vec<u32> = (0..SUBMITTERS * EACH).collect();
+        assert_eq!(delivered, all, "a waiter was lost or delivered twice");
     }
 
     #[test]
@@ -751,7 +721,7 @@ mod tests {
             Some(0.001),
             far_deadline(),
             Instant::now(),
-            None,
+            own_key(),
             1,
         ) {
             Admission::Shed(shed, _) => {
@@ -771,7 +741,7 @@ mod tests {
             Some(0.001),
             Some(Instant::now() + Duration::from_millis(10)),
             Instant::now(),
-            None,
+            own_key(),
             1,
         ) {
             Admission::Shed(shed, _) => {
@@ -788,7 +758,7 @@ mod tests {
                 Some(10.0),
                 None,
                 Instant::now(),
-                None,
+                own_key(),
                 2
             ),
             Admission::Queued
@@ -813,7 +783,7 @@ mod tests {
             Some(0.001),
             Some(Instant::now() + Duration::from_millis(40)),
             Instant::now(),
-            None,
+            own_key(),
             1,
         ) {
             Admission::Shed(shed, _) => {
@@ -838,7 +808,7 @@ mod tests {
                 None,
                 None,
                 Instant::now(),
-                None,
+                own_key(),
                 1
             ),
             Admission::Closed(1)

@@ -152,6 +152,15 @@ fn overload_answers_429_with_retry_after_and_bounded_queue() {
     assert!(body.contains("\"code\": \"overloaded\""), "{body}");
     assert!(body.contains("\"retry_after_ms\""), "{body}");
     assert!(handle.metrics().rejected_total() >= 1);
+    // The acceptor's refusal leaves through the same exit as a worker's
+    // response: it names a trace in the header and in the envelope.
+    let refused_id = trace_id_of(&head);
+    assert!(
+        body.contains(&format!("\"trace_id\": \"{refused_id}\"")),
+        "{body}"
+    );
+    assert!(head.contains("traceparent: 00-"), "{head}");
+    assert!(handle.metrics().requests_for("other", 429) >= 1);
 
     // Release the held connections; the pool drains and serves again.
     drop(busy);
@@ -159,6 +168,15 @@ fn overload_answers_429_with_retry_after_and_bounded_queue() {
     std::thread::sleep(Duration::from_millis(150));
     let (status, _, body) = roundtrip(addr, "GET /v1/healthz HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status, 200, "{body}");
+
+    // The refusal's id resolves: nobody read the request, so the retained
+    // trace is the synthesized root span, under endpoint `other`.
+    let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{refused_id}"));
+    assert_eq!(status, 200, "{detail}");
+    let doc = json::parse(&detail).expect("refusal trace parses");
+    assert_eq!(doc.get("status").and_then(|s| s.as_f64()), Some(429.0));
+    assert!(detail.contains("\"endpoint\": \"other\""), "{detail}");
+    assert!(detail.contains("request.degraded_capture"), "{detail}");
     handle.join();
 }
 
@@ -529,7 +547,7 @@ fn durable_fixture(
     dir: &std::path::Path,
 ) -> (
     Arc<PrecisEngine>,
-    precis_server::mutate::Durability,
+    precis_server::Durability,
     precis_durability::SharedWal,
 ) {
     use precis_durability::{DurableStore, FsyncPolicy, SharedWal};
@@ -554,7 +572,7 @@ fn durable_fixture(
     );
     db.set_wal_sink(Arc::new(wal.clone()));
     let engine = Arc::new(PrecisEngine::new(db, movies_graph()).expect("engine builds"));
-    let durability = precis_server::mutate::Durability::new(store, wal.clone(), 0);
+    let durability = precis_server::Durability::new(store, wal.clone(), 0);
     (engine, durability, wal)
 }
 
@@ -896,11 +914,8 @@ fn v1_is_the_only_mount_and_errors_carry_the_envelope() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("priority"), "{body}");
 
-    // The scheduler knobs are accepted on the wire.
-    let (status, _, body) = post_query(
-        addr,
-        r#"{"tokens": "comedy", "priority": "batch", "coalesce": false}"#,
-    );
+    // The scheduler's one knob is accepted on the wire.
+    let (status, _, body) = post_query(addr, r#"{"tokens": "comedy", "priority": "batch"}"#);
     assert_eq!(status, 200, "{body}");
     handle.join();
 }
@@ -953,6 +968,95 @@ fn identical_concurrent_queries_coalesce_into_one_execution() {
     assert_eq!(handle.metrics().coalesced_total(), 3);
     assert!(handle.metrics().requests_for("query", 200) >= 4);
     handle.join();
+}
+
+#[test]
+fn a_flights_waiters_all_have_their_bytes_before_any_of_its_traces_is_retained() {
+    const WORKERS: usize = 2;
+    let handle = Server::start(
+        test_engine(),
+        None,
+        ServerConfig {
+            workers: WORKERS,
+            queue_capacity: 16,
+            io_timeout: Some(Duration::from_millis(400)),
+            ..retain_everything()
+        },
+    )
+    .expect("server starts");
+    let addr = handle.local_addr();
+
+    // The check is only meaningful for a round in which all four identical
+    // queries rode one flight (three joins). Pinning every worker makes
+    // that the usual case, but on a loaded host a worker can finish the
+    // flight before the other has admitted the last query, so a round that
+    // split is run again, under fresh trace ids, rather than judged.
+    let body = r#"{"tokens": ["drama", "thriller"], "degree": {"minweight": 0.5}}"#;
+    for round in 1..=5u32 {
+        let joins_before = handle.metrics().coalesced_total();
+        let busy: Vec<TcpStream> = (0..WORKERS)
+            .map(|_| TcpStream::connect(addr).expect("busy conn"))
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        // Each query names its own trace id, so the test knows what to look
+        // for before a response arrives.
+        let ids: Vec<String> = (1..=4).map(|i| format!("{round:016x}{i:016x}")).collect();
+        let mut clients: Vec<TcpStream> = ids
+            .iter()
+            .map(|id| {
+                let raw = format!(
+                    "POST /v1/query HTTP/1.1\r\nHost: t\r\n\
+                     traceparent: 00-{id}-00000000000000aa-01\r\nContent-Length: {}\r\n\r\n{body}",
+                    body.len()
+                );
+                let mut s = TcpStream::connect(addr).expect("client conn");
+                s.write_all(raw.as_bytes()).expect("send");
+                s
+            })
+            .collect();
+        drop(busy);
+
+        // One worker runs the flight; the other serves this poll. Under
+        // zero slow thresholds every waiter's trace is retained, so stop at
+        // the first one that is.
+        let retained = |id: &String| get_v1(addr, &format!("/v1/debug/traces/{id}")).0 == 200;
+        let first = settled(|| ids.iter().find(|id| retained(id)), Option::is_some);
+        assert!(first.is_some(), "no trace of the flight was ever retained");
+
+        // The fan-out sends to every waiter before it settles any: with one
+        // trace retained, every response is already in its client's socket,
+        // in full and closed, so none of these reads has anything to wait
+        // for. (Best-effort: the poll is an HTTP round trip, so this catches
+        // a settle that runs well ahead of a send, not one a few
+        // microseconds ahead.)
+        let mut still_waiting = Vec::new();
+        for (s, id) in clients.iter_mut().zip(&ids) {
+            s.set_nonblocking(true).expect("nonblocking");
+            let mut out = Vec::new();
+            if let Err(e) = s.read_to_end(&mut out) {
+                still_waiting.push(format!("{id}: {e}"));
+                s.set_nonblocking(false).expect("blocking");
+                s.read_to_end(&mut out).expect("response");
+            }
+            let response = String::from_utf8(out).expect("utf-8");
+            let (head, got) = response.split_once("\r\n\r\n").expect("header block");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert_eq!(trace_id_of(head), *id);
+            assert!(
+                head.contains(&format!("Content-Length: {}", got.len())),
+                "{head}"
+            );
+        }
+        if handle.metrics().coalesced_total() - joins_before == 3 {
+            assert!(
+                still_waiting.is_empty(),
+                "a trace was retained while waiters of the same flight had no bytes: {still_waiting:?}"
+            );
+            handle.join();
+            return;
+        }
+    }
+    panic!("five rounds and the four queries never shared one flight");
 }
 
 #[test]

@@ -1,232 +1,18 @@
-//! The selection executor: the access paths the précis algorithms run on.
+//! Round-Robin's access path: one open scan per join value.
 //!
 //! The Result Database Generator never executes an actual join; it issues
-//! selection queries of two shapes (paper §5.2):
-//!
-//! * `σ_Tids(R)[π(R)]` — fetch a known tid list, project, optionally limit
-//!   ([`Database::select_by_tids`]);
-//! * `σ_Ids(R)[π(R)]` — fetch tuples whose join attribute is in a value
-//!   list, project, optionally limit. The limited variant is the paper's
-//!   **NaïveQ** (`ROWNUM`-style first-N) and is served by
-//!   [`Database::select_by_values`]; the per-value **Round-Robin** variant is
-//!   served by one [`ValueScan`] per join value.
+//! selection queries `σ_Ids(R)` — fetch the tuples whose join attribute is
+//! in a value list (paper §5.2). The retrieval strategies that decide *which*
+//! of those tuples to take live in `precis-core`'s `db_gen`: **NaïveQ**
+//! (`ROWNUM`-style first-N over the value list) and **TopWeight** read the
+//! index posting lists directly, and **Round-Robin** opens one
+//! [`ValueScan`] per join value and takes one tuple per scan per round.
 
 use crate::database::Database;
 use crate::schema::RelationId;
-use crate::tuple::{TupleId, TupleRef};
-use crate::value::{Datum, Value, ValueRef};
+use crate::tuple::TupleId;
+use crate::value::{Datum, Value};
 use crate::Result;
-use std::collections::HashSet;
-
-/// One projected result row, tagged with the tuple id it came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Row {
-    pub tid: TupleId,
-    pub values: Vec<Value>,
-}
-
-/// A projected result set.
-pub type Projected = Vec<Row>;
-
-/// A predicate algebra for full scans (used by the baseline and by ad-hoc
-/// exploration). Comparisons use the total order of [`Value`]; NULLs compare
-/// like any other value (there is no three-valued logic in this engine).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// Always true.
-    True,
-    /// `attr = value`.
-    Eq(usize, Value),
-    /// `attr <> value`.
-    Ne(usize, Value),
-    /// `attr < value`.
-    Lt(usize, Value),
-    /// `attr <= value`.
-    Le(usize, Value),
-    /// `attr > value`.
-    Gt(usize, Value),
-    /// `attr >= value`.
-    Ge(usize, Value),
-    /// `attr IN values`.
-    In(usize, Vec<Value>),
-    /// Case-insensitive substring match on a text attribute (false for
-    /// non-text values). The needle **must already be lowercase**; build this
-    /// through [`Predicate::contains`], which lowercases once at construction
-    /// instead of once per tuple on the scan hot path.
-    Contains(usize, String),
-    /// Conjunction.
-    And(Vec<Predicate>),
-    /// Disjunction.
-    Or(Vec<Predicate>),
-    /// Negation.
-    Not(Box<Predicate>),
-}
-
-impl Predicate {
-    /// Build a case-insensitive substring predicate on `attr`. The needle is
-    /// lowercased here, once, so [`Predicate::matches`] does no per-tuple
-    /// needle work.
-    pub fn contains(attr: usize, needle: impl AsRef<str>) -> Predicate {
-        Predicate::Contains(attr, needle.as_ref().to_lowercase())
-    }
-
-    /// Evaluate against a tuple's values.
-    pub fn matches(&self, values: &[Value]) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::Eq(a, v) => &values[*a] == v,
-            Predicate::Ne(a, v) => &values[*a] != v,
-            Predicate::Lt(a, v) => &values[*a] < v,
-            Predicate::Le(a, v) => &values[*a] <= v,
-            Predicate::Gt(a, v) => &values[*a] > v,
-            Predicate::Ge(a, v) => &values[*a] >= v,
-            Predicate::In(a, vs) => vs.contains(&values[*a]),
-            Predicate::Contains(a, needle) => values[*a]
-                .as_text()
-                .is_some_and(|s| contains_case_insensitive(s, needle)),
-            Predicate::And(ps) => ps.iter().all(|p| p.matches(values)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches(values)),
-            Predicate::Not(p) => !p.matches(values),
-        }
-    }
-
-    /// Evaluate against a stored tuple without materializing its values —
-    /// the scan hot path reads column slabs in place.
-    pub fn matches_ref(&self, t: &TupleRef<'_>) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::Eq(a, v) => t.get(*a) == *v,
-            Predicate::Ne(a, v) => t.get(*a) != *v,
-            Predicate::Lt(a, v) => t.get(*a) < ValueRef::from(v),
-            Predicate::Le(a, v) => t.get(*a) <= ValueRef::from(v),
-            Predicate::Gt(a, v) => t.get(*a) > ValueRef::from(v),
-            Predicate::Ge(a, v) => t.get(*a) >= ValueRef::from(v),
-            Predicate::In(a, vs) => {
-                let x = t.get(*a);
-                vs.iter().any(|v| x == *v)
-            }
-            Predicate::Contains(a, needle) => t
-                .get(*a)
-                .as_text()
-                .is_some_and(|s| contains_case_insensitive(s, needle)),
-            Predicate::And(ps) => ps.iter().all(|p| p.matches_ref(t)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches_ref(t)),
-            Predicate::Not(p) => !p.matches_ref(t),
-        }
-    }
-}
-
-/// Does `haystack` contain `lowered_needle` ignoring case? The needle is
-/// pre-lowercased by [`Predicate::contains`]; the all-ASCII fast path scans
-/// without allocating, the Unicode path falls back to a full lowercase.
-fn contains_case_insensitive(haystack: &str, lowered_needle: &str) -> bool {
-    if lowered_needle.is_empty() {
-        return true;
-    }
-    if haystack.is_ascii() && lowered_needle.is_ascii() {
-        let needle = lowered_needle.as_bytes();
-        haystack
-            .as_bytes()
-            .windows(needle.len())
-            .any(|w| w.eq_ignore_ascii_case(needle))
-    } else {
-        haystack.to_lowercase().contains(lowered_needle)
-    }
-}
-
-impl Database {
-    /// `σ_Tids(R)[π(R)]`: fetch the tuples named by `tids`, project them on
-    /// `projection`, stopping after `limit` rows if given. Dead tids are
-    /// skipped. Each materialized row costs one tuple read.
-    pub fn select_by_tids(
-        &self,
-        rel: RelationId,
-        tids: impl IntoIterator<Item = TupleId>,
-        projection: &[usize],
-        limit: Option<usize>,
-    ) -> Projected {
-        let cap = limit.unwrap_or(usize::MAX);
-        let mut out = Vec::new();
-        for tid in tids {
-            if out.len() >= cap {
-                break;
-            }
-            if let Ok(t) = self.fetch_from(rel, tid) {
-                out.push(Row {
-                    tid,
-                    values: t.project(projection),
-                });
-            }
-        }
-        out
-    }
-
-    /// `σ_Ids(R)[π(R)]` with a `ROWNUM`-style cap — the paper's **NaïveQ**.
-    ///
-    /// Retrieves tuples of `rel` whose `attr` equals any of `values`, via the
-    /// index on `attr`, in value-list order, deduplicated by tid, stopping at
-    /// `limit`. As the paper notes, on a 1-to-n join this may exhaust the
-    /// budget on the first few values, starving later ones.
-    pub fn select_by_values(
-        &self,
-        rel: RelationId,
-        attr: usize,
-        values: &[Value],
-        projection: &[usize],
-        limit: Option<usize>,
-    ) -> Result<Projected> {
-        crate::failpoint::check("select_by_values")?;
-        let cap = limit.unwrap_or(usize::MAX);
-        let mut out = Vec::new();
-        let mut seen: HashSet<TupleId> = HashSet::new();
-        'outer: for v in values {
-            // Two shared borrows of `self` (index slice + tuple fetch)
-            // coexist fine — no need to clone the tid list.
-            let tids = self.lookup(rel, attr, v)?;
-            for &tid in tids {
-                if out.len() >= cap {
-                    break 'outer;
-                }
-                if !seen.insert(tid) {
-                    continue;
-                }
-                let t = self.fetch_from(rel, tid)?;
-                out.push(Row {
-                    tid,
-                    values: t.project(projection),
-                });
-            }
-        }
-        Ok(out)
-    }
-
-    /// Full scan with predicate and projection (baseline access path).
-    pub fn scan(
-        &self,
-        rel: RelationId,
-        predicate: &Predicate,
-        projection: &[usize],
-        limit: Option<usize>,
-    ) -> Projected {
-        let cap = limit.unwrap_or(usize::MAX);
-        let mut out = Vec::new();
-        for (tid, t) in self.table(rel).iter() {
-            if out.len() >= cap {
-                break;
-            }
-            self.stats().count_tuple_read();
-            if predicate.matches_ref(&t) {
-                out.push(Row {
-                    tid,
-                    values: t.project(projection),
-                });
-            }
-        }
-        out
-    }
-}
-
-// `count_tuple_read` is pub(crate); re-open stats access for scan above.
 
 /// An open scan of the tuples joining to **one** value — the unit of the
 /// paper's Round-Robin retrieval ("for each tuple in R_i', a scan of joining
@@ -268,21 +54,16 @@ impl ValueScan {
         self.pos < self.tids.len()
     }
 
-    /// Retrieve the next joining tuple, projected (one tuple read), or `None`
-    /// when the scan is exhausted.
-    pub fn next_row(&mut self, db: &Database, projection: &[usize]) -> Result<Option<Row>> {
+    /// Retrieve the next joining tuple's id (one tuple read), or `None` when
+    /// the scan is exhausted.
+    pub fn next_tid(&mut self, db: &Database) -> Result<Option<TupleId>> {
         crate::failpoint::check("value_scan_next")?;
         while self.pos < self.tids.len() {
             let tid = self.tids[self.pos];
             self.pos += 1;
-            match db.fetch_from(self.rel, tid) {
-                Ok(t) => {
-                    return Ok(Some(Row {
-                        tid,
-                        values: t.project(projection),
-                    }))
-                }
-                Err(_) => continue, // tombstoned since the index was read
+            // A miss is a tuple tombstoned since the index was read.
+            if db.fetch_from(self.rel, tid).is_ok() {
+                return Ok(Some(tid));
             }
         }
         Ok(None)
@@ -347,47 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn select_by_tids_projects_and_limits() {
-        let (db, play, _) = db_with_plays();
-        let rows = db.select_by_tids(play, (0..7).map(TupleId), &[0], Some(3));
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].values, vec![Value::from(0)]);
-        // Dead tids are skipped silently.
-        let rows = db.select_by_tids(play, [TupleId(100)], &[0], None);
-        assert!(rows.is_empty());
-    }
-
-    #[test]
-    fn naiveq_skews_toward_first_values() {
-        let (db, play, mid) = db_with_plays();
-        let values = [Value::from(0), Value::from(1), Value::from(2)];
-        let rows = db
-            .select_by_values(play, mid, &values, &[0, 1], Some(5))
-            .unwrap();
-        assert_eq!(rows.len(), 5);
-        // All 4 plays of movie 0 are taken before movie 1 gets any — the skew
-        // the paper warns about.
-        let movie0 = rows
-            .iter()
-            .filter(|r| r.values[1] == Value::from(0))
-            .count();
-        assert_eq!(movie0, 4);
-        let movie2 = rows
-            .iter()
-            .filter(|r| r.values[1] == Value::from(2))
-            .count();
-        assert_eq!(movie2, 0);
-    }
-
-    #[test]
-    fn naiveq_dedupes_repeated_values() {
-        let (db, play, mid) = db_with_plays();
-        let values = [Value::from(2), Value::from(2)];
-        let rows = db.select_by_values(play, mid, &values, &[0], None).unwrap();
-        assert_eq!(rows.len(), 1);
-    }
-
-    #[test]
     fn round_robin_scans_balance_across_values() {
         let (db, play, mid) = db_with_plays();
         let mut scans: Vec<ValueScan> = [0, 1, 2]
@@ -397,83 +137,14 @@ mod tests {
         let mut out = Vec::new();
         // One round: one tuple per open scan.
         for s in &mut scans {
-            if let Some(r) = s.next_row(&db, &[1]).unwrap() {
-                out.push(r.values[0].clone());
+            if let Some(tid) = s.next_tid(&db).unwrap() {
+                out.push(db.fetch_from(play, tid).unwrap().get(mid).to_value());
             }
         }
         assert_eq!(out, vec![Value::from(0), Value::from(1), Value::from(2)]);
-        assert!(scans[2].next_row(&db, &[1]).unwrap().is_none());
+        assert!(scans[2].next_tid(&db).unwrap().is_none());
         assert!(!scans[2].is_open());
         assert_eq!(scans[0].remaining(), 3);
-    }
-
-    #[test]
-    fn scan_applies_predicates() {
-        let (db, play, mid) = db_with_plays();
-        let p = Predicate::And(vec![
-            Predicate::In(mid, vec![Value::from(0), Value::from(1)]),
-            Predicate::Eq(2, Value::from("2026-01-01")),
-        ]);
-        let rows = db.scan(play, &p, &[0], None);
-        assert_eq!(rows.len(), 6);
-        let rows = db.scan(play, &Predicate::True, &[0], Some(2));
-        assert_eq!(rows.len(), 2);
-        assert!(!Predicate::Eq(0, Value::from(1)).matches(&[Value::from(2)]));
-    }
-
-    #[test]
-    fn predicate_algebra_comparisons() {
-        let row = &[Value::from(5), Value::from("Match Point")];
-        assert!(Predicate::Ne(0, Value::from(4)).matches(row));
-        assert!(Predicate::Lt(0, Value::from(6)).matches(row));
-        assert!(Predicate::Le(0, Value::from(5)).matches(row));
-        assert!(Predicate::Gt(0, Value::from(4)).matches(row));
-        assert!(Predicate::Ge(0, Value::from(5)).matches(row));
-        assert!(!Predicate::Gt(0, Value::from(5)).matches(row));
-        assert!(Predicate::contains(1, "match").matches(row));
-        assert!(Predicate::contains(1, "POINT").matches(row));
-        assert!(!Predicate::contains(0, "5").matches(row), "non-text");
-        assert!(Predicate::Or(vec![
-            Predicate::Eq(0, Value::from(9)),
-            Predicate::contains(1, "point"),
-        ])
-        .matches(row));
-        assert!(Predicate::Not(Box::new(Predicate::Eq(0, Value::from(9)))).matches(row));
-        assert!(!Predicate::Or(vec![]).matches(row));
-        assert!(Predicate::And(vec![]).matches(row));
-    }
-
-    #[test]
-    fn range_scan_via_predicates() {
-        let (db, play, _) = db_with_plays();
-        // pids are 0..7; take the middle band.
-        let p = Predicate::And(vec![
-            Predicate::Ge(0, Value::from(2)),
-            Predicate::Lt(0, Value::from(5)),
-        ]);
-        let rows = db.scan(play, &p, &[0], None);
-        let pids: Vec<i64> = rows.iter().map(|r| r.values[0].as_int().unwrap()).collect();
-        assert_eq!(pids, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn contains_constructor_lowercases_once_and_matches_all_cases() {
-        // Regression for the per-tuple `to_lowercase` hoist: the constructor
-        // stores the lowered needle, matching stays case-insensitive both
-        // ways, and the stored needle is observably pre-lowered.
-        let p = Predicate::contains(0, "MiXeD CaSe");
-        match &p {
-            Predicate::Contains(_, needle) => assert_eq!(needle, "mixed case"),
-            other => panic!("unexpected predicate {other:?}"),
-        }
-        assert!(p.matches(&[Value::from("prefix MIXED case suffix")]));
-        assert!(p.matches(&[Value::from("mixed case")]));
-        assert!(!p.matches(&[Value::from("mixed-case")]));
-        // Unicode path (non-ASCII haystack) still works.
-        let p = Predicate::contains(0, "CRÈME");
-        assert!(p.matches(&[Value::from("crème brûlée")]));
-        // Empty needle matches any text.
-        assert!(Predicate::contains(0, "").matches(&[Value::from("x")]));
     }
 
     #[test]
@@ -490,7 +161,7 @@ mod tests {
         )
         .unwrap();
         let mut n = 0;
-        while scan.next_row(&db, &[0]).unwrap().is_some() {
+        while scan.next_tid(&db).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 4, "snapshot semantics: insert after open is invisible");
@@ -507,7 +178,7 @@ mod tests {
         let mut scan = ValueScan::open(&db, play, mid, &Value::from(0)).unwrap();
         db.delete(play, victim).unwrap();
         let mut n = 0;
-        while scan.next_row(&db, &[0]).unwrap().is_some() {
+        while scan.next_tid(&db).unwrap().is_some() {
             n += 1;
         }
         assert_eq!(n, 3);

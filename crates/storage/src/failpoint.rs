@@ -39,7 +39,6 @@ pub const SITES: &[&str] = &[
     "lookup",
     "lookup_tids",
     "insert_into",
-    "select_by_values",
     "value_scan_open",
     "value_scan_next",
     "dump_to_file",

@@ -7,11 +7,10 @@
 //! through a narrow access-path vocabulary:
 //!
 //! * fetch tuples by tuple id (the inverted index hands back tid lists),
-//! * indexed `attr IN (v1, v2, …)` selections with a `ROWNUM`-style limit
-//!   (the paper's *NaïveQ* retrieval),
+//! * indexed `attr = v` probes returning a posting list, which the paper's
+//!   *NaïveQ* retrieval walks value by value under a `ROWNUM`-style limit,
 //! * one open scan of joining tuples per join value (the paper's
-//!   *Round-Robin* retrieval),
-//! * full scans with simple predicates (used by the keyword-search baseline).
+//!   *Round-Robin* retrieval).
 //!
 //! This crate implements exactly that vocabulary over typed tuples with
 //! primary-key and foreign-key constraints, plus [`AccessStats`] counters for
@@ -66,7 +65,7 @@ pub mod wal;
 
 pub use database::Database;
 pub use error::StorageError;
-pub use exec::{Predicate, Projected, Row, ValueScan};
+pub use exec::ValueScan;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{HashIndex, UniqueIndex};
 pub use schema::{AttributeDef, DatabaseSchema, ForeignKey, RelationId, RelationSchema};

@@ -133,13 +133,6 @@ fn storage_site_mapping(report: &mut FaultReport) {
             }),
         ),
         (
-            "select_by_values",
-            Box::new(|| {
-                db.select_by_values(genre, g_mid, std::slice::from_ref(&mid_value), &[0], None)
-                    .map(|_| ())
-            }),
-        ),
-        (
             "value_scan_open",
             Box::new(|| ValueScan::open(&db, genre, g_mid, &mid_value).map(|_| ())),
         ),
@@ -148,7 +141,7 @@ fn storage_site_mapping(report: &mut FaultReport) {
             Box::new(|| {
                 // Open while the open-site is not armed; only `next` is.
                 let mut scan = ValueScan::open(&db, genre, g_mid, &mid_value)?;
-                scan.next_row(&db, &[0]).map(|_| ())
+                scan.next_tid(&db).map(|_| ())
             }),
         ),
         (
@@ -369,6 +362,22 @@ fn server_resilience(report: &mut FaultReport) {
     report.check(
         inline_panics.iter().all(|r| matches!(r, Ok((500, _)))),
         || format!("panicking connection handlers should answer 500, got {inline_panics:?}"),
+    );
+    // The rescue's 500 leaves through the same exit as every other
+    // response: its envelope names a trace, and that trace was retained
+    // with the reason it exists.
+    let rescued = inline_panics.first().and_then(|r| r.as_ref().ok());
+    let rescued_id = rescued.and_then(|(_, body)| {
+        let (_, rest) = body.split_once("\"trace_id\": \"")?;
+        Some(rest.split_once('"')?.0.to_owned())
+    });
+    let rescued_trace = rescued_id.as_ref().map(|id| {
+        let path = format!("/v1/debug/traces/{id}");
+        crate::oracle::http_request(addr, "GET", &path, None)
+    });
+    report.check(
+        matches!(&rescued_trace, Some(Ok((200, detail))) if detail.contains("\"panic\"")),
+        || format!("a rescued panic's 500 should name a trace retained as `panic`: {rescued:?} → {rescued_trace:?}"),
     );
     let after_panic = post(body);
     report.check(
