@@ -151,7 +151,7 @@ impl<'a> KeywordSearch<'a> {
     /// As [`KeywordSearch::search`], additionally sorting each answer's rows
     /// by descending IR relevance (rare tokens in short fields first) and
     /// breaking answer-level join-count ties by their best row's relevance —
-    /// the hybrid of DBXplorer's structural ranking with [9]'s IR-style
+    /// the hybrid of DBXplorer's structural ranking with \[9\]'s IR-style
     /// ranking.
     pub fn search_ranked(
         &self,

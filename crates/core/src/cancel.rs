@@ -94,13 +94,6 @@ impl CancelToken {
         false
     }
 
-    /// The absolute deadline, if one is set. A scheduler coalescing
-    /// requests uses this to take the most permissive deadline across
-    /// waiters without re-deriving it from durations.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Time left until the deadline (`None` when no deadline is set).
     pub fn remaining(&self) -> Option<Duration> {
         self.deadline
@@ -161,13 +154,6 @@ mod tests {
         assert!(!c.is_cancelled());
         assert!(t.is_cancelled());
         assert!(c.is_cancelled());
-    }
-
-    #[test]
-    fn deadline_accessor_reports_the_armed_instant() {
-        assert!(CancelToken::new().deadline().is_none());
-        let at = Instant::now() + Duration::from_secs(5);
-        assert_eq!(CancelToken::with_deadline(at).deadline(), Some(at));
     }
 
     #[test]

@@ -93,10 +93,9 @@ impl DegreeConstraint {
         }
     }
 
-    /// Append a bit-exact fingerprint of the constraint to `out`: the one
-    /// key the schema memo and the server's flight table both identify a
-    /// degree by. Floats are written as their bits, so 0.9 and 0.9000000001
-    /// never collide.
+    /// Append a bit-exact fingerprint of the constraint to `out`: the key
+    /// the schema memo identifies a degree by. Floats are written as their
+    /// bits, so 0.9 and 0.9000000001 never collide.
     pub fn write_key(&self, out: &mut String) {
         match self {
             DegreeConstraint::TopProjections(r) => {

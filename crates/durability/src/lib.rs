@@ -13,7 +13,7 @@
 //!   [`precis_storage::WalSink`] so every `Database` mutation streams here.
 //! * [`write_snapshot`] / [`load_snapshot`] — `precisdb` dumps with an LSN
 //!   header, installed via temp file + atomic rename.
-//! * [`recover`] — snapshot + WAL-tail replay with an LSN floor, insert-tid
+//! * [`recover()`] — snapshot + WAL-tail replay with an LSN floor, insert-tid
 //!   verification, and physical truncate-at-first-bad-record.
 //! * [`DurableStore`] — the data-directory layout and the
 //!   checkpoint-as-compaction-point protocol.

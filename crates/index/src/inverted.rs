@@ -358,7 +358,7 @@ impl InvertedIndex {
 
     /// Inverse document frequency: `ln(1 + total_postings / df)`; rare
     /// tokens score high, missing tokens score 0. The standard IR relevance
-    /// ingredient ("IR-style answer-relevance ranking", Related Work [9]).
+    /// ingredient ("IR-style answer-relevance ranking", Related Work \[9\]).
     pub fn idf(&self, token: &str) -> f64 {
         let df = self.document_frequency(token);
         if df == 0 {

@@ -138,7 +138,7 @@ impl QueryProfile {
 
     /// A profile correlated with an already-allocated trace id — the server
     /// allocates the id at admission (so admission spans and the capture
-    /// buffer share it) and hands it to the flight's profile here.
+    /// buffer share it) and hands it to the query's profile here.
     pub fn with_trace_id(trace: u64) -> Self {
         QueryProfile {
             trace,

@@ -1,6 +1,6 @@
 //! Span vocabulary for the server's cost-aware scheduler.
 //!
-//! The scheduler emits one span per admission decision and one per flight
+//! The scheduler emits one span per admission decision and one per
 //! execution; keeping the names and field keys here (rather than as string
 //! literals scattered through `precis-server`) makes them greppable,
 //! typo-proof, and assertable from tests that capture a trace.
@@ -9,17 +9,14 @@
 //! |---------------------|---------------------------------------------|--------|
 //! | [`SPAN_ADMIT`]      | a query is parsed and priced at admission   | [`FIELD_PREDICTED_NS`], [`FIELD_CLASS`] |
 //! | [`SPAN_SHED`]       | admission refuses the query with 429        | [`FIELD_PREDICTED_NS`], [`FIELD_BACKLOG_NS`], [`FIELD_RETRY_AFTER_MS`] |
-//! | [`SPAN_COALESCE`]   | a request joins an existing flight          | [`FIELD_FANOUT`] |
-//! | [`SPAN_EXECUTE`]    | a worker runs a flight and fans the answer  | [`FIELD_FANOUT`], [`FIELD_PREDICTED_NS`], [`FIELD_CLASS`] |
+//! | [`SPAN_EXECUTE`]    | a worker runs a queued query and answers it | [`FIELD_PREDICTED_NS`], [`FIELD_CLASS`] |
 
 /// A query was parsed eagerly at admission and priced with Formula 2.
 pub const SPAN_ADMIT: &str = "sched.admit";
 /// Admission shed the query (predicted cost cannot meet its deadline given
 /// queue pressure, or the ready queue is at capacity).
 pub const SPAN_SHED: &str = "sched.shed";
-/// A request attached to an in-queue or in-flight identical execution.
-pub const SPAN_COALESCE: &str = "sched.coalesce";
-/// A worker executed a flight and fanned the rendered answer out.
+/// A worker executed a queued query and answered it.
 pub const SPAN_EXECUTE: &str = "sched.execute";
 
 /// Predicted Formula-2 cost, nanoseconds (0 when no model is calibrated).
@@ -30,8 +27,6 @@ pub const FIELD_CLASS: &str = "class";
 pub const FIELD_BACKLOG_NS: &str = "backlog_ns";
 /// The retry hint handed back with a 429.
 pub const FIELD_RETRY_AFTER_MS: &str = "retry_after_ms";
-/// Waiters answered by one execution.
-pub const FIELD_FANOUT: &str = "fanout";
 
 #[cfg(test)]
 mod tests {
@@ -49,7 +44,7 @@ mod tests {
                 admit.field(FIELD_CLASS, 0);
             }
             let exec = tracer::span(SPAN_EXECUTE);
-            exec.field(FIELD_FANOUT, 3);
+            exec.field(FIELD_CLASS, 1);
         });
         let spans = capture.take().spans;
         let admit = spans.iter().find(|s| s.name == SPAN_ADMIT).unwrap();
@@ -58,6 +53,6 @@ mod tests {
             vec![(FIELD_PREDICTED_NS, 12_000), (FIELD_CLASS, 0)]
         );
         let exec = spans.iter().find(|s| s.name == SPAN_EXECUTE).unwrap();
-        assert_eq!(exec.fields, vec![(FIELD_FANOUT, 3)]);
+        assert_eq!(exec.fields, vec![(FIELD_CLASS, 1)]);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! At request completion a tail sampler ([`retain_reasons`]) decides whether
 //! the trace was *interesting* (slow for its priority class, any non-2xx, a
-//! scheduler shed/coalesce/reorder decision, a WAL rollback, a handler
+//! scheduler shed/reorder decision, a WAL rollback, a handler
 //! panic) or passes a deterministic 1-in-N head sample. Interesting traces are
 //! retained in a byte-budgeted ring ([`TraceStore`]); everything else is
 //! dropped with a counted reason, so "we kept nothing" is always
@@ -129,6 +129,13 @@ pub const MAX_SPANS_PER_TRACE: usize = 256;
 /// is counted (`rate_limited`) instead of kept.
 pub const RETAIN_PER_SEC: u32 = 128;
 
+/// The share of the retention bucket a refusal cannot take. An overload
+/// storm produces thousands of identical 429/503 traces a second; they are
+/// retained only while the bucket is above this fraction, so the rest is
+/// always there for a `slow`, `panic` or `wal_rollback` trace — the ones
+/// that explain the storm.
+pub const REFUSAL_RESERVE: f64 = 0.5;
+
 /// Token-bucket ceiling on *speculative span captures* per second. Tail
 /// sampling cannot know at admission whether a request will turn out
 /// interesting, so capture is speculative — and recording every span of
@@ -165,14 +172,11 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// The scheduler's per-waiter decision record attached to retained traces.
+/// The scheduler's per-request decision record attached to retained traces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedDecision {
     pub predicted_ms: Option<f64>,
     pub queue_wait_ms: f64,
-    pub coalesced: bool,
-    /// Waiters the flight fanned out to (1 for an uncoalesced flight).
-    pub fanout: u64,
     pub reordered: bool,
     pub shed: Option<ShedDecision>,
 }
@@ -191,8 +195,8 @@ pub struct ShedDecision {
 /// retained, in a stable order. Empty means "drop it" — nothing about the
 /// outcome was interesting and the head sample passed it over. `class` is
 /// `"interactive"` / `"batch"` for queries and `""` elsewhere (judged by
-/// the interactive threshold); shed, coalesced and reordered are read off
-/// the scheduler's decision record.
+/// the interactive threshold); shed and reordered are read off the
+/// scheduler's decision record.
 #[allow(clippy::too_many_arguments)]
 pub fn retain_reasons(
     config: &TelemetryConfig,
@@ -219,9 +223,6 @@ pub fn retain_reasons(
     if sched.is_some_and(|s| s.shed.is_some()) {
         reasons.push("shed");
     }
-    if sched.is_some_and(|s| s.coalesced) {
-        reasons.push("coalesced");
-    }
     if sched.is_some_and(|s| s.reordered) {
         reasons.push("reordered");
     }
@@ -243,10 +244,6 @@ pub fn retain_reasons(
 pub struct RetainedTrace {
     /// 32-hex wire trace id.
     pub trace_id: String,
-    /// The flight creator's wire id, for waiters that coalesced onto an
-    /// existing flight (their spans cover admission only; the execution
-    /// spans live on the linked trace).
-    pub link: Option<String>,
     pub endpoint: &'static str,
     /// `"interactive"` / `"batch"` for queries, `""` elsewhere.
     pub class: &'static str,
@@ -281,7 +278,7 @@ impl RetainedTrace {
         let profile = self.profile.as_ref().map_or(0, |p| {
             std::mem::size_of::<ProfileSnapshot>() + p.query.len() + p.relations.len() * 96
         });
-        std::mem::size_of::<RetainedTrace>() + self.trace_id.len() + 34 + spans + profile
+        std::mem::size_of::<RetainedTrace>() + self.trace_id.len() + spans + profile
     }
 }
 
@@ -366,7 +363,8 @@ impl TraceStore {
         }
     }
 
-    fn take_token(bucket: &Mutex<Bucket>, per_sec: f64) -> bool {
+    /// Take one token, leaving at least `reserve` tokens behind.
+    fn take_token(bucket: &Mutex<Bucket>, per_sec: f64, reserve: f64) -> bool {
         if per_sec <= 0.0 {
             return true;
         }
@@ -375,7 +373,7 @@ impl TraceStore {
         let elapsed = now.duration_since(b.last).as_secs_f64();
         b.tokens = (b.tokens + elapsed * per_sec).min(per_sec);
         b.last = now;
-        if b.tokens >= 1.0 {
+        if b.tokens >= reserve + 1.0 {
             b.tokens -= 1.0;
             true
         } else {
@@ -384,16 +382,25 @@ impl TraceStore {
     }
 
     /// Take one retention token; `false` means the trace must be dropped
-    /// (count it with [`TraceStore::drop_rate_limited`]).
-    pub fn admit_retention(&self) -> bool {
-        TraceStore::take_token(&self.bucket, self.retain_per_sec)
+    /// (count it with [`TraceStore::drop_rate_limited`]). A refusal — a
+    /// 429/503 interesting only as `error`/`shed` — may not take the bucket
+    /// below [`REFUSAL_RESERVE`]; every other trace may drain it.
+    pub fn admit_retention(&self, status: u16, reasons: &[&'static str]) -> bool {
+        let refusal =
+            matches!(status, 429 | 503) && reasons.iter().all(|r| matches!(*r, "error" | "shed"));
+        let reserve = if refusal {
+            self.retain_per_sec * REFUSAL_RESERVE
+        } else {
+            0.0
+        };
+        TraceStore::take_token(&self.bucket, self.retain_per_sec, reserve)
     }
 
     /// Take one speculative-capture token; `false` means the request
     /// records no spans (if it still wins retention, finalize synthesizes
     /// a degraded single-span capture).
     pub fn admit_capture(&self) -> bool {
-        TraceStore::take_token(&self.capture_bucket, self.capture_per_sec)
+        TraceStore::take_token(&self.capture_bucket, self.capture_per_sec, 0.0)
     }
 
     /// Count an interesting trace dropped because retention is
@@ -543,7 +550,6 @@ mod tests {
     fn minimal_trace(id: &str, reasons: Vec<&'static str>) -> RetainedTrace {
         RetainedTrace {
             trace_id: id.to_owned(),
-            link: None,
             endpoint: "query",
             class: "interactive",
             status: 200,
@@ -595,12 +601,10 @@ mod tests {
         assert_ne!(a.to_hex(), "0".repeat(32));
     }
 
-    fn decision(coalesced: bool, reordered: bool, shed: bool) -> SchedDecision {
+    fn decision(reordered: bool, shed: bool) -> SchedDecision {
         SchedDecision {
             predicted_ms: None,
             queue_wait_ms: 0.0,
-            coalesced,
-            fanout: 1,
             reordered,
             shed: shed.then_some(ShedDecision {
                 reason: "deadline",
@@ -627,7 +631,7 @@ mod tests {
         assert!(plain(200, ms(30), "batch").is_empty());
         assert_eq!(plain(200, ms(30), ""), ["slow"]);
 
-        let shed = decision(false, false, true);
+        let shed = decision(false, true);
         assert_eq!(
             retain_reasons(
                 &config,
@@ -641,7 +645,7 @@ mod tests {
             ),
             ["error", "shed"]
         );
-        let busy = decision(true, true, false);
+        let busy = decision(true, false);
         assert_eq!(
             retain_reasons(
                 &config,
@@ -653,14 +657,7 @@ mod tests {
                 true,
                 true
             ),
-            [
-                "slow",
-                "error",
-                "coalesced",
-                "reordered",
-                "wal_rollback",
-                "panic"
-            ]
+            ["slow", "error", "reordered", "wal_rollback", "panic"]
         );
     }
 
@@ -676,6 +673,45 @@ mod tests {
         assert!(boring(unsampled, fast).is_empty());
         // An interesting trace never double-counts as a head sample.
         assert_eq!(boring(sampled, Duration::from_millis(30)), ["slow"]);
+    }
+
+    #[test]
+    fn a_refusal_storm_cannot_empty_the_retention_bucket() {
+        let store = TraceStore::default();
+        let mut kept = 0;
+        for i in 0..10 * RETAIN_PER_SEC {
+            let (status, reasons): (u16, &[&'static str]) = if i % 2 == 0 {
+                (429, &["error", "shed"])
+            } else {
+                (503, &["error"])
+            };
+            if store.admit_retention(status, reasons) {
+                kept += 1;
+            } else {
+                store.drop_rate_limited();
+            }
+        }
+        // The loop is one instant to a 128/s bucket; the slack is refill
+        // while a loaded host has this thread descheduled.
+        let open = RETAIN_PER_SEC - (f64::from(RETAIN_PER_SEC) * REFUSAL_RESERVE) as u32;
+        assert!(
+            (open..=open + open / 2).contains(&kept),
+            "{kept} refusals retained"
+        );
+        let mut out = String::new();
+        store.write_prometheus(&mut out);
+        let rate_limited = 10 * RETAIN_PER_SEC - kept;
+        assert!(
+            out.contains(&format!(
+                "precis_trace_dropped_total{{reason=\"rate_limited\"}} {rate_limited}"
+            )),
+            "{out}"
+        );
+        // What a refusal could not take is there for the traces that matter,
+        // and for an error that is not a refusal.
+        assert!(store.admit_retention(500, &["error", "panic"]));
+        assert!(store.admit_retention(429, &["slow", "error", "shed"]));
+        assert!(store.admit_retention(504, &["error"]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! guard — no clock read, no allocation, no thread-local borrow.
 //!
 //! Closed spans are buffered per thread and moved into their trace's
-//! capture when the buffer reaches [`FLUSH_THRESHOLD`] records or when the
+//! capture when the buffer reaches `FLUSH_THRESHOLD` records or when the
 //! enclosing [`with_trace`] / [`trace_scope`] ends. A capture holds at most
 //! the `max_spans` it was registered with and counts the overflow; a record
 //! flushed after its capture was taken or dropped is discarded and counted

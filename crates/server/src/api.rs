@@ -7,7 +7,7 @@
 //! call and assert the served bytes are identical under concurrency.
 
 use crate::json::{self, Json};
-use crate::sched::{FlightKey, Priority};
+use crate::sched::Priority;
 use precis_core::{
     AnswerSpec, CancelToken, CardinalityConstraint, CoreError, DegreeConstraint, PrecisAnswer,
     PrecisEngine, PrecisQuery, QueryPlan, RetrievalStrategy,
@@ -154,50 +154,6 @@ pub fn parse_query_request(body: &str) -> Result<QueryRequest, String> {
     })
 }
 
-/// The canonical identity of a request's *execution*: tokens, degree,
-/// cardinality, and strategy — exactly the inputs [`answer_query_at`]
-/// consumes. Per-request envelope fields (deadline, priority, profile) are
-/// deliberately excluded: they shape how a waiter is treated, not what is
-/// computed, so requests differing only in those still share one flight.
-pub fn flight_key(request: &QueryRequest) -> FlightKey {
-    let mut key = String::with_capacity(64);
-    for t in request.query.tokens() {
-        key.push_str(t);
-        key.push('\x1f');
-    }
-    key.push('|');
-    request.degree.write_key(&mut key);
-    key.push('|');
-    write_cardinality_key(&mut key, &request.cardinality);
-    key.push('|');
-    key.push_str(match request.strategy {
-        RetrievalStrategy::NaiveQ => "naive",
-        RetrievalStrategy::RoundRobin => "roundrobin",
-        RetrievalStrategy::TopWeight => "topweight",
-    });
-    FlightKey::new(key)
-}
-
-fn write_cardinality_key(out: &mut String, c: &CardinalityConstraint) {
-    match c {
-        CardinalityConstraint::MaxTotalTuples(n) => {
-            let _ = write!(out, "total:{n}");
-        }
-        CardinalityConstraint::MaxTuplesPerRelation(n) => {
-            let _ = write!(out, "perrel:{n}");
-        }
-        CardinalityConstraint::All(parts) => {
-            out.push_str("all(");
-            for p in parts {
-                write_cardinality_key(out, p);
-                out.push(',');
-            }
-            out.push(')');
-        }
-        CardinalityConstraint::Unbounded => out.push_str("unbounded"),
-    }
-}
-
 /// Plan and execute a decoded request against the engine under a deadline
 /// and render the success body, with the profile object appended when the
 /// request asked for it. `Err(CoreError::Cancelled)` means the deadline
@@ -238,10 +194,9 @@ pub fn request_budget(
 /// at admission and time spent queued counts against the caller's budget.
 /// The caller may pre-seed `profile` with phases measured outside this
 /// function (queue wait, request parsing); this function fills in the
-/// pipeline and rendering phases and finishes it. Returns the rendered body
-/// without any per-waiter extras (`profile` / `scheduling` objects are
-/// spliced by the caller), so a coalesced flight renders once and every
-/// waiter's default body is byte-identical.
+/// pipeline and rendering phases and finishes it. Returns the default body:
+/// the `profile` / `scheduling` objects of a request that asked for them are
+/// spliced by the caller.
 pub fn answer_query_at(
     engine: &PrecisEngine,
     vocabulary: Option<&Vocabulary>,
@@ -285,13 +240,9 @@ pub fn splice_json_field(body: &mut String, key: &str, value_json: &str) {
 }
 
 /// Render the `"scheduling"` metadata object a profiled response carries:
-/// what the admission controller predicted, how long the request actually
-/// queued, and whether the answer was computed by a coalesced flight.
-pub fn render_scheduling_json(
-    predicted_secs: Option<f64>,
-    queue_wait: Duration,
-    coalesced: bool,
-) -> String {
+/// what the admission controller predicted and how long the request
+/// actually queued.
+pub fn render_scheduling_json(predicted_secs: Option<f64>, queue_wait: Duration) -> String {
     let mut out = String::from("{\"predicted_ms\": ");
     match predicted_secs {
         Some(s) => json::write_f64(&mut out, s * 1e3),
@@ -299,7 +250,7 @@ pub fn render_scheduling_json(
     }
     out.push_str(", \"queue_wait_ms\": ");
     json::write_f64(&mut out, queue_wait.as_secs_f64() * 1e3);
-    let _ = write!(out, ", \"coalesced\": {coalesced}}}");
+    out.push('}');
     out
 }
 
@@ -564,43 +515,16 @@ mod tests {
     }
 
     #[test]
-    fn flight_keys_identify_the_execution_not_the_envelope() {
-        let base = parse_query_request(r#"{"tokens": "woody allen"}"#).unwrap();
-        let same_exec = parse_query_request(
-            r#"{"tokens": ["woody", "allen"], "deadline_ms": 9, "priority": "batch",
-               "profile": true}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            flight_key(&base),
-            flight_key(&same_exec),
-            "deadline/priority/profile do not change what is computed"
-        );
-        for different in [
-            r#"{"tokens": "woody"}"#,
-            r#"{"tokens": "woody allen", "degree": {"top": 3}}"#,
-            r#"{"tokens": "woody allen", "cardinality": {"total": 50}}"#,
-            r#"{"tokens": "woody allen", "strategy": "naive"}"#,
-        ] {
-            let other = parse_query_request(different).unwrap();
-            assert_ne!(flight_key(&base), flight_key(&other), "{different}");
-        }
-    }
-
-    #[test]
     fn scheduling_json_and_splice_compose() {
         let mut body = String::from("{\"tokens\": []}\n");
-        let sched = render_scheduling_json(Some(0.0025), Duration::from_micros(1500), true);
+        let sched = render_scheduling_json(Some(0.0025), Duration::from_micros(1500));
         splice_json_field(&mut body, "scheduling", &sched);
         assert_eq!(
             body,
             "{\"tokens\": [], \"scheduling\": {\"predicted_ms\": 2.5, \
-             \"queue_wait_ms\": 1.5, \"coalesced\": true}}\n"
+             \"queue_wait_ms\": 1.5}}\n"
         );
-        let none = render_scheduling_json(None, Duration::ZERO, false);
-        assert_eq!(
-            none,
-            "{\"predicted_ms\": null, \"queue_wait_ms\": 0, \"coalesced\": false}"
-        );
+        let none = render_scheduling_json(None, Duration::ZERO);
+        assert_eq!(none, "{\"predicted_ms\": null, \"queue_wait_ms\": 0}");
     }
 }

@@ -38,10 +38,6 @@ fn write_reasons(out: &mut String, reasons: &[&str]) {
 fn write_trace_head(out: &mut String, trace: &RetainedTrace) {
     out.push_str("{\"trace_id\": ");
     write_str(out, &trace.trace_id);
-    if let Some(link) = &trace.link {
-        out.push_str(", \"link\": ");
-        write_str(out, link);
-    }
     out.push_str(", \"endpoint\": ");
     write_str(out, trace.endpoint);
     out.push_str(", \"class\": ");
@@ -67,8 +63,8 @@ fn write_sched(out: &mut String, sched: &SchedDecision) {
     }
     let _ = write!(
         out,
-        ", \"queue_wait_ms\": {:.3}, \"coalesced\": {}, \"fanout\": {}, \"reordered\": {}",
-        sched.queue_wait_ms, sched.coalesced, sched.fanout, sched.reordered
+        ", \"queue_wait_ms\": {:.3}, \"reordered\": {}",
+        sched.queue_wait_ms, sched.reordered
     );
     if let Some(shed) = &sched.shed {
         out.push_str(", \"shed\": {\"reason\": ");
@@ -256,7 +252,6 @@ mod tests {
     fn sample_trace() -> RetainedTrace {
         RetainedTrace {
             trace_id: "f".repeat(32),
-            link: Some("e".repeat(32)),
             endpoint: "query",
             class: "interactive",
             status: 429,
@@ -266,8 +261,6 @@ mod tests {
             sched: Some(SchedDecision {
                 predicted_ms: Some(12.5),
                 queue_wait_ms: 0.7,
-                coalesced: false,
-                fanout: 1,
                 reordered: true,
                 shed: Some(ShedDecision {
                     reason: "deadline",
@@ -319,7 +312,6 @@ mod tests {
         assert!(detail.contains("\"name\": \"server.admit\""), "{detail}");
         assert!(detail.contains("\"predicted_ns\": 12500000"), "{detail}");
         assert!(detail.contains("\"span_drops\": 2"));
-        assert!(detail.contains("\"link\": "));
         assert!(detail.contains("\"profile\": null"));
     }
 
@@ -330,7 +322,6 @@ mod tests {
         profile.finish();
         RetainedTrace {
             trace_id: format!("{latency_ns:032x}"),
-            link: None,
             status: 200,
             reasons: vec!["slow"],
             latency_ns,

@@ -4,18 +4,15 @@
 //! Every request gets a 128-bit wire trace id at admission — accepted from
 //! an incoming `traceparent` header or minted — and its spans are captured
 //! into a per-request buffer. Whatever the request turns into is described
-//! as an [`Outcome`] and leaves in two steps: [`send`] stamps the id on the
-//! response, counts the request and writes the bytes; [`settle`] feeds the
-//! SLO engine and runs the tail sampler, whose byte-budgeted trace store is
-//! the only record of finished requests (`GET /v1/debug/traces` and
+//! as an [`Outcome`] and leaves through [`answer`]: it stamps the id on the
+//! response, counts the request and writes the bytes, then feeds the SLO
+//! engine and runs the tail sampler, whose byte-budgeted trace store is the
+//! only record of finished requests (`GET /v1/debug/traces` and
 //! `GET /v1/debug/slow` are views over it).
 //!
-//! A flight's fan-out sends to every waiter before it settles any, so no
-//! waiter's bytes wait behind another's retention work; every other site
-//! calls [`answer`], which is the two back to back. Nothing else in the
-//! crate writes a response, counts a request, records an SLO event or
-//! offers a trace, so "every response carries its trace id and is visible
-//! to the SLO engine and the sampler" holds by construction.
+//! Nothing else in the crate writes a response, counts a request, records
+//! an SLO event or offers a trace, so "every response carries its trace id
+//! and is visible to the SLO engine and the sampler" holds by construction.
 
 use crate::http::{self, Response};
 use crate::server::Shared;
@@ -40,12 +37,9 @@ pub(crate) struct TraceCtx {
     pub(crate) internal: u64,
     /// `None` when the capture bucket was closed at admission: no
     /// per-request buffer is registered, so the request's span sites stay
-    /// inert. If the trace still wins retention, [`settle`] synthesizes its
+    /// inert. If the trace still wins retention, [`answer`] synthesizes its
     /// root span.
     capture: Option<TraceCapture>,
-    /// For coalesced waiters: the flight creator's wire id, whose retained
-    /// trace holds the execution spans.
-    pub(crate) link: Option<String>,
     /// When the acceptor took the connection: the start of the end-to-end
     /// latency the SLO engine and the sampler judge.
     pub(crate) admitted: Instant,
@@ -60,7 +54,7 @@ impl TraceCtx {
             .and_then(TraceId::parse_traceparent)
             .unwrap_or_else(TraceId::mint);
         let mut ctx = TraceCtx::new(wire, admitted);
-        // Span capture is speculative (the tail verdict comes at `settle`)
+        // Span capture is speculative (the tail verdict comes at the exit)
         // and costs tens of microseconds per request, so it is
         // token-bucketed: head-sampled requests always capture — they are
         // the deterministic always-on baseline — and everything else
@@ -84,7 +78,6 @@ impl TraceCtx {
             hex: wire.to_hex(),
             internal: precis_obs::new_trace_id(),
             capture: None,
-            link: None,
             admitted,
         }
     }
@@ -100,7 +93,7 @@ pub(crate) struct Outcome<'a> {
     pub(crate) response: Response,
     /// The scheduler's decision record, for requests that reached it.
     pub(crate) sched: Option<SchedDecision>,
-    /// The executed flight's predicted-vs-measured phases.
+    /// The executed query's predicted-vs-measured phases.
     pub(crate) profile: Option<&'a ProfileSnapshot>,
     pub(crate) wal_rollback: bool,
     pub(crate) panicked: bool,
@@ -122,24 +115,21 @@ impl Outcome<'static> {
     }
 }
 
-/// An outcome whose bytes are on the wire, waiting for [`settle`].
-pub(crate) struct Sent<'a> {
-    outcome: Outcome<'a>,
-    /// Admission to last byte written.
-    latency: Duration,
-}
-
-/// Write one response: echo the wire trace id — `x-precis-trace-id` plus a
-/// `traceparent` continuation — embed it in an error envelope's `details`
-/// so failures are retrievable by id, and count the request under
-/// `service`, the duration the endpoint's histogram is defined over.
-pub(crate) fn send<'a>(
+/// Answer one request. First the bytes: echo the wire trace id —
+/// `x-precis-trace-id` plus a `traceparent` continuation — embed it in an
+/// error envelope's `details` so failures are retrievable by id, count the
+/// request under `service` (the duration the endpoint's histogram is defined
+/// over) and write. Then the record, so no client waits on it: feed the SLO
+/// engine, run the tail sampler, and either retain the captured spans (with
+/// the scheduler's decision record and the profile's predicted-vs-measured
+/// phases) or count the drop. Consumes the capture either way.
+pub(crate) fn answer(
     shared: &Shared,
     stream: &mut TcpStream,
-    ctx: &TraceCtx,
-    mut outcome: Outcome<'a>,
+    ctx: TraceCtx,
+    mut outcome: Outcome<'_>,
     service: Duration,
-) -> Sent<'a> {
+) {
     let response = &mut outcome.response;
     http::embed_trace_id(response, &ctx.hex);
     response
@@ -154,23 +144,11 @@ pub(crate) fn send<'a>(
         .record_request(outcome.endpoint, response.status, service);
     // The peer may already be gone, which is its problem, not the server's.
     let _ = http::write_response(stream, response);
-    // `settle` judges the status, not the bytes: release them now rather
-    // than hold a flight's every copy until its last waiter is settled.
-    response.body = Vec::new();
-    Sent {
-        outcome,
-        latency: ctx.admitted.elapsed(),
-    }
-}
+    // Admission to last byte written.
+    let latency = ctx.admitted.elapsed();
+    let status = response.status;
 
-/// Finish one request's trace: feed the SLO engine, run the tail sampler,
-/// and either retain the captured spans (with the scheduler's decision
-/// record and the profile's predicted-vs-measured phases) or count the
-/// drop. Consumes the capture either way.
-pub(crate) fn settle(shared: &Shared, ctx: TraceCtx, sent: Sent<'_>) {
     let telem = &shared.telemetry;
-    let Sent { outcome, latency } = sent;
-    let status = outcome.response.status;
     telem.slo.record(SloEvent {
         class: outcome.class,
         status,
@@ -191,7 +169,7 @@ pub(crate) fn settle(shared: &Shared, ctx: TraceCtx, sent: Sent<'_>) {
         telem.store.drop_uninteresting();
         return;
     }
-    if !telem.store.admit_retention() {
+    if !telem.store.admit_retention(status, &reasons) {
         telem.store.drop_rate_limited();
         return;
     }
@@ -223,7 +201,6 @@ pub(crate) fn settle(shared: &Shared, ctx: TraceCtx, sent: Sent<'_>) {
     };
     telem.store.offer(RetainedTrace {
         trace_id: ctx.hex,
-        link: ctx.link,
         endpoint: outcome.endpoint,
         class: outcome.class,
         status,
@@ -238,17 +215,4 @@ pub(crate) fn settle(shared: &Shared, ctx: TraceCtx, sent: Sent<'_>) {
         span_drops,
         captured_at_ns,
     });
-}
-
-/// [`send`] then [`settle`], back to back: the exit of every response that
-/// is not one of several sharing a flight.
-pub(crate) fn answer(
-    shared: &Shared,
-    stream: &mut TcpStream,
-    ctx: TraceCtx,
-    outcome: Outcome<'_>,
-    service: Duration,
-) {
-    let sent = send(shared, stream, &ctx, outcome, service);
-    settle(shared, ctx, sent);
 }

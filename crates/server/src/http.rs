@@ -134,14 +134,21 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ParseError> {
 }
 
 /// Read one CRLF- (or LF-) terminated line into `line`, charging the header
-/// byte budget.
+/// byte budget. The read itself is capped at one byte past what is left of
+/// the budget, so a peer that never sends a newline is cut off there instead
+/// of growing `line` for as long as it keeps sending.
 fn read_line(
     reader: &mut BufReader<&mut TcpStream>,
     line: &mut String,
     budget_used: &mut usize,
 ) -> Result<(), ParseError> {
     line.clear();
-    let n = reader.read_line(line).map_err(|e| classify_io(&e))?;
+    let left = (MAX_HEADER_BYTES - *budget_used) as u64;
+    let n = reader
+        .by_ref()
+        .take(left + 1)
+        .read_line(line)
+        .map_err(|e| classify_io(&e))?;
     if n == 0 {
         return Err(ParseError::Disconnected);
     }
@@ -400,6 +407,30 @@ mod tests {
             parse_raw(many_headers.as_bytes()),
             Err(ParseError::TooLarge)
         ));
+    }
+
+    #[test]
+    fn a_line_that_never_ends_is_cut_at_the_header_budget() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = TcpStream::connect(addr).unwrap();
+        let (mut server_side, _) = listener.accept().unwrap();
+        server_side
+            .set_read_timeout(Some(std::time::Duration::from_millis(200)))
+            .unwrap();
+        // The peer streams bytes with no newline and leaves the socket open;
+        // the handle comes back so it outlives the parse.
+        let peer = std::thread::spawn(move || {
+            let _ = client.write_all(&[b'A'; 64 * 1024]);
+            client
+        });
+        let parsed = read_request(&mut server_side);
+        assert!(
+            matches!(parsed, Err(ParseError::TooLarge)),
+            "buffered past the cap: {parsed:?}"
+        );
+        drop(server_side);
+        drop(peer.join());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! worker pool fed by a cost-aware scheduler ([`sched`]) that parses each
 //! query at admission, prices it with the calibrated Formula-2 model, and
 //! then sheds it (overload → `429` + `Retry-After`, never unbounded
-//! buffering), coalesces it onto an identical in-flight query, or orders it
-//! shortest-predicted-first within its deadline class. Deadlines are
+//! buffering) or orders it shortest-predicted-first within its deadline
+//! class; one request is one execution. Deadlines are
 //! end-to-end from admission and abort précis generation cooperatively
 //! (→ `504`); a Prometheus-format `/v1/metrics` endpoint covers request
-//! counts, latency histograms, queue depth, shed/coalesce/reorder totals,
+//! counts, latency histograms, queue depth, shed/reorder totals,
 //! and the engine's schema-memo statistics.
 //!
 //! Endpoints (mounted under `/v1/`, the versioned contract; any other path
@@ -67,9 +67,7 @@ mod routes;
 pub mod sched;
 mod server;
 
-pub use api::{
-    answer_query, flight_key, parse_query_request, render_answer, write_profile_json, QueryRequest,
-};
+pub use api::{answer_query, parse_query_request, render_answer, write_profile_json, QueryRequest};
 pub use durable::Durability;
 pub use metrics::Metrics;
 pub use mutate::{parse_mutate_request, MutateOp};

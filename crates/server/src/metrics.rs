@@ -145,8 +145,6 @@ pub struct Metrics {
     /// Sheds the hindsight estimator attributes to cost-model error rather
     /// than real pressure (a subset of `sched_shed_total`).
     sched_shed_false_positive_total: AtomicU64,
-    /// Requests answered by attaching to an existing identical flight.
-    sched_coalesced_total: AtomicU64,
     /// Pops where the cost-aware policy disagreed with FIFO order.
     sched_reordered_total: AtomicU64,
     /// Per-phase / cost-model aggregates accumulated from query profiles.
@@ -205,10 +203,6 @@ impl Metrics {
         }
     }
 
-    pub fn record_coalesced(&self) {
-        self.sched_coalesced_total.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub fn record_reordered(&self) {
         self.sched_reordered_total.fetch_add(1, Ordering::Relaxed);
     }
@@ -219,10 +213,6 @@ impl Metrics {
 
     pub fn shed_false_positive_total(&self) -> u64 {
         self.sched_shed_false_positive_total.load(Ordering::Relaxed)
-    }
-
-    pub fn coalesced_total(&self) -> u64 {
-        self.sched_coalesced_total.load(Ordering::Relaxed)
     }
 
     pub fn enqueued(&self) {
@@ -331,7 +321,7 @@ impl Metrics {
             self.queue_wait.count()
         );
 
-        let singles: [(&str, &str, u64); 8] = [
+        let singles: [(&str, &str, u64); 7] = [
             (
                 "precis_queue_depth",
                 "Connections waiting for a worker (gauge).",
@@ -361,11 +351,6 @@ impl Metrics {
                 "precis_sched_shed_false_positive_total",
                 "Sheds attributed to cost-model error by the hindsight estimator.",
                 self.shed_false_positive_total(),
-            ),
-            (
-                "precis_sched_coalesced_total",
-                "Requests answered by an existing identical in-flight query.",
-                self.coalesced_total(),
             ),
             (
                 "precis_sched_reordered_total",
@@ -459,9 +444,6 @@ mod tests {
         m.record_request("query", 429, Duration::ZERO);
         m.record_shed(false);
         m.record_shed(true);
-        m.record_coalesced();
-        m.record_coalesced();
-        m.record_coalesced();
         m.record_reordered();
         let text = m.render_prometheus(&AnswerCacheStats::default());
         assert!(
@@ -470,10 +452,8 @@ mod tests {
         );
         assert!(text.contains("precis_sched_shed_total 2"));
         assert!(text.contains("precis_sched_shed_false_positive_total 1"));
-        assert!(text.contains("precis_sched_coalesced_total 3"));
         assert!(text.contains("precis_sched_reordered_total 1"));
         assert_eq!(m.shed_total(), 2);
-        assert_eq!(m.coalesced_total(), 3);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// Read one request off the connection and dispatch it. Non-query requests
 /// are answered inline; queries go through cost-aware admission and are
-/// answered later by [`query::execute_flight`] (or immediately, if shed).
+/// answered later by [`query::execute_query`] (or immediately, if shed).
 ///
 /// The socket's read/write timeouts are armed first, so a silent or
 /// non-reading peer costs the worker at most `io_timeout` before it is

@@ -5,10 +5,9 @@
 //! ([`crate::routes`]) — non-query requests are answered inline, queries
 //! are priced with the calibrated Formula-2 model and submitted to the
 //! scheduler ([`crate::query`]), where they are shed (`429` +
-//! `Retry-After`), coalesced onto an identical in-flight query, or queued
-//! shortest-predicted-first within their deadline class. A popped *job* is
-//! executed once and its answer fanned out to every waiter of the flight.
-//! Since parsing is microseconds next to retrieval, the socket queue
+//! `Retry-After`) or queued shortest-predicted-first within their deadline
+//! class. A popped *job* is executed and answered by the worker that popped
+//! it. Since parsing is microseconds next to retrieval, the socket queue
 //! converts into a cost-ordered job queue as soon as there is any backlog
 //! to reorder.
 //!
@@ -27,7 +26,7 @@ use crate::durable::Durability;
 use crate::exit::{self, Outcome, TraceCtx};
 use crate::http::Response;
 use crate::metrics::Metrics;
-use crate::query::{self, QueryJob, Waiter};
+use crate::query::{self, QueryJob};
 use crate::routes;
 use crate::sched::{ConnRefusal, Scheduler, Work, AGING_THRESHOLD};
 use precis_core::{PrecisEngine, SnapshotCell};
@@ -90,14 +89,14 @@ pub(crate) struct Telemetry {
     pub(crate) slo: SloEngine,
 }
 
-type Sched = Scheduler<(Instant, TcpStream), QueryJob, Waiter>;
+type Sched = Scheduler<(Instant, TcpStream), QueryJob>;
 
 /// State shared by the acceptor, the workers, and the handle.
 pub(crate) struct Shared {
     /// The engine behind a lock-free snapshot cell: workers take wait-free
     /// `Arc` snapshots per request (no reader lock, no contention), and
     /// [`ServerHandle::swap_engine`] publishes a replacement atomically.
-    /// An executing flight keeps the snapshot it started with, so its
+    /// An executing query keeps the snapshot it started with, so its
     /// answer stays consistent even if a swap lands mid-query.
     pub(crate) engine: SnapshotCell<PrecisEngine>,
     /// Serializes the copy-on-write mutation path (`POST /v1/mutate` and
@@ -109,8 +108,8 @@ pub(crate) struct Shared {
     pub(crate) durability: Option<Durability>,
     pub(crate) vocabulary: Option<Vocabulary>,
     pub(crate) metrics: Arc<Metrics>,
-    /// The cost-aware scheduler: raw connections, the cost-ordered ready
-    /// queue, and the single-flight coalescing table.
+    /// The cost-aware scheduler: raw connections and the cost-ordered
+    /// ready queue.
     pub(crate) sched: Sched,
     pub(crate) telemetry: Telemetry,
     shutdown: AtomicBool,
@@ -314,7 +313,7 @@ fn worker_loop(shared: &Shared) {
         match work {
             Work::Conn((admitted, stream)) => {
                 shared.metrics.dequeued();
-                // As in `execute_flight`, a panic must cost one request, not
+                // As in `execute_query`, a panic must cost one request, not
                 // a worker. The handler owns the stream, so keep a second
                 // handle for the best-effort 500.
                 let rescue = stream.try_clone();
@@ -334,7 +333,7 @@ fn worker_loop(shared: &Shared) {
                 if job.reordered {
                     shared.metrics.record_reordered();
                 }
-                query::execute_flight(shared, job);
+                query::execute_query(shared, job);
             }
         }
     }

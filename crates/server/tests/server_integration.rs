@@ -2,8 +2,8 @@
 //! concurrent responses must be byte-identical to direct engine answers,
 //! overload must answer 429 at admission (503 stays reserved for durability
 //! failures and shutdown), deadline-exceeded must answer 504 without
-//! poisoning the worker pool, identical concurrent queries must coalesce
-//! into one execution, only the `/v1/` mounts answer, a misbehaving request
+//! poisoning the worker pool, every answered query must have been executed
+//! for that request alone, only the `/v1/` mounts answer, a misbehaving request
 //! must never cost a worker, and shutdown must drain cleanly.
 
 use precis_core::{CostModel, PrecisEngine};
@@ -113,7 +113,10 @@ fn concurrent_responses_are_byte_identical_to_direct_answers() {
         c.join().expect("client thread");
     }
 
-    assert!(handle.metrics().requests_for("query", 200) >= 24);
+    // Every answered query was executed; none was handed another's bytes.
+    let answered = handle.metrics().requests_for("query", 200);
+    assert_eq!(answered, 24);
+    assert_eq!(handle.metrics().phases.queries(), answered);
     handle.join();
 }
 
@@ -303,7 +306,7 @@ fn a_served_query_probes_the_schema_memo_once() {
         let (status, _, got) = post_query(addr, body);
         assert_eq!(status, 200, "{got}");
     }
-    // Admission plans and the flight executes that plan: one token pass
+    // Admission plans and the worker executes that plan: one token pass
     // and one memo probe per request, not one for pricing and one more for
     // the answer.
     let s = handle.engine().cache_stats();
@@ -347,7 +350,7 @@ fn a_flight_planned_before_a_publish_answers_from_the_published_snapshot() {
     .expect("batch parses");
     let published = Arc::new(precis_server::mutate::apply_ops(&before, &batch).engine);
 
-    // One worker, and connections are popped ahead of queued flights: a
+    // One worker, and connections are popped ahead of queued queries: a
     // connection that has not sent its request yet parks the worker.
     let config = ServerConfig {
         workers: 1,
@@ -378,14 +381,14 @@ fn a_flight_planned_before_a_publish_answers_from_the_published_snapshot() {
     assert_eq!(waiting, 2, "both wait behind the first parker");
 
     // Released, the worker admits the query — planning it on `before` —
-    // and parks again on the second connection with the flight queued.
+    // and parks again on the second connection with the query queued.
     finish(first_parker);
     let planned = settled(|| before.cache_stats().schema_misses, |misses| *misses == 1);
     assert_eq!(planned, 1, "the query was planned at admission");
     handle.swap_engine(published.clone());
     finish(second_parker);
 
-    // The flight runs after the publish: it must not execute the plan made
+    // The query runs after the publish: it must not execute the plan made
     // on the replaced snapshot.
     let mut response = String::new();
     let _ = query.read_to_string(&mut response);
@@ -894,7 +897,7 @@ fn v1_is_the_only_mount_and_errors_carry_the_envelope() {
     assert_eq!(status, 200);
     assert!(metrics.contains("precis_sched_shed_total"), "{metrics}");
     assert!(
-        metrics.contains("precis_sched_coalesced_total"),
+        metrics.contains("precis_sched_reordered_total"),
         "{metrics}"
     );
     let (status, _, _) = roundtrip(addr, "GET /v1/debug/slow HTTP/1.1\r\nHost: t\r\n\r\n");
@@ -921,146 +924,7 @@ fn v1_is_the_only_mount_and_errors_carry_the_envelope() {
 }
 
 #[test]
-fn identical_concurrent_queries_coalesce_into_one_execution() {
-    let handle = Server::start(
-        test_engine(),
-        None,
-        ServerConfig {
-            workers: 1,
-            queue_capacity: 16,
-            io_timeout: Some(Duration::from_millis(400)),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server starts");
-    let addr = handle.local_addr();
-
-    // Pin the lone worker on a connection that never sends its request so
-    // four identical queries stack up behind it. Workers drain raw
-    // connections before executing queries, so all four are parsed and
-    // admitted — one flight, three coalesced joins — before any executes.
-    let busy = TcpStream::connect(addr).expect("busy conn");
-    std::thread::sleep(Duration::from_millis(100));
-    let body = r#"{"tokens": ["drama", "thriller"], "degree": {"minweight": 0.5}}"#;
-    let raw = format!(
-        "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let mut clients: Vec<TcpStream> = (0..4)
-        .map(|_| {
-            let mut s = TcpStream::connect(addr).expect("client conn");
-            s.write_all(raw.as_bytes()).expect("send");
-            s
-        })
-        .collect();
-    drop(busy);
-
-    let mut bodies = Vec::new();
-    for s in &mut clients {
-        let mut out = Vec::new();
-        s.read_to_end(&mut out).expect("response");
-        let response = String::from_utf8(out).expect("utf-8");
-        let (head, body) = response.split_once("\r\n\r\n").expect("header block");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        bodies.push(body.to_owned());
-    }
-    assert!(bodies.windows(2).all(|w| w[0] == w[1]), "fan-out diverged");
-    assert_eq!(handle.metrics().coalesced_total(), 3);
-    assert!(handle.metrics().requests_for("query", 200) >= 4);
-    handle.join();
-}
-
-#[test]
-fn a_flights_waiters_all_have_their_bytes_before_any_of_its_traces_is_retained() {
-    const WORKERS: usize = 2;
-    let handle = Server::start(
-        test_engine(),
-        None,
-        ServerConfig {
-            workers: WORKERS,
-            queue_capacity: 16,
-            io_timeout: Some(Duration::from_millis(400)),
-            ..retain_everything()
-        },
-    )
-    .expect("server starts");
-    let addr = handle.local_addr();
-
-    // The check is only meaningful for a round in which all four identical
-    // queries rode one flight (three joins). Pinning every worker makes
-    // that the usual case, but on a loaded host a worker can finish the
-    // flight before the other has admitted the last query, so a round that
-    // split is run again, under fresh trace ids, rather than judged.
-    let body = r#"{"tokens": ["drama", "thriller"], "degree": {"minweight": 0.5}}"#;
-    for round in 1..=5u32 {
-        let joins_before = handle.metrics().coalesced_total();
-        let busy: Vec<TcpStream> = (0..WORKERS)
-            .map(|_| TcpStream::connect(addr).expect("busy conn"))
-            .collect();
-        std::thread::sleep(Duration::from_millis(100));
-        // Each query names its own trace id, so the test knows what to look
-        // for before a response arrives.
-        let ids: Vec<String> = (1..=4).map(|i| format!("{round:016x}{i:016x}")).collect();
-        let mut clients: Vec<TcpStream> = ids
-            .iter()
-            .map(|id| {
-                let raw = format!(
-                    "POST /v1/query HTTP/1.1\r\nHost: t\r\n\
-                     traceparent: 00-{id}-00000000000000aa-01\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                );
-                let mut s = TcpStream::connect(addr).expect("client conn");
-                s.write_all(raw.as_bytes()).expect("send");
-                s
-            })
-            .collect();
-        drop(busy);
-
-        // One worker runs the flight; the other serves this poll. Under
-        // zero slow thresholds every waiter's trace is retained, so stop at
-        // the first one that is.
-        let retained = |id: &String| get_v1(addr, &format!("/v1/debug/traces/{id}")).0 == 200;
-        let first = settled(|| ids.iter().find(|id| retained(id)), Option::is_some);
-        assert!(first.is_some(), "no trace of the flight was ever retained");
-
-        // The fan-out sends to every waiter before it settles any: with one
-        // trace retained, every response is already in its client's socket,
-        // in full and closed, so none of these reads has anything to wait
-        // for. (Best-effort: the poll is an HTTP round trip, so this catches
-        // a settle that runs well ahead of a send, not one a few
-        // microseconds ahead.)
-        let mut still_waiting = Vec::new();
-        for (s, id) in clients.iter_mut().zip(&ids) {
-            s.set_nonblocking(true).expect("nonblocking");
-            let mut out = Vec::new();
-            if let Err(e) = s.read_to_end(&mut out) {
-                still_waiting.push(format!("{id}: {e}"));
-                s.set_nonblocking(false).expect("blocking");
-                s.read_to_end(&mut out).expect("response");
-            }
-            let response = String::from_utf8(out).expect("utf-8");
-            let (head, got) = response.split_once("\r\n\r\n").expect("header block");
-            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-            assert_eq!(trace_id_of(head), *id);
-            assert!(
-                head.contains(&format!("Content-Length: {}", got.len())),
-                "{head}"
-            );
-        }
-        if handle.metrics().coalesced_total() - joins_before == 3 {
-            assert!(
-                still_waiting.is_empty(),
-                "a trace was retained while waiters of the same flight had no bytes: {still_waiting:?}"
-            );
-            handle.join();
-            return;
-        }
-    }
-    panic!("five rounds and the four queries never shared one flight");
-}
-
-#[test]
-fn scheduling_metadata_reports_prediction_queue_wait_and_coalescing() {
+fn scheduling_metadata_reports_prediction_and_queue_wait() {
     let db = MoviesGenerator::new(MoviesConfig {
         movies: 200,
         directors: 20,
@@ -1100,79 +964,14 @@ fn scheduling_metadata_reports_prediction_queue_wait_and_coalescing() {
             .is_some(),
         "{profiled}"
     );
+    let json::Json::Object(fields) = sched else {
+        panic!("scheduling is an object: {profiled}");
+    };
     assert_eq!(
-        sched.get("coalesced"),
-        Some(&json::Json::Bool(false)),
+        fields.keys().collect::<Vec<_>>(),
+        ["predicted_ms", "queue_wait_ms"],
         "{profiled}"
     );
-    handle.join();
-}
-
-#[test]
-fn a_profiled_joiner_gets_its_profile_from_a_creator_that_did_not_ask() {
-    let handle = Server::start(
-        test_engine(),
-        None,
-        ServerConfig {
-            workers: 1,
-            io_timeout: Some(Duration::from_millis(400)),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server starts");
-    let addr = handle.local_addr();
-    let (status, _, unprofiled) = post_query(addr, r#"{"tokens": "drama"}"#);
-    assert_eq!(status, 200, "{unprofiled}");
-
-    // As in `identical_concurrent_queries_coalesce_into_one_execution`: pin
-    // the lone worker so both requests are admitted before either runs. The
-    // creator did not ask for a profile; the joiner did (`profile` is not
-    // part of the flight key).
-    let busy = TcpStream::connect(addr).expect("busy conn");
-    std::thread::sleep(Duration::from_millis(100));
-    let mut clients: Vec<TcpStream> = [
-        r#"{"tokens": "drama"}"#,
-        r#"{"tokens": "drama", "profile": true}"#,
-    ]
-    .iter()
-    .map(|body| {
-        let mut s = TcpStream::connect(addr).expect("client conn");
-        let raw = format!(
-            "POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        );
-        s.write_all(raw.as_bytes()).expect("send");
-        // Admission order is accept order: let the creator's connection
-        // land before the joiner's.
-        std::thread::sleep(Duration::from_millis(50));
-        s
-    })
-    .collect();
-    drop(busy);
-
-    let mut bodies = clients.iter_mut().map(|s| {
-        let mut out = String::new();
-        s.read_to_string(&mut out).expect("response");
-        let (head, body) = out.split_once("\r\n\r\n").expect("header block");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        body.to_owned()
-    });
-    let (creator, joiner) = (bodies.next().unwrap(), bodies.next().unwrap());
-    assert_eq!(handle.metrics().coalesced_total(), 1);
-    assert_eq!(
-        creator, unprofiled,
-        "the creator's body is an unprofiled one"
-    );
-    let doc = json::parse(&joiner).expect("joiner body parses");
-    assert!(doc
-        .get("profile")
-        .is_some_and(|p| p.get("phases").is_some()));
-    assert_eq!(
-        doc.get("scheduling").and_then(|s| s.get("coalesced")),
-        Some(&json::Json::Bool(true)),
-        "{joiner}"
-    );
-    assert!(joiner.starts_with(unprofiled.strip_suffix("}\n").unwrap()));
     handle.join();
 }
 

@@ -128,7 +128,7 @@ impl Postings {
 /// [`crate::ValueScan`]) can hold a snapshot without copying; mutations are
 /// copy-on-write via [`Arc::make_mut`], which only clones a list while a
 /// snapshot of it is still alive. Single-tuple lists live inline in the
-/// map ([`Postings::One`]) — no allocation until a second posting arrives.
+/// map (`Postings::One`) — no allocation until a second posting arrives.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
     map: FxHashMap<IndexKey, Postings>,

@@ -13,7 +13,7 @@
 //!    cancellation via [`CancelToken::after_checks`] surfaces only
 //!    `CoreError::Cancelled`.
 //! 3. **Server resilience** — a loopback server answers 500 to an injected
-//!    storage fault, 500 to an injected panic in a flight or in a
+//!    storage fault, 500 to an injected panic in a query or in a
 //!    connection handler (the worker survives either), 504 to an
 //!    exhausted deadline, 429 under queue overflow — and returns correct
 //!    200 answers after each.
@@ -345,7 +345,7 @@ fn server_resilience(report: &mut FaultReport) {
     failpoint::set_process_wide(true);
     let panicked = post(body);
     failpoint::disarm_all();
-    // The same outside any flight: the inline mutate handler panics on the
+    // The same outside any query: the inline mutate handler panics on the
     // connection's own worker, once more often than there are workers.
     failpoint::arm("insert_into", FailureKind::Panic, 0, u64::MAX);
     failpoint::set_process_wide(true);

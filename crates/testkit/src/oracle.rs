@@ -1,4 +1,4 @@
-//! The differential oracle: one case, six execution paths, one answer.
+//! The differential oracle: one case, five execution paths, one answer.
 //!
 //! For a given [`CaseSpec`] the oracle asserts:
 //!
@@ -25,14 +25,10 @@
 //! * **Durability leg** — a WAL-backed twin of the dataset (every insert
 //!   streamed through `precis-durability`, plus per-case update-to-same-value
 //!   records) is crash-recovered from disk — no orderly close, just
-//!   [`precis_durability::recover`] over the live files — and must yield a
+//!   [`precis_durability::recover()`] over the live files — and must yield a
 //!   byte-identical `dump_to_string` AND a byte-identical rendered answer
 //!   versus the live engine. No record may be reported truncated: everything
 //!   was flushed before the simulated crash.
-//! * **Coalesce leg** — the same request sent over four concurrent
-//!   connections (which the scheduler coalesces into one flight) must fan
-//!   out byte-identical answers equal to the in-process rendering, at least
-//!   one of them a real execution.
 
 use crate::gen::{CaseSpec, DatasetSpec};
 use precis_core::{
@@ -62,7 +58,6 @@ pub enum Leg {
     Server,
     Layout,
     Durability,
-    Coalesce,
 }
 
 impl std::fmt::Display for Leg {
@@ -73,7 +68,6 @@ impl std::fmt::Display for Leg {
             Leg::Server => "server",
             Leg::Layout => "layout",
             Leg::Durability => "durability",
-            Leg::Coalesce => "coalesce",
         })
     }
 }
@@ -85,7 +79,7 @@ pub struct Mismatch {
     pub detail: String,
 }
 
-/// Everything a dataset needs to serve all six legs: a shared read-only
+/// Everything a dataset needs to serve all five legs: a shared read-only
 /// engine fronted by a loopback server, and a private mutable engine for
 /// the cache-invalidation leg.
 pub struct DatasetCtx {
@@ -355,7 +349,7 @@ fn render(engine: &PrecisEngine, vocab: Option<&Vocabulary>, answer: &PrecisAnsw
     render_answer(engine, vocab, answer)
 }
 
-/// Run all six legs of one case. Empty result = the case passes.
+/// Run all five legs of one case. Empty result = the case passes.
 pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     let mut out = Vec::new();
     strategy_leg(ctx, case, &mut out);
@@ -363,7 +357,6 @@ pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     server_leg(ctx, case, &mut out);
     layout_leg(ctx, case, &mut out);
     durability_leg(ctx, case, &mut out);
-    coalesce_leg(ctx, case, &mut out);
     out
 }
 
@@ -717,100 +710,6 @@ fn server_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
             leg: Leg::Server,
             detail: format!("loopback request failed: {e}"),
         }),
-    }
-}
-
-/// Single-flight leg: the same request sent over N concurrent connections
-/// must fan out byte-identical answers — and at least one of them must have
-/// been a real execution, not a coalesced join (a flight with no creator
-/// would mean the scheduler invented an answer).
-fn coalesce_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
-    const FANOUT: usize = 4;
-    let q = query(case);
-    let spec = base_spec(case);
-    let expected = match ctx.engine.answer(&q, &spec) {
-        Ok(a) => render(&ctx.engine, ctx.vocab.as_ref(), &a),
-        Err(e) => {
-            out.push(Mismatch {
-                leg: Leg::Coalesce,
-                detail: format!("direct answer errored: {e}"),
-            });
-            return;
-        }
-    };
-    let body = request_body(case);
-    let raw = format!(
-        "POST /v1/query HTTP/1.1\r\nHost: testkit\r\nConnection: close\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    let coalesced_before = ctx
-        .server
-        .as_ref()
-        .map(|s| s.metrics().coalesced_total())
-        .unwrap_or(0);
-
-    // Write all requests before reading any response, so the duplicates are
-    // genuinely concurrent and eligible for single-flight.
-    let mut socks = Vec::with_capacity(FANOUT);
-    for i in 0..FANOUT {
-        let sent = TcpStream::connect(ctx.addr).and_then(|mut s| {
-            s.set_read_timeout(Some(Duration::from_secs(10)))?;
-            s.write_all(raw.as_bytes())?;
-            Ok(s)
-        });
-        match sent {
-            Ok(s) => socks.push(s),
-            Err(e) => {
-                out.push(Mismatch {
-                    leg: Leg::Coalesce,
-                    detail: format!("duplicate {i} failed to send: {e}"),
-                });
-                return;
-            }
-        }
-    }
-    for (i, mut s) in socks.into_iter().enumerate() {
-        let mut response = String::new();
-        if let Err(e) = s.read_to_string(&mut response) {
-            out.push(Mismatch {
-                leg: Leg::Coalesce,
-                detail: format!("duplicate {i} read failed: {e}"),
-            });
-            continue;
-        }
-        let status: u16 = response
-            .split_whitespace()
-            .nth(1)
-            .and_then(|c| c.parse().ok())
-            .unwrap_or(0);
-        let served = response
-            .split_once("\r\n\r\n")
-            .map(|(_, b)| b.to_owned())
-            .unwrap_or_default();
-        if status != 200 {
-            out.push(Mismatch {
-                leg: Leg::Coalesce,
-                detail: format!(
-                    "duplicate {i}: expected 200, got {status}: {}",
-                    served.trim()
-                ),
-            });
-        } else if served != expected {
-            out.push(Mismatch {
-                leg: Leg::Coalesce,
-                detail: format!("duplicate {i}: {}", first_diff(&expected, &served)),
-            });
-        }
-    }
-    if let Some(server) = &ctx.server {
-        let coalesced = server.metrics().coalesced_total() - coalesced_before;
-        if coalesced >= FANOUT as u64 {
-            out.push(Mismatch {
-                leg: Leg::Coalesce,
-                detail: format!("all {FANOUT} duplicates coalesced — no execution of record"),
-            });
-        }
     }
 }
 
