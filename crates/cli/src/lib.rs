@@ -13,15 +13,13 @@ use precis_datagen::{
 };
 use precis_graph::{SchemaGraph, WeightProfile};
 use precis_nlg::{Translator, Vocabulary};
-use precis_obs::{Phase, QueryProfile};
+use precis_obs::{Phase, ProfileSnapshot, Trace};
 use precis_storage::io::{dump_to_string, load_from_file};
 use precis_storage::{Database, Value};
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::Instant;
 
-/// Span cap of an `explain --trace-out` capture; overflow is counted in the
-/// written trace's `droppedSpans`.
+/// Span cap of an `explain` trace; overflow is counted in the written
+/// trace's `droppedSpans`.
 const EXPLAIN_MAX_SPANS: usize = 8192;
 
 /// CLI help text (also shown by `help`).
@@ -486,8 +484,8 @@ impl Session {
     }
 
     /// `explain [--profile] [--trace-out FILE] <tokens>`: answer a query
-    /// with a [`QueryProfile`] attached and print the per-phase /
-    /// per-relation table instead of the narrative.
+    /// inside a [`Trace`] and print the per-phase / per-relation table
+    /// folded from its spans instead of the narrative.
     fn run_explain(&mut self, rest: &str) -> SessionOutcome {
         let mut want_predictions = false;
         let mut trace_out: Option<String> = None;
@@ -531,10 +529,8 @@ impl Session {
             }
         }
 
-        let profile = Arc::new(QueryProfile::new());
         let mut spec = AnswerSpec::new(self.degree.clone(), self.cardinality.clone())
             .with_strategy(self.strategy);
-        spec.options.profile = Some(profile.clone());
         if !self.overrides.is_empty() {
             let mut weights = WeightProfile::new("__session");
             for (edge, w) in &self.overrides {
@@ -544,42 +540,37 @@ impl Session {
             spec = spec.with_profile("__session");
         }
 
-        // Span sites are live only when a trace file was requested; the
-        // capture holds exactly this query's spans.
-        let capture = trace_out.map(|path| {
-            let capture = precis_obs::capture_trace(profile.trace(), EXPLAIN_MAX_SPANS);
-            (path, capture)
-        });
-        let t0 = Instant::now();
-        let query = PrecisQuery::parse(tokens);
-        profile.add_phase(Phase::Parse, t0.elapsed());
-        let answer = match self.engine.answer(&query, &spec) {
-            Ok(a) => a,
+        // Everything from parsing to narration records into this query's
+        // trace; the profile printed below is folded from it.
+        let mut trace = Trace::new(EXPLAIN_MAX_SPANS);
+        let (query, answered) = {
+            let _entered = trace.enter();
+            let parse_span = precis_obs::span(Phase::Parse.span_name());
+            let query = PrecisQuery::parse(tokens);
+            drop(parse_span);
+            let answered = self.engine.answer(&query, &spec).map(|answer| {
+                let _nlg_span = precis_obs::span(Phase::Nlg.span_name());
+                let fallback_vocab = Vocabulary::new();
+                let db = self.engine.database();
+                let translator = match &self.vocabulary {
+                    Some(vocab) => Translator::new(db, self.engine.graph(), vocab),
+                    None => Translator::new(db, self.engine.graph(), &fallback_vocab)
+                        .with_generic_fallback(),
+                };
+                let narrated = translator.translate_ranked(&answer).map_or(0, |n| n.len());
+                (answer, narrated)
+            });
+            (query, answered)
+        };
+        let (answer, narrated) = match answered {
+            Ok(answered) => answered,
             Err(e) => return SessionOutcome::Error(e.to_string()),
         };
-        // Narrate under the same trace id so NLG spans join the query's
-        // trace, and so the profile's nlg phase matches the served path.
-        let narrated = precis_obs::with_trace(profile.trace(), || {
-            let nlg_span = precis_obs::span("nlg.translate");
-            let t1 = Instant::now();
-            let fallback_vocab = Vocabulary::new();
-            let translator = match &self.vocabulary {
-                Some(vocab) => Translator::new(self.engine.database(), self.engine.graph(), vocab),
-                None => {
-                    Translator::new(self.engine.database(), self.engine.graph(), &fallback_vocab)
-                        .with_generic_fallback()
-                }
-            };
-            let narrated = translator
-                .translate_ranked(&answer)
-                .map(|n| n.len())
-                .unwrap_or(0);
-            drop(nlg_span);
-            profile.add_phase(Phase::Nlg, t1.elapsed());
-            narrated
-        });
-        profile.finish();
-        let snap = profile.snapshot();
+        let snap = ProfileSnapshot::fold(
+            &query.tokens().join(" "),
+            trace.spans(),
+            self.engine.cost_params(),
+        );
 
         let mut out = String::new();
         let unmatched = answer.unmatched_tokens();
@@ -594,16 +585,15 @@ impl Session {
             narrated
         );
         out.push_str(&precis_obs::render_profile_text(&snap));
-        if let Some((path, capture)) = capture {
-            let drained = capture.take();
-            let json = precis_obs::chrome_trace(&drained.spans, drained.dropped);
+        if let Some(path) = trace_out {
+            let (spans, dropped) = trace.finish();
+            let json = precis_obs::chrome_trace(&spans, dropped);
             match std::fs::write(&path, &json) {
                 Ok(()) => {
                     let _ = writeln!(
                         out,
-                        "trace: {} spans ({} dropped) written to {path} — load in chrome://tracing",
-                        drained.spans.len(),
-                        drained.dropped
+                        "trace: {} spans ({dropped} dropped) written to {path} — load in chrome://tracing",
+                        spans.len(),
                     );
                 }
                 Err(e) => return SessionOutcome::Error(format!("cannot write {path}: {e}")),

@@ -13,6 +13,12 @@
 //!   style selection; fast but may starve later join values on 1-to-n joins;
 //! * [`RetrievalStrategy::RoundRobin`] — one open scan per join value,
 //!   retrieving one tuple per scan per round, spreading the budget evenly.
+//!
+//! Every seed install, join and repaired parent relation is one span
+//! carrying the relation, the tuples it added and the index probes and
+//! tuple reads it cost (read off a [`ThreadMeter`] around the step, whether
+//! or not a trace is listening) — the rows of a query's profile, and what
+//! Formula (2)'s per-relation prediction is held against.
 
 use crate::cancel::CancelToken;
 use crate::constraints::{CardinalityBudget, CardinalityConstraint};
@@ -21,13 +27,12 @@ use crate::error::CoreError;
 use crate::result_schema::ResultSchema;
 use crate::Result;
 use precis_graph::SchemaGraph;
-use precis_obs::{QueryProfile, RelationDelta};
+use precis_obs::profile::{record_step, SPAN_JOIN, SPAN_REPAIRED, SPAN_SEED};
 use precis_storage::{
-    Database, DatabaseSchema, Datum, FxHashMap, FxHashSet, RelationId, ThreadMeter, TupleId,
-    ValueScan,
+    Database, DatabaseSchema, Datum, FxHashMap, FxHashSet, RelationId, StatsSnapshot, ThreadMeter,
+    TupleId, ValueScan,
 };
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::time::Instant;
 
 /// How the generator retrieves a bounded subset of joining tuples (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,13 +71,6 @@ pub struct DbGenOptions {
     /// [`CoreError::Cancelled`] instead of running to completion — the abort
     /// path a serving layer needs for per-request deadlines.
     pub cancel: Option<CancelToken>,
-    /// Per-query profile collector. When set, the generator attributes wall
-    /// time, index probes, tuple reads, and dedup hits to each relation it
-    /// traverses (via thread-scoped storage meters, so concurrent queries on
-    /// the same database never cross-contaminate). `None` keeps the
-    /// generator on its unmetered path — the answer itself is identical
-    /// either way.
-    pub profile: Option<std::sync::Arc<QueryProfile>>,
 }
 
 impl Default for DbGenOptions {
@@ -82,7 +80,6 @@ impl Default for DbGenOptions {
             postpone_by_in_degree: true,
             tuple_weights: None,
             cancel: None,
-            profile: None,
         }
     }
 }
@@ -219,7 +216,6 @@ pub fn generate_result_database(
 ) -> Result<PrecisDatabase> {
     let cancel = options.cancel.clone().unwrap_or_default();
     cancel.check()?;
-    let profile = options.profile.as_deref();
     let _gen_span = precis_obs::span("db_gen.generate");
     let mut budget = CardinalityBudget::new(cardinality.clone());
     let mut collected: BTreeMap<RelationId, Collected> = BTreeMap::new();
@@ -247,9 +243,8 @@ pub fn generate_result_database(
         if tids.is_empty() {
             continue;
         }
-        let seed_span = precis_obs::span("db_gen.seed");
-        let meter = profile.map(|_| ThreadMeter::new());
-        let seed_start = profile.map(|_| Instant::now());
+        let seed_span = precis_obs::span(SPAN_SEED);
+        let meter = ThreadMeter::new();
         let mut dedup_hits = 0u64;
         let entry = collected.entry(rel).or_default();
         let tag_id = entry.intern(&BTreeSet::from([rel]));
@@ -274,22 +269,15 @@ pub fn generate_result_database(
         budget.charge(rel, added);
         report.seed_tuples += added;
         kept_seeds.insert(rel, entry.order.clone());
-        if let (Some(p), Some(m), Some(t0)) = (profile, &meter, seed_start) {
-            let name = db.schema().relation(rel).name();
-            let events = m.events();
-            seed_span.label(name);
-            seed_span.field("tuples", added as u64);
-            p.record_relation(
-                name,
-                RelationDelta {
-                    tuples: added as u64,
-                    index_probes: events.index_probes,
-                    tuple_reads: events.tuple_reads,
-                    cache_hits: dedup_hits,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-        }
+        let events = meter.events();
+        record_step(
+            &seed_span,
+            db.schema().relation(rel).name(),
+            added as u64,
+            events.index_probes,
+            events.tuple_reads,
+            dedup_hits,
+        );
     }
 
     // Step 2: walk the used join edges.
@@ -306,15 +294,7 @@ pub fn generate_result_database(
 
     // Step 3: optional foreign-key repair for structural consistency.
     if options.repair_foreign_keys {
-        repair_foreign_keys(
-            db,
-            graph,
-            schema,
-            &mut collected,
-            &mut report,
-            &cancel,
-            profile,
-        )?;
+        repair_foreign_keys(db, graph, schema, &mut collected, &mut report, &cancel)?;
     }
 
     materialize(db, graph, schema, collected, kept_seeds, report)
@@ -344,7 +324,6 @@ fn execute_joins(
     let default_weights = TupleWeights::default();
     let weights = options.tuple_weights.as_deref().unwrap_or(&default_weights);
     let cancel = options.cancel.clone().unwrap_or_default();
-    let profile = options.profile.as_deref();
 
     loop {
         cancel.check()?;
@@ -386,9 +365,8 @@ fn execute_joins(
         let allowance = budget.allowance(e.to);
         let dest = collected.entry(e.to).or_default();
 
-        let span = precis_obs::span("db_gen.join");
-        let meter = profile.map(|_| ThreadMeter::new());
-        let start = profile.map(|_| Instant::now());
+        let span = precis_obs::span(SPAN_JOIN);
+        let meter = ThreadMeter::new();
         let outcome = match strategy {
             RetrievalStrategy::NaiveQ => naive_q(
                 db, e.to, e.to_attr, &values, allowance, dest, &u.origins, &cancel,
@@ -400,24 +378,15 @@ fn execute_joins(
                 db, e.to, e.to_attr, &values, allowance, dest, &u.origins, weights, &cancel,
             ),
         }?;
-        if let (Some(p), Some(m), Some(t0)) = (profile, &meter, start) {
-            let name = db.schema().relation(e.to).name();
-            let events = m.events();
-            span.label(name);
-            span.field("tuples", outcome.added as u64);
-            span.field("index_probes", events.index_probes);
-            span.field("tuple_reads", events.tuple_reads);
-            p.record_relation(
-                name,
-                RelationDelta {
-                    tuples: outcome.added as u64,
-                    index_probes: events.index_probes,
-                    tuple_reads: events.tuple_reads,
-                    cache_hits: outcome.dedup_hits,
-                    wall_ns: t0.elapsed().as_nanos() as u64,
-                },
-            );
-        }
+        let events = meter.events();
+        record_step(
+            &span,
+            db.schema().relation(e.to).name(),
+            outcome.added as u64,
+            events.index_probes,
+            events.tuple_reads,
+            outcome.dedup_hits,
+        );
         budget.charge(e.to, outcome.added);
         report.retrieved_tuples += outcome.added;
         report.joins_executed += 1;
@@ -628,7 +597,6 @@ fn top_weight(
 /// the result schema, until a fixpoint. Repair runs on the query thread, so
 /// a single [`ThreadMeter`] with before/after snapshots around each storage
 /// call attributes probes and reads to the parent relation exactly.
-#[allow(clippy::too_many_arguments)]
 fn repair_foreign_keys(
     db: &Database,
     graph: &SchemaGraph,
@@ -636,12 +604,18 @@ fn repair_foreign_keys(
     collected: &mut BTreeMap<RelationId, Collected>,
     report: &mut GenReport,
     cancel: &CancelToken,
-    profile: Option<&QueryProfile>,
 ) -> Result<()> {
     let span = precis_obs::span("db_gen.repair");
-    let meter = profile.map(|_| ThreadMeter::new());
-    let mut deltas: BTreeMap<RelationId, RelationDelta> = BTreeMap::new();
-    let mut repaired_here = 0u64;
+    let meter = ThreadMeter::new();
+    // Per parent relation: tuples pulled in, index probes, tuple reads.
+    let mut steps: BTreeMap<RelationId, [u64; 3]> = BTreeMap::new();
+    let mut charge = |rel: RelationId, before: StatsSnapshot, tuples: u64| {
+        let events = meter.events().since(before);
+        let step = steps.entry(rel).or_default();
+        step[0] += tuples;
+        step[1] += events.index_probes;
+        step[2] += events.tuple_reads;
+    };
     let applicable = applicable_foreign_keys(db.schema(), graph, schema);
     let result = loop {
         if let Err(e) = cancel.check() {
@@ -688,14 +662,9 @@ fn repair_foreign_keys(
                 if present_vals[&(parent, parent_attr)].contains(&v) {
                     continue;
                 }
-                let before = meter.as_ref().map(|m| m.events());
+                let before = meter.events();
                 let looked_up = db.lookup_datum(parent, parent_attr, v);
-                if let (Some(m), Some(b)) = (&meter, before) {
-                    let d = deltas.entry(parent).or_default();
-                    let e = m.events().since(b);
-                    d.index_probes += e.index_probes;
-                    d.tuple_reads += e.tuple_reads;
-                }
+                charge(parent, before, 0);
                 match looked_up {
                     Ok(tids) => {
                         for ptid in tids.iter().take(1) {
@@ -720,37 +689,28 @@ fn repair_foreign_keys(
         for (rel, tid) in additions {
             let entry = collected.entry(rel).or_default();
             if !entry.contains(tid) {
-                let before = meter.as_ref().map(|m| m.events());
+                let before = meter.events();
                 let fetched = db.fetch_from(rel, tid);
-                if let (Some(m), Some(b)) = (&meter, before) {
-                    let d = deltas.entry(rel).or_default();
-                    let e = m.events().since(b);
-                    d.index_probes += e.index_probes;
-                    d.tuple_reads += e.tuple_reads;
-                }
+                charge(rel, before, u64::from(fetched.is_ok()));
                 if let Err(e) = fetched {
                     failed = Some(e.into());
                     break;
                 }
                 entry.add(tid, &tags);
                 report.repaired_tuples += 1;
-                repaired_here += 1;
-                if meter.is_some() {
-                    deltas.entry(rel).or_default().tuples += 1;
-                }
             }
         }
         if let Some(e) = failed {
             break Err(e);
         }
     };
-    if let Some(p) = profile {
-        span.field("repaired", repaired_here);
-        for (rel, delta) in deltas {
-            // Repair interleaves relations, so wall time stays on the rows
-            // of the steps that produced it; repair rows carry counts only.
-            p.record_relation(db.schema().relation(rel).name(), delta);
-        }
+    span.field("repaired", steps.values().map(|step| step[0]).sum());
+    for (rel, [tuples, index_probes, tuple_reads]) in steps {
+        // Repair interleaves relations, so wall time stays on the spans of
+        // the steps that produced it; these carry counts only.
+        let repaired = precis_obs::span(SPAN_REPAIRED);
+        let name = db.schema().relation(rel).name();
+        record_step(&repaired, name, tuples, index_probes, tuple_reads, 0);
     }
     result
 }
@@ -1299,14 +1259,15 @@ mod tests {
             DegreeConstraint::MinWeight(0.5),
             CardinalityConstraint::MaxTuplesPerRelation(3),
         );
-        let trace = precis_obs::new_trace_id();
-        let capture = precis_obs::capture_trace(trace, 256);
-        precis_obs::with_trace(trace, || {
+        let mut trace = precis_obs::Trace::new(256);
+        {
+            let _entered = trace.enter();
             let _caller = precis_obs::span("test.caller");
-            engine.answer(&PrecisQuery::new(["hub", "b"]), &spec)
-        })
-        .unwrap();
-        let spans = capture.take().spans;
+            engine
+                .answer(&PrecisQuery::new(["hub", "b"]), &spec)
+                .unwrap();
+        }
+        let (spans, _) = trace.finish();
         let caller = spans
             .iter()
             .find(|s| s.name == "test.caller")
@@ -1320,9 +1281,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_captures_each_hold_only_their_own_answer() {
-        // Captures are keyed by trace id and share nothing else, so two
-        // threads capturing at once need no gate: neither sees the other's
+    fn traces_on_two_threads_each_hold_only_their_own_answer() {
+        // A trace is reachable only from the thread that entered it, so two
+        // threads recording at once need no gate: neither sees the other's
         // spans, and each tree is whole.
         use crate::{AnswerSpec, PrecisEngine, PrecisQuery};
         let (db, g) = star_db();
@@ -1332,30 +1293,28 @@ mod tests {
             CardinalityConstraint::MaxTuplesPerRelation(3),
         );
         let start = std::sync::Barrier::new(2);
-        let answer_captured = |tokens: [&str; 2]| {
-            let trace = precis_obs::new_trace_id();
-            let capture = precis_obs::capture_trace(trace, 4096);
+        let answer_traced = |tokens: [&str; 2]| {
+            let mut trace = precis_obs::Trace::new(4096);
             start.wait();
             for _ in 0..50 {
-                precis_obs::with_trace(trace, || {
-                    engine.answer(&PrecisQuery::new(tokens), &spec).unwrap()
-                });
+                let _entered = trace.enter();
+                engine.answer(&PrecisQuery::new(tokens), &spec).unwrap();
             }
-            (trace, capture.take())
+            (trace.id(), trace.finish())
         };
         let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| answer_captured(["hub", "b"]));
-            let b = s.spawn(|| answer_captured(["hub", "c"]));
+            let a = s.spawn(|| answer_traced(["hub", "b"]));
+            let b = s.spawn(|| answer_traced(["hub", "c"]));
             (a.join().unwrap(), b.join().unwrap())
         });
-        for (trace, got) in [a, b] {
-            assert_eq!(got.dropped, 0);
-            let answers = got.spans.iter().filter(|s| s.name == "engine.answer");
+        for (trace, (spans, dropped)) in [a, b] {
+            assert_eq!(dropped, 0);
+            let answers = spans.iter().filter(|s| s.name == "engine.answer");
             assert_eq!(answers.count(), 50);
-            for s in &got.spans {
-                assert_eq!(s.trace, trace, "{} belongs to the other capture", s.name);
+            for s in &spans {
+                assert_eq!(s.trace, trace, "{} belongs to the other trace", s.name);
                 if s.parent != 0 {
-                    let p = got.spans.iter().find(|p| p.id == s.parent);
+                    let p = spans.iter().find(|p| p.id == s.parent);
                     let p = p.unwrap_or_else(|| panic!("{} lost its parent", s.name));
                     assert!(p.start_ns <= s.start_ns && p.end_ns >= s.end_ns);
                 }

@@ -1,5 +1,9 @@
 //! The précis engine: wires the inverted index, the Result Schema Generator
 //! and the Result Database Generator into the pipeline of Figure 2.
+//!
+//! Each stage runs under one span named by [`Phase::span_name`]; that span
+//! is the stage's only clock. A caller that wants the per-phase profile
+//! enters a `precis_obs::Trace` around the calls and folds it afterwards.
 
 use crate::cache::{AnswerCache, AnswerCacheStats};
 use crate::constraints::{CardinalityConstraint, DegreeConstraint};
@@ -17,7 +21,6 @@ use precis_storage::{Database, RelationId, TupleId};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// How one query token matched the database: the paper's
 /// `k_i → {(R_j, A_lj, Tids_lj)}` entry.
@@ -117,12 +120,6 @@ pub struct QueryPlan {
     pub seeds: HashMap<RelationId, Vec<TupleId>>,
     /// The result schema, shared with the engine's memo.
     pub schema: Arc<ResultSchema>,
-    /// Wall time of the index pass; the executing answer's profile reports
-    /// it as its `token_lookup` phase.
-    pub lookup_time: Duration,
-    /// Wall time of the memo probe (plus generation on a miss): the
-    /// `schema_gen` phase.
-    pub schema_time: Duration,
 }
 
 /// The précis query engine over one database.
@@ -162,8 +159,8 @@ pub struct PrecisEngine {
     index: InvertedIndex,
     profiles: HashMap<String, WeightProfile>,
     cache: Arc<AnswerCache>,
-    /// Calibrated micro-costs used to annotate query profiles with the
-    /// paper's Formula (2) prediction next to measured wall time.
+    /// Calibrated micro-costs: what admission prices a plan with, and what
+    /// a profile's Formula (2) predictions are computed from.
     cost_model: Option<CostModel>,
 }
 
@@ -209,9 +206,7 @@ impl PrecisEngine {
         }
     }
 
-    /// Attach a calibrated cost model; subsequent profiled answers report
-    /// Formula (2) predicted seconds per relation next to measured wall
-    /// time.
+    /// Attach a calibrated cost model.
     pub fn set_cost_model(&mut self, model: CostModel) {
         self.cost_model = Some(model);
     }
@@ -219,6 +214,17 @@ impl PrecisEngine {
     /// The attached cost model, if any.
     pub fn cost_model(&self) -> Option<&CostModel> {
         self.cost_model.as_ref()
+    }
+
+    /// The attached model's micro-costs in the form
+    /// [`precis_obs::ProfileSnapshot::fold`] takes, so a profile of this
+    /// engine's answer reports Formula (2) predicted seconds per relation
+    /// next to measured wall time.
+    pub fn cost_params(&self) -> Option<CostParams> {
+        self.cost_model.map(|m| CostParams {
+            index_time_secs: m.index_time,
+            tuple_time_secs: m.tuple_time,
+        })
     }
 
     /// Insert a tuple into the underlying database, keeping the inverted
@@ -304,8 +310,7 @@ impl PrecisEngine {
         if query.is_empty() {
             return Err(CoreError::EmptyQuery);
         }
-        let lookup_span = precis_obs::span("engine.token_lookup");
-        let t0 = Instant::now();
+        let lookup_span = precis_obs::span(Phase::TokenLookup.span_name());
         let matches: Vec<TokenMatch> = query
             .tokens()
             .iter()
@@ -315,11 +320,9 @@ impl PrecisEngine {
             })
             .collect();
         drop(lookup_span);
-        let lookup_time = t0.elapsed();
         let (origins, seeds) = origins_and_seeds(&matches);
 
-        let schema_span = precis_obs::span("engine.schema_gen");
-        let t0 = Instant::now();
+        let _schema_span = precis_obs::span(Phase::SchemaGen.span_name());
         let key = AnswerCache::schema_key(&origins, degree, profile);
         let schema = match self.cache.get_schema(&key) {
             Some(memoized) => memoized,
@@ -330,13 +333,10 @@ impl PrecisEngine {
                 generated
             }
         };
-        drop(schema_span);
         Ok(QueryPlan {
             matches,
             seeds,
             schema,
-            lookup_time,
-            schema_time: t0.elapsed(),
         })
     }
 
@@ -356,46 +356,23 @@ impl PrecisEngine {
     /// Answer a précis query end to end: index lookup → result schema →
     /// result database.
     pub fn answer(&self, query: &PrecisQuery, spec: &AnswerSpec) -> Result<PrecisAnswer> {
-        // Unprofiled queries inherit the caller's ambient trace (if any), so
-        // their engine spans still land in the request's capture buffer.
-        let trace = spec
-            .options
-            .profile
-            .as_ref()
-            .map_or_else(precis_obs::current_trace, |p| p.trace());
-        precis_obs::with_trace(trace, || {
-            let plan = self.plan(query, &spec.degree, spec.profile.as_deref())?;
-            self.answer_planned(plan, spec)
-        })
+        let plan = self.plan(query, &spec.degree, spec.profile.as_deref())?;
+        self.answer_planned(plan, spec)
     }
 
     /// Stage 3 over a plan this engine built for `spec.degree` and
-    /// `spec.profile`: generate the result database. The plan's lookup and
-    /// schema timings are reported as the attached profile's first two
-    /// phases, so a caller that planned earlier (the server plans at
-    /// admission) still gets every phase row. Spans record under the
-    /// caller's trace scope.
+    /// `spec.profile`: generate the result database. Like the plan's, its
+    /// spans record into whatever trace the calling thread has entered —
+    /// a caller that planned earlier (the server plans at admission) gets
+    /// every phase by entering the same trace both times.
     pub fn answer_planned(&self, plan: QueryPlan, spec: &AnswerSpec) -> Result<PrecisAnswer> {
         let _answer_span = precis_obs::span("engine.answer");
-        if let Some(p) = &spec.options.profile {
-            let tokens: Vec<&str> = plan.matches.iter().map(|m| m.token.as_str()).collect();
-            p.set_query(&tokens.join(" "));
-            if let Some(m) = &self.cost_model {
-                p.set_cost_params(CostParams {
-                    index_time_secs: m.index_time,
-                    tuple_time_secs: m.tuple_time,
-                });
-            }
-            p.add_phase(Phase::TokenLookup, plan.lookup_time);
-            p.add_phase(Phase::SchemaGen, plan.schema_time);
-        }
         if let Some(cancel) = &spec.options.cancel {
             cancel.check()?;
         }
         let graph = self.graph_for(spec.profile.as_deref())?;
 
-        let db_gen_span = precis_obs::span("engine.db_gen");
-        let t0 = Instant::now();
+        let db_gen_span = precis_obs::span(Phase::DbGen.span_name());
         let precis = generate_result_database(
             &self.db,
             &graph,
@@ -406,9 +383,6 @@ impl PrecisEngine {
             &spec.options,
         )?;
         drop(db_gen_span);
-        if let Some(p) = &spec.options.profile {
-            p.add_phase(Phase::DbGen, t0.elapsed());
-        }
 
         Ok(PrecisAnswer {
             matches: plan.matches,
@@ -833,30 +807,24 @@ mod tests {
     }
 
     #[test]
-    fn profiled_answer_fills_phases_relations_and_predictions() {
+    fn a_traced_answer_folds_into_phases_relations_and_predictions() {
         let (db, graph) = expert_join_setup();
         let mut engine = PrecisEngine::new(db, graph).unwrap();
         engine.set_cost_model(CostModel::new(1e-6, 2e-6));
-        let profile = Arc::new(precis_obs::QueryProfile::new());
-        let options = DbGenOptions {
-            profile: Some(profile.clone()),
-            ..Default::default()
-        };
         let spec = AnswerSpec::new(
             crate::DegreeConstraint::MinWeight(0.5),
             CardinalityConstraint::Unbounded,
-        )
-        .with_options(options);
-        let unprofiled_spec = AnswerSpec::new(
-            crate::DegreeConstraint::MinWeight(0.5),
-            CardinalityConstraint::Unbounded,
         );
+        let q = PrecisQuery::parse("ada");
 
-        let a = engine.answer(&PrecisQuery::parse("ada"), &spec).unwrap();
-        profile.finish();
-        let snap = profile.snapshot();
+        let mut trace = precis_obs::Trace::new(64);
+        let a = {
+            let _entered = trace.enter();
+            engine.answer(&q, &spec).unwrap()
+        };
+        let snap = precis_obs::ProfileSnapshot::fold("ada", trace.spans(), engine.cost_params());
+        assert_eq!((snap.query.as_str(), snap.trace), ("ada", trace.id()));
 
-        assert_eq!(snap.query, "ada");
         assert!(snap.phase(Phase::TokenLookup) > 0);
         assert!(snap.phase(Phase::SchemaGen) > 0);
         assert!(snap.phase(Phase::DbGen) > 0);
@@ -865,16 +833,15 @@ mod tests {
         assert_eq!(rels, vec!["PERSON", "VENUE"]);
         for r in &snap.relations {
             assert!(r.tuples > 0, "{r:?}");
+            assert!(r.tuple_reads >= r.tuples, "{r:?}");
             assert!(r.wall_ns > 0, "{r:?}");
             // Formula (2): tuples × (IndexTime + TupleTime).
             assert_eq!(r.predicted_secs, Some(r.tuples as f64 * 3e-6), "{r:?}");
         }
         assert!(snap.predicted_total_secs.is_some());
 
-        // Profiling never changes the answer itself.
-        let b = engine
-            .answer(&PrecisQuery::parse("ada"), &unprofiled_spec)
-            .unwrap();
+        // Recording never changes the answer itself.
+        let b = engine.answer(&q, &spec).unwrap();
         assert_eq!(a.precis.collected, b.precis.collected);
         assert_eq!(a.precis.report, b.precis.report);
     }

@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use crate::profile::{Phase, ProfileSnapshot};
-use crate::tracer::SpanRecord;
+use crate::record::SpanRecord;
 
 fn fmt_ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
@@ -104,9 +104,8 @@ fn escape_json_into(out: &mut String, s: &str) {
 }
 
 /// Serialise spans as Chrome `trace_event` JSON (complete events). The
-/// `dropped` count from [`crate::tracer::TraceCapture::take`] is recorded in
-/// the top-level metadata so a capture that hit its span cap is visible in
-/// the trace itself.
+/// `dropped` count from [`crate::tracer::Trace::finish`] is recorded in the
+/// top-level metadata so a trace that hit its span cap says so itself.
 pub fn chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
     let mut out = String::with_capacity(128 + spans.len() * 128);
     out.push_str("{\"displayTimeUnit\": \"ms\", \"droppedSpans\": ");
@@ -136,7 +135,7 @@ pub fn chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
             escape_json_into(&mut out, label);
             out.push('"');
         }
-        for (key, value) in &s.fields {
+        for (key, value) in s.fields.iter() {
             out.push_str(", \"");
             escape_json_into(&mut out, key);
             let _ = write!(out, "\": {value}");
@@ -150,30 +149,34 @@ pub fn chrome_trace(spans: &[SpanRecord], dropped: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profile::{CostParams, QueryProfile, RelationDelta};
+    use crate::profile::{CostParams, RelationProfile};
 
     #[test]
     fn profile_text_shows_phases_relations_and_cost_line() {
-        let p = QueryProfile::new();
-        p.set_query("woody allen");
-        p.add_phase_ns(Phase::Parse, 500_000);
-        p.add_phase_ns(Phase::DbGen, 2_000_000);
-        p.set_cost_params(CostParams {
-            index_time_secs: 1e-6,
-            tuple_time_secs: 2e-6,
-        });
-        p.record_relation(
-            "movies",
-            RelationDelta {
+        let mut phase_ns = [0; Phase::COUNT];
+        phase_ns[Phase::Parse.index()] = 500_000;
+        phase_ns[Phase::DbGen.index()] = 2_000_000;
+        let snap = ProfileSnapshot {
+            query: "woody allen".to_owned(),
+            trace: 7,
+            total_ns: 3_000_000,
+            phase_ns,
+            relations: vec![RelationProfile {
+                relation: "movies".to_owned(),
                 tuples: 10,
                 index_probes: 3,
                 tuple_reads: 12,
                 cache_hits: 1,
                 wall_ns: 1_500_000,
-            },
-        );
-        p.finish();
-        let text = render_profile_text(&p.snapshot());
+                predicted_secs: Some(10.0 * 3e-6),
+            }],
+            cost: Some(CostParams {
+                index_time_secs: 1e-6,
+                tuple_time_secs: 2e-6,
+            }),
+            predicted_total_secs: Some(10.0 * 3e-6),
+        };
+        let text = render_profile_text(&snap);
         assert!(text.contains("query profile for \"woody allen\""), "{text}");
         assert!(text.contains("parse"), "{text}");
         assert!(text.contains("db_gen"), "{text}");
@@ -195,7 +198,7 @@ mod tests {
                 start_ns: 1_000,
                 end_ns: 11_000,
                 thread: 1,
-                fields: vec![("tokens", 2)],
+                fields: [("tokens", 2)].into_iter().collect(),
                 label: None,
             },
             SpanRecord {
@@ -206,7 +209,7 @@ mod tests {
                 start_ns: 2_000,
                 end_ns: 9_000,
                 thread: 3,
-                fields: Vec::new(),
+                fields: Default::default(),
                 label: Some("movies \"quoted\"".to_owned()),
             },
         ];

@@ -1,29 +1,26 @@
-//! Per-query profiling: phase wall times, per-relation traversal counts,
-//! and the paper's cost model prediction next to measured reality.
+//! Per-query profiles: phase wall times, per-relation traversal counts, and
+//! the paper's cost model prediction next to measured reality — all read off
+//! the request's own spans.
 //!
-//! A [`QueryProfile`] is an `Arc`-shared collector threaded through the
-//! pipeline (`DbGenOptions.profile`). Phase accumulators are relaxed
-//! atomics so parallel join workers can report without coordination;
-//! per-relation rows merge under a short-lived mutex (taken once per join
-//! task, not per tuple). The pipeline only ever *adds* — a [`snapshot`]
-//! turns the accumulator into plain exportable data.
+//! Nothing is collected twice. The pipeline opens one span per phase (under
+//! [`Phase::span_name`], the one phase↔span table) and one per relation step
+//! ([`record_step`]), and [`ProfileSnapshot::fold`] turns a trace's spans
+//! into plain exportable data.
 //!
-//! Predicted-vs-actual semantics: with [`CostParams`] attached (the
-//! calibrated `CostModel`'s `IndexTime`/`TupleTime`), each relation's
-//! predicted time is Formula 2 evaluated at the cardinality the generator
-//! actually retrieved — `card(R′ᵢ) · (IndexTime + TupleTime)` — so the gap
-//! between `predicted_secs` and `wall_ns` is exactly the model error the
-//! calibration loop (Formula 3) is supposed to close.
-//!
-//! [`snapshot`]: QueryProfile::snapshot
+//! Predicted-vs-actual semantics: given [`CostParams`] (the calibrated
+//! `CostModel`'s `IndexTime`/`TupleTime`), each relation's predicted time is
+//! Formula 2 evaluated at the cardinality the generator actually retrieved —
+//! `card(R′ᵢ) · (IndexTime + TupleTime)` — so the gap between
+//! `predicted_secs` and `wall_ns` is exactly the model error the calibration
+//! loop (Formula 3) is supposed to close.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Duration;
 
-use crate::tracer;
+use crate::record::SpanRecord;
+use crate::sched_obs;
+use crate::tracer::SpanGuard;
 
 /// The fixed phase taxonomy of one query's lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,6 +65,23 @@ impl Phase {
         }
     }
 
+    /// The span whose time is this phase: every site that opens one names
+    /// it through here, and [`ProfileSnapshot::fold`] reads them back. Queue
+    /// wait has no extent of its own on any thread — it is the
+    /// [`sched_obs::FIELD_QUEUE_WAIT_NS`] the server stamps on the execute
+    /// span — and `render` is its span minus the `nlg` spans inside it.
+    pub fn span_name(self) -> &'static str {
+        match self {
+            Phase::QueueWait => sched_obs::SPAN_EXECUTE,
+            Phase::Parse => "api.parse",
+            Phase::TokenLookup => "engine.token_lookup",
+            Phase::SchemaGen => "engine.schema_gen",
+            Phase::DbGen => "engine.db_gen",
+            Phase::Nlg => "nlg.translate",
+            Phase::Render => "api.render",
+        }
+    }
+
     /// Stable snake_case name used in JSON, Prometheus labels, and text.
     pub fn name(self) -> &'static str {
         match self {
@@ -90,179 +104,46 @@ pub struct CostParams {
     pub tuple_time_secs: f64,
 }
 
-/// One join task's contribution to a relation's traversal accounting.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RelationDelta {
-    /// Tuples added to the result sub-database.
-    pub tuples: u64,
-    pub index_probes: u64,
-    pub tuple_reads: u64,
-    /// Tuples that were already present in the result (dedup hits — no
-    /// storage cost paid the second time).
-    pub cache_hits: u64,
-    pub wall_ns: u64,
-}
+/// The spans that are one step of one relation's traversal: a seed install,
+/// a join, or the parents foreign-key repair pulled in.
+pub const SPAN_SEED: &str = "db_gen.seed";
+pub const SPAN_JOIN: &str = "db_gen.join";
+pub const SPAN_REPAIRED: &str = "db_gen.repaired";
 
-#[derive(Debug, Default, Clone, Copy)]
-struct RelationAcc {
+const FIELD_TUPLES: &str = "tuples";
+const FIELD_INDEX_PROBES: &str = "index_probes";
+const FIELD_TUPLE_READS: &str = "tuple_reads";
+const FIELD_DEDUP_HITS: &str = "dedup_hits";
+
+/// Describe the relation step `span` covers: the relation, the tuples it
+/// added to the result, the storage events it cost, and the tuples it found
+/// already present (no storage cost paid the second time). The span's own
+/// duration is the step's wall time.
+pub fn record_step(
+    span: &SpanGuard,
+    relation: &str,
     tuples: u64,
     index_probes: u64,
     tuple_reads: u64,
-    cache_hits: u64,
-    wall_ns: u64,
+    dedup_hits: u64,
+) {
+    span.label(relation);
+    span.field(FIELD_TUPLES, tuples);
+    span.field(FIELD_INDEX_PROBES, index_probes);
+    span.field(FIELD_TUPLE_READS, tuple_reads);
+    span.field(FIELD_DEDUP_HITS, dedup_hits);
 }
 
-/// Shared per-query collector. Cheap to clone via `Arc`; all mutation goes
-/// through `&self`.
-#[derive(Debug)]
-pub struct QueryProfile {
-    trace: u64,
-    created_ns: u64,
-    finished_ns: AtomicU64,
-    phase_ns: [AtomicU64; Phase::COUNT],
-    relations: Mutex<BTreeMap<String, RelationAcc>>,
-    cost: Mutex<Option<CostParams>>,
-    query: Mutex<String>,
-}
-
-impl Default for QueryProfile {
-    fn default() -> Self {
-        QueryProfile::new()
-    }
-}
-
-impl QueryProfile {
-    pub fn new() -> Self {
-        QueryProfile::with_trace_id(tracer::new_trace_id())
-    }
-
-    /// A profile correlated with an already-allocated trace id — the server
-    /// allocates the id at admission (so admission spans and the capture
-    /// buffer share it) and hands it to the query's profile here.
-    pub fn with_trace_id(trace: u64) -> Self {
-        QueryProfile {
-            trace,
-            created_ns: tracer::now_ns(),
-            finished_ns: AtomicU64::new(0),
-            phase_ns: Default::default(),
-            relations: Mutex::new(BTreeMap::new()),
-            cost: Mutex::new(None),
-            query: Mutex::new(String::new()),
-        }
-    }
-
-    /// Trace id correlating this profile with its captured spans.
-    pub fn trace(&self) -> u64 {
-        self.trace
-    }
-
-    /// Record the query text (for `/v1/debug/slow` and text export).
-    pub fn set_query(&self, query: &str) {
-        let mut q = self.query.lock().expect("profile query lock");
-        q.clear();
-        q.push_str(query);
-    }
-
-    /// Attach calibrated cost-model parameters; enables predicted times.
-    pub fn set_cost_params(&self, params: CostParams) {
-        *self.cost.lock().expect("profile cost lock") = Some(params);
-    }
-
-    pub fn add_phase(&self, phase: Phase, elapsed: Duration) {
-        self.add_phase_ns(phase, elapsed.as_nanos() as u64);
-    }
-
-    pub fn add_phase_ns(&self, phase: Phase, ns: u64) {
-        self.phase_ns[phase.index()].fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Time `f` and charge the wall time to `phase`.
-    pub fn time<R>(&self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
-        let out = f();
-        self.add_phase(phase, start.elapsed());
-        out
-    }
-
-    /// Merge one task's traversal accounting into `relation`'s row.
-    pub fn record_relation(&self, relation: &str, delta: RelationDelta) {
-        let mut rels = self.relations.lock().expect("profile relations lock");
-        let acc = rels.entry(relation.to_owned()).or_default();
-        acc.tuples += delta.tuples;
-        acc.index_probes += delta.index_probes;
-        acc.tuple_reads += delta.tuple_reads;
-        acc.cache_hits += delta.cache_hits;
-        acc.wall_ns += delta.wall_ns;
-    }
-
-    /// Mark the query complete; total time freezes here. Idempotent (first
-    /// call wins).
-    pub fn finish(&self) {
-        let _ = self.finished_ns.compare_exchange(
-            0,
-            tracer::now_ns().max(self.created_ns + 1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Plain-data view of everything collected so far. Predicted times are
-    /// filled in when cost params were attached (Formula 2 per relation).
-    pub fn snapshot(&self) -> ProfileSnapshot {
-        let end = match self.finished_ns.load(Ordering::Relaxed) {
-            0 => tracer::now_ns(),
-            ns => ns,
-        };
-        let cost = *self.cost.lock().expect("profile cost lock");
-        let per_tuple_secs = cost.map(|c| c.index_time_secs + c.tuple_time_secs);
-        let relations = self
-            .relations
-            .lock()
-            .expect("profile relations lock")
-            .iter()
-            .map(|(name, acc)| RelationProfile {
-                relation: name.clone(),
-                tuples: acc.tuples,
-                index_probes: acc.index_probes,
-                tuple_reads: acc.tuple_reads,
-                cache_hits: acc.cache_hits,
-                wall_ns: acc.wall_ns,
-                predicted_secs: per_tuple_secs.map(|s| acc.tuples as f64 * s),
-            })
-            .collect::<Vec<_>>();
-        let mut phase_ns = [0u64; Phase::COUNT];
-        for (slot, atomic) in phase_ns.iter_mut().zip(self.phase_ns.iter()) {
-            *slot = atomic.load(Ordering::Relaxed);
-        }
-        let predicted_total_secs = per_tuple_secs.map(|_| {
-            relations
-                .iter()
-                .map(|r| r.predicted_secs.unwrap_or(0.0))
-                .sum()
-        });
-        ProfileSnapshot {
-            query: self.query.lock().expect("profile query lock").clone(),
-            trace: self.trace,
-            total_ns: end.saturating_sub(self.created_ns),
-            phase_ns,
-            relations,
-            cost,
-            predicted_total_secs,
-        }
-    }
-}
-
-/// Exportable view of a [`QueryProfile`].
+/// One query's profile as plain data.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSnapshot {
     pub query: String,
     pub trace: u64,
-    /// Wall time from profile creation to [`QueryProfile::finish`] (or to
-    /// the snapshot, if unfinished).
+    /// First span opened to last span closed.
     pub total_ns: u64,
     /// Indexed by [`Phase::index`].
     pub phase_ns: [u64; Phase::COUNT],
-    /// Sorted by relation name (BTreeMap order) — deterministic output.
+    /// Sorted by relation name — deterministic output.
     pub relations: Vec<RelationProfile>,
     pub cost: Option<CostParams>,
     /// Formula 1: Σ over relations of Formula 2.
@@ -270,6 +151,60 @@ pub struct ProfileSnapshot {
 }
 
 impl ProfileSnapshot {
+    /// Fold one trace's spans into its profile: a phase is the time under
+    /// the spans named for it, a relation row is its step spans summed, and
+    /// with `cost` each row carries Formula 2 at its measured cardinality.
+    pub fn fold(query: &str, spans: &[SpanRecord], cost: Option<CostParams>) -> ProfileSnapshot {
+        let per_tuple_secs = cost.map(|c| c.index_time_secs + c.tuple_time_secs);
+        let mut phase_ns = [0u64; Phase::COUNT];
+        let mut rows: BTreeMap<&str, RelationProfile> = BTreeMap::new();
+        let (mut first, mut last, mut nlg_in_render) = (u64::MAX, 0, 0);
+        for s in spans {
+            first = first.min(s.start_ns);
+            last = last.max(s.end_ns);
+            let wall_ns = s.end_ns.saturating_sub(s.start_ns);
+            if let Some(phase) = Phase::ALL.into_iter().find(|p| p.span_name() == s.name) {
+                phase_ns[phase.index()] += match phase {
+                    Phase::QueueWait => s.field(sched_obs::FIELD_QUEUE_WAIT_NS),
+                    _ => wall_ns,
+                };
+                let render = Phase::Render.span_name();
+                if phase == Phase::Nlg && spans.iter().any(|p| p.id == s.parent && p.name == render)
+                {
+                    nlg_in_render += wall_ns;
+                }
+            }
+            let step = [SPAN_SEED, SPAN_JOIN, SPAN_REPAIRED].contains(&s.name);
+            if let Some(relation) = s.label.as_deref().filter(|_| step) {
+                let row = rows.entry(relation).or_insert_with(|| RelationProfile {
+                    relation: relation.to_owned(),
+                    ..RelationProfile::default()
+                });
+                row.tuples += s.field(FIELD_TUPLES);
+                row.index_probes += s.field(FIELD_INDEX_PROBES);
+                row.tuple_reads += s.field(FIELD_TUPLE_READS);
+                row.cache_hits += s.field(FIELD_DEDUP_HITS);
+                row.wall_ns += wall_ns;
+            }
+        }
+        let render = &mut phase_ns[Phase::Render.index()];
+        *render = render.saturating_sub(nlg_in_render);
+        let mut relations: Vec<RelationProfile> = rows.into_values().collect();
+        for row in &mut relations {
+            row.predicted_secs = per_tuple_secs.map(|secs| row.tuples as f64 * secs);
+        }
+        ProfileSnapshot {
+            query: query.to_owned(),
+            trace: spans.first().map_or(0, |s| s.trace),
+            total_ns: last.saturating_sub(first),
+            phase_ns,
+            predicted_total_secs: per_tuple_secs
+                .map(|_| relations.iter().filter_map(|r| r.predicted_secs).sum()),
+            relations,
+            cost,
+        }
+    }
+
     pub fn phase(&self, phase: Phase) -> u64 {
         self.phase_ns[phase.index()]
     }
@@ -277,7 +212,7 @@ impl ProfileSnapshot {
 
 /// One relation's traversal row: measured counts and wall time next to the
 /// cost model's Formula 2 prediction at the same cardinality.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RelationProfile {
     pub relation: String,
     pub tuples: u64,
@@ -369,103 +304,135 @@ impl PhaseAgg {
 mod tests {
     use super::*;
 
-    #[test]
-    fn phases_accumulate_and_snapshot() {
-        let p = QueryProfile::new();
-        p.set_query("woody allen");
-        p.add_phase_ns(Phase::Parse, 1_000);
-        p.add_phase_ns(Phase::Parse, 500);
-        p.add_phase_ns(Phase::DbGen, 2_000_000);
-        let out = p.time(Phase::Nlg, || 42);
-        assert_eq!(out, 42);
-        p.finish();
-        let snap = p.snapshot();
-        assert_eq!(snap.query, "woody allen");
-        assert_eq!(snap.phase(Phase::Parse), 1_500);
-        assert_eq!(snap.phase(Phase::DbGen), 2_000_000);
-        assert!(snap.phase(Phase::Nlg) > 0, "time() charged the phase");
-        assert_eq!(snap.phase(Phase::QueueWait), 0);
-        assert!(snap.total_ns > 0);
-        // finish() freezes the total.
-        let again = p.snapshot();
-        assert_eq!(again.total_ns, snap.total_ns);
+    fn span(id: u64, parent: u64, name: &'static str, start_ns: u64, end_ns: u64) -> SpanRecord {
+        SpanRecord {
+            trace: 9,
+            id,
+            parent,
+            name,
+            start_ns,
+            end_ns,
+            thread: 1,
+            fields: Default::default(),
+            label: None,
+        }
+    }
+
+    fn step(mut span: SpanRecord, relation: &str, counts: [u64; 4]) -> SpanRecord {
+        span.label = Some(relation.to_owned());
+        let keys = [
+            FIELD_TUPLES,
+            FIELD_INDEX_PROBES,
+            FIELD_TUPLE_READS,
+            FIELD_DEDUP_HITS,
+        ];
+        span.fields = keys.into_iter().zip(counts).collect();
+        span
+    }
+
+    /// A served query's spans as the tracer hands them over: close order,
+    /// admission on one thread and execution on another.
+    fn served_query() -> Vec<SpanRecord> {
+        let mut execute = span(5, 0, sched_obs::SPAN_EXECUTE, 1_000, 9_000);
+        execute.fields = [(sched_obs::FIELD_QUEUE_WAIT_NS, 700)]
+            .into_iter()
+            .collect();
+        vec![
+            span(1, 0, Phase::Parse.span_name(), 0, 100),
+            span(3, 2, Phase::TokenLookup.span_name(), 110, 150),
+            span(4, 2, Phase::SchemaGen.span_name(), 150, 210),
+            span(2, 0, sched_obs::SPAN_ADMIT, 100, 300),
+            step(span(8, 7, SPAN_SEED, 1_100, 1_400), "movies", [2, 0, 3, 1]),
+            step(span(9, 7, SPAN_JOIN, 1_400, 1_900), "actors", [4, 2, 4, 0]),
+            step(span(10, 7, SPAN_JOIN, 1_900, 2_500), "movies", [3, 1, 3, 2]),
+            step(
+                span(12, 11, SPAN_REPAIRED, 2_600, 2_600),
+                "movies",
+                [1, 1, 1, 0],
+            ),
+            span(11, 7, "db_gen.repair", 2_500, 2_700),
+            span(7, 6, Phase::DbGen.span_name(), 1_050, 3_000),
+            span(6, 5, "engine.answer", 1_020, 3_050),
+            span(14, 13, Phase::Nlg.span_name(), 4_000, 7_000),
+            span(13, 5, Phase::Render.span_name(), 3_100, 8_000),
+            execute,
+        ]
     }
 
     #[test]
-    fn relations_merge_and_predict_formula_2() {
-        let p = QueryProfile::new();
-        p.record_relation(
-            "movies",
-            RelationDelta {
-                tuples: 10,
-                index_probes: 4,
-                tuple_reads: 12,
-                cache_hits: 2,
-                wall_ns: 5_000,
-            },
-        );
-        p.record_relation(
-            "movies",
-            RelationDelta {
-                tuples: 5,
-                index_probes: 1,
-                tuple_reads: 5,
-                cache_hits: 0,
-                wall_ns: 2_000,
-            },
-        );
-        p.record_relation(
-            "actors",
-            RelationDelta {
-                tuples: 3,
-                tuple_reads: 3,
-                ..RelationDelta::default()
-            },
-        );
-        // No cost params yet: predictions absent.
-        let bare = p.snapshot();
-        assert!(bare.relations.iter().all(|r| r.predicted_secs.is_none()));
-        assert!(bare.predicted_total_secs.is_none());
-
-        p.set_cost_params(CostParams {
+    fn a_profile_is_a_fold_over_the_requests_spans() {
+        let cost = CostParams {
             index_time_secs: 1e-6,
             tuple_time_secs: 3e-6,
-        });
-        let snap = p.snapshot();
+        };
+        let snap = ProfileSnapshot::fold("woody allen", &served_query(), Some(cost));
+        assert_eq!((snap.query.as_str(), snap.trace), ("woody allen", 9));
+        assert_eq!(snap.phase(Phase::QueueWait), 700, "the stamped number");
+        assert_eq!(snap.phase(Phase::Parse), 100);
+        assert_eq!(snap.phase(Phase::TokenLookup), 40);
+        assert_eq!(snap.phase(Phase::SchemaGen), 60);
+        assert_eq!(snap.phase(Phase::DbGen), 1_950);
+        assert_eq!(snap.phase(Phase::Nlg), 3_000);
+        // Render is its span minus the narrative synthesis inside it.
+        assert_eq!(snap.phase(Phase::Render), 4_900 - 3_000);
+        assert_eq!(snap.total_ns, 9_000);
+        let phase_sum: u64 = Phase::ALL.iter().map(|&p| snap.phase(p)).sum();
+        assert!(phase_sum <= snap.total_ns, "{phase_sum}");
+
+        // Name order; a relation seeded, joined into and repaired is one row
+        // whose wall time is its steps' own durations.
         assert_eq!(snap.relations.len(), 2);
-        // BTreeMap order: actors before movies.
         assert_eq!(snap.relations[0].relation, "actors");
         let movies = &snap.relations[1];
-        assert_eq!(movies.tuples, 15);
-        assert_eq!(movies.index_probes, 5);
-        assert_eq!(movies.tuple_reads, 17);
-        assert_eq!(movies.cache_hits, 2);
-        assert_eq!(movies.wall_ns, 7_000);
-        // Formula 2: 15 tuples × (1µs + 3µs).
-        let predicted = movies.predicted_secs.expect("cost params attached");
-        assert!((predicted - 15.0 * 4e-6).abs() < 1e-12);
+        assert_eq!(movies.relation, "movies");
+        assert_eq!((movies.tuples, movies.index_probes), (6, 2));
+        assert_eq!((movies.tuple_reads, movies.cache_hits), (7, 3));
+        assert_eq!(movies.wall_ns, 300 + 600);
+        // Formula 2: tuples × (IndexTime + TupleTime).
+        let predicted = movies.predicted_secs.expect("cost params given");
+        assert!((predicted - 6.0 * 4e-6).abs() < 1e-12);
         let total = snap.predicted_total_secs.expect("total predicted");
-        assert!((total - (15.0 + 3.0) * 4e-6).abs() < 1e-12);
+        assert!((total - (6.0 + 4.0) * 4e-6).abs() < 1e-12);
+
+        // Without cost params the measured side is unchanged and nothing is
+        // predicted.
+        let bare = ProfileSnapshot::fold("woody allen", &served_query(), None);
+        assert!(bare.relations.iter().all(|r| r.predicted_secs.is_none()));
+        assert!(bare.predicted_total_secs.is_none());
+        assert_eq!(bare.phase_ns, snap.phase_ns);
+    }
+
+    #[test]
+    fn narration_outside_a_render_span_is_not_taken_off_it() {
+        // The CLI narrates beside its rendering, not inside it.
+        let spans = [
+            span(1, 0, Phase::Render.span_name(), 0, 50),
+            span(2, 0, Phase::Nlg.span_name(), 50, 90),
+        ];
+        let snap = ProfileSnapshot::fold("", &spans, None);
+        assert_eq!(snap.phase(Phase::Render), 50);
+        assert_eq!(snap.phase(Phase::Nlg), 40);
+        let empty = ProfileSnapshot::fold("", &[], None);
+        assert_eq!(
+            (empty.trace, empty.total_ns, empty.relations.len()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
     fn phase_agg_exposition_is_well_formed() {
         let agg = PhaseAgg::new();
-        let p = QueryProfile::new();
-        p.add_phase_ns(Phase::DbGen, 2_000_000_000);
-        p.set_cost_params(CostParams {
+        let cost = CostParams {
             index_time_secs: 1e-6,
             tuple_time_secs: 1e-6,
-        });
-        p.record_relation(
-            "movies",
-            RelationDelta {
-                tuples: 100,
-                ..RelationDelta::default()
-            },
-        );
-        agg.accumulate(&p.snapshot());
-        agg.accumulate(&p.snapshot());
+        };
+        let spans = [
+            span(1, 0, Phase::DbGen.span_name(), 0, 2_000_000_000),
+            step(span(2, 1, SPAN_JOIN, 0, 1), "movies", [100, 0, 0, 0]),
+        ];
+        let snap = ProfileSnapshot::fold("", &spans, Some(cost));
+        agg.accumulate(&snap);
+        agg.accumulate(&snap);
         assert_eq!(agg.queries(), 2);
         let mut out = String::new();
         agg.write_exposition(&mut out);

@@ -8,16 +8,16 @@
 //! using the small sequential internal ids from [`crate::tracer`], so a
 //! hostile or colliding wire id can never alias another request's spans.
 //!
-//! At request completion a tail sampler ([`retain_reasons`]) decides whether
+//! Every handled request records its spans into the [`crate::tracer::Trace`]
+//! it owns; at completion a tail sampler ([`retain_reasons`]) decides whether
 //! the trace was *interesting* (slow for its priority class, any non-2xx, a
-//! scheduler shed/reorder decision, a WAL rollback, a handler
-//! panic) or passes a deterministic 1-in-N head sample. Interesting traces are
-//! retained in a byte-budgeted ring ([`TraceStore`]); everything else is
-//! dropped with a counted reason, so "we kept nothing" is always
-//! distinguishable from "nothing happened".
+//! scheduler shed, a WAL rollback, a handler panic) or passes a deterministic
+//! 1-in-N head sample. Interesting traces are retained in a byte-budgeted
+//! ring ([`TraceStore`]); everything else is dropped with a counted reason,
+//! so "we kept nothing" is always distinguishable from "nothing happened".
 
 use crate::profile::ProfileSnapshot;
-use crate::tracer::SpanRecord;
+use crate::record::SpanRecord;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,9 +124,9 @@ pub const MAX_SPANS_PER_TRACE: usize = 256;
 
 /// Token-bucket ceiling on retained traces per second (burst = one second's
 /// worth). A human reads dozens of traces, not thousands: past this rate an
-/// extra retained trace buys nothing and its capture and store churn is
-/// pure overhead at exactly the moment the server is busiest, so overflow
-/// is counted (`rate_limited`) instead of kept.
+/// extra retained trace buys nothing and its store churn is pure overhead at
+/// exactly the moment the server is busiest, so overflow is counted
+/// (`rate_limited`) instead of kept.
 pub const RETAIN_PER_SEC: u32 = 128;
 
 /// The share of the retention bucket a refusal cannot take. An overload
@@ -135,21 +135,6 @@ pub const RETAIN_PER_SEC: u32 = 128;
 /// always there for a `slow`, `panic` or `wal_rollback` trace — the ones
 /// that explain the storm.
 pub const REFUSAL_RESERVE: f64 = 0.5;
-
-/// Token-bucket ceiling on *speculative span captures* per second. Tail
-/// sampling cannot know at admission whether a request will turn out
-/// interesting, so capture is speculative — and recording every span of
-/// every request costs tens of microseconds each, which at thousands of
-/// requests per second is several percent of a core spent on traces that
-/// are then thrown away. This bucket bounds that spend independent of load:
-/// head-sampled requests always capture, the next `CAPTURE_PER_SEC`
-/// requests per second capture speculatively, and an interesting request
-/// admitted past the bucket is still retained with a synthesized
-/// single-span degraded capture. 64/s (plus unbudgeted head samples)
-/// comfortably covers the steady-state rate at which interesting traces
-/// actually appear, while bounding worst-case capture spend to ~0.3% of a
-/// core.
-pub const CAPTURE_PER_SEC: u32 = 64;
 
 /// The tail sampler's slow thresholds — the two telemetry values callers
 /// set (`precis serve --trace-slow-ms`). The defaults match the SLO
@@ -195,8 +180,10 @@ pub struct ShedDecision {
 /// retained, in a stable order. Empty means "drop it" — nothing about the
 /// outcome was interesting and the head sample passed it over. `class` is
 /// `"interactive"` / `"batch"` for queries and `""` elsewhere (judged by
-/// the interactive threshold); shed and reordered are read off the
-/// scheduler's decision record.
+/// the interactive threshold); a shed is read off the scheduler's decision
+/// record. A reorder alone is not a reason: every one is counted
+/// (`precis_sched_reordered_total`), one that hurt is retained as `slow`, and
+/// the decision record of a trace kept for another reason still says so.
 #[allow(clippy::too_many_arguments)]
 pub fn retain_reasons(
     config: &TelemetryConfig,
@@ -223,9 +210,6 @@ pub fn retain_reasons(
     if sched.is_some_and(|s| s.shed.is_some()) {
         reasons.push("shed");
     }
-    if sched.is_some_and(|s| s.reordered) {
-        reasons.push("reordered");
-    }
     if wal_rollback {
         reasons.push("wal_rollback");
     }
@@ -239,7 +223,7 @@ pub fn retain_reasons(
 }
 
 /// One retained trace: identity, outcome, the scheduler's decision record,
-/// the profile's predicted-vs-measured phases, and the captured span tree.
+/// the span tree, and the predicted-vs-measured profile folded from it.
 #[derive(Debug, Clone)]
 pub struct RetainedTrace {
     /// 32-hex wire trace id.
@@ -269,11 +253,7 @@ impl RetainedTrace {
         let spans: usize = self
             .spans
             .iter()
-            .map(|s| {
-                std::mem::size_of::<SpanRecord>()
-                    + s.fields.len() * 16
-                    + s.label.as_ref().map_or(0, String::len)
-            })
+            .map(|s| std::mem::size_of::<SpanRecord>() + s.label.as_ref().map_or(0, String::len))
             .sum();
         let profile = self.profile.as_ref().map_or(0, |p| {
             std::mem::size_of::<ProfileSnapshot>() + p.query.len() + p.relations.len() * 96
@@ -285,7 +265,8 @@ impl RetainedTrace {
 /// Filters for listing retained traces.
 #[derive(Debug, Default, Clone)]
 pub struct TraceFilter {
-    /// Keep traces whose reasons include this (e.g. `"shed"`, `"slow"`).
+    /// Keep traces whose reasons include this: one of `"slow"`, `"error"`,
+    /// `"shed"`, `"wal_rollback"`, `"panic"`, `"head_sample"`.
     pub outcome: Option<String>,
     /// Keep traces of this priority class.
     pub class: Option<String>,
@@ -297,7 +278,7 @@ struct StoreInner {
     bytes: usize,
 }
 
-/// A token bucket (see [`RETAIN_PER_SEC`], [`CAPTURE_PER_SEC`]).
+/// The retention token bucket (see [`RETAIN_PER_SEC`]).
 struct Bucket {
     tokens: f64,
     last: Instant,
@@ -311,11 +292,6 @@ pub struct TraceStore {
     budget_bytes: usize,
     retain_per_sec: f64,
     bucket: Mutex<Bucket>,
-    /// Speculative-capture bucket (see [`CAPTURE_PER_SEC`]):
-    /// consumed at admission, independent of the retention bucket so a lull
-    /// in retained traffic cannot silently re-enable capture-everything.
-    capture_per_sec: f64,
-    capture_bucket: Mutex<Bucket>,
     inner: Mutex<StoreInner>,
     retained: Mutex<BTreeMap<&'static str, u64>>,
     dropped: Mutex<BTreeMap<&'static str, u64>>,
@@ -327,29 +303,21 @@ pub struct TraceStore {
 }
 
 impl Default for TraceStore {
-    /// The server's store: [`STORE_BUDGET_BYTES`], [`RETAIN_PER_SEC`],
-    /// [`CAPTURE_PER_SEC`].
+    /// The server's store: [`STORE_BUDGET_BYTES`], [`RETAIN_PER_SEC`].
     fn default() -> Self {
-        TraceStore::new(STORE_BUDGET_BYTES, RETAIN_PER_SEC, CAPTURE_PER_SEC)
+        TraceStore::new(STORE_BUDGET_BYTES, RETAIN_PER_SEC)
     }
 }
 
 impl TraceStore {
-    /// A store evicting past `budget_bytes`, retaining at most
-    /// `retain_per_sec` traces per second and admitting at most
-    /// `capture_per_sec` speculative span captures per second (zero:
-    /// unlimited, for either).
-    pub fn new(budget_bytes: usize, retain_per_sec: u32, capture_per_sec: u32) -> TraceStore {
+    /// A store evicting past `budget_bytes` and retaining at most
+    /// `retain_per_sec` traces per second (zero: unlimited).
+    pub fn new(budget_bytes: usize, retain_per_sec: u32) -> TraceStore {
         TraceStore {
             budget_bytes,
             retain_per_sec: f64::from(retain_per_sec),
             bucket: Mutex::new(Bucket {
                 tokens: f64::from(retain_per_sec),
-                last: Instant::now(),
-            }),
-            capture_per_sec: f64::from(capture_per_sec),
-            capture_bucket: Mutex::new(Bucket {
-                tokens: f64::from(capture_per_sec),
                 last: Instant::now(),
             }),
             inner: Mutex::new(StoreInner {
@@ -363,12 +331,23 @@ impl TraceStore {
         }
     }
 
-    /// Take one token, leaving at least `reserve` tokens behind.
-    fn take_token(bucket: &Mutex<Bucket>, per_sec: f64, reserve: f64) -> bool {
+    /// Take one retention token; `false` means the trace must be dropped
+    /// (count it with [`TraceStore::drop_rate_limited`]). A refusal — a
+    /// 429/503 interesting only as `error`/`shed` — may not take the bucket
+    /// below [`REFUSAL_RESERVE`]; every other trace may drain it.
+    pub fn admit_retention(&self, status: u16, reasons: &[&'static str]) -> bool {
+        let per_sec = self.retain_per_sec;
         if per_sec <= 0.0 {
             return true;
         }
-        let mut b = bucket.lock().unwrap_or_else(|p| p.into_inner());
+        let refusal =
+            matches!(status, 429 | 503) && reasons.iter().all(|r| matches!(*r, "error" | "shed"));
+        let reserve = if refusal {
+            per_sec * REFUSAL_RESERVE
+        } else {
+            0.0
+        };
+        let mut b = self.bucket.lock().unwrap_or_else(|p| p.into_inner());
         let now = Instant::now();
         let elapsed = now.duration_since(b.last).as_secs_f64();
         b.tokens = (b.tokens + elapsed * per_sec).min(per_sec);
@@ -379,28 +358,6 @@ impl TraceStore {
         } else {
             false
         }
-    }
-
-    /// Take one retention token; `false` means the trace must be dropped
-    /// (count it with [`TraceStore::drop_rate_limited`]). A refusal — a
-    /// 429/503 interesting only as `error`/`shed` — may not take the bucket
-    /// below [`REFUSAL_RESERVE`]; every other trace may drain it.
-    pub fn admit_retention(&self, status: u16, reasons: &[&'static str]) -> bool {
-        let refusal =
-            matches!(status, 429 | 503) && reasons.iter().all(|r| matches!(*r, "error" | "shed"));
-        let reserve = if refusal {
-            self.retain_per_sec * REFUSAL_RESERVE
-        } else {
-            0.0
-        };
-        TraceStore::take_token(&self.bucket, self.retain_per_sec, reserve)
-    }
-
-    /// Take one speculative-capture token; `false` means the request
-    /// records no spans (if it still wins retention, finalize synthesizes
-    /// a degraded single-span capture).
-    pub fn admit_capture(&self) -> bool {
-        TraceStore::take_token(&self.capture_bucket, self.capture_per_sec, 0.0)
     }
 
     /// Count an interesting trace dropped because retention is
@@ -522,13 +479,6 @@ impl TraceStore {
         for (reason, n) in dropped.iter() {
             let _ = writeln!(out, "precis_trace_dropped_total{{reason=\"{reason}\"}} {n}");
         }
-        let _ = write!(
-            out,
-            "# HELP precis_trace_late_spans_total Spans discarded because their capture had already finished.\n\
-             # TYPE precis_trace_late_spans_total counter\n\
-             precis_trace_late_spans_total {}\n",
-            crate::tracer::late_spans(),
-        );
         let _ = write!(
             out,
             "# HELP precis_trace_store_entries Retained traces currently held.\n\
@@ -657,7 +607,33 @@ mod tests {
                 true,
                 true
             ),
-            ["slow", "error", "reordered", "wal_rollback", "panic"]
+            ["slow", "error", "wal_rollback", "panic"]
+        );
+        // A reorder alone is counted, not retained; the decision record of a
+        // trace kept for another reason still carries it.
+        assert!(retain_reasons(
+            &config,
+            id,
+            200,
+            ms(1),
+            "interactive",
+            Some(&busy),
+            false,
+            false
+        )
+        .is_empty());
+        assert_eq!(
+            retain_reasons(
+                &config,
+                id,
+                200,
+                ms(30),
+                "interactive",
+                Some(&busy),
+                false,
+                false
+            ),
+            ["slow"]
         );
     }
 
@@ -716,7 +692,7 @@ mod tests {
 
     #[test]
     fn store_retains_lists_and_gets_by_id() {
-        let store = TraceStore::new(1 << 20, 0, 0);
+        let store = TraceStore::new(1 << 20, 0);
         store.offer(minimal_trace("a".repeat(32).as_str(), vec!["slow"]));
         store.offer({
             let mut t = minimal_trace("b".repeat(32).as_str(), vec!["shed", "error"]);
@@ -760,7 +736,7 @@ mod tests {
 
     #[test]
     fn store_evicts_oldest_over_budget_and_counts_evictions() {
-        let store = TraceStore::new(2048, 0, 0);
+        let store = TraceStore::new(2048, 0);
         for i in 0..64 {
             let mut t = minimal_trace(&format!("{i:032x}"), vec!["slow"]);
             // Pad so a handful of traces overflow the tiny budget.
@@ -773,7 +749,7 @@ mod tests {
                     start_ns: 0,
                     end_ns: 1,
                     thread: 1,
-                    fields: Vec::new(),
+                    fields: Default::default(),
                     label: None,
                 };
                 4

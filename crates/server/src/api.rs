@@ -13,10 +13,10 @@ use precis_core::{
     PrecisEngine, PrecisQuery, QueryPlan, RetrievalStrategy,
 };
 use precis_nlg::{Translator, Vocabulary};
-use precis_obs::{Phase, ProfileSnapshot, QueryProfile};
+use precis_obs::telemetry::MAX_SPANS_PER_TRACE;
+use precis_obs::{Phase, ProfileSnapshot, Trace};
 use precis_storage::Value;
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A decoded `/v1/query` request body.
@@ -30,10 +30,10 @@ pub struct QueryRequest {
     /// configured default.
     pub deadline_ms: Option<u64>,
     /// Whether the response should carry a `"profile"` object with per-phase
-    /// and per-relation timings. The server profiles every query internally
-    /// either way (for retained traces and `/v1/metrics` aggregates); this
-    /// flag only controls the response body, so default responses stay
-    /// byte-identical.
+    /// and per-relation timings. The server folds every query's profile from
+    /// its spans either way (for retained traces and `/v1/metrics`
+    /// aggregates); this flag only controls the response body, so default
+    /// responses stay byte-identical.
     pub profile: bool,
     /// Deadline class for the scheduler: interactive queries are ordered
     /// ahead of batch queries.
@@ -164,13 +164,18 @@ pub fn answer_query(
     request: &QueryRequest,
     default_deadline: Option<Duration>,
 ) -> Result<String, CoreError> {
-    let profile = Arc::new(QueryProfile::new());
     let deadline = request_budget(request, default_deadline).map(|b| Instant::now() + b);
-    let plan = engine.plan(&request.query, &request.degree, None)?;
-    let mut body = answer_query_at(engine, vocabulary, request, plan, deadline, &profile)?;
+    let mut trace = Trace::new(MAX_SPANS_PER_TRACE);
+    let mut body = {
+        let _entered = trace.enter();
+        let plan = engine.plan(&request.query, &request.degree, None)?;
+        answer_query_at(engine, vocabulary, request, plan, deadline)?
+    };
     if request.profile {
+        let query = request.query.tokens().join(" ");
+        let snap = ProfileSnapshot::fold(&query, trace.spans(), engine.cost_params());
         let mut rendered = String::new();
-        write_profile_json(&mut rendered, &profile.snapshot());
+        write_profile_json(&mut rendered, &snap);
         splice_json_field(&mut body, "profile", &rendered);
     }
     Ok(body)
@@ -192,23 +197,19 @@ pub fn request_budget(
 /// Execute a decoded request, already planned on `engine`, against an
 /// *absolute* deadline — the v1 end-to-end contract, where the clock starts
 /// at admission and time spent queued counts against the caller's budget.
-/// The caller may pre-seed `profile` with phases measured outside this
-/// function (queue wait, request parsing); this function fills in the
-/// pipeline and rendering phases and finishes it. Returns the default body:
-/// the `profile` / `scheduling` objects of a request that asked for them are
-/// spliced by the caller.
+/// Its pipeline and rendering spans record into whatever trace the caller
+/// has entered. Returns the default body: the `profile` / `scheduling`
+/// objects of a request that asked for them are spliced by the caller.
 pub fn answer_query_at(
     engine: &PrecisEngine,
     vocabulary: Option<&Vocabulary>,
     request: &QueryRequest,
     plan: QueryPlan,
     deadline: Option<Instant>,
-    profile: &Arc<QueryProfile>,
 ) -> Result<String, CoreError> {
     let mut options = precis_core::DbGenOptions::default();
     let cancel = deadline.map(CancelToken::with_deadline);
     options.cancel = cancel.clone();
-    options.profile = Some(profile.clone());
     let spec = AnswerSpec::new(request.degree.clone(), request.cardinality.clone())
         .with_strategy(request.strategy)
         .with_options(options);
@@ -218,9 +219,7 @@ pub fn answer_query_at(
     if let Some(c) = &cancel {
         c.check()?;
     }
-    let body = render_answer_with(engine, vocabulary, &answer, Some(profile));
-    profile.finish();
-    Ok(body)
+    Ok(render_answer(engine, vocabulary, &answer))
 }
 
 /// Splice `, "<key>": <value_json>` in before the body's closing brace,
@@ -303,25 +302,15 @@ pub fn write_profile_json(out: &mut String, snap: &ProfileSnapshot) {
     out.push('}');
 }
 
-/// Render one answered query as the deterministic response body.
+/// Render one answered query as the deterministic response body. The
+/// narrative synthesis inside it has its own span, so a profile charges it
+/// to `nlg` and the rest of serialization to `render`.
 pub fn render_answer(
     engine: &PrecisEngine,
     vocabulary: Option<&Vocabulary>,
     answer: &PrecisAnswer,
 ) -> String {
-    render_answer_with(engine, vocabulary, answer, None)
-}
-
-/// [`render_answer`], optionally attributing narrative synthesis to the
-/// `nlg` phase and the rest of serialization to `render`.
-fn render_answer_with(
-    engine: &PrecisEngine,
-    vocabulary: Option<&Vocabulary>,
-    answer: &PrecisAnswer,
-    profile: Option<&Arc<QueryProfile>>,
-) -> String {
-    let render_span = precis_obs::span("api.render");
-    let render_start = profile.map(|_| Instant::now());
+    let _render_span = precis_obs::span(Phase::Render.span_name());
     let mut out = String::with_capacity(1024);
     out.push_str("{\"tokens\": [");
     for (i, m) in answer.matches.iter().enumerate() {
@@ -394,14 +383,9 @@ fn render_answer_with(
             Translator::new(engine.database(), engine.graph(), &fallback).with_generic_fallback()
         }
     };
-    let nlg_span = precis_obs::span("nlg.translate");
-    let nlg_start = profile.map(|_| Instant::now());
+    let nlg_span = precis_obs::span(Phase::Nlg.span_name());
     let translated = translator.translate_ranked(answer);
     drop(nlg_span);
-    let nlg_elapsed = nlg_start.map(|t| t.elapsed()).unwrap_or_default();
-    if let Some(p) = profile {
-        p.add_phase(Phase::Nlg, nlg_elapsed);
-    }
     match translated {
         Ok(narratives) => {
             for (i, n) in narratives.iter().enumerate() {
@@ -424,12 +408,6 @@ fn render_answer_with(
         }
     }
     out.push_str("}\n");
-    drop(render_span);
-    if let (Some(p), Some(t0)) = (profile, render_start) {
-        // Render time excludes the narrative synthesis charged to `nlg`.
-        let spent = t0.elapsed().checked_sub(nlg_elapsed).unwrap_or_default();
-        p.add_phase(Phase::Render, spent);
-    }
     out
 }
 

@@ -278,7 +278,7 @@ mod tests {
                 start_ns: 100,
                 end_ns: 2_100,
                 thread: 3,
-                fields: vec![("predicted_ns", 12_500_000)],
+                fields: [("predicted_ns", 12_500_000)].into_iter().collect(),
                 label: Some("movies".to_owned()),
             }],
             span_drops: 2,
@@ -317,9 +317,7 @@ mod tests {
 
     /// A retained successful query whose profile names `query`.
     fn query_trace(query: &str, latency_ns: u64) -> RetainedTrace {
-        let profile = precis_obs::QueryProfile::new();
-        profile.set_query(query);
-        profile.finish();
+        let profile = precis_obs::ProfileSnapshot::fold(query, &[], None);
         RetainedTrace {
             trace_id: format!("{latency_ns:032x}"),
             status: 200,
@@ -327,7 +325,7 @@ mod tests {
             latency_ns,
             bucket_le: crate::metrics::bucket_le(latency_ns as f64 / 1e9),
             sched: None,
-            profile: Some(profile.snapshot()),
+            profile: Some(profile),
             spans: Vec::new(),
             span_drops: 0,
             ..sample_trace()

@@ -2,8 +2,10 @@
 //! response leaves through.
 //!
 //! Every request gets a 128-bit wire trace id at admission — accepted from
-//! an incoming `traceparent` header or minted — and its spans are captured
-//! into a per-request buffer. Whatever the request turns into is described
+//! an incoming `traceparent` header or minted — and owns the [`Trace`] its
+//! handler's spans record into: whichever worker is handling the request
+//! enters it, and it travels with the request (inside the query's job) when
+//! the request changes threads. Whatever the request turns into is described
 //! as an [`Outcome`] and leaves through [`answer`]: it stamps the id on the
 //! response, counts the request and writes the bytes, then feeds the SLO
 //! engine and runs the tail sampler, whose byte-budgeted trace store is the
@@ -20,64 +22,57 @@ use precis_obs::slo::SloEvent;
 use precis_obs::telemetry::{
     retain_reasons, RetainedTrace, SchedDecision, TraceId, MAX_SPANS_PER_TRACE,
 };
-use precis_obs::{ProfileSnapshot, TraceCapture};
+use precis_obs::{ProfileSnapshot, Trace};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Per-request trace context: the external wire identity plus the internal
-/// capture collecting this request's spans.
+/// Per-request trace context: the external wire identity plus the recorder
+/// of this request's spans.
 pub(crate) struct TraceCtx {
     wire: TraceId,
     /// `wire` as 32-hex, cached — it is stamped on headers, envelopes, and
     /// log lines.
     pub(crate) hex: String,
-    /// Internal span-correlation id (from the tracer's sequence, never
-    /// derived from the wire id — a hostile `traceparent` cannot alias
-    /// another request's spans).
-    pub(crate) internal: u64,
-    /// `None` when the capture bucket was closed at admission: no
-    /// per-request buffer is registered, so the request's span sites stay
-    /// inert. If the trace still wins retention, [`answer`] synthesizes its
-    /// root span.
-    capture: Option<TraceCapture>,
+    /// The spans the request's handler opened: whoever handles the request
+    /// enters it for as long as it does. Its id is the internal
+    /// span-correlation id (from the tracer's sequence, never derived from
+    /// the wire id — a hostile `traceparent` cannot alias another request's
+    /// spans).
+    pub(crate) trace: Trace,
+    /// False when no handler ran (see [`TraceCtx::uncaptured`]): nothing
+    /// entered the trace, and a retained trace carries a root span
+    /// [`answer`] synthesizes.
+    handled: bool,
     /// When the acceptor took the connection: the start of the end-to-end
     /// latency the SLO engine and the sampler judge.
     pub(crate) admitted: Instant,
 }
 
 impl TraceCtx {
-    /// Start a trace for one request: accept the wire id from a
-    /// `traceparent` header or mint one, allocate a fresh internal span id,
-    /// and register the per-request capture buffer.
-    pub(crate) fn begin(shared: &Shared, traceparent: Option<&str>, admitted: Instant) -> Self {
+    /// Start the trace of a request a handler is about to serve: accept the
+    /// wire id from a `traceparent` header or mint one, and give the request
+    /// its recorder. Every handled request records — recording is a push
+    /// into a `Vec` the request owns, bounded by [`MAX_SPANS_PER_TRACE`].
+    pub(crate) fn begin(traceparent: Option<&str>, admitted: Instant) -> Self {
         let wire = traceparent
             .and_then(TraceId::parse_traceparent)
             .unwrap_or_else(TraceId::mint);
-        let mut ctx = TraceCtx::new(wire, admitted);
-        // Span capture is speculative (the tail verdict comes at the exit)
-        // and costs tens of microseconds per request, so it is
-        // token-bucketed: head-sampled requests always capture — they are
-        // the deterministic always-on baseline — and everything else
-        // captures only while the capture bucket has tokens.
-        if wire.head_sampled() || shared.telemetry.store.admit_capture() {
-            ctx.capture = Some(precis_obs::capture_trace(ctx.internal, MAX_SPANS_PER_TRACE));
-        }
-        ctx
+        TraceCtx::new(wire, true, admitted)
     }
 
-    /// A minted trace with no capture buffer, for a response no request
-    /// handler is behind (the acceptor's refusals, the panic rescue): there
-    /// are no spans to collect.
+    /// A minted trace for a response no request handler is behind (the
+    /// acceptor's refusals, the panic rescue): there are no spans to
+    /// collect.
     pub(crate) fn uncaptured(admitted: Instant) -> Self {
-        TraceCtx::new(TraceId::mint(), admitted)
+        TraceCtx::new(TraceId::mint(), false, admitted)
     }
 
-    fn new(wire: TraceId, admitted: Instant) -> Self {
+    fn new(wire: TraceId, handled: bool, admitted: Instant) -> Self {
         TraceCtx {
             wire,
             hex: wire.to_hex(),
-            internal: precis_obs::new_trace_id(),
-            capture: None,
+            trace: Trace::new(MAX_SPANS_PER_TRACE),
+            handled,
             admitted,
         }
     }
@@ -120,9 +115,9 @@ impl Outcome<'static> {
 /// error envelope's `details` so failures are retrievable by id, count the
 /// request under `service` (the duration the endpoint's histogram is defined
 /// over) and write. Then the record, so no client waits on it: feed the SLO
-/// engine, run the tail sampler, and either retain the captured spans (with
-/// the scheduler's decision record and the profile's predicted-vs-measured
-/// phases) or count the drop. Consumes the capture either way.
+/// engine, run the tail sampler, and either retain the request's spans (with
+/// the scheduler's decision record and the profile folded from them) or
+/// count the drop. Consumes the trace either way.
 pub(crate) fn answer(
     shared: &Shared,
     stream: &mut TcpStream,
@@ -137,7 +132,7 @@ pub(crate) fn answer(
         .push(format!("x-precis-trace-id: {}", ctx.hex));
     response.extra_headers.push(format!(
         "traceparent: {}",
-        ctx.wire.traceparent(ctx.internal)
+        ctx.wire.traceparent(ctx.trace.id())
     ));
     shared
         .metrics
@@ -165,7 +160,6 @@ pub(crate) fn answer(
         outcome.panicked,
     );
     if reasons.is_empty() {
-        // Dropping the capture unregisters it and discards its spans.
         telem.store.drop_uninteresting();
         return;
     }
@@ -175,30 +169,24 @@ pub(crate) fn answer(
     }
     let latency_ns = latency.as_nanos() as u64;
     let captured_at_ns = precis_obs::now_ns();
-    let (spans, span_drops) = match ctx.capture {
-        Some(capture) => {
-            let captured = capture.take();
-            (captured.spans, captured.dropped)
-        }
-        // Degraded capture: no buffer was registered, yet this trace won
-        // retention after all. Synthesize the root span from what the exit
-        // already knows so the detail endpoint still shows the request's
-        // extent.
-        None => (
-            vec![precis_obs::SpanRecord {
-                trace: ctx.internal,
-                id: 1,
-                parent: 0,
-                name: "request.degraded_capture",
-                start_ns: captured_at_ns.saturating_sub(latency_ns),
-                end_ns: captured_at_ns,
-                thread: 0,
-                fields: Vec::new(),
-                label: None,
-            }],
-            0,
-        ),
-    };
+    let internal = ctx.trace.id();
+    let (mut spans, span_drops) = ctx.trace.finish();
+    if !ctx.handled {
+        // No handler ran, so nothing recorded: synthesize the root span
+        // from what the exit already knows so the detail endpoint still
+        // shows the request's extent.
+        spans.push(precis_obs::SpanRecord {
+            trace: internal,
+            id: 1,
+            parent: 0,
+            name: "request.degraded_capture",
+            start_ns: captured_at_ns.saturating_sub(latency_ns),
+            end_ns: captured_at_ns,
+            thread: 0,
+            fields: Default::default(),
+            label: None,
+        });
+    }
     telem.store.offer(RetainedTrace {
         trace_id: ctx.hex,
         endpoint: outcome.endpoint,

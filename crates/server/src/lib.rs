@@ -42,10 +42,11 @@
 //! retry); `503` is reserved for durability failures and shutdown; `504`
 //! means the end-to-end deadline fired.
 //!
-//! Every `/v1/query` is profiled end to end (queue wait, parse, token
-//! lookup, schema generation, per-relation db_gen traversal, NLG, render)
-//! via `precis-obs`; profiles feed the per-phase Prometheus aggregates and
-//! ride along on retained traces. Every request carries a 128-bit wire
+//! Every handled request records its spans into a trace it owns, and every
+//! `/v1/query`'s profile (queue wait, parse, token lookup, schema
+//! generation, per-relation db_gen traversal, NLG, render) is folded from
+//! them via `precis-obs`; profiles feed the per-phase Prometheus aggregates
+//! and ride along on retained traces. Every request carries a 128-bit wire
 //! trace id (from an incoming `traceparent` or minted) echoed as
 //! `x-precis-trace-id` on every response and embedded in every error
 //! envelope's `details`; a tail sampler retains the interesting traces in

@@ -41,69 +41,42 @@ const STATUS_LABELS: [&str; STATUSES.len() + 1] = [
 /// Endpoints tracked individually; anything else lands in `other`.
 const ENDPOINTS: [&str; 5] = ["query", "mutate", "healthz", "metrics", "other"];
 
-/// One cumulative latency histogram.
+/// One latency histogram. Each sample is counted once, in the bucket it
+/// lands in; the exposition's cumulative `le` counts are summed when a
+/// scrape renders them.
 #[derive(Debug, Default)]
 pub struct Histogram {
+    /// Samples per bucket: above the previous bound, at or under this one.
+    /// A sample past the last bound is in `count` alone.
     buckets: [AtomicU64; LATENCY_BUCKETS.len()],
     count: AtomicU64,
     /// Sum in nanoseconds (u64 holds ~584 years of request time).
     sum_nanos: AtomicU64,
-    /// Observations above the last bucket bound, tracked separately so the
-    /// quantile fallback reflects the tail and not the overall mean.
-    overflow_count: AtomicU64,
-    overflow_sum_nanos: AtomicU64,
 }
 
 impl Histogram {
     pub fn observe(&self, d: Duration) {
         let secs = d.as_secs_f64();
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            if secs <= *le {
-                self.buckets[i].fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(i) = LATENCY_BUCKETS.iter().position(|le| secs <= *le) {
+            self.buckets[i].fetch_add(1, Ordering::Relaxed);
         }
         let nanos = d.as_nanos().min(u64::MAX as u128) as u64;
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        if secs > LATENCY_BUCKETS[LATENCY_BUCKETS.len() - 1] {
-            self.overflow_count.fetch_add(1, Ordering::Relaxed);
-            self.overflow_sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        }
     }
 
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Mean of all observations in seconds; `None` with no observations.
-    pub fn mean_secs(&self) -> Option<f64> {
-        let count = self.count();
-        (count > 0).then(|| self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9 / count as f64)
-    }
-
-    /// Approximate quantile from the cumulative buckets (upper bound of the
-    /// first bucket covering the rank; `None` with no observations).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        let count = self.count();
-        if count == 0 {
-            return None;
-        }
-        let rank = (q * count as f64).ceil().max(1.0) as u64;
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            if self.buckets[i].load(Ordering::Relaxed) >= rank {
-                return Some(*le);
-            }
-        }
-        // Above the last bound: report the mean of the overflow observations,
-        // floored at the last bucket bound so the quantile never understates
-        // the bucketed range it already exceeded.
-        let last = LATENCY_BUCKETS[LATENCY_BUCKETS.len() - 1];
-        let n = self.overflow_count.load(Ordering::Relaxed);
-        if n == 0 {
-            return Some(last);
-        }
-        let mean = self.overflow_sum_nanos.load(Ordering::Relaxed) as f64 / 1e9 / n as f64;
-        Some(mean.max(last))
+    /// What the exposition's `le` series report: samples at or under each
+    /// bound.
+    fn cumulative(&self) -> [u64; LATENCY_BUCKETS.len()] {
+        let mut at_or_under = 0;
+        std::array::from_fn(|i| {
+            at_or_under += self.buckets[i].load(Ordering::Relaxed);
+            at_or_under
+        })
     }
 }
 
@@ -269,11 +242,10 @@ impl Metrics {
             if h.count() == 0 {
                 continue;
             }
-            for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
+            for (le, n) in LATENCY_BUCKETS.iter().zip(h.cumulative()) {
                 let _ = writeln!(
                     out,
-                    "precis_request_duration_seconds_bucket{{endpoint=\"{endpoint}\",le=\"{le}\"}} {}",
-                    h.buckets[i].load(Ordering::Relaxed)
+                    "precis_request_duration_seconds_bucket{{endpoint=\"{endpoint}\",le=\"{le}\"}} {n}"
                 );
             }
             let _ = writeln!(
@@ -298,12 +270,8 @@ impl Metrics {
              admission queue before a worker picked them up.\n",
         );
         out.push_str("# TYPE precis_queue_wait_seconds histogram\n");
-        for (i, le) in LATENCY_BUCKETS.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "precis_queue_wait_seconds_bucket{{le=\"{le}\"}} {}",
-                self.queue_wait.buckets[i].load(Ordering::Relaxed)
-            );
+        for (le, n) in LATENCY_BUCKETS.iter().zip(self.queue_wait.cumulative()) {
+            let _ = writeln!(out, "precis_queue_wait_seconds_bucket{{le=\"{le}\"}} {n}");
         }
         let _ = writeln!(
             out,
@@ -397,17 +365,36 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_cumulative_and_quantiles_bound() {
-        let h = Histogram::default();
-        for ms in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 200] {
-            h.observe(Duration::from_millis(ms));
+    fn a_sample_in_every_bucket_and_one_past_the_last_render_cumulatively() {
+        let m = Metrics::default();
+        // Each bound exactly (a sample at a bound belongs to it), then 60 s.
+        for le in LATENCY_BUCKETS {
+            m.record_queue_wait(Duration::from_secs_f64(le));
         }
-        assert_eq!(h.count(), 10);
-        // p50 lands in the 2.5ms bucket that covers 1ms observations.
-        assert!(h.quantile(0.5).unwrap() <= 0.0025);
-        // p99 covers the slow outlier.
-        assert!(h.quantile(0.99).unwrap() >= 0.2);
-        assert_eq!(Histogram::default().quantile(0.5), None);
+        m.record_queue_wait(Duration::from_secs(60));
+        let text = m.render_prometheus(&AnswerCacheStats::default());
+        let family: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("precis_queue_wait_seconds"))
+            .collect();
+        let expected = [
+            "precis_queue_wait_seconds_bucket{le=\"0.00025\"} 1",
+            "precis_queue_wait_seconds_bucket{le=\"0.0005\"} 2",
+            "precis_queue_wait_seconds_bucket{le=\"0.001\"} 3",
+            "precis_queue_wait_seconds_bucket{le=\"0.0025\"} 4",
+            "precis_queue_wait_seconds_bucket{le=\"0.005\"} 5",
+            "precis_queue_wait_seconds_bucket{le=\"0.01\"} 6",
+            "precis_queue_wait_seconds_bucket{le=\"0.025\"} 7",
+            "precis_queue_wait_seconds_bucket{le=\"0.05\"} 8",
+            "precis_queue_wait_seconds_bucket{le=\"0.1\"} 9",
+            "precis_queue_wait_seconds_bucket{le=\"0.25\"} 10",
+            "precis_queue_wait_seconds_bucket{le=\"1\"} 11",
+            "precis_queue_wait_seconds_bucket{le=\"5\"} 12",
+            "precis_queue_wait_seconds_bucket{le=\"+Inf\"} 13",
+            "precis_queue_wait_seconds_sum 66.44425",
+            "precis_queue_wait_seconds_count 13",
+        ];
+        assert_eq!(family, expected);
     }
 
     #[test]
@@ -513,22 +500,5 @@ mod tests {
                 "missing status {status} in:\n{text}"
             );
         }
-    }
-
-    #[test]
-    fn overflow_quantile_reports_the_overflow_mean_not_the_overall_mean() {
-        let h = Histogram::default();
-        // 9 fast observations drag the overall mean down; the one 60s
-        // outlier must still dominate p99.
-        for _ in 0..9 {
-            h.observe(Duration::from_millis(1));
-        }
-        h.observe(Duration::from_secs(60));
-        let p99 = h.quantile(0.99).unwrap();
-        assert!(p99 >= 60.0, "p99 {p99} understates the 60s tail");
-        // All observations inside the buckets: the fallback never triggers.
-        let h2 = Histogram::default();
-        h2.observe(Duration::from_secs(2));
-        assert_eq!(h2.quantile(0.99), Some(5.0));
     }
 }

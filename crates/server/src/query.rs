@@ -1,6 +1,9 @@
 //! `POST /v1/query`: cost-aware admission on the worker that read the
 //! request, and the execution of a queued query by the worker that popped
-//! it. One request is one job, one execution and one answer.
+//! it. One request is one job, one execution and one answer — and one
+//! trace: the admitting worker enters it around the parse and the plan, it
+//! crosses to the executing worker inside the job, and the profile every
+//! query gets is folded from its spans once the execution is over.
 
 use crate::api;
 use crate::exit::{self, Outcome, TraceCtx};
@@ -10,11 +13,11 @@ use crate::server::Shared;
 use precis_core::{CoreError, PrecisEngine, QueryPlan};
 use precis_obs::sched_obs;
 use precis_obs::telemetry::{SchedDecision, ShedDecision};
-use precis_obs::{Phase, QueryProfile};
+use precis_obs::{Phase, ProfileSnapshot};
 use std::net::TcpStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The snapshot admission loaded and the plan it priced there.
 type Planned = (Arc<PrecisEngine>, QueryPlan);
@@ -26,14 +29,12 @@ pub(crate) struct QueryJob {
     /// The executing worker runs the plan iff its snapshot is still the
     /// published one.
     planned: Planned,
-    /// Time the admitting worker spent parsing, attributed to the query's
-    /// profile so per-phase aggregates still see it.
-    parse_time: Duration,
     stream: TcpStream,
     /// Absolute: admission plus the request's budget.
     deadline: Option<Instant>,
-    /// The request's trace: admission and execution spans both record under
-    /// it, and it holds when the request was admitted.
+    /// The request's trace: the admitting worker recorded the parse and the
+    /// plan into it, the executing worker enters it again for the rest, and
+    /// it holds when the request was admitted.
     trace: TraceCtx,
 }
 
@@ -48,10 +49,7 @@ pub(crate) fn admit_query(
     admitted: Instant,
     started: Instant,
 ) {
-    let ctx = TraceCtx::begin(shared, http_request.header("traceparent"), admitted);
-    // Admission spans (pricing, shed) record under this request's trace so
-    // they land in its capture buffer.
-    let _scope = precis_obs::trace_scope(ctx.internal);
+    let mut ctx = TraceCtx::begin(http_request.header("traceparent"), admitted);
 
     // Answer a query that never queues.
     let answer_now = |response: Response,
@@ -67,14 +65,24 @@ pub(crate) fn admit_query(
         exit::answer(shared, &mut stream, ctx, outcome, started.elapsed());
     };
 
-    let (request, parse_time) = match parse(&http_request.body) {
-        Ok(parsed) => parsed,
-        Err(response) => return answer_now(response, stream, ctx, "", None),
+    // Parsing and pricing record into the request's trace; the guard ends
+    // before the trace moves on, into the exit or with the job.
+    let entered = ctx.trace.enter();
+    let request = match parse(&http_request.body) {
+        Ok(request) => request,
+        Err(response) => {
+            drop(entered);
+            return answer_now(response, stream, ctx, "", None);
+        }
     };
     let (planned, predicted_secs) = match price(shared, &request) {
         Ok(priced) => priced,
-        Err(response) => return answer_now(response, stream, ctx, request.priority.as_str(), None),
+        Err(response) => {
+            drop(entered);
+            return answer_now(response, stream, ctx, request.priority.as_str(), None);
+        }
     };
+    drop(entered);
     // Conn-stage queue wait, for the scheduling decision record.
     let conn_wait_ms = (started - admitted).as_secs_f64() * 1e3;
 
@@ -84,25 +92,22 @@ pub(crate) fn admit_query(
     let job = QueryJob {
         request,
         planned,
-        parse_time,
         stream,
         deadline,
         trace: ctx,
     };
 
-    // The job — and with it this trace's capture handle — crosses to an
-    // executing worker inside `submit_query`, and a fast query can finalize
-    // the trace before this thread's deferred span flush runs. Publish the
-    // admission spans into the capture first.
-    precis_obs::flush_thread();
     match shared
         .sched
         .submit_query(job, class, predicted_secs, deadline, admitted)
     {
         Admission::Queued => {}
-        Admission::Shed(shed, job) => {
+        Admission::Shed(shed, mut job) => {
             shared.metrics.record_shed(shed.false_positive);
-            emit_shed_span(&shed, predicted_secs);
+            {
+                let _entered = job.trace.trace.enter();
+                emit_shed_span(&shed, predicted_secs);
+            }
             let (code, message) = match shed.reason {
                 ShedReason::Capacity => ("overloaded", "query queue is full, retry shortly"),
                 ShedReason::Deadline => (
@@ -144,13 +149,12 @@ pub(crate) fn admit_query(
     }
 }
 
-/// Decode the body, timing the decode for the query's profile.
-fn parse(body: &[u8]) -> Result<(api::QueryRequest, Duration), Response> {
+/// Decode the body, under the span that is the query's `parse` phase.
+fn parse(body: &[u8]) -> Result<api::QueryRequest, Response> {
     let bad_request = |message: &str| Response::error(400, "bad_request", message);
     let text = std::str::from_utf8(body).map_err(|_| bad_request("body must be UTF-8"))?;
-    let parse_started = Instant::now();
-    let request = api::parse_query_request(text).map_err(|msg| bad_request(&msg))?;
-    Ok((request, parse_started.elapsed()))
+    let _span = precis_obs::span(Phase::Parse.span_name());
+    api::parse_query_request(text).map_err(|msg| bad_request(&msg))
 }
 
 /// Resolve the query once and price the plan with Formula 2 before it
@@ -195,28 +199,11 @@ pub(crate) fn execute_query(shared: &Shared, job: Job<QueryJob>) {
     let QueryJob {
         request,
         planned: (planned_on, plan),
-        parse_time,
         mut stream,
         deadline,
-        trace,
+        trace: mut ctx,
     } = job.payload;
-    let _scope = precis_obs::trace_scope(trace.internal);
-    let exec_span = precis_obs::span(sched_obs::SPAN_EXECUTE);
-    exec_span.field(
-        sched_obs::FIELD_PREDICTED_NS,
-        job.predicted_secs.map(|s| (s * 1e9) as u64).unwrap_or(0),
-    );
-    exec_span.field(sched_obs::FIELD_CLASS, job.class.as_field());
-
-    // Every query is profiled internally — retained traces and the
-    // per-phase `/v1/metrics` aggregates need it — but the response only
-    // carries the profile when the request opted in, so default responses
-    // stay byte-identical to an unprofiled server. The profile reuses the
-    // request's internal trace id so engine spans land in its capture.
-    let profile = Arc::new(QueryProfile::with_trace_id(trace.internal));
     let queue_wait = exec_started.saturating_duration_since(job.admitted);
-    profile.add_phase(Phase::QueueWait, queue_wait);
-    profile.add_phase(Phase::Parse, parse_time);
 
     // One wait-free snapshot per query: it runs against exactly this engine
     // even if `swap_engine` publishes a replacement mid-execution. A query
@@ -225,35 +212,46 @@ pub(crate) fn execute_query(shared: &Shared, job: Job<QueryJob>) {
     // — so a plan made before a publish is discarded and the query
     // re-planned.
     let engine = shared.engine.load();
-    // A panic in answer generation must cost one query, not a worker: the
-    // engine's state is all behind Arcs and internally lock-guarded, so an
-    // unwound handler leaves nothing half-mutated.
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        let plan = if Arc::ptr_eq(&planned_on, &engine) {
-            plan
-        } else {
-            engine.plan(&request.query, &request.degree, None)?
-        };
-        api::answer_query_at(
-            &engine,
-            shared.vocabulary.as_ref(),
-            &request,
-            plan,
-            deadline,
-            &profile,
-        )
-    }));
-    let service = exec_started.elapsed();
+    let (outcome, service) = {
+        let _entered = ctx.trace.enter();
+        let exec_span = precis_obs::span(sched_obs::SPAN_EXECUTE);
+        exec_span.field(
+            sched_obs::FIELD_PREDICTED_NS,
+            job.predicted_secs.map(|s| (s * 1e9) as u64).unwrap_or(0),
+        );
+        exec_span.field(sched_obs::FIELD_CLASS, job.class.as_field());
+        exec_span.field(sched_obs::FIELD_QUEUE_WAIT_NS, queue_wait.as_nanos() as u64);
+        // A panic in answer generation must cost one query, not a worker:
+        // the engine's state is all behind Arcs and internally lock-guarded,
+        // so an unwound handler leaves nothing half-mutated.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let plan = if Arc::ptr_eq(&planned_on, &engine) {
+                plan
+            } else {
+                engine.plan(&request.query, &request.degree, None)?
+            };
+            api::answer_query_at(
+                &engine,
+                shared.vocabulary.as_ref(),
+                &request,
+                plan,
+                deadline,
+            )
+        }));
+        (outcome, exec_started.elapsed())
+    };
     shared
         .sched
         .complete(job.predicted_secs, service.as_secs_f64());
-    drop(exec_span);
 
-    // Snapshot the profile for every outcome — a 504's retained trace must
-    // still carry its predicted-vs-measured phase times (`snapshot` works
-    // on an unfinished profile; the success path already called `finish`).
+    // Every query's profile is folded from its spans — retained traces and
+    // the per-phase `/v1/metrics` aggregates need it, and a 504's retained
+    // trace must still carry its predicted-vs-measured phase times — but
+    // the response only carries it when the request opted in, so default
+    // responses stay byte-identical to an unprofiled server.
     let panicked = outcome.is_err();
-    let snap = profile.snapshot();
+    let query = request.query.tokens().join(" ");
+    let snap = ProfileSnapshot::fold(&query, ctx.trace.spans(), engine.cost_params());
     let response = match outcome {
         Ok(Ok(mut body)) => {
             shared.metrics.phases.accumulate(&snap);
@@ -291,5 +289,5 @@ pub(crate) fn execute_query(shared: &Shared, job: Job<QueryJob>) {
         ..Outcome::of("query", response)
     };
     // An executed query's histogram sample is its service time.
-    exit::answer(shared, &mut stream, trace, outcome, service);
+    exit::answer(shared, &mut stream, ctx, outcome, service);
 }

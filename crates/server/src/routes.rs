@@ -47,7 +47,7 @@ pub(crate) fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted:
             };
             // No parsed headers → no incoming traceparent to honor, but the
             // refusal still gets an id so the retained trace is findable.
-            let ctx = TraceCtx::begin(shared, None, admitted);
+            let ctx = TraceCtx::begin(None, admitted);
             let outcome = Outcome::of("other", Response::error(status, code, &message));
             exit::answer(shared, &mut stream, ctx, outcome, started.elapsed());
             return;
@@ -68,11 +68,11 @@ pub(crate) fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted:
         return;
     }
 
-    let ctx = TraceCtx::begin(shared, request.header("traceparent"), admitted);
+    let mut ctx = TraceCtx::begin(request.header("traceparent"), admitted);
     let (endpoint, response, shutdown_after) = {
-        // Spans emitted while routing record under this request's trace and
-        // land in its capture.
-        let _scope = precis_obs::trace_scope(ctx.internal);
+        // Spans emitted while routing (the WAL legs of a mutation) are this
+        // request's.
+        let _entered = ctx.trace.enter();
         route(shared, &request, peer_is_loopback, &ctx.hex)
     };
     let outcome = Outcome {

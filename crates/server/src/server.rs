@@ -291,7 +291,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 /// Answer a connection whose request nobody read, or whose handler is gone:
-/// endpoint `other`, a minted trace id and no capture buffer, so a retained
+/// endpoint `other`, a minted trace id and nothing recorded, so a retained
 /// trace is the synthesized root span.
 fn answer_unread(
     shared: &Shared,

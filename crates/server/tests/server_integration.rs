@@ -1209,6 +1209,67 @@ fn shed_deadline_and_slow_requests_leave_retrievable_traces() {
 }
 
 #[test]
+fn a_burst_leaves_the_last_request_its_own_spans() {
+    // Interactive requests are always "slow" and so retained; batch ones keep
+    // the default threshold, so the burst below spends recording but (bar
+    // its head samples) no retention tokens.
+    let config = ServerConfig {
+        telemetry: precis_obs::TelemetryConfig {
+            slow_interactive: Duration::ZERO,
+            ..precis_obs::TelemetryConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = Server::start(test_engine(), None, config).expect("server starts");
+    let addr = handle.local_addr();
+
+    // Far more back-to-back requests than any per-second allowance on
+    // recording ever admitted: every handled request records, so the last
+    // one's trace is as whole as the first's.
+    for _ in 0..199 {
+        let (status, _, body) = post_query(addr, r#"{"tokens": "comedy", "priority": "batch"}"#);
+        assert_eq!(status, 200, "{body}");
+    }
+    let (status, head, body) = post_query(addr, r#"{"tokens": "comedy"}"#);
+    assert_eq!(status, 200, "{body}");
+    let last_id = trace_id_of(&head);
+
+    let (status, _, detail) = settled(
+        || get_v1(addr, &format!("/v1/debug/traces/{last_id}")),
+        |(status, _, _)| *status == 200,
+    );
+    assert_eq!(status, 200, "{detail}");
+    assert!(!detail.contains("request.degraded_capture"), "{detail}");
+    let doc = json::parse(&detail).expect("trace detail parses");
+    let Some(json::Json::Array(spans)) = doc.get("spans") else {
+        panic!("spans not an array: {detail}");
+    };
+    let span = |name: &str| {
+        let named = |s: &&json::Json| s.get("name").and_then(json::Json::as_str) == Some(name);
+        let found = spans.iter().find(named);
+        found.unwrap_or_else(|| panic!("no {name} span in {detail}"))
+    };
+    let field = |name: &str, key: &str| {
+        let value = span(name).get("fields").and_then(|f| f.get(key));
+        let value = value.and_then(json::Json::as_f64);
+        value.unwrap_or_else(|| panic!("no {key} on {name} in {detail}"))
+    };
+    for name in ["api.parse", "sched.admit", "sched.execute", "engine.db_gen"] {
+        span(name);
+    }
+    assert!(span("db_gen.join").get("label").is_some(), "{detail}");
+    field("db_gen.join", "tuple_reads");
+    // The profile beside them is those spans folded: its queue wait is the
+    // number stamped on the execute span.
+    let phases = doc.get("profile").and_then(|p| p.get("phases"));
+    let queue_wait_ms = phases.and_then(|p| p.get("queue_wait"));
+    let queue_wait_ms = queue_wait_ms.and_then(json::Json::as_f64).expect("phase");
+    let stamped_ms = field("sched.execute", "queue_wait_ns") / 1e6;
+    assert!((queue_wait_ms - stamped_ms).abs() < 1e-6, "{detail}");
+    handle.join();
+}
+
+#[test]
 fn traceparent_round_trips_and_healthz_body_stays_exact() {
     let handle =
         Server::start(test_engine(), None, ServerConfig::default()).expect("server starts");

@@ -7,61 +7,46 @@
 //! and validate Formula (2) against measured wall time.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-
-/// Number of live [`ThreadMeter`]s process-wide. Zero keeps the metering
-/// branch in the count paths down to one relaxed load (the same disarmed
-/// fast-path discipline as [`crate::failpoint`]).
-static METERS_ARMED: AtomicUsize = AtomicUsize::new(0);
+use std::sync::atomic::{AtomicU64, Ordering};
 
 thread_local! {
-    /// (index_probes, tuple_reads) seen by *this thread* while any meter is
-    /// armed. Monotonic within a thread; meters diff it like a snapshot.
-    static THREAD_EVENTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Events performed by *this thread* since it started. Monotonic;
+    /// meters diff them like a snapshot.
+    static THREAD_PROBES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_READS: Cell<u64> = const { Cell::new(0) };
 }
 
-#[cold]
-fn thread_count(probe: bool) {
-    THREAD_EVENTS.with(|c| {
-        let (p, r) = c.get();
-        c.set(if probe { (p + 1, r) } else { (p, r + 1) });
-    });
+fn thread_events() -> StatsSnapshot {
+    StatsSnapshot {
+        index_probes: THREAD_PROBES.get(),
+        tuple_reads: THREAD_READS.get(),
+    }
 }
 
-/// Meters the storage events performed by the *calling thread* while the
-/// meter is live. Unlike the process-global [`AccessStats`] (shared by every
-/// concurrent query on a `Database`), a thread meter attributes events to
-/// exactly one unit of work — the observability layer uses one per join
-/// task to fill per-relation profile rows. Disarmed cost on the storage
-/// count paths: a single relaxed atomic load.
+/// Meters the storage events performed by the *calling thread* since the
+/// meter was created: a before/after reading of the thread's own counter.
+/// Unlike the process-global [`AccessStats`] (shared by every concurrent
+/// query on a `Database`), it attributes events to exactly one unit of work
+/// — the generator reads one around each seed step and join to fill the
+/// step's span. Nothing is armed: every storage event is one more
+/// thread-local add, whether or not a meter is watching.
 #[derive(Debug)]
 pub struct ThreadMeter {
-    start: (u64, u64),
+    start: StatsSnapshot,
 }
 
 impl ThreadMeter {
-    /// Arm thread-scoped counting and snapshot this thread's position.
+    /// Snapshot this thread's position.
     #[allow(clippy::new_without_default)]
     pub fn new() -> ThreadMeter {
-        METERS_ARMED.fetch_add(1, Ordering::SeqCst);
         ThreadMeter {
-            start: THREAD_EVENTS.with(|c| c.get()),
+            start: thread_events(),
         }
     }
 
     /// Events this thread performed since the meter was created.
     pub fn events(&self) -> StatsSnapshot {
-        let (p, r) = THREAD_EVENTS.with(|c| c.get());
-        StatsSnapshot {
-            index_probes: p - self.start.0,
-            tuple_reads: r - self.start.1,
-        }
-    }
-}
-
-impl Drop for ThreadMeter {
-    fn drop(&mut self) {
-        METERS_ARMED.fetch_sub(1, Ordering::SeqCst);
+        thread_events().since(self.start)
     }
 }
 
@@ -92,17 +77,13 @@ impl AccessStats {
     #[inline]
     pub(crate) fn count_index_probe(&self) {
         self.index_probes.fetch_add(1, Ordering::Relaxed);
-        if METERS_ARMED.load(Ordering::Relaxed) != 0 {
-            thread_count(true);
-        }
+        THREAD_PROBES.set(THREAD_PROBES.get() + 1);
     }
 
     #[inline]
     pub(crate) fn count_tuple_read(&self) {
         self.tuple_reads.fetch_add(1, Ordering::Relaxed);
-        if METERS_ARMED.load(Ordering::Relaxed) != 0 {
-            thread_count(false);
-        }
+        THREAD_READS.set(THREAD_READS.get() + 1);
     }
 
     /// Current counter values.
@@ -169,8 +150,6 @@ mod tests {
         s.count_tuple_read();
         assert_eq!(inner.events().tuple_reads, 1);
         assert_eq!(meter.events().tuple_reads, 3);
-        drop(inner);
-        drop(meter);
     }
 
     #[test]

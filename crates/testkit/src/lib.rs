@@ -349,9 +349,9 @@ pub fn run(config: &TestkitConfig) -> TestkitReport {
     pool.shutdown();
 
     let fault_report = run_fault_suite();
-    // The obs leg replays a slice of the same seeded cases with their
-    // traces captured; its cost is one extra answer per case, so keep it a fraction
-    // of the oracle budget.
+    // The obs leg replays a slice of the same seeded cases inside an entered
+    // trace; its cost is one extra answer per case, so keep it a fraction of
+    // the oracle budget.
     let obs_cases = (config.cases / 8).clamp(4, 48);
     let obs_report = run_obs_suite(config.seed, obs_cases);
     TestkitReport {

@@ -1,35 +1,35 @@
 //! Observability leg: tracing must never change an answer, and the span
 //! stream must stay structurally sound.
 //!
-//! For a slice of the oracle's seeded cases this suite answers each query
-//! twice — uncaptured, then captured with a [`QueryProfile`] attached —
-//! and asserts:
+//! For a slice of the oracle's seeded cases this suite answers and renders
+//! each query twice — untraced, then inside an entered [`Trace`] — and
+//! asserts:
 //!
 //! * **Answer invariance** — the rendered answers are byte-identical.
-//!   Profiling hooks live on the hot path; any observable difference means
+//!   Span sites live on the hot path; any observable difference means
 //!   instrumentation leaked into semantics.
-//! * **Span-tree well-formedness** — every captured span is closed with
-//!   `end_ns >= start_ns`, belongs to the captured trace, ids are unique,
+//! * **Span-tree well-formedness** — every recorded span is closed with
+//!   `end_ns >= start_ns`, belongs to the entered trace, ids are unique,
 //!   and (when nothing was dropped) every non-root parent exists, started
 //!   no later than its child, and ended no earlier.
-//! * **Profile sanity** — the finished profile's phase times fit inside the
-//!   total and relation counters are self-consistent.
+//! * **Profile sanity** — the profile folded from those spans has phase
+//!   times that fit inside the total and self-consistent relation counters.
 //! * **Always-on sampling invariance** — a served default query's body is
 //!   byte-identical to the direct engine answer rendered by the server's
 //!   own renderer, while every response echoes a trace id; and once the
-//!   server is gone an uncaptured span site costs within a generous CI
-//!   bound.
+//!   server is gone a span site with no trace entered costs within a
+//!   generous CI bound.
 
 use crate::gen::{mix_seed, CaseSpec};
 use crate::oracle::build_dataset;
 use precis_core::{AnswerSpec, DbGenOptions, PrecisEngine, PrecisQuery};
 use precis_nlg::Vocabulary;
-use precis_obs::{QueryProfile, SpanRecord};
+use precis_obs::{ProfileSnapshot, SpanRecord, Trace};
 use precis_server::render_answer;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Span cap of one captured answer; the largest seeded cases stay well
+/// Span cap of one traced answer; the largest seeded cases stay well
 /// under it.
 const MAX_SPANS: usize = 1 << 16;
 
@@ -59,7 +59,7 @@ fn spec_for(case: &CaseSpec) -> AnswerSpec {
     }
 }
 
-/// Validate one captured span set. `complete` is false when the capture
+/// Validate one trace's span set. `complete` is false when the trace
 /// dropped records, in which case parent links may legitimately dangle.
 fn check_spans(report: &mut ObsReport, label: &str, spans: &[SpanRecord], complete: bool) {
     let mut by_id: BTreeMap<u64, &SpanRecord> = BTreeMap::new();
@@ -109,49 +109,50 @@ fn run_case_traced(
 ) {
     let q = PrecisQuery::new(case.tokens.iter().map(String::as_str));
 
-    // Leg 1: no capture, no profile — the baseline bytes.
+    // Leg 1: no trace entered — the baseline bytes.
     let baseline = match engine.answer(&q, &spec_for(case)) {
         Ok(a) => render_answer(engine, vocab, &a),
         Err(e) => {
-            report.check(false, || format!("{label}: uncaptured answer errored: {e}"));
+            report.check(false, || format!("{label}: untraced answer errored: {e}"));
             return;
         }
     };
 
-    // Leg 2: trace captured AND a profile attached — the fully observed path.
-    let profile = Arc::new(QueryProfile::new());
-    let mut spec = spec_for(case);
-    spec.options.profile = Some(Arc::clone(&profile));
-    let capture = precis_obs::capture_trace(profile.trace(), MAX_SPANS);
-    let traced = engine.answer(&q, &spec);
-    let captured = capture.take();
+    // Leg 2: the same answer and rendering inside an entered trace.
+    let mut trace = Trace::new(MAX_SPANS);
+    let traced = {
+        let _entered = trace.enter();
+        engine
+            .answer(&q, &spec_for(case))
+            .map(|a| render_answer(engine, vocab, &a))
+    };
     let traced = match traced {
-        Ok(a) => render_answer(engine, vocab, &a),
+        Ok(body) => body,
         Err(e) => {
-            report.check(false, || format!("{label}: captured answer errored: {e}"));
+            report.check(false, || format!("{label}: traced answer errored: {e}"));
             return;
         }
     };
 
     report.check(baseline == traced, || {
         format!(
-            "{label}: captured answer diverged from uncaptured (lengths {} vs {})",
+            "{label}: traced answer diverged from untraced (lengths {} vs {})",
             baseline.len(),
             traced.len()
         )
     });
 
-    report.check(!captured.spans.is_empty(), || {
-        format!("{label}: captured answer recorded no spans")
+    let snap = ProfileSnapshot::fold(&case.tokens.join(" "), trace.spans(), None);
+    let id = trace.id();
+    let (spans, dropped) = trace.finish();
+    report.check(!spans.is_empty(), || {
+        format!("{label}: traced answer recorded no spans")
     });
-    report.check(
-        captured.spans.iter().all(|s| s.trace == profile.trace()),
-        || format!("{label}: capture holds another trace's spans"),
-    );
-    check_spans(report, label, &captured.spans, captured.dropped == 0);
+    report.check(spans.iter().all(|s| s.trace == id), || {
+        format!("{label}: trace holds another trace's spans")
+    });
+    check_spans(report, label, &spans, dropped == 0);
 
-    profile.finish();
-    let snap = profile.snapshot();
     let phase_sum: u64 = precis_obs::Phase::ALL.iter().map(|&p| snap.phase(p)).sum();
     report.check(phase_sum <= snap.total_ns, || {
         format!(
@@ -190,8 +191,9 @@ fn raw_http(addr: std::net::SocketAddr, body: &str) -> std::io::Result<String> {
 /// Always-on sampling must be invisible in response bodies: the server
 /// (every request traced, tail-sampled, SLO-counted) answers a default
 /// query byte-identically to the direct engine answer under the server's
-/// own renderer, adding only the echoed trace headers. Afterwards one
-/// uncaptured span site must cost no more than a generous CI-tolerant bound.
+/// own renderer, adding only the echoed trace headers. Afterwards one span
+/// site with no trace entered must cost no more than a generous CI-tolerant
+/// bound.
 fn always_on_sampling_check(report: &mut ObsReport) {
     use precis_datagen::{movies_graph, movies_vocabulary, woody_allen_instance};
     use precis_server::{parse_query_request, Server, ServerConfig};
@@ -241,18 +243,18 @@ fn always_on_sampling_check(report: &mut ObsReport) {
     }
     server.join();
 
-    // Re-measure the uncaptured fast path. The real cost is a single relaxed
-    // atomic load (~1 ns); the bound is deliberately generous so shared CI
-    // runners never flake, while still catching a span site that records
-    // without a capture (two orders of magnitude slower).
+    // Re-measure the inert path. The real cost is one thread-local read (a
+    // few ns); the bound is deliberately generous so shared CI runners never
+    // flake, while still catching a span site that reads the clock or
+    // allocates with no trace entered.
     let iters: u32 = 2_000_000;
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        let _s = precis_obs::span("obs.uncaptured_site");
+        let _s = precis_obs::span("obs.inert_site");
     }
     let per_site_ns = start.elapsed().as_nanos() as f64 / f64::from(iters);
     report.check(per_site_ns < 250.0, || {
-        format!("uncaptured span site costs {per_site_ns:.1} ns, over the 250 ns CI bound")
+        format!("inert span site costs {per_site_ns:.1} ns, over the 250 ns CI bound")
     });
 }
 
@@ -264,8 +266,9 @@ pub fn run_obs_suite(seed: u64, cases: usize) -> ObsReport {
         checks: 0,
         failures: Vec::new(),
     };
-    // Real answers must not see faults armed by concurrent tests. Captures
-    // are keyed by trace id, so the span side needs no gate.
+    // Real answers must not see faults armed by concurrent tests. A trace is
+    // only reachable from the thread that entered it, so the span side needs
+    // no gate.
     let _fp_gate = precis_storage::failpoint::exclusive();
     precis_storage::failpoint::disarm_all();
 
@@ -313,7 +316,7 @@ mod tests {
             start_ns: 5,
             end_ns: 3,
             thread: 1,
-            fields: Vec::new(),
+            fields: Default::default(),
             label: None,
         }];
         check_spans(&mut report, "synthetic", &spans, true);
