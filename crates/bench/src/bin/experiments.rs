@@ -6,11 +6,11 @@
 //! ```
 //!
 //! Subcommands: `fig7`, `fig7-large`, `fig8`, `fig9`, `cost-model`,
-//! `ablation-pruning`, `ablation-indegree`, `baseline`, `all`.
+//! `ablation-pruning`, `ablation-indegree`, `baseline`, `write-path`, `all`.
 
 use precis_bench::figures::{
     ablation_in_degree, ablation_pruning, cost_model_validation, fig7, fig7_large_graph,
-    fig7_movies_graph, fig8, fig9,
+    fig7_movies_graph, fig8, fig9, write_path,
 };
 use precis_bench::workloads::bench_movies_db;
 use precis_core::RetrievalStrategy;
@@ -28,6 +28,7 @@ fn main() {
         "ablation-pruning" => run_ablation_pruning(),
         "ablation-indegree" => run_ablation_indegree(),
         "baseline" => run_baseline(),
+        "write-path" => run_write_path(),
         "all" => {
             run_fig7();
             run_fig7_large();
@@ -37,10 +38,11 @@ fn main() {
             run_ablation_pruning();
             run_ablation_indegree();
             run_baseline();
+            run_write_path();
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-indegree | baseline | all");
+            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-indegree | baseline | write-path | all");
             std::process::exit(2);
         }
     }
@@ -183,6 +185,27 @@ fn run_ablation_indegree() {
         println!(
             "{:>6}  {:>12.0}  {:>14.0}",
             p.seeds, p.tuples_with, p.tuples_without
+        );
+    }
+}
+
+fn run_write_path() {
+    println!("\n## Write path — clone an engine, apply one 8-op batch to the clone");
+    println!("## movies db at two sizes, 48 batches each, medians; copies as the storage meter counts them");
+    println!(
+        "{:>8}  {:>9}  {:>11}  {:>11}  {:>7}  {:>10}",
+        "movies", "tuples", "clone (µs)", "apply (µs)", "pieces", "KB copied"
+    );
+    for movies in [3_400, 34_000] {
+        let p = write_path(movies, 48, 0x3A7E);
+        println!(
+            "{:>8}  {:>9}  {:>11.1}  {:>11.1}  {:>7}  {:>10.1}",
+            p.movies,
+            p.tuples,
+            p.clone_secs * 1e6,
+            p.apply_secs * 1e6,
+            p.pieces_copied,
+            p.bytes_copied as f64 / 1024.0
         );
     }
 }

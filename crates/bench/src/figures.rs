@@ -5,13 +5,17 @@ use crate::workloads::{
     bench_movies_graph, connected_relation_sets, full_result_schema, random_seed_tids,
     random_seed_tids_in_range, restrict_graph, run_db_generation,
 };
+use precis_core::PrecisEngine;
 use precis_core::{
     generate_result_schema, generate_result_schema_instrumented, CostModel, DegreeConstraint,
     RetrievalStrategy, TraversalStats,
 };
-use precis_datagen::{chain_db_fanout, random_weight_graph, tree_schema};
+use precis_datagen::{
+    chain_db_fanout, movies_graph, random_weight_graph, tree_schema, MoviesConfig, MoviesGenerator,
+};
 use precis_graph::SchemaGraph;
-use precis_storage::{Database, RelationId, Value};
+use precis_storage::cow::CopyMeter;
+use precis_storage::{Database, RelationId, TupleId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -461,5 +465,129 @@ mod tests {
             assert!(p.tuples_with > 0.0);
             assert!(p.tuples_without > 0.0);
         }
+    }
+}
+
+/// What the write path costs at one database size.
+#[derive(Debug, Clone, Copy)]
+pub struct WritePathPoint {
+    pub movies: usize,
+    /// Live tuples over all relations.
+    pub tuples: usize,
+    /// Median `PrecisEngine::clone`, seconds.
+    pub clone_secs: f64,
+    /// Median clone-and-apply of one batch, seconds.
+    pub apply_secs: f64,
+    /// Chunks, shards and posting lists one batch copied (median).
+    pub pieces_copied: u64,
+    /// Bytes those copies moved (median).
+    pub bytes_copied: u64,
+}
+
+/// The write path at `movies` films (every other relation in IMDb
+/// proportion): `batches` times, clone the engine, apply the serving
+/// benchmark's batch to the clone — a new `MOVIE` with two `GENRE` and two
+/// `CAST` rows, two updates among the first thousand movies, one delete of
+/// the previous batch's last `CAST` row — and keep the clone while the
+/// original is still alive, as the server's writer does. The copies are
+/// counted by the storage layer's own meter.
+pub fn write_path(movies: usize, batches: usize, seed: u64) -> WritePathPoint {
+    let base = MoviesConfig::imdb_scale();
+    let scaled = |n: usize| (n * movies / base.movies).max(1);
+    let db = MoviesGenerator::new(MoviesConfig {
+        movies,
+        directors: scaled(base.directors),
+        actors: scaled(base.actors),
+        theatres: scaled(base.theatres),
+        plays: scaled(base.plays),
+        seed,
+        ..base
+    })
+    .generate();
+    let tuples = db.total_tuples();
+    let rel = |name: &str| db.schema().relation_id(name).expect("movies relation");
+    let (movie, cast) = (rel("MOVIE"), rel("CAST"));
+    let mut engine = PrecisEngine::new(db, movies_graph()).expect("movies engine");
+
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let clone_secs = median(
+        (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(engine.clone());
+                t.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+
+    let (mut apply, mut pieces, mut bytes) = (Vec::new(), Vec::new(), Vec::new());
+    let mut deletable: Option<TupleId> = None;
+    for k in 0..batches as i64 {
+        let key = 10_000_000 + k;
+        let text = |s: String| Value::from(s.as_str());
+        let t = Instant::now();
+        let meter = CopyMeter::new();
+        let mut next = engine.clone();
+        let year = Value::from(1950 + k % 77);
+        let director = Value::from(1 + k % scaled(base.directors) as i64);
+        next.insert(
+            "MOVIE",
+            vec![
+                Value::from(key),
+                text(format!("The Benchmark Premiere {key}")),
+                year.clone(),
+                director.clone(),
+            ],
+        )
+        .expect("fresh movie key");
+        for (i, genre) in ["Drama", "Comedy"].into_iter().enumerate() {
+            let row = vec![
+                Value::from(2 * key + i as i64),
+                Value::from(key),
+                Value::from(genre),
+            ];
+            next.insert("GENRE", row).expect("fresh genre key");
+        }
+        let mut last_cast = None;
+        for (i, role) in ["Lead", "Support"].into_iter().enumerate() {
+            let row = vec![
+                Value::from(2 * key + i as i64),
+                Value::from(key),
+                Value::from(1 + (7 * k + i as i64) % scaled(base.actors) as i64),
+                Value::from(role),
+            ];
+            last_cast = Some(next.insert("CAST", row).expect("fresh cast key"));
+        }
+        for i in 0..2 {
+            let tid = (13 * k + 501 * i) % 1_000.min(movies as i64);
+            let row = vec![
+                Value::from(tid + 1),
+                text(format!("The Revised Cut {}", tid + 1)),
+                year.clone(),
+                director.clone(),
+            ];
+            next.update(movie, TupleId(tid as u64), row)
+                .expect("generated movie");
+        }
+        if let Some(tid) = deletable {
+            next.delete(cast, tid).expect("the previous batch's row");
+        }
+        deletable = last_cast;
+        let copied = meter.copied();
+        apply.push(t.elapsed().as_secs_f64());
+        pieces.push(copied.pieces as f64);
+        bytes.push(copied.bytes as f64);
+        engine = next;
+    }
+    WritePathPoint {
+        movies,
+        tuples,
+        clone_secs,
+        apply_secs: median(apply),
+        pieces_copied: median(pieces) as u64,
+        bytes_copied: median(bytes) as u64,
     }
 }

@@ -148,14 +148,20 @@ pub struct QueryPlan {
 /// assert_eq!(answer.precis.total_tuples(), 1);
 /// ```
 ///
-/// Cloning deep-copies the database and index for copy-on-write mutation
-/// (the server's write path clones, mutates, and republishes) and shares
-/// the schema memo: its entries depend on no stored tuple, so a clone
-/// starts warm and the memo's counters keep counting across publishes.
+/// Cloning copies pointers, not data: the database's chunks and index
+/// shards, the inverted index's shards and the schema graph are all shared
+/// with the original, and [`PrecisEngine::insert`]/[`update`]/[`delete`] on
+/// the clone copy only what they touch (the server's write path clones,
+/// mutates, and republishes while answers keep reading the original). The
+/// schema memo is shared too: its entries depend on no stored tuple, so a
+/// clone starts warm and the memo's counters keep counting across publishes.
+///
+/// [`update`]: PrecisEngine::update
+/// [`delete`]: PrecisEngine::delete
 #[derive(Debug, Clone)]
 pub struct PrecisEngine {
     db: Database,
-    graph: SchemaGraph,
+    graph: Arc<SchemaGraph>,
     index: InvertedIndex,
     profiles: HashMap<String, WeightProfile>,
     cache: Arc<AnswerCache>,
@@ -182,7 +188,7 @@ impl PrecisEngine {
         ensure_join_indexes(&mut db, &graph);
         PrecisEngine {
             db,
-            graph,
+            graph: Arc::new(graph),
             index,
             profiles: HashMap::new(),
             cache: Arc::default(),
@@ -959,6 +965,54 @@ mod tests {
             0,
             "the overwritten value must stop matching"
         );
+    }
+
+    #[test]
+    fn a_cloned_engine_shares_everything_and_a_write_copies_a_bounded_few_pieces() {
+        // Chunks: the tail and two rows'. Database shards: VENUE's key index
+        // and its city join index, per key touched. Word shards: a handful
+        // of words per written name.
+        const BOUND: usize = 30;
+        let dump = |e: &PrecisEngine| precis_storage::io::dump_to_string(e.database());
+        let unshared = |a: &PrecisEngine, b: &PrecisEngine| {
+            a.database().unshared_pieces(b.database()) + a.index().unshared_shards(b.index())
+        };
+        for venues in [2_000i64, 20_000] {
+            let (mut db, graph) = expert_join_setup();
+            for v in 3..venues {
+                let name = format!("Venue {v} hall");
+                let city = format!("City {}", v % 50);
+                let row = vec![Value::from(v), name.as_str().into(), city.as_str().into()];
+                db.insert("VENUE", row).unwrap();
+            }
+            let original = PrecisEngine::new(db, graph).unwrap();
+            let before = dump(&original);
+            let mut copy = original.clone();
+            assert_eq!(unshared(&copy, &original), 0, "{venues} venues");
+
+            let venue = copy.database().schema().relation_id("VENUE").unwrap();
+            let row = |v: i64, name: &str| vec![Value::from(v), name.into(), "Athens".into()];
+            copy.insert("VENUE", row(venues, "Brand new annex"))
+                .unwrap();
+            copy.update(venue, TupleId(10), row(11, "Renamed pavilion"))
+                .unwrap();
+            copy.delete(venue, TupleId(venues as u64 / 2)).unwrap();
+
+            let pieces = unshared(&copy, &original);
+            assert!((3..=BOUND).contains(&pieces), "{venues}: {pieces}");
+            // The original answers and dumps exactly as before; the copy
+            // equals an engine rebuilt from its own dump.
+            assert_eq!(dump(&original), before);
+            assert!(original
+                .index()
+                .lookup(original.database(), "annex")
+                .is_empty());
+            assert_eq!(copy.index().lookup(copy.database(), "annex").len(), 1);
+            assert_eq!(
+                copy.index(),
+                &precis_index::InvertedIndex::build(copy.database())
+            );
+        }
     }
 
     #[test]

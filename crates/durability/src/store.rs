@@ -72,8 +72,9 @@ impl DurableStore {
 
     /// Checkpoint: snapshot `db` (covering every LSN below `wal.next_lsn()`),
     /// rotate the log, and return the compacted reload that must replace the
-    /// live database. The caller holds the write lock and re-attaches its
-    /// WAL sink and rebuilds its index on the returned database.
+    /// live database. The caller is the only writer (the server's writer
+    /// thread) and re-attaches its WAL sink and rebuilds its index on the
+    /// returned database.
     pub fn checkpoint(&self, db: &Database, wal: &mut Wal) -> Result<Database> {
         write_snapshot(db, wal.next_lsn(), self.snapshot_path())?;
         wal.rotate()?;

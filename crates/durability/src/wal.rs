@@ -113,6 +113,11 @@ impl Wal {
         self.next_lsn
     }
 
+    /// Bytes of fully written frames in the log since its last rotation.
+    pub fn bytes(&self) -> u64 {
+        self.bytes
+    }
+
     pub fn stats(&self) -> Arc<WalStats> {
         Arc::clone(&self.stats)
     }
@@ -191,7 +196,7 @@ impl Wal {
     /// Physically cut the log back to `mark`, durably: every frame appended
     /// after it — including any half-written frame a failed append left —
     /// is erased, and the next append reuses the mark's LSN at the mark's
-    /// offset. The write lock's batch-abort path uses this so abandoned
+    /// offset. The server's batch-abort path uses this so abandoned
     /// records can never coexist with later acknowledged ones claiming the
     /// same LSNs and tuple slots (recovery would truncate at the duplicate
     /// and lose acknowledged writes).

@@ -7,21 +7,30 @@
 //! contiguity against the stored value. Single-word lookups hand back
 //! `Arc` clones of the stored lists, so warm lookups allocate nothing per
 //! posting.
+//!
+//! The word map is a [`ShardedMap`] and a word's locations sit behind an
+//! `Arc` as well, so cloning an index bumps one reference count per shard
+//! and [`InvertedIndex::add_tuple`]/[`InvertedIndex::remove_tuple`] on the
+//! clone copy, per word they touch, the word's shard, its few locations and
+//! the one tid list — or, of a long list, the one segment — they change:
+//! never the map, and never anything while no clone shares it.
 
 use crate::postings::intersect_many;
+use crate::tidlist::TidList;
 use crate::tokenizer::Tokenizer;
+use precis_storage::cow::{self, ShardedMap};
 use precis_storage::{
     DataType, Database, Datum, FxHashMap, RelationId, Sym, SymbolTable, TupleId, ValueRef,
 };
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
 /// An index location: one `(relation, attribute)` pair.
 type Loc = (RelationId, usize);
 
-/// The per-word posting list: one sorted, shared tid list per location.
-type LocPostings = Vec<(Loc, Arc<Vec<TupleId>>)>;
+/// The per-word postings: one sorted tid list per location, sorted by
+/// location. Shared, so copying a shard of words allocates nothing per word.
+type LocPostings = Arc<Vec<(Loc, TidList)>>;
 
 /// The text attributes of one live tuple as `(attribute, text)`; nothing
 /// for a tombstoned or unknown tid.
@@ -69,16 +78,37 @@ pub struct Occurrence {
 /// ```
 ///
 /// Two indexes are equal when they would answer every lookup identically
-/// *and* are laid out identically: same tokenizer, same word set, the same
-/// tid list at every location in the same location order, and the same
-/// word-occurrence count.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// and account for the same text: same tokenizer, same word set, the same
+/// tids at every location in the same location order (however a long list
+/// is cut into segments), and the same word-occurrence count.
+#[derive(Debug, Clone, Default)]
 pub struct InvertedIndex {
     tokenizer: Tokenizer,
     /// word symbol → locations (sorted by `(relation, attribute)`), each
     /// with its sorted tid list.
-    postings: HashMap<Sym, LocPostings>,
+    postings: ShardedMap<Sym, LocPostings>,
     words: u64,
+}
+
+impl PartialEq for InvertedIndex {
+    fn eq(&self, other: &Self) -> bool {
+        let same = |mine: &LocPostings, theirs: &LocPostings| {
+            mine.len() == theirs.len()
+                && mine
+                    .iter()
+                    .zip(theirs.iter())
+                    .all(|((at, a), (loc, b))| at == loc && a.iter().eq(b.iter()))
+        };
+        self.tokenizer == other.tokenizer
+            && self.words == other.words
+            && self.postings.len() == other.postings.len()
+            && self.postings.iter().all(|(word, mine)| {
+                other
+                    .postings
+                    .get(word)
+                    .is_some_and(|theirs| same(mine, theirs))
+            })
+    }
 }
 
 impl InvertedIndex {
@@ -94,12 +124,14 @@ impl InvertedIndex {
     /// remembered by the value's symbol), and every row appends its tid to
     /// the lists of its value's words. Lists therefore come out sorted and
     /// deduplicated with no searching, each is allocated at its final
-    /// length and wrapped in its `Arc` once, and locations are pushed in
+    /// length and wrapped in its `Arc` once (a long one then cut into its
+    /// segments), and locations are pushed in
     /// `(relation, attribute)` order — the same index a tuple-at-a-time
     /// [`InvertedIndex::add_tuple`] loop produces.
     pub fn build_with(db: &Database, tokenizer: Tokenizer) -> Self {
         let symbols = SymbolTable::global();
-        let mut postings: HashMap<Sym, LocPostings> = HashMap::new();
+        // word → locations, in a plain map while it is being filled.
+        let mut by_word: FxHashMap<Sym, Vec<(Loc, TidList)>> = FxHashMap::default();
         let mut words = 0u64;
         // By symbol id: the column a stored value was last met in, and its
         // place in that column's `values`. One zeroed allocation serves the
@@ -163,12 +195,17 @@ impl InvertedIndex {
                     tids[slot].push(tid);
                 }
                 for ((word, _), tids) in lists.into_iter().zip(tids) {
-                    postings
+                    by_word
                         .entry(word)
                         .or_default()
-                        .push(((rel, attr), Arc::new(tids)));
+                        .push(((rel, attr), TidList::from_sorted(tids)));
                 }
             }
+        }
+        let mut postings = ShardedMap::new();
+        postings.reserve(by_word.len());
+        for (word, by_loc) in by_word {
+            postings.get_or_insert_with(word, || Arc::new(by_loc));
         }
         InvertedIndex {
             tokenizer,
@@ -183,27 +220,13 @@ impl InvertedIndex {
         for (attr, text) in text_values(db, rel, tid) {
             self.tokenizer.for_each_word(text, |word| {
                 self.words += 1;
-                let by_loc = self.postings.entry(symbols.intern(word)).or_default();
-                let slot = match by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
-                    Ok(i) => i,
-                    Err(i) => {
-                        by_loc.insert(i, ((rel, attr), Arc::new(Vec::new())));
-                        i
-                    }
-                };
-                let list = Arc::make_mut(&mut by_loc[slot].1);
-                // Keep the list sorted and deduplicated; appends dominate
-                // because tuple ids grow monotonically.
-                match list.last() {
-                    Some(&last) if last >= tid => {
-                        if last > tid {
-                            let at = list.partition_point(|&t| t < tid);
-                            if list.get(at) != Some(&tid) {
-                                list.insert(at, tid);
-                            }
-                        }
-                    }
-                    _ => list.push(tid),
+                let (by_loc, _) = self
+                    .postings
+                    .get_or_insert_with(symbols.intern(word), Arc::default);
+                let by_loc = cow::make_mut_vec(by_loc);
+                match by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
+                    Ok(i) => by_loc[i].1.insert(tid),
+                    Err(i) => by_loc.insert(i, ((rel, attr), TidList::from_sorted(vec![tid]))),
                 }
             });
         }
@@ -222,12 +245,9 @@ impl InvertedIndex {
                     return;
                 };
                 if let Some(by_loc) = self.postings.get_mut(&sym) {
+                    let by_loc = cow::make_mut_vec(by_loc);
                     if let Ok(i) = by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
-                        let list = Arc::make_mut(&mut by_loc[i].1);
-                        if let Ok(at) = list.binary_search(&tid) {
-                            list.remove(at);
-                        }
-                        if list.is_empty() {
+                        if by_loc[i].1.remove(tid) {
                             by_loc.remove(i);
                         }
                     }
@@ -276,7 +296,7 @@ impl InvertedIndex {
                 .map(|(loc, tids)| Occurrence {
                     rel: loc.0,
                     attr: loc.1,
-                    tids: Arc::clone(tids),
+                    tids: tids.shared(),
                 })
                 .collect();
         }
@@ -284,14 +304,15 @@ impl InvertedIndex {
         let mut out: Vec<Occurrence> = Vec::new();
         'locs: for ((rel, attr), first_tids) in first.iter() {
             // Every word of the phrase must occur at this same location.
-            let mut lists: Vec<&[TupleId]> = Vec::with_capacity(words.len());
-            lists.push(first_tids);
+            let mut lists = Vec::with_capacity(words.len());
+            lists.push(first_tids.shared());
             for by_loc in rest {
                 match by_loc.binary_search_by_key(&(*rel, *attr), |(loc, _)| *loc) {
-                    Ok(i) => lists.push(&by_loc[i].1),
+                    Ok(i) => lists.push(by_loc[i].1.shared()),
                     Err(_) => continue 'locs,
                 }
             }
+            let lists: Vec<&[TupleId]> = lists.iter().map(|l| l.as_slice()).collect();
             let candidates = intersect_many(&lists);
             let hits: Vec<TupleId> = candidates
                 .into_iter()
@@ -330,6 +351,12 @@ impl InvertedIndex {
     /// Number of distinct indexed words.
     pub fn vocabulary_size(&self) -> usize {
         self.postings.len()
+    }
+
+    /// Shards of the word map that `other` does not share by pointer: zero
+    /// right after a clone, then one per shard either side has written.
+    pub fn unshared_shards(&self, other: &InvertedIndex) -> usize {
+        self.postings.unshared_shards(&other.postings)
     }
 
     /// Total number of word occurrences indexed.

@@ -14,6 +14,7 @@
 mod inverted;
 pub mod postings;
 mod synonyms;
+mod tidlist;
 mod tokenizer;
 
 pub use inverted::{InvertedIndex, Occurrence};

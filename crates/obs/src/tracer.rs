@@ -93,6 +93,13 @@ impl Trace {
         Entered { slot: self, depth }
     }
 
+    /// Move the trace out, leaving "no trace" in its place: how a request's
+    /// owner hands the recorder to the thread that will enter it next (the
+    /// server's writer) while keeping the slot it comes back to.
+    pub fn take(&mut self) -> Trace {
+        std::mem::replace(self, Trace::NONE)
+    }
+
     /// Consume the trace: its spans, parents before children (a parent
     /// starts no later, and ids grow in open order), and the overflow count.
     pub fn finish(mut self) -> (Vec<SpanRecord>, u64) {

@@ -1,7 +1,10 @@
 //! What `serve --data-dir` attaches to a server: the snapshot store and the
 //! shared WAL handle, the auto-checkpoint that compacts them, and the
 //! `precis_wal_*` series that report on both. The write path that appends
-//! to the log lives in [`crate::mutate`].
+//! to the log lives in [`crate::mutate`]; it and the checkpoint both run on
+//! the server's one writer thread, so the second engine a checkpoint builds
+//! (the compacted reload and its index) lives in that thread's allocator
+//! arena, beside the copies batches make, and nowhere else.
 
 use precis_core::PrecisEngine;
 use precis_durability::{DurableStore, SharedWal};
@@ -26,8 +29,9 @@ pub struct Durability {
     /// Checkpoints taken by this server (exported as a metric).
     pub checkpoints: AtomicU64,
     /// Microseconds those checkpoints took, snapshot to rebuilt engine —
-    /// time the write lock was held on top of the batch (exported as a
-    /// metric, in seconds).
+    /// time the writer thread spent on them inside the batches that paid
+    /// for one, with every later batch waiting (exported as a metric, in
+    /// seconds).
     pub checkpoint_micros: AtomicU64,
     /// Auto-checkpoints that failed (exported as a metric). A failed
     /// checkpoint is not a failed mutation — the batch stays acknowledged
@@ -107,7 +111,7 @@ pub(crate) fn render_wal_metrics(out: &mut String, d: &Durability) {
          # HELP precis_wal_checkpoints_total Snapshot checkpoints taken since start.\n\
          # TYPE precis_wal_checkpoints_total counter\n\
          precis_wal_checkpoints_total {}\n\
-         # HELP precis_wal_checkpoint_seconds_total Time those checkpoints held the write lock.\n\
+         # HELP precis_wal_checkpoint_seconds_total Time the writer thread spent in those checkpoints, inside the batches that paid for them.\n\
          # TYPE precis_wal_checkpoint_seconds_total counter\n\
          precis_wal_checkpoint_seconds_total {:.6}\n\
          # HELP precis_wal_checkpoint_failures_total Auto-checkpoint attempts that failed.\n\
@@ -115,12 +119,16 @@ pub(crate) fn render_wal_metrics(out: &mut String, d: &Durability) {
          precis_wal_checkpoint_failures_total {}\n\
          # HELP precis_wal_next_lsn The LSN the next WAL record will carry.\n\
          # TYPE precis_wal_next_lsn gauge\n\
-         precis_wal_next_lsn {}\n",
+         precis_wal_next_lsn {}\n\
+         # HELP precis_wal_bytes Bytes in the WAL since its last rotation.\n\
+         # TYPE precis_wal_bytes gauge\n\
+         precis_wal_bytes {}\n",
         stats.appended.load(Ordering::Relaxed),
         stats.fsyncs.load(Ordering::Relaxed),
         d.checkpoints.load(Ordering::Relaxed),
         d.checkpoint_micros.load(Ordering::Relaxed) as f64 / 1e6,
         d.checkpoint_failures.load(Ordering::Relaxed),
         d.wal.next_lsn(),
+        d.wal.with(|w| w.bytes()),
     );
 }

@@ -3,9 +3,10 @@
 //!
 //! Every request gets a 128-bit wire trace id at admission — accepted from
 //! an incoming `traceparent` header or minted — and owns the [`Trace`] its
-//! handler's spans record into: whichever worker is handling the request
-//! enters it, and it travels with the request (inside the query's job) when
-//! the request changes threads. Whatever the request turns into is described
+//! handler's spans record into: whichever thread is handling the request
+//! enters it, and it travels with the request (inside the query's job, or
+//! to the writer thread and back with a mutation's batch) when the request
+//! changes threads. Whatever the request turns into is described
 //! as an [`Outcome`] and leaves through [`answer`]: it stamps the id on the
 //! response, counts the request and writes the bytes, then feeds the SLO
 //! engine and runs the tail sampler, whose byte-budgeted trace store is the

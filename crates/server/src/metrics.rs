@@ -113,6 +113,9 @@ pub struct Metrics {
     deadline_exceeded_total: AtomicU64,
     /// Handler panics converted to 500s.
     panics_total: AtomicU64,
+    /// Bytes `/v1/mutate` batches copied of the engine they were applied
+    /// beside (chunks, shards and posting lists a snapshot still shared).
+    mutate_copied_bytes_total: AtomicU64,
     /// Queries refused by the cost-aware admission controller (→ 429).
     sched_shed_total: AtomicU64,
     /// Sheds the hindsight estimator attributes to cost-model error rather
@@ -164,6 +167,12 @@ impl Metrics {
 
     pub fn record_panic(&self) {
         self.panics_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A batch copied `bytes` of the published engine to stay out of its way.
+    pub fn record_mutate_copied(&self, bytes: u64) {
+        self.mutate_copied_bytes_total
+            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// A query was shed at admission; `false_positive` carries the
@@ -289,7 +298,7 @@ impl Metrics {
             self.queue_wait.count()
         );
 
-        let singles: [(&str, &str, u64); 7] = [
+        let singles: [(&str, &str, u64); 9] = [
             (
                 "precis_queue_depth",
                 "Connections waiting for a worker (gauge).",
@@ -311,6 +320,16 @@ impl Metrics {
                 self.panics_total.load(Ordering::Relaxed),
             ),
             (
+                "precis_mutate_copied_bytes_total",
+                "Bytes of the published engine that mutation batches copied before changing them.",
+                self.mutate_copied_bytes_total.load(Ordering::Relaxed),
+            ),
+            (
+                "precis_symbols",
+                "Strings in the process-wide symbol table, which only grows (gauge).",
+                precis_storage::SymbolTable::global().len() as u64,
+            ),
+            (
                 "precis_sched_shed_total",
                 "Queries refused by cost-aware admission with 429.",
                 self.shed_total(),
@@ -328,10 +347,10 @@ impl Metrics {
         ];
         for (name, help, value) in singles {
             let _ = writeln!(out, "# HELP {name} {help}");
-            let kind = if name == "precis_queue_depth" {
-                "gauge"
-            } else {
+            let kind = if name.ends_with("_total") {
                 "counter"
+            } else {
+                "gauge"
             };
             let _ = writeln!(out, "# TYPE {name} {kind}");
             let _ = writeln!(out, "{name} {value}");

@@ -1,33 +1,63 @@
-//! The `POST /v1/mutate` write path: batched ops applied copy-on-write under
-//! the server's single write lock, logged to the WAL (when the server is
+//! The `POST /v1/mutate` write path: batched ops applied copy-on-write by
+//! the server's one writer thread, logged to the WAL (when the server is
 //! durable), and published atomically via the engine snapshot cell.
+//!
+//! A worker reads and parses the request, hands the ops and the request's
+//! trace to the `precis-writer` thread over a channel and blocks for the
+//! answer; the writer owns everything from there — load the published
+//! engine, apply to a copy, append, fsync, publish, auto-checkpoint. It is a
+//! thread, not a lock a worker takes, because of where memory lands: the
+//! copies a batch makes and the second engine a checkpoint builds are
+//! allocated, freed and reused in the writer's one malloc arena instead of
+//! leaving a high-water mark in every worker's (EXPERIMENTS.md "The write
+//! path costs what the batch costs"). Being the only writer, the thread is
+//! also the serialisation: there is no write lock.
+//!
+//! The copy is cheap: cloning an engine bumps reference counts, and the ops
+//! copy only the chunks, shards and posting lists they touch (see
+//! `precis_storage::cow`), so a batch costs what it changes, not what the
+//! database holds. A query that loaded its snapshot before the publish
+//! reads that snapshot to the end.
 //!
 //! Batches are ordered streams, not transactions: ops apply in order and
 //! the first failure stops the batch. On an ordinary *validation* failure
 //! (unknown relation, bad arity, missing tuple, …) everything applied up
 //! to that point is kept, logged, and published — so the served state and
 //! the WAL never disagree — and the response reports how far the batch
-//! got. A *WAL* failure (append or group-commit fsync refused) instead
-//! aborts the whole batch: the cloned engine is discarded unpublished and
-//! the log is physically rolled back to its pre-batch mark, because a
-//! published mutation the log lacks — or abandoned log records whose LSNs
-//! and tuple slots a later batch would reclaim — makes recovery truncate
-//! away acknowledged writes.
+//! got. A *WAL* failure (append or group-commit fsync refused) — and a
+//! *panic* anywhere before the publish — instead aborts the whole batch:
+//! the copy is discarded unpublished and the log is physically rolled back
+//! to its pre-batch mark, because a published mutation the log lacks — or
+//! abandoned log records whose LSNs and tuple slots a later batch would
+//! reclaim — makes recovery truncate away acknowledged writes.
+//!
+//! The auto-checkpoint runs *inside* the batch that crosses the threshold,
+//! before its acknowledgement: compaction renumbers tuple ids, and the
+//! response's `"checkpointed": true` is how a client learns that the ids it
+//! holds are stale — a contract that cannot move behind the ack without a
+//! protocol change.
 
 use crate::durable::{checkpoint_engine, Durability};
-use crate::http::Response;
+use crate::exit::{self, Outcome, TraceCtx};
+use crate::http::{Request, Response};
 use crate::json::{self, Json};
 use crate::server::Shared;
 use precis_core::{CoreError, PrecisEngine};
 use precis_durability::WalMark;
+use precis_obs::Trace;
+use precis_storage::cow::{Copied, CopyMeter};
 use precis_storage::{DataType, RelationId, StorageError, TupleId, Value};
 use std::fmt::Write as _;
+use std::net::TcpStream;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One decoded mutation. `values` stay as parsed JSON until apply time —
 /// coercion is type-directed by the relation's schema, which lives in the
-/// engine snapshot taken under the write lock.
+/// engine snapshot the writer loads.
 #[derive(Debug)]
 pub enum MutateOp {
     Insert {
@@ -150,12 +180,18 @@ pub struct Applied {
     pub inserted_tids: Vec<u64>,
     pub error: Option<String>,
     pub wal_failed: bool,
+    /// What the batch had to copy of `base` to stay out of its way.
+    pub copied: Copied,
 }
 
-/// Apply `ops` in order to a deep copy of `base`, stopping at the first
-/// failure. The copy's database carries whatever WAL sink `base` had, so
-/// each successful mutation streams into the log as it applies.
+/// Apply `ops` in order to a private copy of `base`, stopping at the first
+/// failure. The copy shares everything with `base` until an op touches it,
+/// and `base` is never written. The copy's database carries whatever WAL
+/// sink `base` had, so each successful mutation streams into the log as it
+/// applies. Runs under a `mutate.apply` span that counts what was copied.
 pub fn apply_ops(base: &PrecisEngine, ops: &[MutateOp]) -> Applied {
+    let span = precis_obs::span("mutate.apply");
+    let meter = CopyMeter::new();
     let mut engine = base.clone();
     let mut inserted_tids = Vec::new();
     let mut applied = 0usize;
@@ -172,12 +208,17 @@ pub fn apply_ops(base: &PrecisEngine, ops: &[MutateOp]) -> Applied {
             }
         }
     }
+    let copied = meter.copied();
+    span.field("ops", ops.len() as u64);
+    span.field("chunks_copied", copied.pieces);
+    span.field("bytes_copied", copied.bytes);
     Applied {
         engine,
         applied,
         inserted_tids,
         error,
         wal_failed,
+        copied,
     }
 }
 
@@ -277,44 +318,187 @@ pub fn render_mutate_response(
     out
 }
 
-/// Apply a `/v1/mutate` batch copy-on-write under the write lock: clone the
-/// current engine, apply ops in order (each one streaming into the WAL via
-/// the database's sink), force the group-commit fsync, publish the new
-/// engine, and auto-checkpoint when the record threshold is crossed.
+/// One parsed batch on its way to the writer thread: the ops, the request's
+/// span recorder (the writer enters it while it runs the batch, so the WAL,
+/// index-build and checkpoint spans land in the request's own trace) and
+/// where the answer goes.
+pub(crate) struct WriteJob {
+    ops: Vec<MutateOp>,
+    trace: Trace,
+    trace_hex: String,
+    reply: mpsc::Sender<(Written, Trace)>,
+}
+
+/// What the writer made of a batch.
+struct Written {
+    response: Response,
+    /// The batch was rolled back off the log (or the log is poisoned).
+    wal_rollback: bool,
+    panicked: bool,
+}
+
+impl Written {
+    fn plain(response: Response) -> Written {
+        Written {
+            response,
+            wal_rollback: false,
+            panicked: false,
+        }
+    }
+}
+
+/// Serve one loopback `POST /v1/mutate` on the worker that read it: parse,
+/// hand the batch to the writer thread, block for its answer, write it.
 ///
-/// Any WAL failure — an append refused mid-batch or the group-commit fsync
-/// refused — aborts the whole batch: the cloned engine is discarded
-/// unpublished and the log is physically rolled back to its pre-batch
-/// mark, so served state and log never diverge and the abandoned records'
-/// LSNs and tuple slots are reclaimed cleanly by the next batch. If even
-/// the rollback fails the durability state is poisoned and every further
-/// mutation is refused until restart.
-///
-/// `503` on this path always means a durability failure (or shutdown) —
+/// `503` on this path always means a durability failure or shutdown —
 /// overload is signalled with `429` by admission, never here.
-pub(crate) fn handle_mutate(shared: &Shared, body: &[u8], trace_hex: &str) -> Response {
+pub(crate) fn serve_mutate(
+    shared: &Shared,
+    mut stream: TcpStream,
+    request: &Request,
+    admitted: Instant,
+    started: Instant,
+) {
+    let mut ctx = TraceCtx::begin(request.header("traceparent"), admitted);
+    let written = hand_over(shared, &request.body, &mut ctx);
+    let outcome = Outcome {
+        wal_rollback: written.wal_rollback,
+        panicked: written.panicked,
+        ..Outcome::of("mutate", written.response)
+    };
+    exit::answer(shared, &mut stream, ctx, outcome, started.elapsed());
+}
+
+fn hand_over(shared: &Shared, body: &[u8], ctx: &mut TraceCtx) -> Written {
     let Ok(text) = std::str::from_utf8(body) else {
-        return Response::error(400, "bad_request", "body must be UTF-8");
+        return Written::plain(Response::error(400, "bad_request", "body must be UTF-8"));
     };
     let ops = match parse_mutate_request(text) {
         Ok(ops) => ops,
-        Err(msg) => return Response::error(400, "bad_request", &msg),
+        Err(msg) => return Written::plain(Response::error(400, "bad_request", &msg)),
     };
-    let _guard = shared.write_lock.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(d) = &shared.durability {
-        if d.is_poisoned() {
-            return Response::error(
+    let (reply, answer) = mpsc::channel();
+    let job = WriteJob {
+        ops,
+        trace: ctx.trace.take(),
+        trace_hex: ctx.hex.clone(),
+        reply,
+    };
+    // The sender is gone once shutdown began: the writer finishes what was
+    // queued before and takes nothing after.
+    let sent = match &*shared.writer.lock().unwrap_or_else(|p| p.into_inner()) {
+        Some(writer) => writer.send(job).map_err(|refused| refused.0),
+        None => Err(job),
+    };
+    match sent {
+        Ok(()) => match answer.recv() {
+            Ok((written, trace)) => {
+                ctx.trace = trace;
+                written
+            }
+            // The writer answers every job it takes; only its death can
+            // drop one. Nothing of the batch is known to be applied.
+            Err(_) => Written {
+                panicked: true,
+                ..Written::plain(Response::error(
+                    500,
+                    "internal",
+                    "internal error serving request",
+                ))
+            },
+        },
+        Err(job) => {
+            ctx.trace = job.trace;
+            Written::plain(Response::error_retry(
+                503,
+                "shutting_down",
+                "server shutting down",
+                1000,
+            ))
+        }
+    }
+}
+
+/// The `precis-writer` thread: one batch at a time, in arrival order, until
+/// shutdown drops the sending side and the queue is drained.
+pub(crate) fn writer_loop(shared: &Shared, jobs: Receiver<WriteJob>) {
+    for job in jobs {
+        let WriteJob {
+            ops,
+            mut trace,
+            trace_hex,
+            reply,
+        } = job;
+        let written = {
+            let _entered = trace.enter();
+            write_batch(shared, &ops, &trace_hex)
+        };
+        // The worker may have given up on its peer; nothing to do about it.
+        let _ = reply.send((written, trace));
+    }
+}
+
+/// Run one batch on the writer thread, under a `catch_unwind` of its own: a
+/// panic costs the batch, not the writer, and it is treated exactly like
+/// the log refusing a record — if nothing was published yet, whatever the
+/// batch appended is cut back off the log, so the records of a batch nobody
+/// was told about can never sit in front of a later acknowledged one.
+fn write_batch(shared: &Shared, ops: &[MutateOp], trace_hex: &str) -> Written {
+    let durability = shared.durability.as_ref();
+    if durability.is_some_and(Durability::is_poisoned) {
+        return Written {
+            wal_rollback: true,
+            ..Written::plain(Response::error(
                 503,
                 "wal_poisoned",
                 "write-ahead log state is inconsistent; mutations are disabled until restart",
-            );
-        }
+            ))
+        };
     }
-    let base = shared.engine.load();
     // Mark the log's end before the first append so a failed batch can be
     // rolled back whole.
-    let mark = shared.durability.as_ref().map(|d| d.wal.mark());
-    let applied = apply_ops(&base, &ops);
+    let mark = durability.map(|d| d.wal.mark());
+    let mut published = false;
+    let committed = catch_unwind(AssertUnwindSafe(|| {
+        commit(shared, ops, mark, trace_hex, &mut published)
+    }));
+    committed.unwrap_or_else(|_| {
+        shared.metrics.record_panic();
+        let message = "internal error serving request";
+        match (durability, mark) {
+            (Some(d), Some(mark)) if !published => Written {
+                panicked: true,
+                ..abort_batch(d, mark, 500, message, trace_hex)
+            },
+            _ => Written {
+                panicked: true,
+                ..Written::plain(Response::error(500, "internal", message))
+            },
+        }
+    })
+}
+
+/// Apply, log, fsync, publish, and auto-checkpoint when the record
+/// threshold is crossed. `published` is set the moment the new engine is
+/// visible to readers, after which nothing may be rolled back.
+///
+/// Any WAL failure — an append refused mid-batch or the group-commit fsync
+/// refused — aborts the whole batch: the copy is discarded unpublished and
+/// the log is physically rolled back to its pre-batch mark, so served state
+/// and log never diverge and the abandoned records' LSNs and tuple slots
+/// are reclaimed cleanly by the next batch. If even the rollback fails the
+/// durability state is poisoned and every further mutation is refused until
+/// restart.
+fn commit(
+    shared: &Shared,
+    ops: &[MutateOp],
+    mark: Option<WalMark>,
+    trace_hex: &str,
+    published: &mut bool,
+) -> Written {
+    let base = shared.engine.load();
+    let applied = apply_ops(&base, ops);
+    shared.metrics.record_mutate_copied(applied.copied.bytes);
     // ACK-after-fsync: the group-commit barrier runs before anything is
     // published or acknowledged. If the disk refused an append or refuses
     // the sync, nothing is published and the log is rolled back — the
@@ -325,15 +509,11 @@ pub(crate) fn handle_mutate(shared: &Shared, body: &[u8], trace_hex: &str) -> Re
         let mark = mark.expect("mark taken whenever durability is attached");
         if applied.wal_failed {
             let reason = applied.error.as_deref().unwrap_or("write-ahead log error");
-            return abort_batch(d, mark, reason, trace_hex);
+            return abort_batch(d, mark, 503, reason, trace_hex);
         }
         if let Err(e) = d.wal.flush() {
-            return abort_batch(
-                d,
-                mark,
-                &format!("write-ahead log sync failed: {e}"),
-                trace_hex,
-            );
+            let reason = format!("write-ahead log sync failed: {e}");
+            return abort_batch(d, mark, 503, &reason, trace_hex);
         }
         wal_lsn = Some(d.wal.next_lsn().saturating_sub(1));
         d.since_checkpoint
@@ -341,6 +521,7 @@ pub(crate) fn handle_mutate(shared: &Shared, body: &[u8], trace_hex: &str) -> Re
     }
     let mut engine = Arc::new(applied.engine);
     shared.engine.store(engine.clone());
+    *published = true;
 
     let mut checkpointed = false;
     if let Some(d) = &shared.durability {
@@ -374,23 +555,33 @@ pub(crate) fn handle_mutate(shared: &Shared, body: &[u8], trace_hex: &str) -> Re
         checkpointed,
         applied.error.as_deref(),
     );
-    let status = if applied.error.is_some() { 400 } else { 200 };
-    if status == 400 {
+    Written::plain(match applied.error.as_deref() {
         // Non-2xx responses carry the envelope; the partial-application
         // report rides along in `details` so callers keep the full picture.
-        let message = applied.error.as_deref().unwrap_or("mutation failed");
-        return Response::error_detailed(400, "mutate_failed", message, body.trim_end());
-    }
-    Response::json(status, body)
+        Some(message) => Response::error_detailed(400, "mutate_failed", message, body.trim_end()),
+        None => Response::json(200, body),
+    })
 }
 
-/// Abandon a batch whose WAL writes failed: roll the log back to its
-/// pre-batch mark (leaving the published engine untouched) and report 503.
-/// A rollback failure leaves the on-disk log unknown — poison durability so
-/// no later batch can interleave with the abandoned records.
-fn abort_batch(d: &Durability, mark: WalMark, reason: &str, trace_hex: &str) -> Response {
-    match d.wal.truncate_to_mark(mark) {
-        Ok(()) => Response::error(503, "wal_failed", &format!("{reason}; batch rolled back")),
+/// Abandon a batch that must not reach the log: roll the log back to its
+/// pre-batch mark (the published engine was never touched) and report
+/// `status` — `503` when the log refused the batch, `500` when the batch
+/// panicked. A rollback failure leaves the on-disk log unknown — poison
+/// durability so no later batch can interleave with the abandoned records.
+fn abort_batch(
+    d: &Durability,
+    mark: WalMark,
+    status: u16,
+    reason: &str,
+    trace_hex: &str,
+) -> Written {
+    let code = if status == 500 {
+        "internal"
+    } else {
+        "wal_failed"
+    };
+    let response = match d.wal.truncate_to_mark(mark) {
+        Ok(()) => Response::error(status, code, &format!("{reason}; batch rolled back")),
         Err(e) => {
             d.poison();
             eprintln!(
@@ -403,6 +594,10 @@ fn abort_batch(d: &Durability, mark: WalMark, reason: &str, trace_hex: &str) -> 
                 &format!("{reason}; rollback failed ({e}), mutations disabled until restart"),
             )
         }
+    };
+    Written {
+        wal_rollback: true,
+        ..Written::plain(response)
     }
 }
 

@@ -18,9 +18,10 @@ use precis_obs::telemetry::TraceFilter;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// Read one request off the connection and dispatch it. Non-query requests
-/// are answered inline; queries go through cost-aware admission and are
-/// answered later by [`query::execute_query`] (or immediately, if shed).
+/// Read one request off the connection and dispatch it. Queries go through
+/// cost-aware admission and are answered later by [`query::execute_query`]
+/// (or immediately, if shed); a loopback mutation waits here for the writer
+/// thread ([`mutate::serve_mutate`]); everything else is answered inline.
 ///
 /// The socket's read/write timeouts are armed first, so a silent or
 /// non-reading peer costs the worker at most `io_timeout` before it is
@@ -67,45 +68,39 @@ pub(crate) fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted:
         query::admit_query(shared, stream, &request, admitted, started);
         return;
     }
+    // Mutations are unauthenticated, like `/shutdown`: only loopback peers
+    // may change the data a public bind is serving (`route` refuses the
+    // others).
+    if request.method == "POST" && request.path == "/v1/mutate" && peer_is_loopback {
+        mutate::serve_mutate(shared, stream, &request, admitted, started);
+        return;
+    }
 
     let mut ctx = TraceCtx::begin(request.header("traceparent"), admitted);
     let (endpoint, response, shutdown_after) = {
-        // Spans emitted while routing (the WAL legs of a mutation) are this
-        // request's.
+        // Spans emitted while routing are this request's.
         let _entered = ctx.trace.enter();
-        route(shared, &request, peer_is_loopback, &ctx.hex)
+        route(shared, &request, peer_is_loopback)
     };
-    let outcome = Outcome {
-        // The mutate handler's only 503s are durability failures, which
-        // always roll the WAL back (or poison it trying).
-        wal_rollback: endpoint == "mutate" && response.status == 503,
-        ..Outcome::of(endpoint, response)
-    };
+    let outcome = Outcome::of(endpoint, response);
     exit::answer(shared, &mut stream, ctx, outcome, started.elapsed());
     if shutdown_after {
         trigger_shutdown(shared);
     }
 }
 
-/// The route table for non-query requests. Returns the metrics endpoint
-/// label, the response, and whether to begin shutdown after answering.
+/// The route table for requests answered inline (a query or a loopback
+/// mutation never gets here). Returns the metrics endpoint label, the
+/// response, and whether to begin shutdown after answering.
 fn route(
     shared: &Shared,
     request: &Request,
     peer_is_loopback: bool,
-    trace_hex: &str,
 ) -> (&'static str, Response, bool) {
     match (request.method.as_str(), request.path.as_str()) {
-        // Mutations are unauthenticated, like `/shutdown`: only loopback
-        // peers may change the data a public bind is serving.
-        ("POST", "/v1/mutate") if !peer_is_loopback => (
-            "mutate",
-            loopback_refusal("mutations are only honored from loopback"),
-            false,
-        ),
         ("POST", "/v1/mutate") => (
             "mutate",
-            mutate::handle_mutate(shared, &request.body, trace_hex),
+            loopback_refusal("mutations are only honored from loopback"),
             false,
         ),
         ("GET", "/v1/healthz") => {

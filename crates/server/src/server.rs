@@ -1,12 +1,16 @@
 //! The serving loop: an acceptor thread feeding the cost-aware scheduler,
-//! a fixed worker pool draining it, and a handle for graceful shutdown.
+//! a fixed worker pool draining it, the one writer thread mutations run on,
+//! and a handle for graceful shutdown.
 //!
 //! Workers are read-first: a popped *connection* is parsed immediately
-//! ([`crate::routes`]) — non-query requests are answered inline, queries
-//! are priced with the calibrated Formula-2 model and submitted to the
-//! scheduler ([`crate::query`]), where they are shed (`429` +
-//! `Retry-After`) or queued shortest-predicted-first within their deadline
-//! class. A popped *job* is executed and answered by the worker that popped
+//! ([`crate::routes`]) — queries are priced with the calibrated Formula-2
+//! model and submitted to the scheduler ([`crate::query`]), where they are
+//! shed (`429` + `Retry-After`) or queued shortest-predicted-first within
+//! their deadline class; a mutation is parsed and handed to the
+//! `precis-writer` thread ([`crate::mutate`]), which applies, logs, fsyncs,
+//! publishes and checkpoints it while the worker that read it blocks for
+//! the answer and then writes it; everything else is answered inline. A
+//! popped query *job* is executed and answered by the worker that popped
 //! it. Since parsing is microseconds next to retrieval, the socket queue
 //! converts into a cost-ordered job queue as soon as there is any backlog
 //! to reorder.
@@ -26,6 +30,7 @@ use crate::durable::Durability;
 use crate::exit::{self, Outcome, TraceCtx};
 use crate::http::Response;
 use crate::metrics::Metrics;
+use crate::mutate::{self, WriteJob};
 use crate::query::{self, QueryJob};
 use crate::routes;
 use crate::sched::{ConnRefusal, Scheduler, Work, AGING_THRESHOLD};
@@ -37,6 +42,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -99,9 +105,11 @@ pub(crate) struct Shared {
     /// An executing query keeps the snapshot it started with, so its
     /// answer stays consistent even if a swap lands mid-query.
     pub(crate) engine: SnapshotCell<PrecisEngine>,
-    /// Serializes the copy-on-write mutation path (`POST /v1/mutate` and
-    /// checkpoints). Readers never touch it — they load snapshots.
-    pub(crate) write_lock: Mutex<()>,
+    /// The way to the writer thread, which alone runs the copy-on-write
+    /// mutation path (`POST /v1/mutate` and checkpoints) — readers never
+    /// meet it, they load snapshots. `None` once shutdown began: the writer
+    /// finishes what is queued and exits.
+    pub(crate) writer: Mutex<Option<Sender<WriteJob>>>,
     /// WAL + snapshot state when serving with `--data-dir`; `None` for a
     /// purely in-memory server (mutations still work, they just don't
     /// survive a restart).
@@ -128,6 +136,7 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl Server {
@@ -142,7 +151,8 @@ impl Server {
 
     /// [`Server::start`] with durable-serving state attached: `POST /v1/mutate`
     /// appends to the WAL before acknowledging and auto-checkpoints at the
-    /// configured record threshold.
+    /// configured record threshold. Durable or not, mutations run on the one
+    /// `precis-writer` thread started here.
     pub fn start_durable(
         engine: Arc<PrecisEngine>,
         vocabulary: Option<Vocabulary>,
@@ -151,9 +161,10 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let workers_n = config.workers.max(1);
+        let (to_writer, write_jobs) = mpsc::channel();
         let shared = Arc::new(Shared {
             engine: SnapshotCell::new(engine),
-            write_lock: Mutex::new(()),
+            writer: Mutex::new(Some(to_writer)),
             durability,
             vocabulary,
             metrics: Arc::new(Metrics::default()),
@@ -183,6 +194,13 @@ impl Server {
             })
             .collect::<io::Result<Vec<_>>>()?;
 
+        let writer = {
+            let shared = shared.clone();
+            std::thread::Builder::new()
+                .name("precis-writer".to_owned())
+                .spawn(move || mutate::writer_loop(&shared, write_jobs))?
+        };
+
         let acceptor = {
             let shared = shared.clone();
             std::thread::Builder::new()
@@ -194,6 +212,7 @@ impl Server {
             shared,
             acceptor: Some(acceptor),
             workers,
+            writer: Some(writer),
         })
     }
 }
@@ -226,8 +245,8 @@ impl ServerHandle {
         trigger_shutdown(&self.shared);
     }
 
-    /// Graceful shutdown: stop admitting, drain in-flight requests, join
-    /// every thread.
+    /// Graceful shutdown: stop admitting, drain in-flight requests (the
+    /// writer's queued batches included), join every thread.
     pub fn join(self) {
         self.trigger_shutdown();
         self.wait();
@@ -245,6 +264,10 @@ impl ServerHandle {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // Shutdown dropped the way in; the writer ends with its queue.
+        if let Some(w) = self.writer.take() {
+            let _ = w.join();
+        }
     }
 }
 
@@ -253,6 +276,15 @@ pub(crate) fn trigger_shutdown(shared: &Shared) {
         return;
     }
     shared.sched.close();
+    // No batch is taken from here on: a worker still holding a mutation
+    // answers it `503 shutting_down`.
+    drop(
+        shared
+            .writer
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take(),
+    );
     // The acceptor blocks in accept(); a throwaway connection wakes it so it
     // can observe the flag and exit.
     let _ = TcpStream::connect(shared.local_addr);

@@ -544,6 +544,20 @@ fn post_mutate(addr: SocketAddr, body: &str) -> (u16, String, String) {
     )
 }
 
+/// The database every durable fixture starts from.
+fn durable_db() -> precis_storage::Database {
+    MoviesGenerator::new(MoviesConfig {
+        movies: 50,
+        directors: 8,
+        actors: 20,
+        theatres: 2,
+        plays: 60,
+        seed: 0xD0_0D,
+        ..MoviesConfig::default()
+    })
+    .generate()
+}
+
 /// Bootstrap a durable data dir with a generated movies database and return
 /// the pieces a durable server start needs.
 fn durable_fixture(
@@ -555,16 +569,7 @@ fn durable_fixture(
 ) {
     use precis_durability::{DurableStore, FsyncPolicy, SharedWal};
     let store = DurableStore::open(dir).expect("data dir opens");
-    let mut db = MoviesGenerator::new(MoviesConfig {
-        movies: 50,
-        directors: 8,
-        actors: 20,
-        theatres: 2,
-        plays: 60,
-        seed: 0xD0_0D,
-        ..MoviesConfig::default()
-    })
-    .generate();
+    let mut db = durable_db();
     // Initial checkpoint: the snapshot covers the generated data, the WAL
     // starts empty at LSN 0.
     precis_durability::write_snapshot(&db, 0, store.snapshot_path()).expect("bootstrap snapshot");
@@ -692,18 +697,42 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
     let id = trace_id_of(&head);
     let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{id}"));
     assert_eq!(status, 200, "{detail}");
+    // They were recorded on the writer thread, into the trace the request
+    // lent it — with the batch's own apply, append and fsync.
     for leg in [
+        "mutate.apply",
+        "wal.append",
+        "wal.fsync",
         "wal.snapshot_install",
         "wal.checkpoint.reload",
         "engine.index_build",
     ] {
         assert!(detail.contains(leg), "no {leg} span in:\n{detail}");
     }
+    for field in ["\"ops\": 1", "chunks_copied", "bytes_copied"] {
+        assert!(
+            detail.contains(field),
+            "no {field} on mutate.apply:\n{detail}"
+        );
+    }
     let (_, _, metrics) = get_v1(addr, "/v1/metrics");
     assert!(
         metrics.contains("precis_wal_checkpoints_total 1"),
         "{metrics}"
     );
+    // The rotated log is empty, what batches copy is counted (this
+    // fixture's tables and maps are too small to be shared, so possibly
+    // nothing), and so is the symbol table.
+    assert!(metrics.contains("precis_wal_bytes 0"), "{metrics}");
+    let gauge = |name: &str| -> f64 {
+        let line = metrics.lines().find_map(|l| l.strip_prefix(name));
+        line.expect(name).trim().parse().unwrap()
+    };
+    assert!(
+        gauge("precis_mutate_copied_bytes_total ") >= 0.0,
+        "{metrics}"
+    );
+    assert!(gauge("precis_symbols ") > 100.0, "{metrics}");
     let seconds: f64 = metrics
         .lines()
         .find_map(|l| l.strip_prefix("precis_wal_checkpoint_seconds_total "))
@@ -867,6 +896,224 @@ fn wal_fsync_failure_rolls_back_and_later_acks_survive_recovery() {
     assert!(dump.contains("Quorate Zzyx"), "acknowledged write lost");
     assert!(!dump.contains("Phantom"), "unfsynced batch resurrected");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn panic_mid_batch_rolls_back_and_later_acks_survive_recovery() {
+    use precis_storage::failpoint::{self, FailureKind};
+    let _gate = durable_gate();
+    let dir = std::env::temp_dir().join(format!("precis-server-walpanic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let (engine, durability, _wal) = durable_fixture(&dir);
+    let handle = Server::start_durable(engine, None, retain_everything(), Some(durability))
+        .expect("server starts");
+    let addr = handle.local_addr();
+
+    let (status, _, body) = post_mutate(
+        addr,
+        r#"{"ops": [
+            {"op": "insert", "relation": "DIRECTOR",
+             "values": [999001, "Zzyzx Quine", "Nowhere", "1970-01-01"]},
+            {"op": "insert", "relation": "MOVIE",
+             "values": [999002, "Zzyxfilm", 1999, 999001]}
+        ]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+
+    // Panic in the SECOND append of the next batch: the first op applied in
+    // memory and is in the log when the batch unwinds. Nothing of it may be
+    // published or stay there — its record would sit at the LSN, and claim
+    // the tuple slot, of the next acknowledged batch.
+    let quiet = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    failpoint::arm("wal_append", FailureKind::Panic, 1, 1);
+    failpoint::set_process_wide(true);
+    let (status, head, body) = post_mutate(
+        addr,
+        r#"{"ops": [
+            {"op": "insert", "relation": "DIRECTOR",
+             "values": [999003, "Abandoned Aborton", "Gone", null]},
+            {"op": "insert", "relation": "DIRECTOR",
+             "values": [999004, "Another Aborton", "Gone", null]}
+        ]}"#,
+    );
+    failpoint::disarm_all();
+    std::panic::set_hook(quiet);
+    assert_eq!(status, 500, "{body}");
+    assert!(body.contains("rolled back"), "{body}");
+    // The 500 is retained for what it was: a panic that cost a rollback.
+    let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{}", trace_id_of(&head)));
+    assert_eq!(status, 200, "{detail}");
+    for reason in ["\"panic\"", "\"wal_rollback\""] {
+        assert!(detail.contains(reason), "no {reason} in:\n{detail}");
+    }
+    let (_, _, q) = post_query(addr, r#"{"tokens": "aborton"}"#);
+    assert!(!q.contains("Aborton"), "{q}");
+
+    // The next batch reclaims the rolled-back LSN and tuple slot exactly:
+    // directors 0..=7 are generated, batch 1 claimed tid 8, so this insert
+    // lands on tid 9 with LSN 2 (batch 1 wrote LSNs 0 and 1).
+    let (status, _, body) = post_mutate(
+        addr,
+        r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
+                     "values": [999005, "Quizzical Zzyx", "Here", null]}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"inserted_tids\": [9]"), "{body}");
+    assert!(body.contains("\"durable_lsn\": 2"), "{body}");
+    // The writer thread outlived the panic: a third batch is served too.
+    let (status, _, body) = post_mutate(
+        addr,
+        r#"{"ops": [{"op": "update", "relation": "DIRECTOR", "tid": 9,
+                     "values": [999005, "Quizzical Zzyx", "There", null]}]}"#,
+    );
+    assert_eq!(status, 200, "{body}");
+    let (_, _, metrics) = get_v1(addr, "/v1/metrics");
+    assert!(
+        metrics.contains("precis_handler_panics_total 1"),
+        "{metrics}"
+    );
+    handle.join();
+
+    // Recovery replays the whole log — no torn tail, no tid mismatch — and
+    // holds every acknowledged write, none of the aborted ones.
+    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
+    assert_eq!(rec.report.replayed, 4, "{:?}", rec.report);
+    let dump = precis_storage::io::dump_to_string(&rec.db);
+    assert!(dump.contains("Quizzical Zzyx"), "post-panic ack lost");
+    assert!(dump.contains("Zzyxfilm"), "pre-panic ack lost");
+    assert!(!dump.contains("Aborton"), "aborted batch resurrected");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `"inserted_tids"` of a `/v1/mutate` acknowledgement and its
+/// `"durable_lsn"`.
+fn acked(body: &str) -> (Vec<u64>, u64) {
+    let doc = json::parse(body).expect("mutate response is JSON");
+    let tids = match doc.get("inserted_tids") {
+        Some(json::Json::Array(tids)) => tids
+            .iter()
+            .map(|t| t.as_usize().expect("tid") as u64)
+            .collect(),
+        other => panic!("inserted_tids: {other:?}"),
+    };
+    let lsn = doc.get("durable_lsn").and_then(json::Json::as_usize);
+    (tids, lsn.expect("durable_lsn") as u64)
+}
+
+#[test]
+fn concurrent_writers_are_serialized_by_the_writer_thread() {
+    let _gate = durable_gate();
+    let dir = std::env::temp_dir().join(format!("precis-server-writers-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (engine, durability, _wal) = durable_fixture(&dir);
+    let handle = Server::start_durable(engine, None, ServerConfig::default(), Some(durability))
+        .expect("server starts");
+    let addr = handle.local_addr();
+
+    // Four clients, fifty batches each — two director inserts a batch, keys
+    // disjoint by client — with a query after every batch.
+    const CLIENTS: u64 = 4;
+    const BATCHES: u64 = 50;
+    let batch = |client: u64, n: u64| {
+        let key = 2_000_000 + client * 10_000 + 2 * n;
+        format!(
+            r#"{{"ops": [
+                {{"op": "insert", "relation": "DIRECTOR",
+                  "values": [{key}, "Writer{client} Batch{n}", "Somewhere", null]}},
+                {{"op": "insert", "relation": "DIRECTOR",
+                  "values": [{}, "Writer{client} Second{n}", "Elsewhere", null]}}
+            ]}}"#,
+            key + 1
+        )
+    };
+    let mut acks: Vec<(u64, Vec<u64>, String)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                scope.spawn(move || {
+                    (0..BATCHES)
+                        .map(|n| {
+                            let body = batch(client, n);
+                            let (status, _, ack) = post_mutate(addr, &body);
+                            assert_eq!(status, 200, "{ack}");
+                            let (status, _, q) = post_query(addr, r#"{"tokens": "comedy"}"#);
+                            assert_eq!(status, 200, "{q}");
+                            let (tids, lsn) = acked(&ack);
+                            (lsn, tids, body)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().expect("client"))
+            .collect()
+    });
+
+    // Every acknowledged slot and LSN was handed out once.
+    let mut tids: Vec<u64> = acks.iter().flat_map(|(_, t, _)| t.clone()).collect();
+    tids.sort_unstable();
+    assert_eq!(tids.len(), (CLIENTS * BATCHES * 2) as usize);
+    assert!(
+        tids.windows(2).all(|w| w[0] < w[1]),
+        "a tid was acked twice"
+    );
+    acks.sort_by_key(|(lsn, _, _)| *lsn);
+    assert!(
+        acks.windows(2).all(|w| w[0].0 + 2 == w[1].0),
+        "LSNs not dense"
+    );
+
+    // The served state is the acknowledged batches replayed one after the
+    // other in log order — onto the slots the acknowledgements named.
+    let mut serial = PrecisEngine::new(durable_db(), movies_graph()).expect("engine builds");
+    for (_, tids, body) in &acks {
+        let ops = precis_server::parse_mutate_request(body).expect("own body");
+        let applied = precis_server::mutate::apply_ops(&serial, &ops);
+        assert_eq!(&applied.inserted_tids, tids, "{:?}", applied.error);
+        serial = applied.engine;
+    }
+    let serial = precis_storage::io::dump_to_string(serial.database());
+    let served = precis_storage::io::dump_to_string(handle.engine().database());
+    assert!(served == serial, "served state is not the serial replay");
+    handle.join();
+
+    // And recovery loses none of it.
+    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
+    assert_eq!(rec.report.replayed as u64, CLIENTS * BATCHES * 2);
+    assert!(precis_storage::io::dump_to_string(&rec.db) == serial);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_mutation_after_shutdown_began_is_refused_and_join_returns() {
+    let handle = Server::start(test_engine(), None, ServerConfig::default()).expect("starts");
+    let addr = handle.local_addr();
+    // Admitted before shutdown begins: a worker holds the connection and
+    // waits for the request.
+    let mut early = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(50));
+    handle.trigger_shutdown();
+    let body = r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
+                   "values": [999001, "Too Late", "Nowhere", null]}]}"#;
+    let request = format!(
+        "POST /v1/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    early.write_all(request.as_bytes()).expect("send");
+    let mut response = String::new();
+    let _ = early.read_to_string(&mut response);
+    assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+    assert!(response.contains("\"shutting_down\""), "{response}");
+    // Nothing was applied, and every thread — the writer included — ends.
+    let engine = handle.engine();
+    handle.join();
+    let dump = precis_storage::io::dump_to_string(engine.database());
+    assert!(!dump.contains("Too Late"), "a refused batch was applied");
 }
 
 #[test]

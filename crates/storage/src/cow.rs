@@ -1,0 +1,423 @@
+//! Copy-on-write building blocks: the counted [`make_mut`] every shared
+//! piece of an engine is mutated through, and [`ShardedMap`], the hash map
+//! whose clone is one reference-count bump per shard.
+//!
+//! A served engine is never mutated in place: the write path clones it,
+//! changes the clone and publishes it, while running answers keep reading
+//! the snapshot they started on. That is only affordable if the clone shares
+//! everything and a mutation copies just what it touches, so tables keep
+//! their rows in `Arc`'d chunks (see [`crate::Table`]) and every index map
+//! is a [`ShardedMap`]. The bytes those copies cost are counted per thread,
+//! where they happen, so the write path can report them ([`CopyMeter`]).
+
+use crate::fasthash::{FxBuildHasher, FxHashMap};
+use std::cell::Cell;
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasher, Hash};
+use std::sync::Arc;
+
+thread_local! {
+    /// Shared pieces this thread had to copy before mutating them, and the
+    /// bytes those copies moved. Monotonic; [`CopyMeter`] diffs them.
+    static THREAD_COPIES: Cell<u64> = const { Cell::new(0) };
+    static THREAD_COPIED_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// What a [`CopyMeter`] read: pieces (chunks, shards, posting lists) copied
+/// because a snapshot still shared them, and the payload bytes moved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Copied {
+    pub pieces: u64,
+    pub bytes: u64,
+}
+
+/// Meters the copy-on-write copies made by the *calling thread* since the
+/// meter was created — the write path reads one around a batch.
+#[derive(Debug)]
+pub struct CopyMeter {
+    start: Copied,
+}
+
+impl CopyMeter {
+    #[allow(clippy::new_without_default)]
+    pub fn new() -> CopyMeter {
+        CopyMeter {
+            start: thread_copied(),
+        }
+    }
+
+    /// Copies this thread made since the meter was created.
+    pub fn copied(&self) -> Copied {
+        let now = thread_copied();
+        Copied {
+            pieces: now.pieces - self.start.pieces,
+            bytes: now.bytes - self.start.bytes,
+        }
+    }
+}
+
+fn thread_copied() -> Copied {
+    Copied {
+        pieces: THREAD_COPIES.get(),
+        bytes: THREAD_COPIED_BYTES.get(),
+    }
+}
+
+/// Count one copy of `bytes()` payload bytes against this thread if `piece`
+/// is still shared — that is, if mutating it means copying it. (Nothing
+/// here hands out `Weak`s, so the strong count alone says whether it is.)
+#[inline]
+fn note_if_shared<T: ?Sized>(piece: &Arc<T>, bytes: impl FnOnce() -> usize) {
+    if Arc::strong_count(piece) > 1 {
+        THREAD_COPIES.set(THREAD_COPIES.get() + 1);
+        THREAD_COPIED_BYTES.set(THREAD_COPIED_BYTES.get() + bytes() as u64);
+    }
+}
+
+/// [`Arc::make_mut`], counted: a piece that has to be copied first grows the
+/// thread's copy counters by one piece of `bytes(piece)` payload bytes.
+#[inline]
+pub fn make_mut<T: Clone>(piece: &mut Arc<T>, bytes: impl FnOnce(&T) -> usize) -> &mut T {
+    note_if_shared(piece, || bytes(piece));
+    Arc::make_mut(piece)
+}
+
+/// [`make_mut`] for a shared list, whose payload is its elements.
+#[inline]
+pub fn make_mut_vec<T: Clone>(piece: &mut Arc<Vec<T>>) -> &mut Vec<T> {
+    make_mut(piece, |list| std::mem::size_of_val(list.as_slice()))
+}
+
+/// [`make_mut`] for a shared slice: copied whole, one piece.
+#[inline]
+pub fn make_mut_slice<T: Clone>(piece: &mut Arc<[T]>) -> &mut [T] {
+    note_if_shared(piece, || std::mem::size_of_val::<[T]>(piece));
+    Arc::make_mut(piece)
+}
+
+/// Keys a [`ShardedMap`] holds per shard, on average, before it grows one
+/// more shard (a shard holds between half and twice as many). What a write
+/// pays to unshare a shard grows with this — one clone per entry, and for
+/// the maps whose values are `Arc`s that is a reference-count bump on a cold
+/// cache line each — and what a clone pays, one bump per shard, shrinks with
+/// it. Twice 192 is also what a 512-bucket table takes without growing, so a
+/// shard's table is allocated once. EXPERIMENTS.md "The write path costs
+/// what the batch costs" has the sweep that chose it.
+pub const SHARD_KEYS: usize = 192;
+
+/// Keys a [`ShardedMap`] holds as one plain inline map before it is sharded
+/// at all. A result database's relations hold tens to a few hundred tuples;
+/// under this they pay nothing for the sharding (no reference count on the
+/// insert path — a locked instruction per insert otherwise, +30 % on a
+/// 1,200-tuple answer). What it costs: a clone copies an inline map, at most
+/// this many entries (~25 KB) for each small index of the served database.
+pub const INLINE_KEYS: usize = 1024;
+
+/// A hash map whose clone does not copy it: past [`INLINE_KEYS`] keys it is
+/// split into `Arc`-shared shards by linear hashing.
+///
+/// Cloning bumps one reference count per shard and allocates one pointer
+/// array; a mutation copies only the shard its key hashes to (and only while
+/// a clone still shares it). The shard count follows the key count — one
+/// more shard whenever the map holds more than [`SHARD_KEYS`] keys per shard
+/// — and growing splits exactly one shard, so no insert ever rehashes (or
+/// copies) more than one shard's keys.
+///
+/// A map that has never held more than [`INLINE_KEYS`] keys — every index
+/// of a typical result database — is one plain hash map, stored inline:
+/// mutating it goes through no reference count, and cloning it copies it,
+/// which the bound keeps to a few shards' worth.
+#[derive(Debug, Clone)]
+pub struct ShardedMap<K, V> {
+    /// The whole map until it outgrows one shard; empty from then on.
+    small: FxHashMap<K, V>,
+    /// Shard `i` of `n = 2^level + split` holds the keys whose hash has `i`
+    /// in its low `level + 1` bits (shards below `split` and their buddies
+    /// at `2^level..n`) or low `level` bits (the not yet split rest).
+    shards: Vec<Arc<FxHashMap<K, V>>>,
+    /// Keys over all shards.
+    sharded_len: usize,
+}
+
+impl<K, V> Default for ShardedMap<K, V> {
+    fn default() -> Self {
+        ShardedMap {
+            small: FxHashMap::default(),
+            shards: Vec::new(),
+            sharded_len: 0,
+        }
+    }
+}
+
+/// Payload bytes of one shard, as the copy counters report them.
+fn shard_bytes<K, V>(shard: &FxHashMap<K, V>) -> usize {
+    shard.len() * std::mem::size_of::<(K, V)>()
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn len(&self) -> usize {
+        self.small.len() + self.sharded_len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The shard-picking bits of a key's hash: the upper half of the same
+    /// Fx hash the shards use inside, whose *low* bits pick the bucket — a
+    /// shard's keys agree on the bits used here and still spread over its
+    /// buckets.
+    #[inline]
+    fn hash_of(key: &K) -> usize {
+        (FxBuildHasher::default().hash_one(key) >> 32) as usize
+    }
+
+    /// Where `key` lives among the `n >= 1` shards (linear-hash addressing).
+    #[inline]
+    fn index_of(&self, key: &K) -> usize {
+        let (n, hash) = (self.shards.len(), Self::hash_of(key));
+        let level = n.ilog2();
+        let low = hash & ((1 << level) - 1);
+        if low < n - (1 << level) {
+            hash & ((2 << level) - 1)
+        } else {
+            low
+        }
+    }
+
+    /// The plain map `key` lives in: the inline one, or its shard.
+    #[inline]
+    fn home(&self, key: &K) -> &FxHashMap<K, V> {
+        if self.shards.is_empty() {
+            &self.small
+        } else {
+            &self.shards[self.index_of(key)]
+        }
+    }
+
+    /// [`ShardedMap::home`] for mutation: a shard is unshared first — the
+    /// one copy a mutation pays for.
+    fn home_mut(&mut self, key: &K) -> &mut FxHashMap<K, V> {
+        if self.shards.is_empty() {
+            &mut self.small
+        } else {
+            let i = self.index_of(key);
+            make_mut(&mut self.shards[i], shard_bytes)
+        }
+    }
+
+    /// Add one shard: the inline map moves out to become the first, or the
+    /// next shard due splits. The lower half stays where it is, with the
+    /// room it had (it will fill it again before its own next split); the
+    /// upper half is given room for the most a shard holds, so it never
+    /// rehashes.
+    fn grow(&mut self) {
+        let n = self.shards.len();
+        if n == 0 {
+            self.sharded_len = self.small.len();
+            self.shards.push(Arc::new(std::mem::take(&mut self.small)));
+            return;
+        }
+        let level = n.ilog2();
+        let lower = make_mut(&mut self.shards[n - (1 << level)], shard_bytes);
+        let mut upper =
+            FxHashMap::with_capacity_and_hasher(2 * SHARD_KEYS, FxBuildHasher::default());
+        lower.retain(|k, v| {
+            let moves = Self::hash_of(k) & (1 << level) != 0;
+            if moves {
+                upper.insert(k.clone(), v.clone());
+            }
+            !moves
+        });
+        // (What was the inline map is far roomier than a shard.)
+        lower.shrink_to(2 * SHARD_KEYS);
+        self.shards.push(Arc::new(upper));
+    }
+
+    /// Make room for `additional` more keys: pre-size the inline map while
+    /// they fit it (the bulk load of a result database then never
+    /// rehashes), or grow to the shard count they will need.
+    pub fn reserve(&mut self, additional: usize) {
+        let keys = self.len() + additional;
+        if self.shards.is_empty() && keys <= INLINE_KEYS {
+            self.small.reserve(additional);
+            return;
+        }
+        while self.shards.len() < keys.div_ceil(SHARD_KEYS) {
+            self.grow();
+        }
+    }
+
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.home(key).get(key)
+    }
+
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// The value of `key` for mutation. A miss unshares nothing.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        if !self.contains_key(key) {
+            return None;
+        }
+        self.home_mut(key).get_mut(key)
+    }
+
+    /// The value of `key`, inserted from `vacant` first if absent; the flag
+    /// says whether it was.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, key: K, vacant: impl FnOnce() -> V) -> (&mut V, bool) {
+        if self.shards.is_empty() {
+            if self.small.len() < INLINE_KEYS {
+                return match self.small.entry(key) {
+                    Entry::Occupied(o) => (o.into_mut(), false),
+                    Entry::Vacant(v) => (v.insert(vacant()), true),
+                };
+            }
+            self.grow();
+        }
+        // Grown before the insert so the returned borrow can outlive it; a
+        // key that turns out to be present merely grew the map one insert
+        // early.
+        if self.sharded_len >= self.shards.len() * SHARD_KEYS {
+            self.grow();
+        }
+        let i = self.index_of(&key);
+        match make_mut(&mut self.shards[i], shard_bytes).entry(key) {
+            Entry::Occupied(o) => (o.into_mut(), false),
+            Entry::Vacant(v) => {
+                self.sharded_len += 1;
+                (v.insert(vacant()), true)
+            }
+        }
+    }
+
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        if !self.contains_key(key) {
+            return None;
+        }
+        self.sharded_len -= !self.shards.is_empty() as usize;
+        self.home_mut(key).remove(key)
+    }
+
+    /// Every entry (no particular order).
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        let shards = self.shards.iter().flat_map(|s| s.iter());
+        self.small.iter().chain(shards)
+    }
+
+    pub fn values(&self) -> impl Iterator<Item = &V> {
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// How many of this map's shards `other` does not share by pointer:
+    /// zero for a fresh clone, one per shard either side has written since.
+    /// (An inline map is not a shard: a clone copied it.)
+    pub fn unshared_shards(&self, other: &Self) -> usize {
+        let shared = self
+            .shards
+            .iter()
+            .zip(&other.shards)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        self.shards.len() - shared
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn filled(n: u64) -> ShardedMap<u64, u64> {
+        let mut m = ShardedMap::new();
+        for k in 0..n {
+            assert!(m.get_or_insert_with(k, || k * 2).1);
+        }
+        m
+    }
+
+    #[test]
+    fn behaves_like_a_map_across_many_splits() {
+        let n = 20 * SHARD_KEYS as u64;
+        let mut m = filled(n);
+        assert_eq!(m.len(), n as usize);
+        assert!(m.shards.len() >= 20, "{} shards", m.shards.len());
+        // No shard is far over its share: the hash spreads sequential keys.
+        let largest = m.shards.iter().map(|s| s.len()).max().unwrap();
+        assert!(largest <= 4 * SHARD_KEYS, "largest shard holds {largest}");
+        for k in 0..n {
+            assert_eq!(m.get(&k), Some(&(k * 2)), "key {k}");
+        }
+        assert_eq!(m.get(&n), None);
+        assert!(!m.get_or_insert_with(7, || 0).1, "present keys are kept");
+        assert_eq!(m.get(&7), Some(&14));
+        *m.get_mut(&7).unwrap() = 1;
+        assert_eq!(m.remove(&7), Some(1));
+        assert_eq!(m.remove(&7), None);
+        assert_eq!(m.len(), n as usize - 1);
+        assert_eq!(m.iter().count(), m.len());
+    }
+
+    #[test]
+    fn a_clone_shares_every_shard_and_a_write_unshares_one() {
+        let n = 10 * SHARD_KEYS as u64;
+        let original = filled(n);
+        let mut copy = original.clone();
+        assert_eq!(copy.unshared_shards(&original), 0);
+
+        let meter = CopyMeter::new();
+        *copy.get_mut(&3).unwrap() = 99;
+        assert_eq!(copy.unshared_shards(&original), 1);
+        let copied = meter.copied();
+        assert_eq!(copied.pieces, 1);
+        assert!(copied.bytes > 0 && copied.bytes <= (4 * SHARD_KEYS * 16) as u64);
+        // The original is untouched; a second write to the now private
+        // shard copies nothing.
+        assert_eq!(original.get(&3), Some(&6));
+        *copy.get_mut(&3).unwrap() = 100;
+        assert_eq!(meter.copied().pieces, 1);
+    }
+
+    #[test]
+    fn a_small_map_is_one_plain_map_until_it_outgrows_a_shard() {
+        let mut m: ShardedMap<u64, u64> = ShardedMap::new();
+        assert_eq!(m.get(&1), None);
+        assert_eq!(m.remove(&1), None);
+        let few = INLINE_KEYS - 8;
+        m.reserve(few);
+        let capacity = m.small.capacity();
+        assert!(capacity >= few);
+        for k in 0..few as u64 {
+            m.get_or_insert_with(k, || k);
+        }
+        assert!(m.shards.is_empty());
+        assert_eq!(m.small.capacity(), capacity, "no rehash");
+        // A clone copies it, and neither side sees the other's writes.
+        let mut copy = m.clone();
+        assert_eq!(copy.remove(&7), Some(7));
+        assert_eq!((m.len(), copy.len()), (few, few - 1));
+        // One key too many and it is sharded, with every key still there.
+        for k in few as u64..=INLINE_KEYS as u64 {
+            m.get_or_insert_with(k, || k);
+        }
+        assert!(m.small.is_empty() && !m.shards.is_empty());
+        assert_eq!(m.len(), INLINE_KEYS + 1);
+        assert!((0..=INLINE_KEYS as u64).all(|k| m.get(&k) == Some(&k)));
+        // A reservation too big for the inline map shards an empty one.
+        let mut big: ShardedMap<u64, u64> = ShardedMap::new();
+        big.reserve(10 * SHARD_KEYS.max(INLINE_KEYS));
+        let reserved = big.shards.len();
+        assert_eq!(reserved, 10 * INLINE_KEYS / SHARD_KEYS + 1);
+        for k in (0..10 * INLINE_KEYS as u64).rev() {
+            big.get_or_insert_with(k, || k);
+        }
+        assert_eq!(big.shards.len(), reserved, "no split while filling");
+        assert!((0..10 * INLINE_KEYS as u64).all(|k| big.get(&k) == Some(&k)));
+    }
+}

@@ -1,4 +1,13 @@
 //! The database: schema + tables + indexes + constraint enforcement.
+//!
+//! A [`Database`] is cheap to clone and cheap to diverge from: the schema is
+//! shared, every table is a list of `Arc`'d chunks and every index a list of
+//! `Arc`'d shards ([`crate::cow`]), so `clone()` bumps reference counts and
+//! `insert`/`update`/`delete` on the clone copy the tail chunk, the chunks
+//! of the rows they touch and the index shards of the keys they touch — a
+//! cost set by the mutation, not by the size of the database. The original
+//! is never written through a clone: whoever holds it keeps reading exactly
+//! what it held.
 
 use crate::error::StorageError;
 use crate::index::{HashIndex, UniqueIndex};
@@ -45,7 +54,7 @@ struct FkMeta {
 /// [`Database::create_index`].
 #[derive(Debug, Clone)]
 pub struct Database {
-    schema: DatabaseSchema,
+    schema: Arc<DatabaseSchema>,
     tables: Vec<Table>,
     rel_meta: Vec<RelMeta>,
     /// When true, `insert` verifies every FK value resolves (requires parents
@@ -108,7 +117,7 @@ impl Database {
             meta.secondary.sort_by_key(|(p, _)| *p);
         }
         Ok(Database {
-            schema,
+            schema: Arc::new(schema),
             tables,
             rel_meta,
             enforce_fk: false,
@@ -203,6 +212,26 @@ impl Database {
         for (_, idx) in meta.secondary.iter_mut() {
             idx.reserve(additional);
         }
+    }
+
+    /// How many chunks and index shards of this database `other` does not
+    /// share by pointer: zero right after `other = self.clone()`, and from
+    /// then on the number of pieces either side has had to copy. What a
+    /// mutation costs in memory, observable without timing anything.
+    pub fn unshared_pieces(&self, other: &Database) -> usize {
+        let mut pieces = 0;
+        for (mine, theirs) in self.tables.iter().zip(&other.tables) {
+            pieces += mine.unshared_chunks(theirs);
+        }
+        for (mine, theirs) in self.rel_meta.iter().zip(&other.rel_meta) {
+            if let (Some(a), Some(b)) = (&mine.pk_index, &theirs.pk_index) {
+                pieces += a.unshared_shards(b);
+            }
+            for ((_, a), (_, b)) in mine.secondary.iter().zip(&theirs.secondary) {
+                pieces += a.unshared_shards(b);
+            }
+        }
+        pieces
     }
 
     /// Schema of one relation (convenience passthrough).
@@ -964,6 +993,67 @@ mod tests {
         // Indexes were cloned too: pk lookups work independently.
         assert_eq!(copy.lookup_pk(dir, &Value::from(2)), Some(TupleId(1)));
         assert_eq!(db.lookup_pk(dir, &Value::from(2)), None);
+    }
+
+    /// A movies database of `movies` films, ten to a director. No text is
+    /// stored: this crate's symbol-table tests count interned strings while
+    /// other tests run beside them.
+    fn sized_db(movies: i64) -> Database {
+        let mut db = movies_db();
+        for d in 0..movies / 10 {
+            db.insert("DIRECTOR", vec![Value::from(d), Value::Null])
+                .unwrap();
+        }
+        for m in 0..movies {
+            let row = vec![Value::from(m), Value::Null, Value::from(m / 10)];
+            db.insert("MOVIE", row).unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn a_clone_shares_everything_and_a_write_copies_a_bounded_few_pieces() {
+        // One insert, one update and one delete may unshare: the tail chunk
+        // and the chunks of two rows, and one shard of MOVIE's key index and
+        // of its director index per key touched (the update moves a row from
+        // one director to another).
+        const BOUND: usize = 12;
+        for movies in [3_000, 30_000] {
+            let original = sized_db(movies);
+            let before = crate::io::dump_to_string(&original);
+            let mut copy = original.clone();
+            assert_eq!(copy.unshared_pieces(&original), 0, "{movies} movies");
+
+            let movie = copy.schema().relation_id("MOVIE").unwrap();
+            let meter = crate::cow::CopyMeter::new();
+            let new = vec![Value::from(movies), Value::Null, Value::from(0)];
+            copy.insert("MOVIE", new).unwrap();
+            let moved = vec![Value::from(7), Value::Null, Value::from(1)];
+            copy.update(movie, TupleId(7), moved).unwrap();
+            copy.delete(movie, TupleId(movies as u64 / 2)).unwrap();
+
+            let unshared = copy.unshared_pieces(&original);
+            assert!((3..=BOUND).contains(&unshared), "{movies}: {unshared}");
+            assert_eq!(original.unshared_pieces(&copy), unshared);
+            // The meter agrees (it also counts the posting lists copied).
+            let copied = meter.copied();
+            assert!(copied.pieces >= unshared as u64, "{copied:?}");
+            assert!(copied.pieces <= 2 * BOUND as u64, "{copied:?}");
+
+            // The original is exactly what it was, and the copy diverged.
+            assert_eq!(crate::io::dump_to_string(&original), before);
+            assert_eq!(original.len(movie), movies as usize);
+            assert_eq!(copy.len(movie), movies as usize);
+            assert_eq!(
+                copy.lookup_pk(movie, &Value::from(movies)).map(|t| t.0),
+                Some(movies as u64)
+            );
+            assert_eq!(original.lookup_pk(movie, &Value::from(movies)), None);
+            assert!(original
+                .table(movie)
+                .get(TupleId(movies as u64 / 2))
+                .is_some());
+        }
     }
 
     #[test]

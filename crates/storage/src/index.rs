@@ -10,8 +10,14 @@
 //! tuple id, which makes them mergeable/intersectable by the galloping
 //! routines in `precis-index` and means "insertion order" and "tid order"
 //! coincide for append-only tables.
+//!
+//! Both index kinds keep their entries in a [`ShardedMap`]: cloning an index
+//! bumps one reference count per shard, and a mutation copies only the shard
+//! of the key it changes — while a snapshot still shares it. The values
+//! clone without allocating (a tid, or a posting list that is inline or
+//! `Arc`-shared), so copying a shard is copying its table.
 
-use crate::fasthash::FxHashMap;
+use crate::cow::{self, ShardedMap};
 use crate::tuple::TupleId;
 use crate::value::{Datum, Value};
 use std::sync::{Arc, OnceLock};
@@ -24,13 +30,27 @@ fn empty_postings() -> Arc<Vec<TupleId>> {
 }
 
 /// Fixed-width index key: the hashable projection of a non-null [`Datum`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IndexKey {
     Int(i64),
     /// Float by bit pattern (NaN equals NaN), matching [`Value`] equality.
     FBits(u64),
     Sym(crate::sym::Sym),
     Bool(bool),
+}
+
+impl std::hash::Hash for IndexKey {
+    /// The payload alone, one word: an index holds the values of one typed
+    /// column, so the variant adds nothing a map could use, and a key is
+    /// hashed twice per probe (once to pick its shard, once inside it).
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(match *self {
+            IndexKey::Int(i) => i as u64,
+            IndexKey::FBits(bits) => bits,
+            IndexKey::Sym(s) => s.id() as u64,
+            IndexKey::Bool(b) => b as u64,
+        });
+    }
 }
 
 impl IndexKey {
@@ -98,7 +118,7 @@ impl Postings {
                 let pair = if a <= tid { vec![a, tid] } else { vec![tid, a] };
                 *self = Postings::Many(Arc::new(pair));
             }
-            Postings::Many(l) => sorted_insert(Arc::make_mut(l), tid),
+            Postings::Many(l) => sorted_insert(cow::make_mut_vec(l), tid),
         }
     }
 
@@ -108,7 +128,7 @@ impl Postings {
         match self {
             Postings::One(t) => *t == tid,
             Postings::Many(l) => {
-                Arc::make_mut(l).retain(|&t| t != tid);
+                cow::make_mut_vec(l).retain(|&t| t != tid);
                 l.is_empty()
             }
         }
@@ -131,7 +151,7 @@ impl Postings {
 /// map (`Postings::One`) — no allocation until a second posting arrives.
 #[derive(Debug, Clone, Default)]
 pub struct HashIndex {
-    map: FxHashMap<IndexKey, Postings>,
+    map: ShardedMap<IndexKey, Postings>,
 }
 
 impl HashIndex {
@@ -150,13 +170,10 @@ impl HashIndex {
 
     /// Insert a posting for a non-null datum (nulls are ignored).
     pub fn insert_datum(&mut self, datum: Datum, tid: TupleId) {
-        use std::collections::hash_map::Entry;
         if let Some(key) = IndexKey::from_datum(datum) {
-            match self.map.entry(key) {
-                Entry::Vacant(v) => {
-                    v.insert(Postings::One(tid));
-                }
-                Entry::Occupied(mut o) => o.get_mut().insert(tid),
+            let (list, new) = self.map.get_or_insert_with(key, || Postings::One(tid));
+            if !new {
+                list.insert(tid);
             }
         }
     }
@@ -223,12 +240,17 @@ impl HashIndex {
     pub fn postings(&self) -> usize {
         self.map.values().map(Postings::len).sum()
     }
+
+    /// Shards of this index that `other` does not share by pointer.
+    pub(crate) fn unshared_shards(&self, other: &HashIndex) -> usize {
+        self.map.unshared_shards(&other.map)
+    }
 }
 
 /// A unique hash index (primary keys): value → single tuple id.
 #[derive(Debug, Clone, Default)]
 pub struct UniqueIndex {
-    map: FxHashMap<IndexKey, TupleId>,
+    map: ShardedMap<IndexKey, TupleId>,
 }
 
 impl UniqueIndex {
@@ -248,17 +270,10 @@ impl UniqueIndex {
     }
 
     pub fn insert_datum(&mut self, datum: Datum, tid: TupleId) -> bool {
-        use std::collections::hash_map::Entry;
         let Some(key) = IndexKey::from_datum(datum) else {
             return false;
         };
-        match self.map.entry(key) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(tid);
-                true
-            }
-        }
+        self.map.get_or_insert_with(key, || tid).1
     }
 
     pub fn remove(&mut self, value: &Value) -> Option<TupleId> {
@@ -291,6 +306,11 @@ impl UniqueIndex {
 
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
+    }
+
+    /// Shards of this index that `other` does not share by pointer.
+    pub(crate) fn unshared_shards(&self, other: &UniqueIndex) -> usize {
+        self.map.unshared_shards(&other.map)
     }
 }
 

@@ -41,13 +41,19 @@
 //!
 //! ## Memory layout
 //!
-//! Tables default to a columnar layout: one contiguous `Vec<Datum>` slab per
-//! attribute, with text attributes interned in the process-wide
-//! [`SymbolTable`] so a stored value is always 16 bytes. Reads hand out
-//! [`TupleRef`]/[`ValueRef`] views instead of owned tuples. The legacy
-//! row-store layout is kept behind [`StorageLayout::Rows`] as a
+//! Tables default to a columnar layout: fixed-size chunks of rows, each one
+//! contiguous column-major `Vec<Datum>` slab, with text attributes interned
+//! in the process-wide [`SymbolTable`] so a stored value is always 16 bytes.
+//! Reads hand out [`TupleRef`]/[`ValueRef`] views instead of owned tuples.
+//! The legacy row-store layout is kept behind [`StorageLayout::Rows`] as a
 //! differential-testing reference.
+//!
+//! Chunks and index shards sit behind `Arc`s ([`cow`]): cloning a
+//! [`Database`] copies pointers, and a mutation copies only the chunks and
+//! shards it touches — which is what lets a server apply a batch to a
+//! private copy while running answers keep reading the published one.
 
+pub mod cow;
 mod database;
 mod error;
 mod exec;
@@ -71,7 +77,7 @@ pub use index::{HashIndex, UniqueIndex};
 pub use schema::{AttributeDef, DatabaseSchema, ForeignKey, RelationId, RelationSchema};
 pub use stats::{AccessStats, StatsSnapshot, ThreadMeter};
 pub use sym::{Sym, SymbolTable};
-pub use table::{StorageLayout, Table, TableIter};
+pub use table::{StorageLayout, Table, TableIter, CHUNK_ROWS};
 pub use tuple::{Tuple, TupleId, TupleRef};
 pub use value::{DataType, Datum, Value, ValueRef};
 pub use wal::{MemoryWalSink, NullWalSink, WalOp, WalSink};

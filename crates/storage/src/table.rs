@@ -4,33 +4,112 @@
 //! remain stable across deletions (slots are tombstoned, not reused), which
 //! keeps inverted-index postings valid.
 //!
-//! * [`StorageLayout::Columnar`] (default): one contiguous `Vec<Datum>` slab
-//!   per attribute plus a liveness vector. Scans walk contiguous memory and
-//!   fetches copy nothing — reads hand out [`TupleRef`] views.
+//! * [`StorageLayout::Columnar`] (default): rows are kept in fixed-size
+//!   *chunks* of [`CHUNK_ROWS`] slots, each chunk one contiguous column-major
+//!   slab of datums (attribute after attribute) behind an `Arc`, and a
+//!   bitmap of which slots are live. Cloning a table bumps one reference
+//!   count per chunk (and copies the bitmaps, 128 bytes a chunk); an append
+//!   or an update copies the slab of the chunk it writes — only while a
+//!   clone still shares it ([`crate::cow`]) — and a delete clears a bit.
+//!   Scans walk contiguous memory within a chunk and fetches copy nothing —
+//!   reads hand out [`TupleRef`] views that borrow the chunk's slab, so the
+//!   chunk is resolved once per tuple (a shift and a mask) and an attribute
+//!   is then one indexed load.
 //! * [`StorageLayout::Rows`]: the legacy `Vec<Option<Tuple>>` slot store,
-//!   kept as the differential-testing reference for the columnar path.
+//!   kept as the differential-testing reference for the columnar path. Its
+//!   clone is a deep copy.
 
+use crate::cow;
 use crate::schema::RelationSchema;
 use crate::tuple::{Tuple, TupleId, TupleRef};
 use crate::value::Datum;
+use std::sync::Arc;
+
+/// Slots per chunk of a columnar table. A power of two, so slot → (chunk,
+/// row) is a shift and a mask. It bounds what one write copies (an 8-op
+/// batch unshares a handful of chunks of `CHUNK_ROWS × arity × 16` bytes
+/// each) against what a clone bumps (one count per chunk); EXPERIMENTS.md
+/// "The write path costs what the batch costs" has the sweep that chose it.
+pub const CHUNK_ROWS: usize = 1024;
+const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
+const CHUNK_MASK: usize = CHUNK_ROWS - 1;
 
 /// Which physical layout a table (or whole database) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageLayout {
-    /// Per-attribute column slabs of interned datums.
+    /// Chunked per-attribute column slabs of interned datums.
     #[default]
     Columnar,
     /// The legacy row store of owned tuples.
     Rows,
 }
 
+/// Up to [`CHUNK_ROWS`] consecutive slots of a columnar table, with room
+/// for `stride` of them. A chunk starts small and doubles its room as it
+/// fills, so a result database's few rows do not pay for a full chunk, and
+/// neither does copying a table's barely begun tail chunk in order to
+/// append to it. The slab's `Arc` and the bitmap sit directly in the
+/// table's chunk list, so a fetch is list → slab → datum with no pointer in
+/// between and the liveness check touches the list alone.
+#[derive(Debug, Clone)]
+struct Chunk {
+    /// Column-major: attribute `a` of row `r` is `slab[a * stride + r]`.
+    slab: Arc<[Datum]>,
+    stride: usize,
+    /// One bit per slot: set = live, clear = tombstoned or not filled yet.
+    live: [u64; CHUNK_ROWS / 64],
+}
+
+impl Chunk {
+    fn with_room(arity: usize, stride: usize) -> Chunk {
+        Chunk {
+            slab: std::iter::repeat_n(Datum::Null, arity * stride).collect(),
+            stride,
+            live: [0; CHUNK_ROWS / 64],
+        }
+    }
+
+    /// Re-lay the chunk out with room for `stride` rows (at least as many
+    /// as it has room for now).
+    fn widen(&mut self, arity: usize, stride: usize) {
+        let mut slab: Vec<Datum> = vec![Datum::Null; arity * stride];
+        for a in 0..arity {
+            let column = &self.slab[a * self.stride..(a + 1) * self.stride];
+            slab[a * stride..a * stride + self.stride].copy_from_slice(column);
+        }
+        self.slab = slab.into();
+        self.stride = stride;
+    }
+
+    fn is_live(&self, row: usize) -> bool {
+        self.live[row >> 6] >> (row & 63) & 1 == 1
+    }
+
+    fn row(&self, row: usize) -> TupleRef<'_> {
+        TupleRef::Col {
+            slab: &self.slab,
+            stride: self.stride,
+            row,
+        }
+    }
+
+    fn write(&mut self, row: usize, datums: &[Datum]) {
+        debug_assert!(row < self.stride, "a row past the stride is another column");
+        let slab = cow::make_mut_slice(&mut self.slab);
+        for (a, d) in datums.iter().enumerate() {
+            slab[a * self.stride + row] = *d;
+        }
+        self.live[row >> 6] |= 1 << (row & 63);
+    }
+}
+
 #[derive(Debug, Clone)]
 enum Repr {
     Columnar {
-        /// One slab per attribute; all slabs have `live.len()` rows.
-        cols: Vec<Vec<Datum>>,
-        /// Liveness per slot (false = tombstoned).
-        live: Vec<bool>,
+        /// Every chunk but the last is full.
+        chunks: Vec<Chunk>,
+        /// Physical slots (live + tombstoned) over all chunks.
+        slots: usize,
     },
     Rows {
         slots: Vec<Option<Tuple>>,
@@ -40,7 +119,7 @@ enum Repr {
 /// The tuple store of one relation.
 #[derive(Debug, Clone)]
 pub struct Table {
-    schema: RelationSchema,
+    schema: Arc<RelationSchema>,
     repr: Repr,
     live: usize,
 }
@@ -53,13 +132,13 @@ impl Table {
     pub fn with_layout(schema: RelationSchema, layout: StorageLayout) -> Self {
         let repr = match layout {
             StorageLayout::Columnar => Repr::Columnar {
-                cols: (0..schema.arity()).map(|_| Vec::new()).collect(),
-                live: Vec::new(),
+                chunks: Vec::new(),
+                slots: 0,
             },
             StorageLayout::Rows => Repr::Rows { slots: Vec::new() },
         };
         Table {
-            schema,
+            schema: Arc::new(schema),
             repr,
             live: 0,
         }
@@ -69,15 +148,20 @@ impl Table {
         &self.schema
     }
 
-    /// Pre-size every column (or the slot list) for `additional` more
-    /// tuples, so a bulk load appends without intermediate regrowth.
+    /// Pre-size for `additional` more tuples, so the bulk load of a result
+    /// database appends without intermediate regrowth: the chunk list for
+    /// all of them, and the first chunk for as many as it will hold.
     pub fn reserve(&mut self, additional: usize) {
+        let arity = self.schema.arity();
         match &mut self.repr {
-            Repr::Columnar { cols, live } => {
-                for col in cols {
-                    col.reserve(additional);
+            Repr::Columnar { chunks, slots } => {
+                chunks.reserve(additional / CHUNK_ROWS);
+                let rows = (*slots + additional).min(CHUNK_ROWS);
+                match chunks.first_mut() {
+                    None if rows > 0 => chunks.push(Chunk::with_room(arity, rows)),
+                    Some(first) if first.stride < rows => first.widen(arity, rows),
+                    _ => {}
                 }
-                live.reserve(additional);
             }
             Repr::Rows { slots } => slots.reserve(additional),
         }
@@ -103,7 +187,7 @@ impl Table {
     /// this as its tuple id.
     pub fn slot_count(&self) -> usize {
         match &self.repr {
-            Repr::Columnar { live, .. } => live.len(),
+            Repr::Columnar { slots, .. } => *slots,
             Repr::Rows { slots } => slots.len(),
         }
     }
@@ -139,11 +223,17 @@ impl Table {
         debug_assert_eq!(datums.len(), self.schema.arity());
         let tid = TupleId(self.slot_count() as u64);
         match &mut self.repr {
-            Repr::Columnar { cols, live } => {
-                for (col, d) in cols.iter_mut().zip(datums) {
-                    col.push(*d);
+            Repr::Columnar { chunks, slots } => {
+                let row = *slots & CHUNK_MASK;
+                if *slots == chunks.len() * CHUNK_ROWS {
+                    chunks.push(Chunk::with_room(datums.len(), 4));
                 }
-                live.push(true);
+                let tail = chunks.last_mut().expect("a tail chunk was just ensured");
+                if row == tail.stride {
+                    tail.widen(datums.len(), (2 * row).min(CHUNK_ROWS));
+                }
+                tail.write(row, datums);
+                *slots += 1;
             }
             Repr::Rows { slots } => {
                 let values = datums.iter().map(|d| d.to_value()).collect();
@@ -158,12 +248,10 @@ impl Table {
     pub fn get(&self, tid: TupleId) -> Option<TupleRef<'_>> {
         let slot = tid.as_usize();
         match &self.repr {
-            Repr::Columnar { cols, live } => {
-                if *live.get(slot)? {
-                    Some(TupleRef::Col { cols, row: slot })
-                } else {
-                    None
-                }
+            Repr::Columnar { chunks, .. } => {
+                let chunk = chunks.get(slot >> CHUNK_SHIFT)?;
+                let row = slot & CHUNK_MASK;
+                chunk.is_live(row).then(|| chunk.row(row))
             }
             Repr::Rows { slots } => slots.get(slot)?.as_ref().map(TupleRef::Row),
         }
@@ -174,35 +262,17 @@ impl Table {
         Some(self.get(tid)?.datum(attr))
     }
 
-    /// The full column slab for one attribute (columnar layout only); pair
-    /// with [`Table::live_mask`] to skip tombstones.
-    pub fn column(&self, attr: usize) -> Option<&[Datum]> {
-        match &self.repr {
-            Repr::Columnar { cols, .. } => cols.get(attr).map(Vec::as_slice),
-            Repr::Rows { .. } => None,
-        }
-    }
-
-    /// Per-slot liveness (columnar layout only).
-    pub fn live_mask(&self) -> Option<&[bool]> {
-        match &self.repr {
-            Repr::Columnar { live, .. } => Some(live),
-            Repr::Rows { .. } => None,
-        }
-    }
-
     /// Put a tuple into a specific (tombstoned) slot — used by
     /// `Database::update` to replace a tuple while keeping its id.
     pub(crate) fn append_datums_at(&mut self, tid: TupleId, datums: Vec<Datum>) -> TupleId {
         let slot = tid.as_usize();
         assert!(slot < self.slot_count(), "append_at targets existing slots");
         match &mut self.repr {
-            Repr::Columnar { cols, live } => {
-                debug_assert!(!live[slot], "append_at requires a free slot");
-                for (col, d) in cols.iter_mut().zip(&datums) {
-                    col[slot] = *d;
-                }
-                live[slot] = true;
+            Repr::Columnar { chunks, .. } => {
+                let chunk = &mut chunks[slot >> CHUNK_SHIFT];
+                let row = slot & CHUNK_MASK;
+                debug_assert!(!chunk.is_live(row), "append_at requires a free slot");
+                chunk.write(row, &datums);
             }
             Repr::Rows { slots } => {
                 debug_assert!(slots[slot].is_none(), "append_at requires a free slot");
@@ -218,12 +288,14 @@ impl Table {
     pub(crate) fn remove(&mut self, tid: TupleId) -> Option<Vec<Datum>> {
         let slot = tid.as_usize();
         let removed = match &mut self.repr {
-            Repr::Columnar { cols, live } => {
-                if !*live.get(slot)? {
+            Repr::Columnar { chunks, .. } => {
+                let chunk = chunks.get_mut(slot >> CHUNK_SHIFT)?;
+                let row = slot & CHUNK_MASK;
+                if !chunk.is_live(row) {
                     return None;
                 }
-                live[slot] = false;
-                Some(cols.iter().map(|c| c[slot]).collect())
+                chunk.live[row >> 6] &= !(1 << (row & 63));
+                Some(chunk.row(row).datums())
             }
             Repr::Rows { slots } => {
                 let t = slots.get_mut(slot)?.take()?;
@@ -241,6 +313,23 @@ impl Table {
         TableIter {
             table: self,
             next: 0,
+        }
+    }
+
+    /// Chunks of this table whose slab `other` does not share by pointer:
+    /// zero for a fresh clone, one per chunk either side has written a row
+    /// of since. (A row-layout table shares nothing: every slot counts.)
+    pub(crate) fn unshared_chunks(&self, other: &Table) -> usize {
+        match (&self.repr, &other.repr) {
+            (Repr::Columnar { chunks, .. }, Repr::Columnar { chunks: theirs, .. }) => {
+                let shared = chunks
+                    .iter()
+                    .zip(theirs)
+                    .filter(|(a, b)| Arc::ptr_eq(&a.slab, &b.slab))
+                    .count();
+                chunks.len() - shared
+            }
+            _ => self.slot_count(),
         }
     }
 }
@@ -357,10 +446,66 @@ mod tests {
             assert_eq!(ta.0, tb.0);
             assert_eq!(ta.1, tb.1);
         }
-        // Columnar exposes the raw slab; rows does not.
-        assert_eq!(a.column(0).unwrap().len(), 3);
-        assert_eq!(a.live_mask().unwrap(), &[true, true, true]);
-        assert!(b.column(0).is_none());
+    }
+
+    #[test]
+    fn ids_reads_and_tombstones_cross_chunk_boundaries() {
+        let rows = 3 * CHUNK_ROWS + 7;
+        let mut t = table();
+        t.reserve(rows);
+        for i in 0..rows {
+            assert_eq!(t.append_datums(vec![Datum::Int(i as i64)]).as_usize(), i);
+        }
+        assert_eq!(t.slot_count(), rows);
+        for i in [0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5, rows - 1] {
+            assert_eq!(t.datum(TupleId(i as u64), 0), Some(Datum::Int(i as i64)));
+        }
+        assert!(t.get(TupleId(rows as u64)).is_none());
+        let edge = TupleId(CHUNK_ROWS as u64);
+        assert_eq!(t.remove(edge), Some(vec![Datum::Int(CHUNK_ROWS as i64)]));
+        assert!(t.get(edge).is_none());
+        t.append_datums_at(edge, vec![Datum::Int(-1)]);
+        assert_eq!(t.datum(edge, 0), Some(Datum::Int(-1)));
+        assert_eq!(t.iter().count(), rows);
+        assert!(t.iter().map(|(tid, _)| tid.as_usize()).eq(0..rows));
+    }
+
+    #[test]
+    fn a_clone_shares_every_chunk_and_a_write_copies_only_its_own() {
+        let rows = 5 * CHUNK_ROWS + 10;
+        let mut original = table();
+        for i in 0..rows {
+            original.append_datums(vec![Datum::Int(i as i64)]);
+        }
+        let mut copy = original.clone();
+        assert_eq!(copy.unshared_chunks(&original), 0);
+
+        let meter = cow::CopyMeter::new();
+        // An append copies the tail chunk's slab; a second one finds it
+        // private.
+        copy.append_datums(vec![Datum::Int(-1)]);
+        copy.append_datums(vec![Datum::Int(-2)]);
+        assert_eq!(copy.unshared_chunks(&original), 1);
+        // A delete clears a bit in the copy's own chunk list and copies
+        // nothing; an update in place copies the slab of its row's chunk.
+        assert!(copy.remove(TupleId(9 * CHUNK_ROWS as u64)).is_none());
+        let victim = TupleId(2 * CHUNK_ROWS as u64 + 3);
+        assert!(copy.remove(victim).is_some());
+        assert!(copy.remove(victim).is_none());
+        assert_eq!(meter.copied().pieces, 1);
+        copy.append_datums_at(victim, vec![Datum::Int(-3)]);
+        assert!(copy.remove(victim).is_some());
+        assert_eq!(copy.unshared_chunks(&original), 2);
+        let copied = meter.copied();
+        assert_eq!(copied.pieces, 2);
+        // (The tail had room for 16 rows when it was copied.)
+        assert_eq!(copied.bytes, ((16 + CHUNK_ROWS) * 16) as u64);
+
+        // The original never saw any of it.
+        assert_eq!(original.slot_count(), rows);
+        assert_eq!(original.len(), rows);
+        assert_eq!(original.datum(victim, 0), Some(Datum::Int(victim.0 as i64)));
+        assert_eq!(copy.len(), rows + 1);
     }
 
     #[test]

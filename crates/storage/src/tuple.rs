@@ -64,21 +64,26 @@ impl From<Vec<Value>> for Tuple {
 
 /// A borrowed view of one stored tuple, independent of the table's physical
 /// layout: row-store tuples borrow the [`Tuple`], columnar tuples borrow the
-/// column slabs. All read paths traffic in this type so a fetch never clones
-/// a value.
+/// slab of their chunk (see [`crate::Table`]). All read paths traffic in this
+/// type so a fetch never clones a value.
 #[derive(Debug, Clone, Copy)]
 pub enum TupleRef<'a> {
     /// A tuple in a row-layout table.
     Row(&'a Tuple),
-    /// Row `row` of a columnar table: one slab per attribute.
-    Col { cols: &'a [Vec<Datum>], row: usize },
+    /// Row `row` of one chunk of a columnar table: the chunk's column-major
+    /// slab, attribute `a` at `slab[a * stride + row]`.
+    Col {
+        slab: &'a [Datum],
+        stride: usize,
+        row: usize,
+    },
 }
 
 impl<'a> TupleRef<'a> {
     pub fn arity(&self) -> usize {
         match self {
             TupleRef::Row(t) => t.arity(),
-            TupleRef::Col { cols, .. } => cols.len(),
+            TupleRef::Col { slab, stride, .. } => slab.len() / stride,
         }
     }
 
@@ -86,7 +91,7 @@ impl<'a> TupleRef<'a> {
     pub fn get(&self, idx: usize) -> ValueRef<'a> {
         match self {
             TupleRef::Row(t) => ValueRef::from(&t[idx]),
-            TupleRef::Col { cols, row } => cols[idx][*row].value_ref(),
+            TupleRef::Col { slab, stride, row } => slab[idx * stride + row].value_ref(),
         }
     }
 
@@ -96,7 +101,7 @@ impl<'a> TupleRef<'a> {
     pub fn datum(&self, idx: usize) -> Datum {
         match self {
             TupleRef::Row(t) => Datum::from_value(&t[idx]),
-            TupleRef::Col { cols, row } => cols[idx][*row],
+            TupleRef::Col { slab, stride, row } => slab[idx * stride + row],
         }
     }
 
@@ -173,9 +178,11 @@ mod tests {
         let vals = vec![Value::from(1), Value::from("a"), Value::Null];
         let t = Tuple::new(vals.clone());
         let row = TupleRef::Row(&t);
-        let cols: Vec<Vec<Datum>> = vals.iter().map(|v| vec![Datum::from_value(v)]).collect();
+        // A one-row chunk: each attribute's column is one datum long.
+        let slab: Vec<Datum> = vals.iter().map(Datum::from_value).collect();
         let col = TupleRef::Col {
-            cols: &cols,
+            slab: &slab,
+            stride: 1,
             row: 0,
         };
         assert_eq!(row, col);

@@ -1,4 +1,4 @@
-//! The differential oracle: one case, five execution paths, one answer.
+//! The differential oracle: one case, six execution paths, one answer.
 //!
 //! For a given [`CaseSpec`] the oracle asserts:
 //!
@@ -29,6 +29,14 @@
 //!   byte-identical `dump_to_string` AND a byte-identical rendered answer
 //!   versus the live engine. No record may be reported truncated: everything
 //!   was flushed before the simulated crash.
+//! * **Mutation leg** — the server's write path, interleaved with the reads
+//!   above: each case applies one batch (inserts, an update, a delete of an
+//!   earlier insert) through [`precis_server::mutate::apply_ops`] to the
+//!   engine the previous case published. The engine the batch was applied
+//!   *beside* must answer the case byte-identically to before the batch —
+//!   it shares every chunk and shard the batch did not copy — and the new
+//!   engine must answer byte-identically to an engine rebuilt from its own
+//!   dump.
 
 use crate::gen::{CaseSpec, DatasetSpec};
 use precis_core::{
@@ -41,7 +49,9 @@ use precis_datagen::{
 };
 use precis_durability::{recover, DurableStore, FsyncPolicy, SharedWal};
 use precis_nlg::Vocabulary;
-use precis_server::{render_answer, Server, ServerConfig, ServerHandle};
+use precis_server::json::Json;
+use precis_server::mutate::apply_ops;
+use precis_server::{render_answer, MutateOp, Server, ServerConfig, ServerHandle};
 use precis_storage::io as storage_io;
 use precis_storage::{Database, StorageLayout, Value};
 use std::collections::BTreeMap;
@@ -58,6 +68,7 @@ pub enum Leg {
     Server,
     Layout,
     Durability,
+    Mutation,
 }
 
 impl std::fmt::Display for Leg {
@@ -68,6 +79,7 @@ impl std::fmt::Display for Leg {
             Leg::Server => "server",
             Leg::Layout => "layout",
             Leg::Durability => "durability",
+            Leg::Mutation => "mutation",
         })
     }
 }
@@ -79,9 +91,9 @@ pub struct Mismatch {
     pub detail: String,
 }
 
-/// Everything a dataset needs to serve all five legs: a shared read-only
-/// engine fronted by a loopback server, and a private mutable engine for
-/// the cache-invalidation leg.
+/// Everything a dataset needs to serve all six legs: a shared read-only
+/// engine fronted by a loopback server, a private mutable engine for the
+/// cache-invalidation leg, and the engine the mutation leg last published.
 pub struct DatasetCtx {
     engine: Arc<PrecisEngine>,
     mut_engine: PrecisEngine,
@@ -98,6 +110,11 @@ pub struct DatasetCtx {
     addr: SocketAddr,
     /// Next primary-key value for cache-invalidation filler rows.
     filler_next: i64,
+    /// What the mutation leg's last batch published; each case's batch is
+    /// applied beside it.
+    published: PrecisEngine,
+    /// A filler row the mutation leg inserted and has not deleted yet.
+    deletable: Option<(&'static str, u64)>,
 }
 
 /// Materialize one dataset spec: database, schema graph, and designer
@@ -150,6 +167,7 @@ impl DatasetCtx {
         let engine =
             Arc::new(PrecisEngine::new(db.clone(), graph.clone()).map_err(|e| e.to_string())?);
         let mut_engine = PrecisEngine::new(db, graph.clone()).map_err(|e| e.to_string())?;
+        let published = mut_engine.clone();
         let server = Server::start(
             Arc::clone(&engine),
             vocab.clone(),
@@ -178,6 +196,8 @@ impl DatasetCtx {
             server: Some(server),
             addr,
             filler_next: 1_000_000,
+            published,
+            deletable: None,
         })
     }
 
@@ -349,7 +369,7 @@ fn render(engine: &PrecisEngine, vocab: Option<&Vocabulary>, answer: &PrecisAnsw
     render_answer(engine, vocab, answer)
 }
 
-/// Run all five legs of one case. Empty result = the case passes.
+/// Run all six legs of one case. Empty result = the case passes.
 pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     let mut out = Vec::new();
     strategy_leg(ctx, case, &mut out);
@@ -357,6 +377,7 @@ pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     server_leg(ctx, case, &mut out);
     layout_leg(ctx, case, &mut out);
     durability_leg(ctx, case, &mut out);
+    mutation_leg(ctx, case, &mut out);
     out
 }
 
@@ -677,6 +698,118 @@ fn durability_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>
             ),
         }),
     }
+}
+
+/// A stored value as `/v1/mutate` would carry it.
+fn to_json(value: &Value) -> Json {
+    match value {
+        Value::Null => Json::Null,
+        Value::Int(i) => Json::Number(*i as f64),
+        Value::Float(f) => Json::Number(*f),
+        Value::Text(s) => Json::String(s.clone()),
+        Value::Bool(b) => Json::Bool(*b),
+    }
+}
+
+/// One write-path batch per case, applied beside the engine the previous
+/// case published: the old engine must not notice, and the new one must be
+/// what its own dump rebuilds.
+fn mutation_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
+    let mut fail = |detail: String| {
+        out.push(Mismatch {
+            leg: Leg::Mutation,
+            detail,
+        })
+    };
+    let q = query(case);
+    let spec = base_spec(case);
+    let answer_of = |engine: &PrecisEngine, vocab: Option<&Vocabulary>| {
+        engine
+            .answer(&q, &spec)
+            .map(|a| render(engine, vocab, &a))
+            .map_err(|e| e.to_string())
+    };
+    let before = answer_of(&ctx.published, ctx.vocab.as_ref());
+
+    // Two filler inserts, a rewrite of the first live tuple of the first
+    // populated relation with a word appended to its texts, and a delete of
+    // a filler row an earlier case inserted.
+    let mut ops = Vec::new();
+    let mut inserted = None;
+    for _ in 0..2 {
+        let Some((relation, values)) = ctx.filler_row() else {
+            return;
+        };
+        inserted = Some(relation);
+        ops.push(MutateOp::Insert {
+            relation: relation.to_owned(),
+            values: values.iter().map(to_json).collect(),
+        });
+    }
+    let db = ctx.published.database();
+    let first = db.schema().relations().find_map(|(rel, schema)| {
+        let (tid, t) = db.table(rel).iter().next()?;
+        Some((schema.name().to_owned(), tid, t.values()))
+    });
+    if let Some((relation, tid, mut values)) = first {
+        for value in &mut values {
+            if let Value::Text(text) = value {
+                text.push_str(" revised");
+            }
+        }
+        ops.push(MutateOp::Update {
+            relation,
+            tid: tid.0,
+            values: values.iter().map(to_json).collect(),
+        });
+    }
+    if let Some((relation, tid)) = ctx.deletable.take() {
+        ops.push(MutateOp::Delete {
+            relation: relation.to_owned(),
+            tid,
+        });
+    }
+
+    let applied = apply_ops(&ctx.published, &ops);
+    if let Some(e) = &applied.error {
+        return fail(format!("batch stopped after {} ops: {e}", applied.applied));
+    }
+    ctx.deletable = inserted.zip(applied.inserted_tids.last().copied());
+    let next = applied.engine;
+
+    // The engine the batch ran beside answers exactly as it did before.
+    let after = answer_of(&ctx.published, ctx.vocab.as_ref());
+    match (&before, &after) {
+        (Ok(b), Ok(a)) if a == b => {}
+        (Ok(b), Ok(a)) => fail(format!(
+            "the previous snapshot's answer changed: {}",
+            first_diff(b, a)
+        )),
+        _ => fail(format!(
+            "previous snapshot outcome: {before:?} then {after:?}"
+        )),
+    }
+    // The new engine is the one its dump describes.
+    let dump = storage_io::dump_to_string(next.database());
+    let rebuilt = storage_io::load_from_string(&dump)
+        .map_err(|e| e.to_string())
+        .and_then(|db| PrecisEngine::new(db, ctx.graph.clone()).map_err(|e| e.to_string()));
+    match rebuilt {
+        Ok(rebuilt) => {
+            let live = answer_of(&next, ctx.vocab.as_ref());
+            let fresh = answer_of(&rebuilt, ctx.vocab.as_ref());
+            match (&live, &fresh) {
+                (Ok(l), Ok(f)) if l == f => {}
+                (Ok(l), Ok(f)) => fail(format!(
+                    "new snapshot vs rebuilt from its dump: {}",
+                    first_diff(l, f)
+                )),
+                _ => fail(format!("new snapshot outcome: {live:?} vs {fresh:?}")),
+            }
+        }
+        Err(e) => fail(format!("the new snapshot's dump does not rebuild: {e}")),
+    }
+    ctx.published = next;
 }
 
 fn server_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {

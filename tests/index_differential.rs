@@ -3,7 +3,9 @@
 //! through `add_tuple` / `remove_tuple`, under interleaved inserts, updates
 //! and deletes. The two must be *equal* — every posting list, the order of
 //! locations within a word, `vocabulary_size` and `indexed_words` — in both
-//! table layouts and with a stopword tokenizer.
+//! table layouts and with a stopword tokenizer — and so must an index that
+//! reached its state through generations of clone-and-apply, the way a
+//! served engine's does.
 //!
 //! Run this after touching `crates/index` or `crates/storage/src/io.rs`:
 //! `cargo test --test index_differential`.
@@ -174,6 +176,73 @@ fn build_equals_the_maintained_index_at_benchmark_scale() {
             &db,
             tokenizer,
             "over the 34,000-movie database",
+        );
+    }
+}
+
+/// What the server's write path does to an index, sixty times over: clone
+/// database and index (the published pair stays alive, as it does for a
+/// running answer), change the clones tuple by tuple, publish them. One
+/// word is written often enough to outgrow a posting-list segment on the
+/// way. The last generation must equal a fresh build — `indexed_words`
+/// included — and so must every kept generation over its own database.
+#[test]
+fn an_index_maintained_through_clone_and_apply_generations_equals_build() {
+    let (source, _, _) = build_dataset(&DatasetSpec::Movies {
+        movies: 300,
+        seed: 0x6E_4E,
+    });
+    let movie = source.schema().relation_id("MOVIE").unwrap();
+    let tokenizer = Tokenizer::default();
+    let mut rng = StdRng::seed_from_u64(0x6E_4E);
+    let mut published = (source.clone(), InvertedIndex::build(&source));
+    let mut kept = Vec::new();
+    let mut key = 5_000_000i64;
+    for generation in 0..60 {
+        let (mut db, mut index) = published.clone();
+        for _ in 0..20 {
+            key += 1;
+            let title = format!("Perennial sequel {}", key % 13);
+            let row = vec![key.into(), title.as_str().into(), 2001.into(), 1.into()];
+            let tid = db.insert_into(movie, row).unwrap();
+            index.add_tuple(&db, movie, tid);
+        }
+        let renamed = pick_live(&db, movie, &mut rng).unwrap();
+        let mut values = db.table(movie).get(renamed).unwrap().values();
+        values[1] = format!("Perennial recut {generation}").as_str().into();
+        index.remove_tuple(&db, movie, renamed);
+        db.update(movie, renamed, values).unwrap();
+        index.add_tuple(&db, movie, renamed);
+        // `MOVIE` is referenced; the rows deleted are this test's own.
+        let victim = TupleId((db.table(movie).slot_count() - 1 - generation) as u64);
+        if db.table(movie).get(victim).is_some() {
+            index.remove_tuple(&db, movie, victim);
+            db.delete(movie, victim).unwrap();
+        }
+        if generation % 10 == 0 {
+            kept.push(published.clone());
+        }
+        published = (db, index);
+    }
+    let perennial: usize = published
+        .1
+        .lookup(&published.0, "perennial")
+        .iter()
+        .map(|o| o.tids.len())
+        .sum();
+    assert!(perennial > 1024, "{perennial} postings: one segment");
+    assert_same_index(
+        &published.1,
+        &published.0,
+        &tokenizer,
+        "after 60 generations",
+    );
+    for (i, (db, index)) in kept.iter().enumerate() {
+        assert_same_index(
+            index,
+            db,
+            &tokenizer,
+            &format!("kept generation {}", i * 10),
         );
     }
 }
