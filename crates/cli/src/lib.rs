@@ -191,8 +191,10 @@ pub struct ServeOptions {
     /// Durable serving: the directory holding `snapshot.precisdb` and
     /// `wal.log`. When it already holds state, recovery wins over the
     /// `Source` (the source still provides the schema graph and
-    /// vocabulary); when empty, the source bootstraps it. `None` serves
-    /// purely in memory.
+    /// vocabulary) and the slots of deleted tuples are reclaimed before
+    /// serving starts — tuple ids are valid for the life of one process;
+    /// when empty, the source bootstraps it. `None` serves purely in
+    /// memory.
     pub data_dir: Option<String>,
     /// Snapshot + rotate the WAL after this many records (0 = never).
     pub checkpoint_every: u64,
@@ -279,12 +281,12 @@ pub fn start_server(
             let policy = FsyncPolicy::Batch(256);
             let (mut db, wal) = match store.recover().map_err(|e| e.to_string())? {
                 Some(rec) => {
-                    let wal = store
+                    let mut wal = store
                         .open_wal(policy, rec.report.next_lsn)
                         .map_err(|e| e.to_string())?;
                     let _ = write!(
                         label,
-                        " (recovered from {dir}: {} replayed, {} skipped{})",
+                        " (recovered from {dir}: {} replayed, {} skipped{}",
                         rec.report.replayed,
                         rec.report.skipped,
                         match &rec.report.truncated {
@@ -292,7 +294,20 @@ pub fn start_server(
                             None => String::new(),
                         }
                     );
-                    (rec.db, wal)
+                    // The one moment tombstoned slots can be reclaimed: no
+                    // reader holds an engine, no client holds a tuple id,
+                    // and the index is about to be built anyway.
+                    let tombstones = rec.db.tombstoned_slots();
+                    let db = if tombstones > 0 {
+                        let _ = write!(label, ", {tombstones} tombstoned slots compacted");
+                        store
+                            .checkpoint(&rec.db, &mut wal)
+                            .map_err(|e| e.to_string())?
+                    } else {
+                        rec.db
+                    };
+                    label.push(')');
+                    (db, wal)
                 }
                 None => {
                     // Fresh dir: the initial snapshot covers the source
@@ -970,13 +985,9 @@ mod tests {
         handle.wait();
     }
 
-    /// The full operator story: serve with `--data-dir`, mutate, stop without
-    /// any orderly close of the durability state, then restart on the same
-    /// directory and watch the mutation come back.
-    #[test]
-    fn serve_with_data_dir_recovers_mutations_across_restarts() {
-        use std::io::{Read as _, Write as _};
-
+    /// A fresh data directory and the options of a small durable server
+    /// over it.
+    fn durable_options(checkpoint_every: u64) -> (std::path::PathBuf, ServeOptions) {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
             "precis-cli-durable-{}-{}",
@@ -989,24 +1000,34 @@ mod tests {
             queue: 4,
             deadline_ms: 2_000,
             data_dir: Some(dir.to_str().unwrap().to_owned()),
-            checkpoint_every: 0,
+            checkpoint_every,
             ..ServeOptions::default()
         };
+        (dir, options)
+    }
 
-        let post = |addr: std::net::SocketAddr, path: &str, body: &str| -> String {
-            let mut conn = std::net::TcpStream::connect(addr).unwrap();
-            conn.write_all(
-                format!(
-                    "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                    body.len()
-                )
-                .as_bytes(),
+    fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
+        use std::io::{Read as _, Write as _};
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        conn.write_all(
+            format!(
+                "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
             )
-            .unwrap();
-            let mut reply = String::new();
-            conn.read_to_string(&mut reply).unwrap();
-            reply
-        };
+            .as_bytes(),
+        )
+        .unwrap();
+        let mut reply = String::new();
+        conn.read_to_string(&mut reply).unwrap();
+        reply
+    }
+
+    /// The full operator story: serve with `--data-dir`, mutate, stop without
+    /// any orderly close of the durability state, then restart on the same
+    /// directory and watch the mutation come back.
+    #[test]
+    fn serve_with_data_dir_recovers_mutations_across_restarts() {
+        let (dir, options) = durable_options(0);
 
         // First life: fresh dir bootstraps from the demo source.
         let (handle, label) = start_server(Source::Demo, &options).unwrap();
@@ -1031,6 +1052,73 @@ mod tests {
             r#"{"tokens": "zzyxgnarp"}"#,
         );
         assert!(reply.contains("Zzyxgnarp Qblitherton"), "{reply}");
+        handle.trigger_shutdown();
+        handle.wait();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Tombstoned slots are reclaimed where it is free — at open, before
+    /// anybody holds a tuple id — and only there: within a process a
+    /// reported id stays good across checkpoints.
+    #[test]
+    fn serve_with_data_dir_compacts_tombstones_once_at_open() {
+        let (dir, options) = durable_options(1); // a checkpoint per batch
+        let insert = |addr, key: u32, name: &str| -> u64 {
+            let reply = post(
+                addr,
+                "/v1/mutate",
+                &format!(
+                    r#"{{"ops":[{{"op":"insert","relation":"DIRECTOR",
+                        "values":[{key},"{name}","Testville","1970-01-01"]}}]}}"#
+                ),
+            );
+            assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+            assert!(reply.contains("\"checkpointed\": true"), "{reply}");
+            let tids = reply.split("\"inserted_tids\": [").nth(1).unwrap();
+            tids[..tids.find(']').unwrap()].parse().unwrap()
+        };
+        let served = |addr, token: &str, name: &str| -> bool {
+            post(addr, "/v1/query", &format!(r#"{{"tokens": "{token}"}}"#)).contains(name)
+        };
+
+        // First life: two inserts, then the first deleted by the id its
+        // insert reported two checkpoints earlier.
+        let (handle, _) = start_server(Source::Demo, &options).unwrap();
+        let addr = handle.local_addr();
+        let first = insert(addr, 777_001, "Zzyxgnarp Qblitherton");
+        let second = insert(addr, 777_002, "Vorpalwick Qblitherton");
+        assert_eq!(second, first + 1);
+        let reply = post(
+            addr,
+            "/v1/mutate",
+            &format!(r#"{{"ops":[{{"op":"delete","relation":"DIRECTOR","tid":{first}}}]}}"#),
+        );
+        assert!(reply.starts_with("HTTP/1.1 200"), "{reply}");
+        assert!(!served(addr, "zzyxgnarp", "Zzyxgnarp"));
+        assert!(served(addr, "vorpalwick", "Vorpalwick Qblitherton"));
+        handle.trigger_shutdown();
+        handle.wait();
+
+        // Second life: the hole is reclaimed before serving starts, so the
+        // survivor moved down one slot and the next insert takes the id the
+        // survivor had.
+        let (handle, label) = start_server(Source::Demo, &options).unwrap();
+        assert!(label.contains("1 tombstoned slots compacted"), "{label}");
+        let addr = handle.local_addr();
+        assert!(!served(addr, "zzyxgnarp", "Zzyxgnarp"));
+        assert!(served(addr, "vorpalwick", "Vorpalwick Qblitherton"));
+        assert_eq!(insert(addr, 777_003, "Mimsyborough Qblitherton"), second);
+        handle.trigger_shutdown();
+        handle.wait();
+
+        // Third life: nothing to compact, everything still there.
+        let (handle, label) = start_server(Source::Demo, &options).unwrap();
+        assert!(label.contains("recovered from"), "{label}");
+        assert!(!label.contains("compacted"), "{label}");
+        let addr = handle.local_addr();
+        assert!(served(addr, "vorpalwick", "Vorpalwick Qblitherton"));
+        assert!(served(addr, "mimsyborough", "Mimsyborough Qblitherton"));
+        assert!(!served(addr, "zzyxgnarp", "Zzyxgnarp"));
         handle.trigger_shutdown();
         handle.wait();
         let _ = std::fs::remove_dir_all(&dir);

@@ -196,22 +196,6 @@ impl PrecisEngine {
         }
     }
 
-    /// This engine over a reloaded copy of its database (a checkpoint's
-    /// compacted reload) and an index built over that copy. Graph, profiles,
-    /// cost model and schema memo carry over: none depends on a stored
-    /// tuple.
-    pub fn with_database(&self, mut db: Database, index: InvertedIndex) -> Self {
-        ensure_join_indexes(&mut db, &self.graph);
-        PrecisEngine {
-            db,
-            graph: self.graph.clone(),
-            index,
-            profiles: self.profiles.clone(),
-            cache: self.cache.clone(),
-            cost_model: self.cost_model,
-        }
-    }
-
     /// Attach a calibrated cost model.
     pub fn set_cost_model(&mut self, model: CostModel) {
         self.cost_model = Some(model);

@@ -12,11 +12,15 @@
 //!   configurable [`FsyncPolicy`]; `SharedWal` plugs into
 //!   [`precis_storage::WalSink`] so every `Database` mutation streams here.
 //! * [`write_snapshot`] / [`load_snapshot`] — `precisdb` dumps with an LSN
-//!   header, installed via temp file + atomic rename.
+//!   header, installed via temp file + atomic rename. A dump keeps every
+//!   tuple id (tombstoned slots are written as holes), so a snapshot
+//!   numbers its tuples as the live database does.
 //! * [`recover()`] — snapshot + WAL-tail replay with an LSN floor, insert-tid
 //!   verification, and physical truncate-at-first-bad-record.
-//! * [`DurableStore`] — the data-directory layout and the
-//!   checkpoint-as-compaction-point protocol.
+//! * [`DurableStore`] — the data-directory layout; a checkpoint is
+//!   [`DurableStore::snapshot`] (write the snapshot, rotate the log, touch
+//!   nothing else), and [`DurableStore::checkpoint`] is the compacting form
+//!   a process runs once, at open, before it has handed out a tuple id.
 //!
 //! The durability contract is **ACK-after-fsync**: a mutation is durable
 //! once [`Wal::flush`] (or an `Always`/`Batch` policy sync) returns and the

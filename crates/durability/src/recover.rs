@@ -107,9 +107,9 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Option<Recovered>> {
 }
 
 /// Apply one WAL entry to the database being rebuilt. Insert replay
-/// verifies the engine hands back the tuple id the record stored — the
-/// snapshot-as-compaction-point protocol guarantees it, so a mismatch
-/// means the files are inconsistent and the log must be cut here.
+/// verifies the engine hands back the tuple id the record stored — a
+/// snapshot numbers its tuples as the database it was taken of, so a
+/// mismatch means the files are inconsistent and the log must be cut here.
 fn apply(db: &mut Option<Database>, entry: &WalEntry) -> Result<()> {
     match entry {
         WalEntry::SchemaInstall { schema_text } => {
@@ -269,8 +269,9 @@ mod tests {
         let store = DurableStore::open(&dir).unwrap();
         let (mut db, wal) = live_db(&dir);
         populate(&mut db);
-        // Checkpoint mid-stream: returns the compacted reload, which takes
-        // over as the live database so tids keep matching the snapshot.
+        // A compacting checkpoint mid-stream: what it returns takes over as
+        // the live database, so the log continues in the snapshot's
+        // numbering.
         let mut db = wal.with(|w| store.checkpoint(&db, w)).unwrap();
         db.set_wal_sink(Arc::new(wal.clone()));
         let movie = db.schema().relation_id("MOVIE").unwrap();
@@ -297,6 +298,50 @@ mod tests {
         assert_eq!(rec.report.replayed, 2);
         assert_eq!(rec.report.skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_live_snapshot_keeps_tuple_ids_whichever_step_of_it_fails() {
+        use precis_storage::failpoint::{self, FailureKind};
+        let _gate = failpoint::exclusive();
+        for rotate_fails in [false, true] {
+            let dir = scratch_dir("rec-live-snap");
+            let store = DurableStore::open(&dir).unwrap();
+            let (mut db, wal) = live_db(&dir);
+            // Leaves MOVIE with a tombstone at tid 1: a snapshot that
+            // renumbered would hand the next insert tid 1, the live
+            // database hands it tid 2.
+            populate(&mut db);
+            let snapshot = {
+                let _scope = failpoint::thread_scope();
+                if rotate_fails {
+                    failpoint::arm("wal_fsync", FailureKind::Io, 0, 1);
+                }
+                let result = wal.with(|w| store.snapshot(&db, w));
+                failpoint::disarm_all();
+                result
+            };
+            assert_eq!(snapshot.is_err(), rotate_fails, "{snapshot:?}");
+            // The database the snapshot was taken of stays the live one.
+            let tid = db
+                .insert(
+                    "MOVIE",
+                    vec![Value::from(12), Value::from("Sleeper"), Value::from(1)],
+                )
+                .unwrap();
+            assert_eq!(tid, precis_storage::TupleId(2));
+            wal.flush().unwrap();
+            let rec = recover(&dir).unwrap().unwrap();
+            assert_eq!(rec.report.truncated, None);
+            assert_eq!(rec.report.snapshot_lsn, Some(8));
+            assert_eq!(rec.report.replayed, 1);
+            assert_eq!(
+                io::dump_to_string(&rec.db),
+                io::dump_to_string(&db),
+                "recovered tid for tid (rotate failed: {rotate_fails})"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! [`DurableStore`]: the on-disk layout of a durable précis database and
-//! the checkpoint protocol that ties snapshots and the WAL together.
+//! the checkpoint that ties its snapshot and its WAL together.
 //!
 //! A data directory holds exactly two files:
 //!
@@ -8,14 +8,21 @@
 //! <dir>/wal.log             append-only record log since that snapshot
 //! ```
 //!
-//! **Checkpoint = compaction point.** `precisdb` dumps skip tombstones, so
-//! a reloaded snapshot renumbers tuple ids densely. To keep live tids equal
-//! to snapshot tids (which insert-replay verification depends on), a
-//! checkpoint dumps the live database, rotates the WAL, *reloads the dump*,
-//! and hands the compacted reload back to the caller as the new live
-//! database. Both sides of the crash window agree: recover before the
-//! rotation and the LSN floor skips the stale log; recover after and the
-//! log is empty.
+//! **A checkpoint writes a snapshot.** `precisdb` dumps are lossless in
+//! tuple ids (a tombstoned slot is a hole line), so the snapshot of a live
+//! database numbers its tuples exactly as the live database does and the
+//! log that continues after it replays onto it tid for tid — whichever step
+//! of a checkpoint fails. [`DurableStore::snapshot`] is all a running server
+//! does: dump at the log's next LSN, install, rotate the log. Both sides of
+//! the crash window agree: recover before the rotation and the LSN floor
+//! skips the stale log; recover after and the log is empty.
+//!
+//! **Compaction is a different act**, for when nobody holds a tuple id:
+//! [`DurableStore::checkpoint`] renumbers the live tuples densely in memory,
+//! snapshots *that* and hands it back to replace the database it was given.
+//! `serve --data-dir` does it once, at open, between recovery and the index
+//! build — so a tuple id is valid for the life of the process that reported
+//! it.
 
 use crate::recover::{recover, Recovered};
 use crate::snapshot::write_snapshot;
@@ -70,19 +77,24 @@ impl DurableStore {
         Wal::open_for_append(self.wal_path(), policy, next_lsn)
     }
 
-    /// Checkpoint: snapshot `db` (covering every LSN below `wal.next_lsn()`),
-    /// rotate the log, and return the compacted reload that must replace the
-    /// live database. The caller is the only writer (the server's writer
-    /// thread) and re-attaches its WAL sink and rebuilds its index on the
-    /// returned database.
-    pub fn checkpoint(&self, db: &Database, wal: &mut Wal) -> Result<Database> {
+    /// Snapshot `db` — the live database the log at `wal` describes — as
+    /// covering every LSN below `wal.next_lsn()`, then rotate the log. The
+    /// caller is the only writer (the server's writer thread); `db` is read,
+    /// never replaced: the snapshot numbers its tuples as `db` does.
+    pub fn snapshot(&self, db: &Database, wal: &mut Wal) -> Result<()> {
         write_snapshot(db, wal.next_lsn(), self.snapshot_path())?;
-        wal.rotate()?;
-        let _span = precis_obs::span("wal.checkpoint.reload");
-        let snap = crate::snapshot::load_snapshot(self.snapshot_path())?.ok_or_else(|| {
-            StorageError::Corrupt("snapshot vanished immediately after checkpoint".into())
-        })?;
-        Ok(snap.db)
+        wal.rotate()
+    }
+
+    /// The compacting checkpoint: renumber `db`'s live tuples densely
+    /// ([`Database::compacted`]), [`snapshot`](DurableStore::snapshot) the
+    /// result and return it — it must replace `db`, since the log continues
+    /// in its numbering. Tuple ids change: only for a caller nobody has
+    /// handed one out yet.
+    pub fn checkpoint(&self, db: &Database, wal: &mut Wal) -> Result<Database> {
+        let compacted = db.compacted();
+        self.snapshot(&compacted, wal)?;
+        Ok(compacted)
     }
 }
 

@@ -173,7 +173,6 @@ pub struct ShedDecision {
     pub reason: &'static str,
     pub backlog_ms: f64,
     pub retry_after_ms: u64,
-    pub false_positive: bool,
 }
 
 /// The tail sampler's verdict on one finished request: why its trace is
@@ -560,7 +559,6 @@ mod tests {
                 reason: "deadline",
                 backlog_ms: 0.0,
                 retry_after_ms: 25,
-                false_positive: false,
             }),
         }
     }

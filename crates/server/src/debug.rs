@@ -71,8 +71,8 @@ fn write_sched(out: &mut String, sched: &SchedDecision) {
         write_str(out, shed.reason);
         let _ = write!(
             out,
-            ", \"backlog_ms\": {:.3}, \"retry_after_ms\": {}, \"false_positive\": {}}}",
-            shed.backlog_ms, shed.retry_after_ms, shed.false_positive
+            ", \"backlog_ms\": {:.3}, \"retry_after_ms\": {}}}",
+            shed.backlog_ms, shed.retry_after_ms
         );
     }
     out.push('}');
@@ -266,7 +266,6 @@ mod tests {
                     reason: "deadline",
                     backlog_ms: 40.0,
                     retry_after_ms: 250,
-                    false_positive: false,
                 }),
             }),
             profile: None,

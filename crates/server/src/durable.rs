@@ -1,18 +1,15 @@
 //! What `serve --data-dir` attaches to a server: the snapshot store and the
-//! shared WAL handle, the auto-checkpoint that compacts them, and the
+//! shared WAL handle, the auto-checkpoint that ties them together, and the
 //! `precis_wal_*` series that report on both. The write path that appends
 //! to the log lives in [`crate::mutate`]; it and the checkpoint both run on
-//! the server's one writer thread, so the second engine a checkpoint builds
-//! (the compacted reload and its index) lives in that thread's allocator
-//! arena, beside the copies batches make, and nowhere else.
+//! the server's one writer thread. A checkpoint reads the published
+//! database and writes two files — it builds no engine and publishes none,
+//! so nothing a reader holds, and no tuple id a client holds, changes.
 
-use precis_core::PrecisEngine;
 use precis_durability::{DurableStore, SharedWal};
-use precis_index::InvertedIndex;
-use precis_storage::WalSink;
+use precis_storage::Database;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Durable-serving state attached to a server: where snapshots and the WAL
@@ -28,9 +25,9 @@ pub struct Durability {
     pub since_checkpoint: AtomicU64,
     /// Checkpoints taken by this server (exported as a metric).
     pub checkpoints: AtomicU64,
-    /// Microseconds those checkpoints took, snapshot to rebuilt engine —
-    /// time the writer thread spent on them inside the batches that paid
-    /// for one, with every later batch waiting (exported as a metric, in
+    /// Microseconds those checkpoints took, snapshot to rotated log — time
+    /// the writer thread spent on them inside the batches that paid for
+    /// one, with every later batch waiting (exported as a metric, in
     /// seconds).
     pub checkpoint_micros: AtomicU64,
     /// Auto-checkpoints that failed (exported as a metric). A failed
@@ -66,35 +63,21 @@ impl Durability {
     pub fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
     }
-}
 
-/// Checkpoint the engine's database: snapshot + WAL rotation, then rebuild
-/// the engine around the compacted reload (fresh index build — allowed at
-/// checkpoint time, never on the per-mutation path) with the WAL sink
-/// re-attached. Returns the replacement engine to publish; it keeps the
-/// cost model, profiles and schema memo of the engine it replaces.
-pub(crate) fn checkpoint_engine(
-    durability: &Durability,
-    engine: &PrecisEngine,
-) -> Result<PrecisEngine, String> {
-    let started = Instant::now();
-    // `wal.snapshot_install` and `wal.checkpoint.reload` are recorded inside.
-    let mut compacted = durability
-        .wal
-        .with(|w| durability.store.checkpoint(engine.database(), w))
-        .map_err(|e| e.to_string())?;
-    compacted.set_wal_sink(Arc::new(durability.wal.clone()) as Arc<dyn WalSink>);
-    let index = {
-        let _span = precis_obs::span("engine.index_build");
-        InvertedIndex::build(&compacted)
-    };
-    let rebuilt = engine.with_database(compacted, index);
-    durability.since_checkpoint.store(0, Ordering::Relaxed);
-    durability.checkpoints.fetch_add(1, Ordering::Relaxed);
-    durability
-        .checkpoint_micros
-        .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
-    Ok(rebuilt)
+    /// Checkpoint `db`, the database just published: snapshot it at the
+    /// log's next LSN and rotate the log (`wal.snapshot_install` and
+    /// `wal.fsync` are recorded inside). The snapshot keeps `db`'s tuple
+    /// ids, so a failure at either step leaves snapshot, log and served
+    /// state in agreement and the next batch simply tries again.
+    pub(crate) fn checkpoint(&self, db: &Database) -> precis_storage::Result<()> {
+        let started = Instant::now();
+        self.wal.with(|w| self.store.snapshot(db, w))?;
+        self.since_checkpoint.store(0, Ordering::Relaxed);
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.checkpoint_micros
+            .fetch_add(started.elapsed().as_micros() as u64, Ordering::Relaxed);
+        Ok(())
+    }
 }
 
 /// Append the `precis_wal_*` series to a `/v1/metrics` exposition.

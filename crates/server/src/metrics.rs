@@ -118,9 +118,6 @@ pub struct Metrics {
     mutate_copied_bytes_total: AtomicU64,
     /// Queries refused by the cost-aware admission controller (→ 429).
     sched_shed_total: AtomicU64,
-    /// Sheds the hindsight estimator attributes to cost-model error rather
-    /// than real pressure (a subset of `sched_shed_total`).
-    sched_shed_false_positive_total: AtomicU64,
     /// Pops where the cost-aware policy disagreed with FIFO order.
     sched_reordered_total: AtomicU64,
     /// Per-phase / cost-model aggregates accumulated from query profiles.
@@ -175,14 +172,9 @@ impl Metrics {
             .fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// A query was shed at admission; `false_positive` carries the
-    /// scheduler's hindsight verdict.
-    pub fn record_shed(&self, false_positive: bool) {
+    /// A query was shed at admission.
+    pub fn record_shed(&self) {
         self.sched_shed_total.fetch_add(1, Ordering::Relaxed);
-        if false_positive {
-            self.sched_shed_false_positive_total
-                .fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     pub fn record_reordered(&self) {
@@ -191,10 +183,6 @@ impl Metrics {
 
     pub fn shed_total(&self) -> u64 {
         self.sched_shed_total.load(Ordering::Relaxed)
-    }
-
-    pub fn shed_false_positive_total(&self) -> u64 {
-        self.sched_shed_false_positive_total.load(Ordering::Relaxed)
     }
 
     pub fn enqueued(&self) {
@@ -298,7 +286,7 @@ impl Metrics {
             self.queue_wait.count()
         );
 
-        let singles: [(&str, &str, u64); 9] = [
+        let singles: [(&str, &str, u64); 8] = [
             (
                 "precis_queue_depth",
                 "Connections waiting for a worker (gauge).",
@@ -333,11 +321,6 @@ impl Metrics {
                 "precis_sched_shed_total",
                 "Queries refused by cost-aware admission with 429.",
                 self.shed_total(),
-            ),
-            (
-                "precis_sched_shed_false_positive_total",
-                "Sheds attributed to cost-model error by the hindsight estimator.",
-                self.shed_false_positive_total(),
             ),
             (
                 "precis_sched_reordered_total",
@@ -448,8 +431,8 @@ mod tests {
     fn scheduler_counters_export_and_429_has_its_own_label() {
         let m = Metrics::default();
         m.record_request("query", 429, Duration::ZERO);
-        m.record_shed(false);
-        m.record_shed(true);
+        m.record_shed();
+        m.record_shed();
         m.record_reordered();
         let text = m.render_prometheus(&AnswerCacheStats::default());
         assert!(
@@ -457,7 +440,6 @@ mod tests {
             "429 must not fold into the other catch-all:\n{text}"
         );
         assert!(text.contains("precis_sched_shed_total 2"));
-        assert!(text.contains("precis_sched_shed_false_positive_total 1"));
         assert!(text.contains("precis_sched_reordered_total 1"));
         assert_eq!(m.shed_total(), 2);
     }

@@ -7,11 +7,11 @@
 //! answer; the writer owns everything from there — load the published
 //! engine, apply to a copy, append, fsync, publish, auto-checkpoint. It is a
 //! thread, not a lock a worker takes, because of where memory lands: the
-//! copies a batch makes and the second engine a checkpoint builds are
-//! allocated, freed and reused in the writer's one malloc arena instead of
-//! leaving a high-water mark in every worker's (EXPERIMENTS.md "The write
-//! path costs what the batch costs"). Being the only writer, the thread is
-//! also the serialisation: there is no write lock.
+//! copies a batch makes are allocated, freed and reused in the writer's one
+//! malloc arena instead of leaving a high-water mark in every worker's
+//! (EXPERIMENTS.md "The write path costs what the batch costs"). Being the
+//! only writer, the thread is also the serialisation: there is no write
+//! lock.
 //!
 //! The copy is cheap: cloning an engine bumps reference counts, and the ops
 //! copy only the chunks, shards and posting lists they touch (see
@@ -31,13 +31,15 @@
 //! abandoned log records whose LSNs and tuple slots a later batch would
 //! reclaim — makes recovery truncate away acknowledged writes.
 //!
-//! The auto-checkpoint runs *inside* the batch that crosses the threshold,
-//! before its acknowledgement: compaction renumbers tuple ids, and the
-//! response's `"checkpointed": true` is how a client learns that the ids it
-//! holds are stale — a contract that cannot move behind the ack without a
-//! protocol change.
+//! The one publish of a batch is its last word on what is served. The batch
+//! that crosses the checkpoint threshold then also writes a snapshot of the
+//! engine it published and rotates the log (`Durability::checkpoint`)
+//! before it answers — `"checkpointed": true` says this batch paid for
+//! that, nothing more. A snapshot keeps every tuple id, so a tuple id
+//! reported by `/v1/mutate` is valid for the life of the process that
+//! reported it, across any number of checkpoints, failed ones included.
 
-use crate::durable::{checkpoint_engine, Durability};
+use crate::durable::Durability;
 use crate::exit::{self, Outcome, TraceCtx};
 use crate::http::{Request, Response};
 use crate::json::{self, Json};
@@ -135,13 +137,23 @@ fn decode_op((i, item): (usize, &Json)) -> Result<MutateOp, String> {
     }
 }
 
+/// Integers of this magnitude and beyond are not all `f64`s: the parser has
+/// already rounded them (2^53 + 1 reads as 2^53), so none can be trusted.
+const UNSAFE_INT: f64 = 9_007_199_254_740_992.0;
+
 /// Coerce a parsed JSON value to the column's declared type. JSON numbers
-/// are `f64`; integer columns require an integral value.
+/// are `f64`; integer columns require an integral value the `f64` holds
+/// exactly, i.e. inside ±2^53.
 fn coerce(v: &Json, ty: DataType) -> Result<Value, String> {
     match (v, ty) {
         (Json::Null, _) => Ok(Value::Null),
-        (Json::Number(n), DataType::Int) if n.fract() == 0.0 => Ok(Value::Int(*n as i64)),
-        (Json::Number(_), DataType::Int) => Err("integer column given a fraction".to_owned()),
+        (Json::Number(n), DataType::Int) if n.abs() >= UNSAFE_INT => Err(format!(
+            "integer column given {n:e}, outside ±2^53 where a JSON number is exact"
+        )),
+        (Json::Number(n), DataType::Int) if n.fract() != 0.0 => {
+            Err("integer column given a fraction".to_owned())
+        }
+        (Json::Number(n), DataType::Int) => Ok(Value::Int(*n as i64)),
         (Json::Number(n), DataType::Float) => Ok(Value::Float(*n)),
         (Json::String(s), DataType::Text) => Ok(Value::Text(s.clone())),
         (Json::Bool(b), DataType::Bool) => Ok(Value::Bool(*b)),
@@ -319,8 +331,8 @@ pub fn render_mutate_response(
 }
 
 /// One parsed batch on its way to the writer thread: the ops, the request's
-/// span recorder (the writer enters it while it runs the batch, so the WAL,
-/// index-build and checkpoint spans land in the request's own trace) and
+/// span recorder (the writer enters it while it runs the batch, so the
+/// apply, WAL and checkpoint spans land in the request's own trace) and
 /// where the answer goes.
 pub(crate) struct WriteJob {
     ops: Vec<MutateOp>,
@@ -519,7 +531,7 @@ fn commit(
         d.since_checkpoint
             .fetch_add(applied.applied as u64, Ordering::Relaxed);
     }
-    let mut engine = Arc::new(applied.engine);
+    let engine = Arc::new(applied.engine);
     shared.engine.store(engine.clone());
     *published = true;
 
@@ -528,12 +540,8 @@ fn commit(
         if d.checkpoint_every > 0
             && d.since_checkpoint.load(Ordering::Relaxed) >= d.checkpoint_every
         {
-            match checkpoint_engine(d, &engine) {
-                Ok(rebuilt) => {
-                    engine = Arc::new(rebuilt);
-                    shared.engine.store(engine);
-                    checkpointed = true;
-                }
+            match d.checkpoint(engine.database()) {
+                Ok(()) => checkpointed = true,
                 // A failed checkpoint is not a failed mutation: the batch
                 // is applied and fsynced, so acknowledge it and leave the
                 // longer WAL for the next checkpoint attempt.
@@ -651,6 +659,27 @@ mod tests {
         );
         assert_eq!(coerce(&Json::Null, DataType::Text), Ok(Value::Null));
         assert!(coerce(&Json::Bool(true), DataType::Text).is_err());
+    }
+
+    #[test]
+    fn integers_a_json_number_cannot_hold_exactly_are_refused() {
+        let safe = 9_007_199_254_740_991i64; // 2^53 - 1
+        for n in [safe, -safe, 0] {
+            assert_eq!(
+                coerce(&Json::Number(n as f64), DataType::Int),
+                Ok(Value::Int(n))
+            );
+        }
+        // 1e300 used to be stored as i64::MAX; 2^53 may be a rounded 2^53+1.
+        for n in [1e300, -1e300, 9_007_199_254_740_992.0, 1e19, f64::INFINITY] {
+            let err = coerce(&Json::Number(n), DataType::Int).unwrap_err();
+            assert!(err.contains("2^53"), "{n}: {err}");
+        }
+        // A float column takes them as they are.
+        assert_eq!(
+            coerce(&Json::Number(1e300), DataType::Float),
+            Ok(Value::Float(1e300))
+        );
     }
 
     #[test]

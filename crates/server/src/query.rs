@@ -103,7 +103,7 @@ pub(crate) fn admit_query(
     {
         Admission::Queued => {}
         Admission::Shed(shed, mut job) => {
-            shared.metrics.record_shed(shed.false_positive);
+            shared.metrics.record_shed();
             {
                 let _entered = job.trace.trace.enter();
                 emit_shed_span(&shed, predicted_secs);
@@ -126,7 +126,6 @@ pub(crate) fn admit_query(
                     },
                     backlog_ms: shed.backlog_secs * 1e3,
                     retry_after_ms: shed.retry_after_ms,
-                    false_positive: shed.false_positive,
                 }),
             };
             answer_now(
@@ -205,7 +204,7 @@ pub(crate) fn execute_query(shared: &Shared, job: Job<QueryJob>) {
     } = job.payload;
     let queue_wait = exec_started.saturating_duration_since(job.admitted);
 
-    // One wait-free snapshot per query: it runs against exactly this engine
+    // One snapshot per query: it runs against exactly this engine
     // even if `swap_engine` publishes a replacement mid-execution. A query
     // never answers from a snapshot older than the one current now — a
     // client may have seen a write acknowledged while this query was queued
@@ -240,9 +239,6 @@ pub(crate) fn execute_query(shared: &Shared, job: Job<QueryJob>) {
         }));
         (outcome, exec_started.elapsed())
     };
-    shared
-        .sched
-        .complete(job.predicted_secs, service.as_secs_f64());
 
     // Every query's profile is folded from its spans — retained traces and
     // the per-phase `/v1/metrics` aggregates need it, and a 504's retained

@@ -109,11 +109,6 @@ pub struct Shed {
     pub backlog_secs: f64,
     /// Client back-off hint derived from the backlog estimate.
     pub retry_after_ms: u64,
-    /// Hindsight check: with the measured actual/predicted cost ratio
-    /// (EWMA over completed jobs) applied, the query *would* have met its
-    /// deadline — the shed was driven by model error, not real pressure.
-    /// Tracked so the shed false-positive rate is measurable live.
-    pub false_positive: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,10 +125,6 @@ struct State<C, P> {
     ready: Vec<Job<P>>,
     next_seq: u64,
     closed: bool,
-    /// EWMA of measured/predicted service-time ratio over completed jobs;
-    /// 1.0 until the first completion reports in.
-    ratio_ewma: f64,
-    ratio_samples: u64,
 }
 
 /// The scheduler shared by the acceptor (conn producer), the workers
@@ -172,8 +163,6 @@ impl<C, P> Scheduler<C, P> {
                 ready: Vec::new(),
                 next_seq: 0,
                 closed: false,
-                ratio_ewma: 1.0,
-                ratio_samples: 0,
             }),
             available: Condvar::new(),
         }
@@ -225,7 +214,6 @@ impl<C, P> Scheduler<C, P> {
                     reason: ShedReason::Capacity,
                     backlog_secs,
                     retry_after_ms,
-                    false_positive: false,
                 },
                 payload,
             );
@@ -234,19 +222,11 @@ impl<C, P> Scheduler<C, P> {
         if let (Some(cost), Some(d)) = (predicted_secs, deadline) {
             let remaining = d.saturating_duration_since(Instant::now()).as_secs_f64();
             if backlog_secs + cost > remaining {
-                // Hindsight: would the EWMA-corrected estimate have fit?
-                let ratio = if s.ratio_samples > 0 {
-                    s.ratio_ewma
-                } else {
-                    1.0
-                };
-                let false_positive = (backlog_secs + cost) * ratio <= remaining;
                 return Admission::Shed(
                     Shed {
                         reason: ShedReason::Deadline,
                         backlog_secs,
                         retry_after_ms,
-                        false_positive,
                     },
                     payload,
                 );
@@ -335,36 +315,6 @@ impl<C, P> Scheduler<C, P> {
         let mut job = s.ready.swap_remove(idx);
         job.reordered = reordered;
         job
-    }
-
-    /// Report a completed execution so the shed false-positive estimator
-    /// tracks how the Formula-2 prediction relates to measured service
-    /// time.
-    pub fn complete(&self, predicted_secs: Option<f64>, actual_secs: f64) {
-        let Some(predicted) = predicted_secs else {
-            return;
-        };
-        if predicted <= 1e-12 || !actual_secs.is_finite() {
-            return;
-        }
-        let ratio = actual_secs / predicted;
-        let mut s = self.lock();
-        if s.ratio_samples == 0 {
-            s.ratio_ewma = ratio;
-        } else {
-            s.ratio_ewma = 0.8 * s.ratio_ewma + 0.2 * ratio;
-        }
-        s.ratio_samples += 1;
-    }
-
-    /// The current measured/predicted service-time ratio estimate.
-    pub fn cost_ratio(&self) -> f64 {
-        let s = self.lock();
-        if s.ratio_samples == 0 {
-            1.0
-        } else {
-            s.ratio_ewma
-        }
     }
 
     /// Close the scheduler: no further admissions; blocked consumers wake
@@ -514,7 +464,6 @@ mod tests {
                 assert_eq!(handed_back, "overflow");
                 assert_eq!(shed.reason, ShedReason::Capacity);
                 assert!(shed.retry_after_ms >= RETRY_AFTER_MS_MIN);
-                assert!(!shed.false_positive);
             }
             other => panic!("expected capacity shed, got {other:?}"),
         }
@@ -547,33 +496,6 @@ mod tests {
             ),
             Admission::Queued
         ));
-    }
-
-    #[test]
-    fn hindsight_ratio_marks_model_driven_sheds_as_false_positives() {
-        let s: S = Scheduler::new(2, 8, 1, 4);
-        // The model over-predicts 10×: completions report actual = 0.1 × predicted.
-        for _ in 0..20 {
-            s.complete(Some(0.010), 0.001);
-        }
-        assert!(s.cost_ratio() < 0.2);
-        submit(&s, "backlog", Priority::Interactive, 0.080);
-        // 80ms predicted backlog + 1ms predicted cost vs 40ms budget: shed
-        // by the raw model, but the corrected estimate (~8ms) fits — a
-        // false positive.
-        match s.submit_query(
-            "victim",
-            Priority::Interactive,
-            Some(0.001),
-            Some(Instant::now() + Duration::from_millis(40)),
-            Instant::now(),
-        ) {
-            Admission::Shed(shed, _) => {
-                assert_eq!(shed.reason, ShedReason::Deadline);
-                assert!(shed.false_positive, "corrected estimate fits the budget");
-            }
-            other => panic!("expected shed, got {other:?}"),
-        }
     }
 
     #[test]

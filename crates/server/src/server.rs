@@ -99,9 +99,9 @@ type Sched = Scheduler<(Instant, TcpStream), QueryJob>;
 
 /// State shared by the acceptor, the workers, and the handle.
 pub(crate) struct Shared {
-    /// The engine behind a lock-free snapshot cell: workers take wait-free
-    /// `Arc` snapshots per request (no reader lock, no contention), and
-    /// [`ServerHandle::swap_engine`] publishes a replacement atomically.
+    /// The engine in a snapshot cell: workers take an `Arc` snapshot per
+    /// use (a lock held for one reference-count bump), and a mutation batch
+    /// or [`ServerHandle::swap_engine`] publishes a replacement atomically.
     /// An executing query keeps the snapshot it started with, so its
     /// answer stays consistent even if a swap lands mid-query.
     pub(crate) engine: SnapshotCell<PrecisEngine>,

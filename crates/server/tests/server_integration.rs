@@ -669,7 +669,50 @@ fn mutations_survive_kill_and_restart_byte_identically() {
 }
 
 #[test]
-fn auto_checkpoint_compacts_and_keeps_serving() {
+fn an_integer_a_json_number_cannot_hold_is_refused_and_never_logged() {
+    let _gate = durable_gate();
+    let dir = std::env::temp_dir().join(format!("precis-server-bigint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (engine, durability, wal) = durable_fixture(&dir);
+    let handle = Server::start_durable(engine, None, ServerConfig::default(), Some(durability))
+        .expect("server starts");
+    let addr = handle.local_addr();
+
+    // 1e300 used to be stored, logged and acknowledged as i64::MAX, and
+    // 2^53 + 1 as its rounded neighbour. The op before the refused one
+    // applied and was logged (a batch is an ordered stream); the refused
+    // one left no record.
+    let director = r#"{"op": "insert", "relation": "DIRECTOR",
+                       "values": [999001, "Zzyzx Quine", "Nowhere", null]}, "#;
+    for (before, key, applied) in [(director, "1e300", 1), ("", "9007199254740993", 0)] {
+        let (status, _, body) = post_mutate(
+            addr,
+            &format!(
+                r#"{{"ops": [{before}{{"op": "insert", "relation": "MOVIE",
+                                     "values": [{key}, "Zzyxfilm", 1999, 999001]}}]}}"#
+            ),
+        );
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("mutate_failed"), "{body}");
+        assert!(
+            body.contains(&format!("ops[{applied}]: attribute mid")),
+            "{body}"
+        );
+        assert!(body.contains("2^53"), "{body}");
+        assert!(body.contains(&format!("\"applied\": {applied}")), "{body}");
+        assert_eq!(wal.next_lsn(), 1, "{key}");
+    }
+    let (_, _, q) = post_query(addr, r#"{"tokens": "zzyxfilm"}"#);
+    assert!(!q.contains("Zzyxfilm"), "{q}");
+    handle.join();
+    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    assert_eq!(rec.report.replayed, 1, "{:?}", rec.report);
+    assert!(!precis_storage::io::dump_to_string(&rec.db).contains("Zzyxfilm"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn auto_checkpoint_writes_a_snapshot_and_publishes_nothing() {
     let _gate = durable_gate();
     let dir = std::env::temp_dir().join(format!("precis-server-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -681,33 +724,48 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
     let addr = handle.local_addr();
     let (status, _, q) = post_query(addr, r#"{"tokens": "comedy"}"#);
     assert_eq!(status, 200, "{q}");
+    let before = handle.engine();
 
-    let (status, head, body) = post_mutate(
-        addr,
-        r#"{"ops": [{"op": "insert", "relation": "DIRECTOR",
-                     "values": [999003, "Quizzical Zzyx", "Here", null]}]}"#,
+    let insert = |key: u32, name: &str| {
+        let (status, head, body) = post_mutate(
+            addr,
+            &format!(
+                r#"{{"ops": [{{"op": "insert", "relation": "DIRECTOR",
+                             "values": [{key}, "{name}", "Here", null]}}]}}"#
+            ),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"checkpointed\": true"), "{body}");
+        (acked(&body).0[0], head)
+    };
+    let (first, head) = insert(999_003, "Quizzical Zzyx");
+    // What readers load is the engine the batch published: it still shares
+    // with its predecessor every piece the one insert did not touch (a
+    // rebuilt engine would share none of them), and the schema memo with
+    // its counters is the same one.
+    let published = handle.engine();
+    let pieces = published.database().unshared_pieces(before.database());
+    assert!(
+        (1..=4).contains(&pieces),
+        "{pieces} pieces differ across a checkpoint"
     );
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("\"checkpointed\": true"), "{body}");
-    // The engine rebuilt around the compacted reload keeps the schema memo
-    // (and its counters) of the one it replaces.
     assert_eq!(scraped_schema_events(addr), (0, 1));
     // The batch that paid the checkpoint explains itself: its retained
-    // trace names every leg, and the time is exported beside the count.
+    // trace names every leg — recorded on the writer thread, into the trace
+    // the request lent it — and none of them builds anything.
     let id = trace_id_of(&head);
     let (status, _, detail) = get_v1(addr, &format!("/v1/debug/traces/{id}"));
     assert_eq!(status, 200, "{detail}");
-    // They were recorded on the writer thread, into the trace the request
-    // lent it — with the batch's own apply, append and fsync.
     for leg in [
         "mutate.apply",
         "wal.append",
         "wal.fsync",
         "wal.snapshot_install",
-        "wal.checkpoint.reload",
-        "engine.index_build",
     ] {
         assert!(detail.contains(leg), "no {leg} span in:\n{detail}");
+    }
+    for gone in ["engine.index_build", "wal.checkpoint.reload"] {
+        assert!(!detail.contains(gone), "a {gone} span in:\n{detail}");
     }
     for field in ["\"ops\": 1", "chunks_copied", "bytes_copied"] {
         assert!(
@@ -733,13 +791,10 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
         "{metrics}"
     );
     assert!(gauge("precis_symbols ") > 100.0, "{metrics}");
-    let seconds: f64 = metrics
-        .lines()
-        .find_map(|l| l.strip_prefix("precis_wal_checkpoint_seconds_total "))
-        .expect("checkpoint seconds exported")
-        .parse()
-        .unwrap();
-    assert!(seconds > 0.0, "{metrics}");
+    assert!(
+        gauge("precis_wal_checkpoint_seconds_total ") > 0.0,
+        "{metrics}"
+    );
     precis_obs::validate_exposition(&metrics).expect("exposition well-formed");
     // The rotated WAL is empty; the snapshot alone carries the state.
     assert_eq!(
@@ -750,24 +805,127 @@ fn auto_checkpoint_compacts_and_keeps_serving() {
     );
     assert!(wal.next_lsn() >= 1, "LSNs keep counting across rotation");
 
-    // Serving continues from the compacted engine, and further mutations
-    // land in the fresh log.
-    let (status, _, q) = post_query(addr, r#"{"tokens": "quizzical"}"#);
-    assert_eq!(status, 200, "{q}");
-    assert!(q.contains("Quizzical Zzyx"), "{q}");
+    // A tuple id stays good across checkpoints: two batches (and two
+    // checkpoints) later, a delete by the id the first insert reported
+    // removes exactly that row.
+    let (second, _) = insert(999_004, "Quorate Zzyx");
+    let (third, _) = insert(999_005, "Quiescent Zzyx");
+    assert_eq!((second, third), (first + 1, first + 2));
+    let (status, _, body) = post_mutate(
+        addr,
+        &format!(r#"{{"ops": [{{"op": "delete", "relation": "DIRECTOR", "tid": {first}}}]}}"#),
+    );
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"checkpointed\": true"), "{body}");
+    let (_, _, q) = post_query(addr, r#"{"tokens": "zzyx"}"#);
+    assert!(!q.contains("Quizzical Zzyx"), "{q}");
+    assert!(q.contains("Quorate Zzyx"), "{q}");
+    assert!(q.contains("Quiescent Zzyx"), "{q}");
+    let live = precis_storage::io::dump_to_string(handle.engine().database());
     handle.join();
 
+    // The snapshot alone (the log was rotated behind the delete) is the
+    // live database tid for tid, the deleted row's hole included.
     let rec = precis_durability::recover(&dir).unwrap().unwrap();
-    let engine2 = PrecisEngine::new(rec.db, movies_graph()).unwrap();
-    let got = api::answer_query(
-        &engine2,
-        None,
-        &api::parse_query_request(r#"{"tokens": "quizzical"}"#).unwrap(),
-        None,
-    )
-    .unwrap();
-    assert!(got.contains("Quizzical Zzyx"), "{got}");
+    assert_eq!(rec.report.replayed, 0, "{:?}", rec.report);
+    assert_eq!(precis_storage::io::dump_to_string(&rec.db), live);
+    assert_eq!(rec.db.tombstoned_slots(), 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that fails part-way must cost nothing: whichever step
+/// refuses — the rotation's fsync after the snapshot is installed, or (at
+/// the parent of this change) the reload behind a successful rotation — and
+/// however long the disk stays unwell afterwards, every batch acknowledged
+/// behind it recovers, under the tuple ids the live server reported. A
+/// snapshot that renumbered left the log's next insert pointing one slot
+/// past where replay put it, and recovery cut the log there.
+#[test]
+fn a_failed_checkpoint_loses_no_acknowledged_write() {
+    use precis_storage::failpoint::{self, FailureKind};
+    let _gate = durable_gate();
+    // (site, hits to let through): the batch's own group commit is the
+    // first `wal_fsync`, the rotation's the second.
+    for (site, skip) in [("wal_fsync", 1), ("load_from_string", 0)] {
+        let dir = std::env::temp_dir().join(format!(
+            "precis-server-ckptfail-{site}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (engine, mut durability, _wal) = durable_fixture(&dir);
+        // Batches 1 and 2 stay under the threshold, batch 3 crosses it.
+        durability.checkpoint_every = 3;
+        let handle = Server::start_durable(engine, None, ServerConfig::default(), Some(durability))
+            .expect("server starts");
+        let addr = handle.local_addr();
+        let insert = |movies: &[(u32, &str)]| -> (Vec<u64>, String) {
+            let ops: Vec<String> = movies
+                .iter()
+                .map(|(key, title)| {
+                    format!(
+                        r#"{{"op": "insert", "relation": "MOVIE",
+                            "values": [{key}, "Zzyxfilm {title}", 1999, 1]}}"#
+                    )
+                })
+                .collect();
+            let (status, _, body) =
+                post_mutate(addr, &format!(r#"{{"ops": [{}]}}"#, ops.join(", ")));
+            assert_eq!(status, 200, "{site}: {body}");
+            (acked(&body).0, body)
+        };
+
+        // A tombstone in MOVIE: the state in which a renumbering snapshot
+        // and the live database disagree about the next tuple id.
+        let doomed = insert(&[(999_001, "One")]).0[0];
+        let (status, _, body) = post_mutate(
+            addr,
+            &format!(r#"{{"ops": [{{"op": "delete", "relation": "MOVIE", "tid": {doomed}}}]}}"#),
+        );
+        assert_eq!(status, 200, "{body}");
+
+        // The batch that pays the checkpoint, with one step of it refused:
+        // a failed checkpoint is not a failed batch.
+        failpoint::arm(site, FailureKind::Io, skip, 1);
+        failpoint::set_process_wide(true);
+        let (tids, body) = insert(&[(999_002, "Two")]);
+        let fired = failpoint::hits(site) > skip;
+        failpoint::disarm_all();
+        assert_eq!(tids, [doomed + 1]);
+        assert_eq!(body.contains("\"checkpointed\": false"), fired, "{body}");
+
+        // The disk stays unwell: from here on a snapshot cannot even be
+        // written (its temporary file's name is taken by a directory), so
+        // nothing repairs what the failed checkpoint left behind while two
+        // more batches are acknowledged — under the ids the table really
+        // handed out.
+        std::fs::create_dir(dir.join("snapshot.precisdb.tmp")).unwrap();
+        assert_eq!(
+            insert(&[(999_003, "Three"), (999_004, "Four")]).0,
+            [doomed + 2, doomed + 3]
+        );
+        assert_eq!(insert(&[(999_005, "Five")]).0, [doomed + 4]);
+        let (_, _, metrics) = get_v1(addr, "/v1/metrics");
+        assert!(
+            !metrics.contains("precis_wal_checkpoint_failures_total 0"),
+            "{site}: {metrics}"
+        );
+        let live = precis_storage::io::dump_to_string(handle.engine().database());
+        handle.join();
+
+        let rec = precis_durability::recover(&dir).unwrap().unwrap();
+        assert_eq!(rec.report.truncated, None, "{site}: {:?}", rec.report);
+        assert_eq!(rec.report.replayed, 3, "{site}: {:?}", rec.report);
+        let recovered = precis_storage::io::dump_to_string(&rec.db);
+        for title in ["Two", "Three", "Four", "Five"] {
+            assert!(
+                recovered.contains(&format!("Zzyxfilm {title}")),
+                "{site}: acknowledged write {title} lost"
+            );
+        }
+        assert!(!recovered.contains("Zzyxfilm One"), "{site}: delete lost");
+        assert_eq!(recovered, live, "{site}: recovered tids differ from live");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

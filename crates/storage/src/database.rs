@@ -253,6 +253,44 @@ impl Database {
         self.tables.iter().map(Table::len).sum()
     }
 
+    /// Slots that hold no tuple any more (deleted and never reused), over
+    /// all relations: what [`Database::compacted`] reclaims.
+    pub fn tombstoned_slots(&self) -> usize {
+        self.tables.iter().map(|t| t.slot_count() - t.len()).sum()
+    }
+
+    /// This database with every relation's live tuples renumbered densely in
+    /// tuple-id order. Tuple ids change, so nothing that holds one — an
+    /// inverted index, a client — may outlive the call: the durable server
+    /// compacts once, when it opens its data directory. A relation without
+    /// a tombstone stays shared with `self`, as in a clone.
+    pub fn compacted(&self) -> Database {
+        let mut out = self.clone();
+        for (rel, table) in self.tables.iter().enumerate() {
+            if table.slot_count() == table.len() {
+                continue;
+            }
+            out.tables[rel] = Table::with_layout(table.schema().clone(), table.layout());
+            let meta = &mut out.rel_meta[rel];
+            meta.pk_index = meta.pk.map(|_| UniqueIndex::new());
+            for (_, idx) in &mut meta.secondary {
+                *idx = HashIndex::new();
+            }
+            out.reserve(RelationId(rel), table.len());
+            for (_, t) in table.iter() {
+                out.apply_insert(RelationId(rel), t.datums())
+                    .expect("live tuples hold distinct primary keys");
+            }
+        }
+        out
+    }
+
+    /// Append a tombstoned slot to `rel` — the loader's answer to a dump's
+    /// hole line.
+    pub(crate) fn append_tombstone(&mut self, rel: RelationId) {
+        self.tables[rel.0].append_tombstone();
+    }
+
     /// Insert a tuple by relation name. See [`Database::insert_into`].
     pub fn insert(&mut self, relation: &str, values: Vec<Value>) -> Result<TupleId> {
         let rel = self.schema.require_relation(relation)?;
@@ -881,6 +919,45 @@ mod tests {
         db.insert("DIRECTOR", vec![Value::from(1), Value::from("B")])
             .unwrap();
         assert!(db.delete(dir, TupleId(77)).is_err());
+    }
+
+    #[test]
+    fn compaction_renumbers_a_relation_with_tombstones_and_shares_the_rest() {
+        let mut db = movies_db();
+        for did in 1..=3 {
+            db.insert("DIRECTOR", vec![Value::from(did), Value::from("D")])
+                .unwrap();
+        }
+        for (mid, did) in [(10, 1), (11, 3), (12, 3)] {
+            db.insert(
+                "MOVIE",
+                vec![Value::from(mid), Value::from("M"), Value::from(did)],
+            )
+            .unwrap();
+        }
+        let dir = db.schema().relation_id("DIRECTOR").unwrap();
+        let movie = db.schema().relation_id("MOVIE").unwrap();
+        db.delete(movie, TupleId(0)).unwrap();
+        assert_eq!(db.tombstoned_slots(), 1);
+
+        let compacted = db.compacted();
+        assert_eq!(compacted.tombstoned_slots(), 0);
+        assert_eq!(compacted.table(movie).slot_count(), 2);
+        // Survivors keep their order; key and join indexes follow them.
+        assert_eq!(
+            compacted.lookup_pk(movie, &Value::from(11)),
+            Some(TupleId(0))
+        );
+        assert_eq!(compacted.lookup_pk(movie, &Value::from(10)), None);
+        assert_eq!(
+            compacted.lookup(movie, 2, &Value::from(3)).unwrap(),
+            &[TupleId(0), TupleId(1)]
+        );
+        assert!(compacted.validate_foreign_keys().is_empty());
+        // DIRECTOR had nothing to reclaim: its chunk is the original's.
+        assert_eq!(compacted.table(dir).unshared_chunks(db.table(dir)), 0);
+        // The original is untouched.
+        assert_eq!(db.lookup_pk(movie, &Value::from(11)), Some(TupleId(1)));
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //! data MOVIE
 //! 1<TAB>Match Point
 //! \N<TAB>...                 (NULL marker)
+//! \-                        (a hole: the tombstoned slot of a deleted tuple)
 //! end
 //! ```
 //!
 //! Values are tab-separated; `\t`, `\n`, `\r` and `\\` are escaped, NULL is
-//! `\N`. Loading re-inserts rows in dump order, so tuple ids are compacted
-//! (tombstones do not survive a round trip).
+//! `\N`. A `data` block has one line per slot of its relation, in tuple-id
+//! order: a row for a live tuple, the hole line `\-` (an escape no value
+//! ever produces) for a tombstoned one — trailing tombstones and relations
+//! with nothing but tombstones included. Loading appends slot by slot, so a
+//! dump is lossless in tuple ids: `load(dump(db))` holds every tuple of `db`
+//! under the id it has in `db` and hands out the same next id. A database
+//! without tombstones dumps without hole lines.
 
 use crate::database::Database;
 use crate::error::StorageError;
@@ -29,9 +35,11 @@ use crate::Result;
 use std::io::BufWriter;
 
 const MAGIC: &str = "precisdb 1";
+/// The line of a tombstoned slot inside a `data` block.
+const HOLE: &str = r"\-";
 
-/// Serialize a database (schema, constraints, live tuples) to the text
-/// format.
+/// Serialize a database (schema, constraints, every slot of every table) to
+/// the text format.
 pub fn dump_to_string(db: &Database) -> String {
     let mut out = Vec::new();
     dump_to(db, &mut out).expect("writing to a Vec cannot fail");
@@ -73,16 +81,21 @@ pub fn dump_to(db: &Database, out: &mut impl std::io::Write) -> std::io::Result<
         )?;
     }
     for (rel, rel_schema) in schema.relations() {
-        if db.table(rel).is_empty() {
+        if db.table(rel).slot_count() == 0 {
             continue;
         }
         writeln!(out, "data {}", escape(rel_schema.name()))?;
-        for (_, t) in db.table(rel).iter() {
-            for (attr, value) in t.iter().enumerate() {
-                if attr > 0 {
-                    out.write_all(b"\t")?;
+        for slot in db.table(rel).slots() {
+            match slot {
+                Some(t) => {
+                    for (attr, value) in t.iter().enumerate() {
+                        if attr > 0 {
+                            out.write_all(b"\t")?;
+                        }
+                        write_value(out, value)?;
+                    }
                 }
-                write_value(out, value)?;
+                None => out.write_all(HOLE.as_bytes())?,
             }
             out.write_all(b"\n")?;
         }
@@ -192,6 +205,10 @@ pub fn load_from_string(text: &str) -> Result<Database> {
                 .ok_or_else(|| corrupt("unterminated data block"))?;
             if line == "end" {
                 break;
+            }
+            if line == HOLE {
+                db.append_tombstone(rel);
+                continue;
             }
             let fields = line.bytes().filter(|b| *b == b'\t').count() + 1;
             if fields != types.len() {
@@ -645,12 +662,55 @@ mod tests {
     }
 
     #[test]
-    fn dump_skips_tombstones() {
+    fn tombstones_dump_as_holes_and_load_back_in_place() {
         let mut db = sample_db();
         let dir = db.schema().relation_id("DIRECTOR").unwrap();
-        db.delete(dir, crate::TupleId(1)).unwrap();
-        let loaded = load_from_string(&dump_to_string(&db)).unwrap();
-        let ldir = loaded.schema().relation_id("DIRECTOR").unwrap();
-        assert_eq!(loaded.len(ldir), 1);
+        let movie = db.schema().relation_id("MOVIE").unwrap();
+        db.insert(
+            "DIRECTOR",
+            vec![Value::from(3), Value::Null, Value::Null, Value::Null],
+        )
+        .unwrap();
+        // A hole in the middle, a trailing one, and a relation left with
+        // nothing but a tombstone.
+        db.delete(movie, crate::TupleId(0)).unwrap();
+        db.delete(dir, crate::TupleId(0)).unwrap();
+        db.delete(dir, crate::TupleId(2)).unwrap();
+        let text = dump_to_string(&db);
+        assert!(
+            text.ends_with(
+                "data DIRECTOR\n\\-\n2\t\\N\t\\N\t\\N\n\\-\nend\ndata MOVIE\n\\-\nend\n"
+            ),
+            "{text}"
+        );
+
+        let mut loaded = load_from_string(&text).unwrap();
+        assert_eq!(dump_to_string(&loaded), text);
+        for rel in [dir, movie] {
+            assert_eq!(loaded.table(rel).slot_count(), db.table(rel).slot_count());
+            assert!(loaded.table(rel).slots().eq(db.table(rel).slots()));
+        }
+        assert_eq!(loaded.len(dir), 1);
+        assert_eq!(loaded.tombstoned_slots(), 3);
+        // The survivor kept its id, its key still resolves to it, the freed
+        // keys are free again, and the next insert claims the next slot.
+        assert_eq!(
+            loaded.lookup_pk(dir, &Value::from(2)),
+            Some(crate::TupleId(1))
+        );
+        assert_eq!(loaded.lookup_pk(dir, &Value::from(1)), None);
+        let row = vec![Value::from(1), Value::Null, Value::Null, Value::Null];
+        assert_eq!(loaded.insert_into(dir, row).unwrap(), crate::TupleId(3));
+
+        // Compaction is the explicit way to renumber: the survivors move
+        // down, in order, and nothing else changes.
+        let compacted = db.compacted();
+        assert_eq!(compacted.tombstoned_slots(), 0);
+        assert_eq!(compacted.total_tuples(), db.total_tuples());
+        assert_eq!(
+            compacted.lookup_pk(dir, &Value::from(2)),
+            Some(crate::TupleId(0))
+        );
+        assert!(!dump_to_string(&compacted).contains(HOLE));
     }
 }

@@ -221,26 +221,39 @@ impl Table {
     /// so bulk loaders can reuse one scratch buffer across appends.
     pub(crate) fn append_datums_from(&mut self, datums: &[Datum]) -> TupleId {
         debug_assert_eq!(datums.len(), self.schema.arity());
+        self.append_slot(Some(datums))
+    }
+
+    /// Append a slot that is tombstoned from the start: what a dump's hole
+    /// line loads back as, so the tuples after it keep their ids.
+    pub(crate) fn append_tombstone(&mut self) {
+        self.append_slot(None);
+    }
+
+    /// Claim the next slot, live with `datums` or tombstoned without.
+    fn append_slot(&mut self, datums: Option<&[Datum]>) -> TupleId {
+        let arity = self.schema.arity();
         let tid = TupleId(self.slot_count() as u64);
         match &mut self.repr {
             Repr::Columnar { chunks, slots } => {
                 let row = *slots & CHUNK_MASK;
                 if *slots == chunks.len() * CHUNK_ROWS {
-                    chunks.push(Chunk::with_room(datums.len(), 4));
+                    chunks.push(Chunk::with_room(arity, 4));
                 }
                 let tail = chunks.last_mut().expect("a tail chunk was just ensured");
                 if row == tail.stride {
-                    tail.widen(datums.len(), (2 * row).min(CHUNK_ROWS));
+                    tail.widen(arity, (2 * row).min(CHUNK_ROWS));
                 }
-                tail.write(row, datums);
+                if let Some(datums) = datums {
+                    tail.write(row, datums);
+                }
                 *slots += 1;
             }
-            Repr::Rows { slots } => {
-                let values = datums.iter().map(|d| d.to_value()).collect();
-                slots.push(Some(Tuple::new(values)));
-            }
+            Repr::Rows { slots } => slots.push(
+                datums.map(|datums| Tuple::new(datums.iter().map(|d| d.to_value()).collect())),
+            ),
         }
-        self.live += 1;
+        self.live += usize::from(datums.is_some());
         tid
     }
 
@@ -306,6 +319,11 @@ impl Table {
             self.live -= 1;
         }
         removed
+    }
+
+    /// Every slot in tid order, tombstoned ones as `None`.
+    pub fn slots(&self) -> impl Iterator<Item = Option<TupleRef<'_>>> {
+        (0..self.slot_count()).map(|slot| self.get(TupleId(slot as u64)))
     }
 
     /// Iterate over live tuples in tid order.

@@ -24,19 +24,24 @@
 //!   straightforward row representation on every generated case.
 //! * **Durability leg** — a WAL-backed twin of the dataset (every insert
 //!   streamed through `precis-durability`, plus per-case update-to-same-value
-//!   records) is crash-recovered from disk — no orderly close, just
+//!   records and a churn of filler rows that leaves tombstones in the middle
+//!   and at the end of a table, with a checkpoint taken mid-stream on every
+//!   other case) is crash-recovered from disk — no orderly close, just
 //!   [`precis_durability::recover()`] over the live files — and must yield a
-//!   byte-identical `dump_to_string` AND a byte-identical rendered answer
-//!   versus the live engine. No record may be reported truncated: everything
-//!   was flushed before the simulated crash.
+//!   byte-identical `dump_to_string` (a dump writes tombstoned slots as
+//!   holes, so that is the live database tid for tid) AND a byte-identical
+//!   rendered answer versus the live engine. No record may be reported
+//!   truncated: everything was flushed before the simulated crash.
 //! * **Mutation leg** — the server's write path, interleaved with the reads
 //!   above: each case applies one batch (inserts, an update, a delete of an
 //!   earlier insert) through [`precis_server::mutate::apply_ops`] to the
-//!   engine the previous case published. The engine the batch was applied
-//!   *beside* must answer the case byte-identically to before the batch —
-//!   it shares every chunk and shard the batch did not copy — and the new
-//!   engine must answer byte-identically to an engine rebuilt from its own
-//!   dump.
+//!   engine the previous case published, logging to a data directory of its
+//!   own that is checkpointed after every other case. The engine the batch
+//!   was applied *beside* must answer the case byte-identically to before
+//!   the batch — it shares every chunk and shard the batch did not copy —
+//!   and what that directory recovers to (a snapshot with holes plus the
+//!   log behind it) must be the new engine's database tid for tid and
+//!   answer byte-identically to it.
 
 use crate::gen::{CaseSpec, DatasetSpec};
 use precis_core::{
@@ -47,13 +52,13 @@ use precis_datagen::{
     chain_db_fanout, movies_graph, movies_vocabulary, woody_allen_instance, MoviesConfig,
     MoviesGenerator,
 };
-use precis_durability::{recover, DurableStore, FsyncPolicy, SharedWal};
+use precis_durability::{write_snapshot, DurableStore, FsyncPolicy, SharedWal};
 use precis_nlg::Vocabulary;
 use precis_server::json::Json;
 use precis_server::mutate::apply_ops;
 use precis_server::{render_answer, MutateOp, Server, ServerConfig, ServerHandle};
 use precis_storage::io as storage_io;
-use precis_storage::{Database, StorageLayout, Value};
+use precis_storage::{Database, StorageLayout, TupleId, Value};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -103,7 +108,9 @@ pub struct DatasetCtx {
     /// case's update records) streams through a real on-disk log.
     durable_engine: PrecisEngine,
     durable_wal: SharedWal,
-    durable_dir: std::path::PathBuf,
+    durable_store: DurableStore,
+    /// The filler row the durability leg's last churn left live.
+    durable_filler: Option<(&'static str, TupleId)>,
     graph: precis_graph::SchemaGraph,
     vocab: Option<Vocabulary>,
     server: Option<ServerHandle>,
@@ -115,6 +122,12 @@ pub struct DatasetCtx {
     published: PrecisEngine,
     /// A filler row the mutation leg inserted and has not deleted yet.
     deletable: Option<(&'static str, u64)>,
+    /// The data directory and log the mutation leg's batches stream into.
+    mutation_store: DurableStore,
+    mutation_wal: SharedWal,
+    /// Cases run so far: the durable legs checkpoint on the odd ones, so a
+    /// recovery is by turns a snapshot plus a tail and a longer tail.
+    cases_run: u64,
 }
 
 /// Materialize one dataset spec: database, schema graph, and designer
@@ -161,13 +174,21 @@ impl DatasetCtx {
 
         let rows_db = replay_into_rows_layout(&db)?;
         let rows_engine = PrecisEngine::new(rows_db, graph.clone()).map_err(|e| e.to_string())?;
-        let (durable_db, durable_wal, durable_dir) = replay_through_wal(&db)?;
+        let (durable_db, durable_wal, durable_store) = replay_through_wal(&db)?;
         let durable_engine =
             PrecisEngine::new(durable_db, graph.clone()).map_err(|e| e.to_string())?;
         let engine =
             Arc::new(PrecisEngine::new(db.clone(), graph.clone()).map_err(|e| e.to_string())?);
+        // What the mutation leg publishes starts as a durable server does:
+        // an initial snapshot, an empty log, the sink attached.
+        let (mutation_store, wal) = scratch_store()?;
+        write_snapshot(&db, 0, mutation_store.snapshot_path())
+            .map_err(|e| format!("mutation leg bootstrap snapshot: {e}"))?;
+        let mutation_wal = SharedWal::new(wal);
+        let mut logged_db = db.clone();
+        logged_db.set_wal_sink(Arc::new(mutation_wal.clone()));
+        let published = PrecisEngine::new(logged_db, graph.clone()).map_err(|e| e.to_string())?;
         let mut_engine = PrecisEngine::new(db, graph.clone()).map_err(|e| e.to_string())?;
-        let published = mut_engine.clone();
         let server = Server::start(
             Arc::clone(&engine),
             vocab.clone(),
@@ -190,7 +211,8 @@ impl DatasetCtx {
             rows_engine,
             durable_engine,
             durable_wal,
-            durable_dir,
+            durable_store,
+            durable_filler: None,
             graph,
             vocab,
             server: Some(server),
@@ -198,17 +220,27 @@ impl DatasetCtx {
             filler_next: 1_000_000,
             published,
             deletable: None,
+            mutation_store,
+            mutation_wal,
+            cases_run: 0,
         })
     }
 
-    /// Shut the loopback server down and drop the durable twin's scratch
-    /// directory (idempotent).
+    /// Shut the loopback server down and drop the durable legs' scratch
+    /// directories (idempotent).
     pub fn shutdown(mut self) {
         if let Some(server) = self.server.take() {
             server.trigger_shutdown();
             server.join();
         }
-        let _ = std::fs::remove_dir_all(&self.durable_dir);
+        for store in [&self.durable_store, &self.mutation_store] {
+            let _ = std::fs::remove_dir_all(store.dir());
+        }
+    }
+
+    /// Whether this case is one the durable legs take a checkpoint on.
+    fn checkpoint_due(&self) -> bool {
+        self.cases_run % 2 == 1
     }
 
     /// A valid filler row for the cache leg's mutation step: inserted then
@@ -266,17 +298,8 @@ fn replay_into_rows_layout(db: &Database) -> Result<Database, String> {
 /// schema-install record, then every live tuple re-inserted with the log
 /// sink attached — so the on-disk WAL alone reproduces the dataset. Tuple
 /// ids are verified to coincide, exactly as in the rows-layout replay.
-fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, std::path::PathBuf), String> {
-    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "precis-testkit-durable-{}-{}",
-        std::process::id(),
-        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-    ));
-    let store = DurableStore::open(&dir).map_err(|e| format!("durable store open: {e}"))?;
-    let mut wal = store
-        .create_wal(FsyncPolicy::Batch(64), 0)
-        .map_err(|e| format!("wal create: {e}"))?;
+fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, DurableStore), String> {
+    let (store, mut wal) = scratch_store()?;
     let mut durable_db =
         Database::new(db.schema().clone()).map_err(|e| format!("durable twin schema: {e}"))?;
     wal.append_schema_install(&storage_io::dump_to_string(&durable_db))
@@ -297,7 +320,46 @@ fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, std::path::
     }
     wal.flush()
         .map_err(|e| format!("durable twin flush: {e}"))?;
-    Ok((durable_db, wal, dir))
+    Ok((durable_db, wal, store))
+}
+
+/// A fresh data directory under the system temp dir with an empty log at
+/// LSN 0.
+fn scratch_store() -> Result<(DurableStore, precis_durability::Wal), String> {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "precis-testkit-durable-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    ));
+    let store = DurableStore::open(&dir).map_err(|e| format!("durable store open: {e}"))?;
+    let wal = store
+        .create_wal(FsyncPolicy::Batch(64), 0)
+        .map_err(|e| format!("wal create: {e}"))?;
+    Ok((store, wal))
+}
+
+/// Crash-recover `store` — nothing is closed, recovery reads whatever the
+/// live files hold — and demand the database `live` holds, tid for tid: a
+/// dump writes every slot, tombstoned ones as holes, so equal dumps are
+/// equal tuples under equal ids and an equal next id.
+fn recover_like(store: &DurableStore, live: &Database) -> Result<Database, String> {
+    let recovered = store
+        .recover()
+        .map_err(|e| format!("recovery errored: {e}"))?
+        .ok_or("recovery produced no database from a populated directory")?;
+    if let Some(why) = &recovered.report.truncated {
+        return Err(format!("fully-flushed log reported a torn tail: {why}"));
+    }
+    let live_dump = storage_io::dump_to_string(live);
+    let recovered_dump = storage_io::dump_to_string(&recovered.db);
+    if live_dump != recovered_dump {
+        return Err(format!(
+            "recovered dump differs: {}",
+            first_diff(&live_dump, &recovered_dump)
+        ));
+    }
+    Ok(recovered.db)
 }
 
 fn base_spec(case: &CaseSpec) -> AnswerSpec {
@@ -372,6 +434,7 @@ fn render(engine: &PrecisEngine, vocab: Option<&Vocabulary>, answer: &PrecisAnsw
 /// Run all six legs of one case. Empty result = the case passes.
 pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     let mut out = Vec::new();
+    ctx.cases_run += 1;
     strategy_leg(ctx, case, &mut out);
     cache_leg(ctx, case, &mut out);
     server_leg(ctx, case, &mut out);
@@ -590,10 +653,18 @@ fn layout_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
 }
 
 /// The WAL round-trip must be invisible: log some update-to-same-value
-/// records, crash-recover the twin from its on-disk state (no orderly
-/// close), and demand the recovered database dumps byte-identically and
-/// answers the case byte-identically to the live twin.
+/// records and a churn of filler rows (net: tombstones), with a checkpoint
+/// between the two on every other case, crash-recover the twin from its
+/// on-disk state (no orderly close), and demand the recovered database
+/// dumps byte-identically — which is tid for tid — and answers the case
+/// byte-identically to the live twin.
 fn durability_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
+    let mut fail = |detail: String| {
+        out.push(Mismatch {
+            leg: Leg::Durability,
+            detail,
+        })
+    };
     // Update the first live tuple of (up to) two relations to its own
     // values: logically a no-op, but each one appends a real Update record
     // and exercises the incremental index-maintenance path.
@@ -612,66 +683,51 @@ fn durability_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>
     };
     for (rel, tid, values) in rewrites {
         if let Err(e) = ctx.durable_engine.update(rel, tid, values) {
-            out.push(Mismatch {
-                leg: Leg::Durability,
-                detail: format!("update-to-same-values failed: {e}"),
-            });
-            return;
+            return fail(format!("update-to-same-values failed: {e}"));
         }
     }
-    // Group-commit barrier, then crash: nothing is closed, recovery reads
-    // whatever the live files hold.
+    // The checkpoint, mid-stream: it writes a snapshot of the live database
+    // and rotates the log, and the live database stays the live one.
+    if ctx.checkpoint_due() {
+        let db = ctx.durable_engine.database();
+        if let Err(e) = ctx.durable_wal.with(|w| ctx.durable_store.snapshot(db, w)) {
+            return fail(format!("checkpoint failed: {e}"));
+        }
+    }
+    // Churn behind it: two filler rows in, then the second straight out
+    // again (a tombstone at the end of its table) and the one the last case
+    // kept (a tombstone in the middle).
+    let mut doomed: Vec<_> = ctx.durable_filler.take().into_iter().collect();
+    for keep in [true, false] {
+        let Some((relation, values)) = ctx.filler_row() else {
+            break;
+        };
+        match ctx.durable_engine.insert(relation, values) {
+            Ok(tid) if keep => ctx.durable_filler = Some((relation, tid)),
+            Ok(tid) => doomed.push((relation, tid)),
+            Err(e) => return fail(format!("filler insert failed: {e}")),
+        }
+    }
+    for (relation, tid) in doomed {
+        let schema = ctx.durable_engine.database().schema();
+        let rel = schema
+            .relation_id(relation)
+            .expect("a filler row's relation");
+        if let Err(e) = ctx.durable_engine.delete(rel, tid) {
+            return fail(format!("filler delete failed: {e}"));
+        }
+    }
+    // Group-commit barrier, then crash.
     if let Err(e) = ctx.durable_wal.flush() {
-        out.push(Mismatch {
-            leg: Leg::Durability,
-            detail: format!("wal flush failed: {e}"),
-        });
-        return;
+        return fail(format!("wal flush failed: {e}"));
     }
-    let recovered = match recover(&ctx.durable_dir) {
-        Ok(Some(r)) => r,
-        Ok(None) => {
-            out.push(Mismatch {
-                leg: Leg::Durability,
-                detail: "recovery produced no database from a populated log".to_owned(),
-            });
-            return;
-        }
-        Err(e) => {
-            out.push(Mismatch {
-                leg: Leg::Durability,
-                detail: format!("recovery errored: {e}"),
-            });
-            return;
-        }
+    let recovered = match recover_like(&ctx.durable_store, ctx.durable_engine.database()) {
+        Ok(db) => db,
+        Err(e) => return fail(e),
     };
-    if let Some(why) = &recovered.report.truncated {
-        out.push(Mismatch {
-            leg: Leg::Durability,
-            detail: format!("fully-flushed log reported a torn tail: {why}"),
-        });
-    }
-    let live_dump = storage_io::dump_to_string(ctx.durable_engine.database());
-    let recovered_dump = storage_io::dump_to_string(&recovered.db);
-    if live_dump != recovered_dump {
-        out.push(Mismatch {
-            leg: Leg::Durability,
-            detail: format!(
-                "recovered dump differs: {}",
-                first_diff(&live_dump, &recovered_dump)
-            ),
-        });
-        return;
-    }
-    let recovered_engine = match PrecisEngine::new(recovered.db, ctx.graph.clone()) {
+    let recovered_engine = match PrecisEngine::new(recovered, ctx.graph.clone()) {
         Ok(e) => e,
-        Err(e) => {
-            out.push(Mismatch {
-                leg: Leg::Durability,
-                detail: format!("recovered engine failed to build: {e}"),
-            });
-            return;
-        }
+        Err(e) => return fail(format!("recovered engine failed to build: {e}")),
     };
     let q = query(case);
     let spec = base_spec(case);
@@ -683,20 +739,14 @@ fn durability_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>
             let lb = render(&ctx.durable_engine, vocab, &l);
             let rb = render(&recovered_engine, vocab, &r);
             if lb != rb {
-                out.push(Mismatch {
-                    leg: Leg::Durability,
-                    detail: format!("rendered answers differ: {}", first_diff(&lb, &rb)),
-                });
+                fail(format!("rendered answers differ: {}", first_diff(&lb, &rb)));
             }
         }
-        (l, r) => out.push(Mismatch {
-            leg: Leg::Durability,
-            detail: format!(
-                "live vs recovered outcome mismatch: {:?} vs {:?}",
-                l.map(|_| "ok").map_err(|e| e.to_string()),
-                r.map(|_| "ok").map_err(|e| e.to_string())
-            ),
-        }),
+        (l, r) => fail(format!(
+            "live vs recovered outcome mismatch: {:?} vs {:?}",
+            l.map(|_| "ok").map_err(|e| e.to_string()),
+            r.map(|_| "ok").map_err(|e| e.to_string())
+        )),
     }
 }
 
@@ -713,7 +763,7 @@ fn to_json(value: &Value) -> Json {
 
 /// One write-path batch per case, applied beside the engine the previous
 /// case published: the old engine must not notice, and the new one must be
-/// what its own dump rebuilds.
+/// what its data directory recovers to.
 fn mutation_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
     let mut fail = |detail: String| {
         out.push(Mismatch {
@@ -789,10 +839,14 @@ fn mutation_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) 
             "previous snapshot outcome: {before:?} then {after:?}"
         )),
     }
-    // The new engine is the one its dump describes.
-    let dump = storage_io::dump_to_string(next.database());
-    let rebuilt = storage_io::load_from_string(&dump)
-        .map_err(|e| e.to_string())
+    // What the leg's data directory recovers to — the snapshot of an
+    // earlier case, holes and all, plus the log of the batches since — is
+    // the new engine's database tid for tid, and answers like it.
+    let rebuilt = ctx
+        .mutation_wal
+        .flush()
+        .map_err(|e| format!("wal flush failed: {e}"))
+        .and_then(|()| recover_like(&ctx.mutation_store, next.database()))
         .and_then(|db| PrecisEngine::new(db, ctx.graph.clone()).map_err(|e| e.to_string()));
     match rebuilt {
         Ok(rebuilt) => {
@@ -801,13 +855,24 @@ fn mutation_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) 
             match (&live, &fresh) {
                 (Ok(l), Ok(f)) if l == f => {}
                 (Ok(l), Ok(f)) => fail(format!(
-                    "new snapshot vs rebuilt from its dump: {}",
+                    "new snapshot vs recovered from its log: {}",
                     first_diff(l, f)
                 )),
                 _ => fail(format!("new snapshot outcome: {live:?} vs {fresh:?}")),
             }
         }
-        Err(e) => fail(format!("the new snapshot's dump does not rebuild: {e}")),
+        Err(e) => fail(format!("the new snapshot does not recover: {e}")),
+    }
+    // A checkpoint between this batch and the next: a snapshot of what was
+    // just published, which stays what is published.
+    if ctx.checkpoint_due() {
+        let db = next.database();
+        if let Err(e) = ctx
+            .mutation_wal
+            .with(|w| ctx.mutation_store.snapshot(db, w))
+        {
+            fail(format!("checkpoint failed: {e}"));
+        }
     }
     ctx.published = next;
 }
