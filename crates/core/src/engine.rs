@@ -17,7 +17,7 @@ use crate::Result;
 use precis_graph::{SchemaGraph, WeightProfile};
 use precis_index::{InvertedIndex, Occurrence};
 use precis_obs::{CostParams, Phase};
-use precis_storage::{Database, RelationId, TupleId};
+use precis_storage::{Database, RelationId, SymbolTable, TupleId};
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -268,6 +268,22 @@ impl PrecisEngine {
 
     pub fn index(&self) -> &InvertedIndex {
         &self.index
+    }
+
+    /// Heap bytes the engine keeps resident, by part and at capacity (buckets
+    /// and slab room, not keys and rows): what `/v1/metrics` reports as
+    /// `precis_resident_bytes`. `symbols` is the process-wide table, which
+    /// every engine of the process shares. Walks every index entry once — a
+    /// few milliseconds at 300,000 tuples.
+    pub fn resident_bytes(&self) -> [(&'static str, usize); 5] {
+        let db = self.db.heap_bytes();
+        [
+            ("tables", db.tables),
+            ("pk_index", db.pk_index),
+            ("join_index", db.join_index),
+            ("inverted_index", self.index.heap_bytes()),
+            ("symbols", SymbolTable::global().heap_bytes()),
+        ]
     }
 
     /// Register a named weight profile for use via

@@ -179,6 +179,7 @@ mod tests {
     use crate::store::DurableStore;
     use crate::testutil::{sample_schema, scratch_dir};
     use crate::wal::{FsyncPolicy, SharedWal, Wal};
+    use precis_storage::cow::CopyMeter;
     use precis_storage::Value;
     use std::sync::Arc;
 
@@ -235,6 +236,76 @@ mod tests {
             vec![Value::from(2), Value::from("S. Coppola"), Value::from(8.0)],
         )
         .unwrap();
+    }
+
+    /// `rows` movies under one director, three ways — inserted with a
+    /// snapshot kept every eight rows (a served engine's writer, batch by
+    /// batch), loaded from the dump, replayed from the log — and the bytes
+    /// each way copied, as the storage layer's meter counts them.
+    fn copied_loading_one_parent(rows: i64) -> [u64; 3] {
+        let dir = scratch_dir("rec-linear");
+        let (mut db, wal) = live_db(&dir);
+        let parent = vec![Value::from(1), Value::Null, Value::Null];
+        db.insert("DIRECTOR", parent).unwrap();
+        let meter = CopyMeter::new();
+        let mut published = db.clone();
+        for mid in 0..rows {
+            let row = vec![Value::from(mid), Value::Null, Value::from(1)];
+            db.insert("MOVIE", row).unwrap();
+            if mid % 8 == 7 {
+                published = db.clone();
+            }
+        }
+        let inserted = meter.copied().bytes;
+        drop(published);
+        wal.flush().unwrap();
+
+        let meter = CopyMeter::new();
+        let loaded = io::load_from_string(&io::dump_to_string(&db)).unwrap();
+        let loaded_copied = meter.copied().bytes;
+
+        let meter = CopyMeter::new();
+        let replayed = recover(&dir).unwrap().unwrap().db;
+        let replayed_copied = meter.copied().bytes;
+
+        let movie = db.schema().relation_id("MOVIE").unwrap();
+        for other in [&loaded, &replayed] {
+            let under_one = other.lookup(movie, 2, &Value::from(1)).unwrap();
+            assert_eq!(under_one.len(), rows as usize);
+            assert_eq!(under_one, db.lookup(movie, 2, &Value::from(1)).unwrap());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        [inserted, loaded_copied, replayed_copied]
+    }
+
+    #[test]
+    fn rows_under_one_parent_load_in_copies_linear_in_rows() {
+        let (few, many) = (50_000, 200_000);
+        let (at_few, at_many) = (
+            copied_loading_one_parent(few),
+            copied_loading_one_parent(many),
+        );
+        // What a row may cost: under snapshots a batch copies the table's
+        // tail chunk, a key shard per row and one segment of the parent's
+        // list (at PR 22 all 1.6 MB of it: 200 KB a row); with nothing shared
+        // only the list's first thousand appends copy anything.
+        let per_row = [
+            ("insert loop", 16 << 10),
+            ("io::load", 64),
+            ("WAL replay", 64),
+        ];
+        for ((path, allowed), (few_bytes, many_bytes)) in
+            per_row.into_iter().zip(at_few.into_iter().zip(at_many))
+        {
+            assert!(
+                many_bytes <= 5 * few_bytes.max(1 << 20),
+                "{path}: {few_bytes} B at {few} rows, {many_bytes} B at {many}"
+            );
+            assert!(
+                many_bytes / many as u64 <= allowed,
+                "{path}: {many_bytes} B"
+            );
+        }
     }
 
     #[test]

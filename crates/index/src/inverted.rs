@@ -2,35 +2,71 @@
 //!
 //! Postings are keyed by interned symbol id ([`Sym`]) rather than owned
 //! strings, each `(relation, attribute)` location holds a **sorted,
-//! deduplicated** tid list behind an [`Arc`], and multi-word phrase lookups
-//! prefilter candidates with galloping intersection before verifying
-//! contiguity against the stored value. Single-word lookups hand back
-//! `Arc` clones of the stored lists, so warm lookups allocate nothing per
-//! posting.
+//! deduplicated** tid list — the storage layer's [`TidList`]: inline for the
+//! one tuple a rare word is in, one shared allocation for more — and
+//! multi-word phrase lookups prefilter candidates with galloping
+//! intersection before verifying contiguity against the stored value.
+//! Single-word lookups hand back `Arc` clones of the stored lists, so warm
+//! lookups allocate nothing per posting (a single tid is boxed on demand).
 //!
-//! The word map is a [`ShardedMap`] and a word's locations sit behind an
-//! `Arc` as well, so cloning an index bumps one reference count per shard
+//! The word map is a [`ShardedMap`] and a word's locations are one shared
+//! slice, so cloning an index bumps one reference count per shard
 //! and [`InvertedIndex::add_tuple`]/[`InvertedIndex::remove_tuple`] on the
 //! clone copy, per word they touch, the word's shard, its few locations and
 //! the one tid list — or, of a long list, the one segment — they change:
 //! never the map, and never anything while no clone shares it.
 
 use crate::postings::intersect_many;
-use crate::tidlist::TidList;
 use crate::tokenizer::Tokenizer;
 use precis_storage::cow::{self, ShardedMap};
 use precis_storage::{
-    DataType, Database, Datum, FxHashMap, RelationId, Sym, SymbolTable, TupleId, ValueRef,
+    DataType, Database, Datum, FxHashMap, RelationId, Sym, SymbolTable, TidList, TupleId, ValueRef,
 };
+use std::collections::hash_map::Entry;
 use std::ops::Range;
 use std::sync::Arc;
 
-/// An index location: one `(relation, attribute)` pair.
-type Loc = (RelationId, usize);
+/// An index location: one `(relation, attribute)` pair, in eight bytes.
+/// Ordered as the pair is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Loc {
+    rel: u32,
+    attr: u32,
+}
+
+impl Loc {
+    fn new(rel: RelationId, attr: usize) -> Loc {
+        let narrow = |n: usize| u32::try_from(n).expect("a schema has fewer than 2^32 of anything");
+        Loc {
+            rel: narrow(rel.0),
+            attr: narrow(attr),
+        }
+    }
+
+    fn rel(self) -> RelationId {
+        RelationId(self.rel as usize)
+    }
+
+    fn attr(self) -> usize {
+        self.attr as usize
+    }
+}
 
 /// The per-word postings: one sorted tid list per location, sorted by
-/// location. Shared, so copying a shard of words allocates nothing per word.
-type LocPostings = Arc<Vec<(Loc, TidList)>>;
+/// location, in one exact-size allocation. Shared, so copying a shard of
+/// words allocates nothing per word.
+type LocPostings = Arc<[(Loc, TidList)]>;
+
+/// Heap bytes behind one word's postings.
+fn word_bytes(by_loc: &LocPostings) -> usize {
+    let lists = by_loc.iter().map(|(_, tids)| tids.heap_bytes());
+    cow::arc_bytes(std::mem::size_of_val(&**by_loc)) + lists.sum::<usize>()
+}
+
+/// Where `loc` is among a word's locations, or where it goes.
+fn find(by_loc: &[(Loc, TidList)], loc: Loc) -> Result<usize, usize> {
+    by_loc.binary_search_by_key(&loc, |(at, _)| *at)
+}
 
 /// The text attributes of one live tuple as `(attribute, text)`; nothing
 /// for a tombstoned or unknown tid.
@@ -54,7 +90,7 @@ fn text_values(
 pub struct Occurrence {
     pub rel: RelationId,
     pub attr: usize,
-    pub tids: Arc<Vec<TupleId>>,
+    pub tids: Arc<[TupleId]>,
 }
 
 /// Word-level inverted index over the `Text` attributes of a database.
@@ -121,17 +157,19 @@ impl InvertedIndex {
     ///
     /// One pass per text column, in schema order: rows are walked in tid
     /// order, each *distinct* stored value is tokenized once (its words are
-    /// remembered by the value's symbol), and every row appends its tid to
-    /// the lists of its value's words. Lists therefore come out sorted and
-    /// deduplicated with no searching, each is allocated at its final
-    /// length and wrapped in its `Arc` once (a long one then cut into its
-    /// segments), and locations are pushed in
-    /// `(relation, attribute)` order — the same index a tuple-at-a-time
-    /// [`InvertedIndex::add_tuple`] loop produces.
+    /// remembered by the value's symbol) and every row counts towards the
+    /// lists of its value's words; a second pass over the rows then lays the
+    /// lists out one after another in one buffer, each row appending its tid
+    /// to its words' lists. Lists therefore come out sorted and deduplicated with no
+    /// searching, each is copied once into its final form (nothing for a
+    /// single tid, one allocation at its exact length, or a long one's
+    /// segments), and locations are pushed in `(relation, attribute)` order
+    /// — the same index a tuple-at-a-time [`InvertedIndex::add_tuple`] loop
+    /// produces.
     pub fn build_with(db: &Database, tokenizer: Tokenizer) -> Self {
         let symbols = SymbolTable::global();
         // word → locations, in a plain map while it is being filled.
-        let mut by_word: FxHashMap<Sym, Vec<(Loc, TidList)>> = FxHashMap::default();
+        let mut by_word: FxHashMap<Sym, LocPostings> = FxHashMap::default();
         let mut words = 0u64;
         // By symbol id: the column a stored value was last met in, and its
         // place in that column's `values`. One zeroed allocation serves the
@@ -152,8 +190,10 @@ impl InvertedIndex {
                 // `value_slots`, and how many word occurrences it holds.
                 let mut values: Vec<(Range<usize>, u64)> = Vec::new();
                 let mut value_slots: Vec<usize> = Vec::new();
-                // Every `(slot, tid)` to append, in row order.
-                let mut appends: Vec<(usize, TupleId)> = Vec::new();
+                // By slot: the row's place in `values`, if it has text here.
+                const NO_TEXT: u32 = u32::MAX;
+                let mut rows: Vec<u32> = Vec::new();
+                // First pass: tokenize, and count what each list will hold.
                 for (tid, tuple) in db.table(rel).iter() {
                     let Datum::Sym(value) = tuple.datum(attr) else {
                         continue;
@@ -181,31 +221,53 @@ impl InvertedIndex {
                         seen[id] = (column, values.len() as u32);
                         values.push((first..value_slots.len(), occurrences));
                     }
+                    rows.resize(tid.as_usize(), NO_TEXT);
+                    rows.push(seen[id].1);
                     let (range, occurrences) = &values[seen[id].1 as usize];
                     words += *occurrences;
                     for &slot in &value_slots[range.clone()] {
                         lists[slot].1 += 1;
-                        appends.push((slot, tid));
                     }
                 }
-                // Each list is allocated once, at its final length.
-                let mut tids: Vec<Vec<TupleId>> =
-                    lists.iter().map(|(_, n)| Vec::with_capacity(*n)).collect();
-                for (slot, tid) in appends {
-                    tids[slot].push(tid);
+                // Second pass: the lists one after another in one buffer,
+                // each filled in row order. `cursors` says where each starts
+                // — and, as it fills, where its next tid goes.
+                let mut cursors: Vec<usize> = lists
+                    .iter()
+                    .scan(0, |next, (_, n)| Some(std::mem::replace(next, *next + n)))
+                    .collect();
+                let total = lists.iter().map(|(_, n)| n).sum();
+                let mut tids = vec![TupleId(0); total];
+                for (tid, value) in rows.into_iter().enumerate() {
+                    if value == NO_TEXT {
+                        continue;
+                    }
+                    let tid = TupleId(tid as u64);
+                    let (range, _) = &values[value as usize];
+                    for &slot in &value_slots[range.clone()] {
+                        tids[cursors[slot]] = tid;
+                        cursors[slot] += 1;
+                    }
                 }
-                for ((word, _), tids) in lists.into_iter().zip(tids) {
-                    by_word
-                        .entry(word)
-                        .or_default()
-                        .push(((rel, attr), TidList::from_sorted(tids)));
+                let loc = Loc::new(rel, attr);
+                for ((word, n), end) in lists.into_iter().zip(cursors) {
+                    // Most words are at one location; a later column's joins
+                    // the slice at its end, in `(relation, attribute)` order.
+                    let entry = (loc, TidList::from_sorted(&tids[end - n..end]));
+                    match by_word.entry(word) {
+                        Entry::Vacant(new) => drop(new.insert(Arc::new([entry]))),
+                        Entry::Occupied(mut by_loc) => {
+                            let grown = cow::slice_with(by_loc.get(), by_loc.get().len(), entry);
+                            by_loc.insert(grown);
+                        }
+                    }
                 }
             }
         }
         let mut postings = ShardedMap::new();
         postings.reserve(by_word.len());
         for (word, by_loc) in by_word {
-            postings.get_or_insert_with(word, || Arc::new(by_loc));
+            postings.get_or_insert_with(word, || by_loc);
         }
         InvertedIndex {
             tokenizer,
@@ -218,15 +280,19 @@ impl InvertedIndex {
     pub fn add_tuple(&mut self, db: &Database, rel: RelationId, tid: TupleId) {
         let symbols = SymbolTable::global();
         for (attr, text) in text_values(db, rel, tid) {
+            let loc = Loc::new(rel, attr);
             self.tokenizer.for_each_word(text, |word| {
                 self.words += 1;
-                let (by_loc, _) = self
+                let first = || -> LocPostings { Arc::new([(loc, TidList::one(tid))]) };
+                let (by_loc, new) = self
                     .postings
-                    .get_or_insert_with(symbols.intern(word), Arc::default);
-                let by_loc = cow::make_mut_vec(by_loc);
-                match by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
-                    Ok(i) => by_loc[i].1.insert(tid),
-                    Err(i) => by_loc.insert(i, ((rel, attr), TidList::from_sorted(vec![tid]))),
+                    .get_or_insert_with(symbols.intern(word), first);
+                if new {
+                    return;
+                }
+                match find(by_loc, loc) {
+                    Ok(i) => cow::make_mut_slice(by_loc)[i].1.insert(tid),
+                    Err(i) => *by_loc = cow::slice_with(by_loc, i, (loc, TidList::one(tid))),
                 }
             });
         }
@@ -239,21 +305,30 @@ impl InvertedIndex {
     pub fn remove_tuple(&mut self, db: &Database, rel: RelationId, tid: TupleId) {
         let symbols = SymbolTable::global();
         for (attr, text) in text_values(db, rel, tid) {
+            let loc = Loc::new(rel, attr);
             self.tokenizer.for_each_word(text, |word| {
                 self.words = self.words.saturating_sub(1);
                 let Some(sym) = symbols.lookup(word) else {
                     return;
                 };
-                if let Some(by_loc) = self.postings.get_mut(&sym) {
-                    let by_loc = cow::make_mut_vec(by_loc);
-                    if let Ok(i) = by_loc.binary_search_by_key(&(rel, attr), |(loc, _)| *loc) {
-                        if by_loc[i].1.remove(tid) {
-                            by_loc.remove(i);
-                        }
-                    }
-                    if by_loc.is_empty() {
-                        self.postings.remove(&sym);
-                    }
+                // A word the tuple is not under (a second removal, or a
+                // second occurrence in one value) unshares nothing.
+                let listed = |by_loc: &LocPostings| {
+                    find(by_loc, loc).is_ok_and(|i| by_loc[i].1.contains(tid))
+                };
+                let Some(by_loc) = self.postings.get_mut_if(&sym, listed) else {
+                    return;
+                };
+                let i = find(by_loc, loc).expect("probed above");
+                if !cow::make_mut_slice(by_loc)[i].1.remove(tid) {
+                    return;
+                }
+                // The location's only tuple: the location goes, and the
+                // word's only location: the word.
+                if by_loc.len() > 1 {
+                    *by_loc = cow::slice_without(by_loc, i);
+                } else {
+                    self.postings.remove(&sym);
                 }
             });
         }
@@ -294,35 +369,35 @@ impl InvertedIndex {
             return first
                 .iter()
                 .map(|(loc, tids)| Occurrence {
-                    rel: loc.0,
-                    attr: loc.1,
+                    rel: loc.rel(),
+                    attr: loc.attr(),
                     tids: tids.shared(),
                 })
                 .collect();
         }
 
         let mut out: Vec<Occurrence> = Vec::new();
-        'locs: for ((rel, attr), first_tids) in first.iter() {
+        'locs: for (loc, first_tids) in first.iter() {
+            let (rel, attr) = (loc.rel(), loc.attr());
             // Every word of the phrase must occur at this same location.
-            let mut lists = Vec::with_capacity(words.len());
-            lists.push(first_tids.shared());
+            let mut lists: Vec<&[TupleId]> = Vec::with_capacity(words.len());
+            lists.push(first_tids.as_slice());
             for by_loc in rest {
-                match by_loc.binary_search_by_key(&(*rel, *attr), |(loc, _)| *loc) {
-                    Ok(i) => lists.push(by_loc[i].1.shared()),
+                match find(by_loc, *loc) {
+                    Ok(i) => lists.push(by_loc[i].1.as_slice()),
                     Err(_) => continue 'locs,
                 }
             }
-            let lists: Vec<&[TupleId]> = lists.iter().map(|l| l.as_slice()).collect();
             let candidates = intersect_many(&lists);
             let hits: Vec<TupleId> = candidates
                 .into_iter()
-                .filter(|&tid| self.phrase_matches(db, *rel, *attr, tid, &words))
+                .filter(|&tid| self.phrase_matches(db, rel, attr, tid, &words))
                 .collect();
             if !hits.is_empty() {
                 out.push(Occurrence {
-                    rel: *rel,
-                    attr: *attr,
-                    tids: Arc::new(hits),
+                    rel,
+                    attr,
+                    tids: hits.into(),
                 });
             }
         }
@@ -362,6 +437,20 @@ impl InvertedIndex {
     /// Total number of word occurrences indexed.
     pub fn indexed_words(&self) -> u64 {
         self.words
+    }
+
+    /// Heap bytes behind the index: the word map at its bucket counts, plus
+    /// [`InvertedIndex::postings_bytes`].
+    pub fn heap_bytes(&self) -> usize {
+        self.postings.heap_bytes(word_bytes)
+    }
+
+    /// Heap bytes behind the word map's values: every word's location slice
+    /// and every tid list that is not inline. Unlike the map's own tables
+    /// this depends on what is indexed alone, not on how it got there — but
+    /// for where a list of more than a segment is cut.
+    pub fn postings_bytes(&self) -> usize {
+        self.postings.values().map(word_bytes).sum()
     }
 
     /// Document frequency of a single word: the number of distinct
@@ -463,14 +552,22 @@ mod tests {
 
     #[test]
     fn single_word_lookup_shares_postings_without_copying() {
-        let db = sample_db();
+        let mut db = sample_db();
+        db.insert(
+            "DIRECTOR",
+            vec![Value::from(3), Value::from("Irwin Allen"), Value::Null],
+        )
+        .unwrap();
         let idx = InvertedIndex::build(&db);
         let a = idx.lookup(&db, "allen");
         let b = idx.lookup(&db, "allen");
-        for (x, y) in a.iter().zip(&b) {
-            // Same Arc, not merely equal contents.
-            assert!(Arc::ptr_eq(&x.tids, &y.tids));
-        }
+        // The three directors' list is the same `Arc`, not merely equal
+        // contents; the one actor is inline in the index and boxed per
+        // lookup.
+        assert_eq!(a[0].tids.len(), 3);
+        assert!(Arc::ptr_eq(&a[0].tids, &b[0].tids));
+        assert_eq!(a[1].tids.len(), 1);
+        assert_eq!(a[1].tids, b[1].tids);
     }
 
     #[test]
@@ -593,7 +690,7 @@ mod tests {
         let mut idx = InvertedIndex::build(&db);
         let occs = idx.lookup(&db, "boutros");
         assert_eq!(occs.len(), 1);
-        assert_eq!(*occs[0].tids, vec![tid]);
+        assert_eq!(*occs[0].tids, [tid]);
         // And removal clears it fully.
         idx.remove_tuple(&db, actor, tid);
         assert!(idx.lookup(&db, "boutros").is_empty());
@@ -616,6 +713,6 @@ mod tests {
         idx.add_tuple(&db, actor, t1); // duplicate add is a no-op
         let occs = idx.lookup(&db, "allen");
         assert_eq!(occs.len(), 1);
-        assert_eq!(*occs[0].tids, vec![t1, t2]);
+        assert_eq!(*occs[0].tids, [t1, t2]);
     }
 }

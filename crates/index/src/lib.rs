@@ -14,7 +14,6 @@
 mod inverted;
 pub mod postings;
 mod synonyms;
-mod tidlist;
 mod tokenizer;
 
 pub use inverted::{InvertedIndex, Occurrence};

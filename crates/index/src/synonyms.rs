@@ -85,7 +85,7 @@ impl InvertedIndex {
         token: &str,
         synonyms: &SynonymMap,
     ) -> Vec<Occurrence> {
-        let mut merged: HashMap<(precis_storage::RelationId, usize), Vec<Arc<Vec<TupleId>>>> =
+        let mut merged: HashMap<(precis_storage::RelationId, usize), Vec<Arc<[TupleId]>>> =
             HashMap::new();
         for variant in synonyms.expand(token) {
             for occ in self.lookup(db, &variant) {
@@ -102,8 +102,8 @@ impl InvertedIndex {
                     // Single variant hit: share its postings untouched.
                     lists.pop().expect("one list")
                 } else {
-                    let slices: Vec<&[TupleId]> = lists.iter().map(|l| l.as_slice()).collect();
-                    Arc::new(merge_k(&slices))
+                    let slices: Vec<&[TupleId]> = lists.iter().map(|l| &l[..]).collect();
+                    merge_k(&slices).into()
                 };
                 Occurrence { rel, attr, tids }
             })

@@ -11,10 +11,11 @@
 //! no per-series allocation — a scrape observes itself only under the
 //! `metrics` endpoint label.
 
-use precis_core::AnswerCacheStats;
+use precis_core::{AnswerCacheStats, PrecisEngine};
 use precis_obs::PhaseAgg;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 /// Histogram bucket upper bounds, seconds. Chosen to straddle both cached
@@ -122,7 +123,14 @@ pub struct Metrics {
     sched_reordered_total: AtomicU64,
     /// Per-phase / cost-model aggregates accumulated from query profiles.
     pub phases: PhaseAgg,
+    /// The engine last scraped and its [`PrecisEngine::resident_bytes`]:
+    /// computing them walks every index entry, so a scrape does it once per
+    /// published engine, not once per scrape. (The `Weak` pins the address
+    /// it is compared by, not the engine.)
+    resident: Mutex<Option<(Weak<PrecisEngine>, ResidentBytes)>>,
 }
+
+type ResidentBytes = [(&'static str, usize); 5];
 
 fn endpoint_slot(endpoint: &str) -> usize {
     ENDPOINTS
@@ -351,6 +359,29 @@ impl Metrics {
         self.phases.write_exposition(&mut out);
         out
     }
+
+    /// Append the `precis_resident_bytes` family: what `engine` keeps on the
+    /// heap, by part.
+    pub fn write_resident_bytes(&self, out: &mut String, engine: &Arc<PrecisEngine>) {
+        // A panic cannot leave the memo half-written (a store is one
+        // assignment), so a poisoned lock still guards a valid one.
+        let mut memo = self.resident.lock().unwrap_or_else(|e| e.into_inner());
+        let parts = match &*memo {
+            Some((scraped, parts)) if std::ptr::eq(scraped.as_ptr(), Arc::as_ptr(engine)) => *parts,
+            _ => {
+                let parts = engine.resident_bytes();
+                *memo = Some((Arc::downgrade(engine), parts));
+                parts
+            }
+        };
+        out.push_str(
+            "# HELP precis_resident_bytes Heap bytes the published engine keeps resident, \
+             by part, at capacity (gauge).\n# TYPE precis_resident_bytes gauge\n",
+        );
+        for (part, bytes) in parts {
+            let _ = writeln!(out, "precis_resident_bytes{{part=\"{part}\"}} {bytes}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -501,5 +532,43 @@ mod tests {
                 "missing status {status} in:\n{text}"
             );
         }
+    }
+
+    #[test]
+    fn resident_bytes_are_computed_once_per_engine() {
+        use precis_datagen::{movies_graph, MoviesConfig, MoviesGenerator};
+        let db = MoviesGenerator::new(MoviesConfig {
+            movies: 40,
+            directors: 6,
+            actors: 30,
+            theatres: 2,
+            plays: 60,
+            ..MoviesConfig::default()
+        })
+        .generate();
+        let engine = Arc::new(PrecisEngine::new(db, movies_graph()).unwrap());
+        let m = Metrics::default();
+        let (mut first, mut second) = (String::new(), String::new());
+        m.write_resident_bytes(&mut first, &engine);
+        m.write_resident_bytes(&mut second, &engine);
+        assert_eq!(first, second);
+        precis_obs::validate_exposition(&first).expect("a well-formed gauge family");
+        let parts: Vec<&str> = first.lines().filter(|l| !l.starts_with('#')).collect();
+        assert_eq!(parts.len(), 5, "{first}");
+        assert!(parts.iter().all(|l| !l.ends_with(" 0")), "{first}");
+        // The memo remembers the engine by address and does not keep it
+        // alive; the next engine scraped takes its place.
+        assert_eq!(
+            (Arc::weak_count(&engine), Arc::strong_count(&engine)),
+            (1, 1)
+        );
+        let mut next = (*engine).clone();
+        next.insert("GENRE", vec![900_001.into(), 1.into(), "Noir".into()])
+            .unwrap();
+        let next = Arc::new(next);
+        let mut third = String::new();
+        m.write_resident_bytes(&mut third, &next);
+        assert_eq!((Arc::weak_count(&engine), Arc::weak_count(&next)), (0, 1));
+        assert_ne!(first, third, "a new row, a new word");
     }
 }

@@ -115,8 +115,9 @@ fn route(
             ("healthz", Response::text(200, body), false)
         }
         ("GET", "/v1/metrics") => {
-            let cache = shared.engine.load().cache_stats();
-            let mut body = shared.metrics.render_prometheus(&cache);
+            let engine = shared.engine.load();
+            let mut body = shared.metrics.render_prometheus(&engine.cache_stats());
+            shared.metrics.write_resident_bytes(&mut body, &engine);
             if let Some(d) = &shared.durability {
                 durable::render_wal_metrics(&mut body, d);
             }

@@ -791,6 +791,18 @@ fn auto_checkpoint_writes_a_snapshot_and_publishes_nothing() {
         "{metrics}"
     );
     assert!(gauge("precis_symbols ") > 100.0, "{metrics}");
+    // What the published engine keeps resident, by part: the demo's few
+    // hundred rows still hold slabs, tables, word lists and symbols.
+    for part in [
+        "tables",
+        "pk_index",
+        "join_index",
+        "inverted_index",
+        "symbols",
+    ] {
+        let bytes = gauge(&format!("precis_resident_bytes{{part=\"{part}\"}} "));
+        assert!(bytes > 100.0, "{part}: {bytes}\n{metrics}");
+    }
     assert!(
         gauge("precis_wal_checkpoint_seconds_total ") > 0.0,
         "{metrics}"

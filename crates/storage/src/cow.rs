@@ -69,9 +69,15 @@ fn thread_copied() -> Copied {
 #[inline]
 fn note_if_shared<T: ?Sized>(piece: &Arc<T>, bytes: impl FnOnce() -> usize) {
     if Arc::strong_count(piece) > 1 {
-        THREAD_COPIES.set(THREAD_COPIES.get() + 1);
-        THREAD_COPIED_BYTES.set(THREAD_COPIED_BYTES.get() + bytes() as u64);
+        note_copy(bytes());
     }
+}
+
+/// Count one copied piece of `bytes` payload bytes against this thread.
+#[inline]
+fn note_copy(bytes: usize) {
+    THREAD_COPIES.set(THREAD_COPIES.get() + 1);
+    THREAD_COPIED_BYTES.set(THREAD_COPIED_BYTES.get() + bytes as u64);
 }
 
 /// [`Arc::make_mut`], counted: a piece that has to be copied first grows the
@@ -95,14 +101,65 @@ pub fn make_mut_slice<T: Clone>(piece: &mut Arc<[T]>) -> &mut [T] {
     Arc::make_mut(piece)
 }
 
+/// `slice` with `item` put in at `at`: the next version of an exact-size
+/// shared list, one allocation. Such a list is rebuilt by every change,
+/// shared or not, and counts as one copied piece each time.
+pub fn slice_with<T: Clone>(slice: &[T], at: usize, item: T) -> Arc<[T]> {
+    note_copy(std::mem::size_of_val(slice));
+    let (before, after) = slice.split_at(at);
+    before
+        .iter()
+        .cloned()
+        .chain(std::iter::once(item))
+        .chain(after.iter().cloned())
+        .collect()
+}
+
+/// `slice` without the item at `at`; see [`slice_with`].
+pub fn slice_without<T: Clone>(slice: &[T], at: usize) -> Arc<[T]> {
+    note_copy(std::mem::size_of_val(slice));
+    slice[..at]
+        .iter()
+        .chain(&slice[at + 1..])
+        .cloned()
+        .collect()
+}
+
+/// What an allocation of `payload` bytes takes from the heap, as the system
+/// allocator rounds it: an 8-byte header, 16-byte granules, 32 bytes at
+/// least. The `heap_bytes` of every structure are sums of these.
+pub fn alloc_bytes(payload: usize) -> usize {
+    match payload {
+        0 => 0,
+        _ => (payload + 8).next_multiple_of(16).max(32),
+    }
+}
+
+/// [`alloc_bytes`] of an `Arc` holding `payload` bytes beside its counts.
+pub fn arc_bytes(payload: usize) -> usize {
+    alloc_bytes(2 * std::mem::size_of::<usize>() + payload)
+}
+
+/// Heap bytes of a standard hash map with room for `capacity` entries of
+/// `entry` bytes: power-of-two buckets at 7/8 load, a control byte per bucket
+/// and one group of them over.
+pub fn table_bytes(capacity: usize, entry: usize) -> usize {
+    let buckets = match capacity {
+        0 => return 0,
+        1..=3 => 4,
+        4..=7 => 8,
+        _ => (capacity * 8 / 7).next_power_of_two(),
+    };
+    alloc_bytes(buckets * (entry + 1) + 16)
+}
+
 /// Keys a [`ShardedMap`] holds per shard, on average, before it grows one
 /// more shard (a shard holds between half and twice as many). What a write
 /// pays to unshare a shard grows with this — one clone per entry, and for
 /// the maps whose values are `Arc`s that is a reference-count bump on a cold
 /// cache line each — and what a clone pays, one bump per shard, shrinks with
-/// it. Twice 192 is also what a 512-bucket table takes without growing, so a
-/// shard's table is allocated once. EXPERIMENTS.md "The write path costs
-/// what the batch costs" has the sweep that chose it.
+/// it. EXPERIMENTS.md "The write path costs what the batch costs" has the
+/// sweep that chose it.
 pub const SHARD_KEYS: usize = 192;
 
 /// Keys a [`ShardedMap`] holds as one plain inline map before it is sharded
@@ -211,10 +268,10 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
     }
 
     /// Add one shard: the inline map moves out to become the first, or the
-    /// next shard due splits. The lower half stays where it is, with the
-    /// room it had (it will fill it again before its own next split); the
-    /// upper half is given room for the most a shard holds, so it never
-    /// rehashes.
+    /// next shard due splits. Both halves end up in tables sized for the keys
+    /// they hold — filling up again towards its own next split, a half
+    /// rehashes once on the way, and until then a write that unshares it
+    /// copies a table half the size.
     fn grow(&mut self) {
         let n = self.shards.len();
         if n == 0 {
@@ -225,7 +282,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         let level = n.ilog2();
         let lower = make_mut(&mut self.shards[n - (1 << level)], shard_bytes);
         let mut upper =
-            FxHashMap::with_capacity_and_hasher(2 * SHARD_KEYS, FxBuildHasher::default());
+            FxHashMap::with_capacity_and_hasher(lower.len() / 2, FxBuildHasher::default());
         lower.retain(|k, v| {
             let moves = Self::hash_of(k) & (1 << level) != 0;
             if moves {
@@ -233,14 +290,13 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             }
             !moves
         });
-        // (What was the inline map is far roomier than a shard.)
-        lower.shrink_to(2 * SHARD_KEYS);
+        lower.shrink_to_fit();
         self.shards.push(Arc::new(upper));
     }
 
     /// Make room for `additional` more keys: pre-size the inline map while
-    /// they fit it (the bulk load of a result database then never
-    /// rehashes), or grow to the shard count they will need.
+    /// they fit it, or grow to the shard count they will need and give every
+    /// shard room for its share (a bulk load then rehashes next to nothing).
     pub fn reserve(&mut self, additional: usize) {
         let keys = self.len() + additional;
         if self.shards.is_empty() && keys <= INLINE_KEYS {
@@ -249,6 +305,18 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
         }
         while self.shards.len() < keys.div_ceil(SHARD_KEYS) {
             self.grow();
+        }
+        let n = self.shards.len();
+        let level = n.ilog2();
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            // A shard already split this round, or the buddy it split off,
+            // takes half the keys of one still waiting.
+            let halved = i < n - (1 << level) || i >= 1 << level;
+            let share = keys >> (level + u32::from(halved));
+            if shard.capacity() < share {
+                let more = share - shard.len();
+                make_mut(shard, shard_bytes).reserve(more);
+            }
         }
     }
 
@@ -263,18 +331,26 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
 
     /// The value of `key` for mutation. A miss unshares nothing.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if !self.contains_key(key) {
+        self.get_mut_if(key, |_| true)
+    }
+
+    /// [`ShardedMap::get_mut`] when the value is also `wanted`: a write that
+    /// turns out to have nothing to change unshares nothing either.
+    pub fn get_mut_if(&mut self, key: &K, wanted: impl FnOnce(&V) -> bool) -> Option<&mut V> {
+        if !self.get(key).is_some_and(wanted) {
             return None;
         }
         self.home_mut(key).get_mut(key)
     }
 
     /// The value of `key`, inserted from `vacant` first if absent; the flag
-    /// says whether it was.
+    /// says whether it was. A present key unshares its own shard (the caller
+    /// is handed the value to change) and nothing else: only a new key can
+    /// grow the map.
     #[inline]
     pub fn get_or_insert_with(&mut self, key: K, vacant: impl FnOnce() -> V) -> (&mut V, bool) {
         if self.shards.is_empty() {
-            if self.small.len() < INLINE_KEYS {
+            if self.small.len() < INLINE_KEYS || self.small.contains_key(&key) {
                 return match self.small.entry(key) {
                     Entry::Occupied(o) => (o.into_mut(), false),
                     Entry::Vacant(v) => (v.insert(vacant()), true),
@@ -282,20 +358,36 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             }
             self.grow();
         }
-        // Grown before the insert so the returned borrow can outlive it; a
-        // key that turns out to be present merely grew the map one insert
-        // early.
+        if self.contains_key(&key) {
+            let value = self.home_mut(&key).get_mut(&key);
+            return (value.expect("probed above"), false);
+        }
+        (self.insert_new(key, vacant()), true)
+    }
+
+    /// Put `value` under `key` unless the key is present; says whether it
+    /// did. A present key unshares nothing — a refused duplicate costs a
+    /// probe.
+    #[inline]
+    pub fn insert_absent(&mut self, key: K, value: V) -> bool {
+        if self.shards.is_empty() {
+            // Nothing to unshare inline.
+            return self.get_or_insert_with(key, || value).1;
+        }
+        if self.contains_key(&key) {
+            return false;
+        }
+        self.insert_new(key, value);
+        true
+    }
+
+    /// Add a key known to be absent from a map that is already sharded.
+    fn insert_new(&mut self, key: K, value: V) -> &mut V {
         if self.sharded_len >= self.shards.len() * SHARD_KEYS {
             self.grow();
         }
-        let i = self.index_of(&key);
-        match make_mut(&mut self.shards[i], shard_bytes).entry(key) {
-            Entry::Occupied(o) => (o.into_mut(), false),
-            Entry::Vacant(v) => {
-                self.sharded_len += 1;
-                (v.insert(vacant()), true)
-            }
-        }
+        self.sharded_len += 1;
+        self.home_mut(&key).entry(key).or_insert(value)
     }
 
     pub fn remove(&mut self, key: &K) -> Option<V> {
@@ -327,6 +419,20 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedMap<K, V> {
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count();
         self.shards.len() - shared
+    }
+
+    /// Heap bytes behind this map — every table at its bucket count, not its
+    /// key count, the shard list and each shard's `Arc` — plus whatever
+    /// `value_heap` says each value holds on its own.
+    pub fn heap_bytes(&self, value_heap: impl Fn(&V) -> usize) -> usize {
+        let table =
+            |map: &FxHashMap<K, V>| table_bytes(map.capacity(), std::mem::size_of::<(K, V)>());
+        let shard = arc_bytes(std::mem::size_of::<FxHashMap<K, V>>());
+        let shards = self.shards.iter().map(|s| shard + table(s)).sum::<usize>();
+        table(&self.small)
+            + alloc_bytes(self.shards.capacity() * std::mem::size_of::<Arc<FxHashMap<K, V>>>())
+            + shards
+            + self.values().map(value_heap).sum::<usize>()
     }
 }
 

@@ -28,7 +28,8 @@ use std::sync::Arc;
 struct RelMeta {
     pk: Option<usize>,
     pk_index: Option<UniqueIndex>,
-    /// Secondary indexes, sorted by attribute position.
+    /// Secondary indexes, sorted by attribute position. Never one on the
+    /// primary key: `pk_index` is the index on that attribute.
     secondary: Vec<(usize, HashIndex)>,
     /// Foreign keys where this relation is the child.
     fks: Vec<FkMeta>,
@@ -41,17 +42,33 @@ struct FkMeta {
     from_pos: usize,
     to: RelationId,
     to_pos: usize,
-    /// Whether the referenced attribute is its relation's primary key.
-    to_is_pk: bool,
+}
+
+/// `value` as a probe key: text that was never interned is stored nowhere,
+/// and probes as the null no index holds.
+fn probe_datum(value: &Value) -> Datum {
+    Datum::probe_value(value).unwrap_or(Datum::Null)
+}
+
+/// Heap bytes behind a [`Database`], by what holds them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DatabaseBytes {
+    /// Row storage: every chunk's slab at the room it has.
+    pub tables: usize,
+    /// The primary-key indexes.
+    pub pk_index: usize,
+    /// The join (and any other secondary) indexes, posting lists included.
+    pub join_index: usize,
 }
 
 /// An in-memory relational database.
 ///
 /// On construction it creates a [`UniqueIndex`] for every declared primary
-/// key and a [`HashIndex`] on every foreign-key endpoint — mirroring the
-/// paper's experimental setup, which "created indexes on all join
-/// attributes". Additional secondary indexes can be added with
-/// [`Database::create_index`].
+/// key and a [`HashIndex`] on every other foreign-key endpoint — mirroring
+/// the paper's experimental setup, which "created indexes on all join
+/// attributes". An attribute is indexed once: a join into a primary key is
+/// answered by the key's own index. Additional secondary indexes can be
+/// added with [`Database::create_index`].
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: Arc<DatabaseSchema>,
@@ -103,12 +120,12 @@ impl Database {
                 from_pos,
                 to,
                 to_pos,
-                to_is_pk: schema.relation(to).primary_key() == Some(to_pos),
             });
-            // Index every foreign-key endpoint.
+            // Index every foreign-key endpoint its primary key does not
+            // already index.
             for (rel, pos) in [(from, from_pos), (to, to_pos)] {
                 let meta = &mut rel_meta[rel.0];
-                if !meta.secondary.iter().any(|(p, _)| *p == pos) {
+                if meta.pk != Some(pos) && !meta.secondary.iter().any(|(p, _)| *p == pos) {
                     meta.secondary.push((pos, HashIndex::new()));
                 }
             }
@@ -433,7 +450,7 @@ impl Database {
         let meta = &mut self.rel_meta[rel.0];
         if let Some(pk) = meta.pk {
             if let Some(idx) = meta.pk_index.as_mut() {
-                if !idx.insert_datum(datums[pk], tid) {
+                if !idx.insert(datums[pk], tid) {
                     return Err(StorageError::PrimaryKeyViolation {
                         relation: self.schema.relation(rel).name().to_owned(),
                         key: datums[pk].to_string(),
@@ -442,10 +459,7 @@ impl Database {
             }
         }
         for (pos, idx) in meta.secondary.iter_mut() {
-            let d = datums[*pos];
-            if !d.is_null() {
-                idx.insert_datum(d, tid);
-            }
+            idx.insert(datums[*pos], tid);
         }
         Ok(())
     }
@@ -492,20 +506,13 @@ impl Database {
     }
 
     fn fk_datum_exists(&self, f: &FkMeta, d: Datum) -> bool {
-        let to_meta = &self.rel_meta[f.to.0];
-        if f.to_is_pk {
-            return to_meta
-                .pk_index
-                .as_ref()
-                .is_some_and(|i| i.contains_datum(d));
+        match self.probe(f.to, f.to_pos, d) {
+            Some(tids) => !tids.is_empty(),
+            // Fall back to a scan (no index on the referenced attribute).
+            None => self.tables[f.to.0]
+                .iter()
+                .any(|(_, t)| t.datum(f.to_pos) == d),
         }
-        if let Some((_, idx)) = to_meta.secondary.iter().find(|(p, _)| *p == f.to_pos) {
-            return !idx.get_datum(d).is_empty();
-        }
-        // Fall back to a scan (no index on the referenced attribute).
-        self.tables[f.to.0]
-            .iter()
-            .any(|(_, t)| t.datum(f.to_pos) == d)
     }
 
     /// Check every foreign key of every live tuple; returns the list of
@@ -553,12 +560,12 @@ impl Database {
                     relation: self.schema.relation(rel).name().to_owned(),
                 });
             }
-            if old[pk] != values[pk]
-                && meta
-                    .pk_index
-                    .as_ref()
-                    .is_some_and(|i| i.contains(&values[pk]))
-            {
+            let taken = || {
+                let key = Datum::probe_value(&values[pk]).unwrap_or(Datum::Null);
+                self.probe(rel, pk, key)
+                    .is_some_and(|tids| !tids.is_empty())
+            };
+            if old[pk] != values[pk] && taken() {
                 return Err(StorageError::PrimaryKeyViolation {
                     relation: self.schema.relation(rel).name().to_owned(),
                     key: values[pk].to_string(),
@@ -575,21 +582,16 @@ impl Database {
         if let Some(pk) = meta.pk {
             if old[pk] != new[pk] {
                 if let Some(idx) = meta.pk_index.as_mut() {
-                    idx.remove_datum(old[pk]);
-                    idx.insert_datum(new[pk], tid);
+                    idx.remove(old[pk]);
+                    idx.insert(new[pk], tid);
                 }
             }
         }
         for (pos, idx) in meta.secondary.iter_mut() {
             let (o, n) = (old[*pos], new[*pos]);
-            if o == n {
-                continue;
-            }
-            if !o.is_null() {
-                idx.remove_datum(o, tid);
-            }
-            if !n.is_null() {
-                idx.insert_datum(n, tid);
+            if o != n {
+                idx.remove(o, tid);
+                idx.insert(n, tid);
             }
         }
         self.tables[rel.0].remove(tid);
@@ -617,14 +619,11 @@ impl Database {
         let meta = &mut self.rel_meta[rel.0];
         if let Some(pk) = meta.pk {
             if let Some(idx) = meta.pk_index.as_mut() {
-                idx.remove_datum(old[pk]);
+                idx.remove(old[pk]);
             }
         }
         for (pos, idx) in meta.secondary.iter_mut() {
-            let d = old[*pos];
-            if !d.is_null() {
-                idx.remove_datum(d, tid);
-            }
+            idx.remove(old[*pos], tid);
         }
         if let Some(sink) = &self.wal {
             sink.record(WalOp::Delete {
@@ -655,14 +654,15 @@ impl Database {
             })
     }
 
-    /// Build (or rebuild) a secondary index on `rel.attr`.
+    /// Build (or rebuild) a secondary index on `rel.attr`. The primary key
+    /// has its index already.
     pub fn create_index(&mut self, rel: RelationId, attr: usize) {
+        if self.rel_meta[rel.0].pk == Some(attr) {
+            return;
+        }
         let mut idx = HashIndex::new();
         for (tid, t) in self.tables[rel.0].iter() {
-            let d = t.datum(attr);
-            if !d.is_null() {
-                idx.insert_datum(d, tid);
-            }
+            idx.insert(t.datum(attr), tid);
         }
         let meta = &mut self.rel_meta[rel.0];
         match meta.secondary.iter_mut().find(|(p, _)| *p == attr) {
@@ -675,41 +675,67 @@ impl Database {
     }
 
     pub fn has_index(&self, rel: RelationId, attr: usize) -> bool {
-        self.secondary_index(rel, attr).is_some()
+        let meta = &self.rel_meta[rel.0];
+        meta.pk == Some(attr) || meta.secondary.iter().any(|(p, _)| *p == attr)
     }
 
-    fn secondary_index(&self, rel: RelationId, attr: usize) -> Option<&HashIndex> {
-        self.rel_meta[rel.0]
-            .secondary
-            .iter()
-            .find(|(p, _)| *p == attr)
-            .map(|(_, idx)| idx)
+    /// `datum` as a key of `rel.attr`'s index. Every stored value is of the
+    /// column's type (inserts are validated), so an index key is the value's
+    /// bits alone; a probe of another type holds no stored value and must
+    /// not find the one with the same bits, so it probes as null.
+    fn key_for(&self, rel: RelationId, attr: usize, datum: Datum) -> Datum {
+        if datum.conforms_to(self.schema.relation(rel).attributes()[attr].ty) {
+            datum
+        } else {
+            Datum::Null
+        }
     }
 
-    fn require_index(&self, rel: RelationId, attr: usize) -> Result<&HashIndex> {
-        self.secondary_index(rel, attr)
-            .ok_or_else(|| StorageError::NoIndex {
-                relation: self.schema.relation(rel).name().to_owned(),
-                attribute: self.schema.relation(rel).attr_name(attr).to_owned(),
-            })
+    /// What the index on `rel.attr` holds for `datum`: the primary key's
+    /// own index answers for the key attribute (at most one tid), a hash
+    /// index for any other. `None` when the attribute has no index.
+    fn probe(&self, rel: RelationId, attr: usize, datum: Datum) -> Option<&[TupleId]> {
+        let datum = self.key_for(rel, attr, datum);
+        let meta = &self.rel_meta[rel.0];
+        if meta.pk == Some(attr) {
+            return meta.pk_index.as_ref().map(|idx| idx.get(datum));
+        }
+        let (_, idx) = meta.secondary.iter().find(|(p, _)| *p == attr)?;
+        Some(idx.get(datum))
+    }
+
+    /// [`Database::probe`] handing out a list of its own.
+    fn probe_shared(&self, rel: RelationId, attr: usize, datum: Datum) -> Option<Arc<[TupleId]>> {
+        let datum = self.key_for(rel, attr, datum);
+        let meta = &self.rel_meta[rel.0];
+        if meta.pk == Some(attr) {
+            return meta.pk_index.as_ref().map(|idx| idx.get_shared(datum));
+        }
+        let (_, idx) = meta.secondary.iter().find(|(p, _)| *p == attr)?;
+        Some(idx.get_shared(datum))
+    }
+
+    fn no_index(&self, rel: RelationId, attr: usize) -> StorageError {
+        StorageError::NoIndex {
+            relation: self.schema.relation(rel).name().to_owned(),
+            attribute: self.schema.relation(rel).attr_name(attr).to_owned(),
+        }
     }
 
     /// Indexed lookup: tuple ids where `rel.attr == value` (counts one index
     /// probe, the cost model's `IndexTime` event).
     pub fn lookup(&self, rel: RelationId, attr: usize, value: &Value) -> Result<&[TupleId]> {
-        crate::failpoint::check("lookup")?;
-        let idx = self.require_index(rel, attr)?;
-        self.stats.count_index_probe();
-        Ok(idx.get(value))
+        self.lookup_datum(rel, attr, probe_datum(value))
     }
 
     /// [`Database::lookup`] keyed by stored datum — the join-probe hot path,
     /// which never touches string bytes.
     pub fn lookup_datum(&self, rel: RelationId, attr: usize, datum: Datum) -> Result<&[TupleId]> {
         crate::failpoint::check("lookup")?;
-        let idx = self.require_index(rel, attr)?;
+        let tids = self.probe(rel, attr, datum);
+        let tids = tids.ok_or_else(|| self.no_index(rel, attr))?;
         self.stats.count_index_probe();
-        Ok(idx.get_datum(datum))
+        Ok(tids)
     }
 
     /// Indexed lookup returning a refcounted snapshot of the tid list
@@ -721,11 +747,8 @@ impl Database {
         rel: RelationId,
         attr: usize,
         value: &Value,
-    ) -> Result<std::sync::Arc<Vec<TupleId>>> {
-        crate::failpoint::check("lookup_tids")?;
-        let idx = self.require_index(rel, attr)?;
-        self.stats.count_index_probe();
-        Ok(idx.get_shared(value))
+    ) -> Result<Arc<[TupleId]>> {
+        self.lookup_tids_datum(rel, attr, probe_datum(value))
     }
 
     /// [`Database::lookup_tids`] keyed by stored datum.
@@ -734,18 +757,37 @@ impl Database {
         rel: RelationId,
         attr: usize,
         datum: Datum,
-    ) -> Result<std::sync::Arc<Vec<TupleId>>> {
+    ) -> Result<Arc<[TupleId]>> {
         crate::failpoint::check("lookup_tids")?;
-        let idx = self.require_index(rel, attr)?;
+        let tids = self.probe_shared(rel, attr, datum);
+        let tids = tids.ok_or_else(|| self.no_index(rel, attr))?;
         self.stats.count_index_probe();
-        Ok(idx.get_shared_datum(datum))
+        Ok(tids)
     }
 
     /// Primary-key point lookup (counts one index probe).
     pub fn lookup_pk(&self, rel: RelationId, value: &Value) -> Option<TupleId> {
-        let idx = self.rel_meta[rel.0].pk_index.as_ref()?;
+        let pk = self.rel_meta[rel.0].pk?;
         self.stats.count_index_probe();
-        idx.get(value)
+        self.probe(rel, pk, probe_datum(value))?.first().copied()
+    }
+
+    /// Heap bytes behind this database, by part: what the rows, the key
+    /// indexes and the join indexes keep resident, at capacity.
+    pub fn heap_bytes(&self) -> DatabaseBytes {
+        let mut bytes = DatabaseBytes {
+            tables: self.tables.iter().map(Table::heap_bytes).sum(),
+            ..DatabaseBytes::default()
+        };
+        for meta in &self.rel_meta {
+            bytes.pk_index += meta.pk_index.as_ref().map_or(0, UniqueIndex::heap_bytes);
+            bytes.join_index += meta
+                .secondary
+                .iter()
+                .map(|(_, idx)| idx.heap_bytes())
+                .sum::<usize>();
+        }
+        bytes
     }
 }
 
@@ -881,6 +923,101 @@ mod tests {
         let hits = db.lookup(movie, did, &Value::from(1)).unwrap();
         assert_eq!(hits, &[m]);
         assert_eq!(db.stats().snapshot().since(before).index_probes, 1);
+    }
+
+    #[test]
+    fn a_referenced_primary_key_is_indexed_once_and_answers_like_a_join_index() {
+        let mut db = movies_db();
+        let dir = db.schema().relation_id("DIRECTOR").unwrap();
+        let movie = db.schema().relation_id("MOVIE").unwrap();
+        // MOVIE.did → DIRECTOR.did: the referenced end is DIRECTOR's key,
+        // which its unique index already indexes; MOVIE.mid is a key nobody
+        // references, indexed all the same.
+        assert!(db.has_index(dir, 0) && db.has_index(movie, 0));
+        assert!(db.rel_meta[dir.0].secondary.is_empty());
+        let one = db
+            .insert("DIRECTOR", vec![Value::from(1), Value::from("A")])
+            .unwrap();
+        let two = db
+            .insert("DIRECTOR", vec![Value::from(2), Value::from("B")])
+            .unwrap();
+        let before = db.stats().snapshot();
+        assert_eq!(db.lookup(dir, 0, &Value::from(1)).unwrap(), &[one]);
+        assert_eq!(db.lookup_datum(dir, 0, Datum::Int(2)).unwrap(), &[two]);
+        assert_eq!(*db.lookup_tids(dir, 0, &Value::from(2)).unwrap(), [two]);
+        assert_eq!(*db.lookup_tids_datum(dir, 0, Datum::Int(1)).unwrap(), [one]);
+        assert!(db.lookup(dir, 0, &Value::from(3)).unwrap().is_empty());
+        assert!(db.lookup_tids(dir, 0, &Value::Null).unwrap().is_empty());
+        assert_eq!(db.stats().snapshot().since(before).index_probes, 6);
+        // A snapshot of the list outlives the row; the index follows it.
+        let held = db.lookup_tids(dir, 0, &Value::from(1)).unwrap();
+        db.delete(dir, one).unwrap();
+        assert_eq!(*held, [one]);
+        assert!(db.lookup(dir, 0, &Value::from(1)).unwrap().is_empty());
+        // Asking for an index on it changes nothing.
+        db.create_index(dir, 0);
+        assert!(db.rel_meta[dir.0].secondary.is_empty());
+        assert_eq!(db.lookup(dir, 0, &Value::from(2)).unwrap(), &[two]);
+        db.set_enforce_foreign_keys(true);
+        let row = |did| vec![Value::from(10 + did), Value::Null, Value::from(did)];
+        assert!(db.insert("MOVIE", row(2)).is_ok());
+        assert!(matches!(
+            db.insert("MOVIE", row(1)),
+            Err(StorageError::ForeignKeyViolation { .. })
+        ));
+    }
+
+    #[test]
+    fn a_probe_of_another_type_misses_instead_of_aliasing() {
+        // DIRECTOR.dname, indexed, holds a text whose symbol id is also the
+        // key of a director: same bits, different values.
+        let mut db = movies_db();
+        let dir = db.schema().relation_id("DIRECTOR").unwrap();
+        db.create_index(dir, 1);
+        let name = crate::sym::Sym::intern("database-alias-probe");
+        let bits = name.id() as i64;
+        let by_key = db
+            .insert("DIRECTOR", vec![Value::from(bits), Value::from("Other")])
+            .unwrap();
+        let by_name = db
+            .insert(
+                "DIRECTOR",
+                vec![Value::from(-1), Value::from(name.as_str())],
+            )
+            .unwrap();
+        assert_eq!(
+            db.lookup(dir, 1, &Value::from(name.as_str())).unwrap(),
+            &[by_name]
+        );
+        assert_eq!(db.lookup_pk(dir, &Value::from(bits)), Some(by_key));
+        assert!(db.lookup(dir, 1, &Value::from(bits)).unwrap().is_empty());
+        assert!(db
+            .lookup_tids(dir, 1, &Value::from(bits))
+            .unwrap()
+            .is_empty());
+        assert!(db
+            .lookup_datum(dir, 0, Datum::Sym(name))
+            .unwrap()
+            .is_empty());
+        assert_eq!(db.lookup_pk(dir, &Value::from(name.as_str())), None);
+        assert!(db.lookup(dir, 0, &Value::from(true)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_refused_duplicate_key_copies_nothing_of_the_snapshot_it_was_tried_on() {
+        let original = sized_db(30_000);
+        let movie = original.schema().relation_id("MOVIE").unwrap();
+        let mut copy = original.clone();
+        let meter = crate::cow::CopyMeter::new();
+        for key in [0, 7, 29_999] {
+            let row = vec![Value::from(key), Value::Null, Value::from(0)];
+            assert!(matches!(
+                copy.insert_into(movie, row),
+                Err(StorageError::PrimaryKeyViolation { .. })
+            ));
+        }
+        assert_eq!(meter.copied(), crate::cow::Copied::default());
+        assert_eq!(copy.unshared_pieces(&original), 0);
     }
 
     #[test]

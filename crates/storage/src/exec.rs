@@ -24,7 +24,7 @@ pub struct ValueScan {
     /// Refcounted snapshot of the index posting list — opening a scan no
     /// longer copies the tid list; the index copy-on-writes if mutated while
     /// this scan is open.
-    tids: std::sync::Arc<Vec<TupleId>>,
+    tids: std::sync::Arc<[TupleId]>,
     pos: usize,
 }
 

@@ -65,11 +65,12 @@ mod schema;
 mod stats;
 pub mod sym;
 mod table;
+pub mod tidlist;
 mod tuple;
 mod value;
 pub mod wal;
 
-pub use database::Database;
+pub use database::{Database, DatabaseBytes};
 pub use error::StorageError;
 pub use exec::ValueScan;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
@@ -78,6 +79,7 @@ pub use schema::{AttributeDef, DatabaseSchema, ForeignKey, RelationId, RelationS
 pub use stats::{AccessStats, StatsSnapshot, ThreadMeter};
 pub use sym::{Sym, SymbolTable};
 pub use table::{StorageLayout, Table, TableIter, CHUNK_ROWS};
+pub use tidlist::{TidList, SEGMENT_TIDS};
 pub use tuple::{Tuple, TupleId, TupleRef};
 pub use value::{DataType, Datum, Value, ValueRef};
 pub use wal::{MemoryWalSink, NullWalSink, WalOp, WalSink};

@@ -16,6 +16,7 @@
 //! lock-free (an `Acquire` load of the published length orders the slot
 //! write before any reader that can see the id).
 
+use crate::cow::{alloc_bytes, table_bytes};
 use crate::fasthash::FxHashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
@@ -191,6 +192,20 @@ impl SymbolTable {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Heap bytes behind the table: the arena's chunks at their capacity,
+    /// the string → id map at its bucket count and the id → string segments
+    /// allocated so far.
+    pub fn heap_bytes(&self) -> usize {
+        let inner = self.inner.read().expect("symbol table poisoned");
+        let arena = inner.arena.chunks.iter().map(|c| c.capacity());
+        let segments = (0..SEGMENTS)
+            .filter(|k| !self.segments[*k].load(Ordering::Acquire).is_null())
+            .map(|k| (1usize << k) * std::mem::size_of::<&str>());
+        arena.chain(segments).map(alloc_bytes).sum::<usize>()
+            + alloc_bytes(inner.arena.chunks.capacity() * std::mem::size_of::<String>())
+            + table_bytes(inner.map.capacity(), std::mem::size_of::<(&str, u32)>())
     }
 
     /// Total string bytes held in the arena.

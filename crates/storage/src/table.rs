@@ -23,6 +23,7 @@ use crate::cow;
 use crate::schema::RelationSchema;
 use crate::tuple::{Tuple, TupleId, TupleRef};
 use crate::value::Datum;
+use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
 /// Slots per chunk of a columnar table. A power of two, so slot → (chunk,
@@ -331,6 +332,24 @@ impl Table {
         TableIter {
             table: self,
             next: 0,
+        }
+    }
+
+    /// Heap bytes behind this table: the chunk list at its capacity and
+    /// every slab at the room it has, filled or not. (A row-layout table —
+    /// the testing reference — counts its slots and each row's values, not
+    /// the text they own.)
+    pub fn heap_bytes(&self) -> usize {
+        match &self.repr {
+            Repr::Columnar { chunks, .. } => {
+                let slabs = chunks.iter().map(|c| cow::arc_bytes(size_of_val(&*c.slab)));
+                cow::alloc_bytes(chunks.capacity() * size_of::<Chunk>()) + slabs.sum::<usize>()
+            }
+            Repr::Rows { slots } => {
+                let rows = slots.iter().flatten().map(|t| size_of_val(t.values()));
+                cow::alloc_bytes(slots.capacity() * size_of::<Option<Tuple>>())
+                    + rows.map(cow::alloc_bytes).sum::<usize>()
+            }
         }
     }
 

@@ -64,6 +64,48 @@ fn parallel_queries_agree_with_serial_ones() {
     assert_eq!(serial, parallel);
 }
 
+/// What the engine keeps resident per tuple at a tenth of the paper's scale
+/// (the serving benchmark's proportions: 31,250 tuples of ~60 bytes each),
+/// from the same accounting `/v1/metrics` exports as `precis_resident_bytes`.
+/// The symbol table is left out — it is the process's, and this process's
+/// other tests intern into it.
+#[test]
+fn the_3400_movie_engine_keeps_under_200_bytes_a_tuple_resident() {
+    let scale = MoviesConfig::imdb_scale();
+    let db = MoviesGenerator::new(MoviesConfig {
+        movies: scale.movies / 10,
+        directors: scale.directors / 10,
+        actors: scale.actors / 10,
+        theatres: scale.theatres / 10,
+        plays: scale.plays / 10,
+        ..scale
+    })
+    .generate();
+    let tuples = db.total_tuples();
+    assert_eq!(tuples, 31_250);
+    let e = PrecisEngine::new(db, movies_graph()).unwrap();
+    let parts = e.resident_bytes();
+    let per_tuple = |part: &str| {
+        let (_, bytes) = parts.iter().find(|(name, _)| *name == part).unwrap();
+        *bytes as f64 / tuples as f64
+    };
+    let engine_owned: f64 = ["tables", "pk_index", "join_index", "inverted_index"]
+        .into_iter()
+        .map(per_tuple)
+        .sum();
+    assert!(
+        engine_owned <= 200.0,
+        "{engine_owned:.1} B/tuple: {parts:?}"
+    );
+    // Each part against what it held before indexes cost what their keys
+    // cost (343 B/tuple over the four): a key is 16 bytes in a table at least
+    // half full, a join list is inline or one allocation.
+    assert!(per_tuple("pk_index") <= 32.0, "{parts:?}");
+    assert!(per_tuple("join_index") <= 45.0, "{parts:?}");
+    assert!(per_tuple("inverted_index") <= 70.0, "{parts:?}");
+    assert!(per_tuple("tables") <= 70.0, "{parts:?}");
+}
+
 /// Paper-scale smoke test: the IMDB dump had 34k+ films. Run with
 /// `cargo test --release -- --ignored imdb_scale`.
 #[test]
