@@ -102,8 +102,8 @@ pub struct GenReport {
     pub repaired_tuples: usize,
 }
 
-/// The précis: a freshly materialized database D′ plus provenance back to
-/// the original database.
+/// The précis: a freshly materialized database D′ and, by position, the
+/// original tuple behind each of its tuples.
 #[derive(Debug)]
 pub struct PrecisDatabase {
     /// The materialized result database (own schema, constraints, contents).
@@ -118,9 +118,9 @@ pub struct PrecisDatabase {
     /// numbering). Stored-but-not-visible attributes are join endpoints and
     /// primary keys the translator must not verbalize.
     pub visible: HashMap<RelationId, Vec<usize>>,
-    /// (original relation, original tid) → result tid.
-    pub provenance: FxHashMap<(RelationId, TupleId), TupleId>,
-    /// Original relation id → collected original tids, in retrieval order.
+    /// Original relation id → collected original tids, in retrieval order:
+    /// result tuple `i` of the relation is the projection of
+    /// `collected[rel][i]`.
     pub collected: BTreeMap<RelationId, Vec<TupleId>>,
     /// Seed tuples per origin relation (original tids that matched tokens),
     /// bounded by the cardinality constraint.
@@ -133,6 +133,33 @@ impl PrecisDatabase {
     /// Total tuples in the result database (`card(D′)`).
     pub fn total_tuples(&self) -> usize {
         self.database.total_tuples()
+    }
+
+    /// Where D′ stores attribute `attr` of original relation `rel`, if it
+    /// does.
+    fn stored_at(&self, rel: RelationId, attr: usize) -> Option<(RelationId, usize)> {
+        let pos = self.attr_map.get(&rel)?.binary_search(&attr).ok()?;
+        Some((self.rel_map[&rel], pos))
+    }
+
+    /// The collected tuples of `dest` whose `dest_attr` (original numbering)
+    /// equals `datum`, as original tids in collection order: the semijoin
+    /// every reader of an answer needs, answered by one probe of D′'s own
+    /// index on that attribute. Postings ascend by result tid and result
+    /// tuple `i` is `collected[dest][i]`, so the order is collection order.
+    /// Nothing joins a null, or a relation or attribute D′ does not hold.
+    pub fn joined(
+        &self,
+        dest: RelationId,
+        dest_attr: usize,
+        datum: Datum,
+    ) -> Result<impl Iterator<Item = TupleId> + '_> {
+        let postings = match self.stored_at(dest, dest_attr) {
+            Some((rel, pos)) => self.database.lookup_datum(rel, pos, datum)?,
+            None => &[],
+        };
+        let collected = self.collected.get(&dest).map_or(&[][..], Vec::as_slice);
+        Ok(postings.iter().map(move |tid| collected[tid.as_usize()]))
     }
 }
 
@@ -796,46 +823,54 @@ fn materialize(
         }
     }
 
-    let mut out_db = Database::new(out_schema).map_err(CoreError::from)?;
-    let total: usize = collected.values().map(|c| c.order.len()).sum();
-    let mut provenance: FxHashMap<(RelationId, TupleId), TupleId> = FxHashMap::default();
-    provenance.reserve(total);
-    let mut collected_tids: BTreeMap<RelationId, Vec<TupleId>> = BTreeMap::new();
-
-    let mut buf: Vec<Datum> = Vec::new();
-    for (rel, c) in &collected {
-        let Some(&new_rel) = rel_map.get(rel) else {
-            continue;
-        };
-        let stored = &attr_map[rel];
-        let table = db.table(*rel);
-        out_db.reserve(new_rel, c.order.len());
-        for tid in &c.order {
-            let Some(t) = table.get(*tid) else {
-                continue;
-            };
-            // Interned symbols copy as 16-byte datums — materialization
-            // never re-hashes or clones string bytes, and `buf` is the one
-            // projection allocation for the whole loop.
-            t.project_datums_into(stored, &mut buf);
-            let new_tid = out_db
-                .insert_datums_from(new_rel, &buf)
-                .map_err(CoreError::from)?;
-            provenance.insert((*rel, *tid), new_tid);
-        }
-        collected_tids.insert(*rel, c.order.clone());
-    }
-
-    Ok(PrecisDatabase {
-        database: out_db,
+    let mut precis = PrecisDatabase {
+        database: Database::new(out_schema).map_err(CoreError::from)?,
         rel_map,
         attr_map,
         visible,
-        provenance,
-        collected: collected_tids,
+        collected: BTreeMap::new(),
         seeds,
         report,
-    })
+    };
+    // `PrecisDatabase::joined` probes the arriving end of a used join. Keys
+    // and copied foreign keys are indexed already; an expert join is not.
+    for u in schema.used_joins() {
+        let e = graph.join_edge(u.edge);
+        if let Some((rel, pos)) = precis.stored_at(e.to, e.to_attr) {
+            if !precis.database.has_index(rel, pos) {
+                precis.database.create_index(rel, pos);
+            }
+        }
+    }
+
+    let mut buf: Vec<Datum> = Vec::new();
+    for (rel, c) in collected {
+        let Some(&new_rel) = precis.rel_map.get(&rel) else {
+            continue;
+        };
+        let stored = &precis.attr_map[&rel];
+        let table = db.table(rel);
+        precis.database.reserve(new_rel, c.order.len());
+        // Interned symbols copy as 16-byte datums — materialization never
+        // re-hashes or clones string bytes, and `buf` is the one projection
+        // allocation for the whole loop. A tid with no tuple behind it gets
+        // no result tuple and leaves `collected`, so positions stay exact.
+        let mut kept = Vec::with_capacity(c.order.len());
+        for tid in c.order {
+            let Some(t) = table.get(tid) else {
+                continue;
+            };
+            t.project_datums_into(stored, &mut buf);
+            let new_tid = precis
+                .database
+                .insert_datums_from(new_rel, &buf)
+                .map_err(CoreError::from)?;
+            debug_assert_eq!(new_tid.as_usize(), kept.len());
+            kept.push(tid);
+        }
+        precis.collected.insert(rel, kept);
+    }
+    Ok(precis)
 }
 
 #[cfg(test)]
@@ -1057,7 +1092,29 @@ mod tests {
     }
 
     #[test]
-    fn provenance_maps_back_to_source_tuples() {
+    fn result_tuple_i_is_the_projection_of_collected_i() {
+        let p = setup(
+            CardinalityConstraint::Unbounded,
+            RetrievalStrategy::NaiveQ,
+            DbGenOptions::default(),
+        );
+        let (db, _) = tiny_movies();
+        let mut positions = 0;
+        for (rel, tids) in &p.collected {
+            let result = p.database.table(p.rel_map[rel]);
+            assert_eq!(result.slot_count(), tids.len());
+            for (i, orig_tid) in tids.iter().enumerate() {
+                let orig = db.table(*rel).get(*orig_tid).unwrap();
+                let new = result.get(TupleId(i as u64)).unwrap();
+                assert_eq!(new.values(), orig.project(&p.attr_map[rel]));
+            }
+            positions += tids.len();
+        }
+        assert_eq!(positions, p.total_tuples());
+    }
+
+    #[test]
+    fn joined_answers_the_semijoin_in_collection_order() {
         let p = setup(
             CardinalityConstraint::Unbounded,
             RetrievalStrategy::NaiveQ,
@@ -1065,14 +1122,23 @@ mod tests {
         );
         let (db, _) = tiny_movies();
         let movie = db.schema().relation_id("MOVIE").unwrap();
-        let new_movie = p.rel_map[&movie];
-        for orig_tid in &p.collected[&movie] {
-            let new_tid = p.provenance[&(movie, *orig_tid)];
-            let orig = db.table(movie).get(*orig_tid).unwrap();
-            let stored = &p.attr_map[&movie];
-            let new = p.database.table(new_movie).get(new_tid).unwrap();
-            assert_eq!(new.values(), orig.project(stored));
-        }
+        let genre = db.schema().relation_id("GENRE").unwrap();
+        let joined = |rel, attr, d| p.joined(rel, attr, d).unwrap().collect::<Vec<_>>();
+        // Through a foreign-key index (GENRE.mid) and a key's (MOVIE.mid).
+        assert_eq!(joined(genre, 1, Datum::Int(3)), [TupleId(6), TupleId(7)]);
+        assert_eq!(joined(movie, 0, Datum::Int(3)), [TupleId(3)]);
+        // Every collected movie is Allen's, as a scan of them would say.
+        assert_eq!(joined(movie, 2, Datum::Int(1)), p.collected[&movie]);
+        // The other director's movie was never collected; nulls join nothing.
+        assert!(joined(movie, 0, Datum::Int(99)).is_empty());
+        assert!(joined(movie, 2, Datum::Null).is_empty());
+        // MOVIE.title is stored but no join arrives there: D′ refuses.
+        assert!(matches!(
+            p.joined(movie, 1, Datum::Null).map(|_| ()),
+            Err(CoreError::Storage(
+                precis_storage::StorageError::NoIndex { .. }
+            ))
+        ));
     }
 
     #[test]

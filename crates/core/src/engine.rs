@@ -92,7 +92,7 @@ pub struct PrecisAnswer {
     /// The result schema D′ (sub-graph G′ of the schema graph), shared with
     /// the engine's schema memo.
     pub schema: Arc<ResultSchema>,
-    /// The materialized result database D′ with provenance.
+    /// The materialized result database D′ and the original tuples behind it.
     pub precis: PrecisDatabase,
 }
 

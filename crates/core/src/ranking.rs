@@ -12,6 +12,7 @@
 
 use crate::db_gen::PrecisDatabase;
 use crate::result_schema::ResultSchema;
+use crate::Result;
 use precis_graph::SchemaGraph;
 use precis_storage::{Database, RelationId, TupleId};
 use std::collections::{BTreeSet, VecDeque};
@@ -34,14 +35,14 @@ pub fn rank_seeds(
     graph: &SchemaGraph,
     schema: &ResultSchema,
     precis: &PrecisDatabase,
-) -> Vec<RankedSeed> {
+) -> Result<Vec<RankedSeed>> {
     let mut out: Vec<RankedSeed> = Vec::new();
     for (&rel, tids) in &precis.seeds {
         for &tid in tids {
             out.push(RankedSeed {
                 rel,
                 tid,
-                score: seed_score(db, graph, schema, precis, rel, tid),
+                score: seed_score(db, graph, schema, precis, rel, tid)?,
             });
         }
     }
@@ -51,12 +52,13 @@ pub fn rank_seeds(
             .then(a.rel.cmp(&b.rel))
             .then(a.tid.cmp(&b.tid))
     });
-    out
+    Ok(out)
 }
 
 /// The connected-information score of one seed: breadth-first over the used
 /// join edges tagged with the seed's origin, each reached tuple contributing
-/// the product of edge weights along its discovery path.
+/// the product of edge weights along its discovery path. Which collected
+/// tuples a tuple reaches is [`PrecisDatabase::joined`]'s answer.
 pub fn seed_score(
     db: &Database,
     graph: &SchemaGraph,
@@ -64,7 +66,7 @@ pub fn seed_score(
     precis: &PrecisDatabase,
     origin: RelationId,
     seed: TupleId,
-) -> f64 {
+) -> Result<f64> {
     let mut score = 0.0;
     let mut visited: BTreeSet<RelationId> = BTreeSet::new();
     visited.insert(origin);
@@ -80,31 +82,16 @@ pub fn seed_score(
             if e.from != rel || visited.contains(&e.to) {
                 continue;
             }
-            let Some(collected) = precis.collected.get(&e.to) else {
-                continue;
-            };
             let mut joined: Vec<TupleId> = Vec::new();
             for &src in &tuples {
-                let Some(t) = db.table(rel).get(src) else {
-                    continue;
-                };
-                let v = t.datum(e.from_attr);
-                if v.is_null() {
-                    continue;
-                }
-                for &cand in collected {
-                    if joined.contains(&cand) {
-                        continue;
-                    }
-                    if db
-                        .table(e.to)
-                        .get(cand)
-                        .is_some_and(|ct| ct.datum(e.to_attr) == v)
-                    {
-                        joined.push(cand);
-                    }
+                if let Some(t) = db.table(rel).get(src) {
+                    joined.extend(precis.joined(e.to, e.to_attr, t.datum(e.from_attr))?);
                 }
             }
+            // A tuple two sources reach counts once; the score reads only
+            // how many there are, so their order is free.
+            joined.sort_unstable();
+            joined.dedup();
             if joined.is_empty() {
                 continue;
             }
@@ -114,7 +101,7 @@ pub fn seed_score(
             queue.push_back((e.to, joined, edge_decay));
         }
     }
-    score
+    Ok(score)
 }
 
 #[cfg(test)]
@@ -190,7 +177,7 @@ mod tests {
             &DbGenOptions::default(),
         )
         .unwrap();
-        let ranked = rank_seeds(&db, &g, &schema, &precis);
+        let ranked = rank_seeds(&db, &g, &schema, &precis).unwrap();
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].tid, TupleId(0), "3-movie director first");
         assert_eq!(ranked[1].tid, TupleId(1));
@@ -217,7 +204,7 @@ mod tests {
             &DbGenOptions::default(),
         )
         .unwrap();
-        let ranked = rank_seeds(&db, &g, &schema, &precis);
+        let ranked = rank_seeds(&db, &g, &schema, &precis).unwrap();
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].score, 0.0);
     }

@@ -2,8 +2,9 @@
 
 use std::fmt;
 
-/// Errors raised while parsing or rendering templates.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Errors raised while parsing or rendering templates, or asking the answer
+/// which of its tuples join.
+#[derive(Debug, Clone, PartialEq)]
 pub enum NlgError {
     /// A template failed to parse.
     Parse { template: String, message: String },
@@ -17,6 +18,8 @@ pub enum NlgError {
     IndexOutOfRange { variable: String, index: usize },
     /// Macro expansion exceeded the recursion limit (cyclic macros).
     MacroRecursion(String),
+    /// The answer database refused a probe for joining tuples.
+    Answer(precis_core::CoreError),
 }
 
 impl fmt::Display for NlgError {
@@ -32,11 +35,18 @@ impl fmt::Display for NlgError {
                 write!(f, "index {index} out of range for @{variable}")
             }
             NlgError::MacroRecursion(m) => write!(f, "macro recursion involving %{m}%"),
+            NlgError::Answer(e) => write!(f, "answer database: {e}"),
         }
     }
 }
 
 impl std::error::Error for NlgError {}
+
+impl From<precis_core::CoreError> for NlgError {
+    fn from(e: precis_core::CoreError) -> Self {
+        NlgError::Answer(e)
+    }
+}
 
 #[cfg(test)]
 mod tests {

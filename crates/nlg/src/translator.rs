@@ -19,8 +19,8 @@ use crate::template::Bindings;
 use crate::vocabulary::Vocabulary;
 use crate::Result;
 use precis_core::{PrecisAnswer, PrecisDatabase, ResultSchema};
-use precis_graph::SchemaGraph;
-use precis_storage::{Database, RelationId, TupleId};
+use precis_graph::{JoinEdge, SchemaGraph};
+use precis_storage::{Database, FxHashMap, FxHashSet, RelationId, TupleId};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Cap on recursion depth (paths in the used-edge graph are acyclic per
@@ -75,45 +75,39 @@ impl<'a> Translator<'a> {
     /// Translate a full answer: one narrative per token occurrence per
     /// surviving seed tuple, in occurrence order.
     pub fn translate(&self, answer: &PrecisAnswer) -> Result<Vec<Narrative>> {
-        let mut out = Vec::new();
-        for (token, rel, tid) in surviving_occurrences(answer) {
-            out.push(self.narrate_one(answer, token, rel, tid)?);
-        }
-        Ok(out)
+        self.narrate_each(answer, surviving_occurrences(answer))
     }
 
     /// As [`Translator::translate`], but homonym narratives come best-first:
     /// seeds with more (weighted) connected information in the answer rank
     /// higher — see [`precis_core::rank_seeds`].
     pub fn translate_ranked(&self, answer: &PrecisAnswer) -> Result<Vec<Narrative>> {
-        let ranked = precis_core::rank_seeds(self.db, self.graph, &answer.schema, &answer.precis);
+        let ranked = precis_core::rank_seeds(self.db, self.graph, &answer.schema, &answer.precis)?;
+        let rank: FxHashMap<(RelationId, TupleId), usize> = ranked
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ((r.rel, r.tid), i))
+            .collect();
         let mut occurrences = surviving_occurrences(answer);
-        occurrences.sort_by_key(|&(_, rel, tid)| {
-            ranked
-                .iter()
-                .position(|r| r.rel == rel && r.tid == tid)
-                .unwrap_or(usize::MAX)
-        });
-        let mut out = Vec::new();
-        for (token, rel, tid) in occurrences {
-            out.push(self.narrate_one(answer, token, rel, tid)?);
-        }
-        Ok(out)
+        occurrences
+            .sort_by_key(|&(_, rel, tid)| rank.get(&(rel, tid)).copied().unwrap_or(usize::MAX));
+        self.narrate_each(answer, occurrences)
     }
 
-    fn narrate_one(
+    fn narrate_each(
         &self,
         answer: &PrecisAnswer,
-        token: &str,
-        rel: RelationId,
-        tid: TupleId,
-    ) -> Result<Narrative> {
-        let text = self.narrate(&answer.schema, &answer.precis, rel, tid)?;
-        Ok(Narrative {
-            token: token.to_owned(),
-            relation: self.db.schema().relation(rel).name().to_owned(),
-            text,
-        })
+        occurrences: Vec<(&str, RelationId, TupleId)>,
+    ) -> Result<Vec<Narrative>> {
+        let mut out = Vec::with_capacity(occurrences.len());
+        for (token, rel, tid) in occurrences {
+            out.push(Narrative {
+                token: token.to_owned(),
+                relation: self.db.schema().relation(rel).name().to_owned(),
+                text: self.narrate(&answer.schema, &answer.precis, rel, tid)?,
+            });
+        }
+        Ok(out)
     }
 
     /// Build the narrative for one seed tuple: the origin relation's clause,
@@ -170,22 +164,21 @@ impl<'a> Translator<'a> {
                 }
                 let mut dest_groups: Vec<(Vec<TupleId>, Bindings)> = Vec::new();
                 for (tuples, ctx) in &rel_groups {
-                    if transparent {
-                        let mut joined: Vec<TupleId> = Vec::new();
-                        for &src in tuples {
-                            for t in
-                                self.joined_tuples(precis, rel, src, e.to, e.to_attr, e.from_attr)
-                            {
-                                if !joined.contains(&t) {
-                                    joined.push(t);
-                                }
-                            }
-                        }
+                    // The sources of one clause: the whole group at a
+                    // transparent relation, one tuple (whose scalars join
+                    // the bindings) at any other.
+                    let per_clause = if transparent { tuples.len() } else { 1 };
+                    for sources in tuples.chunks(per_clause) {
+                        let joined = self.joined_tuples(precis, sources, e)?;
                         if joined.is_empty() {
                             continue;
                         }
+                        let mut context = ctx.clone();
+                        if !transparent {
+                            self.bind_tuple_scalars(&mut context, precis, rel, sources[0]);
+                        }
                         if let Some(template) = self.vocab.join_clause(e.from, e.to) {
-                            let mut b = ctx.clone();
+                            let mut b = context.clone();
                             self.bind_tuple_lists(&mut b, precis, e.to, &joined);
                             clauses.push(template.render(&b, self.vocab.macros())?);
                         } else if self.generic_fallback {
@@ -193,27 +186,7 @@ impl<'a> Translator<'a> {
                                 clauses.push(c);
                             }
                         }
-                        dest_groups.push((joined, ctx.clone()));
-                    } else {
-                        for &src in tuples {
-                            let joined =
-                                self.joined_tuples(precis, rel, src, e.to, e.to_attr, e.from_attr);
-                            if joined.is_empty() {
-                                continue;
-                            }
-                            let mut context = ctx.clone();
-                            self.bind_tuple_scalars(&mut context, precis, rel, src);
-                            if let Some(template) = self.vocab.join_clause(e.from, e.to) {
-                                let mut b = context.clone();
-                                self.bind_tuple_lists(&mut b, precis, e.to, &joined);
-                                clauses.push(template.render(&b, self.vocab.macros())?);
-                            } else if self.generic_fallback {
-                                if let Some(c) = self.generic_join_clause(precis, e.to, &joined) {
-                                    clauses.push(c);
-                                }
-                            }
-                            dest_groups.push((joined, context));
-                        }
+                        dest_groups.push((joined, context));
                     }
                 }
                 if !dest_groups.is_empty() {
@@ -300,36 +273,25 @@ impl<'a> Translator<'a> {
         Some(format!("Related {}: {}.", schema.name(), rows.join("; ")))
     }
 
-    /// Collected tuples of `dest` joining to source tuple `src`.
+    /// Collected tuples across edge `e` from any of `sources`, each once, in
+    /// the order the sources reach them.
     fn joined_tuples(
         &self,
         precis: &PrecisDatabase,
-        src_rel: RelationId,
-        src: TupleId,
-        dest: RelationId,
-        dest_attr: usize,
-        src_attr: usize,
-    ) -> Vec<TupleId> {
-        let Some(source_tuple) = self.db.table(src_rel).get(src) else {
-            return Vec::new();
-        };
-        let v = source_tuple.datum(src_attr);
-        if v.is_null() {
-            return Vec::new();
+        sources: &[TupleId],
+        e: &JoinEdge,
+    ) -> Result<Vec<TupleId>> {
+        let mut joined: Vec<TupleId> = Vec::new();
+        let mut seen: FxHashSet<TupleId> = FxHashSet::default();
+        for &src in sources {
+            let Some(t) = self.db.table(e.from).get(src) else {
+                continue;
+            };
+            let reached = precis.joined(e.to, e.to_attr, t.datum(e.from_attr))?;
+            // One source's postings hold no tuple twice.
+            joined.extend(reached.filter(|tid| sources.len() == 1 || seen.insert(*tid)));
         }
-        let Some(collected) = precis.collected.get(&dest) else {
-            return Vec::new();
-        };
-        collected
-            .iter()
-            .copied()
-            .filter(|tid| {
-                self.db
-                    .table(dest)
-                    .get(*tid)
-                    .is_some_and(|t| t.datum(dest_attr) == v)
-            })
-            .collect()
+        Ok(joined)
     }
 
     /// Bind the visible attributes (plus the heading attribute) of one tuple
@@ -397,11 +359,16 @@ fn surviving_occurrences(answer: &PrecisAnswer) -> Vec<(&str, RelationId, TupleI
             let Some(collected) = answer.precis.collected.get(&occ.rel) else {
                 continue;
             };
-            for tid in occ.tids.iter() {
-                if collected.contains(tid) {
+            // A broad token matches thousands of tuples, sorted by tid, and
+            // the answer kept a few: those look themselves up in the matches,
+            // and come out in the matches' order.
+            let from = out.len();
+            for tid in collected {
+                if occ.tids.binary_search(tid).is_ok() {
                     out.push((m.token.as_str(), occ.rel, *tid));
                 }
             }
+            out[from..].sort_unstable_by_key(|&(_, _, tid)| tid);
         }
     }
     out
@@ -602,6 +569,100 @@ mod tests {
         let t = Translator::new(&db, &g, &joins_only);
         let text = t.narrate(&schema, &precis, author, TupleId(0)).unwrap();
         assert_eq!(text, "Works: The Dispossessed, Earthsea.");
+    }
+
+    /// PERSON and VENUE related only by an expert join on `city`: no foreign
+    /// key, so no index of D′'s own covers the arriving end.
+    fn expert_join_setup() -> (Database, SchemaGraph) {
+        let mut s = DatabaseSchema::new("towns");
+        for (name, key, label) in [("PERSON", "pid", "name"), ("VENUE", "vid", "vname")] {
+            s.add_relation(
+                RelationSchema::builder(name)
+                    .attr_not_null(key, DataType::Int)
+                    .attr(label, DataType::Text)
+                    .attr("city", DataType::Text)
+                    .primary_key(key)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+        }
+        let mut db = Database::new(s).unwrap();
+        for (pid, name, city) in [(1, "Ada", "Athens"), (2, "Ada", "Rome"), (3, "Bo", "Oslo")] {
+            db.insert("PERSON", vec![pid.into(), name.into(), city.into()])
+                .unwrap();
+        }
+        for (vid, vname, city) in [
+            (1, "Odeon", "Athens"),
+            (2, "Rex", "Rome"),
+            (3, "Attikon", "Athens"),
+            (4, "Colosseum", "Oslo"),
+        ] {
+            db.insert("VENUE", vec![vid.into(), vname.into(), city.into()])
+                .unwrap();
+        }
+        let g = SchemaGraph::builder(db.schema().clone())
+            .projection("PERSON", "name", 1.0)
+            .unwrap()
+            .projection("VENUE", "vname", 1.0)
+            .unwrap()
+            .join_both("PERSON", "city", "VENUE", "city", 0.9, 0.9)
+            .unwrap()
+            .build()
+            .unwrap();
+        (db, g)
+    }
+
+    #[test]
+    fn an_expert_join_narrates_through_the_index_materialize_created() {
+        let (db, g) = expert_join_setup();
+        let engine = PrecisEngine::new(db, g).unwrap();
+        let schema = engine.database().schema();
+        let (person, venue) = (
+            schema.relation_id("PERSON").unwrap(),
+            schema.relation_id("VENUE").unwrap(),
+        );
+        let mut vocab = Vocabulary::new();
+        vocab.set_heading(person, 1);
+        vocab.set_heading(venue, 1);
+        vocab
+            .set_relation_clause(person, "@NAME lives somewhere.")
+            .unwrap();
+        vocab
+            .set_join_clause(person, venue, "Near @NAME: @VNAME[*].")
+            .unwrap();
+        let answer = engine
+            .answer(
+                &PrecisQuery::parse("ada"),
+                &precis_core::AnswerSpec::new(
+                    DegreeConstraint::MinWeight(0.5),
+                    CardinalityConstraint::Unbounded,
+                ),
+            )
+            .unwrap();
+        // D′ copied no foreign key, yet VENUE.city is indexed there.
+        let precis = &answer.precis;
+        assert!(precis.database.schema().foreign_keys().is_empty());
+        let city = precis.attr_map[&venue]
+            .iter()
+            .position(|&a| a == 2)
+            .unwrap();
+        assert!(precis.database.has_index(precis.rel_map[&venue], city));
+
+        let t = Translator::new(engine.database(), engine.graph(), &vocab);
+        let texts: Vec<String> = t
+            .translate_ranked(&answer)
+            .unwrap()
+            .into_iter()
+            .map(|n| n.text)
+            .collect();
+        assert_eq!(
+            texts,
+            [
+                "Ada lives somewhere. Near Ada: Odeon, Attikon.",
+                "Ada lives somewhere. Near Ada: Rex."
+            ]
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use precis_core::{
 use precis_nlg::{Translator, Vocabulary};
 use precis_obs::telemetry::MAX_SPANS_PER_TRACE;
 use precis_obs::{Phase, ProfileSnapshot, Trace};
-use precis_storage::Value;
+use precis_storage::ValueRef;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
@@ -351,7 +351,7 @@ pub fn render_answer(
             }
             first_tuple = false;
             out.push('[');
-            for (i, v) in tuple.values().iter().enumerate() {
+            for (i, v) in tuple.iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
                 }
@@ -411,15 +411,15 @@ pub fn render_answer(
     out
 }
 
-fn write_value(out: &mut String, v: &Value) {
+fn write_value(out: &mut String, v: ValueRef<'_>) {
     match v {
-        Value::Null => out.push_str("null"),
-        Value::Int(i) => {
+        ValueRef::Null => out.push_str("null"),
+        ValueRef::Int(i) => {
             let _ = write!(out, "{i}");
         }
-        Value::Float(f) => json::write_f64(out, *f),
-        Value::Text(s) => json::write_str(out, s),
-        Value::Bool(b) => {
+        ValueRef::Float(f) => json::write_f64(out, f),
+        ValueRef::Text(s) => json::write_str(out, s),
+        ValueRef::Bool(b) => {
             let _ = write!(out, "{b}");
         }
     }

@@ -15,7 +15,7 @@ use crate::schema::{DatabaseSchema, RelationId, RelationSchema};
 use crate::stats::AccessStats;
 use crate::table::{StorageLayout, Table};
 use crate::tuple::{TupleId, TupleRef};
-use crate::value::{Datum, Value};
+use crate::value::{DataType, Datum, Value};
 use crate::wal::{WalOp, WalSink};
 use crate::Result;
 use std::sync::Arc;
@@ -295,7 +295,7 @@ impl Database {
             }
             out.reserve(RelationId(rel), table.len());
             for (_, t) in table.iter() {
-                out.apply_insert(RelationId(rel), t.datums())
+                out.apply_insert(RelationId(rel), &t.datums())
                     .expect("live tuples hold distinct primary keys");
             }
         }
@@ -315,34 +315,35 @@ impl Database {
     }
 
     /// Insert a tuple, enforcing arity, types, NOT NULL, primary-key
-    /// uniqueness and (if enabled) foreign keys. Maintains all indexes.
+    /// uniqueness and (if enabled) foreign keys. Maintains all indexes. The
+    /// row is checked as values: one refused for its arity, a type or a null
+    /// interns nothing.
     pub fn insert_into(&mut self, rel: RelationId, values: Vec<Value>) -> Result<TupleId> {
         crate::failpoint::check("insert_into")?;
-        self.validate_values(rel, &values)?;
-        if let Some(pk) = self.rel_meta[rel.0].pk {
-            if values[pk].is_null() {
-                return Err(StorageError::NullPrimaryKey {
-                    relation: self.schema.relation(rel).name().to_owned(),
-                });
-            }
-        }
-        if self.enforce_fk {
-            self.check_foreign_keys(rel, &values)?;
-        }
-        let datums = values.iter().map(Datum::from_value).collect();
-        let tid = self.apply_insert(rel, datums)?;
-        self.emit_wal_insert(rel, tid)?;
-        Ok(tid)
+        self.validate(rel, values.iter().map(Value::data_type))?;
+        let datums: Vec<Datum> = values.iter().map(Datum::from_value).collect();
+        self.insert_validated(rel, &datums)
+    }
+
+    /// [`Database::insert_datums_from`] for a caller that owns its row.
+    pub fn insert_datums_into(&mut self, rel: RelationId, datums: Vec<Datum>) -> Result<TupleId> {
+        self.insert_datums_from(rel, &datums)
     }
 
     /// Insert a tuple already in stored form — the allocation-light path
     /// used when copying tuples between databases of the same schema (e.g.
     /// materializing a result database): symbols transfer without touching
-    /// a single string. Enforces the same constraints as
-    /// [`Database::insert_into`].
-    pub fn insert_datums_into(&mut self, rel: RelationId, datums: Vec<Datum>) -> Result<TupleId> {
+    /// a single string, and a bulk copy loop keeps one scratch buffer alive.
+    /// Enforces the same constraints as [`Database::insert_into`].
+    pub fn insert_datums_from(&mut self, rel: RelationId, datums: &[Datum]) -> Result<TupleId> {
         crate::failpoint::check("insert_into")?;
-        self.validate_datums(rel, &datums)?;
+        self.validate(rel, datums.iter().map(Datum::data_type))?;
+        self.insert_validated(rel, datums)
+    }
+
+    /// The insert behind every entry point, for a row [`Database::validate`]
+    /// passed: key not null, foreign keys if enforced, indexes, table, log.
+    fn insert_validated(&mut self, rel: RelationId, datums: &[Datum]) -> Result<TupleId> {
         if let Some(pk) = self.rel_meta[rel.0].pk {
             if datums[pk].is_null() {
                 return Err(StorageError::NullPrimaryKey {
@@ -351,102 +352,47 @@ impl Database {
             }
         }
         if self.enforce_fk {
-            self.check_foreign_keys_datums(rel, &datums)?;
+            self.check_foreign_keys(rel, datums)?;
         }
         let tid = self.apply_insert(rel, datums)?;
         self.emit_wal_insert(rel, tid)?;
         Ok(tid)
     }
 
-    /// [`Database::insert_datums_into`] from a borrowed slice: bulk copy
-    /// loops keep one scratch buffer alive instead of allocating a `Vec` per
-    /// tuple. Same constraints, same result.
-    pub fn insert_datums_from(&mut self, rel: RelationId, datums: &[Datum]) -> Result<TupleId> {
-        crate::failpoint::check("insert_into")?;
-        self.validate_datums(rel, datums)?;
-        if let Some(pk) = self.rel_meta[rel.0].pk {
-            if datums[pk].is_null() {
-                return Err(StorageError::NullPrimaryKey {
-                    relation: self.schema.relation(rel).name().to_owned(),
-                });
-            }
-        }
-        if self.enforce_fk {
-            self.check_foreign_keys_datums(rel, datums)?;
-        }
-        let tid = TupleId(self.tables[rel.0].slot_count() as u64);
-        self.apply_insert_indexes(rel, datums, tid)?;
-        let appended = self.tables[rel.0].append_datums_from(datums);
-        debug_assert_eq!(appended, tid);
-        self.emit_wal_insert(rel, tid)?;
-        Ok(tid)
-    }
-
-    /// Arity/type/NOT NULL validation against the relation schema.
-    fn validate_values(&self, rel: RelationId, values: &[Value]) -> Result<()> {
-        let rel_schema = self.schema.relation(rel);
-        if values.len() != rel_schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                relation: rel_schema.name().to_owned(),
-                expected: rel_schema.arity(),
-                actual: values.len(),
-            });
-        }
-        for (pos, (v, a)) in values.iter().zip(rel_schema.attributes()).enumerate() {
-            if !v.conforms_to(a.ty) || (v.is_null() && !a.nullable) {
-                return Err(StorageError::TypeMismatch {
-                    relation: rel_schema.name().to_owned(),
-                    attribute: rel_schema.attr_name(pos).to_owned(),
-                    expected: a.ty,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn validate_datums(&self, rel: RelationId, datums: &[Datum]) -> Result<()> {
-        let rel_schema = self.schema.relation(rel);
-        if datums.len() != rel_schema.arity() {
-            return Err(StorageError::ArityMismatch {
-                relation: rel_schema.name().to_owned(),
-                expected: rel_schema.arity(),
-                actual: datums.len(),
-            });
-        }
-        for (pos, (d, a)) in datums.iter().zip(rel_schema.attributes()).enumerate() {
-            if !d.conforms_to(a.ty) || (d.is_null() && !a.nullable) {
-                return Err(StorageError::TypeMismatch {
-                    relation: rel_schema.name().to_owned(),
-                    attribute: rel_schema.attr_name(pos).to_owned(),
-                    expected: a.ty,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Arity/type/null-PK constraints hold: update the indexes and append.
-    /// Primary-key uniqueness is enforced here by the key insert itself (one
-    /// probe finds the slot or the duplicate — callers don't pre-check), and
-    /// a duplicate fails before anything is modified. Index updates read
-    /// straight from `datums` before it moves into the table, so no
-    /// per-insert key list is materialized.
-    fn apply_insert(&mut self, rel: RelationId, datums: Vec<Datum>) -> Result<TupleId> {
-        let tid = TupleId(self.tables[rel.0].slot_count() as u64);
-        self.apply_insert_indexes(rel, &datums, tid)?;
-        let appended = self.tables[rel.0].append_datums(datums);
-        debug_assert_eq!(appended, tid);
-        Ok(tid)
-    }
-
-    /// The index half of an insert: claim the primary-key slot (failing
-    /// cleanly on a duplicate) and add every secondary posting.
-    fn apply_insert_indexes(
-        &mut self,
+    /// Arity, type and NOT NULL of a row against the relation schema, read
+    /// off the type of each of its scalars (`None` for a null).
+    fn validate(
+        &self,
         rel: RelationId,
-        datums: &[Datum],
-        tid: TupleId,
+        row: impl ExactSizeIterator<Item = Option<DataType>>,
     ) -> Result<()> {
+        let rel_schema = self.schema.relation(rel);
+        if row.len() != rel_schema.arity() {
+            return Err(StorageError::ArityMismatch {
+                relation: rel_schema.name().to_owned(),
+                expected: rel_schema.arity(),
+                actual: row.len(),
+            });
+        }
+        for (pos, (ty, a)) in row.zip(rel_schema.attributes()).enumerate() {
+            if ty.map_or(!a.nullable, |ty| ty != a.ty) {
+                return Err(StorageError::TypeMismatch {
+                    relation: rel_schema.name().to_owned(),
+                    attribute: rel_schema.attr_name(pos).to_owned(),
+                    expected: a.ty,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Arity/type/null-PK constraints hold: claim the primary-key slot, add
+    /// every secondary posting and append. Primary-key uniqueness is
+    /// enforced by the key insert itself (one probe finds the slot or the
+    /// duplicate — callers don't pre-check), and a duplicate fails before
+    /// anything is modified.
+    fn apply_insert(&mut self, rel: RelationId, datums: &[Datum]) -> Result<TupleId> {
+        let tid = TupleId(self.tables[rel.0].slot_count() as u64);
         let meta = &mut self.rel_meta[rel.0];
         if let Some(pk) = meta.pk {
             if let Some(idx) = meta.pk_index.as_mut() {
@@ -461,7 +407,9 @@ impl Database {
         for (pos, idx) in meta.secondary.iter_mut() {
             idx.insert(datums[*pos], tid);
         }
-        Ok(())
+        let appended = self.tables[rel.0].append_datums_from(datums);
+        debug_assert_eq!(appended, tid);
+        Ok(tid)
     }
 
     fn fk_violation(&self, fk_no: usize) -> StorageError {
@@ -473,32 +421,11 @@ impl Database {
         }
     }
 
-    fn check_foreign_keys(&self, rel: RelationId, values: &[Value]) -> Result<()> {
-        for f in &self.rel_meta[rel.0].fks {
-            let v = &values[f.from_pos];
-            if v.is_null() {
-                continue; // NULL FKs are vacuously valid.
-            }
-            // An un-interned text value cannot be stored anywhere, so a
-            // probe miss is a definitive "referenced tuple does not exist".
-            let ok = match Datum::probe_value(v) {
-                Some(d) => self.fk_datum_exists(f, d),
-                None => false,
-            };
-            if !ok {
-                return Err(self.fk_violation(f.fk_no));
-            }
-        }
-        Ok(())
-    }
-
-    fn check_foreign_keys_datums(&self, rel: RelationId, datums: &[Datum]) -> Result<()> {
+    fn check_foreign_keys(&self, rel: RelationId, datums: &[Datum]) -> Result<()> {
         for f in &self.rel_meta[rel.0].fks {
             let d = datums[f.from_pos];
-            if d.is_null() {
-                continue;
-            }
-            if !self.fk_datum_exists(f, d) {
+            // NULL FKs are vacuously valid.
+            if !d.is_null() && !self.fk_datum_exists(f, d) {
                 return Err(self.fk_violation(f.fk_no));
             }
         }
@@ -545,7 +472,7 @@ impl Database {
     /// (primary-key uniqueness excludes the tuple itself, so updates that
     /// keep the key are fine).
     pub fn update(&mut self, rel: RelationId, tid: TupleId, values: Vec<Value>) -> Result<()> {
-        self.validate_values(rel, &values)?;
+        self.validate(rel, values.iter().map(Value::data_type))?;
         let old: Vec<Datum> = self.tables[rel.0]
             .get(tid)
             .ok_or_else(|| StorageError::NoSuchTuple {
@@ -572,12 +499,12 @@ impl Database {
                 });
             }
         }
+        let new: Vec<Datum> = values.iter().map(Datum::from_value).collect();
         if self.enforce_fk {
-            self.check_foreign_keys(rel, &values)?;
+            self.check_foreign_keys(rel, &new)?;
         }
 
         // Point of no return: fix up the indexes and swap the tuple.
-        let new: Vec<Datum> = values.iter().map(Datum::from_value).collect();
         let meta = &mut self.rel_meta[rel.0];
         if let Some(pk) = meta.pk {
             if old[pk] != new[pk] {
@@ -795,7 +722,6 @@ impl Database {
 mod tests {
     use super::*;
     use crate::schema::ForeignKey;
-    use crate::value::DataType;
 
     fn movies_schema() -> DatabaseSchema {
         let mut s = DatabaseSchema::new("movies");
@@ -855,6 +781,99 @@ mod tests {
             Err(StorageError::TypeMismatch { .. })
         ));
         assert!(db.insert("nope", vec![]).is_err());
+    }
+
+    /// One row through each of the three insert entry points.
+    fn insert_each_way(db: &mut Database, rel: RelationId, row: &[Value]) -> [Result<TupleId>; 3] {
+        let datums = |row: &[Value]| row.iter().map(Datum::from_value).collect::<Vec<_>>();
+        [
+            db.insert_into(rel, row.to_vec()),
+            db.insert_datums_into(rel, datums(row)),
+            db.insert_datums_from(rel, &datums(row)),
+        ]
+    }
+
+    #[test]
+    fn every_entry_point_refuses_the_same_rows_the_same_way() {
+        // A nullable key, so a null reaches the key check.
+        let mut s = movies_schema();
+        s.add_relation(
+            RelationSchema::builder("NOTE")
+                .attr("nid", DataType::Int)
+                .primary_key("nid")
+                .build()
+                .unwrap(),
+        )
+        .unwrap();
+        let mut db = Database::new(s).unwrap();
+        db.set_enforce_foreign_keys(true);
+        let dir = db.schema().relation_id("DIRECTOR").unwrap();
+        let movie = db.schema().relation_id("MOVIE").unwrap();
+        let note = db.schema().relation_id("NOTE").unwrap();
+        db.insert_into(dir, vec![Value::from(1), Value::Null])
+            .unwrap();
+
+        type Refusal = fn(&StorageError) -> bool;
+        let cases: [(RelationId, Vec<Value>, Refusal); 6] = [
+            (dir, vec![Value::from(2)], |e| {
+                matches!(e, StorageError::ArityMismatch { actual: 1, .. })
+            }),
+            (
+                dir,
+                vec![Value::from(2), Value::from(3)],
+                |e| matches!(e, StorageError::TypeMismatch { attribute, .. } if attribute == "dname"),
+            ),
+            (
+                dir,
+                vec![Value::Null, Value::Null],
+                |e| matches!(e, StorageError::TypeMismatch { attribute, .. } if attribute == "did"),
+            ),
+            (note, vec![Value::Null], |e| {
+                matches!(e, StorageError::NullPrimaryKey { .. })
+            }),
+            (dir, vec![Value::from(1), Value::Null], |e| {
+                matches!(e, StorageError::PrimaryKeyViolation { .. })
+            }),
+            (
+                movie,
+                vec![Value::from(1), Value::Null, Value::from(7)],
+                |e| matches!(e, StorageError::ForeignKeyViolation { .. }),
+            ),
+        ];
+        for (rel, row, refused) in &cases {
+            for (way, result) in insert_each_way(&mut db, *rel, row).iter().enumerate() {
+                let e = result.as_ref().expect_err("refused");
+                assert!(refused(e), "entry point {way}, row {row:?}: {e}");
+            }
+        }
+        assert_eq!(db.total_tuples(), 1, "a refused row stores nothing");
+
+        // A row of values refused for its arity, a type or a null has not
+        // interned its text on the way.
+        let text = "a-refused-row-interns-nothing";
+        for row in [
+            vec![Value::from(text)],
+            vec![Value::from(text), Value::from(text)],
+            vec![Value::Null, Value::from(text)],
+        ] {
+            assert!(db.insert_into(dir, row).is_err());
+        }
+        assert_eq!(crate::sym::Sym::lookup(text), None);
+
+        // The failpoint is checked once per call, whichever way in.
+        let _gate = crate::failpoint::exclusive();
+        let _scope = crate::failpoint::thread_scope();
+        crate::failpoint::arm("insert_into", crate::failpoint::FailureKind::Io, 3, 1);
+        let row = [Value::from(1), Value::Null, Value::from(1)];
+        let [a, b, c] = insert_each_way(&mut db, movie, &row);
+        assert!(a.is_ok(), "{a:?}");
+        assert!(matches!(b, Err(StorageError::PrimaryKeyViolation { .. })));
+        assert!(matches!(c, Err(StorageError::PrimaryKeyViolation { .. })));
+        assert_eq!(crate::failpoint::hits("insert_into"), 3);
+        let fired = db.insert_into(movie, vec![Value::from(2), Value::Null, Value::from(1)]);
+        crate::failpoint::disarm("insert_into");
+        assert!(matches!(fired, Err(StorageError::Io(_))), "{fired:?}");
+        assert_eq!(db.len(movie), 1);
     }
 
     #[test]

@@ -198,8 +198,8 @@ impl Table {
     pub(crate) fn append(&mut self, tuple: Tuple) -> TupleId {
         match &self.repr {
             Repr::Columnar { .. } => {
-                let datums = tuple.values().iter().map(Datum::from_value).collect();
-                self.append_datums(datums)
+                let datums: Vec<Datum> = tuple.values().iter().map(Datum::from_value).collect();
+                self.append_datums_from(&datums)
             }
             Repr::Rows { .. } => {
                 let tid = TupleId(self.slot_count() as u64);
@@ -213,13 +213,9 @@ impl Table {
         }
     }
 
-    /// Append a tuple already in stored form — the allocation-free path.
-    pub(crate) fn append_datums(&mut self, datums: Vec<Datum>) -> TupleId {
-        self.append_datums_from(&datums)
-    }
-
-    /// [`Table::append_datums`] from a borrowed slice ([`Datum`] is `Copy`),
-    /// so bulk loaders can reuse one scratch buffer across appends.
+    /// Append a tuple already in stored form, from a borrowed slice
+    /// ([`Datum`] is `Copy`), so bulk loaders can reuse one scratch buffer
+    /// across appends.
     pub(crate) fn append_datums_from(&mut self, datums: &[Datum]) -> TupleId {
         debug_assert_eq!(datums.len(), self.schema.arity());
         self.append_slot(Some(datums))
@@ -491,7 +487,7 @@ mod tests {
         let mut t = table();
         t.reserve(rows);
         for i in 0..rows {
-            assert_eq!(t.append_datums(vec![Datum::Int(i as i64)]).as_usize(), i);
+            assert_eq!(t.append_datums_from(&[Datum::Int(i as i64)]).as_usize(), i);
         }
         assert_eq!(t.slot_count(), rows);
         for i in [0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5, rows - 1] {
@@ -512,7 +508,7 @@ mod tests {
         let rows = 5 * CHUNK_ROWS + 10;
         let mut original = table();
         for i in 0..rows {
-            original.append_datums(vec![Datum::Int(i as i64)]);
+            original.append_datums_from(&[Datum::Int(i as i64)]);
         }
         let mut copy = original.clone();
         assert_eq!(copy.unshared_chunks(&original), 0);
@@ -520,8 +516,8 @@ mod tests {
         let meter = cow::CopyMeter::new();
         // An append copies the tail chunk's slab; a second one finds it
         // private.
-        copy.append_datums(vec![Datum::Int(-1)]);
-        copy.append_datums(vec![Datum::Int(-2)]);
+        copy.append_datums_from(&[Datum::Int(-1)]);
+        copy.append_datums_from(&[Datum::Int(-2)]);
         assert_eq!(copy.unshared_chunks(&original), 1);
         // A delete clears a bit in the copy's own chunk list and copies
         // nothing; an update in place copies the slab of its row's chunk.

@@ -156,7 +156,7 @@ fn ranked_narratives_put_the_better_connected_homonym_first() {
     assert_eq!(ranked[1].relation, "ACTOR");
 
     // Scores agree with the ranking API.
-    let seeds = precis::core::rank_seeds(e.database(), e.graph(), &a.schema, &a.precis);
+    let seeds = precis::core::rank_seeds(e.database(), e.graph(), &a.schema, &a.precis).unwrap();
     assert_eq!(seeds.len(), 2);
     assert!(seeds[0].score > seeds[1].score);
 }
