@@ -6,11 +6,12 @@
 //! ```
 //!
 //! Subcommands: `fig7`, `fig7-large`, `fig8`, `fig9`, `cost-model`,
-//! `ablation-pruning`, `ablation-indegree`, `baseline`, `write-path`, `all`.
+//! `ablation-pruning`, `ablation-indegree`, `baseline`, `write-path`,
+//! `resident`, `all`.
 
 use precis_bench::figures::{
     ablation_in_degree, ablation_pruning, cost_model_validation, fig7, fig7_large_graph,
-    fig7_movies_graph, fig8, fig9, write_path,
+    fig7_movies_graph, fig8, fig9, resident, write_path,
 };
 use precis_bench::workloads::bench_movies_db;
 use precis_core::RetrievalStrategy;
@@ -29,6 +30,7 @@ fn main() {
         "ablation-indegree" => run_ablation_indegree(),
         "baseline" => run_baseline(),
         "write-path" => run_write_path(),
+        "resident" => run_resident(),
         "all" => {
             run_fig7();
             run_fig7_large();
@@ -42,7 +44,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment {other:?}");
-            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-indegree | baseline | write-path | all");
+            eprintln!("expected: fig7 | fig7-large | fig8 | fig9 | cost-model | ablation-pruning | ablation-indegree | baseline | write-path | resident | all");
             std::process::exit(2);
         }
     }
@@ -206,6 +208,23 @@ fn run_write_path() {
             p.apply_secs * 1e6,
             p.pieces_copied,
             p.bytes_copied as f64 / 1024.0
+        );
+    }
+}
+
+fn run_resident() {
+    println!(
+        "\n## Resident bytes — the serving benchmark's engine, by part (precis_resident_bytes)"
+    );
+    let (tuples, parts) = resident(34_000, 0x3A7E);
+    println!("## 34,000 movies, {tuples} tuples");
+    println!("{:>15}  {:>9}  {:>9}", "part", "MiB", "B/tuple");
+    let total: usize = parts.iter().map(|(_, bytes)| bytes).sum();
+    for (part, bytes) in parts.into_iter().chain([("sum", total)]) {
+        println!(
+            "{part:>15}  {:>9.2}  {:>9.1}",
+            bytes as f64 / (1 << 20) as f64,
+            bytes as f64 / tuples as f64
         );
     }
 }

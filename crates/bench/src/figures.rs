@@ -468,6 +468,37 @@ mod tests {
     }
 }
 
+/// The movies database at `movies` films, every other relation in the
+/// proportions of [`MoviesConfig::imdb_scale`] — the serving benchmark's
+/// database at 34,000.
+fn imdb_movies(movies: usize, seed: u64) -> Database {
+    let base = MoviesConfig::imdb_scale();
+    let scaled = |n: usize| (n * movies / base.movies).max(1);
+    MoviesGenerator::new(MoviesConfig {
+        movies,
+        directors: scaled(base.directors),
+        actors: scaled(base.actors),
+        theatres: scaled(base.theatres),
+        plays: scaled(base.plays),
+        seed,
+        ..base
+    })
+    .generate()
+}
+
+/// What the engine over the movies database at `movies` films (every other
+/// relation in the proportions of [`MoviesConfig::imdb_scale`], as the
+/// serving benchmark generates it) keeps resident: its tuple count
+/// and [`PrecisEngine::resident_bytes`], the parts `/v1/metrics` exports as
+/// `precis_resident_bytes`. Run it in a process of its own: `symbols` is
+/// the process's table, and holds whatever else the process interned.
+pub fn resident(movies: usize, seed: u64) -> (usize, [(&'static str, usize); 5]) {
+    let db = imdb_movies(movies, seed);
+    let tuples = db.total_tuples();
+    let engine = PrecisEngine::new(db, movies_graph()).expect("movies engine");
+    (tuples, engine.resident_bytes())
+}
+
 /// What the write path costs at one database size.
 #[derive(Debug, Clone, Copy)]
 pub struct WritePathPoint {
@@ -494,16 +525,7 @@ pub struct WritePathPoint {
 pub fn write_path(movies: usize, batches: usize, seed: u64) -> WritePathPoint {
     let base = MoviesConfig::imdb_scale();
     let scaled = |n: usize| (n * movies / base.movies).max(1);
-    let db = MoviesGenerator::new(MoviesConfig {
-        movies,
-        directors: scaled(base.directors),
-        actors: scaled(base.actors),
-        theatres: scaled(base.theatres),
-        plays: scaled(base.plays),
-        seed,
-        ..base
-    })
-    .generate();
+    let db = imdb_movies(movies, seed);
     let tuples = db.total_tuples();
     let rel = |name: &str| db.schema().relation_id(name).expect("movies relation");
     let (movie, cast) = (rel("MOVIE"), rel("CAST"));

@@ -42,9 +42,12 @@
 //! ## Memory layout
 //!
 //! Tables default to a columnar layout: fixed-size chunks of rows, each one
-//! contiguous column-major `Vec<Datum>` slab, with text attributes interned
-//! in the process-wide [`SymbolTable`] so a stored value is always 16 bytes.
-//! Reads hand out [`TupleRef`]/[`ValueRef`] views instead of owned tuples.
+//! contiguous column-major slab of words in which a cell takes its declared
+//! type's width — 8 bytes an integer or a float, 4 a boolean or a text,
+//! which is interned in the process-wide [`SymbolTable`] and stored as its
+//! symbol id — beside a null bitmap per column. Reads hand out
+//! [`TupleRef`]/[`ValueRef`] views instead of owned tuples, and rebuild the
+//! 16-byte [`Datum`] a cell stands for from its column's type.
 //! The legacy row-store layout is kept behind [`StorageLayout::Rows`] as a
 //! differential-testing reference.
 //!

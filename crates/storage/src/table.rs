@@ -6,31 +6,35 @@
 //!
 //! * [`StorageLayout::Columnar`] (default): rows are kept in fixed-size
 //!   *chunks* of [`CHUNK_ROWS`] slots, each chunk one contiguous column-major
-//!   slab of datums (attribute after attribute) behind an `Arc`, and a
-//!   bitmap of which slots are live. Cloning a table bumps one reference
-//!   count per chunk (and copies the bitmaps, 128 bytes a chunk); an append
-//!   or an update copies the slab of the chunk it writes — only while a
-//!   clone still shares it ([`crate::cow`]) — and a delete clears a bit.
-//!   Scans walk contiguous memory within a chunk and fetches copy nothing —
-//!   reads hand out [`TupleRef`] views that borrow the chunk's slab, so the
-//!   chunk is resolved once per tuple (a shift and a mask) and an attribute
-//!   is then one indexed load.
+//!   slab of 8-byte words behind an `Arc`, and a bitmap of which slots are
+//!   live. A cell takes what its declared type takes: an `INT` or a `FLOAT`
+//!   is one word, a `TEXT` (its symbol id) or a `BOOL` half of one, and each
+//!   column has a null bitmap of its own in the slab ([`Column`]). Cloning a
+//!   table bumps one reference count per chunk (and copies the bitmaps, 128
+//!   bytes a chunk); an append or an update copies the slab of the chunk it
+//!   writes — only while a clone still shares it ([`crate::cow`]) — and a
+//!   delete clears a bit. Scans walk contiguous memory within a chunk and
+//!   fetches copy nothing — reads hand out [`TupleRef`] views that borrow
+//!   the chunk's slab and the table's column layout, so the chunk is
+//!   resolved once per tuple (a shift and a mask) and an attribute is then
+//!   a bit test and one load, rebuilt into a [`Datum`] by its column's type.
 //! * [`StorageLayout::Rows`]: the legacy `Vec<Option<Tuple>>` slot store,
 //!   kept as the differential-testing reference for the columnar path. Its
 //!   clone is a deep copy.
 
 use crate::cow;
 use crate::schema::RelationSchema;
+use crate::sym::Sym;
 use crate::tuple::{Tuple, TupleId, TupleRef};
-use crate::value::Datum;
+use crate::value::{DataType, Datum};
 use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
 /// Slots per chunk of a columnar table. A power of two, so slot → (chunk,
 /// row) is a shift and a mask. It bounds what one write copies (an 8-op
-/// batch unshares a handful of chunks of `CHUNK_ROWS × arity × 16` bytes
-/// each) against what a clone bumps (one count per chunk); EXPERIMENTS.md
-/// "The write path costs what the batch costs" has the sweep that chose it.
+/// batch unshares a handful of chunks of `CHUNK_ROWS` rows each) against
+/// what a clone bumps (one count per chunk); EXPERIMENTS.md "The write path
+/// costs what the batch costs" has the sweep that chose it.
 pub const CHUNK_ROWS: usize = 1024;
 const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
 const CHUNK_MASK: usize = CHUNK_ROWS - 1;
@@ -38,11 +42,108 @@ const CHUNK_MASK: usize = CHUNK_ROWS - 1;
 /// Which physical layout a table (or whole database) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageLayout {
-    /// Chunked per-attribute column slabs of interned datums.
+    /// Chunked column-major slabs of typed cells.
     #[default]
     Columnar,
     /// The legacy row store of owned tuples.
     Rows,
+}
+
+/// Where one attribute of a columnar table lives in a chunk's slab,
+/// computed once from the schema. For a chunk with room for `stride` rows
+/// (always even), column `nth` starts at word `at · stride/2 + nth ·
+/// ⌈stride/64⌉`: its null bitmap (a set bit is a null), then its cells —
+/// `stride` words for an `INT` or a `FLOAT` (the value's bits), `stride/2`
+/// for a `TEXT` (the symbol id) or a `BOOL`, two 4-byte cells to a word.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    ty: DataType,
+    /// 4-byte units one row takes in the columns before this one.
+    at: u32,
+    /// This column's position, which is how many bitmaps precede it.
+    nth: u32,
+}
+
+impl Column {
+    /// The layout of every attribute of `schema`, in order.
+    fn all_of(schema: &RelationSchema) -> Arc<[Column]> {
+        let mut at = 0;
+        let columns = schema.attributes().iter().enumerate().map(|(nth, a)| {
+            let column = Column {
+                ty: a.ty,
+                at,
+                nth: nth as u32,
+            };
+            at += column.units();
+            column
+        });
+        columns.collect()
+    }
+
+    /// 4-byte units one row's cell takes.
+    fn units(&self) -> u32 {
+        match self.ty {
+            DataType::Int | DataType::Float => 2,
+            DataType::Text | DataType::Bool => 1,
+        }
+    }
+
+    /// First word of this column's null bitmap, and of its cells.
+    #[inline]
+    fn start(&self, stride: usize) -> (usize, usize) {
+        let bitmap = stride.div_ceil(64);
+        let start = self.at as usize * (stride / 2) + self.nth as usize * bitmap;
+        (start, start + bitmap)
+    }
+
+    /// Words this column takes at `stride`: bitmap and cells.
+    fn words(&self, stride: usize) -> usize {
+        stride.div_ceil(64) + self.units() as usize * (stride / 2)
+    }
+
+    /// The cell of `row`, in stored form.
+    #[inline]
+    pub(crate) fn read(&self, slab: &[u64], stride: usize, row: usize) -> Datum {
+        let (bitmap, cells) = self.start(stride);
+        if slab[bitmap + row / 64] >> (row % 64) & 1 == 1 {
+            return Datum::Null;
+        }
+        let half = || (slab[cells + row / 2] >> (row % 2 * 32)) as u32;
+        match self.ty {
+            DataType::Int => Datum::Int(slab[cells + row] as i64),
+            DataType::Float => Datum::Float(f64::from_bits(slab[cells + row])),
+            DataType::Text => Datum::Sym(Sym::from_id(half())),
+            DataType::Bool => Datum::Bool(half() != 0),
+        }
+    }
+
+    /// Store `datum` (validated against this column's type) as `row`'s cell.
+    fn write(&self, slab: &mut [u64], stride: usize, row: usize, datum: Datum) {
+        // The cell's width and meaning come from the column: a datum of
+        // another type would be stored as something else.
+        assert!(
+            datum.conforms_to(self.ty),
+            "{datum:?} in a {} column",
+            self.ty
+        );
+        let (bitmap, cells) = self.start(stride);
+        let (null, bits) = match datum {
+            Datum::Null => (true, 0),
+            Datum::Int(i) => (false, i as u64),
+            Datum::Float(f) => (false, f.to_bits()),
+            Datum::Sym(s) => (false, u64::from(s.id())),
+            Datum::Bool(b) => (false, u64::from(b)),
+        };
+        let flags = &mut slab[bitmap + row / 64];
+        *flags = *flags & !(1 << (row % 64)) | u64::from(null) << (row % 64);
+        if self.units() == 2 {
+            slab[cells + row] = bits;
+        } else {
+            let shift = row % 2 * 32;
+            let word = &mut slab[cells + row / 2];
+            *word = *word & !(0xFFFF_FFFF << shift) | bits << shift;
+        }
+    }
 }
 
 /// Up to [`CHUNK_ROWS`] consecutive slots of a columnar table, with room
@@ -50,35 +151,46 @@ pub enum StorageLayout {
 /// fills, so a result database's few rows do not pay for a full chunk, and
 /// neither does copying a table's barely begun tail chunk in order to
 /// append to it. The slab's `Arc` and the bitmap sit directly in the
-/// table's chunk list, so a fetch is list → slab → datum with no pointer in
+/// table's chunk list, so a fetch is list → slab → cell with no pointer in
 /// between and the liveness check touches the list alone.
 #[derive(Debug, Clone)]
 struct Chunk {
-    /// Column-major: attribute `a` of row `r` is `slab[a * stride + r]`.
-    slab: Arc<[Datum]>,
+    /// Column-major, laid out by the table's [`Column`]s.
+    slab: Arc<[u64]>,
+    /// Even, so a column of 4-byte cells fills whole words.
     stride: usize,
     /// One bit per slot: set = live, clear = tombstoned or not filled yet.
     live: [u64; CHUNK_ROWS / 64],
 }
 
 impl Chunk {
-    fn with_room(arity: usize, stride: usize) -> Chunk {
+    fn with_room(columns: &[Column], stride: usize) -> Chunk {
+        assert!(
+            stride.is_multiple_of(2) && stride <= CHUNK_ROWS,
+            "stride {stride}"
+        );
+        let words = columns.iter().map(|c| c.words(stride)).sum();
         Chunk {
-            slab: std::iter::repeat_n(Datum::Null, arity * stride).collect(),
+            slab: std::iter::repeat_n(0, words).collect(),
             stride,
             live: [0; CHUNK_ROWS / 64],
         }
     }
 
     /// Re-lay the chunk out with room for `stride` rows (at least as many
-    /// as it has room for now).
-    fn widen(&mut self, arity: usize, stride: usize) {
-        let mut slab: Vec<Datum> = vec![Datum::Null; arity * stride];
-        for a in 0..arity {
-            let column = &self.slab[a * self.stride..(a + 1) * self.stride];
-            slab[a * stride..a * stride + self.stride].copy_from_slice(column);
+    /// as it has room for now). A row keeps its word and bit within its
+    /// column's bitmap and cells, so each moves as two copied runs.
+    fn widen(&mut self, columns: &[Column], stride: usize) {
+        let mut wider = Chunk::with_room(columns, stride);
+        let slab = Arc::get_mut(&mut wider.slab).expect("a fresh slab is unshared");
+        let bitmap = self.stride.div_ceil(64);
+        for c in columns {
+            let (from, to) = (c.start(self.stride), c.start(stride));
+            let cells = c.units() as usize * (self.stride / 2);
+            slab[to.0..to.0 + bitmap].copy_from_slice(&self.slab[from.0..from.0 + bitmap]);
+            slab[to.1..to.1 + cells].copy_from_slice(&self.slab[from.1..from.1 + cells]);
         }
-        self.slab = slab.into();
+        self.slab = wider.slab;
         self.stride = stride;
     }
 
@@ -86,19 +198,20 @@ impl Chunk {
         self.live[row >> 6] >> (row & 63) & 1 == 1
     }
 
-    fn row(&self, row: usize) -> TupleRef<'_> {
+    fn row<'a>(&'a self, columns: &'a [Column], row: usize) -> TupleRef<'a> {
         TupleRef::Col {
             slab: &self.slab,
-            stride: self.stride,
-            row,
+            columns,
+            stride: self.stride as u32,
+            row: row as u32,
         }
     }
 
-    fn write(&mut self, row: usize, datums: &[Datum]) {
+    fn write(&mut self, columns: &[Column], row: usize, datums: &[Datum]) {
         debug_assert!(row < self.stride, "a row past the stride is another column");
         let slab = cow::make_mut_slice(&mut self.slab);
-        for (a, d) in datums.iter().enumerate() {
-            slab[a * self.stride + row] = *d;
+        for (c, d) in columns.iter().zip(datums) {
+            c.write(slab, self.stride, row, *d);
         }
         self.live[row >> 6] |= 1 << (row & 63);
     }
@@ -111,6 +224,8 @@ enum Repr {
         chunks: Vec<Chunk>,
         /// Physical slots (live + tombstoned) over all chunks.
         slots: usize,
+        /// Where each attribute lives in a chunk's slab.
+        columns: Arc<[Column]>,
     },
     Rows {
         slots: Vec<Option<Tuple>>,
@@ -135,6 +250,7 @@ impl Table {
             StorageLayout::Columnar => Repr::Columnar {
                 chunks: Vec::new(),
                 slots: 0,
+                columns: Column::all_of(&schema),
             },
             StorageLayout::Rows => Repr::Rows { slots: Vec::new() },
         };
@@ -153,14 +269,18 @@ impl Table {
     /// database appends without intermediate regrowth: the chunk list for
     /// all of them, and the first chunk for as many as it will hold.
     pub fn reserve(&mut self, additional: usize) {
-        let arity = self.schema.arity();
         match &mut self.repr {
-            Repr::Columnar { chunks, slots } => {
-                chunks.reserve(additional / CHUNK_ROWS);
-                let rows = (*slots + additional).min(CHUNK_ROWS);
+            Repr::Columnar {
+                chunks,
+                slots,
+                columns,
+            } => {
+                let rows = *slots + additional;
+                chunks.reserve(rows.div_ceil(CHUNK_ROWS).saturating_sub(chunks.len()));
+                let first = rows.min(CHUNK_ROWS).next_multiple_of(2);
                 match chunks.first_mut() {
-                    None if rows > 0 => chunks.push(Chunk::with_room(arity, rows)),
-                    Some(first) if first.stride < rows => first.widen(arity, rows),
+                    None if first > 0 => chunks.push(Chunk::with_room(columns, first)),
+                    Some(chunk) if chunk.stride < first => chunk.widen(columns, first),
                     _ => {}
                 }
             }
@@ -229,20 +349,23 @@ impl Table {
 
     /// Claim the next slot, live with `datums` or tombstoned without.
     fn append_slot(&mut self, datums: Option<&[Datum]>) -> TupleId {
-        let arity = self.schema.arity();
         let tid = TupleId(self.slot_count() as u64);
         match &mut self.repr {
-            Repr::Columnar { chunks, slots } => {
+            Repr::Columnar {
+                chunks,
+                slots,
+                columns,
+            } => {
                 let row = *slots & CHUNK_MASK;
                 if *slots == chunks.len() * CHUNK_ROWS {
-                    chunks.push(Chunk::with_room(arity, 4));
+                    chunks.push(Chunk::with_room(columns, 4));
                 }
                 let tail = chunks.last_mut().expect("a tail chunk was just ensured");
                 if row == tail.stride {
-                    tail.widen(arity, (2 * row).min(CHUNK_ROWS));
+                    tail.widen(columns, (2 * row).min(CHUNK_ROWS));
                 }
                 if let Some(datums) = datums {
-                    tail.write(row, datums);
+                    tail.write(columns, row, datums);
                 }
                 *slots += 1;
             }
@@ -258,10 +381,12 @@ impl Table {
     pub fn get(&self, tid: TupleId) -> Option<TupleRef<'_>> {
         let slot = tid.as_usize();
         match &self.repr {
-            Repr::Columnar { chunks, .. } => {
+            Repr::Columnar {
+                chunks, columns, ..
+            } => {
                 let chunk = chunks.get(slot >> CHUNK_SHIFT)?;
                 let row = slot & CHUNK_MASK;
-                chunk.is_live(row).then(|| chunk.row(row))
+                chunk.is_live(row).then(|| chunk.row(columns, row))
             }
             Repr::Rows { slots } => slots.get(slot)?.as_ref().map(TupleRef::Row),
         }
@@ -278,11 +403,13 @@ impl Table {
         let slot = tid.as_usize();
         assert!(slot < self.slot_count(), "append_at targets existing slots");
         match &mut self.repr {
-            Repr::Columnar { chunks, .. } => {
+            Repr::Columnar {
+                chunks, columns, ..
+            } => {
                 let chunk = &mut chunks[slot >> CHUNK_SHIFT];
                 let row = slot & CHUNK_MASK;
                 debug_assert!(!chunk.is_live(row), "append_at requires a free slot");
-                chunk.write(row, &datums);
+                chunk.write(columns, row, &datums);
             }
             Repr::Rows { slots } => {
                 debug_assert!(slots[slot].is_none(), "append_at requires a free slot");
@@ -298,14 +425,16 @@ impl Table {
     pub(crate) fn remove(&mut self, tid: TupleId) -> Option<Vec<Datum>> {
         let slot = tid.as_usize();
         let removed = match &mut self.repr {
-            Repr::Columnar { chunks, .. } => {
+            Repr::Columnar {
+                chunks, columns, ..
+            } => {
                 let chunk = chunks.get_mut(slot >> CHUNK_SHIFT)?;
                 let row = slot & CHUNK_MASK;
                 if !chunk.is_live(row) {
                     return None;
                 }
                 chunk.live[row >> 6] &= !(1 << (row & 63));
-                Some(chunk.row(row).datums())
+                Some(chunk.row(columns, row).datums())
             }
             Repr::Rows { slots } => {
                 let t = slots.get_mut(slot)?.take()?;
@@ -331,15 +460,19 @@ impl Table {
         }
     }
 
-    /// Heap bytes behind this table: the chunk list at its capacity and
-    /// every slab at the room it has, filled or not. (A row-layout table —
-    /// the testing reference — counts its slots and each row's values, not
-    /// the text they own.)
+    /// Heap bytes behind this table: the chunk list at its capacity, every
+    /// slab at the room it has, filled or not, and the column layout. (A
+    /// row-layout table — the testing reference — counts its slots and each
+    /// row's values, not the text they own.)
     pub fn heap_bytes(&self) -> usize {
         match &self.repr {
-            Repr::Columnar { chunks, .. } => {
+            Repr::Columnar {
+                chunks, columns, ..
+            } => {
                 let slabs = chunks.iter().map(|c| cow::arc_bytes(size_of_val(&*c.slab)));
-                cow::alloc_bytes(chunks.capacity() * size_of::<Chunk>()) + slabs.sum::<usize>()
+                cow::alloc_bytes(chunks.capacity() * size_of::<Chunk>())
+                    + cow::arc_bytes(size_of_val(&**columns))
+                    + slabs.sum::<usize>()
             }
             Repr::Rows { slots } => {
                 let rows = slots.iter().flatten().map(|t| size_of_val(t.values()));
@@ -391,7 +524,7 @@ impl<'a> Iterator for TableIter<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::{DataType, Value};
+    use crate::value::Value;
 
     fn table_with(layout: StorageLayout) -> Table {
         Table::with_layout(
@@ -503,6 +636,54 @@ mod tests {
         assert!(t.iter().map(|(tid, _)| tid.as_usize()).eq(0..rows));
     }
 
+    /// The chunk list's capacity, and the first chunk's room.
+    fn reserved(t: &Table) -> (usize, usize) {
+        let Repr::Columnar { chunks, .. } = &t.repr else {
+            unreachable!("a columnar table")
+        };
+        (chunks.capacity(), chunks.first().map_or(0, |c| c.stride))
+    }
+
+    #[test]
+    fn a_reserved_table_fills_without_regrowing_its_chunk_list() {
+        // Under one chunk (a result database), a remainder past whole
+        // chunks, whole chunks exactly, and a second reservation on top of
+        // rows already there. (A `Vec` grows to four at least, so a remainder
+        // is one chunk short only past four.)
+        for (before, additional) in [
+            (0, 3),
+            (0, 1000),
+            (0, 2 * CHUNK_ROWS + 1),
+            (0, 4 * CHUNK_ROWS + 1),
+            (0, 3 * CHUNK_ROWS),
+            (700, 900),
+            (5 * CHUNK_ROWS as i64, 3 * CHUNK_ROWS + 5),
+        ] {
+            let mut t = table();
+            for i in 0..before {
+                t.append_datums_from(&[Datum::Int(i)]);
+            }
+            t.reserve(additional);
+            let (capacity, room) = reserved(&t);
+            let rows = before as usize + additional;
+            assert!(
+                capacity >= rows.div_ceil(CHUNK_ROWS),
+                "{before} + {additional}"
+            );
+            assert!(room >= rows.min(CHUNK_ROWS), "{before} + {additional}");
+            for i in 0..additional {
+                t.append_datums_from(&[Datum::Int(i as i64)]);
+                assert_eq!(
+                    reserved(&t).0,
+                    capacity,
+                    "regrew at row {i} of {before} + {additional}"
+                );
+            }
+            assert_eq!(reserved(&t).1, room, "the first chunk widened");
+            assert_eq!(t.len(), rows);
+        }
+    }
+
     #[test]
     fn a_clone_shares_every_chunk_and_a_write_copies_only_its_own() {
         let rows = 5 * CHUNK_ROWS + 10;
@@ -531,14 +712,44 @@ mod tests {
         assert_eq!(copy.unshared_chunks(&original), 2);
         let copied = meter.copied();
         assert_eq!(copied.pieces, 2);
-        // (The tail had room for 16 rows when it was copied.)
-        assert_eq!(copied.bytes, ((16 + CHUNK_ROWS) * 16) as u64);
+        // What a slab of `stride` rows of one nullable INT column holds: an
+        // 8-byte cell a row and a null bit a row, in whole words. (The tail
+        // had room for 16 rows when it was copied.)
+        let slab = |stride: usize| 8 * (stride + stride.div_ceil(64));
+        assert_eq!(copied.bytes, (slab(16) + slab(CHUNK_ROWS)) as u64);
 
         // The original never saw any of it.
         assert_eq!(original.slot_count(), rows);
         assert_eq!(original.len(), rows);
         assert_eq!(original.datum(victim, 0), Some(Datum::Int(victim.0 as i64)));
         assert_eq!(copy.len(), rows + 1);
+    }
+
+    #[test]
+    fn a_cell_takes_its_types_width() {
+        let schema = RelationSchema::builder("R")
+            .attr_not_null("i", DataType::Int)
+            .attr("t", DataType::Text)
+            .attr("b", DataType::Bool)
+            .attr("f", DataType::Float)
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        let row = [
+            Datum::Int(i64::MIN),
+            Datum::Sym(Sym::intern("a cell takes its type's width")),
+            Datum::Bool(true),
+            Datum::Null,
+        ];
+        for _ in 0..CHUNK_ROWS {
+            t.append_datums_from(&row);
+        }
+        // 8 + 4 + 4 + 8 bytes a row, and four 128-byte bitmaps.
+        let Repr::Columnar { chunks, .. } = &t.repr else {
+            unreachable!()
+        };
+        assert_eq!(size_of_val(&*chunks[0].slab), CHUNK_ROWS * 24 + 4 * 128);
+        assert!(t.iter().all(|(_, tuple)| tuple.datums() == row));
     }
 
     #[test]

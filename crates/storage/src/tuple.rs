@@ -1,5 +1,6 @@
 //! Tuples and tuple identifiers.
 
+use crate::table::Column;
 use crate::value::{Datum, Value, ValueRef};
 use std::fmt;
 use std::ops::Index;
@@ -64,18 +65,20 @@ impl From<Vec<Value>> for Tuple {
 
 /// A borrowed view of one stored tuple, independent of the table's physical
 /// layout: row-store tuples borrow the [`Tuple`], columnar tuples borrow the
-/// slab of their chunk (see [`crate::Table`]). All read paths traffic in this
-/// type so a fetch never clones a value.
+/// slab of their chunk and the table's column layout (see [`crate::Table`]).
+/// All read paths traffic in this type so a fetch never clones a value.
 #[derive(Debug, Clone, Copy)]
 pub enum TupleRef<'a> {
     /// A tuple in a row-layout table.
     Row(&'a Tuple),
-    /// Row `row` of one chunk of a columnar table: the chunk's column-major
-    /// slab, attribute `a` at `slab[a * stride + row]`.
+    /// Row `row` of one chunk of a columnar table, which has room for
+    /// `stride` rows: the chunk's column-major slab of typed cells, and
+    /// where each attribute's cells are in it.
     Col {
-        slab: &'a [Datum],
-        stride: usize,
-        row: usize,
+        slab: &'a [u64],
+        columns: &'a [Column],
+        stride: u32,
+        row: u32,
     },
 }
 
@@ -83,25 +86,32 @@ impl<'a> TupleRef<'a> {
     pub fn arity(&self) -> usize {
         match self {
             TupleRef::Row(t) => t.arity(),
-            TupleRef::Col { slab, stride, .. } => slab.len() / stride,
+            TupleRef::Col { columns, .. } => columns.len(),
         }
     }
 
     /// Borrow attribute `idx`.
+    #[inline]
     pub fn get(&self, idx: usize) -> ValueRef<'a> {
         match self {
             TupleRef::Row(t) => ValueRef::from(&t[idx]),
-            TupleRef::Col { slab, stride, row } => slab[idx * stride + row].value_ref(),
+            TupleRef::Col { .. } => self.datum(idx).value_ref(),
         }
     }
 
-    /// Attribute `idx` in stored form. On a row-layout table this interns
-    /// text on the fly — cheap for the test-only legacy layout, free for
-    /// columnar.
+    /// Attribute `idx` in stored form: on a columnar table, the cell read
+    /// back by its column's type. On a row-layout table this interns text on
+    /// the fly — cheap for the test-only legacy layout.
+    #[inline]
     pub fn datum(&self, idx: usize) -> Datum {
-        match self {
+        match *self {
             TupleRef::Row(t) => Datum::from_value(&t[idx]),
-            TupleRef::Col { slab, stride, row } => slab[idx * stride + row],
+            TupleRef::Col {
+                slab,
+                columns,
+                stride,
+                row,
+            } => columns[idx].read(slab, stride as usize, row as usize),
         }
     }
 
@@ -158,6 +168,9 @@ impl Eq for TupleRef<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::RelationSchema;
+    use crate::table::Table;
+    use crate::value::DataType;
 
     #[test]
     fn projection_selects_positions() {
@@ -178,13 +191,16 @@ mod tests {
         let vals = vec![Value::from(1), Value::from("a"), Value::Null];
         let t = Tuple::new(vals.clone());
         let row = TupleRef::Row(&t);
-        // A one-row chunk: each attribute's column is one datum long.
-        let slab: Vec<Datum> = vals.iter().map(Datum::from_value).collect();
-        let col = TupleRef::Col {
-            slab: &slab,
-            stride: 1,
-            row: 0,
-        };
+        let schema = RelationSchema::builder("R")
+            .attr("i", DataType::Int)
+            .attr("t", DataType::Text)
+            .attr("f", DataType::Float)
+            .build()
+            .unwrap();
+        let mut table = Table::new(schema);
+        let tid = table.append(t.clone());
+        let col = table.get(tid).unwrap();
+        assert!(matches!(col, TupleRef::Col { .. }));
         assert_eq!(row, col);
         assert_eq!(row.values(), col.values());
         assert_eq!(row.project(&[1, 0]), col.project(&[1, 0]));

@@ -3,8 +3,11 @@
 //! Three representations share one value model:
 //!
 //! * [`Value`] — the owned boundary type (API, I/O, NLG);
-//! * [`Datum`] — the 16-byte stored form: scalars inline, text as an
-//!   interned [`Sym`]. Columns are contiguous `Vec<Datum>` slabs;
+//! * [`Datum`] — the 16-byte in-register form of a stored value: scalars
+//!   inline, text as an interned [`Sym`]. A table does not keep datums: a
+//!   columnar chunk keeps each cell at its column type's width (8 bytes an
+//!   `INT` or `FLOAT`, 4 a `TEXT` symbol or a `BOOL`, a null bit each) and
+//!   rebuilds the datum on read (see [`crate::Table`]);
 //! * [`ValueRef`] — a borrowed view over either, used by the read path so
 //!   fetches never clone a string.
 
@@ -207,7 +210,9 @@ impl From<bool> for Value {
     }
 }
 
-/// The compact stored form of a [`Value`]: 16 bytes, `Copy`, text interned.
+/// The compact in-register form of a [`Value`]: 16 bytes, `Copy`, text
+/// interned — what a table hands out and takes, storing each as a cell of
+/// its column's width.
 ///
 /// Equality and hashing mirror [`Value`] exactly (floats by bit pattern,
 /// NaN equal to NaN; text by symbol, which the interner makes equivalent to
