@@ -173,7 +173,8 @@ impl InvertedIndex {
         let mut words = 0u64;
         // By symbol id: the column a stored value was last met in, and its
         // place in that column's `values`. One zeroed allocation serves the
-        // whole build; a column touches only its own values' entries.
+        // whole build; a column touches only its own values' entries. Every
+        // stored value was interned before the build began, so its id fits.
         let mut seen: Vec<(u32, u32)> = vec![(0, 0); symbols.len()];
         let mut column = 0u32;
         for (rel, schema) in db.schema().relations() {
@@ -199,10 +200,6 @@ impl InvertedIndex {
                         continue;
                     };
                     let id = value.id() as usize;
-                    if id >= seen.len() {
-                        // A row-layout table interns its text as it is read.
-                        seen.resize(id + 1, (0, 0));
-                    }
                     if seen[id].0 != column {
                         let first = value_slots.len();
                         let mut occurrences = 0;

@@ -242,8 +242,6 @@ pub struct RetainedTrace {
     pub spans: Vec<SpanRecord>,
     /// Spans past the per-request cap.
     pub span_drops: u64,
-    /// Monotonic capture timestamp ([`crate::tracer::now_ns`]).
-    pub captured_at_ns: u64,
 }
 
 impl RetainedTrace {
@@ -509,7 +507,6 @@ mod tests {
             profile: None,
             spans: Vec::new(),
             span_drops: 0,
-            captured_at_ns: 0,
         }
     }
 

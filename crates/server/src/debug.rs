@@ -281,7 +281,6 @@ mod tests {
                 label: Some("movies".to_owned()),
             }],
             span_drops: 2,
-            captured_at_ns: 0,
         }
     }
 

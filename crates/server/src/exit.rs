@@ -202,6 +202,5 @@ pub(crate) fn answer(
         profile: outcome.profile.cloned(),
         spans,
         span_drops,
-        captured_at_ns,
     });
 }

@@ -1,8 +1,9 @@
 //! The write path against a plain reference: random batches applied through
 //! `mutate::apply_ops` — each to a private copy of the engine before it,
 //! every one of those engines kept alive — must end where the same ops
-//! applied in place to a `StorageLayout::Rows` database with a rebuilt index
-//! end, and must leave every engine on the way exactly as it was.
+//! applied in place to a database that is never cloned, so never copies on
+//! write, with a rebuilt index end, and must leave every engine on the way
+//! exactly as it was.
 
 use precis_core::PrecisEngine;
 use precis_datagen::{movies_graph, MoviesConfig, MoviesGenerator};
@@ -11,7 +12,7 @@ use precis_server::json::Json;
 use precis_server::mutate::apply_ops;
 use precis_server::{api, MutateOp};
 use precis_storage::io::dump_to_string;
-use precis_storage::{Database, StorageLayout, TupleId, Value, CHUNK_ROWS};
+use precis_storage::{Database, TupleId, Value, CHUNK_ROWS};
 use proptest::prelude::*;
 
 /// Just under a chunk of movies, so the inserts below carry `MOVIE`, and
@@ -36,15 +37,16 @@ fn generated() -> Database {
     .generate()
 }
 
-/// The same tuples on the same tuple ids, in the row layout.
-fn as_rows(db: &Database) -> Database {
-    let mut rows = Database::with_layout(db.schema().clone(), StorageLayout::Rows).unwrap();
+/// The same tuples on the same tuple ids, in a database of its own: no
+/// chunk of it is shared with `db`.
+fn replayed(db: &Database) -> Database {
+    let mut fresh = Database::new(db.schema().clone()).unwrap();
     for (rel, _) in db.schema().relations() {
         for (tid, t) in db.table(rel).iter() {
-            assert_eq!(rows.insert_into(rel, t.values()).unwrap(), tid);
+            assert_eq!(fresh.insert_into(rel, t.values()).unwrap(), tid);
         }
     }
-    rows
+    fresh
 }
 
 /// One op in both forms: as `/v1/mutate` decodes it, and as a direct call.
@@ -163,7 +165,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn batches_through_apply_ops_equal_the_ops_applied_in_place_to_rows(
+    fn batches_through_apply_ops_equal_the_ops_applied_in_place(
         raw in proptest::collection::vec((any::<u8>(), any::<u32>(), any::<u32>()), 700..900),
         batch_len in 5usize..40,
     ) {
@@ -174,7 +176,7 @@ proptest! {
         };
         let grown = ["MOVIE", "GENRE", "CAST"];
         let chunks_before = grown.map(|r| chunks_of(&db, r));
-        let mut reference = as_rows(&db);
+        let mut reference = replayed(&db);
         let mut engine = PrecisEngine::new(db, movies_graph()).unwrap();
         // Every engine on the way, with its dump as of then.
         let mut kept: Vec<(PrecisEngine, String)> = Vec::new();

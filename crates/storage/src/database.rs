@@ -13,7 +13,7 @@ use crate::error::StorageError;
 use crate::index::{HashIndex, UniqueIndex};
 use crate::schema::{DatabaseSchema, RelationId, RelationSchema};
 use crate::stats::AccessStats;
-use crate::table::{StorageLayout, Table};
+use crate::table::Table;
 use crate::tuple::{TupleId, TupleRef};
 use crate::value::{DataType, Datum, Value};
 use crate::wal::{WalOp, WalSink};
@@ -78,7 +78,6 @@ pub struct Database {
     /// inserted first). Off by default so loaders can insert in any order and
     /// check once with [`Database::validate_foreign_keys`].
     enforce_fk: bool,
-    layout: StorageLayout,
     stats: AccessStats,
     /// When attached, every successful mutation is described to the sink
     /// after it applies. `None` (the default) is the pure in-memory mode.
@@ -86,17 +85,11 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create an empty database for `schema` in the default (columnar)
-    /// layout.
+    /// Create an empty database for `schema`.
     pub fn new(schema: DatabaseSchema) -> Result<Self> {
-        Database::with_layout(schema, StorageLayout::default())
-    }
-
-    /// Create an empty database with an explicit physical layout.
-    pub fn with_layout(schema: DatabaseSchema, layout: StorageLayout) -> Result<Self> {
         let tables = schema
             .relations()
-            .map(|(_, r)| Table::with_layout(r.clone(), layout))
+            .map(|(_, r)| Table::new(r.clone()))
             .collect::<Vec<_>>();
         let mut rel_meta: Vec<RelMeta> = schema
             .relations()
@@ -138,7 +131,6 @@ impl Database {
             tables,
             rel_meta,
             enforce_fk: false,
-            layout,
             stats: AccessStats::new(),
             wal: None,
         })
@@ -200,11 +192,6 @@ impl Database {
 
     pub fn stats(&self) -> &AccessStats {
         &self.stats
-    }
-
-    /// The physical layout every table of this database uses.
-    pub fn layout(&self) -> StorageLayout {
-        self.layout
     }
 
     /// Turn immediate foreign-key checking on or off.
@@ -287,7 +274,7 @@ impl Database {
             if table.slot_count() == table.len() {
                 continue;
             }
-            out.tables[rel] = Table::with_layout(table.schema().clone(), table.layout());
+            out.tables[rel] = Table::new(table.schema().clone());
             let meta = &mut out.rel_meta[rel];
             meta.pk_index = meta.pk.map(|_| UniqueIndex::new());
             for (_, idx) in &mut meta.secondary {
@@ -1334,33 +1321,30 @@ mod tests {
     }
 
     #[test]
-    fn datum_inserts_match_value_inserts_across_layouts() {
-        // The same rows, inserted as values into a columnar db, as datums
-        // into a second columnar db, and as values into a rows-layout db,
-        // produce identical contents, tids and index behavior.
+    fn datum_inserts_match_value_inserts() {
+        // The same rows, inserted as values into one db and as datums into
+        // another, read back as the values inserted, on the same tids and
+        // with the same index behavior.
         let rows = [
             vec![Value::from(1), Value::from("A")],
             vec![Value::from(2), Value::Null],
         ];
         let mut by_value = movies_db();
         let mut by_datum = movies_db();
-        let mut legacy = Database::with_layout(movies_schema(), StorageLayout::Rows).unwrap();
-        assert_eq!(legacy.layout(), StorageLayout::Rows);
-        assert_eq!(by_value.layout(), StorageLayout::Columnar);
         let dir = by_value.schema().relation_id("DIRECTOR").unwrap();
         for r in &rows {
             let a = by_value.insert_into(dir, r.clone()).unwrap();
             let datums = r.iter().map(Datum::from_value).collect();
             let b = by_datum.insert_datums_into(dir, datums).unwrap();
-            let c = legacy.insert_into(dir, r.clone()).unwrap();
             assert_eq!(a, b);
-            assert_eq!(a, c);
         }
-        for db in [&by_value, &by_datum, &legacy] {
+        for db in [&by_value, &by_datum] {
             assert_eq!(db.len(dir), 2);
             assert_eq!(db.lookup_pk(dir, &Value::from(2)), Some(TupleId(1)));
-            let t = db.fetch_from(dir, TupleId(0)).unwrap();
-            assert_eq!(t.values(), rows[0]);
+            for (tid, row) in rows.iter().enumerate() {
+                let t = db.fetch_from(dir, TupleId(tid as u64)).unwrap();
+                assert_eq!(&t.values(), row);
+            }
         }
         // Datum inserts enforce pk uniqueness too.
         let dup = rows[0].iter().map(Datum::from_value).collect();

@@ -41,15 +41,13 @@
 //!
 //! ## Memory layout
 //!
-//! Tables default to a columnar layout: fixed-size chunks of rows, each one
-//! contiguous column-major slab of words in which a cell takes its declared
-//! type's width — 8 bytes an integer or a float, 4 a boolean or a text,
-//! which is interned in the process-wide [`SymbolTable`] and stored as its
-//! symbol id — beside a null bitmap per column. Reads hand out
+//! A table is one layout: fixed-size chunks of rows, each one contiguous
+//! column-major slab of words in which a cell takes its declared type's
+//! width — 8 bytes an integer or a float, 4 a boolean or a text, which is
+//! interned in the process-wide [`SymbolTable`] and stored as its symbol id
+//! — beside a null bitmap per column. Reads hand out
 //! [`TupleRef`]/[`ValueRef`] views instead of owned tuples, and rebuild the
 //! 16-byte [`Datum`] a cell stands for from its column's type.
-//! The legacy row-store layout is kept behind [`StorageLayout::Rows`] as a
-//! differential-testing reference.
 //!
 //! Chunks and index shards sit behind `Arc`s ([`cow`]): cloning a
 //! [`Database`] copies pointers, and a mutation copies only the chunks and
@@ -81,9 +79,9 @@ pub use index::{HashIndex, UniqueIndex};
 pub use schema::{AttributeDef, DatabaseSchema, ForeignKey, RelationId, RelationSchema};
 pub use stats::{AccessStats, StatsSnapshot, ThreadMeter};
 pub use sym::{Sym, SymbolTable};
-pub use table::{StorageLayout, Table, TableIter, CHUNK_ROWS};
+pub use table::{Table, TableIter, CHUNK_ROWS};
 pub use tidlist::{TidList, SEGMENT_TIDS};
-pub use tuple::{Tuple, TupleId, TupleRef};
+pub use tuple::{TupleId, TupleRef};
 pub use value::{DataType, Datum, Value, ValueRef};
 pub use wal::{MemoryWalSink, NullWalSink, WalOp, WalSink};
 

@@ -1,36 +1,31 @@
 //! Physical storage of one relation.
 //!
-//! Two layouts sit behind one API; tuple ids are slot positions in both and
-//! remain stable across deletions (slots are tombstoned, not reused), which
-//! keeps inverted-index postings valid.
-//!
-//! * [`StorageLayout::Columnar`] (default): rows are kept in fixed-size
-//!   *chunks* of [`CHUNK_ROWS`] slots, each chunk one contiguous column-major
-//!   slab of 8-byte words behind an `Arc`, and a bitmap of which slots are
-//!   live. A cell takes what its declared type takes: an `INT` or a `FLOAT`
-//!   is one word, a `TEXT` (its symbol id) or a `BOOL` half of one, and each
-//!   column has a null bitmap of its own in the slab ([`Column`]). Cloning a
-//!   table bumps one reference count per chunk (and copies the bitmaps, 128
-//!   bytes a chunk); an append or an update copies the slab of the chunk it
-//!   writes — only while a clone still shares it ([`crate::cow`]) — and a
-//!   delete clears a bit. Scans walk contiguous memory within a chunk and
-//!   fetches copy nothing — reads hand out [`TupleRef`] views that borrow
-//!   the chunk's slab and the table's column layout, so the chunk is
-//!   resolved once per tuple (a shift and a mask) and an attribute is then
-//!   a bit test and one load, rebuilt into a [`Datum`] by its column's type.
-//! * [`StorageLayout::Rows`]: the legacy `Vec<Option<Tuple>>` slot store,
-//!   kept as the differential-testing reference for the columnar path. Its
-//!   clone is a deep copy.
+//! Tuple ids are slot positions and remain stable across deletions (slots
+//! are tombstoned, not reused), which keeps inverted-index postings valid.
+//! Rows are kept in fixed-size *chunks* of [`CHUNK_ROWS`] slots, each chunk
+//! one contiguous column-major slab of 8-byte words behind an `Arc`, and a
+//! bitmap of which slots are live. A cell takes what its declared type
+//! takes: an `INT` or a `FLOAT` is one word, a `TEXT` (its symbol id) or a
+//! `BOOL` half of one, and each column has a null bitmap of its own in the
+//! slab ([`Column`]). Cloning a table bumps one reference count per chunk
+//! (and copies the bitmaps, 128 bytes a chunk); an append or an update
+//! copies the slab of the chunk it writes — only while a clone still shares
+//! it ([`crate::cow`]) — and a delete clears a bit. Scans walk contiguous
+//! memory within a chunk and fetches copy nothing — reads hand out
+//! [`TupleRef`] views that borrow the chunk's slab and the table's column
+//! layout, so the chunk is resolved once per tuple (a shift and a mask) and
+//! an attribute is then a bit test and one load, rebuilt into a [`Datum`]
+//! by its column's type.
 
 use crate::cow;
 use crate::schema::RelationSchema;
 use crate::sym::Sym;
-use crate::tuple::{Tuple, TupleId, TupleRef};
+use crate::tuple::{TupleId, TupleRef};
 use crate::value::{DataType, Datum};
 use std::mem::{size_of, size_of_val};
 use std::sync::Arc;
 
-/// Slots per chunk of a columnar table. A power of two, so slot → (chunk,
+/// Slots per chunk of a table. A power of two, so slot → (chunk,
 /// row) is a shift and a mask. It bounds what one write copies (an 8-op
 /// batch unshares a handful of chunks of `CHUNK_ROWS` rows each) against
 /// what a clone bumps (one count per chunk); EXPERIMENTS.md "The write path
@@ -39,17 +34,7 @@ pub const CHUNK_ROWS: usize = 1024;
 const CHUNK_SHIFT: u32 = CHUNK_ROWS.trailing_zeros();
 const CHUNK_MASK: usize = CHUNK_ROWS - 1;
 
-/// Which physical layout a table (or whole database) uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageLayout {
-    /// Chunked column-major slabs of typed cells.
-    #[default]
-    Columnar,
-    /// The legacy row store of owned tuples.
-    Rows,
-}
-
-/// Where one attribute of a columnar table lives in a chunk's slab,
+/// Where one attribute of a table lives in a chunk's slab,
 /// computed once from the schema. For a chunk with room for `stride` rows
 /// (always even), column `nth` starts at word `at · stride/2 + nth ·
 /// ⌈stride/64⌉`: its null bitmap (a set bit is a null), then its cells —
@@ -146,7 +131,7 @@ impl Column {
     }
 }
 
-/// Up to [`CHUNK_ROWS`] consecutive slots of a columnar table, with room
+/// Up to [`CHUNK_ROWS`] consecutive slots of a table, with room
 /// for `stride` of them. A chunk starts small and doubles its room as it
 /// fills, so a result database's few rows do not pay for a full chunk, and
 /// neither does copying a table's barely begun tail chunk in order to
@@ -199,7 +184,7 @@ impl Chunk {
     }
 
     fn row<'a>(&'a self, columns: &'a [Column], row: usize) -> TupleRef<'a> {
-        TupleRef::Col {
+        TupleRef {
             slab: &self.slab,
             columns,
             stride: self.stride as u32,
@@ -217,46 +202,26 @@ impl Chunk {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Repr {
-    Columnar {
-        /// Every chunk but the last is full.
-        chunks: Vec<Chunk>,
-        /// Physical slots (live + tombstoned) over all chunks.
-        slots: usize,
-        /// Where each attribute lives in a chunk's slab.
-        columns: Arc<[Column]>,
-    },
-    Rows {
-        slots: Vec<Option<Tuple>>,
-    },
-}
-
 /// The tuple store of one relation.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: Arc<RelationSchema>,
-    repr: Repr,
+    /// Every chunk but the last is full.
+    chunks: Vec<Chunk>,
+    /// Physical slots (live + tombstoned) over all chunks.
+    slots: usize,
+    /// Where each attribute lives in a chunk's slab.
+    columns: Arc<[Column]>,
     live: usize,
 }
 
 impl Table {
     pub fn new(schema: RelationSchema) -> Self {
-        Table::with_layout(schema, StorageLayout::default())
-    }
-
-    pub fn with_layout(schema: RelationSchema, layout: StorageLayout) -> Self {
-        let repr = match layout {
-            StorageLayout::Columnar => Repr::Columnar {
-                chunks: Vec::new(),
-                slots: 0,
-                columns: Column::all_of(&schema),
-            },
-            StorageLayout::Rows => Repr::Rows { slots: Vec::new() },
-        };
         Table {
+            chunks: Vec::new(),
+            slots: 0,
+            columns: Column::all_of(&schema),
             schema: Arc::new(schema),
-            repr,
             live: 0,
         }
     }
@@ -269,29 +234,14 @@ impl Table {
     /// database appends without intermediate regrowth: the chunk list for
     /// all of them, and the first chunk for as many as it will hold.
     pub fn reserve(&mut self, additional: usize) {
-        match &mut self.repr {
-            Repr::Columnar {
-                chunks,
-                slots,
-                columns,
-            } => {
-                let rows = *slots + additional;
-                chunks.reserve(rows.div_ceil(CHUNK_ROWS).saturating_sub(chunks.len()));
-                let first = rows.min(CHUNK_ROWS).next_multiple_of(2);
-                match chunks.first_mut() {
-                    None if first > 0 => chunks.push(Chunk::with_room(columns, first)),
-                    Some(chunk) if chunk.stride < first => chunk.widen(columns, first),
-                    _ => {}
-                }
-            }
-            Repr::Rows { slots } => slots.reserve(additional),
-        }
-    }
-
-    pub fn layout(&self) -> StorageLayout {
-        match self.repr {
-            Repr::Columnar { .. } => StorageLayout::Columnar,
-            Repr::Rows { .. } => StorageLayout::Rows,
+        let rows = self.slots + additional;
+        let (chunks, columns) = (&mut self.chunks, &self.columns);
+        chunks.reserve(rows.div_ceil(CHUNK_ROWS).saturating_sub(chunks.len()));
+        let first = rows.min(CHUNK_ROWS).next_multiple_of(2);
+        match chunks.first_mut() {
+            None if first > 0 => chunks.push(Chunk::with_room(columns, first)),
+            Some(chunk) if chunk.stride < first => chunk.widen(columns, first),
+            _ => {}
         }
     }
 
@@ -307,30 +257,7 @@ impl Table {
     /// Number of physical slots (live + tombstoned); the next append gets
     /// this as its tuple id.
     pub fn slot_count(&self) -> usize {
-        match &self.repr {
-            Repr::Columnar { slots, .. } => *slots,
-            Repr::Rows { slots } => slots.len(),
-        }
-    }
-
-    /// Append a tuple (validation happens in `Database::insert`).
-    #[cfg(test)]
-    pub(crate) fn append(&mut self, tuple: Tuple) -> TupleId {
-        match &self.repr {
-            Repr::Columnar { .. } => {
-                let datums: Vec<Datum> = tuple.values().iter().map(Datum::from_value).collect();
-                self.append_datums_from(&datums)
-            }
-            Repr::Rows { .. } => {
-                let tid = TupleId(self.slot_count() as u64);
-                let Repr::Rows { slots } = &mut self.repr else {
-                    unreachable!()
-                };
-                slots.push(Some(tuple));
-                self.live += 1;
-                tid
-            }
-        }
+        self.slots
     }
 
     /// Append a tuple already in stored form, from a borrowed slice
@@ -349,30 +276,20 @@ impl Table {
 
     /// Claim the next slot, live with `datums` or tombstoned without.
     fn append_slot(&mut self, datums: Option<&[Datum]>) -> TupleId {
-        let tid = TupleId(self.slot_count() as u64);
-        match &mut self.repr {
-            Repr::Columnar {
-                chunks,
-                slots,
-                columns,
-            } => {
-                let row = *slots & CHUNK_MASK;
-                if *slots == chunks.len() * CHUNK_ROWS {
-                    chunks.push(Chunk::with_room(columns, 4));
-                }
-                let tail = chunks.last_mut().expect("a tail chunk was just ensured");
-                if row == tail.stride {
-                    tail.widen(columns, (2 * row).min(CHUNK_ROWS));
-                }
-                if let Some(datums) = datums {
-                    tail.write(columns, row, datums);
-                }
-                *slots += 1;
-            }
-            Repr::Rows { slots } => slots.push(
-                datums.map(|datums| Tuple::new(datums.iter().map(|d| d.to_value()).collect())),
-            ),
+        let tid = TupleId(self.slots as u64);
+        let (chunks, columns) = (&mut self.chunks, &self.columns);
+        let row = self.slots & CHUNK_MASK;
+        if self.slots == chunks.len() * CHUNK_ROWS {
+            chunks.push(Chunk::with_room(columns, 4));
         }
+        let tail = chunks.last_mut().expect("a tail chunk was just ensured");
+        if row == tail.stride {
+            tail.widen(columns, (2 * row).min(CHUNK_ROWS));
+        }
+        if let Some(datums) = datums {
+            tail.write(columns, row, datums);
+        }
+        self.slots += 1;
         self.live += usize::from(datums.is_some());
         tid
     }
@@ -380,16 +297,9 @@ impl Table {
     /// Fetch a live tuple by id.
     pub fn get(&self, tid: TupleId) -> Option<TupleRef<'_>> {
         let slot = tid.as_usize();
-        match &self.repr {
-            Repr::Columnar {
-                chunks, columns, ..
-            } => {
-                let chunk = chunks.get(slot >> CHUNK_SHIFT)?;
-                let row = slot & CHUNK_MASK;
-                chunk.is_live(row).then(|| chunk.row(columns, row))
-            }
-            Repr::Rows { slots } => slots.get(slot)?.as_ref().map(TupleRef::Row),
-        }
+        let chunk = self.chunks.get(slot >> CHUNK_SHIFT)?;
+        let row = slot & CHUNK_MASK;
+        chunk.is_live(row).then(|| chunk.row(&self.columns, row))
     }
 
     /// One attribute of a live tuple, in stored form.
@@ -401,22 +311,11 @@ impl Table {
     /// `Database::update` to replace a tuple while keeping its id.
     pub(crate) fn append_datums_at(&mut self, tid: TupleId, datums: Vec<Datum>) -> TupleId {
         let slot = tid.as_usize();
-        assert!(slot < self.slot_count(), "append_at targets existing slots");
-        match &mut self.repr {
-            Repr::Columnar {
-                chunks, columns, ..
-            } => {
-                let chunk = &mut chunks[slot >> CHUNK_SHIFT];
-                let row = slot & CHUNK_MASK;
-                debug_assert!(!chunk.is_live(row), "append_at requires a free slot");
-                chunk.write(columns, row, &datums);
-            }
-            Repr::Rows { slots } => {
-                debug_assert!(slots[slot].is_none(), "append_at requires a free slot");
-                let values = datums.iter().map(|d| d.to_value()).collect();
-                slots[slot] = Some(Tuple::new(values));
-            }
-        }
+        assert!(slot < self.slots, "append_at targets existing slots");
+        let chunk = &mut self.chunks[slot >> CHUNK_SHIFT];
+        let row = slot & CHUNK_MASK;
+        debug_assert!(!chunk.is_live(row), "append_at requires a free slot");
+        chunk.write(&self.columns, row, &datums);
         self.live += 1;
         tid
     }
@@ -424,32 +323,19 @@ impl Table {
     /// Tombstone a tuple, returning its stored form if it was live.
     pub(crate) fn remove(&mut self, tid: TupleId) -> Option<Vec<Datum>> {
         let slot = tid.as_usize();
-        let removed = match &mut self.repr {
-            Repr::Columnar {
-                chunks, columns, ..
-            } => {
-                let chunk = chunks.get_mut(slot >> CHUNK_SHIFT)?;
-                let row = slot & CHUNK_MASK;
-                if !chunk.is_live(row) {
-                    return None;
-                }
-                chunk.live[row >> 6] &= !(1 << (row & 63));
-                Some(chunk.row(columns, row).datums())
-            }
-            Repr::Rows { slots } => {
-                let t = slots.get_mut(slot)?.take()?;
-                Some(t.values().iter().map(Datum::from_value).collect())
-            }
-        };
-        if removed.is_some() {
-            self.live -= 1;
+        let chunk = self.chunks.get_mut(slot >> CHUNK_SHIFT)?;
+        let row = slot & CHUNK_MASK;
+        if !chunk.is_live(row) {
+            return None;
         }
-        removed
+        chunk.live[row >> 6] &= !(1 << (row & 63));
+        self.live -= 1;
+        Some(chunk.row(&self.columns, row).datums())
     }
 
     /// Every slot in tid order, tombstoned ones as `None`.
     pub fn slots(&self) -> impl Iterator<Item = Option<TupleRef<'_>>> {
-        (0..self.slot_count()).map(|slot| self.get(TupleId(slot as u64)))
+        (0..self.slots).map(|slot| self.get(TupleId(slot as u64)))
     }
 
     /// Iterate over live tuples in tid order.
@@ -461,42 +347,21 @@ impl Table {
     }
 
     /// Heap bytes behind this table: the chunk list at its capacity, every
-    /// slab at the room it has, filled or not, and the column layout. (A
-    /// row-layout table — the testing reference — counts its slots and each
-    /// row's values, not the text they own.)
+    /// slab at the room it has, filled or not, and the column layout.
     pub fn heap_bytes(&self) -> usize {
-        match &self.repr {
-            Repr::Columnar {
-                chunks, columns, ..
-            } => {
-                let slabs = chunks.iter().map(|c| cow::arc_bytes(size_of_val(&*c.slab)));
-                cow::alloc_bytes(chunks.capacity() * size_of::<Chunk>())
-                    + cow::arc_bytes(size_of_val(&**columns))
-                    + slabs.sum::<usize>()
-            }
-            Repr::Rows { slots } => {
-                let rows = slots.iter().flatten().map(|t| size_of_val(t.values()));
-                cow::alloc_bytes(slots.capacity() * size_of::<Option<Tuple>>())
-                    + rows.map(cow::alloc_bytes).sum::<usize>()
-            }
-        }
+        let slabs = self.chunks.iter().map(|c| size_of_val(&*c.slab));
+        cow::alloc_bytes(self.chunks.capacity() * size_of::<Chunk>())
+            + cow::arc_bytes(size_of_val(&*self.columns))
+            + slabs.map(cow::arc_bytes).sum::<usize>()
     }
 
     /// Chunks of this table whose slab `other` does not share by pointer:
     /// zero for a fresh clone, one per chunk either side has written a row
-    /// of since. (A row-layout table shares nothing: every slot counts.)
+    /// of since.
     pub(crate) fn unshared_chunks(&self, other: &Table) -> usize {
-        match (&self.repr, &other.repr) {
-            (Repr::Columnar { chunks, .. }, Repr::Columnar { chunks: theirs, .. }) => {
-                let shared = chunks
-                    .iter()
-                    .zip(theirs)
-                    .filter(|(a, b)| Arc::ptr_eq(&a.slab, &b.slab))
-                    .count();
-                chunks.len() - shared
-            }
-            _ => self.slot_count(),
-        }
+        let shared = self.chunks.iter().zip(&other.chunks);
+        let shared = shared.filter(|(a, b)| Arc::ptr_eq(&a.slab, &b.slab));
+        self.chunks.len() - shared.count()
     }
 }
 
@@ -526,92 +391,68 @@ mod tests {
     use super::*;
     use crate::value::Value;
 
-    fn table_with(layout: StorageLayout) -> Table {
-        Table::with_layout(
+    fn table() -> Table {
+        Table::new(
             RelationSchema::builder("R")
                 .attr("a", DataType::Int)
                 .build()
                 .unwrap(),
-            layout,
         )
     }
 
-    fn table() -> Table {
-        table_with(StorageLayout::Columnar)
+    fn append(t: &mut Table, a: i64) -> TupleId {
+        t.append_datums_from(&[Datum::Int(a)])
     }
 
     #[test]
     fn append_get_roundtrip() {
         let mut t = table();
-        let t0 = t.append(Tuple::new(vec![Value::from(10)]));
-        let t1 = t.append(Tuple::new(vec![Value::from(20)]));
+        let t0 = append(&mut t, 10);
+        let t1 = append(&mut t, 20);
         assert_eq!(t.get(t0).unwrap().get(0), Value::from(10));
         assert_eq!(t.get(t1).unwrap().get(0), Value::from(20));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
+        let read: Vec<_> = t.iter().map(|(tid, tup)| (tid, tup.values())).collect();
+        assert_eq!(
+            read,
+            [(t0, vec![Value::from(10)]), (t1, vec![Value::from(20)])]
+        );
     }
 
     #[test]
     fn delete_tombstones_without_shifting_ids() {
-        for layout in [StorageLayout::Columnar, StorageLayout::Rows] {
-            let mut t = table_with(layout);
-            let t0 = t.append(Tuple::new(vec![Value::from(10)]));
-            let t1 = t.append(Tuple::new(vec![Value::from(20)]));
-            assert!(t.remove(t0).is_some());
-            assert!(t.remove(t0).is_none());
-            assert_eq!(t.len(), 1);
-            assert!(t.get(t0).is_none());
-            assert_eq!(t.get(t1).unwrap().get(0), Value::from(20));
-            // New appends take fresh slots, not the tombstoned one.
-            let t2 = t.append(Tuple::new(vec![Value::from(30)]));
-            assert_ne!(t2, t0);
-            assert_eq!(t.slot_count(), 3);
-        }
+        let mut t = table();
+        let t0 = append(&mut t, 10);
+        let t1 = append(&mut t, 20);
+        assert_eq!(t.remove(t0), Some(vec![Datum::Int(10)]));
+        assert!(t.remove(t0).is_none());
+        assert_eq!(t.len(), 1);
+        assert!(t.get(t0).is_none());
+        assert_eq!(t.get(t1).unwrap().get(0), Value::from(20));
+        // New appends take fresh slots, not the tombstoned one.
+        let t2 = append(&mut t, 30);
+        assert_ne!(t2, t0);
+        assert_eq!(t.slot_count(), 3);
     }
 
     #[test]
     fn iter_skips_tombstones_in_tid_order() {
-        for layout in [StorageLayout::Columnar, StorageLayout::Rows] {
-            let mut t = table_with(layout);
-            let ids: Vec<_> = (0..5)
-                .map(|i| t.append(Tuple::new(vec![Value::from(i)])))
-                .collect();
-            t.remove(ids[1]);
-            t.remove(ids[3]);
-            let seen: Vec<i64> = t
-                .iter()
-                .map(|(_, tup)| tup.get(0).as_int().unwrap())
-                .collect();
-            assert_eq!(seen, vec![0, 2, 4]);
-        }
+        let mut t = table();
+        let ids: Vec<_> = (0..5).map(|i| append(&mut t, i)).collect();
+        t.remove(ids[1]);
+        t.remove(ids[3]);
+        let seen: Vec<i64> = t
+            .iter()
+            .map(|(_, tup)| tup.get(0).as_int().unwrap())
+            .collect();
+        assert_eq!(seen, vec![0, 2, 4]);
     }
 
     #[test]
     fn get_out_of_range_is_none() {
         let t = table();
         assert!(t.get(TupleId(99)).is_none());
-    }
-
-    #[test]
-    fn layouts_store_identical_tuples() {
-        let rows = vec![
-            vec![Value::from(1)],
-            vec![Value::from(2)],
-            vec![Value::from(3)],
-        ];
-        let mut a = table_with(StorageLayout::Columnar);
-        let mut b = table_with(StorageLayout::Rows);
-        for r in &rows {
-            let ta = a.append(Tuple::new(r.clone()));
-            let tb = b.append(Tuple::new(r.clone()));
-            assert_eq!(ta, tb);
-        }
-        assert_eq!(a.layout(), StorageLayout::Columnar);
-        assert_eq!(b.layout(), StorageLayout::Rows);
-        for (ta, tb) in a.iter().zip(b.iter()) {
-            assert_eq!(ta.0, tb.0);
-            assert_eq!(ta.1, tb.1);
-        }
     }
 
     #[test]
@@ -638,9 +479,7 @@ mod tests {
 
     /// The chunk list's capacity, and the first chunk's room.
     fn reserved(t: &Table) -> (usize, usize) {
-        let Repr::Columnar { chunks, .. } = &t.repr else {
-            unreachable!("a columnar table")
-        };
+        let chunks = &t.chunks;
         (chunks.capacity(), chunks.first().map_or(0, |c| c.stride))
     }
 
@@ -745,17 +584,14 @@ mod tests {
             t.append_datums_from(&row);
         }
         // 8 + 4 + 4 + 8 bytes a row, and four 128-byte bitmaps.
-        let Repr::Columnar { chunks, .. } = &t.repr else {
-            unreachable!()
-        };
-        assert_eq!(size_of_val(&*chunks[0].slab), CHUNK_ROWS * 24 + 4 * 128);
+        assert_eq!(size_of_val(&*t.chunks[0].slab), CHUNK_ROWS * 24 + 4 * 128);
         assert!(t.iter().all(|(_, tuple)| tuple.datums() == row));
     }
 
     #[test]
     fn columnar_update_in_place_keeps_slab_rows() {
         let mut t = table();
-        let t0 = t.append(Tuple::new(vec![Value::from(1)]));
+        let t0 = append(&mut t, 1);
         t.remove(t0);
         t.append_datums_at(t0, vec![Datum::Int(9)]);
         assert_eq!(t.get(t0).unwrap().get(0), Value::from(9));

@@ -1,9 +1,8 @@
-//! Tuples and tuple identifiers.
+//! Tuple identifiers and borrowed views of stored tuples.
 
 use crate::table::Column;
 use crate::value::{Datum, Value, ValueRef};
 use std::fmt;
-use std::ops::Index;
 
 /// Identifier of a tuple within one relation, stable for the lifetime of the
 /// tuple (the paper's inverted index returns lists of these).
@@ -22,97 +21,35 @@ impl fmt::Display for TupleId {
     }
 }
 
-/// A stored tuple: one value per attribute of the owning relation schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tuple {
-    values: Box<[Value]>,
-}
-
-impl Tuple {
-    pub fn new(values: Vec<Value>) -> Self {
-        Tuple {
-            values: values.into_boxed_slice(),
-        }
-    }
-
-    pub fn values(&self) -> &[Value] {
-        &self.values
-    }
-
-    pub fn arity(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Project the tuple on a set of attribute positions.
-    pub fn project(&self, positions: &[usize]) -> Vec<Value> {
-        positions.iter().map(|&p| self.values[p].clone()).collect()
-    }
-}
-
-impl Index<usize> for Tuple {
-    type Output = Value;
-
-    fn index(&self, idx: usize) -> &Value {
-        &self.values[idx]
-    }
-}
-
-impl From<Vec<Value>> for Tuple {
-    fn from(values: Vec<Value>) -> Self {
-        Tuple::new(values)
-    }
-}
-
-/// A borrowed view of one stored tuple, independent of the table's physical
-/// layout: row-store tuples borrow the [`Tuple`], columnar tuples borrow the
-/// slab of their chunk and the table's column layout (see [`crate::Table`]).
-/// All read paths traffic in this type so a fetch never clones a value.
+/// A borrowed view of one stored tuple: row `row` of one chunk of a table,
+/// which has room for `stride` rows — the chunk's column-major slab of
+/// typed cells, and where each attribute's cells are in it (see
+/// [`crate::Table`]). All read paths traffic in this type so a fetch never
+/// clones a value.
 #[derive(Debug, Clone, Copy)]
-pub enum TupleRef<'a> {
-    /// A tuple in a row-layout table.
-    Row(&'a Tuple),
-    /// Row `row` of one chunk of a columnar table, which has room for
-    /// `stride` rows: the chunk's column-major slab of typed cells, and
-    /// where each attribute's cells are in it.
-    Col {
-        slab: &'a [u64],
-        columns: &'a [Column],
-        stride: u32,
-        row: u32,
-    },
+pub struct TupleRef<'a> {
+    pub(crate) slab: &'a [u64],
+    pub(crate) columns: &'a [Column],
+    pub(crate) stride: u32,
+    pub(crate) row: u32,
 }
 
 impl<'a> TupleRef<'a> {
     pub fn arity(&self) -> usize {
-        match self {
-            TupleRef::Row(t) => t.arity(),
-            TupleRef::Col { columns, .. } => columns.len(),
-        }
+        self.columns.len()
     }
 
     /// Borrow attribute `idx`.
     #[inline]
     pub fn get(&self, idx: usize) -> ValueRef<'a> {
-        match self {
-            TupleRef::Row(t) => ValueRef::from(&t[idx]),
-            TupleRef::Col { .. } => self.datum(idx).value_ref(),
-        }
+        self.datum(idx).value_ref()
     }
 
-    /// Attribute `idx` in stored form: on a columnar table, the cell read
-    /// back by its column's type. On a row-layout table this interns text on
-    /// the fly — cheap for the test-only legacy layout.
+    /// Attribute `idx` in stored form: the cell read back by its column's
+    /// type.
     #[inline]
     pub fn datum(&self, idx: usize) -> Datum {
-        match *self {
-            TupleRef::Row(t) => Datum::from_value(&t[idx]),
-            TupleRef::Col {
-                slab,
-                columns,
-                stride,
-                row,
-            } => columns[idx].read(slab, stride as usize, row as usize),
-        }
+        self.columns[idx].read(self.slab, self.stride as usize, self.row as usize)
     }
 
     /// Materialize attribute `idx` as an owned [`Value`].
@@ -147,11 +84,6 @@ impl<'a> TupleRef<'a> {
         (0..self.arity()).map(|i| self.datum(i)).collect()
     }
 
-    /// Materialize into an owned [`Tuple`].
-    pub fn to_tuple(&self) -> Tuple {
-        Tuple::new(self.values())
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = ValueRef<'a>> + '_ {
         (0..self.arity()).map(move |i| self.get(i))
     }
@@ -173,42 +105,32 @@ mod tests {
     use crate::value::DataType;
 
     #[test]
-    fn projection_selects_positions() {
-        let t = Tuple::new(vec![Value::from(1), Value::from("a"), Value::from(2.0)]);
-        assert_eq!(t.project(&[2, 0]), vec![Value::from(2.0), Value::from(1)]);
-        assert_eq!(t.arity(), 3);
-        assert_eq!(t[1], Value::from("a"));
-    }
-
-    #[test]
     fn tuple_id_display() {
         assert_eq!(TupleId(5).to_string(), "t5");
         assert_eq!(TupleId(5).as_usize(), 5);
     }
 
     #[test]
-    fn tuple_ref_reads_identically_across_layouts() {
-        let vals = vec![Value::from(1), Value::from("a"), Value::Null];
-        let t = Tuple::new(vals.clone());
-        let row = TupleRef::Row(&t);
+    fn tuple_ref_reads_back_what_was_inserted() {
         let schema = RelationSchema::builder("R")
             .attr("i", DataType::Int)
             .attr("t", DataType::Text)
             .attr("f", DataType::Float)
             .build()
             .unwrap();
+        let vals = vec![Value::from(1), Value::from("a"), Value::Null];
+        let datums: Vec<Datum> = vals.iter().map(Datum::from_value).collect();
         let mut table = Table::new(schema);
-        let tid = table.append(t.clone());
+        let tid = table.append_datums_from(&datums);
         let col = table.get(tid).unwrap();
-        assert!(matches!(col, TupleRef::Col { .. }));
-        assert_eq!(row, col);
-        assert_eq!(row.values(), col.values());
-        assert_eq!(row.project(&[1, 0]), col.project(&[1, 0]));
-        assert_eq!(row.project_datums(&[1]), col.project_datums(&[1]));
+        assert_eq!(col.arity(), 3);
+        assert_eq!(col.values(), vals);
+        assert_eq!(col.datums(), datums);
+        assert_eq!(col.project(&[1, 0]), vec![Value::from("a"), Value::from(1)]);
+        assert_eq!(col.project_datums(&[1]), vec![datums[1]]);
         assert_eq!(col.get(1), Value::from("a"));
         assert_eq!(col.value(0), Value::from(1));
-        assert_eq!(row.datums(), col.datums());
-        assert_eq!(col.to_tuple(), t);
         assert!(col.get(2).is_null());
+        assert_eq!(col, table.get(tid).unwrap());
     }
 }

@@ -1,15 +1,16 @@
-//! The columnar layout's typed chunk slab against the row store it is
-//! checked by: random schemas over all four types, nullable and NOT NULL,
-//! filled past chunk boundaries — so through every doubling of a chunk's
-//! room — by interleaved inserts, in-place updates and deletes, with the
-//! values a cell's width is most likely to get wrong. Every slot must read
-//! back alike through `get` and `datum`, and the two databases must dump to
-//! the same bytes and load back to what they hold.
+//! The typed chunk slab against a model: random schemas over all four
+//! types, nullable and NOT NULL, filled past chunk boundaries — so through
+//! every doubling of a chunk's room — by interleaved inserts, in-place
+//! updates and deletes, with the values a cell's width is most likely to get
+//! wrong. The model is the plainest store there is, one `Option<Vec<Value>>`
+//! a slot, and mirrors every op the database accepts; it also says which ops
+//! the database must refuse. Every slot must read back as the model holds
+//! it through `get` and `datum`, and so must the database its dump loads
+//! back to.
 
 use precis_storage::io::{dump_to_string, load_from_string};
 use precis_storage::{
-    DataType, Database, DatabaseSchema, RelationId, RelationSchema, StorageLayout, TupleId, Value,
-    CHUNK_ROWS,
+    DataType, Database, DatabaseSchema, RelationId, RelationSchema, TupleId, Value, CHUNK_ROWS,
 };
 use proptest::prelude::*;
 use std::ops::Range;
@@ -62,7 +63,7 @@ fn value(ty: DataType, pick: u64) -> Value {
     }
 }
 
-fn database(columns: &[(usize, bool)], layout: StorageLayout) -> (Database, RelationId) {
+fn database(columns: &[(usize, bool)]) -> (Database, RelationId) {
     let mut relation = RelationSchema::builder("R");
     for (i, &(ty, nullable)) in columns.iter().enumerate() {
         let name = format!("c{i}");
@@ -74,49 +75,99 @@ fn database(columns: &[(usize, bool)], layout: StorageLayout) -> (Database, Rela
     }
     let mut schema = DatabaseSchema::new("typed");
     let rel = schema.add_relation(relation.build().unwrap()).unwrap();
-    (Database::with_layout(schema, layout).unwrap(), rel)
+    (Database::new(schema).unwrap(), rel)
 }
 
-/// Every slot of `rel` in `slots` reads alike in both databases, attribute
-/// by attribute, in stored and in borrowed form.
-fn same_slots(
-    col: &Database,
-    row: &Database,
-    rel: RelationId,
-    slots: Range<usize>,
-) -> Result<(), TestCaseError> {
-    let (a, b) = (col.table(rel), row.table(rel));
-    prop_assert_eq!(a.slot_count(), b.slot_count());
-    prop_assert_eq!(a.len(), b.len());
-    for slot in slots {
-        let tid = TupleId(slot as u64);
-        match (a.get(tid), b.get(tid)) {
-            (None, None) => {}
-            (Some(x), Some(y)) => {
-                prop_assert_eq!(x.arity(), y.arity());
-                for attr in 0..x.arity() {
-                    prop_assert_eq!(x.datum(attr), y.datum(attr), "slot {} attr {}", slot, attr);
-                    prop_assert_eq!(x.get(attr), y.get(attr), "slot {} attr {}", slot, attr);
-                    prop_assert_eq!(a.datum(tid, attr), Some(x.datum(attr)));
-                }
-            }
-            (x, y) => prop_assert!(false, "slot {slot}: {x:?} against {y:?}"),
-        }
+/// What one relation should hold: a slot per tuple id, `None` once
+/// deleted, and which columns refuse a null.
+struct Model {
+    not_null: Vec<bool>,
+    slots: Vec<Option<Vec<Value>>>,
+}
+
+impl Model {
+    fn fits(&self, tuple: &[Value]) -> bool {
+        let refused = |(v, not_null): (&Value, &bool)| *not_null && v.is_null();
+        !tuple.iter().zip(&self.not_null).any(refused)
     }
-    Ok(())
+
+    fn is_live(&self, tid: TupleId) -> bool {
+        matches!(self.slots.get(tid.as_usize()), Some(Some(_)))
+    }
+
+    /// Apply one op as the database should, returning the id it reports
+    /// or `None` where it must refuse.
+    fn insert(&mut self, tuple: Vec<Value>) -> Option<u64> {
+        self.fits(&tuple).then(|| {
+            self.slots.push(Some(tuple));
+            self.slots.len() as u64 - 1
+        })
+    }
+
+    fn update(&mut self, tid: TupleId, tuple: Vec<Value>) -> Option<u64> {
+        (self.is_live(tid) && self.fits(&tuple)).then(|| {
+            self.slots[tid.as_usize()] = Some(tuple);
+            tid.0
+        })
+    }
+
+    fn delete(&mut self, tid: TupleId) -> Option<u64> {
+        self.is_live(tid).then(|| {
+            self.slots[tid.as_usize()] = None;
+            tid.0
+        })
+    }
+
+    /// Every slot of `rel` in `slots` reads back from `db` as the model
+    /// holds it, attribute by attribute, in stored and in borrowed form.
+    fn check(
+        &self,
+        db: &Database,
+        rel: RelationId,
+        slots: Range<usize>,
+    ) -> Result<(), TestCaseError> {
+        let table = db.table(rel);
+        prop_assert_eq!(table.slot_count(), self.slots.len());
+        prop_assert_eq!(table.len(), self.slots.iter().flatten().count());
+        for slot in slots {
+            let tid = TupleId(slot as u64);
+            match (table.get(tid), &self.slots[slot]) {
+                (None, None) => {}
+                (Some(x), Some(y)) => {
+                    prop_assert_eq!(x.arity(), y.len());
+                    for (attr, value) in y.iter().enumerate() {
+                        prop_assert_eq!(
+                            x.datum(attr),
+                            value.clone(),
+                            "slot {} attr {}",
+                            slot,
+                            attr
+                        );
+                        prop_assert_eq!(x.get(attr), value.clone(), "slot {} attr {}", slot, attr);
+                        prop_assert_eq!(table.datum(tid, attr), Some(x.datum(attr)));
+                    }
+                }
+                (x, y) => prop_assert!(false, "slot {slot}: {x:?} where the model has {y:?}"),
+            }
+        }
+        Ok(())
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     #[test]
-    fn the_typed_slab_reads_back_what_the_row_store_holds(
+    fn the_typed_slab_reads_back_what_the_model_holds(
         columns in proptest::collection::vec((0usize..4, any::<bool>()), 1..7),
         ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 4 * CHUNK_ROWS..5 * CHUNK_ROWS),
     ) {
-        let (mut col, rel) = database(&columns, StorageLayout::Columnar);
-        let (mut row, _) = database(&columns, StorageLayout::Rows);
-        // A NOT NULL column is handed a null one time in 64: refused alike.
+        let (mut db, rel) = database(&columns);
+        let mut model = Model {
+            not_null: columns.iter().map(|&(_, nullable)| !nullable).collect(),
+            slots: Vec::new(),
+        };
+        // A NOT NULL column is handed a null one time in 64, to be refused.
         let tuple = |seed: u64| -> Vec<Value> {
             let cell = |(i, &(ty, nullable)): (usize, &(usize, bool))| {
                 let pick = seed.rotate_left(9 * i as u32);
@@ -129,39 +180,38 @@ proptest! {
         };
         let mut checked = 0;
         for &(kind, pick, seed) in &ops {
-            let slots = col.table(rel).slot_count() as u64;
+            let slots = db.table(rel).slot_count() as u64;
             let tid = TupleId(pick % slots.max(1));
             // Five in eight insert; an update or a delete of a tombstoned
-            // slot (or of any slot of an empty table) is refused alike.
-            let (a, b) = match kind {
+            // slot (or of any slot of an empty table) must be refused.
+            let (got, want) = match kind {
                 0..=4 => (
-                    col.insert_into(rel, tuple(seed)).map(|t| t.0),
-                    row.insert_into(rel, tuple(seed)).map(|t| t.0),
+                    db.insert_into(rel, tuple(seed)).map(|t| t.0),
+                    model.insert(tuple(seed)),
                 ),
                 5 | 6 => (
-                    col.update(rel, tid, tuple(seed)).map(|()| tid.0),
-                    row.update(rel, tid, tuple(seed)).map(|()| tid.0),
+                    db.update(rel, tid, tuple(seed)).map(|()| tid.0),
+                    model.update(tid, tuple(seed)),
                 ),
-                _ => (col.delete(rel, tid).map(|()| tid.0), row.delete(rel, tid).map(|()| tid.0)),
+                _ => (db.delete(rel, tid).map(|()| tid.0), model.delete(tid)),
             };
-            prop_assert_eq!(a.map_err(|e| e.to_string()), b.map_err(|e| e.to_string()));
+            prop_assert_eq!(got.as_ref().ok(), want.as_ref(), "{:?}", got);
             // The tail chunk whenever its room is about to double (so each
             // check after the first sees a widened chunk), and when it fills.
-            let slots = col.table(rel).slot_count();
+            let slots = db.table(rel).slot_count();
             let filled = slots % CHUNK_ROWS;
             if slots > checked && (filled == 0 || filled.is_power_of_two()) {
-                same_slots(&col, &row, rel, (slots - 1) / CHUNK_ROWS * CHUNK_ROWS..slots)?;
+                model.check(&db, rel, (slots - 1) / CHUNK_ROWS * CHUNK_ROWS..slots)?;
                 checked = slots;
             }
         }
-        let slots = col.table(rel).slot_count();
+        let slots = db.table(rel).slot_count();
         prop_assert!(checked >= 2 * CHUNK_ROWS && slots > checked);
-        same_slots(&col, &row, rel, 0..slots)?;
+        model.check(&db, rel, 0..slots)?;
 
-        let dump = dump_to_string(&col);
-        prop_assert_eq!(&dump, &dump_to_string(&row), "the layouts dump alike");
+        let dump = dump_to_string(&db);
         let loaded = load_from_string(&dump).unwrap();
         prop_assert_eq!(dump_to_string(&loaded), dump);
-        same_slots(&loaded, &row, rel, 0..slots)?;
+        model.check(&loaded, rel, 0..slots)?;
     }
 }

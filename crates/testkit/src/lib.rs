@@ -4,11 +4,10 @@
 //! The testkit answers two questions no single-crate unit test can:
 //!
 //! 1. **Do all execution paths agree?** Every generated case is pushed
-//!    through six paths that must produce the same answer — retrieval
+//!    through five paths that must produce the same answer — retrieval
 //!    strategies, cold vs warm vs invalidated caches, a loopback
-//!    `precis-server` `/v1/query` round-trip, columnar vs legacy row-store
-//!    layout, WAL-replayed crash recovery, and the engines before and after
-//!    a write-path batch ([`oracle`]).
+//!    `precis-server` `/v1/query` round-trip, WAL-replayed crash recovery,
+//!    and the engines before and after a write-path batch ([`oracle`]).
 //! 2. **Do all failure paths stay inside the error contract?** Faults
 //!    injected at every storage failpoint, deterministic cancellations, and
 //!    worker panics must map to documented error variants, never poison
@@ -375,7 +374,7 @@ mod tests {
     #[test]
     fn quick_smoke_run_passes() {
         // A miniature run across enough cases to hit several datasets and
-        // all six legs, plus the full fault suite.
+        // all five legs, plus the full fault suite.
         let config = TestkitConfig {
             seed: 42,
             cases: 12,

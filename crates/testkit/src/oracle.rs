@@ -1,4 +1,4 @@
-//! The differential oracle: one case, six execution paths, one answer.
+//! The differential oracle: one case, five execution paths, one answer.
 //!
 //! For a given [`CaseSpec`] the oracle asserts:
 //!
@@ -16,12 +16,6 @@
 //! * **Server leg** — a loopback `precis-server` round-trip must return
 //!   exactly the bytes of [`precis_server::render_answer`] applied to the
 //!   in-process answer.
-//! * **Layout leg** — an engine over the legacy row-store layout
-//!   ([`StorageLayout::Rows`]), built by replaying the exact insert sequence
-//!   of the columnar database (so tuple ids coincide), must produce a
-//!   byte-identical rendered answer and an identical canonical tuple set.
-//!   This pins the columnar-arena / interned-symbol read path to the
-//!   straightforward row representation on every generated case.
 //! * **Durability leg** — a WAL-backed twin of the dataset (every insert
 //!   streamed through `precis-durability`, plus per-case update-to-same-value
 //!   records and a churn of filler rows that leaves tombstones in the middle
@@ -58,7 +52,7 @@ use precis_server::json::Json;
 use precis_server::mutate::apply_ops;
 use precis_server::{render_answer, MutateOp, Server, ServerConfig, ServerHandle};
 use precis_storage::io as storage_io;
-use precis_storage::{Database, StorageLayout, TupleId, Value};
+use precis_storage::{Database, TupleId, Value};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -71,7 +65,6 @@ pub enum Leg {
     Strategy,
     Cache,
     Server,
-    Layout,
     Durability,
     Mutation,
 }
@@ -82,7 +75,6 @@ impl std::fmt::Display for Leg {
             Leg::Strategy => "strategy",
             Leg::Cache => "cache",
             Leg::Server => "server",
-            Leg::Layout => "layout",
             Leg::Durability => "durability",
             Leg::Mutation => "mutation",
         })
@@ -96,14 +88,12 @@ pub struct Mismatch {
     pub detail: String,
 }
 
-/// Everything a dataset needs to serve all six legs: a shared read-only
+/// Everything a dataset needs to serve all five legs: a shared read-only
 /// engine fronted by a loopback server, a private mutable engine for the
 /// cache-invalidation leg, and the engine the mutation leg last published.
 pub struct DatasetCtx {
     engine: Arc<PrecisEngine>,
     mut_engine: PrecisEngine,
-    /// Same data behind the legacy row-store layout, for the layout leg.
-    rows_engine: PrecisEngine,
     /// WAL-backed twin for the durability leg: every insert (and each
     /// case's update records) streams through a real on-disk log.
     durable_engine: PrecisEngine,
@@ -172,8 +162,6 @@ impl DatasetCtx {
     pub fn build(spec: &DatasetSpec) -> Result<DatasetCtx, String> {
         let (db, graph, vocab) = build_dataset(spec);
 
-        let rows_db = replay_into_rows_layout(&db)?;
-        let rows_engine = PrecisEngine::new(rows_db, graph.clone()).map_err(|e| e.to_string())?;
         let (durable_db, durable_wal, durable_store) = replay_through_wal(&db)?;
         let durable_engine =
             PrecisEngine::new(durable_db, graph.clone()).map_err(|e| e.to_string())?;
@@ -208,7 +196,6 @@ impl DatasetCtx {
         Ok(DatasetCtx {
             engine,
             mut_engine,
-            rows_engine,
             durable_engine,
             durable_wal,
             durable_store,
@@ -272,32 +259,11 @@ impl DatasetCtx {
     }
 }
 
-/// Rebuild `db` behind [`StorageLayout::Rows`] by replaying every live
-/// tuple in tuple-id order. The generated datasets are append-only, so the
-/// replayed tuple ids must coincide with the originals — verified here, so
-/// the layout leg compares like with like.
-fn replay_into_rows_layout(db: &Database) -> Result<Database, String> {
-    let mut rows_db = Database::with_layout(db.schema().clone(), StorageLayout::Rows)
-        .map_err(|e| e.to_string())?;
-    for (rel, _) in db.schema().relations() {
-        for (tid, t) in db.table(rel).iter() {
-            let replayed = rows_db
-                .insert_into(rel, t.values())
-                .map_err(|e| format!("rows-layout replay insert failed: {e}"))?;
-            if replayed != tid {
-                return Err(format!(
-                    "rows-layout replay produced {replayed:?} for original {tid:?}"
-                ));
-            }
-        }
-    }
-    Ok(rows_db)
-}
-
 /// Rebuild `db` as a WAL-backed twin on disk: a fresh scratch directory, a
 /// schema-install record, then every live tuple re-inserted with the log
-/// sink attached — so the on-disk WAL alone reproduces the dataset. Tuple
-/// ids are verified to coincide, exactly as in the rows-layout replay.
+/// sink attached — so the on-disk WAL alone reproduces the dataset. The
+/// generated datasets are append-only, so the replayed tuple ids must
+/// coincide with the originals — verified here.
 fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, DurableStore), String> {
     let (store, mut wal) = scratch_store()?;
     let mut durable_db =
@@ -431,14 +397,13 @@ fn render(engine: &PrecisEngine, vocab: Option<&Vocabulary>, answer: &PrecisAnsw
     render_answer(engine, vocab, answer)
 }
 
-/// Run all six legs of one case. Empty result = the case passes.
+/// Run all five legs of one case. Empty result = the case passes.
 pub fn run_case(ctx: &mut DatasetCtx, case: &CaseSpec) -> Vec<Mismatch> {
     let mut out = Vec::new();
     ctx.cases_run += 1;
     strategy_leg(ctx, case, &mut out);
     cache_leg(ctx, case, &mut out);
     server_leg(ctx, case, &mut out);
-    layout_leg(ctx, case, &mut out);
     durability_leg(ctx, case, &mut out);
     mutation_leg(ctx, case, &mut out);
     out
@@ -601,53 +566,6 @@ fn cache_leg(ctx: &mut DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
         Err(e) => out.push(Mismatch {
             leg: Leg::Cache,
             detail: format!("post-invalidation answer errored: {e}"),
-        }),
-    }
-}
-
-/// The columnar arena layout and the legacy row store must be logically
-/// indistinguishable: identical canonical tuple sets in the result database
-/// and byte-identical rendered answers, on every generated case.
-fn layout_leg(ctx: &DatasetCtx, case: &CaseSpec, out: &mut Vec<Mismatch>) {
-    let q = query(case);
-    let spec = base_spec(case);
-    let columnar = ctx.engine.answer(&q, &spec);
-    let rows = ctx.rows_engine.answer(&q, &spec);
-    match (columnar, rows) {
-        (Ok(c), Ok(r)) => {
-            let tuples_c = canonical_rows(&c.precis.database);
-            let tuples_r = canonical_rows(&r.precis.database);
-            if tuples_c != tuples_r {
-                for (rel, rc) in &tuples_c {
-                    if Some(rc) != tuples_r.get(rel) {
-                        out.push(Mismatch {
-                            leg: Leg::Layout,
-                            detail: format!(
-                                "relation {rel}: columnar retrieved {} tuples, rows layout {}",
-                                rc.len(),
-                                tuples_r.get(rel).map_or(0, Vec::len)
-                            ),
-                        });
-                    }
-                }
-            }
-            let vocab = ctx.vocab.as_ref();
-            let cb = render(&ctx.engine, vocab, &c);
-            let rb = render(&ctx.rows_engine, vocab, &r);
-            if cb != rb {
-                out.push(Mismatch {
-                    leg: Leg::Layout,
-                    detail: format!("rendered answers differ: {}", first_diff(&cb, &rb)),
-                });
-            }
-        }
-        (c, r) => out.push(Mismatch {
-            leg: Leg::Layout,
-            detail: format!(
-                "columnar vs rows outcome mismatch: {:?} vs {:?}",
-                c.map(|_| "ok").map_err(|e| e.to_string()),
-                r.map(|_| "ok").map_err(|e| e.to_string())
-            ),
         }),
     }
 }

@@ -2,8 +2,8 @@
 //! `InvertedIndex::build` against an index maintained one tuple at a time
 //! through `add_tuple` / `remove_tuple`, under interleaved inserts, updates
 //! and deletes. The two must be *equal* — every posting list, the order of
-//! locations within a word, `vocabulary_size` and `indexed_words` — in both
-//! table layouts and with a stopword tokenizer — and so must an index that
+//! locations within a word, `vocabulary_size` and `indexed_words` — with the
+//! default and with a stopword tokenizer — and so must an index that
 //! reached its state through generations of clone-and-apply, the way a
 //! served engine's does.
 //!
@@ -12,7 +12,7 @@
 
 use precis::datagen::{MoviesConfig, MoviesGenerator};
 use precis::index::{InvertedIndex, Tokenizer};
-use precis::storage::{io, Database, RelationId, StorageLayout, TupleId, Value};
+use precis::storage::{io, Database, RelationId, TupleId, Value};
 use precis_testkit::{build_dataset, DatasetSpec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -53,13 +53,12 @@ fn pick_live(db: &Database, rel: RelationId, rng: &mut StdRng) -> Option<TupleId
         .find(|tid| db.table(rel).get(*tid).is_some())
 }
 
-/// Replay `source` into an empty database of `layout`, one insert at a
-/// time, with a delete or an update of an earlier tuple thrown in after
+/// Replay `source` into an empty database, one insert at a time, with a delete or an update of an earlier tuple thrown in after
 /// some of them; the index follows every step through `add_tuple` and
 /// `remove_tuple` and is compared with a fresh build along the way.
-fn replay_and_compare(source: &Database, layout: StorageLayout, tokenizer: &Tokenizer, seed: u64) {
+fn replay_and_compare(source: &Database, tokenizer: &Tokenizer, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut db = Database::with_layout(source.schema().clone(), layout).unwrap();
+    let mut db = Database::new(source.schema().clone()).unwrap();
     let mut index = InvertedIndex::build_with(&db, tokenizer.clone());
     let mut steps = 0usize;
     for (rel, rel_schema) in source.schema().relations() {
@@ -174,10 +173,8 @@ proptest! {
     #[test]
     fn build_equals_the_maintained_index(pick in 0u32..4, seed in any::<u64>()) {
         let (source, _, _) = build_dataset(&dataset(pick, seed));
-        for layout in [StorageLayout::Columnar, StorageLayout::Rows] {
-            for tokenizer in &tokenizers() {
-                replay_and_compare(&source, layout, tokenizer, seed);
-            }
+        for tokenizer in &tokenizers() {
+            replay_and_compare(&source, tokenizer, seed);
         }
     }
 }
