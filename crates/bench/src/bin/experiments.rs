@@ -216,13 +216,26 @@ fn run_resident() {
     println!(
         "\n## Resident bytes — the serving benchmark's engine, by part (precis_resident_bytes)"
     );
-    let (tuples, parts) = resident(34_000, 0x3A7E);
+    let resident = resident(34_000, 0x3A7E);
+    let (tuples, parts) = (resident.tuples, resident.parts);
     println!("## 34,000 movies, {tuples} tuples");
-    println!("{:>15}  {:>9}  {:>9}", "part", "MiB", "B/tuple");
+    println!(
+        "{:>15}  {:>9}  {:>9}  {:>9}  {:>9}  {:>9}",
+        "part", "MiB", "B/tuple", "keys", "postings", "B/key"
+    );
     let total: usize = parts.iter().map(|(_, bytes)| bytes).sum();
     for (part, bytes) in parts.into_iter().chain([("sum", total)]) {
+        let size = resident.indexes.iter().find(|(name, _)| *name == part);
+        let counts = size.map_or(String::new(), |(_, size)| {
+            format!(
+                "  {:>9}  {:>9}  {:>9.1}",
+                size.keys,
+                size.postings,
+                bytes as f64 / size.keys as f64
+            )
+        });
         println!(
-            "{part:>15}  {:>9.2}  {:>9.1}",
+            "{part:>15}  {:>9.2}  {:>9.1}{counts}",
             bytes as f64 / (1 << 20) as f64,
             bytes as f64 / tuples as f64
         );

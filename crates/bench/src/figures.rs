@@ -15,7 +15,7 @@ use precis_datagen::{
 };
 use precis_graph::SchemaGraph;
 use precis_storage::cow::CopyMeter;
-use precis_storage::{Database, RelationId, TupleId, Value};
+use precis_storage::{Database, IndexSize, RelationId, TupleId, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -486,17 +486,42 @@ fn imdb_movies(movies: usize, seed: u64) -> Database {
     .generate()
 }
 
+/// What the engine over the movies database at `movies` films keeps
+/// resident.
+pub struct Resident {
+    /// Live tuples over all relations.
+    pub tuples: usize,
+    /// [`PrecisEngine::resident_bytes`], the parts `/v1/metrics` exports as
+    /// `precis_resident_bytes`.
+    pub parts: [(&'static str, usize); 5],
+    /// Keys and postings of `pk_index`, `join_index` and `inverted_index`
+    /// (whose keys are its words).
+    pub indexes: [(&'static str, IndexSize); 3],
+}
+
 /// What the engine over the movies database at `movies` films (every other
 /// relation in the proportions of [`MoviesConfig::imdb_scale`], as the
-/// serving benchmark generates it) keeps resident: its tuple count
-/// and [`PrecisEngine::resident_bytes`], the parts `/v1/metrics` exports as
-/// `precis_resident_bytes`. Run it in a process of its own: `symbols` is
-/// the process's table, and holds whatever else the process interned.
-pub fn resident(movies: usize, seed: u64) -> (usize, [(&'static str, usize); 5]) {
+/// serving benchmark generates it) keeps resident. Run it in a process of
+/// its own: `symbols` is the process's table, and holds whatever else the
+/// process interned.
+pub fn resident(movies: usize, seed: u64) -> Resident {
     let db = imdb_movies(movies, seed);
     let tuples = db.total_tuples();
     let engine = PrecisEngine::new(db, movies_graph()).expect("movies engine");
-    (tuples, engine.resident_bytes())
+    let [pk, join] = engine.database().index_sizes();
+    let words = IndexSize {
+        keys: engine.index().vocabulary_size(),
+        postings: engine.index().postings(),
+    };
+    Resident {
+        tuples,
+        parts: engine.resident_bytes(),
+        indexes: [
+            ("pk_index", pk),
+            ("join_index", join),
+            ("inverted_index", words),
+        ],
+    }
 }
 
 /// What the write path costs at one database size.

@@ -7,6 +7,11 @@
 //! (`ROWNUM`-style first-N over the value list) and **TopWeight** read the
 //! index posting lists directly, and **Round-Robin** opens one
 //! [`ValueScan`] per join value and takes one tuple per scan per round.
+//!
+//! A scan borrows its list from the database it was opened on, which its
+//! caller holds for the scan's whole life: an index base is one immutable
+//! run of tids, and a slice of it costs nothing to hand out where an `Arc`
+//! of it would cost a copy.
 
 use crate::database::Database;
 use crate::schema::RelationId;
@@ -19,33 +24,36 @@ use crate::Result;
 /// tuples from R_j is opened; each time, only one joining tuple from a scan
 /// is retrieved as long as the cardinality constraint holds").
 #[derive(Debug)]
-pub struct ValueScan {
+pub struct ValueScan<'a> {
     rel: RelationId,
-    /// Refcounted snapshot of the index posting list — opening a scan no
-    /// longer copies the tid list; the index copy-on-writes if mutated while
-    /// this scan is open.
-    tids: std::sync::Arc<[TupleId]>,
+    /// The index's list, borrowed from the database the scan was opened on.
+    tids: &'a [TupleId],
     pos: usize,
 }
 
-impl ValueScan {
+impl<'a> ValueScan<'a> {
     /// Open a scan over the tuples of `rel` whose `attr` equals `value`
     /// (one index probe).
-    pub fn open(db: &Database, rel: RelationId, attr: usize, value: &Value) -> Result<ValueScan> {
+    pub fn open(
+        db: &'a Database,
+        rel: RelationId,
+        attr: usize,
+        value: &Value,
+    ) -> Result<ValueScan<'a>> {
         crate::failpoint::check("value_scan_open")?;
-        let tids = db.lookup_tids(rel, attr, value)?;
+        let tids = db.lookup(rel, attr, value)?;
         Ok(ValueScan { rel, tids, pos: 0 })
     }
 
     /// [`ValueScan::open`] keyed by stored datum — the join hot path.
     pub fn open_datum(
-        db: &Database,
+        db: &'a Database,
         rel: RelationId,
         attr: usize,
         datum: Datum,
-    ) -> Result<ValueScan> {
+    ) -> Result<ValueScan<'a>> {
         crate::failpoint::check("value_scan_open")?;
-        let tids = db.lookup_tids_datum(rel, attr, datum)?;
+        let tids = db.lookup_datum(rel, attr, datum)?;
         Ok(ValueScan { rel, tids, pos: 0 })
     }
 
@@ -54,8 +62,9 @@ impl ValueScan {
         self.pos < self.tids.len()
     }
 
-    /// Retrieve the next joining tuple's id (one tuple read), or `None` when
-    /// the scan is exhausted.
+    /// Retrieve the next joining tuple's id (one tuple read, in `db` — the
+    /// database the scan was opened on, or a later version of it), or `None`
+    /// when the scan is exhausted.
     pub fn next_tid(&mut self, db: &Database) -> Result<Option<TupleId>> {
         crate::failpoint::check("value_scan_next")?;
         while self.pos < self.tids.len() {
@@ -148,12 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn value_scan_holds_snapshot_without_copying() {
-        // Regression for the tid-list clone elimination: an open scan shares
-        // the index's posting list (no copy), and later inserts to the same
-        // value don't leak into the open scan.
-        let (mut db, play, mid) = db_with_plays();
-        let mut scan = ValueScan::open(&db, play, mid, &Value::from(0)).unwrap();
+    fn value_scan_reads_the_snapshot_it_was_opened_on() {
+        // An open scan borrows the list of the database it was opened on;
+        // an insert into a later version does not leak into it.
+        let (snapshot, play, mid) = db_with_plays();
+        let mut db = snapshot.clone();
+        let mut scan = ValueScan::open(&snapshot, play, mid, &Value::from(0)).unwrap();
         assert_eq!(scan.remaining(), 4);
         db.insert(
             "PLAY",
@@ -172,10 +181,11 @@ mod tests {
 
     #[test]
     fn value_scan_skips_tombstoned_tuples() {
-        let (mut db, play, mid) = db_with_plays();
+        let (snapshot, play, mid) = db_with_plays();
+        let mut db = snapshot.clone();
         // Find a play of movie 0 and delete it after reading the index.
         let victim = db.lookup(play, mid, &Value::from(0)).unwrap()[0];
-        let mut scan = ValueScan::open(&db, play, mid, &Value::from(0)).unwrap();
+        let mut scan = ValueScan::open(&snapshot, play, mid, &Value::from(0)).unwrap();
         db.delete(play, victim).unwrap();
         let mut n = 0;
         while scan.next_tid(&db).unwrap().is_some() {

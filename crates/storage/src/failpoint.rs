@@ -37,7 +37,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 pub const SITES: &[&str] = &[
     "fetch_from",
     "lookup",
-    "lookup_tids",
     "insert_into",
     "value_scan_open",
     "value_scan_next",

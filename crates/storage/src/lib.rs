@@ -49,9 +49,11 @@
 //! [`TupleRef`]/[`ValueRef`] views instead of owned tuples, and rebuild the
 //! 16-byte [`Datum`] a cell stands for from its column's type.
 //!
-//! Chunks and index shards sit behind `Arc`s ([`cow`]): cloning a
-//! [`Database`] copies pointers, and a mutation copies only the chunks and
-//! shards it touches — which is what lets a server apply a batch to a
+//! An index is an exact-size base sorted by key, built once, beside a small
+//! delta of the keys written since (see [`HashIndex`]). Chunks, index bases
+//! and delta shards sit behind `Arc`s ([`cow`]): cloning a [`Database`]
+//! copies pointers, and a mutation copies only the chunks, shards and index
+//! entries it touches — which is what lets a server apply a batch to a
 //! private copy while running answers keep reading the published one.
 
 pub mod cow;
@@ -71,7 +73,7 @@ mod tuple;
 mod value;
 pub mod wal;
 
-pub use database::{Database, DatabaseBytes};
+pub use database::{Database, DatabaseBytes, IndexSize};
 pub use error::StorageError;
 pub use exec::ValueScan;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

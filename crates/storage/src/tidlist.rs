@@ -1,22 +1,22 @@
-//! The sorted tuple-id list every index stores: a join value's tuples in a
-//! [`crate::HashIndex`], a word's tuples at one location in the inverted
-//! index.
+//! The sorted tuple-id list an index delta stores for a key a write has
+//! touched: a join value's tuples in a [`crate::HashIndex`], a word's tuples
+//! at one location in the inverted index. (A base keeps its lists end to
+//! end in one exact-size array instead; see [`crate::HashIndex`].)
 //!
 //! Most lists hold one tid or two (a near-unique join endpoint, a rare
 //! word, a movie's two genres) and live inline, touching no heap. A list of
-//! up to [`SEGMENT_TIDS`] tids is one exact-size `Arc<[TupleId]>` — the very
-//! allocation lookups hand out — and a change builds the next one (a few
-//! kilobytes at most). A longer list
-//! — "the" in 34,000 titles, a million rows under one parent — would make
+//! up to [`SEGMENT_TIDS`] tids is one exact-size `Arc<[TupleId]>`, and a
+//! change builds the next one (a few kilobytes at most). A longer list —
+//! "the" in 34,000 titles, a million rows under one parent — would make
 //! every write that touches it copy all of it, so it is stored in
 //! *segments*: a write copies the one segment it changes, whatever the
-//! list's length, and the list lookups hand out is put together from the
+//! list's length, and the list lookups borrow is put together from the
 //! segments on first demand and kept until the next write.
 //!
 //! The form is a function of the length alone: a list that shrinks to two
 //! tids goes back inline and one that shrinks to a segment's worth goes back
-//! to one allocation, so an index maintained through inserts and deletes
-//! costs what one built over the same rows costs.
+//! to one allocation, so a list maintained through inserts and deletes
+//! costs what one copied in from the same tids costs.
 
 use crate::cow;
 use crate::tuple::TupleId;
@@ -34,7 +34,7 @@ pub struct TidList(Repr);
 enum Repr {
     /// One tid or two, in the room the other forms' pointers take anyway.
     Inline { len: u8, tids: [TupleId; 2] },
-    /// Three to [`SEGMENT_TIDS`] tids: the very list lookups share.
+    /// Three to [`SEGMENT_TIDS`] tids, in one allocation.
     Slice(Arc<[TupleId]>),
     /// More than [`SEGMENT_TIDS`] tids.
     Long(Arc<Segmented>),
@@ -170,17 +170,6 @@ impl TidList {
         }
     }
 
-    /// The list as one shared slice, valid across later changes to the
-    /// index: the stored allocation itself, or an inline list boxed on
-    /// demand.
-    pub fn shared(&self) -> Arc<[TupleId]> {
-        match &self.0 {
-            Repr::Inline { .. } => self.as_slice().into(),
-            Repr::Slice(tids) => Arc::clone(tids),
-            Repr::Long(long) => Arc::clone(long.whole()),
-        }
-    }
-
     /// Add `tid`, keeping the list sorted and deduplicated. Appends dominate
     /// because tuple ids grow monotonically: one past a full last segment
     /// opens the next, copying nothing.
@@ -307,10 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn a_short_list_is_the_list_lookups_share() {
+    fn a_short_list_is_inline_or_one_allocation() {
         let mut list = TidList::one(TupleId(3));
         assert_eq!(list.heap_bytes(), 0);
-        assert_eq!(*list.shared(), [TupleId(3)]);
+        assert_eq!(list.as_slice(), [TupleId(3)]);
         list.insert(TupleId(9));
         assert_eq!((tids(&list), list.heap_bytes()), (vec![3, 9], 0));
         for t in [1, 5, 5, 9] {
@@ -320,7 +309,7 @@ mod tests {
         let Repr::Slice(stored) = &list.0 else {
             panic!("four tids are one allocation");
         };
-        assert!(Arc::ptr_eq(stored, &list.shared()));
+        assert!(std::ptr::eq(&stored[..], list.as_slice()));
         assert_eq!(list.heap_bytes(), cow::alloc_bytes(16 + 4 * 8));
         assert!(!list.remove(TupleId(4)));
         for t in [3, 1] {
@@ -332,7 +321,7 @@ mod tests {
         assert_eq!((tids(&list), list.heap_bytes()), (vec![5, 9], 0));
         assert!(!list.remove(TupleId(5)));
         assert!(matches!(list.0, Repr::Inline { len: 1, .. }));
-        assert_eq!(*list.shared(), [TupleId(9)]);
+        assert_eq!(list.as_slice(), [TupleId(9)]);
         assert!(!list.remove(TupleId(1)));
         assert!(list.remove(TupleId(9)), "emptied");
     }
@@ -354,11 +343,10 @@ mod tests {
         );
         assert_eq!(list.len(), n as usize);
 
-        // The shared form is made once and kept until a write.
-        let whole = list.shared();
-        assert!(Arc::ptr_eq(&whole, &list.shared()));
+        // The whole list is made once and kept until a write.
+        let whole: Vec<TupleId> = list.as_slice().to_vec();
+        assert!(std::ptr::eq(list.as_slice(), list.as_slice()));
         assert!(whole.iter().copied().eq(list.iter()));
-        assert_eq!(list.as_slice(), &whole[..]);
 
         // Odd tids land inside segments and split the ones they overfill;
         // a snapshot taken before sees none of it.
@@ -375,8 +363,7 @@ mod tests {
         assert!(segment_lens(&list)
             .iter()
             .all(|l| (1..=SEGMENT_TIDS).contains(l)));
-        assert!(!Arc::ptr_eq(&whole, &list.shared()), "a write starts over");
-        assert_eq!(list.shared().len(), expected.len());
+        assert_eq!(list.as_slice().len(), expected.len(), "a write starts over");
         assert!(before.iter().eq(whole.iter().copied()));
 
         // Shrunk to a segment's worth it is one allocation again, exactly
@@ -437,7 +424,7 @@ mod tests {
             let mut model: BTreeSet<TupleId> = (0..=start as u64).map(TupleId).collect();
             let sorted: Vec<TupleId> = model.iter().copied().collect();
             let mut list = TidList::from_sorted(&sorted);
-            let mut kept: Vec<(TidList, Arc<[TupleId]>, Vec<TupleId>)> = Vec::new();
+            let mut kept: Vec<(TidList, Vec<TupleId>)> = Vec::new();
             for (step, (tid, op)) in ops.into_iter().enumerate() {
                 let tid = TupleId(tid);
                 // Removes outnumber inserts so the list also shrinks.
@@ -461,12 +448,11 @@ mod tests {
                     std::mem::discriminant(&canonical.0)
                 );
                 if step % 5 == 0 {
-                    kept.push((list.clone(), list.shared(), expected));
+                    kept.push((list.clone(), expected));
                 }
             }
-            for (snapshot, shared, expected) in kept {
+            for (snapshot, expected) in kept {
                 proptest::prop_assert_eq!(snapshot.as_slice(), &expected[..]);
-                proptest::prop_assert_eq!(&shared[..], &expected[..]);
             }
         }
     }

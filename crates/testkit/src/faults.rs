@@ -114,10 +114,6 @@ fn storage_site_mapping(report: &mut FaultReport) {
             Box::new(|| db.lookup(genre, g_mid, &mid_value).map(|_| ())),
         ),
         (
-            "lookup_tids",
-            Box::new(|| db.lookup_tids(genre, g_mid, &mid_value).map(|_| ())),
-        ),
-        (
             "insert_into",
             Box::new(|| {
                 let mut copy = db.clone();
@@ -229,7 +225,7 @@ fn engine_fault_mapping(report: &mut FaultReport) {
 
     // Sites crossed by the answer path; skip values place the fault at
     // different depths of the generation.
-    for site in ["fetch_from", "lookup", "lookup_tids", "value_scan_open"] {
+    for site in ["fetch_from", "lookup", "value_scan_open"] {
         for skip in [0u64, 1, 3, 7] {
             failpoint::arm(site, FailureKind::Io, skip, u64::MAX);
             let got =

@@ -5,7 +5,10 @@
 //! locations within a word, `vocabulary_size` and `indexed_words` — with the
 //! default and with a stopword tokenizer — and so must an index that
 //! reached its state through generations of clone-and-apply, the way a
-//! served engine's does.
+//! served engine's does, and one whose delta has been merged into its base
+//! again and again: right after each merge it is the very base a build
+//! lays out, byte for byte, and a clone taken before the merge reads on
+//! as it did.
 //!
 //! Run this after touching `crates/index` or `crates/storage/src/io.rs`:
 //! `cargo test --test index_differential`.
@@ -111,17 +114,7 @@ fn replay_and_compare(source: &Database, tokenizer: &Tokenizer, seed: u64) {
         .map(|(rel, _)| db.table(rel).slot_count() - db.len(rel))
         .sum();
     assert!(tombstones > 0, "the replay must leave tombstones behind");
-    // Not only the same contents, the same representation: a list a delete
-    // left one tid in is inline again, a word that lost a location holds a
-    // shorter slice. (No list here outgrows a segment, where the cuts and
-    // the room left in the last one could differ; the word map's own tables
-    // keep the room their history gave them and are not compared.)
-    let rebuilt = assert_same_index(&index, &db, tokenizer, "at the end");
-    assert_eq!(
-        index.postings_bytes(),
-        rebuilt.postings_bytes(),
-        "heap bytes behind the posting lists, maintained vs rebuilt"
-    );
+    assert_same_index(&index, &db, tokenizer, "at the end");
 
     // What a checkpoint does: the compacted reload renumbers tuple ids, and
     // the index built over it equals one maintained from empty over it.
@@ -191,6 +184,91 @@ fn build_equals_the_maintained_index_at_benchmark_scale() {
             "over the 34,000-movie database",
         );
     }
+}
+
+/// What a test of merges keeps between writes: the merges seen, and a clone
+/// of the database and its index taken between two of them.
+#[derive(Default)]
+struct Merges {
+    seen: usize,
+    held: Option<(Database, InvertedIndex)>,
+}
+
+impl Merges {
+    /// Index a tuple just inserted, and check the index if that merged its
+    /// delta — a non-empty delta left empty, which an add does no other way:
+    /// it equals a fresh build and costs exactly what the build costs, and
+    /// the clone held from before the merge equals a build over the
+    /// database it indexed. A new clone is held once the delta fills again.
+    fn add(&mut self, db: &Database, index: &mut InvertedIndex, rel: RelationId, tid: TupleId) {
+        let delta = index.delta_words();
+        index.add_tuple(db, rel, tid);
+        if self.held.is_none() && index.delta_words() >= 8 {
+            self.held = Some((db.clone(), index.clone()));
+        }
+        if delta == 0 || index.delta_words() > 0 {
+            return;
+        }
+        self.seen += 1;
+        let (tokenizer, at) = (Tokenizer::default(), format!("after merge {}", self.seen));
+        let rebuilt = assert_same_index(index, db, &tokenizer, &at);
+        assert_eq!(index.heap_bytes(), rebuilt.heap_bytes(), "{at}");
+        if let Some((then_db, then_index)) = self.held.take() {
+            assert!(
+                then_index.delta_words() >= 8,
+                "{at}: the clone kept its delta"
+            );
+            assert_same_index(&then_index, &then_db, &tokenizer, &format!("{at}, clone"));
+        }
+    }
+}
+
+/// A database filled from empty one tuple at a time, with deletes and
+/// updates thrown in, while the index follows it: its delta is merged into
+/// its base again and again (see [`Merges::add`] for what is checked at
+/// each merge).
+#[test]
+fn a_maintained_index_equals_build_across_merges() {
+    let (source, _, _) = build_dataset(&DatasetSpec::Movies {
+        movies: 2_500,
+        seed: 0x3E_46,
+    });
+    let mut rng = StdRng::seed_from_u64(0x3E_46);
+    let mut db = Database::new(source.schema().clone()).unwrap();
+    let mut index = InvertedIndex::build(&db);
+    let mut merges = Merges::default();
+    for (rel, rel_schema) in source.schema().relations() {
+        let referenced = source
+            .schema()
+            .foreign_keys()
+            .iter()
+            .any(|fk| fk.ref_relation == rel_schema.name());
+        for (_, tuple) in source.table(rel).iter() {
+            let tid = db.insert_into(rel, tuple.values()).unwrap();
+            merges.add(&db, &mut index, rel, tid);
+            let victim = pick_live(&db, rel, &mut rng).unwrap();
+            match rng.gen_range(0..8u32) {
+                0 if !referenced => {
+                    index.remove_tuple(&db, rel, victim);
+                    db.delete(rel, victim).unwrap();
+                }
+                1 => {
+                    let mut values = db.table(rel).get(victim).unwrap().values();
+                    for value in values.iter_mut() {
+                        if let Value::Text(text) = value {
+                            text.push_str(" Redux");
+                        }
+                    }
+                    index.remove_tuple(&db, rel, victim);
+                    db.update(rel, victim, values).unwrap();
+                    merges.add(&db, &mut index, rel, victim);
+                }
+                _ => {}
+            }
+        }
+    }
+    assert!(merges.seen >= 3, "{} merges", merges.seen);
+    assert_same_index(&index, &db, &Tokenizer::default(), "at the end");
 }
 
 /// What the server's write path does to an index, sixty times over: clone
