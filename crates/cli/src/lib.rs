@@ -271,58 +271,38 @@ pub fn start_server(
     let (source_db, graph, vocabulary, mut label) = open_source(source)?;
 
     // Durable serving: recover the data dir (its state beats the source) or
-    // bootstrap it from the source, and wire the WAL into the database so
-    // every mutation streams into the log.
+    // bootstrap it from the source; the database comes back logging every
+    // mutation.
     let (db, durability) = match &options.data_dir {
         None => (source_db, None),
         Some(dir) => {
-            use precis_durability::{DurableStore, FsyncPolicy, SharedWal};
+            use precis_durability::{DurableStore, FsyncPolicy};
             let store = DurableStore::open(dir).map_err(|e| e.to_string())?;
-            let policy = FsyncPolicy::Batch(256);
-            let (mut db, wal) = match store.recover().map_err(|e| e.to_string())? {
-                Some(rec) => {
-                    let mut wal = store
-                        .open_wal(policy, rec.report.next_lsn)
-                        .map_err(|e| e.to_string())?;
+            let opened = store
+                .open_or_bootstrap(source_db, FsyncPolicy::Batch(256))
+                .map_err(|e| e.to_string())?;
+            match &opened.recovered {
+                None => {
+                    let _ = write!(label, " (durable at {dir})");
+                }
+                Some(report) => {
                     let _ = write!(
                         label,
-                        " (recovered from {dir}: {} replayed, {} skipped{}",
-                        rec.report.replayed,
-                        rec.report.skipped,
-                        match &rec.report.truncated {
-                            Some(why) => format!(", tail truncated: {why}"),
-                            None => String::new(),
-                        }
+                        " (recovered from {dir}: {} replayed, {} skipped",
+                        report.replayed, report.skipped
                     );
-                    // The one moment tombstoned slots can be reclaimed: no
-                    // reader holds an engine, no client holds a tuple id,
-                    // and the index is about to be built anyway.
-                    let tombstones = rec.db.tombstoned_slots();
-                    let db = if tombstones > 0 {
-                        let _ = write!(label, ", {tombstones} tombstoned slots compacted");
-                        store
-                            .checkpoint(&rec.db, &mut wal)
-                            .map_err(|e| e.to_string())?
-                    } else {
-                        rec.db
-                    };
+                    if let Some(why) = &report.truncated {
+                        let _ = write!(label, ", tail truncated: {why}");
+                    }
+                    if opened.compacted > 0 {
+                        let _ = write!(label, ", {} tombstoned slots compacted", opened.compacted);
+                    }
                     label.push(')');
-                    (db, wal)
                 }
-                None => {
-                    // Fresh dir: the initial snapshot covers the source
-                    // database; the WAL starts empty at LSN 0.
-                    precis_durability::write_snapshot(&source_db, 0, store.snapshot_path())
-                        .map_err(|e| e.to_string())?;
-                    let wal = store.create_wal(policy, 0).map_err(|e| e.to_string())?;
-                    let _ = write!(label, " (durable at {dir})");
-                    (source_db, wal)
-                }
-            };
-            let wal = SharedWal::new(wal);
-            db.set_wal_sink(std::sync::Arc::new(wal.clone()));
-            let durability = precis_server::Durability::new(store, wal, options.checkpoint_every);
-            (db, Some(durability))
+            }
+            let durability =
+                precis_server::Durability::new(store, opened.wal, options.checkpoint_every);
+            (opened.db, Some(durability))
         }
     };
 

@@ -3,11 +3,9 @@
 //! ```text
 //! frame   := len:u32 LE | crc:u32 LE | payload[len]
 //! payload := lsn:u64 LE | kind:u8 | body
-//! kind    := 1 insert | 2 update | 3 delete | 4 schema-install
+//! kind    := 1 insert | 2 update | 3 delete
 //! body(insert|update) := rel | tid:u64 LE | nvalues:u16 LE | value*
 //! body(delete)        := rel | tid:u64 LE
-//! body(schema)        := text:u32-prefixed UTF-8 (a precisdb dump of the
-//!                        empty database — schema blocks only)
 //! rel     := u16 LE length-prefixed UTF-8 relation name
 //! value   := 0 null | 1 int:i64 LE | 2 float:f64-bits LE
 //!          | 3 bool:u8 | 4 text:u32-prefixed UTF-8
@@ -16,30 +14,19 @@
 //! The CRC covers the whole payload (including the LSN), so a torn write —
 //! a frame whose length field promises more bytes than the file holds, or
 //! whose payload was only partially flushed — is detected at the frame
-//! boundary and replay truncates there.
+//! boundary and replay truncates there. Every frame is a [`WalOp`]: a log
+//! only ever continues a snapshot, so it never has to say what the schema is.
 
 use crate::crc::crc32;
 use precis_storage::{StorageError, TupleId, Value, WalOp};
 
-/// One logical WAL entry (the payload of a frame, minus its LSN).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalEntry {
-    /// A storage mutation.
-    Op(WalOp),
-    /// Install a schema into an empty store: the payload is a `precisdb`
-    /// dump of the empty database. Only valid as the first entry of a log
-    /// that has no snapshot underneath it.
-    SchemaInstall { schema_text: String },
-}
-
 const KIND_INSERT: u8 = 1;
 const KIND_UPDATE: u8 = 2;
 const KIND_DELETE: u8 = 3;
-const KIND_SCHEMA: u8 = 4;
 
 /// Hard cap on a single frame payload (16 MiB): a torn length field cannot
 /// make the reader attempt a multi-gigabyte allocation.
-pub const MAX_PAYLOAD: u32 = 16 << 20;
+const MAX_PAYLOAD: u32 = 16 << 20;
 
 fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Corrupt(msg.into())
@@ -102,42 +89,38 @@ fn put_values(out: &mut Vec<u8>, values: &[Value]) -> Result<(), StorageError> {
     Ok(())
 }
 
-/// Serialize one entry into a complete frame (header + payload). Fails —
+/// Serialize one operation into a complete frame (header + payload). Fails —
 /// instead of silently truncating a length field — when a relation name,
 /// value count, or text value exceeds its field width, or when the whole
-/// payload would exceed [`MAX_PAYLOAD`] (the reader rejects such frames).
-pub fn encode_frame(lsn: u64, entry: &WalEntry) -> Result<Vec<u8>, StorageError> {
+/// payload would exceed the 16 MiB cap (the reader rejects such frames).
+pub fn encode_frame(lsn: u64, op: &WalOp) -> Result<Vec<u8>, StorageError> {
     let mut payload = Vec::with_capacity(64);
     payload.extend_from_slice(&lsn.to_le_bytes());
-    match entry {
-        WalEntry::Op(WalOp::Insert {
+    match op {
+        WalOp::Insert {
             relation,
             tid,
             values,
-        }) => {
+        } => {
             payload.push(KIND_INSERT);
             put_str(&mut payload, relation, false)?;
             payload.extend_from_slice(&tid.0.to_le_bytes());
             put_values(&mut payload, values)?;
         }
-        WalEntry::Op(WalOp::Update {
+        WalOp::Update {
             relation,
             tid,
             values,
-        }) => {
+        } => {
             payload.push(KIND_UPDATE);
             put_str(&mut payload, relation, false)?;
             payload.extend_from_slice(&tid.0.to_le_bytes());
             put_values(&mut payload, values)?;
         }
-        WalEntry::Op(WalOp::Delete { relation, tid }) => {
+        WalOp::Delete { relation, tid } => {
             payload.push(KIND_DELETE);
             put_str(&mut payload, relation, false)?;
             payload.extend_from_slice(&tid.0.to_le_bytes());
-        }
-        WalEntry::SchemaInstall { schema_text } => {
-            payload.push(KIND_SCHEMA);
-            put_str(&mut payload, schema_text, true)?;
         }
     }
     if payload.len() > MAX_PAYLOAD as usize {
@@ -214,13 +197,13 @@ impl<'a> Cursor<'a> {
 /// Decode one frame starting at `buf[offset..]`.
 ///
 /// * `Ok(None)` — clean end of log (no bytes left).
-/// * `Ok(Some((consumed, lsn, entry)))` — a valid frame.
+/// * `Ok(Some((consumed, lsn, op)))` — a valid frame.
 /// * `Err(Corrupt)` — a torn or corrupt frame at this offset: the caller
 ///   should truncate the log here.
-pub fn decode_frame(
+pub(crate) fn decode_frame(
     buf: &[u8],
     offset: usize,
-) -> Result<Option<(usize, u64, WalEntry)>, StorageError> {
+) -> Result<Option<(usize, u64, WalOp)>, StorageError> {
     let rest = &buf[offset..];
     if rest.is_empty() {
         return Ok(None);
@@ -247,7 +230,7 @@ pub fn decode_frame(
     };
     let lsn = c.u64()?;
     let kind = c.u8()?;
-    let entry = match kind {
+    let op = match kind {
         KIND_INSERT | KIND_UPDATE => {
             let relation = c.str(false)?;
             let tid = TupleId(c.u64()?);
@@ -257,44 +240,38 @@ pub fn decode_frame(
                 values.push(c.value()?);
             }
             if kind == KIND_INSERT {
-                WalEntry::Op(WalOp::Insert {
+                WalOp::Insert {
                     relation,
                     tid,
                     values,
-                })
+                }
             } else {
-                WalEntry::Op(WalOp::Update {
+                WalOp::Update {
                     relation,
                     tid,
                     values,
-                })
+                }
             }
         }
-        KIND_DELETE => WalEntry::Op(WalOp::Delete {
+        KIND_DELETE => WalOp::Delete {
             relation: c.str(false)?,
             tid: TupleId(c.u64()?),
-        }),
-        KIND_SCHEMA => WalEntry::SchemaInstall {
-            schema_text: c.str(true)?,
         },
         other => return Err(corrupt(format!("unknown record kind {other}"))),
     };
     if c.pos != payload.len() {
         return Err(corrupt("trailing bytes in record payload"));
     }
-    Ok(Some((8 + len, lsn, entry)))
+    Ok(Some((8 + len, lsn, op)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_entries() -> Vec<WalEntry> {
+    fn sample_ops() -> Vec<WalOp> {
         vec![
-            WalEntry::SchemaInstall {
-                schema_text: "precisdb 1\nschema s\n".to_owned(),
-            },
-            WalEntry::Op(WalOp::Insert {
+            WalOp::Insert {
                 relation: "MOVIE".into(),
                 tid: TupleId(0),
                 values: vec![
@@ -305,35 +282,78 @@ mod tests {
                     Value::Float(f64::NAN),
                     Value::from(true),
                 ],
-            }),
-            WalEntry::Op(WalOp::Update {
+            },
+            WalOp::Update {
                 relation: "MOVIE".into(),
                 tid: TupleId(7),
                 values: vec![Value::from(1)],
-            }),
-            WalEntry::Op(WalOp::Delete {
+            },
+            WalOp::Delete {
                 relation: "R".into(),
                 tid: TupleId(u64::MAX),
-            }),
+            },
         ]
     }
 
     #[test]
     fn frames_round_trip() {
-        for (i, entry) in sample_entries().into_iter().enumerate() {
-            let frame = encode_frame(i as u64 + 1, &entry).unwrap();
+        for (i, op) in sample_ops().into_iter().enumerate() {
+            let frame = encode_frame(i as u64 + 1, &op).unwrap();
             let (consumed, lsn, decoded) = decode_frame(&frame, 0).unwrap().unwrap();
             assert_eq!(consumed, frame.len());
             assert_eq!(lsn, i as u64 + 1);
-            assert_eq!(decoded, entry);
+            assert_eq!(decoded, op);
         }
+    }
+
+    /// One insert, one update and one delete, encoded at LSNs 5, 6, 7: the
+    /// bytes a log on disk holds, so a data directory written by an older
+    /// build replays on this one.
+    const PINNED_FRAMES: &str = "\
+        3f000000fd01c3ca05000000000000000105004d4f5649450300000000000000050001\
+        2a00000000000000040b0000004d6174636809506f696e740002000000000000044003\
+        012a000000e8f88c7c06000000000000000205004d4f56494507000000000000000200\
+        01ffffffffffffffff0402000000c3a914000000ab5943400700000000000000030100\
+        52ffffffffffffffff";
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let ops = [
+            WalOp::Insert {
+                relation: "MOVIE".into(),
+                tid: TupleId(3),
+                values: vec![
+                    Value::from(42),
+                    Value::from("Match\tPoint"),
+                    Value::Null,
+                    Value::from(2.5),
+                    Value::from(true),
+                ],
+            },
+            WalOp::Update {
+                relation: "MOVIE".into(),
+                tid: TupleId(7),
+                values: vec![Value::from(-1), Value::from("é")],
+            },
+            WalOp::Delete {
+                relation: "R".into(),
+                tid: TupleId(u64::MAX),
+            },
+        ];
+        let mut hex = String::new();
+        for (lsn, op) in (5..).zip(&ops) {
+            for b in encode_frame(lsn, op).unwrap() {
+                hex.push_str(&format!("{b:02x}"));
+            }
+        }
+        assert_eq!(hex, PINNED_FRAMES);
     }
 
     #[test]
     fn every_truncation_is_a_clean_corrupt_error() {
         let mut buf = Vec::new();
-        for (i, e) in sample_entries().iter().enumerate() {
-            buf.extend_from_slice(&encode_frame(i as u64, e).unwrap());
+        for (i, op) in sample_ops().iter().enumerate() {
+            buf.extend_from_slice(&encode_frame(i as u64, op).unwrap());
         }
         for end in 0..buf.len() {
             // Walk frames until the cut; the error must be Corrupt, never a
@@ -354,7 +374,7 @@ mod tests {
 
     #[test]
     fn bit_flips_are_detected() {
-        let frame = encode_frame(9, &sample_entries()[1]).unwrap();
+        let frame = encode_frame(9, &sample_ops()[0]).unwrap();
         for i in 8..frame.len() {
             let mut bad = frame.clone();
             bad[i] ^= 0x40;
@@ -367,7 +387,7 @@ mod tests {
 
     #[test]
     fn absurd_length_fields_are_rejected_without_allocating() {
-        let mut frame = encode_frame(1, &sample_entries()[3]).unwrap();
+        let mut frame = encode_frame(1, &sample_ops()[2]).unwrap();
         frame[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(decode_frame(&frame, 0).is_err());
     }
@@ -382,29 +402,31 @@ mod tests {
         // A relation name wider than its u16 length field.
         let e = encode_frame(
             0,
-            &WalEntry::Op(WalOp::Delete {
+            &WalOp::Delete {
                 relation: "R".repeat((u16::MAX as usize) + 1),
                 tid: TupleId(0),
-            }),
+            },
         )
         .unwrap_err();
         assert!(matches!(&e, StorageError::WalFailed(m) if m.contains("relation name")));
         // A row with more values than the u16 count field can carry.
         let e = encode_frame(
             0,
-            &WalEntry::Op(WalOp::Insert {
+            &WalOp::Insert {
                 relation: "R".into(),
                 tid: TupleId(0),
                 values: vec![Value::Null; (u16::MAX as usize) + 1],
-            }),
+            },
         )
         .unwrap_err();
         assert!(matches!(&e, StorageError::WalFailed(m) if m.contains("row")));
         // A payload past MAX_PAYLOAD (one big text value).
         let e = encode_frame(
             0,
-            &WalEntry::SchemaInstall {
-                schema_text: "x".repeat(MAX_PAYLOAD as usize + 1),
+            &WalOp::Insert {
+                relation: "R".into(),
+                tid: TupleId(0),
+                values: vec![Value::from("x".repeat(MAX_PAYLOAD as usize + 1))],
             },
         )
         .unwrap_err();

@@ -1,26 +1,26 @@
-//! Crash recovery: load the latest snapshot, replay the WAL tail, and
+//! Crash recovery: load the snapshot, replay the WAL behind it, and
 //! truncate — never fail — at the first torn, corrupt, or misapplied
 //! record.
 //!
-//! The contract is *ACK-after-fsync*: every mutation that was fsynced and
-//! acknowledged survives recovery; an unacknowledged tail may be kept (if
-//! the OS flushed it) or cut (if it tore). Because the log is applied
-//! strictly in order and the snapshot records the first LSN it does *not*
-//! cover, recovery is idempotent — crashing during recovery and recovering
-//! again yields the identical database.
+//! The snapshot is the only base a data directory recovers from: a log
+//! holds nothing but [`WalOp`]s, each continuing the database the snapshot
+//! holds. The contract is *ACK-after-fsync*: every mutation that was
+//! fsynced and acknowledged survives recovery; an unacknowledged tail may be
+//! kept (if the OS flushed it) or cut (if it tore). Because the log is
+//! applied strictly in order and the snapshot records the first LSN it does
+//! *not* cover, recovery is idempotent — crashing during recovery and
+//! recovering again yields the identical database.
 
-use crate::record::WalEntry;
-use crate::snapshot::{load_snapshot, Snapshot};
-use crate::store::{SNAPSHOT_FILE, WAL_FILE};
+use crate::snapshot::load_snapshot;
 use crate::wal::read_one;
-use precis_storage::{io, Database, Result, StorageError, WalOp};
+use precis_storage::{Database, Result, StorageError, WalOp};
 use std::path::Path;
 
 /// What recovery did, for logs and the server's `/metrics`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// The snapshot's `next_lsn`, when a snapshot was loaded.
-    pub snapshot_lsn: Option<u64>,
+    /// The snapshot's `next_lsn`: the first LSN it does not cover.
+    pub snapshot_lsn: u64,
     /// WAL records applied on top of the snapshot.
     pub replayed: usize,
     /// WAL records skipped because the snapshot already covered them
@@ -40,33 +40,28 @@ pub struct Recovered {
     pub report: RecoveryReport,
 }
 
-/// Recover the store under `dir`. Returns `Ok(None)` when the directory
-/// holds neither a snapshot nor any usable WAL record (a brand-new store).
-/// A torn or corrupt WAL tail is physically truncated so the next append
-/// extends a clean prefix.
-pub fn recover(dir: impl AsRef<Path>) -> Result<Option<Recovered>> {
+/// Recover the snapshot at `snapshot_path` and the log at `wal_path`.
+/// Returns `Ok(None)` when there is no snapshot (a directory nothing has
+/// bootstrapped), leaving any log as it is. A torn or corrupt WAL tail is
+/// physically truncated so the next append extends a clean prefix.
+pub(crate) fn recover(snapshot_path: &Path, wal_path: &Path) -> Result<Option<Recovered>> {
     let _span = precis_obs::span("wal.replay");
-    let dir = dir.as_ref();
-    let wal_path = dir.join(WAL_FILE);
-    let snapshot = load_snapshot(dir.join(SNAPSHOT_FILE))?;
-    let buf = match std::fs::read(&wal_path) {
+    let Some((mut db, snapshot_lsn)) = load_snapshot(snapshot_path)? else {
+        return Ok(None);
+    };
+    let buf = match std::fs::read(wal_path) {
         Ok(buf) => buf,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(StorageError::Io(format!("wal {}: {e}", wal_path.display()))),
     };
 
-    let snapshot_lsn = snapshot.as_ref().map(|s| s.next_lsn);
-    let (floor, mut db) = match snapshot {
-        Some(Snapshot { db, next_lsn }) => (next_lsn, Some(db)),
-        None => (0, None),
-    };
-    let mut next_lsn = floor;
+    let mut next_lsn = snapshot_lsn;
     let mut replayed = 0usize;
     let mut skipped = 0usize;
     let mut truncated = None;
     let mut offset = 0usize;
     loop {
-        let (consumed, lsn, entry) = match read_one(&buf, offset) {
+        let (consumed, lsn, op) = match read_one(&buf, offset) {
             Ok(Some(frame)) => frame,
             Ok(None) => break,
             Err(e) => {
@@ -74,12 +69,12 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Option<Recovered>> {
                 break;
             }
         };
-        if lsn < floor {
+        if lsn < snapshot_lsn {
             skipped += 1;
             offset += consumed;
             continue;
         }
-        if let Err(e) = apply(&mut db, &entry) {
+        if let Err(e) = apply(&mut db, &op) {
             // A record that decodes but does not apply means the log and
             // the snapshot disagree (e.g. an insert that would land on a
             // different tuple id). Serving the consistent prefix beats
@@ -93,7 +88,7 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Option<Recovered>> {
     }
 
     if truncated.is_some() && (offset as u64) < buf.len() as u64 {
-        truncate_file(&wal_path, offset as u64)?;
+        truncate_file(wal_path, offset as u64)?;
     }
 
     let report = RecoveryReport {
@@ -103,60 +98,44 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<Option<Recovered>> {
         truncated,
         next_lsn,
     };
-    Ok(db.map(|db| Recovered { db, report }))
+    Ok(Some(Recovered { db, report }))
 }
 
-/// Apply one WAL entry to the database being rebuilt. Insert replay
+/// Apply one WAL record to the database being rebuilt. Insert replay
 /// verifies the engine hands back the tuple id the record stored — a
 /// snapshot numbers its tuples as the database it was taken of, so a
 /// mismatch means the files are inconsistent and the log must be cut here.
-fn apply(db: &mut Option<Database>, entry: &WalEntry) -> Result<()> {
-    match entry {
-        WalEntry::SchemaInstall { schema_text } => {
-            if db.is_some() {
-                return Err(StorageError::Corrupt(
-                    "schema install into a non-empty store".into(),
-                ));
+fn apply(db: &mut Database, op: &WalOp) -> Result<()> {
+    match op {
+        WalOp::Insert {
+            relation,
+            tid,
+            values,
+        } => {
+            // Verify BEFORE mutating: inserts claim the next slot, so a
+            // mismatch is detectable up front and the database stays
+            // exactly at the consistent prefix.
+            let rel = db.schema().require_relation(relation)?;
+            let next = db.table(rel).slot_count() as u64;
+            if next != tid.0 {
+                return Err(StorageError::Corrupt(format!(
+                    "insert into {relation} would land on tid {next} but the log says {}",
+                    tid.0
+                )));
             }
-            *db = Some(io::load_from_string(schema_text)?);
-            Ok(())
+            db.insert_into(rel, values.clone()).map(|_| ())
         }
-        WalEntry::Op(op) => {
-            let db = db.as_mut().ok_or_else(|| {
-                StorageError::Corrupt("mutation before any schema or snapshot".into())
-            })?;
-            match op {
-                WalOp::Insert {
-                    relation,
-                    tid,
-                    values,
-                } => {
-                    // Verify BEFORE mutating: inserts claim the next slot,
-                    // so a mismatch is detectable up front and the database
-                    // stays exactly at the consistent prefix.
-                    let rel = db.schema().require_relation(relation)?;
-                    let next = db.table(rel).slot_count() as u64;
-                    if next != tid.0 {
-                        return Err(StorageError::Corrupt(format!(
-                            "insert into {relation} would land on tid {next} but the log says {}",
-                            tid.0
-                        )));
-                    }
-                    db.insert_into(rel, values.clone()).map(|_| ())
-                }
-                WalOp::Update {
-                    relation,
-                    tid,
-                    values,
-                } => {
-                    let rel = db.schema().require_relation(relation)?;
-                    db.update(rel, *tid, values.clone())
-                }
-                WalOp::Delete { relation, tid } => {
-                    let rel = db.schema().require_relation(relation)?;
-                    db.delete(rel, *tid)
-                }
-            }
+        WalOp::Update {
+            relation,
+            tid,
+            values,
+        } => {
+            let rel = db.schema().require_relation(relation)?;
+            db.update(rel, *tid, values.clone())
+        }
+        WalOp::Delete { relation, tid } => {
+            let rel = db.schema().require_relation(relation)?;
+            db.delete(rel, *tid)
         }
     }
 }
@@ -177,24 +156,29 @@ mod tests {
     use super::*;
     use crate::snapshot::write_snapshot;
     use crate::store::DurableStore;
-    use crate::testutil::{sample_schema, scratch_dir};
+    use crate::testutil::{sample_db, sample_schema, scratch_dir, LAZY};
     use crate::wal::{FsyncPolicy, SharedWal, Wal};
     use precis_storage::cow::CopyMeter;
-    use precis_storage::Value;
+    use precis_storage::{io, Value};
+    use std::path::PathBuf;
     use std::sync::Arc;
 
     /// Bootstrap a live database whose mutations stream into a fresh WAL
-    /// under `dir`, starting from an empty schema-install record.
+    /// under `dir`, on an empty snapshot at LSN 0.
     fn live_db(dir: &Path) -> (Database, SharedWal) {
         let store = DurableStore::open(dir).unwrap();
         let empty = Database::new(sample_schema()).unwrap();
-        let mut wal = store.create_wal(FsyncPolicy::Never, 0).unwrap();
-        wal.append_schema_install(&io::dump_to_string(&empty))
-            .unwrap();
-        let shared = SharedWal::new(wal);
-        let mut db = empty;
-        db.set_wal_sink(Arc::new(shared.clone()));
-        (db, shared)
+        let opened = store.open_or_bootstrap(empty, LAZY).unwrap();
+        (opened.db, opened.wal)
+    }
+
+    fn recover_dir(dir: &Path) -> Result<Option<Recovered>> {
+        DurableStore::open(dir)?.recover()
+    }
+
+    fn paths(dir: &Path) -> (PathBuf, PathBuf) {
+        let store = DurableStore::open(dir).unwrap();
+        (store.snapshot_path(), store.wal_path())
     }
 
     fn populate(db: &mut Database) {
@@ -265,7 +249,7 @@ mod tests {
         let loaded_copied = meter.copied().bytes;
 
         let meter = CopyMeter::new();
-        let replayed = recover(&dir).unwrap().unwrap().db;
+        let replayed = recover_dir(&dir).unwrap().unwrap().db;
         let replayed_copied = meter.copied().bytes;
 
         let movie = db.schema().relation_id("MOVIE").unwrap();
@@ -311,7 +295,7 @@ mod tests {
     #[test]
     fn empty_dir_recovers_to_nothing() {
         let dir = scratch_dir("rec-empty");
-        assert!(recover(&dir).unwrap().is_none());
+        assert!(recover_dir(&dir).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -321,16 +305,16 @@ mod tests {
         let (mut db, wal) = live_db(&dir);
         populate(&mut db);
         wal.flush().unwrap();
-        let rec = recover(&dir).unwrap().unwrap();
+        let rec = recover_dir(&dir).unwrap().unwrap();
         assert_eq!(
             io::dump_to_string(&rec.db),
             io::dump_to_string(&db),
-            "replay from the empty schema must reproduce the live state"
+            "replay onto the empty snapshot must reproduce the live state"
         );
         assert!(rec.report.truncated.is_none());
         assert_eq!(rec.report.skipped, 0);
-        assert_eq!(rec.report.replayed, 8); // schema + 7 ops
-        assert_eq!(rec.report.next_lsn, 8);
+        assert_eq!(rec.report.replayed, 7);
+        assert_eq!(rec.report.next_lsn, 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -363,9 +347,9 @@ mod tests {
         )
         .unwrap();
         wal.flush().unwrap();
-        let rec = recover(&dir).unwrap().unwrap();
+        let rec = recover_dir(&dir).unwrap().unwrap();
         assert_eq!(io::dump_to_string(&rec.db), io::dump_to_string(&db));
-        assert_eq!(rec.report.snapshot_lsn, Some(8));
+        assert_eq!(rec.report.snapshot_lsn, 7);
         assert_eq!(rec.report.replayed, 2);
         assert_eq!(rec.report.skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
@@ -402,9 +386,9 @@ mod tests {
                 .unwrap();
             assert_eq!(tid, precis_storage::TupleId(2));
             wal.flush().unwrap();
-            let rec = recover(&dir).unwrap().unwrap();
+            let rec = recover_dir(&dir).unwrap().unwrap();
             assert_eq!(rec.report.truncated, None);
-            assert_eq!(rec.report.snapshot_lsn, Some(8));
+            assert_eq!(rec.report.snapshot_lsn, 7);
             assert_eq!(rec.report.replayed, 1);
             assert_eq!(
                 io::dump_to_string(&rec.db),
@@ -423,12 +407,12 @@ mod tests {
         let (mut db, wal) = live_db(&dir);
         populate(&mut db);
         wal.flush().unwrap();
-        write_snapshot(&db, wal.next_lsn(), dir.join(SNAPSHOT_FILE)).unwrap();
-        let rec = recover(&dir).unwrap().unwrap();
+        write_snapshot(&db, wal.next_lsn(), paths(&dir).0).unwrap();
+        let rec = recover_dir(&dir).unwrap().unwrap();
         assert_eq!(io::dump_to_string(&rec.db), io::dump_to_string(&db));
         assert_eq!(rec.report.replayed, 0);
-        assert_eq!(rec.report.skipped, 8);
-        assert_eq!(rec.report.next_lsn, 8);
+        assert_eq!(rec.report.skipped, 7);
+        assert_eq!(rec.report.next_lsn, 7);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -438,15 +422,15 @@ mod tests {
         let (mut db, wal) = live_db(&dir);
         populate(&mut db);
         wal.flush().unwrap();
-        let wal_path = dir.join(WAL_FILE);
+        let wal_path = paths(&dir).1;
         let full = std::fs::read(&wal_path).unwrap();
         for cut in [full.len() - 1, full.len() - 7, full.len() / 2] {
             std::fs::write(&wal_path, &full[..cut]).unwrap();
-            let first = recover(&dir).unwrap().unwrap();
+            let first = recover_dir(&dir).unwrap().unwrap();
             assert!(first.report.truncated.is_some(), "cut at {cut}");
             // The file was physically truncated: a second crash-and-recover
             // sees a clean log and lands on the identical database.
-            let second = recover(&dir).unwrap().unwrap();
+            let second = recover_dir(&dir).unwrap().unwrap();
             assert!(second.report.truncated.is_none());
             assert_eq!(
                 io::dump_to_string(&first.db),
@@ -460,10 +444,10 @@ mod tests {
     #[test]
     fn insert_tid_mismatch_cuts_the_log() {
         let dir = scratch_dir("rec-tidmismatch");
+        let (snapshot_path, wal_path) = paths(&dir);
         let empty = Database::new(sample_schema()).unwrap();
-        let mut wal = Wal::create(dir.join(WAL_FILE), FsyncPolicy::Never, 0).unwrap();
-        wal.append_schema_install(&io::dump_to_string(&empty))
-            .unwrap();
+        write_snapshot(&empty, 0, snapshot_path).unwrap();
+        let mut wal = Wal::create(wal_path, LAZY, 0).unwrap();
         wal.append_op(WalOp::Insert {
             relation: "DIRECTOR".into(),
             // A fresh DIRECTOR table hands out tid 0; the log claiming 5
@@ -473,25 +457,41 @@ mod tests {
         })
         .unwrap();
         drop(wal);
-        let rec = recover(&dir).unwrap().unwrap();
+        let rec = recover_dir(&dir).unwrap().unwrap();
         assert!(rec.report.truncated.unwrap().contains("tid"));
         assert_eq!(rec.db.total_tuples(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn mutation_before_schema_is_refused() {
-        let dir = scratch_dir("rec-noschema");
-        let mut wal = Wal::create(dir.join(WAL_FILE), FsyncPolicy::Never, 0).unwrap();
+    fn a_log_without_a_snapshot_recovers_to_nothing_and_the_opener_bootstraps_it() {
+        let dir = scratch_dir("rec-nosnapshot");
+        let store = DurableStore::open(&dir).unwrap();
+        let mut wal = store.create_wal(LAZY, 0).unwrap();
         wal.append_op(WalOp::Delete {
             relation: "MOVIE".into(),
             tid: precis_storage::TupleId(0),
         })
         .unwrap();
         drop(wal);
-        assert!(recover(&dir).unwrap().is_none());
-        // The unusable record was truncated away.
-        assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), 0);
+        let logged = std::fs::metadata(store.wal_path()).unwrap().len();
+        assert!(logged > 0);
+        assert!(store.recover().unwrap().is_none());
+        // Recovery left the log as it was.
+        assert_eq!(std::fs::metadata(store.wal_path()).unwrap().len(), logged);
+        // The opener starts from the source: its snapshot at LSN 0, an
+        // empty log.
+        let opened = store.open_or_bootstrap(sample_db(), LAZY).unwrap();
+        assert!(opened.recovered.is_none());
+        assert_eq!(opened.wal.next_lsn(), 0);
+        assert_eq!(std::fs::metadata(store.wal_path()).unwrap().len(), 0);
+        let rec = store.recover().unwrap().unwrap();
+        assert_eq!(rec.report.snapshot_lsn, 0);
+        assert_eq!(rec.report.replayed, 0);
+        assert_eq!(
+            io::dump_to_string(&rec.db),
+            io::dump_to_string(&sample_db())
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -504,38 +504,22 @@ mod tests {
         drop((db, wal));
         // "Restart": recover, reopen the wal at the reported LSN, write more.
         let store = DurableStore::open(&dir).unwrap();
-        let rec = store.recover().unwrap().unwrap();
-        let wal = store
-            .open_wal(FsyncPolicy::Always, rec.report.next_lsn)
+        let empty = Database::new(sample_schema()).unwrap();
+        let opened = store
+            .open_or_bootstrap(empty, FsyncPolicy::Batch(1))
             .unwrap();
-        let shared = SharedWal::new(wal);
-        let mut db = rec.db;
-        db.set_wal_sink(Arc::new(shared.clone()));
+        assert_eq!(opened.recovered.unwrap().next_lsn, 7);
+        let (mut db, shared) = (opened.db, opened.wal);
         db.insert(
             "DIRECTOR",
             vec![Value::from(3), Value::from("Lee"), Value::from(9.0)],
         )
         .unwrap();
         drop((db, shared));
-        let again = recover(&dir).unwrap().unwrap();
+        let again = recover_dir(&dir).unwrap().unwrap();
         assert_eq!(again.report.truncated, None);
         let director = again.db.schema().relation_id("DIRECTOR").unwrap();
         assert_eq!(again.db.len(director), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_beats_schema_install_when_both_present() {
-        // After a checkpoint the rotated log is empty, but if a crash left
-        // stale pre-checkpoint records (including the schema install), the
-        // LSN floor must skip them all instead of re-installing the schema.
-        let dir = scratch_dir("rec-snapwins");
-        let (mut db, wal) = live_db(&dir);
-        populate(&mut db);
-        write_snapshot(&db, wal.next_lsn(), dir.join(SNAPSHOT_FILE)).unwrap();
-        let rec = recover(&dir).unwrap().unwrap();
-        assert_eq!(rec.report.skipped, 8);
-        assert_eq!(io::dump_to_string(&rec.db), io::dump_to_string(&db));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

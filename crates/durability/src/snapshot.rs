@@ -15,13 +15,6 @@ use precis_storage::{io, Database, Result, StorageError};
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
 
-/// A loaded snapshot: the database plus the first LSN to replay on top.
-#[derive(Debug)]
-pub struct Snapshot {
-    pub db: Database,
-    pub next_lsn: u64,
-}
-
 fn io_err(path: &Path, e: std::io::Error) -> StorageError {
     StorageError::Io(format!("snapshot {}: {e}", path.display()))
 }
@@ -52,12 +45,13 @@ pub fn write_snapshot(db: &Database, next_lsn: u64, path: impl AsRef<Path>) -> R
     Ok(())
 }
 
-/// Load the snapshot at `path`. `Ok(None)` when the file does not exist
-/// (a store that has never checkpointed); `Err(Corrupt)` when the file
+/// Load the snapshot at `path`: the database and the first LSN to replay on
+/// top of it. `Ok(None)` when the file does not exist (a directory nothing
+/// has bootstrapped); `Err(Corrupt)` when the file
 /// exists but cannot be parsed — the atomic install makes that a sign of
 /// external damage, not a crash artifact, so recovery refuses it loudly
 /// rather than silently serving an empty database.
-pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Option<Snapshot>> {
+pub(crate) fn load_snapshot(path: impl AsRef<Path>) -> Result<Option<(Database, u64)>> {
     let path = path.as_ref();
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -76,7 +70,7 @@ pub fn load_snapshot(path: impl AsRef<Path>) -> Result<Option<Snapshot>> {
         .and_then(|n| n.parse::<u64>().ok())
         .ok_or_else(|| corrupt("bad lsn line"))?;
     let db = io::load_from_string(dump)?;
-    Ok(Some(Snapshot { db, next_lsn }))
+    Ok(Some((db, next_lsn)))
 }
 
 #[cfg(test)]
@@ -90,10 +84,10 @@ mod tests {
         let path = dir.join("snapshot.precisdb");
         let db = sample_db();
         write_snapshot(&db, 17, &path).unwrap();
-        let snap = load_snapshot(&path).unwrap().unwrap();
-        assert_eq!(snap.next_lsn, 17);
+        let (loaded, next_lsn) = load_snapshot(&path).unwrap().unwrap();
+        assert_eq!(next_lsn, 17);
         assert_eq!(
-            io::dump_to_string(&snap.db),
+            io::dump_to_string(&loaded),
             io::dump_to_string(&db),
             "snapshot must preserve the database byte-for-byte"
         );
@@ -139,9 +133,9 @@ mod tests {
         )
         .unwrap();
         write_snapshot(&db, 9, &path).unwrap();
-        let snap = load_snapshot(&path).unwrap().unwrap();
-        assert_eq!(snap.next_lsn, 9);
-        assert_eq!(snap.db.total_tuples(), db.total_tuples());
+        let (loaded, next_lsn) = load_snapshot(&path).unwrap().unwrap();
+        assert_eq!(next_lsn, 9);
+        assert_eq!(loaded.total_tuples(), db.total_tuples());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,9 +1,14 @@
 //! Shared helpers for the crate's tests: unique scratch directories (no
 //! `tempfile` dependency) and a small movies database.
 
+use crate::FsyncPolicy;
 use precis_storage::{DataType, Database, DatabaseSchema, ForeignKey, RelationSchema, Value};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Group commit that syncs only at an explicit flush, for tests that do not
+/// count fsyncs.
+pub const LAZY: FsyncPolicy = FsyncPolicy::Batch(usize::MAX);
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 

@@ -1,7 +1,8 @@
-//! The append-only write-ahead log: group commit, fsync policies, and the
-//! lenient scanner recovery uses to read a possibly-torn log back.
+//! The append-only write-ahead log: group commit, rollback to a mark,
+//! rotation at a checkpoint, and [`read_one`], the one way a frame is read
+//! back.
 
-use crate::record::{decode_frame, encode_frame, WalEntry};
+use crate::record::{decode_frame, encode_frame};
 use precis_storage::{failpoint, Result, StorageError, WalOp, WalSink};
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
@@ -9,17 +10,12 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// When appended records reach the disk platter.
+/// When appended records reach the disk platter: group commit, an fsync
+/// once every `n` appended records and on every explicit [`Wal::flush`].
+/// `Batch(1)` syncs every append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Never fsync: records reach the OS page cache only. Survives process
-    /// crashes (`kill -9`), not power loss.
-    Never,
-    /// Group commit: fsync once every `n` appended records and on every
-    /// explicit [`Wal::flush`].
     Batch(usize),
-    /// Fsync after every append. Slowest, zero acknowledged-write loss.
-    Always,
 }
 
 /// Monotone counters the server exports as `precis_wal_*` metrics.
@@ -85,7 +81,7 @@ impl Wal {
     /// Open an existing log for appending. `next_lsn` comes from recovery
     /// (one past the last valid record); recovery has already truncated any
     /// torn tail, so appending extends a clean prefix.
-    pub fn open_for_append(
+    pub(crate) fn open_for_append(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
         next_lsn: u64,
@@ -122,18 +118,14 @@ impl Wal {
         Arc::clone(&self.stats)
     }
 
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Append one entry; returns its LSN. Fsyncs per the policy — callers
-    /// that acknowledge writes must still call [`Wal::flush`] before
-    /// acknowledging (the group-commit barrier).
-    pub fn append(&mut self, entry: &WalEntry) -> Result<u64> {
+    /// Append one storage mutation; returns its LSN. Fsyncs per the policy
+    /// — callers that acknowledge writes must still call [`Wal::flush`]
+    /// before acknowledging (the group-commit barrier).
+    pub fn append_op(&mut self, op: WalOp) -> Result<u64> {
         let _span = precis_obs::span("wal.append");
         failpoint::check("wal_append")?;
         let lsn = self.next_lsn;
-        let frame = encode_frame(lsn, entry)?;
+        let frame = encode_frame(lsn, &op)?;
         self.file
             .write_all(&frame)
             .map_err(|e| io_err(&self.path, e))?;
@@ -141,35 +133,16 @@ impl Wal {
         self.bytes += frame.len() as u64;
         self.unsynced += 1;
         self.stats.appended.fetch_add(1, Ordering::Relaxed);
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::Batch(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        let FsyncPolicy::Batch(n) = self.policy;
+        if self.unsynced >= n.max(1) {
+            self.sync()?;
         }
         Ok(lsn)
     }
 
-    /// Append a storage mutation.
-    pub fn append_op(&mut self, op: WalOp) -> Result<u64> {
-        self.append(&WalEntry::Op(op))
-    }
-
-    /// Append a schema-install record (the bootstrap entry of a log with no
-    /// snapshot underneath).
-    pub fn append_schema_install(&mut self, schema_text: &str) -> Result<u64> {
-        self.append(&WalEntry::SchemaInstall {
-            schema_text: schema_text.to_owned(),
-        })
-    }
-
-    /// Group-commit barrier: push buffered records to disk now (no-op under
-    /// [`FsyncPolicy::Never`] beyond the OS write already issued).
+    /// Group-commit barrier: push buffered records to disk now.
     pub fn flush(&mut self) -> Result<()> {
-        if self.unsynced == 0 || self.policy == FsyncPolicy::Never {
+        if self.unsynced == 0 {
             return Ok(());
         }
         self.sync()
@@ -291,64 +264,14 @@ impl WalSink for SharedWal {
     }
 }
 
-/// Result of scanning a log file leniently.
-#[derive(Debug)]
-pub struct WalScan {
-    /// Every valid record in order: `(lsn, entry)`.
-    pub entries: Vec<(u64, WalEntry)>,
-    /// Byte length of the valid prefix.
-    pub valid_bytes: u64,
-    /// Why the tail was cut, if it was (`None` = the whole file is valid).
-    pub truncated: Option<String>,
-}
-
-/// Read every valid record from `path`, stopping (not failing) at the first
-/// torn or corrupt frame. A missing file is an empty log. `Err` is reserved
-/// for the file being unreadable at all.
-pub fn scan_wal(path: impl AsRef<Path>) -> Result<WalScan> {
-    let _span = precis_obs::span("wal.replay");
-    let path = path.as_ref();
-    let buf = match std::fs::read(path) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(WalScan {
-                entries: Vec::new(),
-                valid_bytes: 0,
-                truncated: None,
-            })
-        }
-        Err(e) => return Err(io_err(path, e)),
-    };
-    let mut entries = Vec::new();
-    let mut offset = 0usize;
-    let mut truncated = None;
-    loop {
-        match read_one(&buf, offset) {
-            Ok(Some((consumed, lsn, entry))) => {
-                entries.push((lsn, entry));
-                offset += consumed;
-            }
-            Ok(None) => break,
-            Err(e) => {
-                truncated = Some(e.to_string());
-                break;
-            }
-        }
-    }
-    Ok(WalScan {
-        entries,
-        valid_bytes: offset as u64,
-        truncated,
-    })
-}
-
-/// Strict single-frame read used by [`scan_wal`] and the fault harness:
-/// propagates torn/corrupt frames (and injected `wal_replay` faults) as
-/// errors instead of truncating.
+/// Read the frame at `buf[offset..]`: `Ok(None)` at a clean end of log,
+/// `Err(Corrupt)` at a torn or corrupt frame, and injected `wal_replay`
+/// faults as errors. Recovery stops at the first error and cuts the log
+/// there.
 pub fn read_one(
     buf: &[u8],
     offset: usize,
-) -> std::result::Result<Option<(usize, u64, WalEntry)>, StorageError> {
+) -> std::result::Result<Option<(usize, u64, WalOp)>, StorageError> {
     failpoint::check("wal_replay")?;
     decode_frame(buf, offset)
 }
@@ -356,8 +279,25 @@ pub fn read_one(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::scratch_dir;
+    use crate::testutil::{scratch_dir, LAZY};
     use precis_storage::{TupleId, Value};
+
+    /// The LSNs of the frames [`read_one`] accepts from the file at `path`,
+    /// in order, and why it stopped short of the end, if it did.
+    fn read_lsns(path: &Path) -> (Vec<u64>, Option<String>) {
+        let buf = std::fs::read(path).unwrap();
+        let (mut lsns, mut offset) = (Vec::new(), 0);
+        loop {
+            match read_one(&buf, offset) {
+                Ok(Some((consumed, lsn, _))) => {
+                    lsns.push(lsn);
+                    offset += consumed;
+                }
+                Ok(None) => return (lsns, None),
+                Err(e) => return (lsns, Some(e.to_string())),
+            }
+        }
+    }
 
     fn op(i: u64) -> WalOp {
         WalOp::Insert {
@@ -368,23 +308,17 @@ mod tests {
     }
 
     #[test]
-    fn append_then_scan_round_trips() {
+    fn appended_frames_read_back_in_order() {
         let dir = scratch_dir("wal-roundtrip");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Always, 1).unwrap();
-        wal.append_schema_install("precisdb 1\nschema s\n").unwrap();
+        let mut wal = Wal::create(&path, FsyncPolicy::Batch(1), 1).unwrap();
         for i in 0..10 {
             wal.append_op(op(i)).unwrap();
         }
         wal.flush().unwrap();
-        assert_eq!(wal.next_lsn(), 12);
+        assert_eq!(wal.next_lsn(), 11);
         drop(wal);
-        let scan = scan_wal(&path).unwrap();
-        assert!(scan.truncated.is_none());
-        assert_eq!(scan.entries.len(), 11);
-        assert_eq!(scan.entries[0].0, 1);
-        assert!(matches!(scan.entries[0].1, WalEntry::SchemaInstall { .. }));
-        assert_eq!(scan.entries[10].0, 11);
+        assert_eq!(read_lsns(&path), ((1..11).collect(), None));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -392,27 +326,21 @@ mod tests {
     fn torn_tails_truncate_at_every_cut_point() {
         let dir = scratch_dir("wal-torn");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         for i in 0..5 {
             wal.append_op(op(i)).unwrap();
         }
         drop(wal);
         let full = std::fs::read(&path).unwrap();
-        let whole = scan_wal(&path).unwrap();
-        assert_eq!(whole.entries.len(), 5);
+        let frame_len = full.len() / 5;
         let cut_path = dir.join("cut.log");
         for end in 0..full.len() {
             std::fs::write(&cut_path, &full[..end]).unwrap();
-            let scan = scan_wal(&cut_path).unwrap();
-            assert!(scan.entries.len() <= 5);
-            assert!(scan.valid_bytes <= end as u64);
-            if end < full.len() && scan.entries.len() < 5 {
-                // Anything but the exact full file loses only whole frames
-                // off the tail, never earlier records.
-                for (i, (lsn, _)) in scan.entries.iter().enumerate() {
-                    assert_eq!(*lsn, i as u64);
-                }
-            }
+            // A cut loses only whole frames off the tail, never earlier
+            // records, and says why unless it fell on a frame boundary.
+            let (lsns, truncated) = read_lsns(&cut_path);
+            assert_eq!(lsns, (0..(end / frame_len) as u64).collect::<Vec<_>>());
+            assert_eq!(truncated.is_some(), end % frame_len != 0, "cut at {end}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -421,7 +349,7 @@ mod tests {
     fn corrupt_middle_record_cuts_the_rest() {
         let dir = scratch_dir("wal-corrupt");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         for i in 0..5 {
             wal.append_op(op(i)).unwrap();
         }
@@ -431,14 +359,14 @@ mod tests {
         // Flip a payload byte inside the third record.
         bytes[2 * frame_len + 12] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.entries.len(), 2);
-        assert!(scan.truncated.unwrap().contains("checksum"));
+        let (lsns, truncated) = read_lsns(&path);
+        assert_eq!(lsns, vec![0, 1]);
+        assert!(truncated.unwrap().contains("checksum"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn fsync_policies_schedule_syncs() {
+    fn group_commit_schedules_syncs() {
         let dir = scratch_dir("wal-fsync");
         let append_n = |policy, n: u64| {
             let mut wal = Wal::create(dir.join("w.log"), policy, 0).unwrap();
@@ -451,9 +379,9 @@ mod tests {
                 stats.fsyncs.load(Ordering::Relaxed),
             )
         };
-        assert_eq!(append_n(FsyncPolicy::Always, 6), (6, 6));
+        assert_eq!(append_n(FsyncPolicy::Batch(1), 6), (6, 6));
         assert_eq!(append_n(FsyncPolicy::Batch(4), 6), (6, 1));
-        assert_eq!(append_n(FsyncPolicy::Never, 6), (6, 0));
+        assert_eq!(append_n(FsyncPolicy::Batch(0), 6), (6, 6));
         // An explicit flush syncs pending batch records exactly once.
         let mut wal = Wal::create(dir.join("w.log"), FsyncPolicy::Batch(100), 0).unwrap();
         wal.append_op(op(0)).unwrap();
@@ -467,7 +395,7 @@ mod tests {
     fn rotate_empties_the_log_but_keeps_lsns_monotone() {
         let dir = scratch_dir("wal-rotate");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         for i in 0..3 {
             wal.append_op(op(i)).unwrap();
         }
@@ -475,9 +403,7 @@ mod tests {
         assert_eq!(wal.next_lsn(), 3);
         wal.append_op(op(99)).unwrap();
         drop(wal);
-        let scan = scan_wal(&path).unwrap();
-        assert_eq!(scan.entries.len(), 1);
-        assert_eq!(scan.entries[0].0, 3);
+        assert_eq!(read_lsns(&path), (vec![3], None));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -485,7 +411,7 @@ mod tests {
     fn truncate_to_mark_erases_a_failed_batch_and_reuses_its_lsns() {
         let dir = scratch_dir("wal-rollback");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         for i in 0..3 {
             wal.append_op(op(i)).unwrap();
         }
@@ -508,15 +434,10 @@ mod tests {
         assert_eq!(wal.next_lsn(), 3);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), mark.bytes);
         // The rolled-back LSNs and slots are reclaimed by the next batch;
-        // the log scans clean with no gap and no duplicate.
+        // the log reads back clean with no gap and no duplicate.
         wal.append_op(op(3)).unwrap();
         drop(wal);
-        let scan = scan_wal(&path).unwrap();
-        assert!(scan.truncated.is_none(), "{:?}", scan.truncated);
-        assert_eq!(
-            scan.entries.iter().map(|(lsn, _)| *lsn).collect::<Vec<_>>(),
-            vec![0, 1, 2, 3]
-        );
+        assert_eq!(read_lsns(&path), (vec![0, 1, 2, 3], None));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -526,19 +447,17 @@ mod tests {
         // rollback would truncate to the wrong offset.
         let dir = scratch_dir("wal-reopen-mark");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         wal.append_op(op(0)).unwrap();
         drop(wal);
-        let mut wal = Wal::open_for_append(&path, FsyncPolicy::Never, 1).unwrap();
+        let mut wal = Wal::open_for_append(&path, LAZY, 1).unwrap();
         let mark = wal.mark();
         assert_eq!(mark.bytes, std::fs::metadata(&path).unwrap().len());
         wal.append_op(op(1)).unwrap();
         wal.truncate_to_mark(mark).unwrap();
         wal.append_op(op(1)).unwrap();
         drop(wal);
-        let scan = scan_wal(&path).unwrap();
-        assert!(scan.truncated.is_none());
-        assert_eq!(scan.entries.len(), 2);
+        assert_eq!(read_lsns(&path), (vec![0, 1], None));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -546,7 +465,7 @@ mod tests {
     fn oversized_records_are_refused_at_append_time() {
         let dir = scratch_dir("wal-oversize");
         let path = dir.join("wal.log");
-        let mut wal = Wal::create(&path, FsyncPolicy::Never, 0).unwrap();
+        let mut wal = Wal::create(&path, LAZY, 0).unwrap();
         let err = wal
             .append_op(WalOp::Delete {
                 relation: "R".repeat((u16::MAX as usize) + 1),
@@ -563,7 +482,7 @@ mod tests {
     #[test]
     fn shared_wal_is_a_wal_sink() {
         let dir = scratch_dir("wal-sink");
-        let wal = Wal::create(dir.join("wal.log"), FsyncPolicy::Never, 0).unwrap();
+        let wal = Wal::create(dir.join("wal.log"), LAZY, 0).unwrap();
         let shared = SharedWal::new(wal);
         let sink: &dyn WalSink = &shared;
         sink.record(op(0)).unwrap();

@@ -28,10 +28,8 @@ use std::time::{Duration, Instant};
 /// answered (`408` on a stalled read) and released back to the queue.
 pub(crate) fn serve_connection(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
     let started = Instant::now();
-    if shared.io_timeout.is_some() {
-        let _ = stream.set_read_timeout(shared.io_timeout);
-        let _ = stream.set_write_timeout(shared.io_timeout);
-    }
+    let _ = stream.set_read_timeout(Some(shared.io_timeout));
+    let _ = stream.set_write_timeout(Some(shared.io_timeout));
     let request = match http::read_request(&mut stream) {
         Ok(r) => r,
         Err(ParseError::Disconnected) => return,

@@ -67,9 +67,8 @@ pub struct ServerConfig {
     /// reading the response) can pin its worker for at most this long: a
     /// stalled read is answered `408` and the connection closed, so the
     /// worker always returns to the queue — and graceful shutdown completes
-    /// within one timeout even with connections mid-read. `None` disables
-    /// the timeout, restoring the pinning hazard; leave it set in production.
-    pub io_timeout: Option<Duration>,
+    /// within one timeout even with connections mid-read.
+    pub io_timeout: Duration,
     /// The tail sampler's per-class slow thresholds.
     pub telemetry: TelemetryConfig,
 }
@@ -81,7 +80,7 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 64,
             default_deadline: Some(Duration::from_secs(10)),
-            io_timeout: Some(Duration::from_secs(5)),
+            io_timeout: Duration::from_secs(5),
             telemetry: TelemetryConfig::default(),
         }
     }
@@ -122,7 +121,7 @@ pub(crate) struct Shared {
     pub(crate) telemetry: Telemetry,
     shutdown: AtomicBool,
     pub(crate) default_deadline: Option<Duration>,
-    pub(crate) io_timeout: Option<Duration>,
+    pub(crate) io_timeout: Duration,
     local_addr: SocketAddr,
 }
 

@@ -219,7 +219,7 @@ fn idle_connection_times_out_with_408_and_frees_its_worker() {
         ServerConfig {
             workers: 1,
             queue_capacity: 4,
-            io_timeout: Some(Duration::from_millis(200)),
+            io_timeout: Duration::from_millis(200),
             ..ServerConfig::default()
         },
     )
@@ -567,21 +567,25 @@ fn durable_fixture(
     precis_server::Durability,
     precis_durability::SharedWal,
 ) {
-    use precis_durability::{DurableStore, FsyncPolicy, SharedWal};
+    use precis_durability::{DurableStore, FsyncPolicy};
     let store = DurableStore::open(dir).expect("data dir opens");
-    let mut db = durable_db();
-    // Initial checkpoint: the snapshot covers the generated data, the WAL
+    // A fresh directory: the snapshot covers the generated data, the WAL
     // starts empty at LSN 0.
-    precis_durability::write_snapshot(&db, 0, store.snapshot_path()).expect("bootstrap snapshot");
-    let wal = SharedWal::new(
-        store
-            .create_wal(FsyncPolicy::Batch(64), 0)
-            .expect("wal creates"),
-    );
-    db.set_wal_sink(Arc::new(wal.clone()));
-    let engine = Arc::new(PrecisEngine::new(db, movies_graph()).expect("engine builds"));
-    let durability = precis_server::Durability::new(store, wal.clone(), 0);
-    (engine, durability, wal)
+    let opened = store
+        .open_or_bootstrap(durable_db(), FsyncPolicy::Batch(64))
+        .expect("data dir bootstraps");
+    assert!(opened.recovered.is_none(), "{:?}", opened.recovered);
+    let engine = Arc::new(PrecisEngine::new(opened.db, movies_graph()).expect("engine builds"));
+    let durability = precis_server::Durability::new(store, opened.wal.clone(), 0);
+    (engine, durability, opened.wal)
+}
+
+/// Crash-recover the data dir a durable server left behind.
+fn recover(dir: &std::path::Path) -> precis_durability::Recovered {
+    precis_durability::DurableStore::open(dir)
+        .and_then(|store| store.recover())
+        .expect("recovery")
+        .expect("state exists")
 }
 
 #[test]
@@ -652,8 +656,7 @@ fn mutations_survive_kill_and_restart_byte_identically() {
     };
     handle.join();
 
-    let store = precis_durability::DurableStore::open(&dir).expect("reopen");
-    let rec = store.recover().expect("recovery").expect("state exists");
+    let rec = recover(&dir);
     assert_eq!(rec.report.replayed, 3, "{:?}", rec.report);
     assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
     let engine2 = PrecisEngine::new(rec.db, movies_graph()).expect("engine rebuilds");
@@ -705,7 +708,7 @@ fn an_integer_a_json_number_cannot_hold_is_refused_and_never_logged() {
     let (_, _, q) = post_query(addr, r#"{"tokens": "zzyxfilm"}"#);
     assert!(!q.contains("Zzyxfilm"), "{q}");
     handle.join();
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert_eq!(rec.report.replayed, 1, "{:?}", rec.report);
     assert!(!precis_storage::io::dump_to_string(&rec.db).contains("Zzyxfilm"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -719,6 +722,7 @@ fn auto_checkpoint_writes_a_snapshot_and_publishes_nothing() {
 
     let (engine, mut durability, wal) = durable_fixture(&dir);
     durability.checkpoint_every = 1; // checkpoint after every batch
+    let wal_path = durability.store.wal_path();
     let handle = Server::start_durable(engine, None, retain_everything(), Some(durability))
         .expect("server starts");
     let addr = handle.local_addr();
@@ -809,12 +813,7 @@ fn auto_checkpoint_writes_a_snapshot_and_publishes_nothing() {
     );
     precis_obs::validate_exposition(&metrics).expect("exposition well-formed");
     // The rotated WAL is empty; the snapshot alone carries the state.
-    assert_eq!(
-        std::fs::metadata(dir.join(precis_durability::WAL_FILE))
-            .unwrap()
-            .len(),
-        0
-    );
+    assert_eq!(std::fs::metadata(&wal_path).unwrap().len(), 0);
     assert!(wal.next_lsn() >= 1, "LSNs keep counting across rotation");
 
     // A tuple id stays good across checkpoints: two batches (and two
@@ -838,7 +837,7 @@ fn auto_checkpoint_writes_a_snapshot_and_publishes_nothing() {
 
     // The snapshot alone (the log was rotated behind the delete) is the
     // live database tid for tid, the deleted row's hole included.
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert_eq!(rec.report.replayed, 0, "{:?}", rec.report);
     assert_eq!(precis_storage::io::dump_to_string(&rec.db), live);
     assert_eq!(rec.db.tombstoned_slots(), 1);
@@ -924,7 +923,7 @@ fn a_failed_checkpoint_loses_no_acknowledged_write() {
         let live = precis_storage::io::dump_to_string(handle.engine().database());
         handle.join();
 
-        let rec = precis_durability::recover(&dir).unwrap().unwrap();
+        let rec = recover(&dir);
         assert_eq!(rec.report.truncated, None, "{site}: {:?}", rec.report);
         assert_eq!(rec.report.replayed, 3, "{site}: {:?}", rec.report);
         let recovered = precis_storage::io::dump_to_string(&rec.db);
@@ -1001,7 +1000,7 @@ fn wal_append_failure_mid_batch_rolls_back_unpublished() {
 
     // Recovery replays the whole log — no torn tail, no tid mismatch — and
     // serves every acknowledged write, none of the aborted ones.
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
     assert_eq!(rec.report.replayed, 3, "{:?}", rec.report);
     let dump = precis_storage::io::dump_to_string(&rec.db);
@@ -1059,7 +1058,7 @@ fn wal_fsync_failure_rolls_back_and_later_acks_survive_recovery() {
     assert!(body.contains("\"durable_lsn\": 1"), "{body}");
     handle.join();
 
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
     assert_eq!(rec.report.replayed, 2, "{:?}", rec.report);
     let dump = precis_storage::io::dump_to_string(&rec.db);
@@ -1148,7 +1147,7 @@ fn panic_mid_batch_rolls_back_and_later_acks_survive_recovery() {
 
     // Recovery replays the whole log — no torn tail, no tid mismatch — and
     // holds every acknowledged write, none of the aborted ones.
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
     assert_eq!(rec.report.replayed, 4, "{:?}", rec.report);
     let dump = precis_storage::io::dump_to_string(&rec.db);
@@ -1252,7 +1251,7 @@ fn concurrent_writers_are_serialized_by_the_writer_thread() {
     handle.join();
 
     // And recovery loses none of it.
-    let rec = precis_durability::recover(&dir).unwrap().unwrap();
+    let rec = recover(&dir);
     assert!(rec.report.truncated.is_none(), "{:?}", rec.report);
     assert_eq!(rec.report.replayed as u64, CLIENTS * BATCHES * 2);
     assert!(precis_storage::io::dump_to_string(&rec.db) == serial);

@@ -153,16 +153,6 @@ impl Database {
         self.wal = Some(sink);
     }
 
-    /// Detach the write-ahead-log sink, returning to pure in-memory mode.
-    pub fn clear_wal_sink(&mut self) {
-        self.wal = None;
-    }
-
-    /// The attached write-ahead-log sink, if any.
-    pub fn wal_sink(&self) -> Option<&Arc<dyn WalSink>> {
-        self.wal.as_ref()
-    }
-
     /// Describe a just-applied insert to the sink. The no-sink check must
     /// stay inlined into the bulk-insert loops: pulling the whole emission
     /// body (tuple re-materialization + `WalOp` construction) into those
@@ -1391,13 +1381,9 @@ mod tests {
         assert!(matches!(&recs[1], WalOp::Update { tid, values, .. }
                 if *tid == t && values[1] == Value::from("A2")));
         assert!(matches!(&recs[2], WalOp::Delete { tid, .. } if *tid == t));
-        // Clones share the sink; detaching stops emission.
+        // Clones share the sink.
         let mut copy = db.clone();
         copy.insert("DIRECTOR", vec![Value::from(9), Value::from("C")])
-            .unwrap();
-        assert_eq!(sink.len(), 4);
-        copy.clear_wal_sink();
-        copy.insert("DIRECTOR", vec![Value::from(10), Value::from("D")])
             .unwrap();
         assert_eq!(sink.len(), 4);
     }

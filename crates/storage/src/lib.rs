@@ -85,7 +85,7 @@ pub use table::{Table, TableIter, CHUNK_ROWS};
 pub use tidlist::{TidList, SEGMENT_TIDS};
 pub use tuple::{TupleId, TupleRef};
 pub use value::{DataType, Datum, Value, ValueRef};
-pub use wal::{MemoryWalSink, NullWalSink, WalOp, WalSink};
+pub use wal::{MemoryWalSink, WalOp, WalSink};
 
 /// Convenience result alias used across the storage engine.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -62,17 +62,6 @@ pub trait WalSink: Send + Sync + fmt::Debug {
     fn record(&self, op: WalOp) -> Result<()>;
 }
 
-/// A sink that drops every record — useful as an explicit "in-memory only"
-/// attachment and in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullWalSink;
-
-impl WalSink for NullWalSink {
-    fn record(&self, _op: WalOp) -> Result<()> {
-        Ok(())
-    }
-}
-
 /// A sink that buffers records in memory behind a mutex — the reference
 /// implementation used by storage tests and the testkit.
 #[derive(Debug, Default)]
@@ -115,17 +104,6 @@ impl WalSink for MemoryWalSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_sink_accepts_everything() {
-        let sink = NullWalSink;
-        assert!(sink
-            .record(WalOp::Delete {
-                relation: "R".into(),
-                tid: TupleId(3),
-            })
-            .is_ok());
-    }
 
     #[test]
     fn memory_sink_preserves_order() {

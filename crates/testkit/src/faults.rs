@@ -24,10 +24,10 @@
 
 use precis_core::{AnswerSpec, CancelToken, CoreError, PrecisEngine, PrecisQuery};
 use precis_datagen::{movies_graph, movies_vocabulary, woody_allen_instance};
-use precis_durability::{encode_frame, read_one, FsyncPolicy, Wal, WalEntry};
+use precis_durability::{encode_frame, read_one, FsyncPolicy, Wal};
 use precis_server::{render_answer, Server, ServerConfig};
 use precis_storage::failpoint::{self, FailureKind};
-use precis_storage::{io as storage_io, Database, StorageError, Value, ValueScan};
+use precis_storage::{io as storage_io, Database, StorageError, TupleId, Value, ValueScan, WalOp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -95,10 +95,17 @@ fn storage_site_mapping(report: &mut FaultReport) {
     storage_io::dump_to_file(&db, &dump_path).expect("baseline dump");
     let wal_path =
         std::env::temp_dir().join(format!("precis-testkit-faults-{}.wal", std::process::id()));
-    let wal_entry = WalEntry::SchemaInstall {
-        schema_text: "precis".to_owned(),
+    let wal_op = WalOp::Delete {
+        relation: "MOVIE".to_owned(),
+        tid: TupleId(0),
     };
-    let wal_frame = encode_frame(0, &wal_entry).expect("test entry encodes");
+    let wal_frame = encode_frame(0, &wal_op).expect("test record encodes");
+    // `Batch(1)`: the first append crosses the append site, then the sync
+    // site.
+    let append_one = || -> Result<(), StorageError> {
+        let mut wal = Wal::create(&wal_path, FsyncPolicy::Batch(1), 0)?;
+        wal.append_op(wal_op.clone()).map(|_| ())
+    };
 
     // Each driver runs the operation that crosses one site and reports
     // whether it succeeded (used both for the injected-error assertion and
@@ -152,22 +159,8 @@ fn storage_site_mapping(report: &mut FaultReport) {
             "load_from_string",
             Box::new(|| storage_io::load_from_string(&dump).map(|_| ())),
         ),
-        (
-            "wal_append",
-            Box::new(|| {
-                let mut wal = Wal::create(&wal_path, FsyncPolicy::Never, 0)?;
-                wal.append(&wal_entry).map(|_| ())
-            }),
-        ),
-        (
-            "wal_fsync",
-            Box::new(|| {
-                // Always-fsync: the very first append crosses the sync site
-                // (the append site itself is not armed for this driver).
-                let mut wal = Wal::create(&wal_path, FsyncPolicy::Always, 0)?;
-                wal.append(&wal_entry).map(|_| ())
-            }),
-        ),
+        ("wal_append", Box::new(append_one)),
+        ("wal_fsync", Box::new(append_one)),
         (
             "wal_replay",
             Box::new(|| read_one(&wal_frame, 0).map(|_| ())),
@@ -301,7 +294,7 @@ fn server_resilience(report: &mut FaultReport) {
             workers: 2,
             queue_capacity: 2,
             default_deadline: Some(Duration::from_secs(5)),
-            io_timeout: Some(Duration::from_millis(500)),
+            io_timeout: Duration::from_millis(500),
             ..ServerConfig::default()
         },
     )

@@ -16,12 +16,12 @@
 //! * **Server leg** — a loopback `precis-server` round-trip must return
 //!   exactly the bytes of [`precis_server::render_answer`] applied to the
 //!   in-process answer.
-//! * **Durability leg** — a WAL-backed twin of the dataset (every insert
-//!   streamed through `precis-durability`, plus per-case update-to-same-value
-//!   records and a churn of filler rows that leaves tombstones in the middle
+//! * **Durability leg** — a WAL-backed twin of the dataset (an empty
+//!   snapshot, then every insert streamed through `precis-durability`'s
+//!   log, plus per-case update-to-same-value records and a churn of filler rows that leaves tombstones in the middle
 //!   and at the end of a table, with a checkpoint taken mid-stream on every
 //!   other case) is crash-recovered from disk — no orderly close, just
-//!   [`precis_durability::recover()`] over the live files — and must yield a
+//!   [`DurableStore::recover`] over the live files — and must yield a
 //!   byte-identical `dump_to_string` (a dump writes tombstoned slots as
 //!   holes, so that is the live database tid for tid) AND a byte-identical
 //!   rendered answer versus the live engine. No record may be reported
@@ -46,7 +46,7 @@ use precis_datagen::{
     chain_db_fanout, movies_graph, movies_vocabulary, woody_allen_instance, MoviesConfig,
     MoviesGenerator,
 };
-use precis_durability::{write_snapshot, DurableStore, FsyncPolicy, SharedWal};
+use precis_durability::{DurableStore, FsyncPolicy, SharedWal};
 use precis_nlg::Vocabulary;
 use precis_server::json::Json;
 use precis_server::mutate::apply_ops;
@@ -169,13 +169,12 @@ impl DatasetCtx {
             Arc::new(PrecisEngine::new(db.clone(), graph.clone()).map_err(|e| e.to_string())?);
         // What the mutation leg publishes starts as a durable server does:
         // an initial snapshot, an empty log, the sink attached.
-        let (mutation_store, wal) = scratch_store()?;
-        write_snapshot(&db, 0, mutation_store.snapshot_path())
-            .map_err(|e| format!("mutation leg bootstrap snapshot: {e}"))?;
-        let mutation_wal = SharedWal::new(wal);
-        let mut logged_db = db.clone();
-        logged_db.set_wal_sink(Arc::new(mutation_wal.clone()));
-        let published = PrecisEngine::new(logged_db, graph.clone()).map_err(|e| e.to_string())?;
+        let mutation_store = scratch_store()?;
+        let opened = mutation_store
+            .open_or_bootstrap(db.clone(), FSYNC_POLICY)
+            .map_err(|e| format!("mutation leg bootstrap: {e}"))?;
+        let mutation_wal = opened.wal;
+        let published = PrecisEngine::new(opened.db, graph.clone()).map_err(|e| e.to_string())?;
         let mut_engine = PrecisEngine::new(db, graph.clone()).map_err(|e| e.to_string())?;
         let server = Server::start(
             Arc::clone(&engine),
@@ -187,7 +186,7 @@ impl DatasetCtx {
                 // No server-side deadline: the direct leg runs without a
                 // cancel token, so the served leg must too.
                 default_deadline: None,
-                io_timeout: Some(Duration::from_secs(5)),
+                io_timeout: Duration::from_secs(5),
                 ..ServerConfig::default()
             },
         )
@@ -259,19 +258,19 @@ impl DatasetCtx {
     }
 }
 
-/// Rebuild `db` as a WAL-backed twin on disk: a fresh scratch directory, a
-/// schema-install record, then every live tuple re-inserted with the log
-/// sink attached — so the on-disk WAL alone reproduces the dataset. The
-/// generated datasets are append-only, so the replayed tuple ids must
-/// coincide with the originals — verified here.
+/// Rebuild `db` as a WAL-backed twin on disk: a fresh scratch directory
+/// opened on an empty snapshot at LSN 0, then every live tuple re-inserted
+/// with the log sink attached — so the on-disk WAL alone carries the whole
+/// dataset. The generated datasets are append-only, so the replayed tuple
+/// ids must coincide with the originals — verified here.
 fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, DurableStore), String> {
-    let (store, mut wal) = scratch_store()?;
-    let mut durable_db =
+    let store = scratch_store()?;
+    let empty =
         Database::new(db.schema().clone()).map_err(|e| format!("durable twin schema: {e}"))?;
-    wal.append_schema_install(&storage_io::dump_to_string(&durable_db))
-        .map_err(|e| format!("schema-install record: {e}"))?;
-    let wal = SharedWal::new(wal);
-    durable_db.set_wal_sink(Arc::new(wal.clone()));
+    let opened = store
+        .open_or_bootstrap(empty, FSYNC_POLICY)
+        .map_err(|e| format!("durable twin bootstrap: {e}"))?;
+    let (mut durable_db, wal) = (opened.db, opened.wal);
     for (rel, _) in db.schema().relations() {
         for (tid, t) in db.table(rel).iter() {
             let replayed = durable_db
@@ -289,20 +288,18 @@ fn replay_through_wal(db: &Database) -> Result<(Database, SharedWal, DurableStor
     Ok((durable_db, wal, store))
 }
 
-/// A fresh data directory under the system temp dir with an empty log at
-/// LSN 0.
-fn scratch_store() -> Result<(DurableStore, precis_durability::Wal), String> {
+/// The durable legs' group commit.
+const FSYNC_POLICY: FsyncPolicy = FsyncPolicy::Batch(64);
+
+/// A fresh data directory under the system temp dir.
+fn scratch_store() -> Result<DurableStore, String> {
     static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "precis-testkit-durable-{}-{}",
         std::process::id(),
         NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ));
-    let store = DurableStore::open(&dir).map_err(|e| format!("durable store open: {e}"))?;
-    let wal = store
-        .create_wal(FsyncPolicy::Batch(64), 0)
-        .map_err(|e| format!("wal create: {e}"))?;
-    Ok((store, wal))
+    DurableStore::open(&dir).map_err(|e| format!("durable store open: {e}"))
 }
 
 /// Crash-recover `store` — nothing is closed, recovery reads whatever the
